@@ -11,7 +11,11 @@
 //! bit-identical everywhere. An autotuning section sweeps the dense
 //! matmul and fig7 SpMM twice — cold and warm — to demonstrate
 //! cross-trial program reuse. The headline row is the fig7-scale
-//! block-group SpMM in Execute mode.
+//! block-group SpMM in Execute mode. `tl.dot` dispatch is asserted, not
+//! just timed: the fig7 Execute rows and the matmul fast-path rows must
+//! run every dot on the exact-product kernel, and the same workloads with
+//! one NaN in B must run none there — a lost eligibility annotation
+//! fails here instead of surfacing as a silent slowdown.
 //!
 //! Results print as tables and are written to `BENCH_sim.json` so the
 //! perf trajectory is tracked across PRs (see EXPERIMENTS.md).
@@ -20,7 +24,7 @@ use insum::apps;
 use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, OrderStrategy, Tensor};
 use insum_bench::{print_table, structured_spmm_setup, x};
 use insum_gpu::reference::launch_reference;
-use insum_gpu::{DeviceModel, KernelReport, LaunchOptions, Mode, Program};
+use insum_gpu::{dot_dispatch_counts, DeviceModel, KernelReport, LaunchOptions, Mode, Program};
 use insum_graph::TensorMeta;
 use insum_inductor::{
     autotune_with, build_plan, compile_fused, CodegenOptions, FusedOp, FusionPlan, ProgramCache,
@@ -184,6 +188,43 @@ fn run_reference(
     (start.elapsed().as_secs_f64(), report, owned)
 }
 
+/// Run `f` and return the `(exact, canonical)` `tl.dot` dispatches it
+/// caused. The counters are process-wide; simbench launches from this
+/// thread only, so the delta belongs to `f`.
+fn dots_during<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let before = dot_dispatch_counts();
+    let out = f();
+    let after = dot_dispatch_counts();
+    (out, (after.0 - before.0, after.1 - before.1))
+}
+
+/// Assert that a run dispatched all of its dots one way: to the
+/// exact-product kernel (`want_exact`) or to the canonical loop.
+fn assert_dispatch(what: &str, (exact, canonical): (u64, u64), want_exact: bool) {
+    let (want, other) = if want_exact {
+        (exact, canonical)
+    } else {
+        (canonical, exact)
+    };
+    assert!(
+        want > 0 && other == 0,
+        "{what}: every tl.dot must take the {} path (exact {exact}, canonical {canonical})",
+        if want_exact {
+            "exact-product"
+        } else {
+            "canonical"
+        }
+    );
+}
+
+/// `t` with one NaN planted mid-buffer (copy-on-write: `t` is untouched).
+fn nan_poisoned(t: &Tensor) -> Tensor {
+    let mut p = t.clone();
+    let mid = p.len() / 2;
+    p.data_mut()[mid] = f32::NAN;
+    p
+}
+
 /// Best-of-N wall-clock (N adapted so slow cases stay bounded).
 fn best_wall(mut run: impl FnMut() -> f64) -> f64 {
     let mut best = f64::INFINITY;
@@ -209,6 +250,10 @@ struct Row {
     lane_ops: u64,
     bit_identical: bool,
     analytic_classes: bool,
+    /// More worker threads than the host has cores: the row is kept for
+    /// its shard-merge bit-identity assert, but its wall time measures
+    /// oversubscription, so it is left out of the speedup column.
+    oversubscribed: bool,
 }
 
 struct TuneRow {
@@ -387,9 +432,9 @@ fn main() {
     let max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // Always include a multi-threaded row: even on a single-core host it
-    // exercises (and the asserts below verify) the deterministic shard
-    // merge at >1 worker.
+    // Always include a multi-threaded row: even on a host with fewer
+    // cores it exercises (and the asserts below verify) the deterministic
+    // shard merge at >1 worker. Such a row is marked oversubscribed.
     let multi = max_threads.max(4);
     let thread_configs: Vec<usize> = vec![1, multi];
     let cache = ProgramCache::global();
@@ -452,7 +497,11 @@ fn main() {
             // seed interpreter (sequential), plus every thread config.
             let (_, r_ref, out_ref) = run_reference(case, &device, mode);
             for &threads in &thread_configs {
-                let (_, r_new, out_new) = run_program(case, &program, &device, mode, threads);
+                let ((_, r_new, out_new), dots) =
+                    dots_during(|| run_program(case, &program, &device, mode, threads));
+                if case.name == "spmm_block_group_fig7" && mode == Mode::Execute {
+                    assert_dispatch(&format!("{} at {threads} threads", case.name), dots, true);
+                }
                 let outputs_equal = out_new
                     .iter()
                     .zip(&out_ref)
@@ -488,8 +537,33 @@ fn main() {
                     lane_ops,
                     bit_identical,
                     analytic_classes: mode == Mode::Analytic && program.analytic_dedup_available(),
+                    oversubscribed: threads > max_threads,
                 });
             }
+        }
+
+        // The other side of the dispatch gate: one NaN in B and no fig7
+        // dot is eligible — the canonical loop serves all of them, with
+        // the seed's bits.
+        if case.name == "spmm_block_group_fig7" {
+            let mut tensors = case.tensors.clone();
+            tensors.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
+            let poisoned = Case {
+                name: case.name,
+                op: case.op.clone(),
+                plan_for_tuning: None,
+                tensors,
+            };
+            let ((_, r_new, out_new), dots) =
+                dots_during(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
+            assert_dispatch("fig7 with a NaN in B", dots, false);
+            let (_, r_ref, out_ref) = run_reference(&poisoned, &device, Mode::Execute);
+            assert!(
+                r_new.stats == r_ref.stats
+                    && r_new.time == r_ref.time
+                    && out_new.iter().zip(&out_ref).all(|(a, b)| a.bit_eq(b)),
+                "fig7 with a NaN in B diverges from the seed interpreter"
+            );
         }
     }
 
@@ -636,8 +710,23 @@ fn main() {
         );
 
         let copies_before = Tensor::deep_copy_count();
-        let (out_fast, _) = fast.run(&case.tensors).expect("fast path runs");
+        let ((out_fast, _), dots) =
+            dots_during(|| fast.run(&case.tensors).expect("fast path runs"));
         let deep_copies_fast = Tensor::deep_copy_count() - copies_before;
+        if pattern == "matmul" {
+            assert_dispatch(case.name, dots, true);
+            let mut poisoned = case.tensors.clone();
+            poisoned.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
+            let ((nan_fast, _), dots) =
+                dots_during(|| fast.run(&poisoned).expect("fast path runs"));
+            assert_dispatch(&format!("{} with a NaN in B", case.name), dots, false);
+            let (nan_general, _) = general.run(&poisoned).expect("general path runs");
+            assert!(
+                nan_fast.bit_eq(&nan_general),
+                "{}: the fast path must match the general lowering on NaN input",
+                case.name
+            );
+        }
         let (out_general, _) = general.run(&case.tensors).expect("general path runs");
         let bit_identical = out_fast.bit_eq(&out_general);
         assert!(
@@ -707,7 +796,11 @@ fn main() {
                 r.instances.to_string(),
                 format!("{:.2}", r.wall_ref * 1e3),
                 format!("{:.2}", r.wall_new * 1e3),
-                x(r.wall_ref / r.wall_new),
+                if r.oversubscribed {
+                    "oversub".to_string()
+                } else {
+                    x(r.wall_ref / r.wall_new)
+                },
                 format!("{:.0}", r.instances as f64 / r.wall_new),
                 format!("{:.2}", r.lane_ops as f64 / r.wall_new / 1e6),
             ]
@@ -844,7 +937,7 @@ fn main() {
              \"wall_seconds_seed\": {:.6}, \"wall_seconds_new\": {:.6}, \
              \"speedup\": {:.3}, \"instances_per_sec\": {:.1}, \
              \"lanes_per_sec\": {:.1}, \"analytic_instance_classes\": {}, \
-             \"bit_identical\": {}}}{}\n",
+             \"bit_identical\": {}{}}}{}\n",
             r.name,
             r.mode,
             r.host_threads,
@@ -856,6 +949,11 @@ fn main() {
             r.lane_ops as f64 / r.wall_new,
             r.analytic_classes,
             r.bit_identical,
+            if r.oversubscribed {
+                ", \"oversubscribed\": true"
+            } else {
+                ""
+            },
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

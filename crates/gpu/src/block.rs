@@ -11,6 +11,7 @@
 //! `broadcast_to` exactly as when they copied eagerly, because that is
 //! what the modeled hardware pays.
 
+use crate::exact_dot::{self, DotIsa};
 use insum_kernel::BinOp;
 use std::sync::Arc;
 
@@ -47,9 +48,13 @@ impl Default for PoolBuf {
 }
 
 /// Runtime check for 4-wide f64 SIMD. Elementwise f64 add/mul/compare
-/// vectorize bit-exactly (no fused multiply-add, no reassociation of any
-/// per-element chain), so the wide path produces identical results; the
-/// detection result is cached by the standard library.
+/// vectorize bit-exactly (each element keeps its own operation chain, no
+/// reassociation, and the multiply and add of the canonical `tl.dot`
+/// loop stay separate instructions), so the wide path produces identical
+/// results; the detection result is cached by the standard library.
+/// Fusing the multiply-add is legal only where the product is exact —
+/// that is [`Block::dot_exact_with`] and the `exact_dot` module, which
+/// carries the argument.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn wide_f64_available() -> bool {
@@ -913,8 +918,11 @@ impl Block {
         assert_eq!(k, k2, "dot inner dimensions disagree");
         // Per output row: collect the nonzero lhs entries once (the
         // seed's zero-skip, hoisted out of the column loop), then sweep
-        // 8-wide column tiles whose accumulators fully unroll into SIMD
-        // registers — the inner loop is branchless multiply-add.
+        // `JTILE`-wide column tiles whose accumulators fully unroll into
+        // SIMD registers — the inner loop is a branchless multiply then
+        // add, two roundings per term. This loop defines `tl.dot`; the
+        // fused kernel in `exact_dot` may stand in for it only on
+        // operands whose products are exact.
         const JTILE: usize = 32;
         let data = buf.vec();
         data.clear();
@@ -971,6 +979,91 @@ impl Block {
             },
             buf,
         )
+    }
+
+    /// True when every element is finite and f32-representable — the
+    /// exact-product kernel's eligibility predicate, spelled out. The
+    /// interpreter decides eligibility without looking at the data (see
+    /// `exact_dot`); this O(len) form backs its debug assertion and the
+    /// kernel equivalence tests.
+    #[doc(hidden)]
+    pub fn is_f32_exact(&self) -> bool {
+        let mut ok = true;
+        self.walk(|v| ok &= exact_dot::f32_exact(v));
+        ok
+    }
+
+    /// [`Block::dot_with`] for operands the caller knows to be finite
+    /// and f32-representable in every element: served by the
+    /// exact-product FMA kernel where the host has one, with the same
+    /// bits as the canonical loop (`exact_dot` has the proof). Operand
+    /// layouts the kernel does not take (B rows not unit-stride) and
+    /// hosts without FMA run the canonical loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or inner-dimension mismatch.
+    pub(crate) fn dot_exact_with(a: &Block, b: &Block, buf: PoolBuf) -> Block {
+        Block::dot_on_with(DotIsa::detect(), a, b, buf)
+    }
+
+    /// Run one named `tl.dot` implementation on f32-exact operands:
+    /// the kernel equivalence tests call every implementation the host
+    /// has through this, not through a switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or inner-dimension mismatch, or if `isa` is not
+    /// available on this host.
+    #[doc(hidden)]
+    pub fn dot_on(isa: DotIsa, a: &Block, b: &Block) -> Block {
+        Block::dot_on_with(isa, a, b, PoolBuf::new())
+    }
+
+    /// This rank-2 block as a strided kernel operand.
+    #[cfg(target_arch = "x86_64")]
+    fn mat(&self) -> exact_dot::Mat<'_> {
+        exact_dot::Mat {
+            data: self.storage_slice(),
+            offset: self.offset,
+            rows: self.shape[0],
+            cols: self.shape[1],
+            s0: self.strides[0],
+            s1: self.strides[1],
+        }
+    }
+
+    fn dot_on_with(isa: DotIsa, a: &Block, b: &Block, mut buf: PoolBuf) -> Block {
+        debug_assert!(
+            a.is_f32_exact() && b.is_f32_exact(),
+            "exact dot dispatched on an operand that is not finite and f32-representable"
+        );
+        assert!(isa.available(), "{isa:?} is not available on this host");
+        if isa == DotIsa::Portable {
+            return Block::dot_with_body(a, b, buf);
+        }
+        assert_eq!(a.rank, 2, "dot lhs must be rank 2");
+        assert_eq!(b.rank, 2, "dot rhs must be rank 2");
+        let (m, n) = (a.shape[0], b.shape[1]);
+        if n > 1 && b.strides[1] != 1 {
+            return Block::dot_with(a, b, buf);
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let out = buf.vec();
+            out.clear();
+            out.resize(m * n, 0.0);
+            exact_dot::matmul(isa, a.mat(), b.mat(), out);
+            Block::from_packed(
+                Shape4 {
+                    rank: 2,
+                    dims: [m, n, 1, 1],
+                },
+                buf,
+            )
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("only the portable implementation is available off x86-64")
     }
 
     /// Try to reclaim this block's heap buffer (with its refcount block)
@@ -1143,6 +1236,31 @@ mod tests {
         let b = Block::from_vec(vec![2, 3], vec![7., 9., 11., 8., 10., 12.]).trans(); // [3,2]
         let c = Block::dot(&a, &b);
         assert_eq!(c.to_vec(), vec![58., 64., 139., 154.]);
+    }
+
+    #[test]
+    fn every_dot_kernel_honours_view_offsets() {
+        // No public transform produces an offset view today, so the
+        // integration tests cannot; build two by hand to pin the
+        // kernels' base-pointer arithmetic anyway.
+        let store = Arc::new((0..64).map(|v| v as f64 * 0.5 - 7.0).collect::<Vec<f64>>());
+        let window = |shape: [usize; 2], row_stride: usize, offset: usize| Block {
+            rank: 2,
+            shape: [shape[0], shape[1], 1, 1],
+            strides: [row_stride, 1, 0, 0],
+            offset,
+            storage: Storage::Heap(store.clone()),
+        };
+        let a = window([3, 4], 5, 7);
+        let b = window([4, 6], 9, 3);
+        let bits = |x: Block| x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let want = bits(Block::dot(
+            &Block::from_vec(vec![3, 4], a.to_vec()),
+            &Block::from_vec(vec![4, 6], b.to_vec()),
+        ));
+        for isa in DotIsa::ALL.into_iter().filter(|i| i.available()) {
+            assert_eq!(bits(Block::dot_on(isa, &a, &b)), want, "{isa:?}");
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
+use crate::exact_dot::DotTally;
 use crate::program::{CInstr, CNode, Program, UnitMode};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::{Kernel, KernelError, Reg};
@@ -395,10 +396,13 @@ struct Machine<'a> {
     pool: Vec<PoolBuf>,
     cs: CacheState,
     trace: TraceState,
+    /// This launch's `DotSources::nonfinite_params` mask.
+    nonfinite: u64,
+    dots: DotTally,
 }
 
 impl<'a> Machine<'a> {
-    fn new(program: &'a Program, mode: Mode, sink: WriteSink) -> Machine<'a> {
+    fn new(program: &'a Program, mode: Mode, sink: WriteSink, nonfinite: u64) -> Machine<'a> {
         Machine {
             program,
             mode,
@@ -411,6 +415,8 @@ impl<'a> Machine<'a> {
             pool: Vec::new(),
             cs: CacheState::new(),
             trace: TraceState::new(),
+            nonfinite,
+            dots: DotTally::default(),
         }
     }
 
@@ -1044,7 +1050,13 @@ impl<'a> Machine<'a> {
                     let (m, k) = (av.shape()[0], av.shape()[1]);
                     let n = bv.shape()[1];
                     let out = if self.mode == Mode::Execute {
-                        Block::dot_with(av, bv, buf)
+                        let exact = self.program.dot_sources.eligible(*a, *b, self.nonfinite);
+                        self.dots.count(exact);
+                        if exact {
+                            Block::dot_exact_with(av, bv, buf)
+                        } else {
+                            Block::dot_with(av, bv, buf)
+                        }
                     } else {
                         debug_assert_eq!(bv.shape()[0], k, "dot inner dims");
                         Block::full_pooled(vec![m, n], 0.0, buf)
@@ -1901,9 +1913,17 @@ impl Program {
         let dedup =
             mode == Mode::Analytic && options.analytic_dedup && self.dedup_ok && gdims[0] > 1;
 
+        // The per-launch half of exact-product dot eligibility, decided
+        // once here and shared by every shard (Analytic launches execute
+        // no dot and never read it).
+        let nonfinite = match mode {
+            Mode::Execute => self.dot_sources.nonfinite_params(args),
+            Mode::Analytic => 0,
+        };
+
         let (stats_sums, read_seen, write_seen, atomic_counts, instance_times) = if !parallel {
             // Sequential path: one machine, direct writes.
-            let mut machine = Machine::new(self, mode, WriteSink::Direct);
+            let mut machine = Machine::new(self, mode, WriteSink::Direct, nonfinite);
             let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
             let mut view = ArgsView::Exclusive(&mut *args);
             let mut instance_times = Vec::with_capacity(instances);
@@ -1919,6 +1939,7 @@ impl Program {
                     &mut instance_times,
                 )
                 .map_err(|(_, e)| e)?;
+            machine.dots.flush();
             (
                 machine.stats,
                 machine.dram_read_seen,
@@ -1938,6 +1959,7 @@ impl Program {
                 counts: Vec<Vec<u64>>,
                 times: Vec<f64>,
                 log: Vec<WriteOp>,
+                dots: DotTally,
             }
             type ShardResult = Result<Shard, (usize, GpuError)>;
             let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
@@ -1949,7 +1971,7 @@ impl Program {
                                 Mode::Execute => WriteSink::Log(Vec::new()),
                                 Mode::Analytic => WriteSink::Direct, // never writes
                             };
-                            let mut m = Machine::new(self, mode, sink);
+                            let mut m = Machine::new(self, mode, sink, nonfinite);
                             let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
                             let mut view = ArgsView::Shared(shared);
                             let lo = (si * chunk).min(instances);
@@ -1969,6 +1991,7 @@ impl Program {
                                 counts: m.atomic_counts,
                                 times,
                                 log,
+                                dots: m.dots,
                             })
                         })
                     })
@@ -1994,7 +2017,9 @@ impl Program {
             let mut write_seen = SectorSet::new(self.params.total_sectors);
             let mut counts: Vec<Vec<u64>> = vec![Vec::new(); self.params.lens.len()];
             let mut instance_times = Vec::with_capacity(instances);
+            let mut dots = DotTally::default();
             for shard in &shards {
+                dots.merge(shard.dots);
                 stats.l2_read_sectors += shard.stats.l2_read_sectors;
                 stats.l2_write_sectors += shard.stats.l2_write_sectors;
                 stats.flops_tc_f16 += shard.stats.flops_tc_f16;
@@ -2018,6 +2043,7 @@ impl Program {
                 }
                 instance_times.extend_from_slice(&shard.times);
             }
+            dots.flush();
 
             // Replay Execute-mode writes in instance order: bit-identical
             // to the sequential interleaving because shards are ordered

@@ -46,10 +46,34 @@
 //!   address-space bitmap and atomic collisions are per-parameter count
 //!   vectors; the per-warp coalescing scan runs over stack buffers with
 //!   an arithmetic shortcut for the dominant `base + arange` pattern.
-//! * **Bit-exact SIMD** — elementwise f64 arithmetic and the `tl.dot`
-//!   inner loops dispatch to 4-wide vector code at runtime where the
-//!   host supports it (no fused multiply-add, no reassociation of any
-//!   per-element reduction chain, so results are unchanged).
+//! * **Bit-exact SIMD** — elementwise f64 arithmetic and the canonical
+//!   `tl.dot` loop dispatch to 4-wide vector code at runtime where the
+//!   host supports it. Every element keeps its own operation chain (no
+//!   reassociation of any reduction), and the loop's multiply and add
+//!   stay two roundings, so results are unchanged.
+//! * **Exact-product dot** — a `tl.dot` whose operands are finite and
+//!   f32-representable runs a dense register-blocked FMA kernel instead
+//!   (AVX2+FMA 4 × 12 or AVX-512F 8 × 16 accumulators, chosen by runtime
+//!   detection; other hosts keep the canonical loop). Fusing is legal
+//!   there because the product of two f32 values is exact in f64, so
+//!   `RN(acc + RN(a·b))` *is* `fma(a, b, acc)`; finite inputs cannot
+//!   overflow, so no NaN corner exists; and each output element still
+//!   accumulates in ascending `k` from `+0.0` (no split-k), which also
+//!   makes the canonical loop's zero-skip unobservable. The full
+//!   argument is on the kernel (`exact_dot.rs`) and pinned by
+//!   `tests/dot_kernels.rs`. **Eligible:** operand registers that are
+//!   loads of read-only parameters, or f32-exact `other`/constant/`full`
+//!   values, rearranged by `expand_dims`/`broadcast_to`/`view`/`trans`
+//!   only — decided once per register in [`Program::compile`] — whose
+//!   source parameters hold no NaN or Inf, checked with one scan per
+//!   parameter per launch. The fast-path matmul scans its two factors
+//!   once per call. **Declines** (canonical loop, same bits as ever):
+//!   any operand that passed through arithmetic (`load(A) * s`, an
+//!   accumulator, another dot), a load from a parameter the kernel also
+//!   writes, a non-f32 constant, or a non-finite input.
+//!   [`dot_dispatch_counts`] reports how many executed dots took each
+//!   path; `simbench` asserts 100 % exact on the fig7 Execute and matmul
+//!   fast-path rows and 0 % with a NaN planted in B.
 //! * **Deterministic parallelism** — [`launch_with`] can shard the
 //!   grid-instance loop across threads ([`LaunchOptions`]); DRAM
 //!   first-touch sets union, collision counters add, and Execute-mode
@@ -101,6 +125,7 @@
 
 mod block;
 mod device;
+mod exact_dot;
 mod interp;
 mod micro;
 mod persist;
@@ -111,6 +136,9 @@ mod stats;
 
 pub use block::Block;
 pub use device::DeviceModel;
+pub use exact_dot::dot_dispatch_counts;
+#[doc(hidden)]
+pub use exact_dot::DotIsa;
 pub use interp::{launch, launch_with, GpuError, LaunchOptions, Mode};
 pub use micro::{copy_view_eligible, run_micro};
 pub use program::Program;

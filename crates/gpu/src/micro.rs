@@ -34,9 +34,11 @@
 //!   zero, so a `0.0 * NaN` term is skipped, not propagated). To pin the
 //!   remaining unspecified IEEE corners (which NaN sign survives
 //!   `-inf + NaN` depends on how the compiler schedules the loop), these
-//!   microkernels call the interpreter's [`Block::dot`] with the general
-//!   kernel's default R/X tile boundaries rather than re-rolling the
-//!   loop — see [`matmul_block`]. Because those boundaries are the
+//!   microkernels call the interpreter's own `tl.dot` (the canonical
+//!   [`Block::dot`], or the exact-product FMA kernel that equals it bit
+//!   for bit when both factors are finite) with the general kernel's
+//!   default R/X tile boundaries rather than re-rolling the loop — see
+//!   [`matmul_block`]. Because those boundaries are the
 //!   *default* ones, the fast-path gate declines dot-family statements
 //!   compiled with autotuning or explicit block overrides, and declines
 //!   them entirely when Tensor Cores are off (the scalar lowering has no
@@ -60,8 +62,9 @@
 //! counters derive from shapes and dtypes only, so [`Mode::Execute`] and
 //! [`Mode::Analytic`] report identical profiles.
 
-use crate::block::Block;
+use crate::block::{Block, PoolBuf};
 use crate::device::DeviceModel;
+use crate::exact_dot::{all_finite, DotTally};
 use crate::interp::{GpuError, Mode};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::BinOp;
@@ -233,7 +236,7 @@ pub fn run_micro(
                 |out| {
                     let av = a.contiguous_data();
                     let bv = b.contiguous_data();
-                    matmul_block(&av, &bv, out, 1, av.len(), 1);
+                    matmul_block(&av, &bv, out, 1, av.len(), 1).flush();
                 },
             )
         }
@@ -281,7 +284,9 @@ pub fn run_micro(
                 mode,
                 device,
                 2 * (m * n * k) as u64,
-                |out| matmul_block(&a.contiguous_data(), &b.contiguous_data(), out, m, k, n),
+                |out| {
+                    matmul_block(&a.contiguous_data(), &b.contiguous_data(), out, m, k, n).flush()
+                },
             )
         }
         Pattern::BatchedMatmul => {
@@ -308,16 +313,18 @@ pub fn run_micro(
                 |out| {
                     let av = a.contiguous_data();
                     let bv = b.contiguous_data();
+                    let mut tally = DotTally::default();
                     for gi in 0..g {
-                        matmul_block(
+                        tally.merge(matmul_block(
                             &av[gi * m * k..(gi + 1) * m * k],
                             &bv[gi * k * n..(gi + 1) * k * n],
                             &mut out[gi * m * n..(gi + 1) * m * n],
                             m,
                             k,
                             n,
-                        );
+                        ));
                     }
+                    tally.flush();
                 },
             )
         }
@@ -427,43 +434,69 @@ fn compute(
 /// `rb = next_pow2(k).clamp(16, 32)` and X by
 /// `xb = next_pow2(n).clamp(16, 32)` (B tiles zero-padded the way the
 /// kernel's masked loads pad them), each tile runs through the
-/// interpreter's own [`Block::dot`], and per-tile partials combine with
+/// interpreter's own `tl.dot`, and per-tile partials combine with
 /// [`Block::binary`] adds — the same machine code the general pipeline
 /// executes, in the same call pattern. Matching source-level semantics
 /// is not enough: the optimizer is free to pick which NaN survives a
 /// float add or a vectorized reduction, so bit-identity on NaN corners
 /// requires sharing both the compiled kernels and their tile
 /// boundaries.
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+///
+/// Tiles are `f32` data widened to `f64`, so they are f32-representable
+/// by construction; when `a` and `b` are also finite (one scan per
+/// call) every tile goes to [`Block::dot_exact_with`], which equals the
+/// canonical loop bit for bit on such operands — the general lowering
+/// may decide eligibility differently for the same data without the two
+/// paths diverging. NaN/Inf inputs keep the canonical loop, where the
+/// paragraph above applies. Returns the dispatch tally for the caller
+/// to flush.
+fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) -> DotTally {
     let rb = k.next_power_of_two().clamp(16, 32);
     let xb = n.next_power_of_two().clamp(16, 32);
+    let exact = all_finite(a) && all_finite(b);
+    let mut tally = DotTally::default();
+    // The A panels depend on the R tile only: widen each once, not once
+    // per X tile.
+    let a_panels: Vec<Block> = (0..k)
+        .step_by(rb)
+        .map(|r0| {
+            let r1 = (r0 + rb).min(k);
+            let mut at = Vec::with_capacity(m * (r1 - r0));
+            for i in 0..m {
+                at.extend(a[i * k + r0..i * k + r1].iter().map(|&v| v as f64));
+            }
+            Block::from_vec(vec![m, r1 - r0], at)
+        })
+        .collect();
+    // One B-tile buffer, handed to each tile block and reclaimed after
+    // its dot.
+    let mut bbuf = PoolBuf::new();
     let mut x0 = 0usize;
     while x0 < n {
         let xw = (n - x0).min(xb);
         let mut acc: Option<Block> = None;
-        let mut r0 = 0usize;
-        while r0 < k {
-            let r1 = (r0 + rb).min(k);
-            let kw = r1 - r0;
-            let mut at = Vec::with_capacity(m * kw);
-            for i in 0..m {
-                at.extend(a[i * k + r0..i * k + r1].iter().map(|&v| v as f64));
-            }
-            let mut bt = vec![0.0f64; kw * xb];
-            for r in r0..r1 {
-                for t in 0..xw {
-                    bt[(r - r0) * xb + t] = b[r * n + x0 + t] as f64;
+        for (panel, r0) in a_panels.iter().zip((0..k).step_by(rb)) {
+            let kw = panel.shape()[1];
+            let bt = bbuf.vec();
+            bt.clear();
+            bt.resize(kw * xb, 0.0);
+            for (row, r) in bt.chunks_mut(xb).zip(r0..) {
+                for (slot, &v) in row.iter_mut().zip(&b[r * n + x0..r * n + x0 + xw]) {
+                    *slot = v as f64;
                 }
             }
-            let d = Block::dot(
-                &Block::from_vec(vec![m, kw], at),
-                &Block::from_vec(vec![kw, xb], bt),
-            );
+            let tile = Block::from_pool(vec![kw, xb], bbuf);
+            tally.count(exact);
+            let d = if exact {
+                Block::dot_exact_with(panel, &tile, PoolBuf::new())
+            } else {
+                Block::dot(panel, &tile)
+            };
+            bbuf = tile.reclaim().expect("the tile block is the sole owner");
             acc = Some(match acc {
                 None => d,
                 Some(p) => Block::binary(BinOp::Add, &p, &d),
             });
-            r0 = r1;
         }
         let av = acc.expect("contraction extent is nonzero").to_vec();
         for i in 0..m {
@@ -473,6 +506,7 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
         }
         x0 += xb;
     }
+    tally
 }
 
 /// Row-major `f64` sum over `axes` of `a` into `out` (raw `f32`s).

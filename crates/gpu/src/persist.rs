@@ -4,11 +4,11 @@
 //! reproduce — the lowered units (with fusion, caching levels, and
 //! liveness release lists), the per-site address-stream classification,
 //! and the derived capability flags. Everything else (names, grid
-//! dimensions, the parameter table) is recomputed deterministically
-//! from the kernel and launch shape the caller already holds as the
-//! cache key, so a decoded program is field-for-field identical to one
-//! produced by [`Program::compile`] — without running any of the
-//! lowering pipeline.
+//! dimensions, the parameter table, the per-register dot-operand
+//! provenance) is recomputed deterministically from the kernel and
+//! launch shape the caller already holds as the cache key, so a decoded
+//! program is field-for-field identical to one produced by
+//! [`Program::compile`] — without running the lowering pipeline.
 //!
 //! Decoding is defensive: registers, parameter indices, and site ids
 //! are range-checked, sequence lengths go through the allocation guard,
@@ -17,8 +17,8 @@
 //! that indexes out of bounds at launch.
 
 use crate::interp::GpuError;
-use crate::program::{CInstr, CNode, CUnit, ParamTable, Program, SiteInfo, UnitMode};
-use insum_kernel::{BinOp, Kernel, Reg};
+use crate::program::{CInstr, CNode, CUnit, DotSources, ParamTable, Program, SiteInfo, UnitMode};
+use insum_kernel::{param_usage, BinOp, Kernel, Reg};
 use insum_snapshot::{Reader, SnapshotError, Writer};
 use insum_tensor::DType;
 
@@ -592,6 +592,7 @@ impl Program {
             sites,
             dedup_ok,
             params: ParamTable::new(lens, dtypes),
+            dot_sources: DotSources::analyze(kernel, &param_usage(kernel).written),
             dot_f16,
             parallel_execute_ok,
         })

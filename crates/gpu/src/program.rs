@@ -40,15 +40,22 @@
 //!    O(instances), with identical stats, DRAM first-touch sets, atomic
 //!    collision counts, and per-instance times.
 //!
+//! A fifth, value-level analysis rides along: **dot-operand provenance**
+//! ([`DotSources`]) records, per register, which read-only parameters its
+//! value is a pure rearrangement of — the static half of deciding, in
+//! O(1) per `tl.dot`, whether the exact-product FMA kernel may serve it
+//! (see `exact_dot.rs`).
+//!
 //! Compilation is cheap (one pass per analysis over the instruction
 //! tree), but `insum_inductor`'s `ProgramCache` still memoizes programs
 //! across launches keyed by kernel fingerprint + grid + argument
 //! metadata, so repeated executions and autotuning sweeps never re-lower.
 
 use crate::block::apply_binop;
+use crate::exact_dot::{all_finite, f32_exact};
 use crate::interp::{GpuError, SECTOR};
 use insum_kernel::{param_usage, BinOp, Instr, Kernel, Reg};
-use insum_tensor::DType;
+use insum_tensor::{DType, Tensor};
 
 /// How often a top-level unit executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +269,7 @@ pub struct Program {
     /// analytic launches may dedup each row into one instance class.
     pub(crate) dedup_ok: bool,
     pub(crate) params: ParamTable,
+    pub(crate) dot_sources: DotSources,
     pub(crate) dot_f16: bool,
     /// No parameter is both loaded and written: Execute-mode instances
     /// may run out of order across host threads.
@@ -423,9 +431,143 @@ impl Program {
             sites: ctx.sites,
             dedup_ok: ctx.dedup_ok,
             params,
+            dot_sources: DotSources::analyze(kernel, &usage.written),
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
         })
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dot-operand provenance (exact-product eligibility)
+// ---------------------------------------------------------------------
+
+/// Where each register's value comes from, as far as `tl.dot`
+/// eligibility cares. A register's mask has bit `p` set when its
+/// elements may be loaded from parameter `p`, and [`DotSources::INEXACT`]
+/// set when they may be anything that is not provably f32-representable.
+/// A mask without `INEXACT` means: every element is an f32-exact
+/// constant or a raw element of one of the named read-only parameters,
+/// moved around by `ExpandDims`/`Broadcast`/`View`/`Trans` only. Such a
+/// value is f32-representable by construction (tensor storage is `f32`),
+/// and finite exactly when those parameters are — which the launch
+/// checks once per parameter, so each dot decides in O(1).
+///
+/// Deliberately derived from the kernel alone (not the launch shape), so
+/// snapshot decoding recomputes it instead of persisting it.
+pub(crate) struct DotSources {
+    /// Source mask per register.
+    reg: Vec<u64>,
+    /// Parameters some dot's eligibility depends on: the ones a launch
+    /// scans for non-finite values.
+    scanned_params: u64,
+}
+
+impl DotSources {
+    /// Poison bit: the value is not provably f32-representable.
+    const INEXACT: u64 = 1 << 63;
+
+    pub(crate) fn analyze(kernel: &Kernel, written: &[bool]) -> DotSources {
+        // Registers are not SSA (accumulators, loop-carried values):
+        // a register's mask is the union over all its writers, reached
+        // by iterating the monotone pass to a fixpoint.
+        let mut reg = vec![0u64; kernel.num_regs];
+        loop {
+            let before = reg.clone();
+            dot_sources_pass(&kernel.body, written, &mut reg);
+            if reg == before {
+                break;
+            }
+        }
+        let mut scanned_params = 0u64;
+        for instr in &kernel.body {
+            visit_tree(instr, &mut |i| {
+                if let Instr::Dot { a, b, .. } = i {
+                    let mask = reg[*a] | reg[*b];
+                    if mask & DotSources::INEXACT == 0 {
+                        scanned_params |= mask;
+                    }
+                }
+            });
+        }
+        DotSources {
+            reg,
+            scanned_params,
+        }
+    }
+
+    /// The per-launch half of eligibility: which of the parameters a
+    /// dot depends on hold a NaN or Inf right now. One pass over each
+    /// such parameter; the result feeds [`DotSources::eligible`] for the
+    /// whole launch, every shard included.
+    pub(crate) fn nonfinite_params(&self, args: &[&mut Tensor]) -> u64 {
+        let mut nonfinite = DotSources::INEXACT;
+        // Bit 63 is the poison bit, so only parameters 0..63 have one.
+        for (p, t) in args.iter().enumerate().take(63) {
+            if self.scanned_params & (1 << p) != 0 && !all_finite(t.data()) {
+                nonfinite |= 1 << p;
+            }
+        }
+        nonfinite
+    }
+
+    /// Whether `dot(a, b)` may run the exact-product kernel this launch
+    /// (`nonfinite` from [`DotSources::nonfinite_params`]): both operands
+    /// provably f32-representable, and every parameter they draw from
+    /// finite.
+    #[inline]
+    pub(crate) fn eligible(&self, a: Reg, b: Reg, nonfinite: u64) -> bool {
+        (self.reg[a] | self.reg[b]) & nonfinite == 0
+    }
+}
+
+fn dot_sources_pass(body: &[Instr], written: &[bool], reg: &mut [u64]) {
+    let exact_const = |v: f64| {
+        if f32_exact(v) {
+            0
+        } else {
+            DotSources::INEXACT
+        }
+    };
+    for instr in body {
+        match instr {
+            Instr::Const { dst, value } | Instr::Full { dst, value, .. } => {
+                reg[*dst] |= exact_const(*value);
+            }
+            Instr::Load {
+                dst, param, other, ..
+            } => {
+                // A parameter the kernel also writes holds whatever the
+                // kernel computed, not what the launch-time scan saw;
+                // masked-off lanes take `other`.
+                reg[*dst] |= if written[*param] || *param >= 63 {
+                    DotSources::INEXACT
+                } else {
+                    (1 << *param) | exact_const(*other)
+                };
+            }
+            Instr::ExpandDims { dst, src, .. }
+            | Instr::Broadcast { dst, src, .. }
+            | Instr::View { dst, src, .. }
+            | Instr::Trans { dst, src } => {
+                let mask = reg[*src];
+                reg[*dst] |= mask;
+            }
+            // Arithmetic results are arbitrary f64s. (Program ids,
+            // `arange` lanes and loop counters are small integers, but
+            // no kernel feeds them to a dot; poisoning them keeps the
+            // rule one line long.)
+            Instr::ProgramId { dst, .. }
+            | Instr::Arange { dst, .. }
+            | Instr::Binary { dst, .. }
+            | Instr::Dot { dst, .. }
+            | Instr::Sum { dst, .. } => reg[*dst] |= DotSources::INEXACT,
+            Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
+            Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
+                reg[*var] |= DotSources::INEXACT;
+                dot_sources_pass(body, written, reg);
+            }
+        }
     }
 }
 

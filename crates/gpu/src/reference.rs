@@ -20,10 +20,12 @@ use std::collections::{HashMap, HashSet};
 pub use crate::interp::Mode;
 
 /// Materialized row-major block value (the seed representation).
+/// Public so the kernel equivalence tests can call the seed
+/// [`RefBlock::dot`] directly.
 #[derive(Debug, Clone, PartialEq)]
-struct RefBlock {
-    shape: Vec<usize>,
-    data: Vec<f64>,
+pub struct RefBlock {
+    pub shape: Vec<usize>,
+    pub data: Vec<f64>,
 }
 
 impl RefBlock {
@@ -228,7 +230,9 @@ impl RefBlock {
         RefBlock { shape, data }
     }
 
-    fn dot(a: &RefBlock, b: &RefBlock) -> RefBlock {
+    /// The seed `tl.dot`: per output element, ascending `l`, skipping
+    /// zero left factors, multiply then add.
+    pub fn dot(a: &RefBlock, b: &RefBlock) -> RefBlock {
         assert_eq!(a.shape.len(), 2, "dot lhs must be rank 2");
         assert_eq!(b.shape.len(), 2, "dot rhs must be rank 2");
         let (m, k) = (a.shape[0], a.shape[1]);
