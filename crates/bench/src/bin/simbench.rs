@@ -24,7 +24,10 @@ use insum::apps;
 use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, OrderStrategy, Tensor};
 use insum_bench::{print_table, structured_spmm_setup, x};
 use insum_gpu::reference::launch_reference;
-use insum_gpu::{dot_dispatch_counts, DeviceModel, KernelReport, LaunchOptions, Mode, Program};
+use insum_gpu::{
+    dot_dispatch_counts, site_dispatch_counts, DeviceModel, KernelReport, LaunchOptions, Mode,
+    Program,
+};
 use insum_graph::TensorMeta;
 use insum_inductor::{
     autotune_with, build_plan, compile_fused, CodegenOptions, FusedOp, FusionPlan, ProgramCache,
@@ -188,14 +191,19 @@ fn run_reference(
     (start.elapsed().as_secs_f64(), report, owned)
 }
 
-/// Run `f` and return the `(exact, canonical)` `tl.dot` dispatches it
-/// caused. The counters are process-wide; simbench launches from this
-/// thread only, so the delta belongs to `f`.
-fn dots_during<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
-    let before = dot_dispatch_counts();
+/// Run `f` and return the `(exact, canonical)` `tl.dot` dispatches and
+/// the `(row_run, generic)` 2-D access-site executions it caused. The
+/// counters are process-wide; simbench launches from this thread only,
+/// so the deltas belong to `f`.
+fn dispatch_during<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
+    let (dots, sites) = (dot_dispatch_counts(), site_dispatch_counts());
     let out = f();
-    let after = dot_dispatch_counts();
-    (out, (after.0 - before.0, after.1 - before.1))
+    let (dots_after, sites_after) = (dot_dispatch_counts(), site_dispatch_counts());
+    (
+        out,
+        (dots_after.0 - dots.0, dots_after.1 - dots.1),
+        (sites_after.0 - sites.0, sites_after.1 - sites.1),
+    )
 }
 
 /// Assert that a run dispatched all of its dots one way: to the
@@ -250,6 +258,9 @@ struct Row {
     lane_ops: u64,
     bit_identical: bool,
     analytic_classes: bool,
+    /// Share of the launch's executed 2-D access sites that ran as row
+    /// runs (`insum_gpu::site_dispatch_counts`).
+    row_run_site_share: f64,
     /// More worker threads than the host has cores: the row is kept for
     /// its shard-merge bit-identity assert, but its wall time measures
     /// oversubscription, so it is left out of the speedup column.
@@ -497,11 +508,20 @@ fn main() {
             // seed interpreter (sequential), plus every thread config.
             let (_, r_ref, out_ref) = run_reference(case, &device, mode);
             for &threads in &thread_configs {
-                let ((_, r_new, out_new), dots) =
-                    dots_during(|| run_program(case, &program, &device, mode, threads));
+                let ((_, r_new, out_new), dots, (row_run, generic)) =
+                    dispatch_during(|| run_program(case, &program, &device, mode, threads));
                 if case.name == "spmm_block_group_fig7" && mode == Mode::Execute {
                     assert_dispatch(&format!("{} at {threads} threads", case.name), dots, true);
                 }
+                // Every 2-D access of a default-options kernel is
+                // separable and none of these workloads gathers a column
+                // index: a generic execution is a lost recognition.
+                assert!(
+                    row_run > 0 && generic == 0,
+                    "{}: every 2-D access site must run as row runs in {mode:?} mode at \
+                     {threads} threads (row-run {row_run}, generic {generic})",
+                    case.name
+                );
                 let outputs_equal = out_new
                     .iter()
                     .zip(&out_ref)
@@ -537,6 +557,7 @@ fn main() {
                     lane_ops,
                     bit_identical,
                     analytic_classes: mode == Mode::Analytic && program.analytic_dedup_available(),
+                    row_run_site_share: row_run as f64 / (row_run + generic) as f64,
                     oversubscribed: threads > max_threads,
                 });
             }
@@ -554,8 +575,8 @@ fn main() {
                 plan_for_tuning: None,
                 tensors,
             };
-            let ((_, r_new, out_new), dots) =
-                dots_during(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
+            let ((_, r_new, out_new), dots, _) =
+                dispatch_during(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
             assert_dispatch("fig7 with a NaN in B", dots, false);
             let (_, r_ref, out_ref) = run_reference(&poisoned, &device, Mode::Execute);
             assert!(
@@ -710,15 +731,15 @@ fn main() {
         );
 
         let copies_before = Tensor::deep_copy_count();
-        let ((out_fast, _), dots) =
-            dots_during(|| fast.run(&case.tensors).expect("fast path runs"));
+        let ((out_fast, _), dots, _) =
+            dispatch_during(|| fast.run(&case.tensors).expect("fast path runs"));
         let deep_copies_fast = Tensor::deep_copy_count() - copies_before;
         if pattern == "matmul" {
             assert_dispatch(case.name, dots, true);
             let mut poisoned = case.tensors.clone();
             poisoned.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
-            let ((nan_fast, _), dots) =
-                dots_during(|| fast.run(&poisoned).expect("fast path runs"));
+            let ((nan_fast, _), dots, _) =
+                dispatch_during(|| fast.run(&poisoned).expect("fast path runs"));
             assert_dispatch(&format!("{} with a NaN in B", case.name), dots, false);
             let (nan_general, _) = general.run(&poisoned).expect("general path runs");
             assert!(
@@ -803,6 +824,7 @@ fn main() {
                 },
                 format!("{:.0}", r.instances as f64 / r.wall_new),
                 format!("{:.2}", r.lane_ops as f64 / r.wall_new / 1e6),
+                format!("{:.0}%", 100.0 * r.row_run_site_share),
             ]
         })
         .collect();
@@ -810,7 +832,7 @@ fn main() {
         &format!("simulator throughput (max host threads: {max_threads})"),
         &[
             "workload", "mode", "thr", "insts", "seed ms", "new ms", "speedup", "insts/s",
-            "Mlanes/s",
+            "Mlanes/s", "row-run",
         ],
         &table,
     );
@@ -937,7 +959,7 @@ fn main() {
              \"wall_seconds_seed\": {:.6}, \"wall_seconds_new\": {:.6}, \
              \"speedup\": {:.3}, \"instances_per_sec\": {:.1}, \
              \"lanes_per_sec\": {:.1}, \"analytic_instance_classes\": {}, \
-             \"bit_identical\": {}{}}}{}\n",
+             \"row_run_site_share\": {:.3}, \"bit_identical\": {}{}}}{}\n",
             r.name,
             r.mode,
             r.host_threads,
@@ -948,6 +970,7 @@ fn main() {
             r.instances as f64 / r.wall_new,
             r.lane_ops as f64 / r.wall_new,
             r.analytic_classes,
+            r.row_run_site_share,
             r.bit_identical,
             if r.oversubscribed {
                 ", \"oversubscribed\": true"

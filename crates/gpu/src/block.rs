@@ -150,6 +150,16 @@ impl Shape4 {
     pub fn joint(a: &[usize], b: &[usize]) -> Shape4 {
         let nd = a.len().max(b.len());
         assert!(nd <= MAX_RANK, "block rank {nd} exceeds {MAX_RANK}");
+        Shape4::try_joint(a, b).unwrap_or_else(|| panic!("incompatible block shapes {a:?} / {b:?}"))
+    }
+
+    /// [`Shape4::joint`] for shapes that may not broadcast: `None` when
+    /// they are incompatible or the joint rank exceeds `MAX_RANK`.
+    pub fn try_joint(a: &[usize], b: &[usize]) -> Option<Shape4> {
+        let nd = a.len().max(b.len());
+        if nd > MAX_RANK {
+            return None;
+        }
         let mut dims = [1usize; MAX_RANK];
         for i in 0..nd {
             let da = if i < nd - a.len() {
@@ -162,16 +172,15 @@ impl Shape4 {
             } else {
                 b[i - (nd - b.len())]
             };
-            assert!(
-                da == db || da == 1 || db == 1,
-                "incompatible block shapes {a:?} / {b:?}"
-            );
+            if !(da == db || da == 1 || db == 1) {
+                return None;
+            }
             dims[i] = da.max(db);
         }
-        Shape4 {
+        Some(Shape4 {
             rank: nd as u8,
             dims,
-        }
+        })
     }
 }
 
@@ -816,6 +825,9 @@ impl Block {
                         let x = da[pa];
                         let rb = &db[pb..pb + inner];
                         out.extend(rb.iter().map(|&y| f(x, y)));
+                    } else if sa[3] == 0 && sb[3] == 0 {
+                        // Both rows constant (analytic zero blocks).
+                        out.extend(std::iter::repeat_n(f(da[pa], db[pb]), inner));
                     } else {
                         for t in 0..inner {
                             out.push(f(da[pa + t * sa[3]], db[pb + t * sb[3]]));

@@ -21,16 +21,24 @@
 //! 5. The grid-instance loop can run sharded across threads with a
 //!    deterministic merge (see [`LaunchOptions`]); results are
 //!    bit-identical to the sequential order.
+//! 6. 2-D accesses at `rows[i] + cols[j]` run as row runs (the `row_run`
+//!    submodule): no offset block is formed and no lane is visited. The
+//!    per-lane `*_generic` bodies here stay the fallback and the
+//!    definition of access semantics.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
 use crate::exact_dot::DotTally;
 use crate::program::{CInstr, CNode, Program, UnitMode};
 use crate::stats::{combine_times, KernelReport, KernelStats};
-use insum_kernel::{Kernel, KernelError, Reg};
+use insum_kernel::{BinOp, Kernel, KernelError, Reg};
 use insum_tensor::{DType, Tensor};
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+mod row_run;
+use row_run::RowScratch;
 
 /// Interpreter mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,6 +257,21 @@ impl SectorSet {
         new
     }
 
+    /// Insert every sector of the inclusive range `[lo, hi]`.
+    #[inline]
+    fn insert_range(&mut self, lo: u64, hi: u64) {
+        let (wl, wh) = ((lo >> 6) as usize, (hi >> 6) as usize);
+        let from = !0u64 << (lo & 63);
+        let upto = !0u64 >> (63 - (hi & 63));
+        if wl == wh {
+            self.words[wl] |= from & upto;
+        } else {
+            self.words[wl] |= from;
+            self.words[wl + 1..wh].fill(!0);
+            self.words[wh] |= upto;
+        }
+    }
+
     fn union(&mut self, other: &SectorSet) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w |= o;
@@ -380,13 +403,112 @@ impl TraceState {
     }
 }
 
+static ROW_RUN_SITES: AtomicU64 = AtomicU64::new(0);
+static GENERIC_SITES: AtomicU64 = AtomicU64::new(0);
+
+/// How many executed block-shaped (rank ≥ 2) memory accesses ran as row
+/// runs and how many on the generic per-lane path, process-wide since
+/// start: `(row_run, generic)`.
+///
+/// A diagnostic in the mould of [`crate::dot_dispatch_counts`]: relaxed
+/// counters, added to once per launch, not part of
+/// [`KernelStats`] (which describe the simulated device, not the host).
+/// Every 2-D access the Insum code generator emits with lazy broadcasting
+/// is separable (see `program.rs`, analysis 6), so a default-options
+/// kernel that reports generic executions has lost a recognition —
+/// except where a site declines on its data (a gathered *column* index,
+/// non-integral offsets). Accesses replayed from a stream cache or an
+/// analytic instance class execute nothing and count nowhere.
+pub fn site_dispatch_counts() -> (u64, u64) {
+    (
+        ROW_RUN_SITES.load(Ordering::Relaxed),
+        GENERIC_SITES.load(Ordering::Relaxed),
+    )
+}
+
+/// One launch's (or shard's) site dispatch tally.
+#[derive(Debug, Default, Clone, Copy)]
+struct SiteTally {
+    row_run: u64,
+    generic: u64,
+}
+
+impl SiteTally {
+    fn merge(&mut self, other: SiteTally) {
+        self.row_run += other.row_run;
+        self.generic += other.generic;
+    }
+
+    fn flush(self) {
+        if self.row_run != 0 {
+            ROW_RUN_SITES.fetch_add(self.row_run, Ordering::Relaxed);
+        }
+        if self.generic != 0 {
+            GENERIC_SITES.fetch_add(self.generic, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Atomic hit counts of one parameter, allocated (zeroed) on first use,
+/// with the element range `[lo, hi)` that has been touched: the
+/// end-of-launch conflict scan and the shard merge only visit that.
+#[derive(Clone)]
+struct AtomicHits {
+    counts: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for AtomicHits {
+    fn default() -> AtomicHits {
+        AtomicHits {
+            counts: Vec::new(),
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl AtomicHits {
+    /// The count vector, sized to the parameter's `len` elements.
+    #[inline]
+    fn counts(&mut self, len: usize) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.counts = vec![0u64; len];
+        }
+        &mut self.counts
+    }
+
+    /// Record that elements `[lo, hi)` may have been hit.
+    #[inline]
+    fn touch(&mut self, lo: usize, hi: usize) {
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
+    }
+
+    fn touched(&self) -> &[u64] {
+        self.counts.get(self.lo..self.hi).unwrap_or(&[])
+    }
+
+    fn merge(&mut self, other: &AtomicHits) {
+        if other.lo >= other.hi {
+            return;
+        }
+        let acc = self.counts(other.counts.len());
+        for (a, &v) in acc[other.lo..other.hi].iter_mut().zip(other.touched()) {
+            *a += v;
+        }
+        self.touch(other.lo, other.hi);
+    }
+}
+
 struct Machine<'a> {
     program: &'a Program,
     mode: Mode,
     dram_read_seen: SectorSet,
     dram_write_seen: SectorSet,
-    /// Per-parameter atomic hit counts, allocated on first use.
-    atomic_counts: Vec<Vec<u64>>,
+    /// Per-parameter atomic hit counts.
+    hits: Vec<AtomicHits>,
     stats: KernelStats,
     inst: InstCost,
     sink: WriteSink,
@@ -399,6 +521,8 @@ struct Machine<'a> {
     /// This launch's `DotSources::nonfinite_params` mask.
     nonfinite: u64,
     dots: DotTally,
+    site_tally: SiteTally,
+    row_scratch: RowScratch,
 }
 
 impl<'a> Machine<'a> {
@@ -408,7 +532,7 @@ impl<'a> Machine<'a> {
             mode,
             dram_read_seen: SectorSet::new(program.params.total_sectors),
             dram_write_seen: SectorSet::new(program.params.total_sectors),
-            atomic_counts: vec![Vec::new(); program.params.lens.len()],
+            hits: vec![AtomicHits::default(); program.params.lens.len()],
             stats: KernelStats::default(),
             inst: InstCost::default(),
             sink,
@@ -417,6 +541,8 @@ impl<'a> Machine<'a> {
             trace: TraceState::new(),
             nonfinite,
             dots: DotTally::default(),
+            site_tally: SiteTally::default(),
+            row_scratch: RowScratch::default(),
         }
     }
 
@@ -713,11 +839,12 @@ impl<'a> Machine<'a> {
                 }
             }
             if site.is_atomic && !e.counts.is_empty() {
-                let p = site.param;
-                if self.atomic_counts[p].is_empty() {
-                    self.atomic_counts[p] = vec![0u64; program.params.lens[p]];
-                }
-                let counts = &mut self.atomic_counts[p];
+                let hits = &mut self.hits[site.param];
+                hits.touch(
+                    (e.min_off + shift_elems) as usize,
+                    (e.max_off + shift_elems) as usize + 1,
+                );
+                let counts = hits.counts(program.params.lens[site.param]);
                 for &(start, len, n) in &e.counts {
                     let s = (start + shift_elems) as usize;
                     for slot in &mut counts[s..s + len as usize] {
@@ -931,7 +1058,16 @@ impl<'a> Machine<'a> {
                 self.set_reg(regs, *dst, Block::full_pooled(shape.clone(), *value, buf));
             }
             CInstr::Binary { dst, op, a, b } => {
-                self.exec_binary(regs, *dst, *op, *a, *b)?;
+                match self.program.row_sites.elided_lanes(*dst) {
+                    // An add that only forms a separable site's offset
+                    // block: charge what computing it costs the device
+                    // and compute nothing — the site reads the terms.
+                    Some(lanes) => {
+                        self.inst.flops_scalar += lanes;
+                        self.set_reg(regs, *dst, Block::scalar(f64::NAN));
+                    }
+                    None => self.exec_binary(regs, *dst, *op, *a, *b)?,
+                }
             }
             CInstr::FusedBinary {
                 dst,
@@ -1015,32 +1151,30 @@ impl<'a> Machine<'a> {
             }
             CInstr::Load {
                 dst,
-                param,
                 offset,
                 mask,
                 other,
                 site,
+                ..
             } => {
-                let out = self.exec_load(regs, *param, *offset, *mask, *other, *site, args)?;
+                let out = self.exec_load(regs, *offset, *mask, *other, *site, args)?;
                 self.set_reg(regs, *dst, out);
             }
             CInstr::Store {
-                param,
                 offset,
                 value,
                 mask,
                 site,
-            } => {
-                self.exec_store(regs, *param, *offset, *value, *mask, *site, args)?;
+                ..
             }
-            CInstr::AtomicAdd {
-                param,
+            | CInstr::AtomicAdd {
                 offset,
                 value,
                 mask,
                 site,
+                ..
             } => {
-                self.exec_atomic_add(regs, *param, *offset, *value, *mask, *site, args)?;
+                self.exec_write(regs, *offset, *value, *mask, *site, args)?;
             }
             CInstr::Dot { dst, a, b } => {
                 let buf = self.alloc();
@@ -1117,7 +1251,7 @@ impl<'a> Machine<'a> {
         &mut self,
         regs: &mut [Option<Block>],
         dst: Reg,
-        op: insum_kernel::BinOp,
+        op: BinOp,
         a: Reg,
         b: Reg,
     ) -> Result<(), GpuError> {
@@ -1168,26 +1302,50 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// A `Load`: as row runs when the site is separable and its data
+    /// allow, per lane otherwise.
     fn exec_load(
         &mut self,
         regs: &[Option<Block>],
-        param: usize,
         offset: Reg,
         mask: Option<Reg>,
         other: f64,
         site: u32,
         args: &ArgsView<'_, '_>,
     ) -> Result<Block, GpuError> {
-        let off = Self::reg(regs, offset)?;
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
         };
+        let param = self.program.sites[site as usize].param;
+        let Some(rs) = self.program.row_sites.site(site) else {
+            let off = Self::reg(regs, offset)?;
+            return self.load_generic(param, off, mb, other, site, args);
+        };
+        if let Some(out) = self.load_rows(rs, regs, site, other, args)? {
+            return Ok(out);
+        }
+        let off = self.materialize(rs, regs)?;
+        let out = self.load_generic(param, &off, mb, other, site, args);
+        self.recycle(off);
+        out
+    }
+
+    /// The per-lane load: any offset block, any mask.
+    fn load_generic(
+        &mut self,
+        param: usize,
+        off: &Block,
+        mb: Option<&Block>,
+        other: f64,
+        site: u32,
+        args: &ArgsView<'_, '_>,
+    ) -> Result<Block, GpuError> {
         let joint = match mb {
             Some(m) => Shape4::joint(off.shape(), m.shape()),
             None => off.shape4(),
         };
+        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
@@ -1353,27 +1511,67 @@ impl<'a> Machine<'a> {
         Ok(Block::from_packed(joint, buf))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_store(
+    /// A `Store` or `AtomicAdd` (the site knows which): as row runs when
+    /// the site is separable and its data allow, per lane otherwise.
+    fn exec_write(
         &mut self,
         regs: &[Option<Block>],
-        param: usize,
         offset: Reg,
         value: Reg,
         mask: Option<Reg>,
         site: u32,
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
-        let off = Self::reg(regs, offset)?;
         let val = Self::reg(regs, value)?;
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
         };
+        let Some(rs) = self.program.row_sites.site(site) else {
+            let off = Self::reg(regs, offset)?;
+            return self.write_generic(off, val, mb, site, args);
+        };
+        if self.write_rows(rs, regs, site, val, args)?.is_some() {
+            return Ok(());
+        }
+        let off = self.materialize(rs, regs)?;
+        let out = self.write_generic(&off, val, mb, site, args);
+        self.recycle(off);
+        out
+    }
+
+    /// The per-lane store or atomic add.
+    fn write_generic(
+        &mut self,
+        off: &Block,
+        val: &Block,
+        mb: Option<&Block>,
+        site: u32,
+        args: &mut ArgsView<'_, '_>,
+    ) -> Result<(), GpuError> {
+        let info = &self.program.sites[site as usize];
+        if info.is_atomic {
+            self.atomic_add_generic(info.param, off, val, mb, site, args)
+        } else {
+            self.store_generic(info.param, off, val, mb, site, args)
+        }
+    }
+
+    /// The per-lane store: any offset block, any value, any mask.
+    fn store_generic(
+        &mut self,
+        param: usize,
+        off: &Block,
+        val: &Block,
+        mb: Option<&Block>,
+        site: u32,
+        args: &mut ArgsView<'_, '_>,
+    ) -> Result<(), GpuError> {
         let mut joint = Shape4::joint(off.shape(), val.shape());
         if let Some(m) = mb {
             joint = Shape4::joint(joint.as_slice(), m.shape());
         }
+        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
@@ -1445,79 +1643,77 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_atomic_add(
+    /// The per-lane atomic add: any offset block, any value, any mask.
+    fn atomic_add_generic(
         &mut self,
-        regs: &[Option<Block>],
         param: usize,
-        offset: Reg,
-        value: Reg,
-        mask: Option<Reg>,
+        off: &Block,
+        val: &Block,
+        mb: Option<&Block>,
         site: u32,
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
-        let off = Self::reg(regs, offset)?;
-        let val = Self::reg(regs, value)?;
-        let mb = match mask {
-            Some(m) => Some(Self::reg(regs, m)?),
-            None => None,
-        };
         let mut joint = Shape4::joint(off.shape(), val.shape());
         if let Some(m) = mb {
             joint = Shape4::joint(joint.as_slice(), m.shape());
         }
+        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
         self.record_access(param, off, mb, joint.as_slice(), true)?;
 
-        if self.atomic_counts[param].is_empty() {
-            self.atomic_counts[param] = vec![0u64; self.program.params.lens[param]];
-        }
         let round = self.program.params.dtypes[param] == DType::F16;
         let execute = self.mode == Mode::Execute;
-        let counts = &mut self.atomic_counts[param];
+        let hits = &mut self.hits[param];
+        let counts = hits.counts(self.program.params.lens[param]);
+        // Count one hit, tracking the touched element range.
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        let mut hit = |o: usize| {
+            counts[o] += 1;
+            lo = lo.min(o);
+            hi = hi.max(o + 1);
+        };
         let inst = &mut self.inst;
+        // Flat layout: unmasked, same-shape contiguous offset and value
+        // blocks — a plain zip with register-resident state.
+        let flat = match mb {
+            None if off.shape() == joint.as_slice() => off.as_slice(),
+            _ => None,
+        };
         match (&mut self.sink, execute) {
             (WriteSink::Direct, true) => {
                 let data = args.data_mut(param);
-                // Flat fast path: unmasked, same-shape contiguous offset
-                // and value blocks (the compiled scatter pattern) — a
-                // plain zip with register-resident state.
-                if mb.is_none() && off.shape() == val.shape() {
-                    if let (Some(so), Some(sv)) = (off.as_slice(), val.as_slice()) {
-                        let mut atomics = 0u64;
-                        for (&o, &v) in so.iter().zip(sv) {
-                            let o = o as usize;
-                            counts[o] += 1;
-                            let slot = &mut data[o];
-                            let mut x = *slot + v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            *slot = x;
-                            atomics += 1;
-                        }
-                        inst.atomics += atomics;
-                        return Ok(());
+                let mut add = |o: usize, v: f64| {
+                    hit(o);
+                    let slot = &mut data[o];
+                    let mut x = *slot + v as f32;
+                    if round {
+                        x = insum_tensor::f16_round(x);
                     }
-                }
-                let mut per_lane = |o: f64, v: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        let o = o as usize;
-                        counts[o] += 1;
-                        let slot = &mut data[o];
-                        let mut x = *slot + v as f32;
-                        if round {
-                            x = insum_tensor::f16_round(x);
-                        }
-                        *slot = x;
-                    }
+                    *slot = x;
                 };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
+                match (flat, val.as_slice()) {
+                    (Some(so), Some(sv)) if off.shape() == val.shape() => {
+                        for (&o, &v) in so.iter().zip(sv) {
+                            add(o as usize, v);
+                        }
+                        inst.atomics += so.len() as u64;
+                    }
+                    _ => {
+                        let mut per_lane = |o: f64, v: f64, active: bool| {
+                            if active {
+                                inst.atomics += 1;
+                                add(o as usize, v);
+                            }
+                        };
+                        match mb {
+                            Some(m) => {
+                                Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0));
+                            }
+                            None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
+                        }
+                    }
                 }
             }
             (WriteSink::Log(log), true) => {
@@ -1526,7 +1722,7 @@ impl<'a> Machine<'a> {
                     if active {
                         inst.atomics += 1;
                         let o = o as usize;
-                        counts[o] += 1;
+                        hit(o);
                         log.push(WriteOp {
                             off: o as u32,
                             val: v as f32,
@@ -1541,29 +1737,36 @@ impl<'a> Machine<'a> {
                 }
             }
             // Analytic: count collisions, write nothing.
-            (_, false) => {
-                if mb.is_none() && off.shape() == joint.as_slice() {
-                    if let Some(so) = off.as_slice() {
-                        for &o in so {
-                            counts[o as usize] += 1;
+            (_, false) => match flat {
+                Some(so) => {
+                    for &o in so {
+                        hit(o as usize);
+                    }
+                    inst.atomics += so.len() as u64;
+                }
+                None => {
+                    let mut per_lane = |o: f64, active: bool| {
+                        if active {
+                            inst.atomics += 1;
+                            hit(o as usize);
                         }
-                        inst.atomics += so.len() as u64;
-                        return Ok(());
+                    };
+                    match mb {
+                        Some(m) => Block::walk3(off, val, m, |o, _, mk| per_lane(o, mk != 0.0)),
+                        None => Block::walk2(off, val, |o, _| per_lane(o, true)),
                     }
                 }
-                let mut per_lane = |o: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        counts[o as usize] += 1;
-                    }
-                };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, _, mk| per_lane(o, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, _| per_lane(o, true)),
-                }
-            }
+            },
         }
+        hits.touch(lo, hi);
         Ok(())
+    }
+
+    /// Return a temporary's buffer to the pool if nothing shares it.
+    fn recycle(&mut self, block: Block) {
+        if let Some(buf) = block.reclaim() {
+            self.pool.push(buf);
+        }
     }
 }
 
@@ -1921,7 +2124,7 @@ impl Program {
             Mode::Analytic => 0,
         };
 
-        let (stats_sums, read_seen, write_seen, atomic_counts, instance_times) = if !parallel {
+        let (stats_sums, read_seen, write_seen, atomic_hits, instance_times) = if !parallel {
             // Sequential path: one machine, direct writes.
             let mut machine = Machine::new(self, mode, WriteSink::Direct, nonfinite);
             let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
@@ -1940,11 +2143,12 @@ impl Program {
                 )
                 .map_err(|(_, e)| e)?;
             machine.dots.flush();
+            machine.site_tally.flush();
             (
                 machine.stats,
                 machine.dram_read_seen,
                 machine.dram_write_seen,
-                machine.atomic_counts,
+                machine.hits,
                 instance_times,
             )
         } else {
@@ -1956,10 +2160,11 @@ impl Program {
                 stats: KernelStats,
                 read: SectorSet,
                 write: SectorSet,
-                counts: Vec<Vec<u64>>,
+                hits: Vec<AtomicHits>,
                 times: Vec<f64>,
                 log: Vec<WriteOp>,
                 dots: DotTally,
+                site_tally: SiteTally,
             }
             type ShardResult = Result<Shard, (usize, GpuError)>;
             let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
@@ -1988,10 +2193,11 @@ impl Program {
                                 stats: m.stats,
                                 read: m.dram_read_seen,
                                 write: m.dram_write_seen,
-                                counts: m.atomic_counts,
+                                hits: m.hits,
                                 times,
                                 log,
                                 dots: m.dots,
+                                site_tally: m.site_tally,
                             })
                         })
                     })
@@ -2015,11 +2221,13 @@ impl Program {
             let mut stats = KernelStats::default();
             let mut read_seen = SectorSet::new(self.params.total_sectors);
             let mut write_seen = SectorSet::new(self.params.total_sectors);
-            let mut counts: Vec<Vec<u64>> = vec![Vec::new(); self.params.lens.len()];
+            let mut hits = vec![AtomicHits::default(); self.params.lens.len()];
             let mut instance_times = Vec::with_capacity(instances);
             let mut dots = DotTally::default();
+            let mut site_tally = SiteTally::default();
             for shard in &shards {
                 dots.merge(shard.dots);
+                site_tally.merge(shard.site_tally);
                 stats.l2_read_sectors += shard.stats.l2_read_sectors;
                 stats.l2_write_sectors += shard.stats.l2_write_sectors;
                 stats.flops_tc_f16 += shard.stats.flops_tc_f16;
@@ -2030,20 +2238,13 @@ impl Program {
                 stats.instructions += shard.stats.instructions;
                 read_seen.union(&shard.read);
                 write_seen.union(&shard.write);
-                for (p, c) in shard.counts.iter().enumerate() {
-                    if c.is_empty() {
-                        continue;
-                    }
-                    if counts[p].is_empty() {
-                        counts[p] = vec![0u64; self.params.lens[p]];
-                    }
-                    for (acc, &v) in counts[p].iter_mut().zip(c) {
-                        *acc += v;
-                    }
+                for (acc, h) in hits.iter_mut().zip(&shard.hits) {
+                    acc.merge(h);
                 }
                 instance_times.extend_from_slice(&shard.times);
             }
             dots.flush();
+            site_tally.flush();
 
             // Replay Execute-mode writes in instance order: bit-identical
             // to the sequential interleaving because shards are ordered
@@ -2079,7 +2280,7 @@ impl Program {
                     }
                 }
             }
-            (stats, read_seen, write_seen, counts, instance_times)
+            (stats, read_seen, write_seen, hits, instance_times)
         };
 
         let mut stats = stats_sums;
@@ -2088,8 +2289,8 @@ impl Program {
         stats.dram_write_sectors = write_seen.count();
         let mut conflicts = 0u64;
         let mut max_chain = 0u64;
-        for counts in &atomic_counts {
-            for &c in counts {
+        for hits in &atomic_hits {
+            for &c in hits.touched() {
                 if c > 0 {
                     conflicts += c - 1;
                     max_chain = max_chain.max(c - 1);

@@ -74,6 +74,22 @@
 //!   [`dot_dispatch_counts`] reports how many executed dots took each
 //!   path; `simbench` asserts 100 % exact on the fig7 Execute and matmul
 //!   fast-path rows and 0 % with a NaN planted in B.
+//! * **Row-run address streams** — a 2-D access at
+//!   `expand_dims(rows, 1) + expand_dims(cols, 0)` (every gather, scatter
+//!   and atomic the code generator emits; Fig. 9) never materialises its
+//!   `n × m` offset block: [`Program::compile`] recognises the site, the
+//!   adds that formed the block charge their cost and compute nothing,
+//!   and the site runs as `n` row runs of `m` consecutive elements —
+//!   per-warp L2 transactions from the union of the rows' sector ranges,
+//!   one slice copy / write / add per row — in the cost pass and the
+//!   value pass, Execute and Analytic, instance-class traces included.
+//!   Sites that are not separable in form, or whose terms turn out
+//!   non-integral or whose columns are gathered, take the per-lane path
+//!   as before. [`site_dispatch_counts`] reports how many executed 2-D
+//!   accesses took each path; `simbench` asserts 100 % row runs on its
+//!   five workloads. The rule and the bit-identity argument are in
+//!   `program.rs` (analysis 6), the differential test in
+//!   `tests/row_sites.rs`.
 //! * **Deterministic parallelism** — [`launch_with`] can shard the
 //!   grid-instance loop across threads ([`LaunchOptions`]); DRAM
 //!   first-touch sets union, collision counters add, and Execute-mode
@@ -88,8 +104,10 @@
 //! [`Program`]: the kernel IR is lowered ahead of time (once per launch
 //! shape; [`launch`]/[`launch_with`] compile on the fly, while
 //! `insum_inductor`'s `ProgramCache` memoizes programs across launches
-//! and autotuning trials). Lowering runs four analyses, all with
-//! conservative fallbacks so results stay bit-identical to the seed:
+//! and autotuning trials). Lowering runs these analyses (plus the
+//! value-level dot-operand provenance and separable-site recognition
+//! described above), all with conservative fallbacks so results stay
+//! bit-identical to the seed:
 //!
 //! * **Grid-invariant prologue** — registers are classified by the grid
 //!   axes their values transitively depend on. Level-0 (grid-invariant)
@@ -139,7 +157,7 @@ pub use device::DeviceModel;
 pub use exact_dot::dot_dispatch_counts;
 #[doc(hidden)]
 pub use exact_dot::DotIsa;
-pub use interp::{launch, launch_with, GpuError, LaunchOptions, Mode};
+pub use interp::{launch, launch_with, site_dispatch_counts, GpuError, LaunchOptions, Mode};
 pub use micro::{copy_view_eligible, run_micro};
 pub use program::Program;
 pub use stats::{KernelReport, KernelStats, Profile};

@@ -5,10 +5,13 @@
 //! liveness release lists), the per-site address-stream classification,
 //! and the derived capability flags. Everything else (names, grid
 //! dimensions, the parameter table, the per-register dot-operand
-//! provenance) is recomputed deterministically from the kernel and
-//! launch shape the caller already holds as the cache key, so a decoded
-//! program is field-for-field identical to one produced by
-//! [`Program::compile`] — without running the lowering pipeline.
+//! provenance, the separable-site annotations) is recomputed
+//! deterministically from the kernel and launch shape the caller already
+//! holds as the cache key, so a decoded program is field-for-field
+//! identical to one produced by [`Program::compile`] — without running
+//! the lowering pipeline. The release lists are on the wire but are
+//! recomputed too: they depend on the separable-site annotations, which
+//! files written before PR 13 know nothing of.
 //!
 //! Decoding is defensive: registers, parameter indices, and site ids
 //! are range-checked, sequence lengths go through the allocation guard,
@@ -17,7 +20,10 @@
 //! that indexes out of bounds at launch.
 
 use crate::interp::GpuError;
-use crate::program::{CInstr, CNode, CUnit, DotSources, ParamTable, Program, SiteInfo, UnitMode};
+use crate::program::{
+    assign_release_lists, reg_use_counts, CInstr, CNode, CUnit, DotSources, ParamTable, Program,
+    RowSites, SiteInfo, UnitMode,
+};
 use insum_kernel::{param_usage, BinOp, Kernel, Reg};
 use insum_snapshot::{Reader, SnapshotError, Writer};
 use insum_tensor::DType;
@@ -580,6 +586,13 @@ impl Program {
             });
         }
 
+        // Kernel-derived annotations are not on the wire: recompute them,
+        // and with them the release lists — a separable site reads the
+        // leaves of its offset tree, so a snapshot written before that
+        // analysis existed would release them too early.
+        let row_sites = RowSites::analyze(kernel, &reg_use_counts(kernel));
+        assign_release_lists(&mut units, &level2_regs, num_regs, &row_sites);
+
         Ok(Program {
             name: kernel.name.clone(),
             param_names: kernel.params.iter().map(|p| p.name.clone()).collect(),
@@ -593,6 +606,7 @@ impl Program {
             dedup_ok,
             params: ParamTable::new(lens, dtypes),
             dot_sources: DotSources::analyze(kernel, &param_usage(kernel).written),
+            row_sites,
             dot_f16,
             parallel_execute_ok,
         })
@@ -658,6 +672,80 @@ mod tests {
         let bits_a: Vec<u32> = out_a.data().iter().map(|v| v.to_bits()).collect();
         let bits_b: Vec<u32> = out_b.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits_a, bits_b);
+    }
+
+    /// A snapshot written before separable-site recognition existed has
+    /// release lists that free an offset term right after the add that
+    /// consumed it. Decoding recomputes the kernel-derived annotations
+    /// and the lists with them, so such a file loads into the program a
+    /// fresh compile produces.
+    #[test]
+    fn snapshot_without_site_liveness_decodes_to_fresh_compile() {
+        // `OUT[i, j] = SRC[i, j] + i · j` over one `[8, 16]` tile, with
+        // block arithmetic between the offset add and the accesses so a
+        // term released early would have its buffer recycled.
+        let (n, m) = (8usize, 16usize);
+        let mut b = KernelBuilder::new("persist_rows");
+        let src = b.input("SRC");
+        let out = b.output("OUT");
+        let pid = b.program_id(0);
+        let rows = b.arange(n);
+        let width = b.constant(m as f64);
+        let tile = b.binary(BinOp::Mul, pid, width);
+        let row_base = b.binary(BinOp::Mul, rows, width);
+        let cols = b.arange(m);
+        let cols = b.binary(BinOp::Add, cols, tile);
+        let offsets = |b: &mut KernelBuilder| {
+            let r = b.expand_dims(row_base, 1);
+            let c = b.expand_dims(cols, 0);
+            b.binary(BinOp::Add, r, c)
+        };
+        let off_l = offsets(&mut b);
+        let off_s = offsets(&mut b);
+        let r = b.expand_dims(rows, 1);
+        let c = b.expand_dims(cols, 0);
+        let z = b.binary(BinOp::Mul, r, c);
+        let v = b.load(src, off_l, None, 0.0);
+        let sum = b.binary(BinOp::Add, v, z);
+        b.store(out, off_s, sum, None);
+        let kernel = b.build();
+        let (grid, lens, dtypes) = (vec![1], vec![n * m, n * m], vec![DType::F32; 2]);
+
+        let compiled = Program::compile(&kernel, &grid, &lens, &dtypes).unwrap();
+        assert_eq!(compiled.separable_sites(), (2, 2));
+        let mut stale = Program::compile(&kernel, &grid, &lens, &dtypes).unwrap();
+        assign_release_lists(
+            &mut stale.units,
+            &stale.level2_regs,
+            stale.num_regs,
+            &RowSites::none(stale.num_regs),
+        );
+        let encode = |p: &Program| {
+            let mut w = Writer::new();
+            p.encode_snapshot(&mut w);
+            w.into_bytes()
+        };
+        let (fresh_bytes, stale_bytes) = (encode(&compiled), encode(&stale));
+        assert_ne!(fresh_bytes, stale_bytes, "the stale lists must differ");
+
+        let mut r = Reader::new(&stale_bytes);
+        let decoded = Program::decode_snapshot(&kernel, &grid, &lens, &dtypes, &mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(encode(&decoded), fresh_bytes);
+
+        let device = crate::DeviceModel::rtx3090();
+        let input = Tensor::from_fn(vec![n * m], |i| (i[0] % 23) as f32 * 0.5 - 4.0);
+        let run = |p: &Program| {
+            let (mut s, mut o) = (input.clone(), Tensor::zeros(vec![n * m]));
+            let report = p
+                .launch(&mut [&mut s, &mut o], &device, crate::Mode::Execute)
+                .unwrap();
+            (report, o)
+        };
+        let (want_report, want_out) = run(&compiled);
+        let (got_report, got_out) = run(&decoded);
+        assert_eq!(got_report, want_report);
+        assert!(got_out.bit_eq(&want_out));
     }
 
     #[test]

@@ -40,18 +40,78 @@
 //!    O(instances), with identical stats, DRAM first-touch sets, atomic
 //!    collision counts, and per-instance times.
 //!
-//! A fifth, value-level analysis rides along: **dot-operand provenance**
-//! ([`DotSources`]) records, per register, which read-only parameters its
-//! value is a pure rearrangement of — the static half of deciding, in
-//! O(1) per `tl.dot`, whether the exact-product FMA kernel may serve it
-//! (see `exact_dot.rs`).
+//! Two analyses of the kernel alone (not the launch shape, so snapshot
+//! decoding recomputes them) ride along:
+//!
+//! 5. **dot-operand provenance** ([`DotSources`]) records, per register,
+//!    which read-only parameters its value is a pure rearrangement of —
+//!    the static half of deciding, in O(1) per `tl.dot`, whether the
+//!    exact-product FMA kernel may serve it (see `exact_dot.rs`).
+//! 6. **separable access sites** ([`RowSites`]) — every 2-D access the
+//!    code generator emits addresses
+//!    `expand_dims(rows, 1) + expand_dims(cols, 0)` (the paper's Fig. 9):
+//!    a gathered or scattered *row base* per lane of one role plus a
+//!    *contiguous column run* of the other. Such a site executes as `n`
+//!    row runs of `m` elements instead of as `n · m` lanes: the cost pass
+//!    takes each warp's L2 transactions from the union of the sector
+//!    ranges of the row pieces it covers, the value pass is one slice
+//!    copy / write / add per row, and the `Binary::Add`s that only formed
+//!    the offset block compute nothing.
+//!
+//!    *Recognised form.* A `Load` / `Store` / `AtomicAdd` whose offset
+//!    register is the root of a tree of single-writer `Binary::Add`s in
+//!    the access's own body, each read by nothing but its parent (the
+//!    root: by the access alone). The tree's leaves are whatever else
+//!    the adds read; by their static shapes (every block shape is a
+//!    function of the kernel text — `infer_shapes`) the root is `[n, m]`
+//!    and each leaf varies along at most one of the two axes: a *row
+//!    term* `[n, 1]`, a *column term* `[1, m]` or `[m]`, or a scalar. So
+//!    `off[i, j] = R[i] + C[j]` with `R` the sum of the row and scalar
+//!    terms and `C` the sum of the column terms. The mask is absent, a
+//!    row mask `[n, 1]` or a column mask `[1, m]`; a stored or added
+//!    value broadcasts into `[n, m]`. Between the add that reads a leaf
+//!    and the access nothing writes that leaf, because the site reads it
+//!    when it executes (liveness counts that read: `for_each_read_ci`).
+//!
+//!    *Integrality.* Folding `(R₁[i] + C₁[j]) + C₂[j]` into
+//!    `R₁[i] + (C₁ + C₂)[j]` reassociates f64 adds. Each execution
+//!    therefore checks, in O(n + m), that every leaf element is an
+//!    integer below 2^48 in magnitude: with at most
+//!    [`MAX_TREE_LEAVES`] leaves every partial sum stays below 2^52, so
+//!    the adds are exact in every association. (Integer-valuedness could
+//!    be had statically from `AV::integral()`, magnitude cannot, and the
+//!    check costs a few dozen nanoseconds.) It also checks that `C` is
+//!    `c₀ + arange` and that a column mask is a prefix, so each active
+//!    row is the element range `[R[i] + c₀, R[i] + c₀ + cols)`.
+//!
+//!    *What declines.* Statically: offsets of rank other than 2
+//!    (the rank-3 scalar lowering of `tensor_cores: false`), leaves that
+//!    vary along both axes (eager broadcasting puts a `Broadcast` between
+//!    the `ExpandDims` and the add), a 2-D mask (the `And` of a row and a
+//!    column mask), an offset register with a second reader, adds outside
+//!    the access's body, unknown shapes. At run time: a non-integral or
+//!    huge term, a gathered column index (`A[y, E[r]]`), a non-prefix
+//!    column mask — the site then materialises the offset block with the
+//!    kernel's own association and takes the per-lane path, which remains
+//!    the single definition of access semantics.
+//!
+//!    *Why no counter can move.* An elided add stays where it stood — same
+//!    unit, same stream-cache occurrence — and charges what it charged:
+//!    one instruction and its static lane count of scalar flops. The
+//!    site's L2 transactions are the distinct sectors per warp of the
+//!    same lanes in the same row-major order, its DRAM first-touch marks
+//!    the same sectors, its atomic hit counts the same addresses, and the
+//!    first out-of-bounds lane in lane order is reported with the same
+//!    offset. Rows are visited in order and a row's addresses are
+//!    distinct, so same-address atomic chains add in the per-lane order:
+//!    output bits are unchanged too.
 //!
 //! Compilation is cheap (one pass per analysis over the instruction
 //! tree), but `insum_inductor`'s `ProgramCache` still memoizes programs
 //! across launches keyed by kernel fingerprint + grid + argument
 //! metadata, so repeated executions and autotuning sweeps never re-lower.
 
-use crate::block::apply_binop;
+use crate::block::{apply_binop, Shape4, MAX_RANK};
 use crate::exact_dot::{all_finite, f32_exact};
 use crate::interp::{GpuError, SECTOR};
 use insum_kernel::{param_usage, BinOp, Instr, Kernel, Reg};
@@ -270,6 +330,7 @@ pub struct Program {
     pub(crate) dedup_ok: bool,
     pub(crate) params: ParamTable,
     pub(crate) dot_sources: DotSources,
+    pub(crate) row_sites: RowSites,
     pub(crate) dot_f16: bool,
     /// No parameter is both loaded and written: Execute-mode instances
     /// may run out of order across host threads.
@@ -291,6 +352,13 @@ impl Program {
     /// one costed representative (see the module docs).
     pub fn analytic_dedup_available(&self) -> bool {
         self.dedup_ok
+    }
+
+    /// How many of this program's memory-access sites were recognised as
+    /// separable (`off[i, j] = R[i] + C[j]`, executed as row runs — see
+    /// the module docs, analysis 6): `(recognised, total)`.
+    pub fn separable_sites(&self) -> (usize, usize) {
+        self.row_sites.counts()
     }
 
     /// Classification summary for diagnostics and benchmarks:
@@ -367,17 +435,19 @@ impl Program {
         let uses = reg_use_counts(kernel);
         let avals = compute_avals(kernel, dtypes, &usage.written);
         let params = ParamTable::new(lens, dtypes);
+        let row_sites = RowSites::analyze(kernel, &uses);
 
         let mut ctx = Lowering {
             levels: &levels,
             uses: &uses,
+            row_sites: &row_sites,
             avals: &avals,
             params: &params,
             sites: Vec::new(),
             dedup_ok: avals.loops_ok,
         };
         let mut units = Vec::new();
-        for chunk in fuse_body(&kernel.body, &levels, &uses) {
+        for chunk in fuse_body(&kernel.body, &levels, &uses, &row_sites) {
             // A unit's frequency covers its whole subtree *and* every
             // register it writes: a prologue `full(...)` that a
             // per-instance loop also writes (the accumulator pattern)
@@ -395,24 +465,12 @@ impl Program {
             });
         }
 
-        // Last-use liveness at top-level granularity: after the final
-        // unit that reads a per-instance register, its buffer is dead.
-        let mut last_use: Vec<Option<usize>> = vec![None; kernel.num_regs];
-        for (i, unit) in units.iter().enumerate() {
-            for_each_read_ci(&unit.instr, &mut |r| last_use[r] = Some(i));
-        }
-        for (i, unit) in units.iter_mut().enumerate() {
-            unit.release = last_use
-                .iter()
-                .enumerate()
-                .filter(|&(r, lu)| *lu == Some(i) && levels.reg[r] >= 2)
-                .map(|(r, _)| r)
-                .collect();
-        }
-
         let level2_regs: Vec<Reg> = (0..kernel.num_regs)
             .filter(|&r| levels.reg[r] >= 2)
             .collect();
+        let sites = ctx.sites;
+        let dedup_ok = ctx.dedup_ok;
+        assign_release_lists(&mut units, &level2_regs, kernel.num_regs, &row_sites);
 
         let dot_f16 = {
             let floats: Vec<DType> = dtypes.iter().copied().filter(|d| d.is_float()).collect();
@@ -428,10 +486,11 @@ impl Program {
             instances,
             units,
             level2_regs,
-            sites: ctx.sites,
-            dedup_ok: ctx.dedup_ok,
+            sites,
+            dedup_ok,
             params,
             dot_sources: DotSources::analyze(kernel, &usage.written),
+            row_sites,
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
         })
@@ -569,6 +628,442 @@ fn dot_sources_pass(body: &[Instr], written: &[bool], reg: &mut [u64]) {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Separable access sites (row-run address streams)
+// ---------------------------------------------------------------------
+
+/// Which lane axis a leaf of a separable offset tree varies along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TermAxis {
+    /// Shape `[n, 1]`: one value per row of lanes.
+    Row,
+    /// Shape `[1, m]` (or `[m]`): one value per column of lanes.
+    Col,
+    /// A scalar (every dimension 1).
+    Scalar,
+}
+
+/// One step of an offset tree in postfix order: evaluating the steps on
+/// a stack reproduces the kernel's own association of the adds, which is
+/// what the generic fallback materialises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TreeOp {
+    Leaf(Reg, TermAxis),
+    Add,
+}
+
+/// The mask of a separable site, by the lane axis it varies along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SiteMask {
+    None,
+    /// Shape `[n, 1]`: whole rows of lanes are on or off.
+    Rows(Reg),
+    /// Shape `[1, m]`: whole columns of lanes are on or off.
+    Cols(Reg),
+}
+
+/// A 2-D memory access whose offsets are `off[i, j] = R[i] + C[j]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RowSite {
+    /// Rows of lanes.
+    pub(crate) n: usize,
+    /// Lanes per row.
+    pub(crate) m: usize,
+    pub(crate) tree: Vec<TreeOp>,
+    pub(crate) mask: SiteMask,
+}
+
+/// Analysis 6 (see the module docs): which access sites are separable,
+/// and which `Binary::Add`s exist only to form their offset blocks.
+///
+/// Derived from the kernel alone, like [`DotSources`], so snapshot
+/// decoding recomputes it instead of persisting it.
+pub(crate) struct RowSites {
+    /// Per site id (lowering order), the recognised form if any.
+    site: Vec<Option<RowSite>>,
+    /// Per register, the lane count of the elided add that defines it.
+    elided: Vec<Option<u64>>,
+}
+
+/// Leaves per offset tree. With every leaf an integer below 2^48 in
+/// magnitude (checked at each execution), any partial sum of at most
+/// this many leaves stays below 2^52, so f64 adds are exact in every
+/// association and agree with the i64 sums the row walk forms.
+pub(crate) const MAX_TREE_LEAVES: usize = 8;
+
+impl RowSites {
+    pub(crate) fn analyze(kernel: &Kernel, uses: &[u32]) -> RowSites {
+        let shapes = infer_shapes(kernel);
+        let mut writers = vec![0u32; kernel.num_regs];
+        for instr in &kernel.body {
+            for_each_write(instr, &mut |r| writers[r] += 1);
+        }
+        let mut scan = SiteScan {
+            shapes: &shapes,
+            uses,
+            writers: &writers,
+            add_def: vec![None; kernel.num_regs],
+            next_body: 0,
+            out: RowSites {
+                site: Vec::new(),
+                elided: vec![None; kernel.num_regs],
+            },
+        };
+        scan.body(&kernel.body);
+        scan.out
+    }
+
+    /// No site recognised: what a program compiled before this analysis
+    /// existed behaves like.
+    #[cfg(test)]
+    pub(crate) fn none(num_regs: usize) -> RowSites {
+        RowSites {
+            site: Vec::new(),
+            elided: vec![None; num_regs],
+        }
+    }
+
+    /// The separable form of site `site`, if it was recognised.
+    #[inline]
+    pub(crate) fn site(&self, site: u32) -> Option<&RowSite> {
+        self.site.get(site as usize).and_then(Option::as_ref)
+    }
+
+    /// When `dst` is defined by an elided offset-forming add, the number
+    /// of lanes that add computes (its `flops_scalar` charge).
+    #[inline]
+    pub(crate) fn elided_lanes(&self, dst: Reg) -> Option<u64> {
+        self.elided[dst]
+    }
+
+    fn for_each_leaf(&self, site: u32, f: &mut impl FnMut(Reg)) {
+        if let Some(rs) = self.site(site) {
+            for op in &rs.tree {
+                if let TreeOp::Leaf(r, _) = op {
+                    f(*r);
+                }
+            }
+        }
+    }
+
+    /// `(recognised, total)` access sites.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        (self.site.iter().flatten().count(), self.site.len())
+    }
+}
+
+/// A single-writer `dst = a + b` at top level of some body.
+#[derive(Clone, Copy)]
+struct AddDef {
+    body: u32,
+    idx: usize,
+    a: Reg,
+    b: Reg,
+}
+
+struct SiteScan<'a> {
+    shapes: &'a [Option<Shape4>],
+    uses: &'a [u32],
+    writers: &'a [u32],
+    add_def: Vec<Option<AddDef>>,
+    next_body: u32,
+    out: RowSites,
+}
+
+impl SiteScan<'_> {
+    /// Walk one body in program order — the order lowering numbers
+    /// sites in — recognising each access against the adds of the same
+    /// body.
+    fn body(&mut self, body: &[Instr]) {
+        let id = self.next_body;
+        self.next_body += 1;
+        for (idx, instr) in body.iter().enumerate() {
+            if let Instr::Binary {
+                dst,
+                op: BinOp::Add,
+                a,
+                b,
+            } = instr
+            {
+                if self.writers[*dst] == 1 {
+                    self.add_def[*dst] = Some(AddDef {
+                        body: id,
+                        idx,
+                        a: *a,
+                        b: *b,
+                    });
+                }
+            }
+        }
+        for (idx, instr) in body.iter().enumerate() {
+            match instr {
+                Instr::Load { offset, mask, .. } => {
+                    self.access(body, id, idx, *offset, *mask, None);
+                }
+                Instr::Store {
+                    offset,
+                    value,
+                    mask,
+                    ..
+                }
+                | Instr::AtomicAdd {
+                    offset,
+                    value,
+                    mask,
+                    ..
+                } => self.access(body, id, idx, *offset, *mask, Some(*value)),
+                Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => self.body(body),
+                _ => {}
+            }
+        }
+    }
+
+    fn access(
+        &mut self,
+        body: &[Instr],
+        id: u32,
+        idx: usize,
+        offset: Reg,
+        mask: Option<Reg>,
+        value: Option<Reg>,
+    ) {
+        let found = self.recognise(body, id, idx, offset, mask, value);
+        self.out.site.push(found.map(|(site, adds)| {
+            for (dst, lanes) in adds {
+                self.out.elided[dst] = Some(lanes);
+            }
+            site
+        }));
+    }
+
+    /// The separable form of the access at `body[idx]`, with the
+    /// `(dst, lanes)` of the adds it makes unnecessary.
+    fn recognise(
+        &self,
+        body: &[Instr],
+        id: u32,
+        idx: usize,
+        offset: Reg,
+        mask: Option<Reg>,
+        value: Option<Reg>,
+    ) -> Option<(RowSite, Vec<(Reg, u64)>)> {
+        let off_shape = self.shapes[offset]?;
+        let &[n, m] = off_shape.as_slice() else {
+            return None;
+        };
+        if n == 0 || m == 0 {
+            return None;
+        }
+        let mut found = OffsetTree::default();
+        self.collect(offset, id, idx, (n, m), &mut found)?;
+        let OffsetTree { ops, adds, leaves } = found;
+        if ops.last() != Some(&TreeOp::Add) {
+            return None;
+        }
+        // The site reads a leaf when it executes, not where the add that
+        // consumed it stood: nothing in between may overwrite it.
+        for &(leaf, read_at) in &leaves {
+            let mut clobbered = false;
+            for instr in &body[read_at + 1..idx] {
+                for_each_write(instr, &mut |r| clobbered |= r == leaf);
+            }
+            if clobbered {
+                return None;
+            }
+        }
+        let mask = match mask {
+            None => SiteMask::None,
+            Some(r) => match lane_axis(self.shapes[r]?, n, m)? {
+                TermAxis::Row => SiteMask::Rows(r),
+                TermAxis::Col => SiteMask::Cols(r),
+                // One row of lanes: a `[1, 1]` mask is its row mask.
+                TermAxis::Scalar if n == 1 => SiteMask::Rows(r),
+                TermAxis::Scalar => return None,
+            },
+        };
+        if let Some(v) = value {
+            // The value must broadcast *into* the offset block, or some
+            // address would be written more than once per lane.
+            let vs = self.shapes[v]?;
+            if Shape4::try_joint(vs.as_slice(), &[n, m])? != off_shape {
+                return None;
+            }
+        }
+        Some((
+            RowSite {
+                n,
+                m,
+                tree: ops,
+                mask,
+            },
+            adds,
+        ))
+    }
+
+    /// Append the postfix form of `reg`'s subtree: an add that this site
+    /// alone reads (and that stands before `before`, its reader, in the
+    /// same body) is an inner node, anything else a leaf.
+    fn collect(
+        &self,
+        reg: Reg,
+        id: u32,
+        before: usize,
+        nm: (usize, usize),
+        out: &mut OffsetTree,
+    ) -> Option<()> {
+        if let Some(d) = self.add_def[reg] {
+            if d.body == id && d.idx < before && self.uses[reg] == 1 {
+                self.collect(d.a, id, d.idx, nm, out)?;
+                self.collect(d.b, id, d.idx, nm, out)?;
+                out.ops.push(TreeOp::Add);
+                out.adds.push((reg, self.shapes[reg]?.volume() as u64));
+                return Some(());
+            }
+        }
+        if out.leaves.len() >= MAX_TREE_LEAVES {
+            return None;
+        }
+        let axis = lane_axis(self.shapes[reg]?, nm.0, nm.1)?;
+        out.ops.push(TreeOp::Leaf(reg, axis));
+        out.leaves.push((reg, before));
+        Some(())
+    }
+}
+
+/// An offset tree under construction.
+#[derive(Default)]
+struct OffsetTree {
+    /// Postfix form.
+    ops: Vec<TreeOp>,
+    /// `(dst, lanes)` of the inner adds.
+    adds: Vec<(Reg, u64)>,
+    /// `(reg, position of the add that reads it)` of the leaves.
+    leaves: Vec<(Reg, usize)>,
+}
+
+/// The lane axis a block of `shape` varies along inside an `[n, m]`
+/// access; `None` when it varies along both or does not broadcast into
+/// `[n, m]`.
+fn lane_axis(shape: Shape4, n: usize, m: usize) -> Option<TermAxis> {
+    let (d0, d1) = match *shape.as_slice() {
+        [] => (1, 1),
+        [b] => (1, b),
+        [a, b] => (a, b),
+        _ => return None,
+    };
+    match (d0 != 1, d1 != 1) {
+        (true, true) => None,
+        (true, false) => (d0 == n).then_some(TermAxis::Row),
+        (false, true) => (d1 == m).then_some(TermAxis::Col),
+        (false, false) => Some(TermAxis::Scalar),
+    }
+}
+
+/// Static block shapes: every instruction's result shape is a function
+/// of the kernel text alone. `None` for a register whose writers disagree
+/// or whose shape depends on such a register.
+fn infer_shapes(kernel: &Kernel) -> Vec<Option<Shape4>> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum S {
+        Unset,
+        Known(Shape4),
+        Unknown,
+    }
+    fn get(st: &[S], r: Reg) -> Option<Shape4> {
+        match st[r] {
+            S::Known(s) => Some(s),
+            _ => None,
+        }
+    }
+    fn set(st: &mut [S], r: Reg, v: Option<Shape4>) {
+        st[r] = match (st[r], v) {
+            (S::Unset, Some(s)) => S::Known(s),
+            (S::Known(old), Some(s)) if old == s => S::Known(s),
+            _ => S::Unknown,
+        };
+    }
+    fn packed(shape: &[usize]) -> Option<Shape4> {
+        (shape.len() <= MAX_RANK).then(|| Shape4::from_slice(shape))
+    }
+    fn pass(body: &[Instr], st: &mut [S]) {
+        for instr in body {
+            match instr {
+                Instr::ProgramId { dst, .. } | Instr::Const { dst, .. } => {
+                    set(st, *dst, packed(&[]));
+                }
+                Instr::Arange { dst, len } => set(st, *dst, packed(&[*len])),
+                Instr::Full { dst, shape, .. }
+                | Instr::Broadcast { dst, shape, .. }
+                | Instr::View { dst, shape, .. } => set(st, *dst, packed(shape)),
+                Instr::Binary { dst, a, b, .. } => {
+                    let v = get(st, *a)
+                        .zip(get(st, *b))
+                        .and_then(|(x, y)| Shape4::try_joint(x.as_slice(), y.as_slice()));
+                    set(st, *dst, v);
+                }
+                Instr::ExpandDims { dst, src, axis } => {
+                    let v = get(st, *src).and_then(|s| {
+                        let mut dims = s.as_slice().to_vec();
+                        (*axis <= dims.len()).then(|| dims.insert(*axis, 1))?;
+                        packed(&dims)
+                    });
+                    set(st, *dst, v);
+                }
+                Instr::Trans { dst, src } => {
+                    let v = get(st, *src).and_then(|s| match *s.as_slice() {
+                        [a, b] => packed(&[b, a]),
+                        _ => None,
+                    });
+                    set(st, *dst, v);
+                }
+                Instr::Sum { dst, src, axis } => {
+                    let v = get(st, *src).and_then(|s| {
+                        let mut dims = s.as_slice().to_vec();
+                        (*axis < dims.len()).then(|| dims.remove(*axis))?;
+                        packed(&dims)
+                    });
+                    set(st, *dst, v);
+                }
+                Instr::Dot { dst, a, b } => {
+                    let v = get(st, *a).zip(get(st, *b)).and_then(|(x, y)| {
+                        match (x.as_slice(), y.as_slice()) {
+                            (&[m, _], &[_, n]) => packed(&[m, n]),
+                            _ => None,
+                        }
+                    });
+                    set(st, *dst, v);
+                }
+                Instr::Load {
+                    dst, offset, mask, ..
+                } => {
+                    let v = get(st, *offset).and_then(|o| match mask {
+                        None => Some(o),
+                        Some(m) => Shape4::try_joint(o.as_slice(), get(st, *m)?.as_slice()),
+                    });
+                    set(st, *dst, v);
+                }
+                Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
+                Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
+                    set(st, *var, packed(&[]));
+                    pass(body, st);
+                }
+            }
+        }
+    }
+    // `Unset → Known → Unknown` only ever moves forward, so the passes
+    // converge; a register read before any writer reached it makes its
+    // reader `Unknown` straight away, which is merely conservative.
+    let mut st = vec![S::Unset; kernel.num_regs];
+    loop {
+        let before = st.clone();
+        pass(&kernel.body, &mut st);
+        if st == before {
+            break;
+        }
+    }
+    (0..kernel.num_regs).map(|r| get(&st, r)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -772,7 +1267,10 @@ fn for_each_read(instr: &Instr, f: &mut impl FnMut(Reg)) {
     }
 }
 
-fn for_each_read_ci(instr: &CInstr, f: &mut impl FnMut(Reg)) {
+/// Visit every register `instr` reads, recursing into loop bodies. A
+/// recognised separable site also reads the leaves of its offset tree
+/// (see [`RowSites`]), so they stay live until the access.
+fn for_each_read_ci(instr: &CInstr, row_sites: &RowSites, f: &mut impl FnMut(Reg)) {
     match instr {
         CInstr::ProgramId { .. }
         | CInstr::Const { .. }
@@ -792,22 +1290,27 @@ fn for_each_read_ci(instr: &CInstr, f: &mut impl FnMut(Reg)) {
         | CInstr::View { src, .. }
         | CInstr::Trans { src, .. }
         | CInstr::Sum { src, .. } => f(*src),
-        CInstr::Load { offset, mask, .. } => {
+        CInstr::Load {
+            offset, mask, site, ..
+        } => {
             f(*offset);
             if let Some(m) = mask {
                 f(*m);
             }
+            row_sites.for_each_leaf(*site, f);
         }
         CInstr::Store {
             offset,
             value,
             mask,
+            site,
             ..
         }
         | CInstr::AtomicAdd {
             offset,
             value,
             mask,
+            site,
             ..
         } => {
             f(*offset);
@@ -815,10 +1318,11 @@ fn for_each_read_ci(instr: &CInstr, f: &mut impl FnMut(Reg)) {
             if let Some(m) = mask {
                 f(*m);
             }
+            row_sites.for_each_leaf(*site, f);
         }
         CInstr::Loop { body, .. } => {
             for n in body {
-                for_each_read_ci(&n.instr, f);
+                for_each_read_ci(&n.instr, row_sites, f);
             }
         }
         CInstr::LoopDyn {
@@ -827,13 +1331,37 @@ fn for_each_read_ci(instr: &CInstr, f: &mut impl FnMut(Reg)) {
             f(*start);
             f(*end);
             for n in body {
-                for_each_read_ci(&n.instr, f);
+                for_each_read_ci(&n.instr, row_sites, f);
             }
         }
     }
 }
 
-fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
+/// Last-use liveness at top-level granularity: after the final unit that
+/// reads a per-instance register (`level2_regs`), its buffer is dead.
+/// Shared by [`Program::compile`] and snapshot decoding, which recomputes
+/// the lists because they depend on [`RowSites`].
+pub(crate) fn assign_release_lists(
+    units: &mut [CUnit],
+    level2_regs: &[Reg],
+    num_regs: usize,
+    row_sites: &RowSites,
+) {
+    let mut last_use: Vec<Option<usize>> = vec![None; num_regs];
+    for (i, unit) in units.iter().enumerate() {
+        for_each_read_ci(&unit.instr, row_sites, &mut |r| last_use[r] = Some(i));
+    }
+    for unit in units.iter_mut() {
+        unit.release.clear();
+    }
+    for &r in level2_regs {
+        if let Some(i) = last_use[r] {
+            units[i].release.push(r);
+        }
+    }
+}
+
+pub(crate) fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
     let mut uses = vec![0u32; kernel.num_regs];
     // `for_each_read` recurses into loop bodies, so one pass over the top
     // level counts every read in the program.
@@ -854,7 +1382,12 @@ enum Chunk<'a> {
     Pair(&'a Instr, &'a Instr),
 }
 
-fn fuse_body<'a>(body: &'a [Instr], levels: &Levels, uses: &[u32]) -> Vec<Chunk<'a>> {
+fn fuse_body<'a>(
+    body: &'a [Instr],
+    levels: &Levels,
+    uses: &[u32],
+    row_sites: &RowSites,
+) -> Vec<Chunk<'a>> {
     let mut out = Vec::with_capacity(body.len());
     let mut i = 0;
     while i < body.len() {
@@ -872,10 +1405,14 @@ fn fuse_body<'a>(body: &'a [Instr], levels: &Levels, uses: &[u32]) -> Vec<Chunk<
                 // Exactly one operand of the second instruction is the
                 // intermediate, the intermediate is read nowhere else in
                 // the whole program, and both registers are per-instance
-                // (cached instructions keep one stream entry each).
+                // (cached instructions keep one stream entry each). The
+                // adds of a separable offset tree stay apart: eliding
+                // them beats fusing them.
                 let feeds = (a2 == d1) ^ (b2 == d1);
                 let hot = levels.reg[*d1] >= 2 && levels.reg[*d2] >= 2;
-                if feeds && hot && uses[*d1] == 1 && d2 != d1 {
+                let elided =
+                    row_sites.elided_lanes(*d1).is_some() || row_sites.elided_lanes(*d2).is_some();
+                if feeds && hot && !elided && uses[*d1] == 1 && d2 != d1 {
                     out.push(Chunk::Pair(&body[i], &body[i + 1]));
                     i += 2;
                     continue;
@@ -895,6 +1432,7 @@ fn fuse_body<'a>(body: &'a [Instr], levels: &Levels, uses: &[u32]) -> Vec<Chunk<
 struct Lowering<'a> {
     levels: &'a Levels,
     uses: &'a [u32],
+    row_sites: &'a RowSites,
     avals: &'a Avals,
     params: &'a ParamTable,
     sites: Vec<SiteInfo>,
@@ -945,7 +1483,7 @@ impl Lowering<'_> {
     /// level is the max of the two.
     fn lower_body(&mut self, body: &[Instr], per_instance: bool, trip_level: u8) -> Vec<CNode> {
         let mut nodes = Vec::with_capacity(body.len());
-        for chunk in fuse_body(body, self.levels, self.uses) {
+        for chunk in fuse_body(body, self.levels, self.uses, self.row_sites) {
             let lvl = chunk_unit_level(&chunk, self.levels).max(trip_level);
             let instr = self.lower_chunk(&chunk, per_instance, trip_level);
             let cacheable = per_instance
