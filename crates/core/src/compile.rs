@@ -187,10 +187,11 @@ impl Compiled {
             Pipeline::FastPath(op) => {
                 // Fault-injection parity with the fused batched runner:
                 // a marked tensor bound by any request must fault this
-                // launch too (no-op in release builds).
-                let owned: Vec<Vec<Tensor>> =
-                    batch.iter().map(|tensors| op.bound_args(tensors)).collect();
-                insum_inductor::batch_fault_check(&owned);
+                // launch too (without the feature the argument lists
+                // are never built).
+                insum_inductor::batch_fault_check(|| {
+                    batch.iter().map(|tensors| op.bound_args(tensors)).collect()
+                });
                 batch
                     .iter()
                     .map(|tensors| {

@@ -71,7 +71,14 @@ pub enum GpuError {
         /// The parameter's element count.
         len: usize,
     },
-    /// The launch grid is empty or has more than 3 dimensions.
+    /// An argument's length or dtype differs from the metadata the
+    /// [`Program`] was compiled with.
+    ArgumentMismatch {
+        /// Position of the offending argument.
+        index: usize,
+    },
+    /// The launch grid is empty, has more than 3 dimensions, contains a
+    /// zero, or its instance count overflows.
     BadGrid(Vec<usize>),
     /// The kernel failed structural validation.
     Kernel(KernelError),
@@ -94,6 +101,10 @@ impl fmt::Display for GpuError {
                     "offset {offset} out of bounds for parameter {param:?} ({len} elements)"
                 )
             }
+            GpuError::ArgumentMismatch { index } => write!(
+                f,
+                "argument {index} does not match the metadata this program was compiled with"
+            ),
             GpuError::BadGrid(g) => write!(f, "bad launch grid {g:?}"),
             GpuError::Kernel(e) => write!(f, "{e}"),
             GpuError::UninitializedRegister(r) => write!(f, "register v{r} read before write"),
@@ -2057,12 +2068,9 @@ impl Program {
     /// # Errors
     ///
     /// Same conditions as [`launch`] (validation and grid errors are
-    /// caught at compile time instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an argument's length or dtype differs from the metadata
-    /// the program was compiled with.
+    /// caught at compile time instead), plus
+    /// [`GpuError::ArgumentMismatch`] if an argument's length or dtype
+    /// differs from the metadata the program was compiled with.
     pub fn launch(
         &self,
         args: &mut [&mut Tensor],
@@ -2077,11 +2085,6 @@ impl Program {
     /// # Errors
     ///
     /// Same conditions as [`Program::launch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an argument's length or dtype differs from the metadata
-    /// the program was compiled with.
     pub fn launch_with(
         &self,
         args: &mut [&mut Tensor],
@@ -2100,11 +2103,10 @@ impl Program {
                 actual: args.len(),
             });
         }
-        for (i, t) in args.iter().enumerate() {
-            assert!(
-                t.len() == self.params.lens[i] && t.dtype() == self.params.dtypes[i],
-                "argument {i} does not match the metadata this program was compiled with"
-            );
+        for (index, t) in args.iter().enumerate() {
+            if t.len() != self.params.lens[index] || t.dtype() != self.params.dtypes[index] {
+                return Err(GpuError::ArgumentMismatch { index });
+            }
         }
         let gdims = self.gdims;
         let instances = self.instances;
@@ -2347,11 +2349,6 @@ impl Program {
     /// Same conditions as [`Program::launch_with`]; if several requests
     /// fail, the error of the smallest request index is returned (and the
     /// whole batch's outputs are in an unspecified state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any request's argument lengths or dtypes differ from the
-    /// metadata this program was compiled with.
     pub fn launch_batch_with(
         &self,
         batch: &mut [&mut [&mut Tensor]],
@@ -3124,6 +3121,34 @@ mod tests {
             )
             .unwrap();
         assert!(reports.is_empty());
+    }
+
+    #[test]
+    fn mismatched_arguments_are_a_typed_error_not_a_panic() {
+        let program =
+            Program::compile(&axpy_kernel(), &[2], &[64, 64], &[DType::F32, DType::F32]).unwrap();
+        let good = || Tensor::zeros(vec![64]);
+        // A wrong length in argument 0, a wrong dtype in argument 1.
+        let cases = [
+            (Tensor::zeros(vec![32]), good(), 0),
+            (good(), good().cast(DType::F16), 1),
+        ];
+        for (mut x, mut y, index) in cases {
+            let want = Err(GpuError::ArgumentMismatch { index });
+            let opts = LaunchOptions::with_threads(2);
+            let got = program.launch_with(&mut [&mut x, &mut y], &device(), Mode::Execute, &opts);
+            assert_eq!(got.map(|_| ()), want);
+            // The batch entry, behind a well-formed request, on its
+            // sequential and its worker-per-chunk path.
+            for threads in [1, 2] {
+                let (mut x0, mut y0) = (good(), good());
+                let (mut r0, mut r1) = ([&mut x0, &mut y0], [&mut x, &mut y]);
+                let mut reqs: Vec<&mut [&mut Tensor]> = vec![&mut r0, &mut r1];
+                let opts = LaunchOptions::with_threads(threads);
+                let got = program.launch_batch_with(&mut reqs, &device(), Mode::Execute, &opts);
+                assert_eq!(got.map(|_| ()), want);
+            }
+        }
     }
 
     #[test]

@@ -146,7 +146,6 @@ mod device;
 mod exact_dot;
 mod interp;
 mod micro;
-mod persist;
 mod program;
 #[doc(hidden)]
 pub mod reference;

@@ -40,8 +40,7 @@
 //!    O(instances), with identical stats, DRAM first-touch sets, atomic
 //!    collision counts, and per-instance times.
 //!
-//! Two analyses of the kernel alone (not the launch shape, so snapshot
-//! decoding recomputes them) ride along:
+//! Two analyses of the kernel alone (not the launch shape) ride along:
 //!
 //! 5. **dot-operand provenance** ([`DotSources`]) records, per register,
 //!    which read-only parameters its value is a pure rearrangement of —
@@ -190,21 +189,18 @@ pub(crate) enum CInstr {
     },
     Load {
         dst: Reg,
-        param: usize,
         offset: Reg,
         mask: Option<Reg>,
         other: f64,
         site: u32,
     },
     Store {
-        param: usize,
         offset: Reg,
         value: Reg,
         mask: Option<Reg>,
         site: u32,
     },
     AtomicAdd {
-        param: usize,
         offset: Reg,
         value: Reg,
         mask: Option<Reg>,
@@ -283,7 +279,7 @@ pub(crate) struct ParamTable {
 }
 
 impl ParamTable {
-    pub(crate) fn new(lens: &[usize], dtypes: &[DType]) -> ParamTable {
+    fn new(lens: &[usize], dtypes: &[DType]) -> ParamTable {
         // Parameter layout in the simulated address space (256-byte
         // aligned), exactly as the seed interpreter laid it out.
         let mut bases = Vec::with_capacity(lens.len());
@@ -293,7 +289,9 @@ impl ParamTable {
             bases.push(cursor);
             let esize = dt.size_bytes() as u64;
             esizes.push(esize);
-            cursor += (len as u64 * esize).div_ceil(256) * 256 + 256;
+            // Saturating: a forged snapshot key may carry any length.
+            let bytes = (len as u64).saturating_mul(esize).div_ceil(256);
+            cursor = cursor.saturating_add(bytes.saturating_mul(256).saturating_add(256));
         }
         ParamTable {
             bases,
@@ -399,7 +397,7 @@ impl Program {
     /// * [`GpuError::ParamCountMismatch`] if `lens`/`dtypes` do not match
     ///   the kernel's parameter list.
     /// * [`GpuError::BadGrid`] if the grid is empty, has more than three
-    ///   dimensions, or contains a zero.
+    ///   dimensions, contains a zero, or its instance count overflows.
     pub fn compile(
         kernel: &Kernel,
         grid: &[usize],
@@ -418,7 +416,10 @@ impl Program {
         }
         let mut gdims = [1usize; 3];
         gdims[..grid.len()].copy_from_slice(grid);
-        let instances = gdims[0] * gdims[1] * gdims[2];
+        let instances = gdims
+            .iter()
+            .try_fold(1usize, |n, &g| n.checked_mul(g))
+            .ok_or_else(|| GpuError::BadGrid(grid.to_vec()))?;
 
         let usage = param_usage(kernel);
         let mut levels = compute_levels(kernel, &usage.written);
@@ -511,9 +512,6 @@ impl Program {
 /// value is f32-representable by construction (tensor storage is `f32`),
 /// and finite exactly when those parameters are — which the launch
 /// checks once per parameter, so each dot decides in O(1).
-///
-/// Deliberately derived from the kernel alone (not the launch shape), so
-/// snapshot decoding recomputes it instead of persisting it.
 pub(crate) struct DotSources {
     /// Source mask per register.
     reg: Vec<u64>,
@@ -526,7 +524,7 @@ impl DotSources {
     /// Poison bit: the value is not provably f32-representable.
     const INEXACT: u64 = 1 << 63;
 
-    pub(crate) fn analyze(kernel: &Kernel, written: &[bool]) -> DotSources {
+    fn analyze(kernel: &Kernel, written: &[bool]) -> DotSources {
         // Registers are not SSA (accumulators, loop-carried values):
         // a register's mask is the union over all its writers, reached
         // by iterating the monotone pass to a fixpoint.
@@ -677,9 +675,7 @@ pub(crate) struct RowSite {
 
 /// Analysis 6 (see the module docs): which access sites are separable,
 /// and which `Binary::Add`s exist only to form their offset blocks.
-///
-/// Derived from the kernel alone, like [`DotSources`], so snapshot
-/// decoding recomputes it instead of persisting it.
+/// Derived from the kernel alone, like [`DotSources`].
 pub(crate) struct RowSites {
     /// Per site id (lowering order), the recognised form if any.
     site: Vec<Option<RowSite>>,
@@ -694,7 +690,7 @@ pub(crate) struct RowSites {
 pub(crate) const MAX_TREE_LEAVES: usize = 8;
 
 impl RowSites {
-    pub(crate) fn analyze(kernel: &Kernel, uses: &[u32]) -> RowSites {
+    fn analyze(kernel: &Kernel, uses: &[u32]) -> RowSites {
         let shapes = infer_shapes(kernel);
         let mut writers = vec![0u32; kernel.num_regs];
         for instr in &kernel.body {
@@ -713,16 +709,6 @@ impl RowSites {
         };
         scan.body(&kernel.body);
         scan.out
-    }
-
-    /// No site recognised: what a program compiled before this analysis
-    /// existed behaves like.
-    #[cfg(test)]
-    pub(crate) fn none(num_regs: usize) -> RowSites {
-        RowSites {
-            site: Vec::new(),
-            elided: vec![None; num_regs],
-        }
     }
 
     /// The separable form of site `site`, if it was recognised.
@@ -749,7 +735,7 @@ impl RowSites {
     }
 
     /// `(recognised, total)` access sites.
-    pub(crate) fn counts(&self) -> (usize, usize) {
+    fn counts(&self) -> (usize, usize) {
         (self.site.iter().flatten().count(), self.site.len())
     }
 }
@@ -1070,10 +1056,10 @@ fn infer_shapes(kernel: &Kernel) -> Vec<Option<Shape4>> {
 // pid-dependence levels
 // ---------------------------------------------------------------------
 
-pub(crate) struct Levels {
+struct Levels {
     /// Invariance level per register: 0 grid-invariant, 1 row-invariant
     /// (axis 0 free), 2 per-instance.
-    pub(crate) reg: Vec<u8>,
+    reg: Vec<u8>,
 }
 
 /// Fixpoint over the instruction tree: an instruction's level is the max
@@ -1339,9 +1325,9 @@ fn for_each_read_ci(instr: &CInstr, row_sites: &RowSites, f: &mut impl FnMut(Reg
 
 /// Last-use liveness at top-level granularity: after the final unit that
 /// reads a per-instance register (`level2_regs`), its buffer is dead.
-/// Shared by [`Program::compile`] and snapshot decoding, which recomputes
-/// the lists because they depend on [`RowSites`].
-pub(crate) fn assign_release_lists(
+/// A separable site reads the leaves of its offset tree, so the lists
+/// depend on [`RowSites`].
+fn assign_release_lists(
     units: &mut [CUnit],
     level2_regs: &[Reg],
     num_regs: usize,
@@ -1351,9 +1337,6 @@ pub(crate) fn assign_release_lists(
     for (i, unit) in units.iter().enumerate() {
         for_each_read_ci(&unit.instr, row_sites, &mut |r| last_use[r] = Some(i));
     }
-    for unit in units.iter_mut() {
-        unit.release.clear();
-    }
     for &r in level2_regs {
         if let Some(i) = last_use[r] {
             units[i].release.push(r);
@@ -1361,7 +1344,7 @@ pub(crate) fn assign_release_lists(
     }
 }
 
-pub(crate) fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
+fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
     let mut uses = vec![0u32; kernel.num_regs];
     // `for_each_read` recurses into loop bodies, so one pass over the top
     // level counts every read in the program.
@@ -1557,7 +1540,6 @@ impl Lowering<'_> {
                 let site = self.push_site(*param, *offset, *mask, false, false);
                 CInstr::Load {
                     dst: *dst,
-                    param: *param,
                     offset: *offset,
                     mask: *mask,
                     other: *other,
@@ -1572,7 +1554,6 @@ impl Lowering<'_> {
             } => {
                 let site = self.push_site(*param, *offset, *mask, true, false);
                 CInstr::Store {
-                    param: *param,
                     offset: *offset,
                     value: *value,
                     mask: *mask,
@@ -1587,7 +1568,6 @@ impl Lowering<'_> {
             } => {
                 let site = self.push_site(*param, *offset, *mask, true, true);
                 CInstr::AtomicAdd {
-                    param: *param,
                     offset: *offset,
                     value: *value,
                     mask: *mask,
@@ -1681,7 +1661,7 @@ impl Lowering<'_> {
 /// all-integer chains, so `Aff` is produced and propagated only through
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum AV {
+enum AV {
     /// Scalar compile-time constant (axis-0-invariant; usable as a
     /// multiplication coefficient when integral).
     Known { value: f64 },
@@ -1721,10 +1701,10 @@ impl AV {
     }
 }
 
-pub(crate) struct Avals {
-    pub(crate) reg: Vec<AV>,
+struct Avals {
+    reg: Vec<AV>,
     /// No dynamic loop has axis-0-varying trip counts.
-    pub(crate) loops_ok: bool,
+    loops_ok: bool,
 }
 
 fn compute_avals(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Avals {

@@ -35,12 +35,24 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// an autotune sweep plus every workload of a benchmark run.
 const DEFAULT_CAPACITY: usize = 512;
 
+/// Everything a [`Program`] bakes in — and all a snapshot records of it.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    fingerprint: u64,
-    grid: Vec<usize>,
-    lens: Vec<usize>,
-    dtypes: Vec<DType>,
+pub(crate) struct CacheKey {
+    pub(crate) fingerprint: u64,
+    pub(crate) grid: Vec<usize>,
+    pub(crate) lens: Vec<usize>,
+    pub(crate) dtypes: Vec<DType>,
+}
+
+impl CacheKey {
+    pub(crate) fn of(kernel: &Kernel, grid: &[usize], lens: &[usize], dtypes: &[DType]) -> Self {
+        CacheKey {
+            fingerprint: fingerprint(kernel),
+            grid: grid.to_vec(),
+            lens: lens.to_vec(),
+            dtypes: dtypes.to_vec(),
+        }
+    }
 }
 
 struct CacheEntry {
@@ -52,8 +64,8 @@ struct CacheEntry {
     program: Arc<Program>,
     /// Recency stamp for LRU eviction (monotone per-cache counter).
     last_used: u64,
-    /// True when this entry was decoded from a snapshot rather than
-    /// lowered in-process (drives the `warm_hits` counter).
+    /// True when this entry was seeded from a snapshot rather than
+    /// compiled by a lookup (drives the `warm_hits` counter).
     from_snapshot: bool,
 }
 
@@ -96,12 +108,14 @@ impl CacheInner {
 ///
 /// The counters distinguish a *miss-then-compile* from a
 /// *miss-then-snapshot-hit*: `misses` counts lookups that found no
-/// usable entry, `compiles` counts the subset that actually ran the
-/// lowering pipeline, and `snapshot_seeded` counts entries that arrived
-/// pre-compiled from a snapshot (their later lookups are `hits`, with
-/// `warm_hits` tracking the first hit on each). A warm restart that
-/// lowers nothing therefore shows a zero `compiles` delta — the exact
-/// assertion servebench's restart phase makes.
+/// usable entry, `compiles` counts the lowerings those lookups ran, and
+/// `snapshot_seeded` counts entries that a snapshot load put there
+/// (their later lookups are `hits`, with `warm_hits` tracking the first
+/// hit on each). A snapshot record holds a cache key, so the load
+/// compiles each seeded entry itself — off the request path, and not
+/// counted in `compiles`. A warm restart whose requests lower nothing
+/// therefore shows a zero `compiles` delta — the exact assertion
+/// servebench's restart phase makes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgramCacheStats {
     /// Lookups served from the cache.
@@ -112,15 +126,17 @@ pub struct ProgramCacheStats {
     pub warm_hits: u64,
     /// Lookups that found no usable entry.
     pub misses: u64,
-    /// Fresh lowerings actually run ([`insum_gpu::Program::compile`]);
-    /// always equal to `misses` unless entries arrive via snapshot.
+    /// Lowerings run by lookups ([`insum_gpu::Program::compile`] on a
+    /// miss); always equal to `misses`. Entries a snapshot load seeds
+    /// are compiled at load and counted in `snapshot_seeded` instead.
     pub compiles: u64,
     /// Entries dropped to respect the capacity bound (LRU order).
     pub evictions: u64,
-    /// Entries inserted pre-compiled from a snapshot.
+    /// Entries a snapshot load inserted (compiled at load from the
+    /// recorded key, before any lookup).
     pub snapshot_seeded: u64,
     /// Snapshot records dropped at load time (bad CRC, stale
-    /// fingerprint, failed decode, truncation).
+    /// fingerprint, failed decode or compile, truncation).
     pub snapshot_rejected: u64,
     /// Programs currently resident.
     pub entries: usize,
@@ -212,12 +228,7 @@ impl ProgramCache {
         lens: &[usize],
         dtypes: &[DType],
     ) -> std::result::Result<Arc<Program>, GpuError> {
-        let key = CacheKey {
-            fingerprint: fingerprint(kernel),
-            grid: grid.to_vec(),
-            lens: lens.to_vec(),
-            dtypes: dtypes.to_vec(),
-        };
+        let key = CacheKey::of(kernel, grid, lens, dtypes);
         {
             let mut inner = self.inner.lock().expect("program cache poisoned");
             let stamp = inner.touch();
@@ -279,25 +290,17 @@ impl ProgramCache {
         Ok(program)
     }
 
-    /// Insert a pre-compiled program decoded from a snapshot. Loading is
-    /// merge-not-replace: if the key is already resident (whatever its
-    /// origin), the resident entry wins and `false` is returned. The
-    /// caller is responsible for having verified `program` against the
-    /// freshly-fingerprinted key.
+    /// Insert the program a snapshot load compiled from a recorded key.
+    /// Loading is merge-not-replace: if the key is already resident
+    /// (whatever its origin), the resident entry wins and `false` is
+    /// returned. The caller has checked the record's stored fingerprint
+    /// against the kernel's and compiled `program` from this very key.
     pub(crate) fn seed_from_snapshot(
         &self,
+        key: CacheKey,
         kernel: Kernel,
-        grid: &[usize],
-        lens: &[usize],
-        dtypes: &[DType],
         program: Program,
     ) -> bool {
-        let key = CacheKey {
-            fingerprint: fingerprint(&kernel),
-            grid: grid.to_vec(),
-            lens: lens.to_vec(),
-            dtypes: dtypes.to_vec(),
-        };
         let mut inner = self.inner.lock().expect("program cache poisoned");
         let stamp = inner.touch();
         if inner.map.contains_key(&key) {
@@ -330,37 +333,17 @@ impl ProgramCache {
         let mut entries: Vec<(&CacheKey, &CacheEntry)> = inner.map.iter().collect();
         // Deterministic record order: stable across runs of the same
         // workload, so snapshot bytes are reproducible.
-        entries.sort_by(|(a, _), (b, _)| {
-            (a.fingerprint, &a.grid, &a.lens)
-                .cmp(&(b.fingerprint, &b.grid, &b.lens))
-                .then_with(|| {
-                    let da: Vec<u8> = a
-                        .dtypes
-                        .iter()
-                        .copied()
-                        .map(insum_snapshot::dtype_tag)
-                        .collect();
-                    let db: Vec<u8> = b
-                        .dtypes
-                        .iter()
-                        .copied()
-                        .map(insum_snapshot::dtype_tag)
-                        .collect();
-                    da.cmp(&db)
-                })
+        entries.sort_by_cached_key(|(k, _)| {
+            let dtypes: Vec<u8> = k
+                .dtypes
+                .iter()
+                .map(|&d| insum_snapshot::dtype_tag(d))
+                .collect();
+            (k.fingerprint, &k.grid, &k.lens, dtypes)
         });
         entries
             .iter()
-            .map(|(key, entry)| {
-                crate::snapshot::encode_program_record(
-                    key.fingerprint,
-                    &key.grid,
-                    &key.lens,
-                    &key.dtypes,
-                    &entry.kernel,
-                    &entry.program,
-                )
-            })
+            .map(|(key, entry)| crate::snapshot::encode_program_record(key, &entry.kernel))
             .collect()
     }
 

@@ -61,11 +61,12 @@ pub type Result<T> = std::result::Result<T, InductorError>;
 /// Mid-plan fault check for batched launches that bypass the fused
 /// runner (the fast-path microkernels and stride views execute without
 /// a compiled program, so [`run_fused_batch_with_cache`]'s hook never
-/// sees them). Panics if a marked tensor is bound anywhere in `args`;
-/// compiles to a no-op without the `fault-injection` feature.
-pub fn batch_fault_check(args: &[Vec<insum_tensor::Tensor>]) {
+/// sees them). Panics if a marked tensor is bound anywhere in the
+/// argument lists `args` builds; without the `fault-injection` feature
+/// it compiles to a no-op and `args` is never called.
+pub fn batch_fault_check(args: impl FnOnce() -> Vec<Vec<insum_tensor::Tensor>>) {
     #[cfg(feature = "fault-injection")]
-    faults::maybe_panic_batch(args);
+    faults::maybe_panic_batch(&args());
     #[cfg(not(feature = "fault-injection"))]
     let _ = args;
 }

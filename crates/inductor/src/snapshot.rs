@@ -1,34 +1,46 @@
-//! Compiler-cache persistence: program + autotune-winner snapshots.
+//! Compiler-cache persistence: program-key + autotune-winner snapshots.
 //!
 //! This module binds the generic container in [`insum_snapshot`] to the
 //! compiler's two caches: [`crate::ProgramCache`] (compiled
 //! [`insum_gpu::Program`]s) and [`crate::AutotuneCache`] (winning tile
 //! configurations). A snapshot written at shutdown lets the next process
-//! skip the entire lowering pipeline and autotune sweep for every
-//! workload it already served.
+//! skip the autotune sweep (40–370 ms) of every workload it already
+//! served and start with its program cache populated, so no request
+//! waits on a lowering.
 //!
-//! ## Program record layout
+//! ## What a program record holds, and why
 //!
 //! ```text
 //! fingerprint:u64 grid:seq(u64) lens:seq(u64) dtypes:seq(u8)
-//! kernel:<kernel_wire> program:<gpu persist codec>
+//! kernel:<kernel_wire>
 //! ```
 //!
-//! The leading fields are exactly the cache key. On load every record is
-//! verified structurally before it may seed a cache: the kernel must
-//! pass [`insum_kernel::Kernel::validate`], its **freshly computed**
-//! [`insum_kernel::fingerprint`] must equal the stored one (so a record
-//! written by an incompatible build of the fingerprint or IR is dropped,
-//! not served), and the program body must decode against the key with
-//! every register/parameter/site index in range. Any failure rejects
+//! That is exactly the cache key plus the kernel the key fingerprints —
+//! no lowered program. The loader calls [`Program::compile`] on the key:
+//! lowering a kernel takes 5–13 µs, a range-checked decode of the same
+//! program took 4–11 µs (EXPERIMENTS.md, "PR 8"), and a decoder is a
+//! second representation of a compiled artifact that every new
+//! `insum_gpu` analysis would have to be kept in step with. A loaded
+//! `Program` is therefore the compiler's by construction (and counted
+//! in `snapshot_seeded`, not [`crate::ProgramCacheStats::compiles`]).
+//!
+//! On load every record is verified before it may seed a cache: the
+//! record must end where the kernel ends (a file from a build that
+//! appended a program body is rejected record by record; its winners
+//! still load), the **freshly computed** [`insum_kernel::fingerprint`]
+//! of the kernel must equal the stored one (so a record written by an
+//! incompatible build of the fingerprint or IR is dropped, not served),
+//! and [`Program::compile`] must accept the key — it runs
+//! [`insum_kernel::Kernel::validate`] and rejects a bad grid or
+//! mismatched argument metadata with a typed error. Any failure rejects
 //! that record — counted in [`SnapshotLoadReport::rejected`] and
 //! [`crate::ProgramCacheStats::snapshot_rejected`] — and the workload
 //! degrades to an ordinary recompile.
 
-use crate::cache::ProgramCache;
+use crate::cache::{CacheKey, ProgramCache};
 use crate::winners::AutotuneCache;
 use insum_gpu::Program;
-use insum_kernel::{fingerprint, Kernel};
+use insum_kernel::Kernel;
 use insum_snapshot::{
     clean_stragglers, read_snapshot, write_atomic, Reader, SnapshotBuilder, SnapshotError, Writer,
     SECTION_AUTOTUNE, SECTION_PROGRAMS,
@@ -58,85 +70,64 @@ pub struct SnapshotLoadReport {
     pub missing: bool,
 }
 
-/// Encode one program-cache entry as a snapshot record.
-pub(crate) fn encode_program_record(
-    fingerprint: u64,
-    grid: &[usize],
-    lens: &[usize],
-    dtypes: &[DType],
-    kernel: &Kernel,
-    program: &Program,
-) -> Vec<u8> {
+/// Encode one program-cache entry as a snapshot record: its key and
+/// the kernel, nothing derived from them.
+pub(crate) fn encode_program_record(key: &CacheKey, kernel: &Kernel) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(fingerprint);
-    w.usize(grid.len());
-    for &g in grid {
-        w.usize(g);
+    w.u64(key.fingerprint);
+    for extents in [&key.grid, &key.lens] {
+        w.usize(extents.len());
+        for &e in extents {
+            w.usize(e);
+        }
     }
-    w.usize(lens.len());
-    for &l in lens {
-        w.usize(l);
-    }
-    w.usize(dtypes.len());
-    for &d in dtypes {
+    w.usize(key.dtypes.len());
+    for &d in &key.dtypes {
         w.u8(insum_snapshot::dtype_tag(d));
     }
     insum_snapshot::encode_kernel_into(kernel, &mut w);
-    program.encode_snapshot(&mut w);
     w.into_bytes()
 }
 
-struct LoadedProgram {
-    kernel: Kernel,
-    grid: Vec<usize>,
-    lens: Vec<usize>,
-    dtypes: Vec<DType>,
-    program: Program,
-}
-
-fn decode_program_record(bytes: &[u8]) -> Result<LoadedProgram, SnapshotError> {
+fn decode_program_record(bytes: &[u8]) -> Result<(CacheKey, Kernel, Program), SnapshotError> {
+    fn extents(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<usize>, SnapshotError> {
+        let n = r.seq_len(8, what)?;
+        (0..n).map(|_| r.usize(what)).collect()
+    }
     let mut r = Reader::new(bytes);
-    let stored_fp = r.u64("program record fingerprint")?;
-    let grid_len = r.seq_len(8, "program record grid")?;
-    let mut grid = Vec::with_capacity(grid_len);
-    for _ in 0..grid_len {
-        grid.push(r.usize("grid extent")?);
-    }
-    let lens_len = r.seq_len(8, "program record lens")?;
-    let mut lens = Vec::with_capacity(lens_len);
-    for _ in 0..lens_len {
-        lens.push(r.usize("param len")?);
-    }
-    let dt_len = r.seq_len(1, "program record dtypes")?;
-    let mut dtypes = Vec::with_capacity(dt_len);
-    for _ in 0..dt_len {
-        dtypes.push(insum_snapshot::tag_dtype(r.u8("param dtype")?)?);
-    }
+    let fingerprint = r.u64("program record fingerprint")?;
+    let grid = extents(&mut r, "program record grid")?;
+    let lens = extents(&mut r, "program record lens")?;
+    let n = r.seq_len(1, "program record dtypes")?;
+    let dtypes = (0..n)
+        .map(|_| insum_snapshot::tag_dtype(r.u8("param dtype")?))
+        .collect::<Result<Vec<DType>, _>>()?;
     let kernel = insum_snapshot::decode_kernel_from(&mut r)?;
-    kernel.validate().map_err(|e| SnapshotError::Invalid {
-        context: format!("snapshot kernel failed validation: {e}"),
-    })?;
-    // The load-bearing staleness check: a record from an incompatible
-    // build (different IR, different fingerprint function) cannot match
-    // a freshly computed fingerprint of the kernel it carries.
-    if fingerprint(&kernel) != stored_fp {
-        return Err(SnapshotError::Invalid {
-            context: "stored fingerprint does not match re-fingerprinted kernel".to_string(),
-        });
-    }
-    let program = Program::decode_snapshot(&kernel, &grid, &lens, &dtypes, &mut r)?;
     if !r.is_exhausted() {
         return Err(SnapshotError::Corrupt {
             context: "trailing bytes after program record",
         });
     }
-    Ok(LoadedProgram {
-        kernel,
+    // The load-bearing staleness check: a record from an incompatible
+    // build (different IR, different fingerprint function) cannot match
+    // a freshly computed fingerprint of the kernel it carries.
+    if insum_kernel::fingerprint(&kernel) != fingerprint {
+        return Err(SnapshotError::Invalid {
+            context: "stored fingerprint does not match re-fingerprinted kernel".to_string(),
+        });
+    }
+    // Validates the kernel and the key; the program is the compiler's.
+    let program =
+        Program::compile(&kernel, &grid, &lens, &dtypes).map_err(|e| SnapshotError::Invalid {
+            context: format!("program record does not compile: {e}"),
+        })?;
+    let key = CacheKey {
+        fingerprint,
         grid,
         lens,
         dtypes,
-        program,
-    })
+    };
+    Ok((key, kernel, program))
 }
 
 /// Write `programs` and `winners` to `path` atomically. Returns the
@@ -200,8 +191,8 @@ pub fn load_snapshot_with(
     }
     for rec in snap.records(SECTION_PROGRAMS) {
         match decode_program_record(rec) {
-            Ok(p) => {
-                if programs.seed_from_snapshot(p.kernel, &p.grid, &p.lens, &p.dtypes, p.program) {
+            Ok((key, kernel, program)) => {
+                if programs.seed_from_snapshot(key, kernel, program) {
                     report.programs_loaded += 1;
                 } else {
                     report.skipped_resident += 1;
@@ -231,7 +222,7 @@ pub fn load_snapshot_with(
 mod tests {
     use super::*;
     use crate::winners::TileConfig;
-    use insum_kernel::{BinOp, KernelBuilder};
+    use insum_kernel::{fingerprint, BinOp, KernelBuilder};
     use std::fs;
     use std::path::PathBuf;
 
@@ -368,6 +359,85 @@ mod tests {
         assert_eq!(report.rejected, 1);
         assert_eq!(cache.stats().snapshot_rejected, 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file written before records stopped carrying a lowered program:
+    /// same container, key and kernel, then a program body. Each such
+    /// record is rejected by itself; the winner beside it loads.
+    #[test]
+    fn record_with_a_trailing_program_body_is_rejected_alone() {
+        let dir = tmp_dir("old_layout");
+        let path = dir.join("cache.snap");
+        let k = scale_kernel(2.0);
+        let mut old = encode_program_record(&CacheKey::of(&k, &[4], &LENS, &DTS), &k);
+        old.extend_from_slice(&[7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1]); // num_regs, flags, ...
+        assert!(matches!(
+            decode_program_record(&old),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+
+        let tile = TileConfig {
+            yblock: 16,
+            xblock: 32,
+            rblock: 16,
+        };
+        let hot_winners = AutotuneCache::new();
+        hot_winners.store(11, tile);
+        let mut b = SnapshotBuilder::new();
+        b.record(SECTION_PROGRAMS, old);
+        b.record(SECTION_AUTOTUNE, hot_winners.snapshot_records().remove(0));
+        write_atomic(&path, &b.finish()).unwrap();
+
+        let (cold, winners) = (ProgramCache::new(), AutotuneCache::new());
+        let r = load_snapshot_with(&path, &cold, &winners);
+        assert_eq!((r.programs_loaded, r.winners_loaded, r.rejected), (0, 1, 1));
+        assert_eq!(winners.lookup(11), Some(tile));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_keys_are_rejected_by_the_compiler() {
+        let k = scale_kernel(2.0);
+        let decode = |k: &Kernel, grid: &[usize], lens: &[usize], dtypes: &[DType]| {
+            decode_program_record(&encode_program_record(
+                &CacheKey::of(k, grid, lens, dtypes),
+                k,
+            ))
+        };
+        let forged: [(&[usize], &[usize], &[DType]); 5] = [
+            (&[], &LENS, &DTS),              // empty grid
+            (&[4, 0], &LENS, &DTS),          // zero extent
+            (&[1, 2, 3, 4], &LENS, &DTS),    // rank 4
+            (&[usize::MAX, 2], &LENS, &DTS), // instance count overflows
+            (&[4], &LENS[..1], &DTS[..1]),   // one argument short
+        ];
+        for (grid, lens, dtypes) in forged {
+            assert!(
+                matches!(
+                    decode(&k, grid, lens, dtypes),
+                    Err(SnapshotError::Invalid { .. })
+                ),
+                "grid {grid:?} lens {lens:?}"
+            );
+        }
+        // Any element count is a key nobody will look up, not a panic.
+        assert!(decode(&k, &[4], &[usize::MAX; 2], &DTS).is_ok());
+        // A kernel that fails validation (register out of range).
+        let mut bad = k.clone();
+        bad.num_regs -= 1;
+        assert!(decode(&bad, &[4], &LENS, &DTS).is_err());
+    }
+
+    #[test]
+    fn record_is_the_cache_key_and_the_kernel_nothing_else() {
+        let k = scale_kernel(2.0);
+        let grid = [4usize, 2];
+        let rec = encode_program_record(&CacheKey::of(&k, &grid, &LENS, &DTS), &k);
+        // fingerprint, then three length-prefixed sequences.
+        let key_bytes = 8 + (8 + 8 * grid.len()) + (8 + 8 * LENS.len()) + (8 + DTS.len());
+        let kernel_bytes = insum_snapshot::encode_kernel(&k);
+        assert_eq!(rec.len(), key_bytes + kernel_bytes.len());
+        assert!(rec.ends_with(&kernel_bytes));
     }
 
     #[test]

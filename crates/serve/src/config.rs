@@ -92,8 +92,8 @@ pub struct ServeConfig {
     /// Snapshot file for crash-safe artifact persistence. When set, the
     /// engine warm-starts the global [`insum_inductor::ProgramCache`]
     /// from this file at boot (corrupt or stale records degrade to
-    /// recompile) and persists compiled programs plus autotune winners
-    /// back to it — atomically, via temp + fsync + rename — on the
+    /// recompile) and persists the program-cache keys plus autotune
+    /// winners back to it — atomically, via temp + fsync + rename — on the
     /// [`ServeConfig::snapshot_interval`] cadence and at drain/shutdown.
     pub snapshot_path: Option<PathBuf>,
     /// Minimum time between cadence snapshot writes while serving.

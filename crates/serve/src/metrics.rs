@@ -201,8 +201,8 @@ pub struct MetricsSnapshot {
     /// Telemetry dumps (Prometheus + JSON files) atomically written by
     /// this engine, on cadence or at drain/shutdown.
     pub telemetry_dumps: u64,
-    /// Program-cache hits whose entry was seeded from a snapshot rather
-    /// than compiled in this process (mirror of
+    /// Program-cache hits whose entry was seeded by the snapshot load
+    /// rather than compiled by a request's lookup (mirror of
     /// [`ProgramCacheStats::warm_hits`], surfaced for servebench's
     /// warm-restart assertion).
     pub warm_start_hits: u64,

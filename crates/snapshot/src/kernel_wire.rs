@@ -14,6 +14,7 @@
 use crate::error::SnapshotError;
 use crate::wire::{Reader, Writer};
 use insum_kernel::{BinOp, Instr, Kernel, ParamDecl, Reg};
+use insum_tensor::DType;
 
 /// Maximum loop nesting the decoder will follow.
 pub const MAX_LOOP_DEPTH: usize = 64;
@@ -62,6 +63,33 @@ fn tag_binop(tag: u8) -> Result<BinOp, SnapshotError> {
             })
         }
     })
+}
+
+/// Stable one-byte wire tag for a parameter dtype (also usable as a
+/// total order over dtypes when callers need deterministic record
+/// ordering).
+pub fn dtype_tag(dtype: DType) -> u8 {
+    match dtype {
+        DType::F16 => 0,
+        DType::F32 => 1,
+        DType::I32 => 2,
+    }
+}
+
+/// Inverse of [`dtype_tag`].
+///
+/// # Errors
+///
+/// [`SnapshotError::Corrupt`] on an unknown tag.
+pub fn tag_dtype(tag: u8) -> Result<DType, SnapshotError> {
+    match tag {
+        0 => Ok(DType::F16),
+        1 => Ok(DType::F32),
+        2 => Ok(DType::I32),
+        _ => Err(SnapshotError::Corrupt {
+            context: "dtype tag",
+        }),
+    }
 }
 
 fn write_mask(w: &mut Writer, mask: &Option<Reg>) {
@@ -506,6 +534,14 @@ mod tests {
         assert_eq!(encode_kernel(&back), bytes);
         assert_eq!(fingerprint(&back), fingerprint(&k));
         back.validate().unwrap();
+    }
+
+    #[test]
+    fn dtype_tags_round_trip_and_unknown_tag_is_typed() {
+        for d in [DType::F16, DType::F32, DType::I32] {
+            assert_eq!(tag_dtype(dtype_tag(d)), Ok(d));
+        }
+        assert!(matches!(tag_dtype(3), Err(SnapshotError::Corrupt { .. })));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Checksummed binary snapshots of compiled artifacts, and a bit-exact
-//! tensor wire format.
+//! Checksummed binary snapshots of the compiler's caches: the
+//! repository's one wire format.
 //!
-//! A process restart used to throw away every compiled `Program` and
-//! autotune winner, turning a fleet restart into a cold-start stampede
-//! through the whole lowering pipeline. This crate is the durability
-//! layer underneath `ProgramCache::{save,load}_snapshot` and
+//! A process restart used to throw away every autotune winner and every
+//! program-cache key, turning a fleet restart into a cold-start stampede
+//! through the autotune sweeps. This crate is the durability layer
+//! underneath `ProgramCache::{save,load}_snapshot` and
 //! `ServeConfig::with_snapshot`: a compact self-describing container
-//! ([`mod@file`]) framing CRC-checked records, plus codecs for kernel IR
-//! ([`kernel_wire`]) and tensors ([`tensor_wire`]).
+//! ([`mod@file`]) framing CRC-checked records, plus the one payload
+//! codec those records need — kernel IR ([`kernel_wire`]). There is no
+//! codec for tensors and none for compiled programs: a program record
+//! carries its cache key (fingerprint, grid, argument metadata, kernel)
+//! and the loader recompiles, which costs what a decode would (see
+//! `insum_inductor`'s snapshot module).
 //!
 //! ## Robustness contract
 //!
@@ -20,9 +24,9 @@
 //! - Body damage never errors at all: [`Snapshot::parse`] skips every
 //!   record whose CRC-32 fails (CRC-32 detects all single-byte flips)
 //!   and counts it in [`Snapshot::rejected`].
-//! - Record payload decoders ([`decode_kernel`], [`decode_tensor`])
-//!   are defensive against forged-but-CRC-valid bytes: range checks,
-//!   allocation guards, and depth caps, all returning typed errors.
+//! - The record payload decoder ([`decode_kernel`]) is defensive
+//!   against forged-but-CRC-valid bytes: range checks, allocation
+//!   guards, and depth caps, all returning typed errors.
 //! - Writes are crash-safe: [`write_atomic`] stages a temp file, fsyncs,
 //!   then renames, and [`clean_stragglers`] sweeps the temp file a
 //!   crash between those steps leaves behind.
@@ -35,7 +39,6 @@
 mod error;
 pub mod file;
 pub mod kernel_wire;
-pub mod tensor_wire;
 pub mod wire;
 
 pub use error::SnapshotError;
@@ -43,9 +46,7 @@ pub use file::{
     clean_stragglers, read_snapshot, temp_path, write_atomic, Snapshot, SnapshotBuilder,
     SnapshotSection, FORMAT_VERSION, MAGIC, SECTION_AUTOTUNE, SECTION_PROGRAMS,
 };
-pub use kernel_wire::{decode_kernel, decode_kernel_from, encode_kernel, encode_kernel_into};
-pub use tensor_wire::{
-    decode_tensor, decode_tensor_from, dtype_tag, encode_tensor, encode_tensor_into, tag_dtype,
-    TENSOR_WIRE_VERSION,
+pub use kernel_wire::{
+    decode_kernel, decode_kernel_from, dtype_tag, encode_kernel, encode_kernel_into, tag_dtype,
 };
 pub use wire::{crc32, Reader, Writer};

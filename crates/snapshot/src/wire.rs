@@ -108,12 +108,6 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    /// Append an `f32` as its IEEE-754 bit pattern (bit-exact, NaN
-    /// payloads included).
-    pub fn f32_bits(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
@@ -200,11 +194,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
-    /// Read an `f32` bit pattern (bit-exact).
-    pub fn f32_bits(&mut self, context: &'static str) -> Result<f32, SnapshotError> {
-        Ok(f32::from_bits(self.u32(context)?))
-    }
-
     /// Read an element count that prefixes a sequence whose elements
     /// each occupy at least `min_elem_bytes` in the stream. A count
     /// implying more bytes than remain is corruption — this is the
@@ -254,7 +243,6 @@ mod tests {
         w.i64(-42);
         w.usize(123_456);
         w.f64_bits(f64::from_bits(0x7FF8_0000_0000_1234)); // NaN payload
-        w.f32_bits(-0.0);
         w.str("hello snapshot");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
@@ -265,7 +253,6 @@ mod tests {
         assert_eq!(r.i64("t").unwrap(), -42);
         assert_eq!(r.usize("t").unwrap(), 123_456);
         assert_eq!(r.f64_bits("t").unwrap().to_bits(), 0x7FF8_0000_0000_1234);
-        assert_eq!(r.f32_bits("t").unwrap().to_bits(), (-0.0f32).to_bits());
         assert_eq!(r.str("t").unwrap(), "hello snapshot");
         assert!(r.is_exhausted());
     }
