@@ -10,7 +10,9 @@
 //! stats, simulated timing, and (in Execute mode) output tensors are
 //! bit-identical everywhere. An autotuning section sweeps the dense
 //! matmul and fig7 SpMM twice — cold and warm — to demonstrate
-//! cross-trial program reuse. The headline row is the fig7-scale
+//! cross-trial program reuse, and once more exhaustively: the best-first
+//! search must return the exhaustive sweep's winner tile with zero
+//! regret. The headline row is the fig7-scale
 //! block-group SpMM in Execute mode. `tl.dot` dispatch is asserted, not
 //! just timed: the fig7 Execute rows and the matmul fast-path rows must
 //! run every dot on the exact-product kernel, and the same workloads with
@@ -30,7 +32,8 @@ use insum_gpu::{
 };
 use insum_graph::TensorMeta;
 use insum_inductor::{
-    autotune_with, build_plan, compile_fused, CodegenOptions, FusedOp, FusionPlan, ProgramCache,
+    autotune_with, build_plan, compile_fused, run_fused_with_cache, tile_candidates,
+    CodegenOptions, FusedOp, FusionPlan, ProgramCache, TileConfig,
 };
 use insum_tensor::DType;
 use rand::rngs::SmallRng;
@@ -270,11 +273,53 @@ struct Row {
 struct TuneRow {
     name: String,
     configs_tried: usize,
+    configs_probed: usize,
+    /// Wall time of the exhaustive oracle sweep over the same space.
+    exhaustive_wall: f64,
+    /// Largest `|estimate − measured| / estimate` over the measured trials.
+    estimate_max_rel_error: f64,
+    /// `best_time / oracle_best − 1`.
+    regret: f64,
+    /// The search's `(tile, estimate, measured)` table, evaluation order.
+    trials: Vec<(TileConfig, f64, Option<f64>)>,
     cold_wall: f64,
     cold_misses: u64,
     warm_wall: f64,
     warm_hits: u64,
     warm_misses: u64,
+}
+
+/// The exhaustive sweep the autotuner's search replaced, kept as its
+/// oracle: the default first, then every candidate in sweep order, a
+/// strictly faster one taking over. Returns the winner, its time and the
+/// sweep's wall time.
+fn exhaustive_sweep(
+    plan: &FusionPlan,
+    inputs: &BTreeMap<String, Tensor>,
+    device: &DeviceModel,
+) -> (TileConfig, f64, f64) {
+    let (start, cache, base) = (
+        Instant::now(),
+        ProgramCache::new(),
+        CodegenOptions::default(),
+    );
+    let time = |options: &CodegenOptions| {
+        let op = compile_fused(plan, options).expect("kernel compiles");
+        let launch = LaunchOptions::default();
+        let run = run_fused_with_cache(&op, inputs, device, Mode::Analytic, &launch, &cache);
+        (op, run.expect("launch succeeds").1.time)
+    };
+    let (default, default_time) = time(&base);
+    let mut best = (TileConfig::of(&default), default_time);
+    for config in tile_candidates(plan, default.uses_dot) {
+        if config != TileConfig::of(&default) {
+            let (_, t) = time(&config.apply(&base));
+            if t < best.1 {
+                best = (config, t);
+            }
+        }
+    }
+    (best.0, best.1, start.elapsed().as_secs_f64())
 }
 
 /// One multi-operand contraction chain: naive left-to-right vs the
@@ -619,9 +664,32 @@ fn main() {
             case.name
         );
         assert_eq!(cold.best_time, warm.best_time);
+        let (oracle_tile, oracle_best, exhaustive_wall) =
+            exhaustive_sweep(plan, &case.tensors, &device);
+        let regret = cold.best_time / oracle_best - 1.0;
+        assert!(
+            regret == 0.0 && TileConfig::of(&cold.op) == oracle_tile,
+            "{}: the search must return the exhaustive sweep's winner \
+             ({:?} at {oracle_best:e}), got {:?} at {:e}",
+            case.name,
+            oracle_tile,
+            TileConfig::of(&cold.op),
+            cold.best_time
+        );
         tune_rows.push(TuneRow {
             name: case.name.to_string(),
             configs_tried: cold.configs_tried,
+            configs_probed: cold.configs_probed,
+            exhaustive_wall,
+            estimate_max_rel_error: cold
+                .trials
+                .iter()
+                .filter_map(|&(_, estimate, measured)| {
+                    Some((estimate - measured?).abs() / estimate)
+                })
+                .fold(0.0, f64::max),
+            regret,
+            trials: cold.trials,
             cold_wall: cold.tuning_wall_seconds,
             cold_misses: cold.cache_misses,
             warm_wall: warm.tuning_wall_seconds,
@@ -844,24 +912,50 @@ fn main() {
             vec![
                 r.name.clone(),
                 r.configs_tried.to_string(),
+                r.configs_probed.to_string(),
+                format!("{:.2}", r.exhaustive_wall * 1e3),
                 format!("{:.2}", r.cold_wall * 1e3),
                 r.cold_misses.to_string(),
                 format!("{:.2}", r.warm_wall * 1e3),
                 r.warm_hits.to_string(),
+                format!("{:.1e}", r.estimate_max_rel_error),
+                format!("{:.1e}", r.regret),
             ]
         })
         .collect();
     print_table(
-        "autotune (cold vs warm ProgramCache)",
+        "autotune (best-first search vs exhaustive oracle; cold vs warm ProgramCache)",
         &[
             "workload",
-            "configs",
+            "launched",
+            "probed",
+            "exhaust ms",
             "cold ms",
             "misses",
             "warm ms",
             "warm hits",
+            "est err",
+            "regret",
         ],
         &tune_table,
+    );
+    let fig7 = tune_rows.iter().find(|r| r.name == "spmm_block_group_fig7");
+    let trial_table: Vec<Vec<String>> = fig7
+        .expect("fig7 is tuned")
+        .trials
+        .iter()
+        .map(|(tile, estimate, measured)| {
+            vec![
+                format!("{}x{}x{}", tile.yblock, tile.xblock, tile.rblock),
+                insum_bench::us(*estimate),
+                measured.map_or("-".to_string(), insum_bench::us),
+            ]
+        })
+        .collect();
+    print_table(
+        "spmm_block_group_fig7 autotune trials (evaluation order; '-' = never launched)",
+        &["tile y*x*r", "estimate us", "measured us"],
+        &trial_table,
     );
 
     let chain_table: Vec<Vec<String>> = chain_rows
@@ -1028,12 +1122,18 @@ fn main() {
     json.push_str("  \"autotune\": [\n");
     for (i, r) in tune_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"configs_tried\": {}, \
+            "    {{\"workload\": \"{}\", \"configs_tried\": {}, \"configs_probed\": {}, \
+             \"tuning_wall_seconds_exhaustive\": {:.6}, \
+             \"estimate_max_rel_error\": {:e}, \"regret\": {:e}, \
              \"tuning_wall_seconds_cold\": {:.6}, \"cache_misses_cold\": {}, \
              \"tuning_wall_seconds_warm\": {:.6}, \"cache_hits_warm\": {}, \
              \"cache_misses_warm\": {}}}{}\n",
             r.name,
             r.configs_tried,
+            r.configs_probed,
+            r.exhaustive_wall,
+            r.estimate_max_rel_error,
+            r.regret,
             r.cold_wall,
             r.cold_misses,
             r.warm_wall,

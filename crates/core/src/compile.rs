@@ -5,7 +5,7 @@ use crate::options::InsumOptions;
 use crate::Result;
 use insum_gpu::{LaunchOptions, Mode, Profile};
 use insum_graph::TensorMeta;
-use insum_inductor::{autotune, compile_fused, compile_unfused, FusedOp, UnfusedOp};
+use insum_inductor::{autotune, compile_fused, compile_unfused, FusedOp, TileConfig, UnfusedOp};
 use insum_lang::Statement;
 use insum_pattern::Pattern;
 use insum_tensor::Tensor;
@@ -34,8 +34,13 @@ pub struct Compiled {
     pub compile_seconds: f64,
     /// Autotuning sweep wall-clock, seconds (0 when disabled).
     pub autotune_seconds: f64,
-    /// Configurations evaluated by the autotuner.
+    /// Configurations the autotuner fully measured.
     pub autotune_configs: usize,
+    /// The autotuner's table — `(tile, estimated seconds, measured
+    /// seconds)` per configuration, the default first; see
+    /// [`insum_inductor::AutotuneResult::trials`]. Empty when autotuning
+    /// was disabled or warm-started from a snapshot.
+    pub autotune_trials: Vec<(TileConfig, f64, Option<f64>)>,
     /// Program-cache hits observed during the autotuning sweep (repeat
     /// compilations of an already-tuned workload hit on every trial).
     pub autotune_cache_hits: u64,
@@ -310,15 +315,23 @@ pub fn insum_with(
     let metas = metas_of(tensors);
     let mut autotune_seconds = 0.0;
     let mut autotune_configs = 0;
+    let mut autotune_trials = Vec::new();
     let mut autotune_cache_hits = 0;
     let pipeline = if let Some(op) = try_fast_plan(&statement, &metas, options) {
         Pipeline::FastPath(Box::new(op))
     } else if options.fuse {
         let plan = insum_inductor::build_plan(&statement, &metas)?;
         let op = if options.autotune {
-            let result = autotune(&plan, &options.codegen(), tensors, &options.device)?;
+            let result = autotune(
+                &plan,
+                &options.codegen(),
+                tensors,
+                &options.device,
+                &options.launch(),
+            )?;
             autotune_seconds = result.tuning_wall_seconds;
             autotune_configs = result.configs_tried;
+            autotune_trials = result.trials;
             autotune_cache_hits = result.cache_hits;
             result.op
         } else {
@@ -336,6 +349,7 @@ pub fn insum_with(
         compile_seconds: start.elapsed().as_secs_f64(),
         autotune_seconds,
         autotune_configs,
+        autotune_trials,
         autotune_cache_hits,
     })
 }
@@ -433,6 +447,10 @@ mod tests {
         let tensors = spmm_tensors();
         let op = insum_with(SPMM, &tensors, &InsumOptions::autotuned()).unwrap();
         assert!(op.autotune_configs > 1);
+        // The table lists every candidate; the measured ones come first.
+        let measured = op.autotune_trials.iter().filter(|t| t.2.is_some());
+        assert_eq!(measured.count(), op.autotune_configs);
+        assert!(op.autotune_trials.len() >= op.autotune_configs);
         assert!(op.autotune_seconds > 0.0);
         assert!(op.compile_seconds >= op.autotune_seconds);
         let (got, _) = op.run(&tensors).unwrap();

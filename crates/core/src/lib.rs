@@ -52,7 +52,7 @@ pub use tune::{pow2_candidates, tune_block_group_size, tune_group_size};
 
 // Re-exports so downstream users need only this crate.
 pub use insum_gpu::{DeviceModel, KernelReport, LaunchOptions, Mode, Profile};
-pub use insum_inductor::{ProgramCache, ProgramCacheStats};
+pub use insum_inductor::{ProgramCache, ProgramCacheStats, TileConfig};
 pub use insum_pattern::{classify_spec, classify_terms, Pattern};
 pub use insum_planner::{ChainSpec, ContractionPlan, OrderStrategy, PlanStep, PlannerError};
 pub use insum_tensor::{DType, Tensor};

@@ -137,6 +137,17 @@
 //!   per-instance times. [`LaunchOptions::analytic_dedup`] disables the
 //!   replay for equivalence testing.
 //!
+//! Instance classes shrink the cost of an analytic launch; when every
+//! instance of a launch is the *same* class — the fixed-length formats
+//! and dense tiles of the paper — one instance prices the whole launch.
+//! [`uniform_launch_time`] is that extension: the SM time of one instance
+//! (the [`KernelReport::sm_time`] of a `[1, …, 1]`-grid launch of the same
+//! kernel), an instance count and a DRAM time give the launch time
+//! through the same scheduler and the same overlap rule as a real launch,
+//! bit-equal to one reporting those instance times. It lives beside the
+//! scheduler in `stats.rs` so launch time has one definition;
+//! `insum_inductor`'s autotuner ranks its tile space with it.
+//!
 //! See `crates/gpu/src/program.rs` for the analysis details and
 //! `crates/gpu/tests/program_properties.rs` for the equivalence
 //! properties that pin the pipeline to the reference interpreter.
@@ -159,7 +170,7 @@ pub use exact_dot::DotIsa;
 pub use interp::{launch, launch_with, site_dispatch_counts, GpuError, LaunchOptions, Mode};
 pub use micro::{copy_view_eligible, run_micro};
 pub use program::Program;
-pub use stats::{KernelReport, KernelStats, Profile};
+pub use stats::{uniform_launch_time, KernelReport, KernelStats, Profile};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, GpuError>;

@@ -209,8 +209,36 @@ pub(crate) fn combine_times(
         }
         heap.into_iter().map(|Reverse(F(t))| t).fold(0.0, f64::max)
     };
-    let time = device.launch_overhead + sm_time.max(dram_time);
-    (time, sm_time, dram_time)
+    (launch_time(device, sm_time, dram_time), sm_time, dram_time)
+}
+
+/// The one definition of a launch's simulated time: the SM makespan and
+/// the DRAM + atomic serialization overlap, after the fixed overhead.
+fn launch_time(device: &DeviceModel, sm_time: f64, dram_time: f64) -> f64 {
+    device.launch_overhead + sm_time.max(dram_time)
+}
+
+/// Simulated time of a launch whose `instances` program instances each
+/// take `instance_time` seconds on an SM, against a given `dram_time`.
+///
+/// Equal instances fill the SMs in waves, so the busiest SM runs
+/// `⌈instances / num_sms⌉` of them back to back — accumulated here by the
+/// same repeated addition as the scheduler's, which makes the result
+/// bit-equal to a launch reporting `instances` times `instance_time` and
+/// this `dram_time`. The kernels the code generator emits for
+/// fixed-length formats (GroupCOO, BlockGroupCOO, dense tiles) are such
+/// launches up to their masked edge tiles, which is what lets
+/// `insum_inductor`'s autotuner rank a tile space from the
+/// [`KernelReport::sm_time`] of one-instance launches.
+pub fn uniform_launch_time(
+    device: &DeviceModel,
+    instances: usize,
+    instance_time: f64,
+    dram_time: f64,
+) -> f64 {
+    let waves = instances.div_ceil(device.num_sms.max(1));
+    let sm_time = (0..waves).fold(0.0, |busy, _| busy + instance_time);
+    launch_time(device, sm_time, dram_time)
 }
 
 #[cfg(test)]
@@ -247,6 +275,17 @@ mod tests {
         let (t, sm, _) = combine_times(&d, &times, 0.0);
         assert!((sm - 1e-6).abs() < 1e-9);
         assert!(t >= d.launch_overhead + 1e-6);
+    }
+
+    #[test]
+    fn uniform_launch_time_is_the_scheduler_on_equal_instances() {
+        let d = DeviceModel::rtx3090();
+        for n in [0, 1, 81, 82, 83, 164, 165, 1000, 4097] {
+            for (t, dram) in [(1.3e-6, 0.0), (7.7e-7, 2e-5), (3.1e-6, 1.0)] {
+                let (want, ..) = combine_times(&d, &vec![t; n], dram);
+                assert_eq!(uniform_launch_time(&d, n, t, dram), want, "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,52 @@
-//! Tile-size autotuning via analytic simulator launches.
+//! Tile-size autotuning by one-instance probes.
 //!
 //! The paper integrates PyTorch's autotuning infrastructure to pick Triton
 //! configurations automatically (§6.7) — the 4.9 s "autotune" row of
-//! Table 3. This module reproduces that: it sweeps power-of-two tile
-//! candidates, launches each candidate in [`Mode::Analytic`] on the real
-//! inputs, and keeps the fastest.
+//! Table 3. The tile space is the product of power-of-two Y/X/R
+//! candidates ([`tile_candidates`]). Launching all of it in
+//! [`Mode::Analytic`] on the real inputs is exact but spends nearly all
+//! its time on configurations that lose, so the sweep is a best-first
+//! search that returns the exhaustive sweep's winner:
 //!
-//! Two costs are amortized across the sweep. Analytic launches of fully
-//! affine kernels dedup each row of grid instances into one costed
-//! representative (see `insum_gpu`'s compile pipeline), turning the inner
-//! loop from O(instances) to O(instance classes). And every trial's
-//! lowering goes through the process-wide [`crate::ProgramCache`], so the
-//! winning configuration's compiled program is already resident when the
-//! caller launches it for real — and re-tuning the same workload performs
-//! no lowering at all.
+//! 1. **Measure the default** configuration with a full launch. It seeds
+//!    best-so-far — `best_time` is never worse than the default's, by
+//!    construction — and supplies the launch's DRAM + atomic time, which
+//!    counts unique sectors, issued atomics and per-address collisions:
+//!    properties of the data, not of the tiling.
+//! 2. **Estimate every other candidate** from one program instance:
+//!    generate its kernel, lower it for a `[1, …, 1]` grid, launch that,
+//!    and extend the instance's SM time with
+//!    [`insum_gpu::uniform_launch_time`] to the instances masked like it
+//!    (all tiles but ragged last ones), against the default's DRAM time.
+//!    Dropping the cheaper edge tiles makes the estimate a lower bound —
+//!    some SM still runs its share of the full tiles — provided full tiles
+//!    cost alike. The paper's fixed-length formats (GroupCOO,
+//!    BlockGroupCOO, §4) and dense tiles guarantee that: every instance
+//!    does the same work (no CSR-style row imbalance), so on extents the
+//!    tile divides the estimate is the launch time to the bit. Probe
+//!    programs are throwaway: they bypass the [`ProgramCache`].
+//! 3. **Fully launch candidates in ascending estimate** (ties in sweep
+//!    order), through the cache, and stop at the first with
+//!    `estimate · (1 − err) > best`. `err` is the largest relative amount
+//!    by which a measurement of this sweep undercut its estimate, starting
+//!    from the default's launch held to the same model (all instances at
+//!    its slowest one's time). It is zero on uniform launches, where the
+//!    search stops after the front-runners, and grows — towards the full
+//!    sweep — exactly when gather alignment makes instances differ.
+//!
+//! The winner is the fastest *measured* configuration; equal times resolve
+//! as the exhaustive sweep would — the default first, then sweep order.
+//! Its full-grid program is resident in the cache on return, and
+//! re-tuning the same workload lowers nothing but probes.
 
 use crate::cache::ProgramCache;
 use crate::codegen::{compile_fused, next_pow2, CodegenOptions, FusedOp};
 use crate::plan::FusionPlan;
-use crate::runner::run_fused_with_cache;
+use crate::runner::{bind_args, run_fused_with_cache};
 use crate::winners::{workload_signature, AutotuneCache, TileConfig};
 use crate::Result;
-use insum_gpu::{DeviceModel, Mode};
-use insum_tensor::Tensor;
+use insum_gpu::{uniform_launch_time, DeviceModel, LaunchOptions, Mode, Program};
+use insum_tensor::{DType, Tensor};
 use std::collections::BTreeMap;
 
 /// Outcome of an autotuning sweep.
@@ -30,18 +54,28 @@ use std::collections::BTreeMap;
 pub struct AutotuneResult {
     /// The best compiled operation.
     pub op: FusedOp,
-    /// Simulated time of the best configuration, seconds.
+    /// Simulated time of the best configuration, seconds — always a full
+    /// launch of `op`, never an estimate.
     pub best_time: f64,
-    /// Number of configurations evaluated (the heuristic probe plus the
-    /// sweep, minus sweep points identical to the probe; 1 on a warm
-    /// start).
+    /// Number of configurations fully measured (the default plus the
+    /// candidates the search launched; 1 on a warm start).
     pub configs_tried: usize,
+    /// Number of configurations estimated from a one-instance probe
+    /// (every candidate but the default; 0 on a warm start).
+    pub configs_probed: usize,
+    /// The table the winner beat, in evaluation order, as `(configuration,
+    /// estimated seconds, measured seconds)`: the default (estimated from
+    /// its own launch), then the other candidates by ascending lower-bound
+    /// estimate. `None` marks a candidate the stop rule never launched.
+    /// Empty on a warm start.
+    pub trials: Vec<(TileConfig, f64, Option<f64>)>,
     /// Host wall-clock spent tuning, seconds.
     pub tuning_wall_seconds: f64,
     /// Program-cache hits observed during the sweep (repeat sweeps of
-    /// the same workload hit on every configuration).
+    /// the same workload hit on every measured configuration).
     pub cache_hits: u64,
-    /// Program-cache misses (fresh lowerings) during the sweep.
+    /// Program-cache misses (fresh lowerings) during the sweep; probes
+    /// never touch the cache.
     pub cache_misses: u64,
     /// True when a persisted [`AutotuneCache`] winner skipped the sweep
     /// (the winner was still re-verified by one analytic launch).
@@ -65,36 +99,51 @@ fn candidates(extent: usize, dot: bool, has_role: bool) -> Vec<usize> {
     out
 }
 
-/// Sweep tile configurations and return the fastest.
-///
-/// The heuristic (probe) configuration is measured first and seeds the
-/// best-so-far, so `best_time` is never worse than the default
-/// configuration's analytic time — by construction, not by luck.
+/// Every tile configuration a sweep of `plan` considers, in sweep order
+/// (Y outermost, R innermost). `uses_dot` — [`FusedOp::uses_dot`] of the
+/// default configuration — raises the floor to the 16-wide `tl.dot`
+/// minimum. The default configuration need not be among them.
+pub fn tile_candidates(plan: &FusionPlan, uses_dot: bool) -> impl Iterator<Item = TileConfig> {
+    let ys = candidates(plan.y_extent(), uses_dot, plan.y_var.is_some());
+    let xs = candidates(plan.x_extent(), uses_dot, plan.x_var.is_some());
+    let rs = candidates(plan.r_extent(), uses_dot, !plan.r_vars.is_empty());
+    (0..ys.len() * xs.len() * rs.len()).map(move |i| TileConfig {
+        yblock: ys[i / (xs.len() * rs.len())],
+        xblock: xs[i / rs.len() % xs.len()],
+        rblock: rs[i % rs.len()],
+    })
+}
+
+/// Find the fastest tile configuration (see the module docs for the
+/// search). Launches run with `launch_options`.
 ///
 /// # Errors
 ///
 /// Propagates codegen and simulator errors; at least one configuration is
-/// always evaluated.
+/// always measured.
 pub fn autotune(
     plan: &FusionPlan,
     base: &CodegenOptions,
     inputs: &BTreeMap<String, Tensor>,
     device: &DeviceModel,
+    launch_options: &LaunchOptions,
 ) -> Result<AutotuneResult> {
     autotune_impl(
         plan,
         base,
         inputs,
         device,
+        launch_options,
         ProgramCache::global(),
         Some(AutotuneCache::global()),
     )
 }
 
-/// [`autotune`] against an explicit [`ProgramCache`] (useful for
-/// isolation in tests and benchmarks; cache counters in the result are
-/// then exact rather than shared with concurrent launches). Does not
-/// consult persisted winners: every call sweeps.
+/// [`autotune`] with default launch options against an explicit
+/// [`ProgramCache`] (useful for isolation in tests and benchmarks; cache
+/// counters in the result are then exact rather than shared with
+/// concurrent launches). Does not consult persisted winners: every call
+/// sweeps.
 ///
 /// # Errors
 ///
@@ -106,7 +155,32 @@ pub fn autotune_with(
     device: &DeviceModel,
     cache: &ProgramCache,
 ) -> Result<AutotuneResult> {
-    autotune_impl(plan, base, inputs, device, cache, None)
+    let launch_options = LaunchOptions::default();
+    autotune_impl(plan, base, inputs, device, &launch_options, cache, None)
+}
+
+/// Lower-bound launch-time estimate for `op` from its first program
+/// instance alone: a throwaway lowering for a one-instance grid (never
+/// cached), one analytic launch, and the uniform-instance extension to
+/// the instances shaped like it.
+fn probe(op: &FusedOp, args: &mut [Tensor], device: &DeviceModel, dram_time: f64) -> Result<f64> {
+    let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
+    let dtypes: Vec<DType> = args.iter().map(Tensor::dtype).collect();
+    let program = Program::compile(&op.kernel, &vec![1; op.grid.len()], &lens, &dtypes)?;
+    let mut refs: Vec<&mut Tensor> = args.iter_mut().collect();
+    let first = program.launch_with(
+        &mut refs,
+        device,
+        Mode::Analytic,
+        &LaunchOptions::sequential(),
+    )?;
+    let like_first = op.instances_masked_like_first();
+    Ok(uniform_launch_time(
+        device,
+        like_first,
+        first.sm_time,
+        dram_time,
+    ))
 }
 
 fn autotune_impl(
@@ -114,6 +188,7 @@ fn autotune_impl(
     base: &CodegenOptions,
     inputs: &BTreeMap<String, Tensor>,
     device: &DeviceModel,
+    launch_options: &LaunchOptions,
     cache: &ProgramCache,
     winners: Option<&AutotuneCache>,
 ) -> Result<AutotuneResult> {
@@ -124,23 +199,39 @@ fn autotune_impl(
     let _autotune_span = insum_telemetry::hook::timed(insum_telemetry::HookPhase::Autotune);
     let start = std::time::Instant::now();
     let cache_before = cache.stats();
-    let launch_opts = insum_gpu::LaunchOptions::default();
+    let finish = |op: FusedOp, best_time: f64, trials: Vec<(TileConfig, f64, Option<f64>)>| {
+        let cache_after = cache.stats();
+        AutotuneResult {
+            op,
+            best_time,
+            // A warm start's verify launch is its one, untabulated, trial.
+            configs_tried: trials.iter().filter(|t| t.2.is_some()).count().max(1),
+            configs_probed: trials.len().saturating_sub(1),
+            warm_start: trials.is_empty(),
+            trials,
+            tuning_wall_seconds: start.elapsed().as_secs_f64(),
+            cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
+            cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
+        }
+    };
+    let measure = |op: &FusedOp| {
+        run_fused_with_cache(op, inputs, device, Mode::Analytic, launch_options, cache)
+            .map(|(_, report)| report)
+    };
 
-    // The probe is a real measurement, not a throwaway: it seeds `best`.
-    let probe = compile_fused(plan, base)?;
-    let dot = probe.uses_dot;
-    let probe_blocks = (probe.yblock, probe.xblock, probe.rblock);
+    let default = compile_fused(plan, base)?;
+    let default_config = TileConfig::of(&default);
 
     // The workload signature keys persisted winners. It hashes the
-    // *probe* kernel (compiled from `base`, so deterministic for the
+    // *default* kernel (compiled from `base`, so deterministic for the
     // workload), not the winner's, so re-tuning after a restart finds
     // the same key regardless of which configuration won.
     let keyed = winners.map(|w| {
         (
             w,
             workload_signature(
-                insum_kernel::fingerprint(&probe.kernel),
-                &probe.grid,
+                insum_kernel::fingerprint(&default.kernel),
+                &default.grid,
                 inputs,
                 device,
             ),
@@ -154,83 +245,60 @@ fn autotune_impl(
     // take this path (re-tuning them is already cheap via the program
     // cache, and skipping would distort cold-path measurements).
     if let Some((w, signature)) = keyed {
-        if let Some(cfg) = w.lookup_seeded(signature) {
-            let opts = CodegenOptions {
-                yblock: Some(cfg.yblock),
-                xblock: Some(cfg.xblock),
-                rblock: Some(cfg.rblock),
-                ..base.clone()
-            };
-            if let Ok(op) = compile_fused(plan, &opts) {
-                if let Ok((_, report)) =
-                    run_fused_with_cache(&op, inputs, device, Mode::Analytic, &launch_opts, cache)
-                {
-                    let cache_after = cache.stats();
-                    return Ok(AutotuneResult {
-                        op,
-                        best_time: report.time,
-                        configs_tried: 1,
-                        tuning_wall_seconds: start.elapsed().as_secs_f64(),
-                        cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
-                        cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
-                        warm_start: true,
-                    });
+        if let Some(config) = w.lookup_seeded(signature) {
+            if let Ok(op) = compile_fused(plan, &config.apply(base)) {
+                if let Ok(report) = measure(&op) {
+                    return Ok(finish(op, report.time, Vec::new()));
                 }
             }
         }
     }
 
-    let (_, probe_report) =
-        run_fused_with_cache(&probe, inputs, device, Mode::Analytic, &launch_opts, cache)?;
-    let mut best: (FusedOp, f64) = (probe, probe_report.time);
-    let mut tried = 1;
+    // The default's own launch held to the same model — all of its
+    // instances at the slowest one's time — starts `err` at the launch's
+    // measured non-uniformity.
+    let report = measure(&default)?;
+    let overshoot = |estimate: f64, measured: f64| (estimate - measured) / estimate;
+    let estimate = uniform_launch_time(
+        device,
+        default.grid.iter().product(),
+        report.max_instance_time,
+        report.dram_time,
+    );
+    let mut err = overshoot(estimate, report.time).max(0.0);
+    let mut trials = vec![(default_config, estimate, Some(report.time))];
 
-    let ys = candidates(plan.y_extent(), dot, plan.y_var.is_some());
-    let xs = candidates(plan.x_extent(), dot, plan.x_var.is_some());
-    let rs = candidates(plan.r_extent(), dot, !plan.r_vars.is_empty());
-    for &y in &ys {
-        for &x in &xs {
-            for &r in &rs {
-                if (y, x, r) == probe_blocks {
-                    continue; // already measured as the probe
-                }
-                let opts = CodegenOptions {
-                    yblock: Some(y),
-                    xblock: Some(x),
-                    rblock: Some(r),
-                    ..base.clone()
-                };
-                let op = compile_fused(plan, &opts)?;
-                let (_, report) =
-                    run_fused_with_cache(&op, inputs, device, Mode::Analytic, &launch_opts, cache)?;
-                tried += 1;
-                if report.time < best.1 {
-                    best = (op, report.time);
-                }
+    // Rank the rest of the space; `position` is the place in (default
+    // first, then sweep) order that resolves equal measured times.
+    let mut args = bind_args(plan, inputs)?;
+    let mut ranked = Vec::new();
+    for (position, config) in tile_candidates(plan, default.uses_dot).enumerate() {
+        if config != default_config {
+            let op = compile_fused(plan, &config.apply(base))?;
+            let estimate = probe(&op, &mut args, device, report.dram_time)?;
+            ranked.push((estimate, position + 1, op));
+        }
+    }
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable: ties keep sweep order
+
+    let mut best = (report.time, 0, default);
+    let mut open = true;
+    for (estimate, position, op) in ranked {
+        open = open && estimate * (1.0 - err) <= best.0;
+        let measured = if open { Some(measure(&op)?.time) } else { None };
+        trials.push((TileConfig::of(&op), estimate, measured));
+        if let Some(time) = measured {
+            err = err.max(overshoot(estimate, time));
+            if (time, position) < (best.0, best.1) {
+                best = (time, position, op);
             }
         }
     }
-    let (op, best_time) = best;
+    let (best_time, _, op) = best;
     if let Some((w, signature)) = keyed {
-        w.store(
-            signature,
-            TileConfig {
-                yblock: op.yblock,
-                xblock: op.xblock,
-                rblock: op.rblock,
-            },
-        );
+        w.store(signature, TileConfig::of(&op));
     }
-    let cache_after = cache.stats();
-    Ok(AutotuneResult {
-        op,
-        best_time,
-        configs_tried: tried,
-        tuning_wall_seconds: start.elapsed().as_secs_f64(),
-        cache_hits: cache_after.hits.saturating_sub(cache_before.hits),
-        cache_misses: cache_after.misses.saturating_sub(cache_before.misses),
-        warm_start: false,
-    })
+    Ok(finish(op, best_time, trials))
 }
 
 #[cfg(test)]
@@ -276,9 +344,10 @@ mod tests {
         let default_op = compile_fused(&plan, &CodegenOptions::default()).unwrap();
         let (_, default_report) = run_fused(&default_op, &inputs, &device, Mode::Analytic).unwrap();
 
-        let tuned = autotune(&plan, &CodegenOptions::default(), &inputs, &device).unwrap();
+        let launch = LaunchOptions::default();
+        let tuned = autotune(&plan, &CodegenOptions::default(), &inputs, &device, &launch).unwrap();
         assert!(tuned.configs_tried > 1);
-        // The probe seeds `best`, so this holds structurally — no
+        // The default seeds `best`, so this holds structurally — no
         // floating-point fudge factor needed.
         assert!(tuned.best_time <= default_report.time);
         assert!(tuned.tuning_wall_seconds > 0.0);
@@ -291,12 +360,18 @@ mod tests {
         let cache = ProgramCache::new();
         let first =
             autotune_with(&plan, &CodegenOptions::default(), &inputs, &device, &cache).unwrap();
+        // Only fully measured configurations lower through the cache: no
+        // one-instance probe program is resident afterwards, in the cache
+        // or in a snapshot of it.
+        assert!(first.configs_probed > first.configs_tried);
+        assert_eq!(first.cache_misses, first.configs_tried as u64);
+        assert_eq!(cache.stats().entries, first.configs_tried);
+        assert_eq!(cache.snapshot_records().len(), first.configs_tried);
         let second =
             autotune_with(&plan, &CodegenOptions::default(), &inputs, &device, &cache).unwrap();
         assert_eq!(first.configs_tried, second.configs_tried);
-        // Re-tuning the same workload lowers nothing: every trial's
-        // program is already resident in the cross-launch cache.
-        assert_eq!(first.cache_misses, first.configs_tried as u64);
+        // Re-tuning the same workload lowers nothing: every measured
+        // trial's program is already resident in the cross-launch cache.
         assert_eq!(second.cache_misses, 0);
         assert_eq!(second.cache_hits, first.configs_tried as u64);
         assert_eq!(first.best_time, second.best_time);
@@ -314,6 +389,7 @@ mod tests {
             &CodegenOptions::default(),
             &inputs,
             &device,
+            &LaunchOptions::default(),
             &cache,
             Some(&winners),
         )
@@ -329,6 +405,7 @@ mod tests {
             &CodegenOptions::default(),
             &inputs,
             &device,
+            &LaunchOptions::default(),
             &cache,
             Some(&winners),
         )
@@ -348,6 +425,7 @@ mod tests {
             &CodegenOptions::default(),
             &inputs,
             &device,
+            &LaunchOptions::default(),
             &cache,
             Some(&seeded),
         )

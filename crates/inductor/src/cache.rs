@@ -2,9 +2,10 @@
 //!
 //! The simulator's ahead-of-time lowering ([`insum_gpu::Program`]) is
 //! cheap but not free, and the paper's workflow launches the same kernel
-//! thousands of times — repeated [`crate::run_fused`] executions, every
-//! configuration of an autotuning sweep re-launched by the final run,
-//! and the per-node kernels of the unfused pipeline. [`ProgramCache`]
+//! thousands of times — repeated [`crate::run_fused`] executions, the
+//! winner of an autotuning sweep re-launched by the final run (the
+//! sweep's one-instance probe programs are throwaway and never enter the
+//! cache), and the per-node kernels of the unfused pipeline. [`ProgramCache`]
 //! memoizes compiled programs keyed by the kernel's structural
 //! fingerprint ([`insum_kernel::fingerprint`]), the launch grid, and the
 //! positional argument metadata (element counts + dtypes) — everything a

@@ -62,6 +62,19 @@ pub struct FusedOp {
     pub uses_dot: bool,
 }
 
+impl FusedOp {
+    /// How many of the grid's program instances are masked exactly like
+    /// the first: along X and Y every tile but a ragged last one (the
+    /// only tile, where one spans the extent), times the grid volume.
+    /// These are the instances a probe of instance 0 speaks for.
+    pub(crate) fn instances_masked_like_first(&self) -> usize {
+        let (x, y) = (self.plan.x_extent(), self.plan.y_extent());
+        let tiles = x.div_ceil(self.xblock).max(1) * y.div_ceil(self.yblock).max(1);
+        let like_first = (x / self.xblock).max(1) * (y / self.yblock).max(1);
+        self.grid.iter().product::<usize>() / tiles * like_first
+    }
+}
+
 /// Smallest power of two `>= n` (1 for n = 0).
 pub(crate) fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()

@@ -23,9 +23,11 @@
 //!   scatters. [`CodegenOptions::lazy_broadcast`] switches between the
 //!   lazy layout tracking of §5.2.3 and the eager mode that pays
 //!   `tl.view`/`tl.trans` shared-memory traffic before every dot.
-//! * [`autotune`] sweeps power-of-two tile configurations with analytic
-//!   simulator launches — the "compile + autotune" cost that Table 3
-//!   charges against Insum.
+//! * [`autotune`] searches the power-of-two tile configurations
+//!   ([`tile_candidates`]) with analytic simulator launches — the
+//!   "compile + autotune" cost that Table 3 charges against Insum —
+//!   ranking them by one-instance probes and fully launching only the
+//!   ones that can still win.
 
 mod autotune;
 mod cache;
@@ -40,7 +42,7 @@ mod snapshot;
 mod unfused;
 mod winners;
 
-pub use autotune::{autotune, autotune_with, AutotuneResult};
+pub use autotune::{autotune, autotune_with, tile_candidates, AutotuneResult};
 pub use cache::{ProgramCache, ProgramCacheStats};
 pub use codegen::{compile_fused, CodegenOptions, FusedOp};
 pub use error::InductorError;

@@ -2,12 +2,13 @@
 //!
 //! Launches go through the process-wide [`ProgramCache`], so the
 //! ahead-of-time lowering of a kernel happens once per distinct
-//! (kernel, grid, argument metadata) across repeated runs and all
-//! autotuning trials.
+//! (kernel, grid, argument metadata) across repeated runs and the full
+//! launches of autotuning trials.
 
 use crate::cache::{cached_program, ProgramCache};
 use crate::codegen::FusedOp;
 use crate::error::InductorError;
+use crate::plan::FusionPlan;
 use crate::Result;
 use insum_gpu::{DeviceModel, KernelReport, LaunchOptions, Mode};
 use insum_tensor::{DType, Tensor};
@@ -76,17 +77,7 @@ pub fn run_fused_with_cache(
     launch_options: &LaunchOptions,
     cache: &ProgramCache,
 ) -> Result<(Tensor, KernelReport)> {
-    // Cheap Arc clones for contiguous bindings: the launch shares the
-    // caller's storage and only written parameters copy-on-write. A
-    // strided view (e.g. a fast-path transpose output fed back in) is
-    // gathered first — the interpreter addresses raw row-major storage.
-    let mut owned: Vec<Tensor> = Vec::with_capacity(op.plan.param_order.len());
-    for name in &op.plan.param_order {
-        let t = inputs
-            .get(name)
-            .ok_or_else(|| InductorError::Binding(format!("missing tensor {name:?}")))?;
-        owned.push(t.contiguous());
-    }
+    let mut owned = bind_args(&op.plan, inputs)?;
     let mut refs: Vec<&mut Tensor> = owned.iter_mut().collect();
     let lens: Vec<usize> = refs.iter().map(|t| t.len()).collect();
     let dtypes: Vec<DType> = refs.iter().map(|t| t.dtype()).collect();
@@ -99,6 +90,26 @@ pub fn run_fused_with_cache(
         .position(|n| n == &op.plan.output.tensor)
         .expect("output is always a parameter");
     Ok((owned.swap_remove(out_pos), report))
+}
+
+/// The plan's parameters bound from `inputs`, in launch order.
+///
+/// Cheap Arc clones for contiguous bindings: the launch shares the
+/// caller's storage and only written parameters copy-on-write. A strided
+/// view (e.g. a fast-path transpose output fed back in) is gathered first
+/// — the interpreter addresses raw row-major storage.
+pub(crate) fn bind_args(
+    plan: &FusionPlan,
+    inputs: &BTreeMap<String, Tensor>,
+) -> Result<Vec<Tensor>> {
+    let mut owned: Vec<Tensor> = Vec::with_capacity(plan.param_order.len());
+    for name in &plan.param_order {
+        let t = inputs
+            .get(name)
+            .ok_or_else(|| InductorError::Binding(format!("missing tensor {name:?}")))?;
+        owned.push(t.contiguous());
+    }
+    Ok(owned)
 }
 
 /// Run one fused operation for every request of a batch, sharing one
@@ -140,8 +151,7 @@ pub fn run_fused_batch_with_cache(
                 InductorError::Binding(format!("request {req}: missing tensor {name:?}"))
             })?;
             // Gather strided views into row-major storage (no-op Arc
-            // clone for the common contiguous case) — see
-            // `run_fused_with_cache`.
+            // clone for the common contiguous case) — see `bind_args`.
             args.push(t.contiguous());
         }
         owned.push(args);

@@ -7,23 +7,27 @@
 //! a 64-bit workload signature to the winning [`TileConfig`]; the
 //! autotuner stores every fresh winner after sweeping, and snapshots
 //! persist the map alongside compiled programs (see [`crate::snapshot`]).
+//! A stored winner is always a configuration the sweep *fully launched*
+//! and found fastest — the one-instance estimates that rank the tile
+//! space never reach this cache.
 //!
 //! Each entry remembers its origin. Only winners *seeded from a
 //! snapshot* let the autotuner skip its sweep — that is the warm-restart
 //! contract. Winners stored by in-process sweeps are persisted for the
 //! next boot but do not short-circuit tuning in the process that found
-//! them: re-tuning a resident workload is already cheap (every trial
-//! hits the [`crate::ProgramCache`]), and keeping the sweep keeps its
-//! counters honest for benchmarks that measure cold-path cost.
+//! them: re-tuning a resident workload is already cheap (every full
+//! launch hits the [`crate::ProgramCache`]), and keeping the sweep keeps
+//! its counters honest for benchmarks that measure cold-path cost.
 //!
 //! A loaded winner is never trusted blindly: [`crate::autotune`]
-//! recompiles it and measures one analytic probe launch, so a winner that
-//! no longer compiles or launches degrades to a full sweep (the
+//! recompiles it and measures one analytic verify launch, so a winner
+//! that no longer compiles or launches degrades to a full sweep (the
 //! robustness contract of the snapshot layer). The signature covers the
-//! probe kernel's structural fingerprint, the launch grid, every input's
+//! default kernel's structural fingerprint, the launch grid, every input's
 //! name/shape/dtype, and the device model — anything that changes the
 //! sweep's outcome changes the key.
 
+use crate::codegen::{CodegenOptions, FusedOp};
 use insum_snapshot::{SnapshotError, Writer};
 use insum_tensor::{DType, Tensor};
 use std::collections::BTreeMap;
@@ -35,8 +39,8 @@ use std::sync::{Mutex, OnceLock};
 /// snapshot bytes cannot smuggle absurd extents into codegen.
 const MAX_BLOCK: usize = 1 << 20;
 
-/// A winning tile configuration: the `(yblock, xblock, rblock)` the
-/// autotune sweep selected for one workload.
+/// A tile configuration `(yblock, xblock, rblock)`: a point of the
+/// autotuner's sweep space, and what the winner cache stores per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {
     /// Y tile extent.
@@ -45,6 +49,27 @@ pub struct TileConfig {
     pub xblock: usize,
     /// R tile extent.
     pub rblock: usize,
+}
+
+impl TileConfig {
+    /// The configuration `op` was generated with.
+    pub fn of(op: &FusedOp) -> TileConfig {
+        TileConfig {
+            yblock: op.yblock,
+            xblock: op.xblock,
+            rblock: op.rblock,
+        }
+    }
+
+    /// `base` with its three tile overrides set to this configuration.
+    pub fn apply(self, base: &CodegenOptions) -> CodegenOptions {
+        CodegenOptions {
+            yblock: Some(self.yblock),
+            xblock: Some(self.xblock),
+            rblock: Some(self.rblock),
+            ..base.clone()
+        }
+    }
 }
 
 /// One cached winner plus where it came from (see the module docs for
@@ -182,7 +207,7 @@ impl AutotuneCache {
 }
 
 /// The 64-bit workload signature winners are keyed by: FNV-1a over the
-/// probe kernel's [`insum_kernel::fingerprint`], the launch grid, every
+/// default kernel's [`insum_kernel::fingerprint`], the launch grid, every
 /// input's name/shape/dtype (in `BTreeMap` order, so deterministic), and
 /// the device model's `Debug` rendering.
 pub(crate) fn workload_signature(

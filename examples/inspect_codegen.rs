@@ -1,7 +1,8 @@
 //! Inspect the compiler: print the fusion plan roles and the generated
 //! Triton-like kernels for the paper's running example
 //! `C[D[y],x] += A[y,E[r]] * B[r,x]` (Fig. 9) in all three codegen modes,
-//! plus the unfused stock-Inductor pipeline shape.
+//! plus the autotuner's table and the unfused stock-Inductor pipeline
+//! shape.
 //!
 //! Run with: `cargo run --release --example inspect_codegen`
 
@@ -51,6 +52,37 @@ fn main() {
             t * 1e6,
             op.uses_tensor_cores()
         );
+    }
+
+    // Autotuned: the table the winner beat. Every candidate carries a
+    // one-instance estimate; only the front-runners were fully launched.
+    let tuned = insum_with(expr, &tensors, &InsumOptions::autotuned()).expect("compiles");
+    println!(
+        "# ==== autotuned: {} of {} tile configurations fully launched ====",
+        tuned.autotune_configs,
+        tuned.autotune_trials.len()
+    );
+    for (tile, estimate, time) in &tuned.autotune_trials {
+        let time = time.map_or("      -".to_string(), |t| format!("{:7.2}", t * 1e6));
+        println!(
+            "#   y={:<2} x={:<2} r={:<2}  estimate {:7.2} us  measured {time} us",
+            tile.yblock,
+            tile.xblock,
+            tile.rblock,
+            estimate * 1e6
+        );
+    }
+    let measured = tuned.autotune_trials.iter().filter_map(|t| t.2);
+    let winner = measured.fold(f64::INFINITY, f64::min);
+    let default = tuned.autotune_trials[0].2.expect("the default is measured");
+    print!(
+        "# winner {:.2} us, {:.1}% faster than the default",
+        winner * 1e6,
+        100.0 * (1.0 - winner / default)
+    );
+    match tuned.autotune_trials.iter().find(|t| t.2.is_none()) {
+        Some(next) => println!("; nothing unlaunched can beat {:.2} us\n", next.1 * 1e6),
+        None => println!("\n"),
     }
 
     let unfused = insum_with(expr, &tensors, &InsumOptions::unfused()).expect("compiles");
