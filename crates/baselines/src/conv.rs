@@ -449,7 +449,9 @@ pub fn sparsetir_conv(
     mode: Mode,
 ) -> Result<(Tensor, Profile)> {
     use insum_graph::TensorMeta;
-    use insum_inductor::{build_plan, compile_fused, run_fused, CodegenOptions};
+    use insum_inductor::{
+        build_plan, compile_fused, run_fused_with_cache, CodegenOptions, ProgramCache,
+    };
     use std::collections::BTreeMap;
 
     let km = insum_workloads::pointcloud::kernel_map(scene, 16);
@@ -490,8 +492,15 @@ pub fn sparsetir_conv(
     };
     let op = compile_fused(&plan, &opts)
         .map_err(|e| BaselineError::Invalid(format!("sparsetir codegen: {e}")))?;
-    let (out, report) = run_fused(&op, &inputs, device, mode)
-        .map_err(|e| BaselineError::Invalid(format!("sparsetir run: {e}")))?;
+    let (out, report) = run_fused_with_cache(
+        &op,
+        &inputs,
+        device,
+        mode,
+        &insum_gpu::LaunchOptions::default(),
+        ProgramCache::global(),
+    )
+    .map_err(|e| BaselineError::Invalid(format!("sparsetir run: {e}")))?;
     let mut profile = Profile::new();
     profile.push(report);
     Ok((out, profile))

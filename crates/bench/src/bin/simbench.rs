@@ -198,7 +198,7 @@ fn run_reference(
 /// the `(row_run, generic)` 2-D access-site executions it caused. The
 /// counters are process-wide; simbench launches from this thread only,
 /// so the deltas belong to `f`.
-fn dispatch_during<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
+fn count_dispatch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
     let (dots, sites) = (dot_dispatch_counts(), site_dispatch_counts());
     let out = f();
     let (dots_after, sites_after) = (dot_dispatch_counts(), site_dispatch_counts());
@@ -555,7 +555,7 @@ fn main() {
             let (_, r_ref, out_ref) = run_reference(case, &device, mode);
             for &threads in &thread_configs {
                 let ((_, r_new, out_new), dots, (row_run, generic)) =
-                    dispatch_during(|| run_program(case, &program, &device, mode, threads));
+                    count_dispatch(|| run_program(case, &program, &device, mode, threads));
                 if case.name == "spmm_block_group_fig7" && mode == Mode::Execute {
                     assert_dispatch(&format!("{} at {threads} threads", case.name), dots, true);
                 }
@@ -622,7 +622,7 @@ fn main() {
                 tensors,
             };
             let ((_, r_new, out_new), dots, _) =
-                dispatch_during(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
+                count_dispatch(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
             assert_dispatch("fig7 with a NaN in B", dots, false);
             let (_, r_ref, out_ref) = run_reference(&poisoned, &device, Mode::Execute);
             assert!(
@@ -748,15 +748,17 @@ fn main() {
             planned.run(&case.tensors).expect("planned chain runs");
             t.elapsed().as_secs_f64()
         });
+        let naive_plan = naive.plan().expect("built by the planner");
+        let planned_plan = planned.plan().expect("built by the planner");
         chain_rows.push(ChainRow {
             name: case.name.to_string(),
-            operands: planned.plan().spec.operands.len(),
+            operands: planned_plan.spec.operands.len(),
             steps: planned.step_count(),
-            strategy: format!("{:?}", planned.plan().strategy),
-            flops_naive: naive.plan().total_flops,
-            flops_planned: planned.plan().total_flops,
-            ws_naive_bytes: naive.plan().workspace_bytes(),
-            ws_planned_bytes: planned.plan().workspace_bytes(),
+            strategy: format!("{:?}", planned_plan.strategy),
+            flops_naive: naive_plan.total_flops,
+            flops_planned: planned_plan.total_flops,
+            ws_naive_bytes: naive_plan.workspace_bytes(),
+            ws_planned_bytes: planned_plan.workspace_bytes(),
             wall_naive,
             wall_planned,
             bit_identical,
@@ -801,14 +803,14 @@ fn main() {
 
         let copies_before = Tensor::deep_copy_count();
         let ((out_fast, _), dots, _) =
-            dispatch_during(|| fast.run(&case.tensors).expect("fast path runs"));
+            count_dispatch(|| fast.run(&case.tensors).expect("fast path runs"));
         let deep_copies_fast = Tensor::deep_copy_count() - copies_before;
         if pattern == "matmul" {
             assert_dispatch(case.name, dots, true);
             let mut poisoned = case.tensors.clone();
             poisoned.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
             let ((nan_fast, _), dots, _) =
-                dispatch_during(|| fast.run(&poisoned).expect("fast path runs"));
+                count_dispatch(|| fast.run(&poisoned).expect("fast path runs"));
             assert_dispatch(&format!("{} with a NaN in B", case.name), dots, false);
             let (nan_general, _) = general.run(&poisoned).expect("general path runs");
             assert!(

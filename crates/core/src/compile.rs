@@ -1,47 +1,92 @@
-//! The `insum(...)` entry point and compiled-operation handle.
+//! The compiled artifact: a plan of steps, and the one path that
+//! launches it.
+//!
+//! Everything the front doors produce — [`insum_with`] for one statement,
+//! [`crate::plan`] for a multi-operand contraction chain — is a
+//! [`Compiled`]: an ordered list of steps plus, for planned chains, the
+//! workspace layout that threads temporaries from one step to the next.
+//! A statement is a chain of one step; a single request is a batch of
+//! one. There are four step kinds:
+//!
+//! * **fast path** — the statement matched the [`insum_pattern`]
+//!   recognition table ([`crate::fastpath`]): no kernel is generated, the
+//!   step runs a microkernel or returns a zero-copy stride view;
+//! * **fused** — the paper's pipeline: one generated kernel that gathers,
+//!   contracts (with `tl.dot` when legal) and scatters, launched through
+//!   the process-wide [`ProgramCache`];
+//! * **unfused** — the stock-Inductor ablation (`fuse: false`): one
+//!   kernel per FX node with materialized intermediates;
+//! * **host** — a rank-0 corner of a planned chain. `T[]` is not a legal
+//!   access in the statement language, so a pairwise step whose output is
+//!   rank-0 (or that consumes a rank-0 temporary) is evaluated on the
+//!   host by the same pairwise evaluator the reference oracle uses; it
+//!   contributes no simulated launch.
+//!
+//! [`Compiled::compile_step`] picks the kind (it is the body both front
+//! doors share), [`Compiled::launch_step`] launches any kind for a whole
+//! batch, and [`Compiled::run_batch_mode`] is the only loop over steps:
+//! [`Compiled::run`], [`Compiled::time`] and [`Compiled::run_batch`] are
+//! its one-line callers. A statement's step binds straight from the
+//! callers' tensor maps; a planned chain's steps bind from maps the
+//! workspace assembles per step (operands, live temporaries, output).
 
+use crate::chain::Workspace;
 use crate::fastpath::{try_fast_plan, FastOp};
 use crate::options::InsumOptions;
 use crate::Result;
 use insum_gpu::{LaunchOptions, Mode, Profile};
 use insum_graph::TensorMeta;
-use insum_inductor::{autotune, compile_fused, compile_unfused, FusedOp, TileConfig, UnfusedOp};
+use insum_inductor::{
+    autotune, compile_fused, compile_unfused, run_fused_batch_with_cache, run_unfused_with_cache,
+    FusedOp, ProgramCache, TileConfig, UnfusedOp,
+};
 use insum_lang::Statement;
 use insum_pattern::Pattern;
+use insum_planner::ContractionPlan;
 use insum_tensor::Tensor;
 use std::collections::BTreeMap;
 
-enum Pipeline {
-    /// Recognized canonical pattern: Program-less artifact executing
-    /// through [`insum_gpu::run_micro`] (microkernels / stride views).
+/// One step of a compiled artifact; see the module docs for the kinds.
+pub(crate) enum Step {
     FastPath(Box<FastOp>),
     Fused(Box<FusedOp>),
     Unfused(Box<UnfusedOp>),
+    Host,
 }
 
-/// A compiled indirect Einsum, ready to run on the simulated device.
+/// A compiled indirect Einsum or contraction chain, ready to run on the
+/// simulated device: a plan of steps (one for a statement compiled by
+/// [`insum_with`], one per pairwise contraction for a chain planned by
+/// [`crate::plan`]).
 ///
-/// [`Compiled::run`] and [`Compiled::time`] launch through the
-/// process-wide [`insum_inductor::ProgramCache`]: the simulator's
-/// ahead-of-time lowering happens once per distinct (kernel, grid,
-/// argument metadata) — at compile/autotune time for the chosen
-/// configuration — so repeated executions never re-lower.
+/// Every launch goes through the process-wide
+/// [`insum_inductor::ProgramCache`]: the simulator's ahead-of-time
+/// lowering happens once per distinct (kernel, grid, argument metadata)
+/// — at compile/autotune time for the chosen configuration — so repeated
+/// executions never re-lower.
 pub struct Compiled {
-    statement: Statement,
-    pipeline: Pipeline,
+    expression: String,
+    pub(crate) statement: Option<Statement>,
+    pub(crate) steps: Vec<Step>,
+    /// How a planned chain threads temporaries between its steps; `None`
+    /// for a statement, whose one step binds the caller's tensors as is.
+    pub(crate) workspace: Option<Workspace>,
     options: InsumOptions,
-    /// Host wall-clock spent compiling (including autotuning), seconds.
+    /// Host wall-clock spent planning and compiling every step
+    /// (including autotuning), seconds.
     pub compile_seconds: f64,
-    /// Autotuning sweep wall-clock, seconds (0 when disabled).
+    /// Autotuning sweep wall-clock over all steps, seconds (0 when
+    /// disabled).
     pub autotune_seconds: f64,
-    /// Configurations the autotuner fully measured.
+    /// Configurations the autotuner fully measured, over all steps.
     pub autotune_configs: usize,
     /// The autotuner's table — `(tile, estimated seconds, measured
-    /// seconds)` per configuration, the default first; see
+    /// seconds)` per configuration, the default first, one table per
+    /// tuned step in step order; see
     /// [`insum_inductor::AutotuneResult::trials`]. Empty when autotuning
     /// was disabled or warm-started from a snapshot.
     pub autotune_trials: Vec<(TileConfig, f64, Option<f64>)>,
-    /// Program-cache hits observed during the autotuning sweep (repeat
+    /// Program-cache hits observed during the autotuning sweeps (repeat
     /// compilations of an already-tuned workload hit on every trial).
     pub autotune_cache_hits: u64,
 }
@@ -63,102 +108,180 @@ pub struct LaunchSignature {
 }
 
 impl Compiled {
-    /// The parsed statement.
-    pub fn statement(&self) -> &Statement {
-        &self.statement
+    /// An artifact with no steps yet; the front doors fill it in.
+    pub(crate) fn new(expression: &str, options: &InsumOptions) -> Compiled {
+        Compiled {
+            expression: expression.to_string(),
+            statement: None,
+            steps: Vec::new(),
+            workspace: None,
+            options: options.clone(),
+            compile_seconds: 0.0,
+            autotune_seconds: 0.0,
+            autotune_configs: 0,
+            autotune_trials: Vec::new(),
+            autotune_cache_hits: 0,
+        }
     }
 
-    /// The options this operation was compiled with.
+    /// The originating expression (statement or chain-spec form), as
+    /// passed to [`insum_with`] / [`crate::plan`].
+    pub fn expression(&self) -> &str {
+        &self.expression
+    }
+
+    /// The parsed statement of an artifact compiled by [`insum_with`];
+    /// `None` for a planned chain (its steps are planner-generated
+    /// pairwise statements).
+    pub fn statement(&self) -> Option<&Statement> {
+        self.statement.as_ref()
+    }
+
+    /// The options every step was compiled with.
     pub fn options(&self) -> &InsumOptions {
         &self.options
     }
 
-    /// The launch identity of the fused kernel, or `None` for the
-    /// unfused pipeline (one launch per graph node — nothing a batching
-    /// scheduler can group).
+    /// The contraction plan (order, steps, workspace accounting) of an
+    /// artifact built by [`crate::plan`]; `None` for a statement.
+    pub fn plan(&self) -> Option<&ContractionPlan> {
+        self.workspace.as_ref().map(|ws| &ws.plan)
+    }
+
+    /// Number of steps (1 for a statement, one per pairwise contraction
+    /// for a planned chain).
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Steps lowered to the device (the rest are host-evaluated rank-0
+    /// corners of a planned chain).
+    pub fn device_step_count(&self) -> usize {
+        self.plan().map_or(1, ContractionPlan::device_step_count)
+    }
+
+    /// Device steps lowered through the general (fused or unfused)
+    /// pipeline, i.e. the ones whose programs live in the cross-launch
+    /// `ProgramCache`. Steps that classified onto the pattern fast path
+    /// dispatch straight to microkernels and lower no programs at all,
+    /// so they are excluded here (the compile-once benchmarks count
+    /// cache hits per program-backed step).
+    pub fn program_step_count(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| matches!(s, Step::Fused(_) | Step::Unfused(_)))
+            .count()
+    }
+
+    /// The launch identity of an artifact that is exactly one fused
+    /// kernel, or `None` otherwise (fast-path and unfused steps, and
+    /// multi-step chains, have no single launch a batching scheduler
+    /// could compare).
     pub fn launch_signature(&self) -> Option<LaunchSignature> {
-        match &self.pipeline {
-            Pipeline::Fused(op) => Some(LaunchSignature {
-                kernel_fingerprint: insum_kernel::fingerprint(&op.kernel),
-                grid: op.grid.clone(),
-                params: op.plan.param_order.clone(),
-            }),
-            Pipeline::FastPath(_) | Pipeline::Unfused(_) => None,
-        }
+        let [Step::Fused(op)] = self.steps.as_slice() else {
+            return None;
+        };
+        Some(LaunchSignature {
+            kernel_fingerprint: insum_kernel::fingerprint(&op.kernel),
+            grid: op.grid.clone(),
+            params: op.plan.param_order.clone(),
+        })
     }
 
-    /// The recognized pattern this operation dispatches to, or `None`
-    /// when it runs the general (fused or unfused) lowering.
+    /// The recognized pattern an artifact that is exactly one fast-path
+    /// step dispatches to, or `None` when it runs the general (fused or
+    /// unfused) lowering or has several steps.
     pub fn fast_path_pattern(&self) -> Option<&Pattern> {
-        match &self.pipeline {
-            Pipeline::FastPath(op) => Some(&op.pattern),
-            _ => None,
-        }
+        let [Step::FastPath(op)] = self.steps.as_slice() else {
+            return None;
+        };
+        Some(&op.pattern)
     }
 
-    /// Number of kernels launched per run (1 when fused; fast-path
-    /// artifacts report 1 even when a stride view launches nothing —
-    /// the profile still carries one report per run).
+    /// Number of kernels launched per run: 1 per fused step, the node
+    /// count of an unfused step, none for a host step. A fast-path step
+    /// reports 1 even when a stride view launches nothing — the profile
+    /// still carries one report per run.
     pub fn kernel_count(&self) -> usize {
-        match &self.pipeline {
-            Pipeline::FastPath(_) | Pipeline::Fused(_) => 1,
-            Pipeline::Unfused(op) => op.kernel_count,
-        }
+        self.steps
+            .iter()
+            .map(|step| match step {
+                Step::FastPath(_) | Step::Fused(_) => 1,
+                Step::Unfused(op) => op.kernel_count,
+                Step::Host => 0,
+            })
+            .sum()
     }
 
-    /// The generated Triton-like source listing (all kernels).
+    /// The generated Triton-like source listing (all kernels, in step
+    /// order).
     pub fn triton_source(&self) -> String {
-        match &self.pipeline {
-            Pipeline::FastPath(op) => format!(
-                "# fast path: {} microkernel / stride view — no kernel generated",
-                op.pattern.name()
-            ),
-            Pipeline::Fused(op) => insum_kernel::print_kernel(&op.kernel),
-            Pipeline::Unfused(_) => {
-                "# unfused pipeline: one stock-Inductor kernel per FX node".to_string()
-            }
-        }
+        let listings: Vec<String> = self
+            .steps
+            .iter()
+            .map(|step| match step {
+                Step::FastPath(op) => format!(
+                    "# fast path: {} microkernel / stride view — no kernel generated",
+                    op.pattern.name()
+                ),
+                Step::Fused(op) => insum_kernel::print_kernel(&op.kernel),
+                Step::Unfused(_) => {
+                    "# unfused pipeline: one stock-Inductor kernel per FX node".to_string()
+                }
+                Step::Host => "# host step: rank-0 contraction evaluated on the host".to_string(),
+            })
+            .collect();
+        listings.join("\n")
     }
 
-    /// True if the compiled kernel reduces through `tl.dot`.
+    /// True if any compiled kernel reduces through `tl.dot`.
     pub fn uses_tensor_cores(&self) -> bool {
-        match &self.pipeline {
-            Pipeline::FastPath(_) => false,
-            Pipeline::Fused(op) => op.uses_dot,
-            Pipeline::Unfused(_) => self.options.tensor_cores,
-        }
+        self.steps.iter().any(|step| match step {
+            Step::Fused(op) => op.uses_dot,
+            Step::Unfused(_) => self.options.tensor_cores,
+            Step::FastPath(_) | Step::Host => false,
+        })
     }
 
-    /// Execute functionally: returns the output tensor and the profile.
+    /// Execute functionally: returns the output tensor and the launch
+    /// profile (every step's reports, in step order).
     ///
-    /// Argument capture is zero-copy (`Tensor` clones share storage);
-    /// `tensors` is never mutated — the returned output tensor
-    /// materializes its own buffer on the kernel's first write.
+    /// `tensors` binds every operand by name. Argument capture is
+    /// zero-copy (`Tensor` clones share storage) and `tensors` is never
+    /// mutated — the returned output tensor materializes its own buffer
+    /// on the kernel's first write. A planned chain requires (and adds
+    /// into) the output binding only for `+=`; for `=` chains the result
+    /// is the pure chain value whatever the binding holds.
     ///
     /// # Errors
     ///
     /// Propagates binding and simulator errors.
     pub fn run(&self, tensors: &BTreeMap<String, Tensor>) -> Result<(Tensor, Profile)> {
-        self.dispatch(tensors, Mode::Execute)
+        Ok(self
+            .run_batch_mode(&[tensors], Mode::Execute, &self.options.launch_options())?
+            .remove(0))
     }
 
     /// Measure without computing values (analytic mode): counters and
     /// simulated time are identical to [`Compiled::run`], but value math
-    /// is skipped and no tensor is written.
+    /// is skipped, no tensor is written and host steps are skipped.
     ///
     /// # Errors
     ///
     /// Propagates binding and simulator errors.
     pub fn time(&self, tensors: &BTreeMap<String, Tensor>) -> Result<Profile> {
-        Ok(self.dispatch(tensors, Mode::Analytic)?.1)
+        Ok(self
+            .run_batch_mode(&[tensors], Mode::Analytic, &self.options.launch_options())?
+            .remove(0)
+            .1)
     }
 
-    /// Execute one launch per request of a batch, sharing a single pool
-    /// of simulator threads across the whole batch (the serving engine's
-    /// entry point; see [`insum_inductor::run_fused_batch_with`]).
+    /// Execute one run per request of a batch, sharing a single pool of
+    /// simulator threads across the whole batch (the serving engine's
+    /// entry point; see [`insum_inductor::run_fused_batch_with_cache`]).
     ///
     /// Every request must bind tensors with the same shapes and dtypes
-    /// this operation was compiled for. Each request's result is
+    /// this artifact was compiled for. Each request's result is
     /// bit-identical — output tensor and [`Profile`] — to a serial
     /// per-request [`Compiled::run`], regardless of batch composition or
     /// thread count.
@@ -166,16 +289,19 @@ impl Compiled {
     /// # Errors
     ///
     /// Propagates binding and simulator errors (first failing request
-    /// wins).
+    /// wins, failing the whole batch — the serving engine then isolates
+    /// by re-running requests alone).
     pub fn run_batch(&self, batch: &[&BTreeMap<String, Tensor>]) -> Result<Vec<(Tensor, Profile)>> {
-        self.run_batch_mode(batch, Mode::Execute, &self.options.launch())
+        self.run_batch_mode(batch, Mode::Execute, &self.options.launch_options())
     }
 
     /// [`Compiled::run_batch`] with an explicit interpreter mode and
     /// simulator scheduling options (the thread budget in `launch` is
-    /// shared across the batch). [`Mode::Analytic`] skips value math and
-    /// returns each request's unmodified output binding, exactly like
-    /// [`Compiled::time`].
+    /// shared across the batch). Batching applies *per step*: all
+    /// requests' instances of step `k` run as one batched launch before
+    /// any request proceeds to step `k + 1`. [`Mode::Analytic`] skips
+    /// value math and returns each request's unmodified output binding,
+    /// exactly like [`Compiled::time`].
     ///
     /// # Errors
     ///
@@ -186,10 +312,61 @@ impl Compiled {
         mode: Mode,
         launch: &LaunchOptions,
     ) -> Result<Vec<(Tensor, Profile)>> {
-        match &self.pipeline {
-            // Fast-path artifacts have no shared simulator launch to
-            // batch; requests run back-to-back (each is already cheap).
-            Pipeline::FastPath(op) => {
+        let mut profiles = vec![Profile::new(); batch.len()];
+        let outputs = match &self.workspace {
+            // A statement: its one step binds the callers' maps as is.
+            None => self.launch_step(0, batch, mode, launch, &mut profiles)?,
+            Some(workspace) => {
+                let mut temps = vec![vec![None; workspace.plan.temp_count]; batch.len()];
+                let mut outputs = Vec::new();
+                for (index, step) in workspace.plan.steps.iter().enumerate() {
+                    let maps: Vec<BTreeMap<String, Tensor>> = batch
+                        .iter()
+                        .zip(&temps)
+                        .map(|(user, live)| workspace.step_bindings(step, user, live))
+                        .collect::<Result<_>>()?;
+                    let refs: Vec<&BTreeMap<String, Tensor>> = maps.iter().collect();
+                    let produced = self.launch_step(index, &refs, mode, launch, &mut profiles)?;
+                    match step.out_temp {
+                        Some(k) => {
+                            for (live, out) in temps.iter_mut().zip(produced) {
+                                live[k] = Some(out);
+                            }
+                        }
+                        None => outputs = produced,
+                    }
+                    for live in &mut temps {
+                        for &k in &step.frees {
+                            live[k] = None;
+                        }
+                    }
+                }
+                assert_eq!(outputs.len(), batch.len(), "plans end with the output step");
+                outputs
+            }
+        };
+        Ok(outputs.into_iter().zip(profiles).collect())
+    }
+
+    /// Launch step `index` once per request of `batch` (each map binds
+    /// that step's tensors by name), appending every launch report to
+    /// the request's profile and returning the step's outputs. The one
+    /// place that knows how each step kind executes.
+    fn launch_step(
+        &self,
+        index: usize,
+        batch: &[&BTreeMap<String, Tensor>],
+        mode: Mode,
+        launch: &LaunchOptions,
+        profiles: &mut [Profile],
+    ) -> Result<Vec<Tensor>> {
+        let device = &self.options.device;
+        let cache = ProgramCache::global();
+        let mut outputs = Vec::with_capacity(batch.len());
+        match &self.steps[index] {
+            // No shared simulator launch to batch; requests run
+            // back-to-back (each is already cheap).
+            Step::FastPath(op) => {
                 // Fault-injection parity with the fused batched runner:
                 // a marked tensor bound by any request must fault this
                 // launch too (without the feature the argument lists
@@ -197,86 +374,79 @@ impl Compiled {
                 insum_inductor::batch_fault_check(|| {
                     batch.iter().map(|tensors| op.bound_args(tensors)).collect()
                 });
-                batch
-                    .iter()
-                    .map(|tensors| {
-                        let (out, report) = op.run(tensors, mode, &self.options)?;
-                        let mut profile = Profile::new();
-                        profile.push(report);
-                        Ok((out, profile))
-                    })
-                    .collect()
+                for (tensors, profile) in batch.iter().zip(profiles) {
+                    let (out, report) = op.run(tensors, mode, device)?;
+                    profile.push(report);
+                    outputs.push(out);
+                }
             }
-            Pipeline::Fused(op) => {
-                let results = insum_inductor::run_fused_batch_with(
-                    op,
-                    batch,
-                    &self.options.device,
-                    mode,
-                    launch,
-                )?;
-                Ok(results
-                    .into_iter()
-                    .map(|(out, report)| {
-                        let mut profile = Profile::new();
-                        profile.push(report);
-                        (out, profile)
-                    })
-                    .collect())
+            Step::Fused(op) => {
+                let results = run_fused_batch_with_cache(op, batch, device, mode, launch, cache)?;
+                for ((out, report), profile) in results.into_iter().zip(profiles) {
+                    profile.push(report);
+                    outputs.push(out);
+                }
             }
-            // The unfused pipeline launches one kernel per graph node
-            // with materialized intermediates; requests run back-to-back
-            // (trivially identical to serial execution).
-            Pipeline::Unfused(op) => batch
-                .iter()
-                .map(|tensors| {
-                    Ok(insum_inductor::run_unfused_with(
-                        op,
-                        tensors,
-                        &self.options.device,
-                        mode,
-                        launch,
-                    )?)
-                })
-                .collect(),
+            // One kernel per graph node with materialized intermediates;
+            // requests run back-to-back (trivially identical to serial
+            // execution).
+            Step::Unfused(op) => {
+                for (tensors, profile) in batch.iter().zip(profiles) {
+                    let (out, launched) =
+                        run_unfused_with_cache(op, tensors, device, mode, launch, cache)?;
+                    profile.reports.extend(launched.reports);
+                    outputs.push(out);
+                }
+            }
+            Step::Host => {
+                let workspace = self.workspace.as_ref().expect("only plans hold host steps");
+                for tensors in batch {
+                    outputs.push(workspace.host_step(index, tensors, mode)?);
+                }
+            }
         }
+        Ok(outputs)
     }
 
-    fn dispatch(
-        &self,
+    /// Compile one statement into the next step: the fast path when the
+    /// gate takes it, else the fused pipeline (autotuned when asked), or
+    /// the unfused one under `fuse: false`. `tensors` supplies the
+    /// shapes/dtypes (and, when autotuning, the data the tuner measures
+    /// against).
+    pub(crate) fn compile_step(
+        &mut self,
+        statement: &Statement,
         tensors: &BTreeMap<String, Tensor>,
-        mode: Mode,
-    ) -> Result<(Tensor, Profile)> {
-        match &self.pipeline {
-            Pipeline::FastPath(op) => {
-                let (out, report) = op.run(tensors, mode, &self.options)?;
-                let mut profile = Profile::new();
-                profile.push(report);
-                Ok((out, profile))
-            }
-            Pipeline::Fused(op) => {
-                let (out, report) = insum_inductor::run_fused_with(
-                    op,
+    ) -> Result<()> {
+        let options = &self.options;
+        let metas = metas_of(tensors);
+        let step = if let Some(op) = try_fast_plan(statement, &metas, options) {
+            Step::FastPath(Box::new(op))
+        } else if options.fuse {
+            let plan = insum_inductor::build_plan(statement, &metas)?;
+            let op = if options.autotune {
+                let result = autotune(
+                    &plan,
+                    &options.codegen(),
                     tensors,
-                    &self.options.device,
-                    mode,
-                    &self.options.launch(),
+                    &options.device,
+                    &options.launch_options(),
                 )?;
-                let mut profile = Profile::new();
-                profile.push(report);
-                Ok((out, profile))
-            }
-            Pipeline::Unfused(op) => {
-                let (out, profile) = insum_inductor::run_unfused_with(
-                    op,
-                    tensors,
-                    &self.options.device,
-                    mode,
-                    &self.options.launch(),
-                )?;
-                Ok((out, profile))
-            }
-        }
+                self.autotune_seconds += result.tuning_wall_seconds;
+                self.autotune_configs += result.configs_tried;
+                self.autotune_trials.extend(result.trials);
+                self.autotune_cache_hits += result.cache_hits;
+                result.op
+            } else {
+                compile_fused(&plan, &options.codegen())?
+            };
+            Step::Fused(Box::new(op))
+        } else {
+            let lowered = insum_graph::lower(statement, &metas)?;
+            Step::Unfused(Box::new(compile_unfused(&lowered, &options.codegen())?))
+        };
+        self.steps.push(step);
+        Ok(())
     }
 }
 
@@ -296,7 +466,8 @@ pub fn insum(expression: &str, tensors: &BTreeMap<String, Tensor>) -> Result<Com
     insum_with(expression, tensors, &InsumOptions::default())
 }
 
-/// Compile an indirect Einsum with explicit options.
+/// Compile an indirect Einsum with explicit options: a [`Compiled`] of
+/// one step.
 ///
 /// `tensors` supplies the shapes/dtypes (and, when autotuning, the actual
 /// data the tuner measures against).
@@ -312,46 +483,11 @@ pub fn insum_with(
     options.validate()?;
     let start = std::time::Instant::now();
     let statement = insum_lang::parse(expression)?;
-    let metas = metas_of(tensors);
-    let mut autotune_seconds = 0.0;
-    let mut autotune_configs = 0;
-    let mut autotune_trials = Vec::new();
-    let mut autotune_cache_hits = 0;
-    let pipeline = if let Some(op) = try_fast_plan(&statement, &metas, options) {
-        Pipeline::FastPath(Box::new(op))
-    } else if options.fuse {
-        let plan = insum_inductor::build_plan(&statement, &metas)?;
-        let op = if options.autotune {
-            let result = autotune(
-                &plan,
-                &options.codegen(),
-                tensors,
-                &options.device,
-                &options.launch(),
-            )?;
-            autotune_seconds = result.tuning_wall_seconds;
-            autotune_configs = result.configs_tried;
-            autotune_trials = result.trials;
-            autotune_cache_hits = result.cache_hits;
-            result.op
-        } else {
-            compile_fused(&plan, &options.codegen())?
-        };
-        Pipeline::Fused(Box::new(op))
-    } else {
-        let lowered = insum_graph::lower(&statement, &metas)?;
-        Pipeline::Unfused(Box::new(compile_unfused(&lowered, &options.codegen())?))
-    };
-    Ok(Compiled {
-        statement,
-        pipeline,
-        options: options.clone(),
-        compile_seconds: start.elapsed().as_secs_f64(),
-        autotune_seconds,
-        autotune_configs,
-        autotune_trials,
-        autotune_cache_hits,
-    })
+    let mut compiled = Compiled::new(expression, options);
+    compiled.compile_step(&statement, tensors)?;
+    compiled.statement = Some(statement);
+    compiled.compile_seconds = start.elapsed().as_secs_f64();
+    Ok(compiled)
 }
 
 /// Evaluate an indirect Einsum eagerly (the PyTorch-eager reference

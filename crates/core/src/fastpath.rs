@@ -27,7 +27,7 @@
 
 use crate::options::InsumOptions;
 use crate::{InsumError, Result};
-use insum_gpu::{KernelReport, Mode};
+use insum_gpu::{DeviceModel, KernelReport, Mode};
 use insum_graph::TensorMeta;
 use insum_inductor::InductorError;
 use insum_lang::{AssignOp, IndexExpr, Statement};
@@ -172,22 +172,15 @@ impl FastOp {
         &self,
         tensors: &BTreeMap<String, Tensor>,
         mode: Mode,
-        options: &InsumOptions,
+        device: &DeviceModel,
     ) -> Result<(Tensor, KernelReport)> {
         let mut factors = Vec::with_capacity(self.factors.len());
         for name in &self.factors {
             factors.push(self.bound(tensors, name)?.clone());
         }
         let out = self.bound(tensors, &self.out_name)?;
-        insum_gpu::run_micro(
-            &self.pattern,
-            &factors,
-            out,
-            self.accumulate,
-            mode,
-            &options.device,
-        )
-        .map_err(|e| InsumError::Inductor(InductorError::Gpu(e)))
+        insum_gpu::run_micro(&self.pattern, &factors, out, self.accumulate, mode, device)
+            .map_err(|e| InsumError::Inductor(InductorError::Gpu(e)))
     }
 
     fn bound<'t>(&self, tensors: &'t BTreeMap<String, Tensor>, name: &str) -> Result<&'t Tensor> {

@@ -110,10 +110,6 @@ impl InsumOptions {
         }
     }
 
-    pub(crate) fn launch(&self) -> insum_gpu::LaunchOptions {
-        self.launch_options()
-    }
-
     pub(crate) fn codegen(&self) -> insum_inductor::CodegenOptions {
         insum_inductor::CodegenOptions {
             tensor_cores: self.tensor_cores,

@@ -4,7 +4,7 @@
 //! `einsum` oracle), and the searched orders never cost more than the
 //! naive one — DP ≤ greedy ≤ left-to-right.
 
-use insum::{chain_reference, plan_with_strategy, InsumOptions, OrderStrategy};
+use insum::{chain_reference, insum_with, plan, plan_with_strategy, InsumOptions, OrderStrategy};
 use insum_tensor::{einsum, Tensor};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -110,7 +110,8 @@ proptest! {
             OrderStrategy::Dp,
         ] {
             let chain = plan_with_strategy(&spec, &tensors, &opts, strategy).unwrap();
-            flops.insert(format!("{strategy:?}"), chain.plan().total_flops);
+            let plan = chain.plan().expect("built by the planner");
+            flops.insert(format!("{strategy:?}"), plan.total_flops);
             let (got, _) = chain.run(&tensors).unwrap();
             prop_assert_eq!(
                 got.data(), want.data(),
@@ -119,5 +120,43 @@ proptest! {
         }
         prop_assert!(flops["Dp"] <= flops["Greedy"], "DP beats greedy: {}", spec);
         prop_assert!(flops["Greedy"] <= flops["LeftToRight"], "greedy beats LTR: {}", spec);
+    }
+}
+
+/// A statement is a chain of one step: a one-device-step spec through
+/// the planner and its pairwise statement through `insum_with` are the
+/// same artifact from outside — same step identity, same bits, same
+/// profile — on the fast path, the fused pipeline and the unfused one.
+#[test]
+fn one_step_plan_equals_the_statement_it_plans() {
+    let mut tensors: BTreeMap<String, Tensor> = [
+        ("op0".to_string(), int_tensor(vec![6, 5], 1)),
+        ("op1".to_string(), int_tensor(vec![5, 7], 2)),
+    ]
+    .into_iter()
+    .collect();
+    let general = InsumOptions {
+        fast_path: false,
+        ..Default::default()
+    };
+    for opts in [InsumOptions::default(), general, InsumOptions::unfused()] {
+        let planned = plan("ij,jk->ik", &tensors, &opts).unwrap();
+        let steps = &planned.plan().expect("built by the planner").steps;
+        assert_eq!((planned.step_count(), planned.device_step_count()), (1, 1));
+        let statement = steps[0].expression.clone();
+        tensors.insert(steps[0].out_name.clone(), Tensor::zeros(vec![6, 7]));
+        let direct = insum_with(&statement, &tensors, &opts).unwrap();
+        assert!(direct.plan().is_none());
+        assert_eq!(planned.launch_signature(), direct.launch_signature());
+        assert_eq!(planned.fast_path_pattern(), direct.fast_path_pattern());
+        assert_eq!(planned.program_step_count(), direct.program_step_count());
+        let (got, got_profile) = planned.run(&tensors).unwrap();
+        let (want, want_profile) = direct.run(&tensors).unwrap();
+        assert!(got.bit_eq(&want), "{statement} under {opts:?}");
+        assert_eq!(got_profile, want_profile);
+        assert_eq!(
+            planned.time(&tensors).unwrap(),
+            direct.time(&tensors).unwrap()
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! (the simulator would error).
 
 use insum::apps;
-use insum::{eager, InsumOptions, Tensor};
+use insum::{eager, Compiled, InsumOptions, Mode, Tensor};
 use insum_formats::{Coo, GroupCoo};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -39,6 +39,29 @@ fn configs() -> Vec<InsumOptions> {
     ]
 }
 
+/// A request is a batch of one: `run` / `time` return exactly what each
+/// member of a two-request batch returns — output bits and profile.
+fn assert_single_equals_batched(compiled: &Compiled, tensors: &BTreeMap<String, Tensor>) {
+    let launch = compiled.options().launch_options();
+    for mode in [Mode::Execute, Mode::Analytic] {
+        let (want, want_profile) = match mode {
+            Mode::Execute => compiled.run(tensors).expect("runs"),
+            Mode::Analytic => (
+                tensors[&compiled.statement().expect("a statement").output.tensor].clone(),
+                compiled.time(tensors).expect("times"),
+            ),
+        };
+        let batched = compiled
+            .run_batch_mode(&[tensors, tensors], mode, &launch)
+            .expect("batch runs");
+        assert_eq!(batched.len(), 2);
+        for (got, got_profile) in &batched {
+            assert!(got.bit_eq(&want), "{mode:?} output bits");
+            assert_eq!(got_profile, &want_profile, "{mode:?} profile");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -56,6 +79,7 @@ proptest! {
                 got.max_abs_diff(&want)
             );
             prop_assert!(profile.total_time() > 0.0);
+            assert_single_equals_batched(&compiled, &app.tensors);
         }
     }
 
@@ -126,6 +150,7 @@ fn random_dense_contractions_match_eager() {
             vec![("C", vec![5, 8]), ("A", vec![5]), ("B", vec![8])],
         ),
     ];
+    let mut fast_path_cases = 0;
     for (expr, shapes) in cases {
         let tensors: BTreeMap<String, Tensor> = shapes
             .into_iter()
@@ -147,6 +172,9 @@ fn random_dense_contractions_match_eager() {
                 "{expr} with {opts:?} diverges: {:?}",
                 got.max_abs_diff(&want)
             );
+            assert_single_equals_batched(&compiled, &tensors);
+            fast_path_cases += usize::from(compiled.fast_path_pattern().is_some());
         }
     }
+    assert!(fast_path_cases > 0, "the batch check saw a fast-path step");
 }

@@ -305,7 +305,6 @@ fn autotune_impl(
 mod tests {
     use super::*;
     use crate::plan::build_plan;
-    use crate::runner::run_fused;
     use insum_graph::TensorMeta;
     use insum_lang::parse;
     use insum_tensor::{rand_uniform, DType};
@@ -342,9 +341,17 @@ mod tests {
         let device = DeviceModel::rtx3090();
 
         let default_op = compile_fused(&plan, &CodegenOptions::default()).unwrap();
-        let (_, default_report) = run_fused(&default_op, &inputs, &device, Mode::Analytic).unwrap();
-
         let launch = LaunchOptions::default();
+        let (_, default_report) = run_fused_with_cache(
+            &default_op,
+            &inputs,
+            &device,
+            Mode::Analytic,
+            &launch,
+            ProgramCache::global(),
+        )
+        .unwrap();
+
         let tuned = autotune(&plan, &CodegenOptions::default(), &inputs, &device, &launch).unwrap();
         assert!(tuned.configs_tried > 1);
         // The default seeds `best`, so this holds structurally — no

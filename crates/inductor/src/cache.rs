@@ -2,7 +2,7 @@
 //!
 //! The simulator's ahead-of-time lowering ([`insum_gpu::Program`]) is
 //! cheap but not free, and the paper's workflow launches the same kernel
-//! thousands of times — repeated [`crate::run_fused`] executions, the
+//! thousands of times — repeated [`crate::run_fused_with_cache`] executions, the
 //! winner of an autotuning sweep re-launched by the final run (the
 //! sweep's one-instance probe programs are throwaway and never enter the
 //! cache), and the per-node kernels of the unfused pipeline. [`ProgramCache`]
@@ -208,8 +208,8 @@ impl ProgramCache {
         self.capacity
     }
 
-    /// The process-wide cache used by [`crate::run_fused`] /
-    /// [`crate::run_unfused`] and the autotuner.
+    /// The process-wide cache: what [`crate::autotune`] and every
+    /// `insum::Compiled` launch pass to the `run_*_with_cache` functions.
     pub fn global() -> &'static ProgramCache {
         static GLOBAL: OnceLock<ProgramCache> = OnceLock::new();
         GLOBAL.get_or_init(ProgramCache::new)

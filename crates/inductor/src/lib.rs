@@ -47,14 +47,9 @@ pub use cache::{ProgramCache, ProgramCacheStats};
 pub use codegen::{compile_fused, CodegenOptions, FusedOp};
 pub use error::InductorError;
 pub use plan::{build_plan, DimDesc, FactorDesc, FusionPlan, Role};
-pub use runner::{
-    run_fused, run_fused_batch_with, run_fused_batch_with_cache, run_fused_with,
-    run_fused_with_cache,
-};
+pub use runner::{run_fused_batch_with_cache, run_fused_with_cache};
 pub use snapshot::{load_snapshot_with, save_snapshot_with, SnapshotLoadReport};
-pub use unfused::{
-    compile_unfused, run_unfused, run_unfused_with, run_unfused_with_cache, UnfusedOp,
-};
+pub use unfused::{compile_unfused, run_unfused_with_cache, UnfusedOp};
 pub use winners::{AutotuneCache, TileConfig};
 
 /// Crate-wide result alias.

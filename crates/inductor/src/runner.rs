@@ -14,61 +14,21 @@ use insum_gpu::{DeviceModel, KernelReport, LaunchOptions, Mode};
 use insum_tensor::{DType, Tensor};
 use std::collections::BTreeMap;
 
-/// Run a fused operation over named tensors.
+/// Run a fused operation over named tensors: the batch of one request
+/// (see [`run_fused_batch_with_cache`], which costs nothing extra for a
+/// single request — [`insum_gpu::Program::launch_batch_with`] delegates
+/// `n == 1` to the plain launch).
 ///
 /// The output tensor named by the plan is cloned from `inputs`, mutated by
 /// the kernel (in [`Mode::Execute`]), and returned together with the
 /// launch report. In [`Mode::Analytic`] the returned tensor is the
-/// unmodified output binding.
-///
-/// Argument capture binds shared storage, not copies: `Tensor` clones
-/// are O(1) Arc bumps, and only the parameters the kernel actually
-/// writes materialize a private buffer (copy-on-write at first write),
-/// so the caller's bindings are never mutated and read-only inputs are
-/// never copied.
+/// unmodified output binding. Pass [`ProgramCache::global`] for the
+/// process-wide cache, or a private one for isolated hit/miss counters.
 ///
 /// # Errors
 ///
 /// * [`InductorError::Binding`] if a parameter tensor is missing.
 /// * Simulator errors are propagated.
-pub fn run_fused(
-    op: &FusedOp,
-    inputs: &BTreeMap<String, Tensor>,
-    device: &DeviceModel,
-    mode: Mode,
-) -> Result<(Tensor, KernelReport)> {
-    run_fused_with(op, inputs, device, mode, &LaunchOptions::default())
-}
-
-/// [`run_fused`] with explicit simulator scheduling options (see
-/// [`LaunchOptions`]); results are identical for every configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fused`].
-pub fn run_fused_with(
-    op: &FusedOp,
-    inputs: &BTreeMap<String, Tensor>,
-    device: &DeviceModel,
-    mode: Mode,
-    launch_options: &LaunchOptions,
-) -> Result<(Tensor, KernelReport)> {
-    run_fused_with_cache(
-        op,
-        inputs,
-        device,
-        mode,
-        launch_options,
-        ProgramCache::global(),
-    )
-}
-
-/// [`run_fused_with`] against an explicit [`ProgramCache`] instead of the
-/// process-wide one (useful for isolation in tests and benchmarks).
-///
-/// # Errors
-///
-/// Same conditions as [`run_fused`].
 pub fn run_fused_with_cache(
     op: &FusedOp,
     inputs: &BTreeMap<String, Tensor>,
@@ -77,27 +37,20 @@ pub fn run_fused_with_cache(
     launch_options: &LaunchOptions,
     cache: &ProgramCache,
 ) -> Result<(Tensor, KernelReport)> {
-    let mut owned = bind_args(&op.plan, inputs)?;
-    let mut refs: Vec<&mut Tensor> = owned.iter_mut().collect();
-    let lens: Vec<usize> = refs.iter().map(|t| t.len()).collect();
-    let dtypes: Vec<DType> = refs.iter().map(|t| t.dtype()).collect();
-    let program = cached_program(cache, &op.kernel, &op.grid, &lens, &dtypes)?;
-    let report = program.launch_with(&mut refs, device, mode, launch_options)?;
-    let out_pos = op
-        .plan
-        .param_order
-        .iter()
-        .position(|n| n == &op.plan.output.tensor)
-        .expect("output is always a parameter");
-    Ok((owned.swap_remove(out_pos), report))
+    let mut results =
+        run_fused_batch_with_cache(op, &[inputs], device, mode, launch_options, cache)?;
+    Ok(results.pop().expect("one result per request"))
 }
 
 /// The plan's parameters bound from `inputs`, in launch order.
 ///
-/// Cheap Arc clones for contiguous bindings: the launch shares the
-/// caller's storage and only written parameters copy-on-write. A strided
-/// view (e.g. a fast-path transpose output fed back in) is gathered first
-/// — the interpreter addresses raw row-major storage.
+/// Argument capture binds shared storage, not copies: `Tensor` clones
+/// are O(1) Arc bumps, and only the parameters the kernel actually
+/// writes materialize a private buffer (copy-on-write at first write),
+/// so the caller's bindings are never mutated and read-only inputs are
+/// never copied. A strided view (e.g. a fast-path transpose output fed
+/// back in) is gathered first — the interpreter addresses raw row-major
+/// storage.
 pub(crate) fn bind_args(
     plan: &FusionPlan,
     inputs: &BTreeMap<String, Tensor>,
@@ -120,11 +73,11 @@ pub(crate) fn bind_args(
 /// batch shares one compiled program); a mismatch is reported as a
 /// binding error naming the offending request. Each request's output
 /// tensor and [`KernelReport`] are bit-identical to a serial per-request
-/// [`run_fused_with`] call, regardless of batch composition, request
-/// order, or thread count. Like [`run_fused_with`], per-request argument
-/// capture is zero-copy: requests sharing operand tensors (weights,
-/// sparse structure) share one buffer across the whole batch, and only
-/// each request's written output materializes.
+/// [`run_fused_with_cache`] call, regardless of batch composition,
+/// request order, or thread count. Per-request argument capture is
+/// zero-copy (`Tensor` clones share storage): requests sharing operand
+/// tensors (weights, sparse structure) share one buffer across the whole
+/// batch, and only each request's written output materializes.
 ///
 /// # Errors
 ///
@@ -142,19 +95,12 @@ pub fn run_fused_batch_with_cache(
     if batch.is_empty() {
         return Ok(Vec::new());
     }
-    let params = &op.plan.param_order;
     let mut owned: Vec<Vec<Tensor>> = Vec::with_capacity(batch.len());
     for (req, inputs) in batch.iter().enumerate() {
-        let mut args: Vec<Tensor> = Vec::with_capacity(params.len());
-        for name in params {
-            let t = inputs.get(name).ok_or_else(|| {
-                InductorError::Binding(format!("request {req}: missing tensor {name:?}"))
-            })?;
-            // Gather strided views into row-major storage (no-op Arc
-            // clone for the common contiguous case) — see `bind_args`.
-            args.push(t.contiguous());
-        }
-        owned.push(args);
+        owned.push(bind_args(&op.plan, inputs).map_err(|e| match e {
+            InductorError::Binding(msg) => InductorError::Binding(format!("request {req}: {msg}")),
+            other => other,
+        })?);
     }
     #[cfg(feature = "fault-injection")]
     crate::faults::maybe_panic_batch(&owned);
@@ -180,7 +126,9 @@ pub fn run_fused_batch_with_cache(
     let mut requests: Vec<&mut [&mut Tensor]> =
         views.iter_mut().map(|v| v.as_mut_slice()).collect();
     let reports = program.launch_batch_with(&mut requests, device, mode, launch_options)?;
-    let out_pos = params
+    let out_pos = op
+        .plan
+        .param_order
         .iter()
         .position(|n| n == &op.plan.output.tensor)
         .expect("output is always a parameter");
@@ -189,29 +137,6 @@ pub fn run_fused_batch_with_cache(
         .zip(reports)
         .map(|(mut args, report)| (args.swap_remove(out_pos), report))
         .collect())
-}
-
-/// [`run_fused_batch_with_cache`] against the process-wide
-/// [`ProgramCache`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_fused_batch_with_cache`].
-pub fn run_fused_batch_with(
-    op: &FusedOp,
-    batch: &[&BTreeMap<String, Tensor>],
-    device: &DeviceModel,
-    mode: Mode,
-    launch_options: &LaunchOptions,
-) -> Result<Vec<(Tensor, KernelReport)>> {
-    run_fused_batch_with_cache(
-        op,
-        batch,
-        device,
-        mode,
-        launch_options,
-        ProgramCache::global(),
-    )
 }
 
 #[cfg(test)]
@@ -246,7 +171,15 @@ mod tests {
         let plan = build_plan(&stmt, &metas).unwrap();
         let op = compile_fused(&plan, opts).unwrap();
         let device = DeviceModel::rtx3090();
-        let (got, report) = run_fused(&op, &inputs, &device, Mode::Execute).unwrap();
+        let (got, report) = run_fused_with_cache(
+            &op,
+            &inputs,
+            &device,
+            Mode::Execute,
+            &LaunchOptions::default(),
+            ProgramCache::global(),
+        )
+        .unwrap();
         assert!(report.time > 0.0);
 
         let lowered = lower(&stmt, &metas).unwrap();
@@ -456,7 +389,15 @@ mod tests {
             let serial: Vec<(Tensor, KernelReport)> = requests
                 .iter()
                 .map(|r| {
-                    run_fused_with(&op, r, &device, mode, &LaunchOptions::sequential()).unwrap()
+                    run_fused_with_cache(
+                        &op,
+                        r,
+                        &device,
+                        mode,
+                        &LaunchOptions::sequential(),
+                        ProgramCache::global(),
+                    )
+                    .unwrap()
                 })
                 .collect();
             let refs: Vec<&BTreeMap<String, Tensor>> = requests.iter().collect();
@@ -507,12 +448,13 @@ mod tests {
         let plan = build_plan(&stmt, &metas).unwrap();
         let op = compile_fused(&plan, &CodegenOptions::default()).unwrap();
         let device = DeviceModel::rtx3090();
-        let (want, _) = run_fused_with(
+        let (want, _) = run_fused_with_cache(
             &op,
             &base,
             &device,
             Mode::Execute,
             &LaunchOptions::sequential(),
+            ProgramCache::global(),
         )
         .unwrap();
         let requests: Vec<BTreeMap<String, Tensor>> = (0..4).map(|_| base.clone()).collect();
@@ -586,7 +528,14 @@ mod tests {
             .into_iter()
             .collect();
         assert!(matches!(
-            run_fused(&op, &inputs, &DeviceModel::rtx3090(), Mode::Execute),
+            run_fused_with_cache(
+                &op,
+                &inputs,
+                &DeviceModel::rtx3090(),
+                Mode::Execute,
+                &LaunchOptions::default(),
+                ProgramCache::global(),
+            ),
             Err(InductorError::Binding(_))
         ));
     }

@@ -340,52 +340,15 @@ pub fn compile_unfused(lowered: &Lowered, opts: &CodegenOptions) -> Result<Unfus
 }
 
 /// Execute an unfused pipeline, returning the output tensor and the
-/// profile of every kernel launch.
+/// profile of every kernel launch. Pass [`ProgramCache::global`] for the
+/// process-wide cache, or a private one for isolated hit/miss counters
+/// (mirrors [`crate::run_fused_with_cache`]); results are identical for
+/// every `launch_options` configuration.
 ///
 /// # Errors
 ///
 /// * [`InductorError::Binding`] for missing inputs.
 /// * Simulator errors are propagated.
-pub fn run_unfused(
-    op: &UnfusedOp,
-    inputs: &BTreeMap<String, Tensor>,
-    device: &DeviceModel,
-    mode: Mode,
-) -> Result<(Tensor, Profile)> {
-    run_unfused_with(op, inputs, device, mode, &LaunchOptions::default())
-}
-
-/// [`run_unfused`] with explicit simulator scheduling options; results
-/// are identical for every configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`run_unfused`].
-pub fn run_unfused_with(
-    op: &UnfusedOp,
-    inputs: &BTreeMap<String, Tensor>,
-    device: &DeviceModel,
-    mode: Mode,
-    launch_options: &LaunchOptions,
-) -> Result<(Tensor, Profile)> {
-    run_unfused_with_cache(
-        op,
-        inputs,
-        device,
-        mode,
-        launch_options,
-        ProgramCache::global(),
-    )
-}
-
-/// [`run_unfused_with`] against an explicit [`ProgramCache`] instead of
-/// the process-wide one (mirrors [`crate::run_fused_with_cache`], so
-/// tests and benchmarks can observe isolated hit/miss counters for the
-/// unfused pipeline too).
-///
-/// # Errors
-///
-/// Same conditions as [`run_unfused`].
 pub fn run_unfused_with_cache(
     op: &UnfusedOp,
     inputs: &BTreeMap<String, Tensor>,
@@ -483,7 +446,15 @@ mod tests {
         let lowered = lower(&stmt, &metas).unwrap();
         let op = compile_unfused(&lowered, &CodegenOptions::default()).unwrap();
         let device = DeviceModel::rtx3090();
-        let (got, profile) = run_unfused(&op, &inputs, &device, Mode::Execute).unwrap();
+        let (got, profile) = run_unfused_with_cache(
+            &op,
+            &inputs,
+            &device,
+            Mode::Execute,
+            &LaunchOptions::default(),
+            ProgramCache::global(),
+        )
+        .unwrap();
         let want = execute(&lowered.graph, &inputs).unwrap();
         assert!(
             got.allclose(&want, 1e-3, 1e-3),
@@ -539,7 +510,7 @@ mod tests {
     fn unfused_moves_more_dram_than_fused() {
         use crate::codegen::compile_fused;
         use crate::plan::build_plan;
-        use crate::runner::run_fused;
+        use crate::runner::run_fused_with_cache;
         let mut rng = SmallRng::seed_from_u64(14);
         let (groups, g, bm, bk, n) = (8, 2, 16, 16, 64);
         let brows = 4;
@@ -569,11 +540,15 @@ mod tests {
 
         let lowered = lower(&stmt, &metas).unwrap();
         let unfused = compile_unfused(&lowered, &CodegenOptions::default()).unwrap();
-        let (got_u, profile_u) = run_unfused(&unfused, &inputs, &device, Mode::Execute).unwrap();
+        let (launch, cache) = (LaunchOptions::default(), ProgramCache::global());
+        let (got_u, profile_u) =
+            run_unfused_with_cache(&unfused, &inputs, &device, Mode::Execute, &launch, cache)
+                .unwrap();
 
         let plan = build_plan(&stmt, &metas).unwrap();
         let fused = compile_fused(&plan, &CodegenOptions::default()).unwrap();
-        let (got_f, report_f) = run_fused(&fused, &inputs, &device, Mode::Execute).unwrap();
+        let (got_f, report_f) =
+            run_fused_with_cache(&fused, &inputs, &device, Mode::Execute, &launch, cache).unwrap();
 
         assert!(got_u.allclose(&got_f, 1e-3, 1e-3));
         let u = profile_u.total_stats();

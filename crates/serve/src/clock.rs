@@ -82,7 +82,7 @@ impl Clock for SystemClock {
 #[derive(Default)]
 struct TestClockInner {
     now: Duration,
-    wakers: Vec<Box<dyn Fn() + Send + Sync>>,
+    wakers: Vec<Arc<dyn Fn() + Send + Sync>>,
 }
 
 /// A deterministic clock for tests: time stands still until the test
@@ -113,11 +113,17 @@ impl TestClock {
 
     /// Jump time forward by `d` and wake every subscribed waiter.
     pub fn advance(&self, d: Duration) {
-        let mut inner = relock(&self.inner);
-        inner.now += d;
-        // Wake with the lock held: wakers only notify condvars, and a
-        // waiter that races the advance re-reads `now` after waking.
-        for wake in &inner.wakers {
+        let wakers = {
+            let mut inner = relock(&self.inner);
+            inner.now += d;
+            inner.wakers.clone()
+        };
+        // Wake after dropping the clock's lock: a waker takes its
+        // waiter's mutex (so the wake-up cannot fall between the waiter's
+        // `now()` read and its park), and the waiter reads `now()` with
+        // that mutex held — waking with the clock locked would invert the
+        // order.
+        for wake in wakers {
             wake();
         }
     }
@@ -137,7 +143,7 @@ impl Clock for TestClock {
     }
 
     fn subscribe(&self, wake: Box<dyn Fn() + Send + Sync>) {
-        relock(&self.inner).wakers.push(wake);
+        relock(&self.inner).wakers.push(Arc::from(wake));
     }
 }
 

@@ -176,10 +176,14 @@ impl ServeEngine {
         });
         // Clock jumps (a TestClock advance) must re-check every timed
         // scheduler wait; weak so the subscription never keeps a dropped
-        // engine alive.
+        // engine alive. The scheduler reads the clock and parks under
+        // `state`, so passing through that mutex first orders the wake-up
+        // either before the read (which then sees the new time) or after
+        // the park (which then receives it) — never in between, lost.
         let waker = Arc::downgrade(&shared);
         shared.clock.subscribe(Box::new(move || {
             if let Some(shared) = waker.upgrade() {
+                drop(relock(&shared.state));
                 shared.not_empty.notify_all();
             }
         }));

@@ -13,15 +13,21 @@
 //!   [`ResponseHandle::wait`]).
 //! * **A bounded admission queue** applies backpressure (see below).
 //! * **A batching scheduler** groups launch-compatible pending requests
-//!   — same kernel fingerprint, grid, parameter metadata, mode, and
-//!   device — and executes each group as one batched launch, so the
-//!   simulator's host threads are shared by the batch instead of being
-//!   scheduled per request
-//!   ([`insum_gpu::Program::launch_batch_with`]).
+//!   and executes each group as one batched launch
+//!   ([`insum::Compiled::run_batch_mode`], which batches step by step),
+//!   so the simulator's host threads are shared by the batch instead of
+//!   being scheduled per request
+//!   ([`insum_gpu::Program::launch_batch_with`]). Every request resolves
+//!   to the one artifact type, so compatibility is one of three things:
+//!   for an artifact that is exactly one fused kernel, the same kernel
+//!   fingerprint, grid, parameter metadata, mode and device; for a
+//!   planned chain or a fast-path artifact, the same shared artifact and
+//!   mode; an unfused artifact runs alone.
 //! * **A compiled-artifact registry** shares `Arc<`[`insum::Compiled`]`>`
-//!   handles across tenants with single-flight compilation, layered on
-//!   the process-wide [`insum_inductor::ProgramCache`] — concurrent
-//!   tenants never re-lower (or re-autotune) the same program.
+//!   handles — pairwise statements and planned chains alike — across
+//!   tenants with single-flight compilation, layered on the process-wide
+//!   [`insum_inductor::ProgramCache`] — concurrent tenants never re-lower
+//!   (or re-autotune) the same program.
 //! * **Per-tenant and per-kernel metrics** ([`ServeEngine::metrics`]):
 //!   queue depths, registry/program-cache hits, batch sizes, simulated
 //!   instance counts, and log-bucketed latency histograms (queue wait,

@@ -1,14 +1,19 @@
 //! Process-wide compiled-artifact registry.
 //!
-//! The registry caches compiled artifacts — [`insum::Compiled`] handles
-//! for pairwise expressions, [`insum::CompiledChain`] handles for
-//! multi-operand contraction chains — keyed by (expression, argument
-//! metadata, compilation options) and coalesces concurrent compilations
-//! of the same key into one: the first caller compiles, every other
-//! caller blocks on the slot and shares the resulting `Arc`. A chain
-//! compiles each pairwise step through the same pipeline, so one chain
-//! artifact shared across tenants compiles every step exactly once
-//! process-wide. Layered under it, the process-wide
+//! The registry caches compiled artifacts — one type, [`insum::Compiled`],
+//! a plan of steps: one step for a pairwise expression, one per pairwise
+//! contraction for a multi-operand chain (spec-form strings and
+//! 3-plus-factor dense statements, per [`is_chain_expression`], go
+//! through the contraction planner; everything else through
+//! [`insum_with`]) — keyed by (expression, argument metadata, compilation
+//! options) and coalesces concurrent compilations of the same key into
+//! one: the first caller compiles, every other caller blocks on the slot
+//! and shares the resulting `Arc`. A chain compiles each pairwise step
+//! through the same pipeline, so one chain artifact shared across tenants
+//! compiles every step exactly once process-wide. Because the key fixes
+//! every name, shape, dtype and option, two requests that resolve to the
+//! same `Arc` are launch-compatible step for step; the scheduler's
+//! grouping relies on that. Layered under it, the process-wide
 //! [`insum_inductor::ProgramCache`] dedups the simulator lowering (and
 //! autotuning relaunches), so concurrent tenants never re-lower the same
 //! program.
@@ -37,7 +42,7 @@ use crate::engine::{relock, rewait};
 use crate::error::ServeError;
 use crate::metrics::RegistryStats;
 use crate::scheduler::panic_message;
-use insum::{insum_with, is_chain_expression, Compiled, CompiledChain, InsumOptions, Tensor};
+use insum::{insum_with, is_chain_expression, Compiled, InsumOptions, Tensor};
 use insum_tensor::DType;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,29 +52,6 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Default maximum resident artifacts (compiled kernels + plans are a
 /// few KB each; this covers many concurrent tenants' working sets).
 const DEFAULT_CAPACITY: usize = 256;
-
-/// A registry-resident compiled artifact: a single pairwise kernel, or a
-/// planned multi-operand contraction chain (one compiled kernel per
-/// device step). Multi-operand expressions — spec-form strings and
-/// 3-plus-factor dense statements, per [`is_chain_expression`] — route
-/// through the contraction planner; everything else takes the ordinary
-/// fused pipeline.
-#[derive(Clone)]
-pub(crate) enum ServeArtifact {
-    Single(Arc<Compiled>),
-    Chain(Arc<CompiledChain>),
-}
-
-impl ServeArtifact {
-    /// Identity comparison (variant plus `Arc` pointer).
-    pub(crate) fn ptr_eq(&self, other: &ServeArtifact) -> bool {
-        match (self, other) {
-            (ServeArtifact::Single(a), ServeArtifact::Single(b)) => Arc::ptr_eq(a, b),
-            (ServeArtifact::Chain(a), ServeArtifact::Chain(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ArtifactKey {
@@ -102,18 +84,18 @@ impl ArtifactKey {
 /// caller of the same key.
 #[derive(Default)]
 struct Slot {
-    state: Mutex<Option<Result<ServeArtifact, ServeError>>>,
+    state: Mutex<Option<Result<Arc<Compiled>, ServeError>>>,
     ready: Condvar,
 }
 
 impl Slot {
-    fn fill(&self, value: Result<ServeArtifact, ServeError>) {
+    fn fill(&self, value: Result<Arc<Compiled>, ServeError>) {
         let mut state = relock(&self.state);
         *state = Some(value);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> Result<ServeArtifact, ServeError> {
+    fn wait(&self) -> Result<Arc<Compiled>, ServeError> {
         let mut state = relock(&self.state);
         while state.is_none() {
             state = rewait(&self.ready, state);
@@ -177,7 +159,7 @@ impl ArtifactRegistry {
         expr: &str,
         tensors: &BTreeMap<String, Tensor>,
         options: &InsumOptions,
-    ) -> (Result<ServeArtifact, ServeError>, bool, bool) {
+    ) -> (Result<Arc<Compiled>, ServeError>, bool, bool) {
         let key = ArtifactKey::new(expr, tensors, options);
         let (slot, owner) = {
             let mut inner = relock(&self.inner);
@@ -234,13 +216,11 @@ impl ArtifactRegistry {
                 crate::faults::maybe_panic_compile(expr);
                 if is_chain_expression(expr) {
                     insum::plan(expr, tensors, options)
-                        .map(|chain| ServeArtifact::Chain(Arc::new(chain)))
                 } else {
                     insum_with(expr, tensors, options)
-                        .map(|compiled| ServeArtifact::Single(Arc::new(compiled)))
                 }
             })) {
-                Ok(result) => result.map_err(ServeError::from),
+                Ok(result) => result.map(Arc::new).map_err(ServeError::from),
                 Err(payload) => Err(ServeError::Engine(format!(
                     "compilation panicked: {}",
                     panic_message(payload)
@@ -302,7 +282,7 @@ mod tests {
         let registry = ArtifactRegistry::default();
         let t = tensors();
         let opts = InsumOptions::default();
-        let artifacts: Vec<ServeArtifact> = std::thread::scope(|scope| {
+        let artifacts: Vec<Arc<Compiled>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let (registry, t, opts) = (&registry, &t, &opts);
@@ -312,7 +292,10 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for a in &artifacts[1..] {
-            assert!(artifacts[0].ptr_eq(a), "all callers share the artifact");
+            assert!(
+                Arc::ptr_eq(&artifacts[0], a),
+                "all callers share the artifact"
+            );
         }
         let s = registry.stats();
         assert_eq!(s.misses, 1, "exactly one compilation");
@@ -333,7 +316,7 @@ mod tests {
             ..Default::default()
         };
         let b = registry.get_or_compile("C[i] = A[i]", &t, &opts).0.unwrap();
-        assert!(a.ptr_eq(&b));
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(registry.stats().entries, 1);
     }
 
@@ -351,8 +334,12 @@ mod tests {
         let (a, hit_a, _) = registry.get_or_compile("ij,jk,kl->il", &t, &opts);
         let (b, hit_b, _) = registry.get_or_compile("ij,jk,kl->il", &t, &opts);
         let (a, b) = (a.unwrap(), b.unwrap());
-        assert!(matches!(a, ServeArtifact::Chain(_)));
-        assert!(a.ptr_eq(&b), "second lookup shares the chain artifact");
+        assert!(a.plan().is_some());
+        assert_eq!(a.step_count(), 2);
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "second lookup shares the chain artifact"
+        );
         assert!(!hit_a);
         assert!(hit_b);
         assert_eq!(registry.stats().entries, 1);

@@ -1,12 +1,18 @@
 //! The batching scheduler.
 //!
 //! The scheduler thread drains the admission queue, resolves every
-//! request to a compiled artifact through the registry, groups
-//! launch-compatible requests — same shared artifact with equal kernel
-//! fingerprint, grid, parameter order, argument metadata, interpreter
-//! mode, and device — and executes
-//! each group as one batched launch over the shared simulator thread
-//! pool ([`insum::Compiled::run_batch_mode`]). Grouping only ever
+//! request to a compiled artifact through the registry — always an
+//! [`insum::Compiled`], a plan of steps — groups launch-compatible
+//! requests, and executes each group as one batched launch over the
+//! shared simulator thread pool ([`insum::Compiled::run_batch_mode`],
+//! which batches step by step). `GroupKey` has three variants: an
+//! artifact that is exactly one fused kernel groups by `Batched` (shared
+//! artifact plus the launch signature, argument metadata, interpreter
+//! mode and device spelled out); planned chains and fast-path artifacts
+//! have no single launch signature and group by `Artifact` (shared
+//! artifact plus mode — the registry key already fixes everything else);
+//! an unfused artifact or an unresolvable binding runs alone under
+//! `Single`. Grouping only ever
 //! changes *scheduling*: each request inside a batch is executed with
 //! exactly the per-request interpreter semantics, so its response is
 //! bit-identical to a serial [`insum::Compiled::run`] no matter the
@@ -28,9 +34,8 @@ use crate::engine::{
 };
 use crate::error::ServeError;
 use crate::lifecycle::{BreakerDecision, BreakerPanel, BudgetStatus, CostMeter};
-use crate::registry::ServeArtifact;
 use crate::session::{RequestId, Response};
-use insum::{LaunchOptions, Mode, Tensor};
+use insum::{Compiled, LaunchOptions, Mode, Tensor};
 use insum_telemetry::{hook, Phase, TraceOutcome};
 use insum_tensor::DType;
 use std::collections::{BTreeMap, VecDeque};
@@ -223,21 +228,16 @@ enum GroupKey {
         analytic: bool,
         device: String,
     },
-    /// A planned contraction chain. Two requests resolve to the same
-    /// chain `Arc` only through the same registry key — equal
-    /// expression, argument metadata (names, shapes, dtypes), and
-    /// normalized options — so artifact identity plus interpreter mode
-    /// already proves per-step launch compatibility; no per-step
-    /// signature needs to appear in the key.
-    Chain { artifact: usize, analytic: bool },
-    /// A fast-path artifact (microkernel or stride view): there is no
-    /// simulator launch signature to compare, but two requests resolve
-    /// to the same fast-path `Arc` only through the same registry key —
-    /// equal expression, argument metadata, and normalized options — so
-    /// artifact identity plus interpreter mode proves compatibility,
-    /// exactly as for chains. Members execute back-to-back under one
-    /// batched entry point (and one fault-injection check).
-    FastPath { artifact: usize, analytic: bool },
+    /// A planned contraction chain or a fast-path artifact (microkernel
+    /// or stride view): there is no single simulator launch signature to
+    /// compare, but two requests resolve to the same `Arc` only through
+    /// the same registry key — equal expression, argument metadata
+    /// (names, shapes, dtypes), and normalized options — so artifact
+    /// identity plus interpreter mode already proves launch
+    /// compatibility, step for step. Chains batch per step; fast-path
+    /// members execute back-to-back under one batched entry point (and
+    /// one fault-injection check).
+    Artifact { artifact: usize, analytic: bool },
     /// Unbatchable (unfused pipeline or unresolvable binding): executes
     /// alone, keyed by request id.
     Single(u64),
@@ -245,7 +245,7 @@ enum GroupKey {
 
 struct Resolved {
     pending: Pending,
-    artifact: ServeArtifact,
+    artifact: Arc<Compiled>,
     registry_hit: bool,
     /// Miss whose compile lowered no simulator program: warm/cold is
     /// decided at the artifact's first launch (lazy lowering).
@@ -800,7 +800,7 @@ fn transient_failure(
 /// Either proof implies equal lengths and dtypes, so this pass can only
 /// join groups the full key would also join.
 fn ptr_identical(candidate: &Resolved, rep: &Resolved) -> bool {
-    candidate.artifact.ptr_eq(&rep.artifact)
+    Arc::ptr_eq(&candidate.artifact, &rep.artifact)
         && candidate.pending.mode == rep.pending.mode
         && bindings_identical(
             &candidate.pending.tensors,
@@ -845,23 +845,12 @@ fn bindings_identical(
     unsettled.into_iter().all(|i| fa[i] == fb[i])
 }
 
-fn group_key(artifact: &ServeArtifact, pending: &Pending) -> GroupKey {
-    let artifact = match artifact {
-        ServeArtifact::Single(compiled) => compiled,
-        // See the variant docs: chain-artifact identity subsumes every
-        // per-step compatibility condition.
-        ServeArtifact::Chain(chain) => {
-            return GroupKey::Chain {
-                artifact: Arc::as_ptr(chain) as usize,
-                analytic: pending.mode == Mode::Analytic,
-            };
-        }
-    };
-    if artifact.fast_path_pattern().is_some() {
-        // Program-less fast-path artifact: see the variant docs —
-        // artifact identity subsumes the launch-compatibility
-        // conditions a kernel signature would encode.
-        return GroupKey::FastPath {
+fn group_key(artifact: &Arc<Compiled>, pending: &Pending) -> GroupKey {
+    if artifact.plan().is_some() || artifact.fast_path_pattern().is_some() {
+        // See the variant docs: artifact identity subsumes the
+        // launch-compatibility conditions a kernel signature would
+        // encode, for every step.
+        return GroupKey::Artifact {
             artifact: Arc::as_ptr(artifact) as usize,
             analytic: pending.mode == Mode::Analytic,
         };
@@ -892,18 +881,18 @@ fn group_key(artifact: &ServeArtifact, pending: &Pending) -> GroupKey {
     }
 }
 
-fn kernel_key(artifact: &ServeArtifact) -> String {
-    match artifact {
-        ServeArtifact::Single(compiled) => {
-            match (compiled.fast_path_pattern(), compiled.launch_signature()) {
-                (Some(pattern), _) => format!("fastpath:{}", pattern.name()),
-                (None, Some(sig)) => format!("{:016x}@{:?}", sig.kernel_fingerprint, sig.grid),
-                (None, None) => format!("unfused:{}", compiled.statement()),
-            }
-        }
-        ServeArtifact::Chain(chain) => {
-            format!("chain[{} steps]:{}", chain.step_count(), chain.expression())
-        }
+fn kernel_key(artifact: &Compiled) -> String {
+    if artifact.plan().is_some() {
+        let (steps, expr) = (artifact.step_count(), artifact.expression());
+        return format!("chain[{steps} steps]:{expr}");
+    }
+    match (artifact.fast_path_pattern(), artifact.launch_signature()) {
+        (Some(pattern), _) => format!("fastpath:{}", pattern.name()),
+        (None, Some(sig)) => format!("{:016x}@{:?}", sig.kernel_fingerprint, sig.grid),
+        (None, None) => format!(
+            "unfused:{}",
+            artifact.statement().expect("compiled from a statement")
+        ),
     }
 }
 
@@ -972,12 +961,7 @@ fn execute_batch(
                 );
             }
         }
-        match &artifact {
-            ServeArtifact::Single(compiled) => compiled.run_batch_mode(&inputs, mode, &launch),
-            // Chains batch per step: every request's instance of step k
-            // shares one batched launch before any request advances.
-            ServeArtifact::Chain(chain) => chain.run_batch_mode(&inputs, mode, &launch),
-        }
+        artifact.run_batch_mode(&inputs, mode, &launch)
     }));
     let kkey = kernel_key(&artifact);
     drop(inputs);

@@ -340,7 +340,7 @@ fn metrics_attribute_tenants_kernels_and_registry_sharing() {
 #[test]
 fn fast_path_artifacts_batch_and_key_by_pattern() {
     // Program-less fast-path artifacts are first-class in the grouping:
-    // they share one `GroupKey::FastPath` batch (artifact identity plus
+    // they share one `GroupKey::Artifact` batch (artifact identity plus
     // interpreter mode proves compatibility) and their kernel metrics
     // key on the recognized pattern. Each request builds its tensors
     // from scratch, so grouping here also exercises the content-identity
@@ -606,7 +606,7 @@ fn chain_requests_share_one_planned_artifact_and_batch_per_step() {
     // Two tenants submit the same 4-operand chain: the registry compiles
     // the plan (every pairwise step) exactly once, the scheduler batches
     // the requests through each step, and both responses are
-    // bit-identical to a serial `CompiledChain::run` and the naive
+    // bit-identical to a serial `Compiled::run` and the naive
     // left-to-right reference.
     let tensors = chain_request(61);
     let opts = InsumOptions::default();

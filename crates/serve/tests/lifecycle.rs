@@ -312,6 +312,48 @@ fn circuit_breaker_quarantines_and_recovers_through_a_probe() {
 }
 
 #[test]
+fn clock_advance_is_never_a_lost_wakeup() {
+    // The scheduler reads the clock and then parks; an `advance` landing
+    // between the two used to notify nobody, and a virtual-clock engine
+    // then slept forever. Each iteration aims at that window: the submit
+    // wakes the scheduler, which finds nothing eligible (paused, deadline
+    // ahead) and goes back to park while the test advances. Two things
+    // make the aim good enough to fail 3 runs of 3 without the fix:
+    // ballast requests (paused, no deadline) stretch the scheduler's
+    // queue scan between the read and the park, and the gap before the
+    // advance sweeps across the scheduler's wake-up latency.
+    let clock = TestClock::new();
+    let config = ServeConfig::default().with_queue_capacity(4096);
+    let engine = ServeEngine::with_clock(config, Arc::clone(&clock) as _).unwrap();
+    engine.pause();
+    let session = engine.session("wakeup-t");
+    let tensors = request(1.0);
+    let _ballast: Vec<_> = (0..2000)
+        .map(|_| session.submit(EXPR, &tensors).unwrap())
+        .collect();
+    let options = SubmitOptions::default().with_deadline(Duration::from_secs(1));
+    let watchdog = Instant::now() + Duration::from_secs(60);
+    for iteration in 0..4000 {
+        let handle = session.submit_with(EXPR, &tensors, &options).unwrap();
+        for _ in 0..(iteration % 200) * 20 {
+            std::hint::spin_loop();
+        }
+        clock.advance(Duration::from_secs(1));
+        let outcome = loop {
+            if let Some(outcome) = handle.try_take() {
+                break outcome;
+            }
+            assert!(
+                Instant::now() < watchdog,
+                "iteration {iteration}: the scheduler slept through a clock advance"
+            );
+            std::thread::yield_now();
+        };
+        assert!(matches!(outcome, Err(ServeError::DeadlineExceeded { .. })));
+    }
+}
+
+#[test]
 fn chain_step_fault_does_not_poison_batch_mates() {
     // A mid-plan fault: the `fault-injection` hook inside the batched
     // runner panics any launch binding the marked tensor, so the *chain
