@@ -27,8 +27,8 @@ use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, Order
 use insum_bench::{print_table, structured_spmm_setup, x};
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
-    dot_dispatch_counts, site_dispatch_counts, DeviceModel, KernelReport, LaunchOptions, Mode,
-    Program,
+    dot_dispatch_counts, site_dispatch_counts, DeviceModel, DotIsa, KernelReport, LaunchOptions,
+    Mode, Program,
 };
 use insum_graph::TensorMeta;
 use insum_inductor::{
@@ -210,8 +210,11 @@ fn count_dispatch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
 }
 
 /// Assert that a run dispatched all of its dots one way: to the
-/// exact-product kernel (`want_exact`) or to the canonical loop.
+/// exact-product kernel (`want_exact`) or to the canonical loop. The
+/// counters report the kernel that ran, so on a host without FMA every
+/// dot is canonical.
 fn assert_dispatch(what: &str, (exact, canonical): (u64, u64), want_exact: bool) {
+    let want_exact = want_exact && DotIsa::detect() != DotIsa::Portable;
     let (want, other) = if want_exact {
         (exact, canonical)
     } else {
@@ -264,6 +267,10 @@ struct Row {
     /// Share of the launch's executed 2-D access sites that ran as row
     /// runs (`insum_gpu::site_dispatch_counts`).
     row_run_site_share: f64,
+    /// Share of the launch's executed `tl.dot`s that ran the
+    /// exact-product FMA kernel (`insum_gpu::dot_dispatch_counts`);
+    /// `None` when it executed none (every Analytic launch).
+    exact_dot_share: Option<f64>,
     /// More worker threads than the host has cores: the row is kept for
     /// its shard-merge bit-identity assert, but its wall time measures
     /// oversubscription, so it is left out of the speedup column.
@@ -604,6 +611,10 @@ fn main() {
                     bit_identical,
                     analytic_classes: mode == Mode::Analytic && program.analytic_dedup_available(),
                     row_run_site_share: row_run as f64 / (row_run + generic) as f64,
+                    exact_dot_share: match dots.0 + dots.1 {
+                        0 => None,
+                        executed => Some(dots.0 as f64 / executed as f64),
+                    },
                     oversubscribed: threads > max_threads,
                 });
             }
@@ -896,14 +907,25 @@ fn main() {
                 format!("{:.0}", r.instances as f64 / r.wall_new),
                 format!("{:.2}", r.lane_ops as f64 / r.wall_new / 1e6),
                 format!("{:.0}%", 100.0 * r.row_run_site_share),
+                r.exact_dot_share
+                    .map_or("-".to_string(), |s| format!("{:.0}%", 100.0 * s)),
             ]
         })
         .collect();
     print_table(
         &format!("simulator throughput (max host threads: {max_threads})"),
         &[
-            "workload", "mode", "thr", "insts", "seed ms", "new ms", "speedup", "insts/s",
-            "Mlanes/s", "row-run",
+            "workload",
+            "mode",
+            "thr",
+            "insts",
+            "seed ms",
+            "new ms",
+            "speedup",
+            "insts/s",
+            "Mlanes/s",
+            "row-run",
+            "exact-dot",
         ],
         &table,
     );
@@ -1056,7 +1078,8 @@ fn main() {
              \"wall_seconds_seed\": {:.6}, \"wall_seconds_new\": {:.6}, \
              \"speedup\": {:.3}, \"instances_per_sec\": {:.1}, \
              \"lanes_per_sec\": {:.1}, \"analytic_instance_classes\": {}, \
-             \"row_run_site_share\": {:.3}, \"bit_identical\": {}{}}}{}\n",
+             \"row_run_site_share\": {:.3}, \"exact_dot_share\": {}, \
+             \"bit_identical\": {}{}}}{}\n",
             r.name,
             r.mode,
             r.host_threads,
@@ -1068,6 +1091,8 @@ fn main() {
             r.lane_ops as f64 / r.wall_new,
             r.analytic_classes,
             r.row_run_site_share,
+            r.exact_dot_share
+                .map_or("null".to_string(), |s| format!("{s:.3}")),
             r.bit_identical,
             if r.oversubscribed {
                 ", \"oversubscribed\": true"

@@ -1,7 +1,7 @@
 //! Block values: the small n-d arrays kernels compute on.
 //!
 //! Optimized representation: a block is a *strided view* over shared
-//! copy-on-write storage (`Arc<Vec<f64>>`), with scalars held inline so
+//! copy-on-write storage (`Rc<Vec<f64>>`), with scalars held inline so
 //! loop counters and constants never touch the heap. Shape transforms —
 //! [`Block::expand_dims`], [`Block::broadcast_to`], [`Block::trans`], and
 //! contiguous [`Block::view`] — are pure metadata edits that share the
@@ -10,34 +10,47 @@
 //! interpreter charges shared-memory traffic for `view`/`trans`/
 //! `broadcast_to` exactly as when they copied eagerly, because that is
 //! what the modeled hardware pays.
+//!
+//! A block is `!Send` by design. It is a value in one program
+//! instance's register file, and a register file — the interpreter's
+//! `Machine`, its registers, buffer pool and stream caches — is built,
+//! used and dropped by one host thread: the sequential launch, or one
+//! shard closure of a sharded one. What crosses the thread boundary is
+//! the shard's *result* (counters, sector sets, instance times, the
+//! write log), which holds no block, and the shared `Program`, which
+//! holds none either. The interpreter asks "is this buffer uniquely
+//! owned?" on every register write, pool allocation and in-place
+//! update, so the count it asks must be a plain load (`Rc`), not a
+//! locked read-modify-write (`Arc`); the compiler keeps the boundary
+//! honest, since a block that tried to leave its thread would not build.
 
 use crate::exact_dot::{self, DotIsa};
 use insum_kernel::BinOp;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum block rank (as before the strided rewrite: rank ≤ 4).
 pub const MAX_RANK: usize = 4;
 
 /// A uniquely-owned heap buffer recycled through the interpreter's
-/// register pool. Wrapping the `Arc` (not just the `Vec`) means the
+/// register pool. Wrapping the `Rc` (not just the `Vec`) means the
 /// reference-count control block is reused too, so steady-state loop
 /// iterations allocate nothing at all.
 pub struct PoolBuf {
-    arc: Arc<Vec<f64>>,
+    rc: Rc<Vec<f64>>,
 }
 
 impl PoolBuf {
     /// A fresh, empty buffer.
     pub fn new() -> PoolBuf {
         PoolBuf {
-            arc: Arc::new(Vec::new()),
+            rc: Rc::new(Vec::new()),
         }
     }
 
     /// The buffer contents (always accessible: pool buffers are sole
     /// owners by construction).
     pub fn vec(&mut self) -> &mut Vec<f64> {
-        Arc::get_mut(&mut self.arc).expect("pool buffers are uniquely owned")
+        Rc::get_mut(&mut self.rc).expect("pool buffers are uniquely owned")
     }
 }
 
@@ -72,7 +85,7 @@ enum Storage {
     /// A rank-0 scalar held inline (no heap allocation).
     Inline(f64),
     /// Shared row-major-allocated storage addressed through the strides.
-    Heap(Arc<Vec<f64>>),
+    Heap(Rc<Vec<f64>>),
 }
 
 /// A block value held in a virtual register: a rank ≤ 4 array of `f64`.
@@ -203,12 +216,7 @@ impl Block {
     /// Panics if `data.len()` differs from the shape volume or the rank
     /// exceeds `MAX_RANK`.
     pub fn from_vec(shape: Vec<usize>, data: Vec<f64>) -> Block {
-        Block::from_pool(
-            shape,
-            PoolBuf {
-                arc: Arc::new(data),
-            },
-        )
+        Block::from_pool(shape, PoolBuf { rc: Rc::new(data) })
     }
 
     /// Build from row-major data held in a recycled pool buffer.
@@ -240,7 +248,7 @@ impl Block {
             shape: shape.dims,
             strides: contiguous_strides(&shape.dims, shape.rank as usize),
             offset: 0,
-            storage: Storage::Heap(buf.arc),
+            storage: Storage::Heap(buf.rc),
         }
     }
 
@@ -270,7 +278,7 @@ impl Block {
             shape: shape.dims,
             strides: [0; MAX_RANK],
             offset: 0,
-            storage: Storage::Heap(buf.arc),
+            storage: Storage::Heap(buf.rc),
         }
     }
 
@@ -287,7 +295,7 @@ impl Block {
             shape: s,
             strides: [0; MAX_RANK],
             offset: 0,
-            storage: Storage::Heap(Arc::new(vec![value])),
+            storage: Storage::Heap(Rc::new(vec![value])),
         }
     }
 
@@ -605,7 +613,7 @@ impl Block {
         }
         let storage = match &self.storage {
             // Promote inline scalars so the walkers have a slice.
-            Storage::Inline(v) => Storage::Heap(Arc::new(vec![*v])),
+            Storage::Inline(v) => Storage::Heap(Rc::new(vec![*v])),
             heap => heap.clone(),
         };
         Block {
@@ -657,6 +665,9 @@ impl Block {
         Block::binary_with_body(op, a, b, buf)
     }
 
+    /// # Safety
+    ///
+    /// The host must support `avx`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
     unsafe fn binary_with_wide(op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
@@ -696,6 +707,9 @@ impl Block {
         Block::binary_assign_body(op, a, b)
     }
 
+    /// # Safety
+    ///
+    /// The host must support `avx`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
     unsafe fn binary_assign_wide(op: BinOp, a: &mut Block, b: &Block) -> bool {
@@ -731,10 +745,10 @@ impl Block {
         }
         let n = a.len();
         let offset = a.offset;
-        let Storage::Heap(arc) = &mut a.storage else {
+        let Storage::Heap(rc) = &mut a.storage else {
             return false;
         };
-        let Some(data) = Arc::get_mut(arc) else {
+        let Some(data) = Rc::get_mut(rc) else {
             return false;
         };
         let dst = &mut data[offset..offset + n];
@@ -915,6 +929,9 @@ impl Block {
         Block::dot_with_body(a, b, buf)
     }
 
+    /// # Safety
+    ///
+    /// The host must support `avx`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
     unsafe fn dot_with_wide(a: &Block, b: &Block, buf: PoolBuf) -> Block {
@@ -930,12 +947,11 @@ impl Block {
         assert_eq!(k, k2, "dot inner dimensions disagree");
         // Per output row: collect the nonzero lhs entries once (the
         // seed's zero-skip, hoisted out of the column loop), then sweep
-        // `JTILE`-wide column tiles whose accumulators fully unroll into
-        // SIMD registers — the inner loop is a branchless multiply then
-        // add, two roundings per term. This loop defines `tl.dot`; the
-        // fused kernel in `exact_dot` may stand in for it only on
-        // operands whose products are exact.
-        const JTILE: usize = 32;
+        // the columns with the widest tile that still fits — 32, 16, 8,
+        // 4, then single columns — so a 16-wide conv or TP dot is one
+        // vector tile, not sixteen scalar chains. This loop defines
+        // `tl.dot`; the fused kernel in `exact_dot` may stand in for it
+        // only on operands whose products are exact.
         let data = buf.vec();
         data.clear();
         data.reserve(m * n);
@@ -943,46 +959,33 @@ impl Block {
         let db = b.storage_slice();
         let (sa0, sa1) = (a.strides[0], a.strides[1]);
         let (sb0, sb1) = (b.strides[0], b.strides[1]);
-        let mut nz: Vec<(f64, usize)> = Vec::with_capacity(k);
+        // The nonzero list lives on the stack at every contraction
+        // extent the code generator emits (R tiles are ≤ 32).
+        let mut nz_stack = [(0.0f64, 0usize); NZ_STACK];
+        let mut nz_heap = Vec::new();
+        let nz_buf: &mut [(f64, usize)] = if k <= NZ_STACK {
+            &mut nz_stack[..k]
+        } else {
+            nz_heap.resize(k, (0.0, 0));
+            &mut nz_heap
+        };
         for i in 0..m {
             let arow = a.offset + i * sa0;
-            nz.clear();
+            let mut count = 0usize;
             for l in 0..k {
                 let av = da[arow + l * sa1];
-                if av != 0.0 {
-                    nz.push((av, b.offset + l * sb0));
-                }
+                // Written always, kept when nonzero (`count <= l`).
+                nz_buf[count] = (av, b.offset + l * sb0);
+                count += usize::from(av != 0.0);
             }
+            let nz = &nz_buf[..count];
             let mut j0 = 0usize;
-            while j0 + JTILE <= n {
-                let mut acc = [0.0f64; JTILE];
-                if sb1 == 1 {
-                    for &(av, lbase) in &nz {
-                        let bs = &db[lbase + j0..][..JTILE];
-                        for t in 0..JTILE {
-                            acc[t] += av * bs[t];
-                        }
-                    }
-                } else {
-                    for &(av, lbase) in &nz {
-                        for (t, at) in acc.iter_mut().enumerate() {
-                            *at += av * db[lbase + (j0 + t) * sb1];
-                        }
-                    }
-                }
-                // Row-major append: i ascending, j0 ascending.
-                data.extend_from_slice(&acc);
-                j0 += JTILE;
-            }
-            // Remainder columns (n not a multiple of the tile).
-            while j0 < n {
-                let mut acc = 0.0f64;
-                for &(av, lbase) in &nz {
-                    acc += av * db[lbase + j0 * sb1];
-                }
-                data.push(acc);
-                j0 += 1;
-            }
+            // Row-major append: i ascending, j0 ascending.
+            dot_tiles::<32>(nz, db, sb1, &mut j0, n, data);
+            dot_tiles::<16>(nz, db, sb1, &mut j0, n, data);
+            dot_tiles::<8>(nz, db, sb1, &mut j0, n, data);
+            dot_tiles::<4>(nz, db, sb1, &mut j0, n, data);
+            dot_tiles::<1>(nz, db, sb1, &mut j0, n, data);
         }
         Block::from_packed(
             Shape4 {
@@ -1010,12 +1013,13 @@ impl Block {
     /// exact-product FMA kernel where the host has one, with the same
     /// bits as the canonical loop (`exact_dot` has the proof). Operand
     /// layouts the kernel does not take (B rows not unit-stride) and
-    /// hosts without FMA run the canonical loop.
+    /// hosts without FMA run the canonical loop; the flag says whether
+    /// the FMA kernel ran, which is what the dispatch counter counts.
     ///
     /// # Panics
     ///
     /// Panics on rank or inner-dimension mismatch.
-    pub(crate) fn dot_exact_with(a: &Block, b: &Block, buf: PoolBuf) -> Block {
+    pub(crate) fn dot_exact_with(a: &Block, b: &Block, buf: PoolBuf) -> (Block, bool) {
         Block::dot_on_with(DotIsa::detect(), a, b, buf)
     }
 
@@ -1029,7 +1033,7 @@ impl Block {
     /// available on this host.
     #[doc(hidden)]
     pub fn dot_on(isa: DotIsa, a: &Block, b: &Block) -> Block {
-        Block::dot_on_with(isa, a, b, PoolBuf::new())
+        Block::dot_on_with(isa, a, b, PoolBuf::new()).0
     }
 
     /// This rank-2 block as a strided kernel operand.
@@ -1045,20 +1049,20 @@ impl Block {
         }
     }
 
-    fn dot_on_with(isa: DotIsa, a: &Block, b: &Block, mut buf: PoolBuf) -> Block {
+    fn dot_on_with(isa: DotIsa, a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
         debug_assert!(
             a.is_f32_exact() && b.is_f32_exact(),
             "exact dot dispatched on an operand that is not finite and f32-representable"
         );
         assert!(isa.available(), "{isa:?} is not available on this host");
         if isa == DotIsa::Portable {
-            return Block::dot_with_body(a, b, buf);
+            return (Block::dot_with_body(a, b, buf), false);
         }
         assert_eq!(a.rank, 2, "dot lhs must be rank 2");
         assert_eq!(b.rank, 2, "dot rhs must be rank 2");
         let (m, n) = (a.shape[0], b.shape[1]);
         if n > 1 && b.strides[1] != 1 {
-            return Block::dot_with(a, b, buf);
+            return (Block::dot_with(a, b, buf), false);
         }
         #[cfg(target_arch = "x86_64")]
         {
@@ -1066,13 +1070,11 @@ impl Block {
             out.clear();
             out.resize(m * n, 0.0);
             exact_dot::matmul(isa, a.mat(), b.mat(), out);
-            Block::from_packed(
-                Shape4 {
-                    rank: 2,
-                    dims: [m, n, 1, 1],
-                },
-                buf,
-            )
+            let shape = Shape4 {
+                rank: 2,
+                dims: [m, n, 1, 1],
+            };
+            (Block::from_packed(shape, buf), true)
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("only the portable implementation is available off x86-64")
@@ -1083,14 +1085,54 @@ impl Block {
     pub(crate) fn reclaim(self) -> Option<PoolBuf> {
         match self.storage {
             Storage::Inline(_) => None,
-            Storage::Heap(mut arc) => {
-                if Arc::get_mut(&mut arc).is_some() {
-                    Some(PoolBuf { arc })
+            Storage::Heap(mut rc) => {
+                if Rc::get_mut(&mut rc).is_some() {
+                    Some(PoolBuf { rc })
                 } else {
                     None
                 }
             }
         }
+    }
+}
+
+/// Contraction extents up to this keep `tl.dot`'s per-row nonzero list
+/// on the stack.
+const NZ_STACK: usize = 64;
+
+/// Columns `j0..` of one `tl.dot` output row, in `W`-wide tiles while a
+/// whole tile fits: `W` accumulators that unroll into SIMD registers,
+/// advanced together through the row's nonzero terms `(a[i, l], index of
+/// b[l, 0])` — a branchless multiply then add, two roundings per term,
+/// ascending `l` per column. The one tile body of the canonical loop;
+/// `W` only sets how many columns advance together.
+#[inline(always)]
+fn dot_tiles<const W: usize>(
+    nz: &[(f64, usize)],
+    db: &[f64],
+    sb1: usize,
+    j0: &mut usize,
+    n: usize,
+    out: &mut Vec<f64>,
+) {
+    while *j0 + W <= n {
+        let mut acc = [0.0f64; W];
+        if sb1 == 1 {
+            for &(av, lbase) in nz {
+                let bs = &db[lbase + *j0..][..W];
+                for t in 0..W {
+                    acc[t] += av * bs[t];
+                }
+            }
+        } else {
+            for &(av, lbase) in nz {
+                for (t, at) in acc.iter_mut().enumerate() {
+                    *at += av * db[lbase + (*j0 + t) * sb1];
+                }
+            }
+        }
+        out.extend_from_slice(&acc);
+        *j0 += W;
     }
 }
 
@@ -1255,7 +1297,7 @@ mod tests {
         // No public transform produces an offset view today, so the
         // integration tests cannot; build two by hand to pin the
         // kernels' base-pointer arithmetic anyway.
-        let store = Arc::new((0..64).map(|v| v as f64 * 0.5 - 7.0).collect::<Vec<f64>>());
+        let store = Rc::new((0..64).map(|v| v as f64 * 0.5 - 7.0).collect::<Vec<f64>>());
         let window = |shape: [usize; 2], row_stride: usize, offset: usize| Block {
             rank: 2,
             shape: [shape[0], shape[1], 1, 1],
@@ -1315,7 +1357,7 @@ mod tests {
             panic!("expected heap storage");
         };
         assert!(
-            Arc::ptr_eq(dx, db),
+            Rc::ptr_eq(dx, db),
             "expand/view/trans/broadcast must not copy"
         );
     }

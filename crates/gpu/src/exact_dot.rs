@@ -60,9 +60,10 @@ static CANONICAL_DOTS: AtomicU64 = AtomicU64::new(0);
 /// workload of plain loads that reports canonical dots has lost its
 /// eligibility (non-finite input, or arithmetic between load and dot).
 /// Replayed (stream-cached) dots and Analytic launches execute no dot
-/// and count nothing. Hosts without FMA count eligible dots as exact
-/// even though the canonical loop serves them — the counter reports the
-/// dispatch decision, which is what a lost annotation would change.
+/// and count nothing. The counter reports the kernel that ran, not the
+/// eligibility decision: an eligible dot whose B rows are not
+/// unit-stride (a transposed B), and every dot on a host without FMA,
+/// runs the canonical loop and counts there.
 pub fn dot_dispatch_counts() -> (u64, u64) {
     (
         EXACT_DOTS.load(Ordering::Relaxed),

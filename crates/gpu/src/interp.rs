@@ -998,8 +998,11 @@ impl<'a> Machine<'a> {
         pid: [usize; 3],
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
+        // A row of one instance has no second member to replay to:
+        // its row-invariant nodes just execute.
+        let single_rows = self.program.gdims[0] == 1;
         for node in nodes {
-            match node.cached {
+            match node.cached.filter(|&level| level == 0 || !single_rows) {
                 None => self.exec_cinstr(&node.instr, regs, pid, args)?,
                 Some(level) => {
                     let record = if level == 0 {
@@ -1195,13 +1198,14 @@ impl<'a> Machine<'a> {
                     let (m, k) = (av.shape()[0], av.shape()[1]);
                     let n = bv.shape()[1];
                     let out = if self.mode == Mode::Execute {
-                        let exact = self.program.dot_sources.eligible(*a, *b, self.nonfinite);
+                        let (out, exact) =
+                            if self.program.dot_sources.eligible(*a, *b, self.nonfinite) {
+                                Block::dot_exact_with(av, bv, buf)
+                            } else {
+                                (Block::dot_with(av, bv, buf), false)
+                            };
                         self.dots.count(exact);
-                        if exact {
-                            Block::dot_exact_with(av, bv, buf)
-                        } else {
-                            Block::dot_with(av, bv, buf)
-                        }
+                        out
                     } else {
                         debug_assert_eq!(bv.shape()[0], k, "dot inner dims");
                         Block::full_pooled(vec![m, n], 0.0, buf)

@@ -438,8 +438,17 @@ impl Machine<'_> {
         }
         let out = buf.vec();
         out.clear();
-        out.resize(n * m, other);
         let data = args.data(param);
+        if run.row_mask.is_none() && run.cols == m {
+            // Every lane is read: write each once, no `other` fill first.
+            out.reserve(n * m);
+            for &o in run.rows {
+                let o = o as usize;
+                out.extend(data[o..o + m].iter().map(|&x| x as f64));
+            }
+            return Block::from_packed(shape, buf);
+        }
+        out.resize(n * m, other);
         for ((i, &o), lanes) in run.rows.iter().enumerate().zip(out.chunks_exact_mut(m)) {
             if !run.active(i) {
                 continue;

@@ -33,12 +33,19 @@
 //! the speedup in `BENCH_sim.json`):
 //!
 //! * **Strided copy-on-write blocks** — [`Block`] is a view
-//!   (`Arc` storage + shape/strides), so `expand_dims`/`view`/
+//!   (`Rc` storage + shape/strides), so `expand_dims`/`view`/
 //!   `broadcast_to`/`trans` are metadata edits and scalars (loop
 //!   counters, constants) live inline without heap storage. The *cost
 //!   model* still charges shared-memory traffic for `view`/`trans`/
 //!   `broadcast_to`: the modeled hardware pays it even though the host
 //!   no longer copies.
+//! * **A thread-local register file** — a block is `!Send` by design:
+//!   the machine that holds it (registers, buffer pool, stream caches)
+//!   is built, run and dropped on one host thread, and only a shard's
+//!   result and the shared [`Program`] — neither holds a block — cross
+//!   threads, so the uniqueness check on every register write is a
+//!   plain load, not a locked read-modify-write (`block.rs` module
+//!   docs).
 //! * **Register-slot recycling** — overwritten registers donate their
 //!   buffers (refcount block included) to a pool, so steady-state loop
 //!   iterations allocate nothing.
@@ -50,7 +57,11 @@
 //!   `tl.dot` loop dispatch to 4-wide vector code at runtime where the
 //!   host supports it. Every element keeps its own operation chain (no
 //!   reassociation of any reduction), and the loop's multiply and add
-//!   stay two roundings, so results are unchanged.
+//!   stay two roundings, so results are unchanged. The dot sweeps each
+//!   output row with one tile body at the widest of 32, 16, 8, 4 or 1
+//!   columns that still fits, so the narrow tiles of the fixed-length
+//!   formats (16-wide conv and tensor-product dots) are vector tiles
+//!   too, with unit-stride and strided B alike.
 //! * **Exact-product dot** — a `tl.dot` whose operands are finite and
 //!   f32-representable runs a dense register-blocked FMA kernel instead
 //!   (AVX2+FMA 4 × 12 or AVX-512F 8 × 16 accumulators, chosen by runtime
@@ -71,9 +82,11 @@
 //!   any operand that passed through arithmetic (`load(A) * s`, an
 //!   accumulator, another dot), a load from a parameter the kernel also
 //!   writes, a non-f32 constant, or a non-finite input.
-//!   [`dot_dispatch_counts`] reports how many executed dots took each
-//!   path; `simbench` asserts 100 % exact on the fig7 Execute and matmul
-//!   fast-path rows and 0 % with a NaN planted in B.
+//!   [`dot_dispatch_counts`] reports how many executed dots ran each
+//!   kernel (an eligible dot whose B rows are not unit-stride runs, and
+//!   counts as, the canonical loop); `simbench` asserts 100 % exact on
+//!   the fig7 Execute and matmul fast-path rows and 0 % with a NaN
+//!   planted in B, and records every row's `exact_dot_share`.
 //! * **Row-run address streams** — a 2-D access at
 //!   `expand_dims(rows, 1) + expand_dims(cols, 0)` (every gather, scatter
 //!   and atomic the code generator emits; Fig. 9) never materialises its

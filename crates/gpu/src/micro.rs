@@ -486,12 +486,12 @@ fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: us
                 }
             }
             let tile = Block::from_pool(vec![kw, xb], bbuf);
-            tally.count(exact);
-            let d = if exact {
+            let (d, ran_exact) = if exact {
                 Block::dot_exact_with(panel, &tile, PoolBuf::new())
             } else {
-                Block::dot(panel, &tile)
+                (Block::dot(panel, &tile), false)
             };
+            tally.count(ran_exact);
             bbuf = tile.reclaim().expect("the tile block is the sole owner");
             acc = Some(match acc {
                 None => d,

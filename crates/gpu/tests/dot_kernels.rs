@@ -112,6 +112,94 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The canonical loop's tile ladder
+// ---------------------------------------------------------------------
+
+/// One awkward finite f64 that is *not* an f32 value (so no exact-product
+/// kernel may take the dot): tenths, in-kernel products of f32 data,
+/// f64 denormals — and zeros of either sign at the requested rate, which
+/// are f32 values but only matter through the zero-skip.
+fn canonical_value(rng: &mut Rng, zeros_in_4: u64) -> f64 {
+    let bits = rng.next();
+    if bits % 4 < zeros_in_4 {
+        return if bits & 4 == 0 { 0.0 } else { -0.0 };
+    }
+    let small = ((bits >> 8) % 2001) as f64 - 1000.0;
+    match (bits >> 3) % 4 {
+        0 => small * 0.1,
+        1 => (small as f32 * 0.37) as f64 * 1.000_000_1,
+        2 => f64::from_bits((bits >> 12) | 1) * if bits & 4 == 0 { 1.0 } else { -1.0 },
+        _ => small / 3.0,
+    }
+}
+
+/// The canonical loop sweeps each output row in 32-, 16-, 8-, 4- and
+/// 1-wide column tiles and keeps its nonzero list on the stack up to
+/// `k = 64`: every width that mixes those tiles, every B layout the tile
+/// body branches on (unit-stride, transposed, a row broadcast down, a
+/// column broadcast across), A rows with no, some and only zero entries,
+/// and one NaN / +Inf / -Inf planted in either operand (one per dot, so
+/// every chain meets at most one special term and the surviving payload
+/// does not depend on operand order) — bit for bit against the seed's
+/// three-line loop.
+#[test]
+fn the_tile_ladder_is_the_seed_loop_at_every_width() {
+    const WIDTHS: [usize; 14] = [1, 3, 4, 7, 8, 12, 16, 20, 24, 28, 31, 32, 33, 48];
+    let specials = [
+        None,
+        Some(f64::from_bits(0x7ff8_0000_dead_beef)),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+    ];
+    let mut rng = Rng(0x1add_e125);
+    for n in WIDTHS {
+        for k in [1usize, 5, 64, 65] {
+            for layout_b in 0..4 {
+                for (si, special) in specials.iter().enumerate() {
+                    // Rows 0/1/2: no zeros, about half zeros, all zeros;
+                    // row 3 dense again so a tile follows an empty row.
+                    let mut av = Vec::with_capacity(4 * k);
+                    for zeros_in_4 in [0, 2, 4, 0] {
+                        av.extend((0..k).map(|_| canonical_value(&mut rng, zeros_in_4)));
+                    }
+                    let layout_a = (n + k + layout_b) % 2;
+                    let mut it = av.iter().copied();
+                    let mut a = operand(4, k, 0, || it.next().expect("4k values"));
+                    let mut b = operand(k, n, layout_b, || canonical_value(&mut rng, 1));
+                    if let Some(v) = *special {
+                        // Into A's dense row 0 or anywhere in B.
+                        let (mut ad, mut bd) = (a.to_vec(), b.to_vec());
+                        if (n + k + si) % 2 == 0 {
+                            ad[rng.next() as usize % k] = v;
+                        } else {
+                            let at = rng.next() as usize % bd.len();
+                            bd[at] = v;
+                        }
+                        a = Block::from_vec(vec![4, k], ad);
+                        // (A planted B is contiguous: the poison would
+                        // otherwise spread along a broadcast axis, which
+                        // the un-planted layouts already cover.)
+                        b = Block::from_vec(vec![k, n], bd);
+                    }
+                    if layout_a == 1 {
+                        a = Block::from_vec(vec![k, 4], a.trans().to_vec()).trans();
+                    }
+                    assert!(
+                        !(a.is_f32_exact() && b.is_f32_exact()),
+                        "not canonical-only"
+                    );
+                    assert_eq!(
+                        bits(&Block::dot(&a, &b).to_vec()),
+                        seed_dot(&a, &b),
+                        "4x{k}x{n}, B layout {layout_b}, A layout {layout_a}, special {special:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Dispatch: what the interpreter decides per `tl.dot`
 // ---------------------------------------------------------------------
 
@@ -140,6 +228,12 @@ enum AVia {
 
 /// `C[m, n] = dot(<A via `via`>, view(load(B)))`, one instance.
 fn dot_kernel(m: usize, k: usize, n: usize, via: AVia) -> Kernel {
+    dot_kernel_with(m, k, n, via, false)
+}
+
+/// [`dot_kernel`], with B optionally read as `trans(view(load(B), [n, k]))`:
+/// as eligible as the plain load, but its rows are not unit-stride.
+fn dot_kernel_with(m: usize, k: usize, n: usize, via: AVia, b_transposed: bool) -> Kernel {
     let mut kb = KernelBuilder::new("dot_dispatch");
     let pa = if via == AVia::LoadFromWritten {
         kb.output("A")
@@ -181,7 +275,12 @@ fn dot_kernel(m: usize, k: usize, n: usize, via: AVia) -> Kernel {
     };
     let offs_b = kb.arange(k * n);
     let b_flat = kb.load(pb, offs_b, None, 0.0);
-    let b = kb.view(b_flat, vec![k, n]);
+    let b = if b_transposed {
+        let bt = kb.view(b_flat, vec![n, k]);
+        kb.trans(bt)
+    } else {
+        kb.view(b_flat, vec![k, n])
+    };
     let d = kb.dot(a, b);
     let offs_c = kb.arange(m * n);
     let d_flat = kb.view(d, vec![m * n]);
@@ -242,8 +341,17 @@ fn ramp(shape: [usize; 2]) -> Tensor {
     Tensor::from_vec(shape.to_vec(), data).expect("length matches")
 }
 
-const EXACT: (u64, u64) = (1, 0);
 const CANONICAL: (u64, u64) = (0, 1);
+
+/// What an eligible dot with unit-stride B rows counts as: the counter
+/// reports the kernel that ran, and a host without FMA has only one.
+fn exact() -> (u64, u64) {
+    if DotIsa::detect() == DotIsa::Portable {
+        CANONICAL
+    } else {
+        (1, 0)
+    }
+}
 
 #[test]
 fn the_operand_tag_is_sound() {
@@ -252,9 +360,9 @@ fn the_operand_tag_is_sound() {
     let run = |via| launch_counted(&dot_kernel(m, k, n, via), &a, &b, [m, n]);
 
     // Pure rearrangements of loaded data are eligible ...
-    assert_eq!(run(AVia::Load), EXACT);
-    assert_eq!(run(AVia::MaskedTrans { other: 0.0 }), EXACT);
-    assert_eq!(run(AVia::Constant { value: 0.5 }), EXACT);
+    assert_eq!(run(AVia::Load), exact());
+    assert_eq!(run(AVia::MaskedTrans { other: 0.0 }), exact());
+    assert_eq!(run(AVia::Constant { value: 0.5 }), exact());
     // ... anything arithmetic touched is not, including an accumulator
     // rewritten in place through `binary_assign` ...
     assert_eq!(
@@ -276,6 +384,21 @@ fn the_operand_tag_is_sound() {
     );
     // ... nor data under a parameter the kernel writes.
     assert_eq!(run(AVia::LoadFromWritten), CANONICAL);
+}
+
+/// The counter reports the kernel that ran, not the eligibility
+/// decision: a transposed B is as eligible as a plain one, but the FMA
+/// kernel wants unit-stride B rows, so the canonical loop serves it and
+/// the dot counts there — except with a single column, which has no row
+/// stride to speak of.
+#[test]
+fn an_eligible_dot_on_strided_b_counts_as_canonical() {
+    let (m, k) = (13, 16);
+    for (n, want) in [(33, CANONICAL), (16, CANONICAL), (1, exact())] {
+        let (a, b) = (ramp([m, k]), ramp([n, k]));
+        let kernel = dot_kernel_with(m, k, n, AVia::Load, true);
+        assert_eq!(launch_counted(&kernel, &a, &b, [m, n]), want, "n = {n}");
+    }
 }
 
 proptest! {

@@ -25,6 +25,14 @@ use std::sync::Mutex;
 /// lock.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
+/// A sharded launch shares one `Program` between its shard threads and
+/// the program cache hands one out to many; blocks, which are `!Send`,
+/// must stay out of it. Checked where it is cheapest: at compile time.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Program>();
+};
+
 /// SplitMix64: the test's own value stream, driven by one generated seed.
 struct Rng(u64);
 
@@ -519,6 +527,106 @@ fn pinned_corners() {
         mask: MaskKind::Both,
         ..plain(16, 16, 2, 2)
     });
+}
+
+/// The grouped sparse convolution's shape (Table 1): one instance per
+/// group of `LIVE` kernel-map pairs padded to a 16-row tile, so the
+/// gather of input rows and the scatter of output rows carry a row mask
+/// with 3 of 16 rows on, the weight tile is an unmasked full-width load,
+/// A is an in-kernel product (canonical `tl.dot`, 16 wide), and grid
+/// axis 0 has one member — every row of instances is a single instance.
+/// `IDX` holds the input row ids, the output row ids and the weight
+/// offset ids, one section each.
+fn conv_shaped_kernel(groups: usize) -> Kernel {
+    const T: usize = 16;
+    const LIVE: usize = 3;
+    let mut b = KernelBuilder::new("conv_shaped");
+    let idx = b.input("IDX");
+    let src = b.input("IN");
+    let weight = b.input("WEIGHT");
+    let out = b.output("OUT");
+    let lanes = b.arange(T);
+    let tile = b.constant(T as f64);
+    let group = b.program_id(1);
+    let live = b.constant(LIVE as f64);
+    let on = b.binary(BinOp::Lt, lanes, live);
+    let on_rows = b.expand_dims(on, 1);
+    let slot0 = b.binary(BinOp::Mul, group, tile);
+    let slots = b.binary(BinOp::Add, slot0, lanes);
+    let cols = b.expand_dims(lanes, 0);
+    let acc = b.full(vec![T, T], 0.0);
+    // Two R tiles of 16 input channels.
+    let r_tile = b.begin_loop(0, 2, 1);
+    let scale = b.load(src, slots, Some(on), 0.0);
+    let in_ids = b.load(idx, slots, Some(on), 0.0);
+    let two_tiles = b.constant(2.0 * T as f64);
+    let in_base = b.binary(BinOp::Mul, in_ids, two_tiles);
+    let r0 = b.binary(BinOp::Mul, r_tile, tile);
+    let in_base = b.binary(BinOp::Add, in_base, r0);
+    let in_rows = b.expand_dims(in_base, 1);
+    let in_off = b.binary(BinOp::Add, in_rows, cols);
+    let x = b.load(src, in_off, Some(on_rows), 0.0);
+    let scale_rows = b.expand_dims(scale, 1);
+    let a = b.binary(BinOp::Mul, scale_rows, x);
+    let z_at = b.constant((2 * groups * T) as f64);
+    let z_at = b.binary(BinOp::Add, z_at, group);
+    let z = b.load(idx, z_at, None, 0.0);
+    let w_size = b.constant((2 * T * T) as f64);
+    let w0 = b.binary(BinOp::Mul, z, w_size);
+    let r_rows = b.binary(BinOp::Add, r0, lanes);
+    let w_rows = b.binary(BinOp::Mul, r_rows, tile);
+    let w_rows = b.binary(BinOp::Add, w0, w_rows);
+    let w_rows = b.expand_dims(w_rows, 1);
+    let w_off = b.binary(BinOp::Add, w_rows, cols);
+    let w = b.load(weight, w_off, None, 0.0);
+    let d = b.dot(a, w);
+    b.binary_into(acc, BinOp::Add, acc, d);
+    b.end_loop();
+    let section = b.constant((groups * T) as f64);
+    let out_slots = b.binary(BinOp::Add, slots, section);
+    let out_ids = b.load(idx, out_slots, Some(on), 0.0);
+    let out_base = b.binary(BinOp::Mul, out_ids, tile);
+    let out_rows = b.expand_dims(out_base, 1);
+    let out_off = b.binary(BinOp::Add, out_rows, cols);
+    b.atomic_add(out, out_off, acc, Some(on_rows));
+    b.build()
+}
+
+/// Sharded against sequential (and both against the seed interpreter)
+/// on the conv shape: the launch whose shards each build, use and drop
+/// their own register file, whose narrow dots run the tile ladder, and
+/// whose single-member rows record no level-1 stream.
+#[test]
+fn conv_shaped_launch_shards_like_it_runs_sequentially() {
+    let (groups, voxels, offsets) = (9usize, 11usize, 4usize);
+    let mut rng = Rng(0xc017);
+    let mut ids = Vec::with_capacity(2 * groups * 16 + groups);
+    for _ in 0..2 * groups * 16 {
+        ids.push(rng.below(voxels) as i64);
+    }
+    for _ in 0..groups {
+        ids.push(rng.below(offsets) as i64);
+    }
+    let mut data = |len: usize| {
+        let values = (0..len)
+            .map(|_| (rng.below(4096) as f32 - 2048.0) * 0.001)
+            .collect();
+        Tensor::from_vec(vec![len], values).expect("length matches shape")
+    };
+    let args = [
+        Tensor::from_indices(vec![ids.len()], ids).expect("length matches shape"),
+        data((voxels.max(groups) * 32).max(groups * 16)),
+        data(offsets * 32 * 16),
+        Tensor::zeros(vec![voxels * 16]),
+    ];
+    let kernel = conv_shaped_kernel(groups);
+    let ((recognised, total), (row_run, generic)) =
+        check_against_seed(&kernel, &[1, groups], &args, "conv shape");
+    // Four 1-D metadata accesses; the input gather, the weight tile and
+    // the output scatter are 2-D.
+    assert_eq!((recognised, total), (3, 7));
+    assert!(row_run > 0);
+    assert_eq!(generic, 0, "every 2-D access runs as row runs");
 }
 
 /// Out-of-bounds lanes: the error (parameter, offending offset, length)
