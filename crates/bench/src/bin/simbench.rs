@@ -19,6 +19,20 @@
 //! one NaN in B must run none there — a lost eligibility annotation
 //! fails here instead of surfacing as a silent slowdown.
 //!
+//! Every timed launch of the `workloads[]` rows is a program's *first*
+//! (a fresh `Program::compile`, ≈ 50 µs, outside the timer), so those
+//! rows measure the full launch path — what a one-shot request, an
+//! autotune trial or a paper harness pays. What a *re*launch against the
+//! same sparse structure costs is the `relaunch[]` table: launch 1
+//! (full), launch 2 (full, recording an address script) and launches 3+
+//! (the value slice replayed from the script), with the script's size;
+//! it asserts the `(full, recorded, replayed)` split and bit-identity,
+//! and reports the recording's cost over launch 1 (target ≤ 10 %: a
+//! warning above that, a failure only above 25 % — wall clock on a
+//! shared host). The `fast_path[]` gate likewise times its forced-general
+//! twin on the full launch path (keys alternated), with the replaying
+//! twin as an extra, ungated column.
+//!
 //! Results print as tables and are written to `BENCH_sim.json` so the
 //! perf trajectory is tracked across PRs (see EXPERIMENTS.md).
 
@@ -27,8 +41,8 @@ use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, Order
 use insum_bench::{print_table, structured_spmm_setup, x};
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
-    dot_dispatch_counts, site_dispatch_counts, DeviceModel, DotIsa, KernelReport, LaunchOptions,
-    Mode, Program,
+    dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, DotIsa,
+    KernelReport, LaunchOptions, Mode, Program,
 };
 use insum_graph::TensorMeta;
 use insum_inductor::{
@@ -161,6 +175,17 @@ fn bind(case: &Case) -> Vec<Tensor> {
         .collect()
 }
 
+/// The case's program, lowered afresh: its next launch is its first.
+fn fresh_program(case: &Case) -> Program {
+    let args = bind(case);
+    let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
+    let dtypes: Vec<DType> = args.iter().map(Tensor::dtype).collect();
+    Program::compile(&case.op.kernel, &case.op.grid, &lens, &dtypes).expect("program compiles")
+}
+
+/// One launch of `program`, wall-clocked. Every call binds the same
+/// storage, so consecutive calls on one program are relaunches under one
+/// key; pass a [`fresh_program`] to time the full launch path.
 fn run_program(
     case: &Case,
     program: &Program,
@@ -277,6 +302,20 @@ struct Row {
     oversubscribed: bool,
 }
 
+/// One workload relaunched against the same arguments (one host
+/// thread, Execute mode): what launches 1, 2 and 3+ of a key cost.
+struct RelaunchRow {
+    name: String,
+    /// Launch 1: the full path, remembering the key (median of 13).
+    wall_full: f64,
+    /// Launch 2: the full path with the recorder hooked in.
+    wall_recording: f64,
+    /// Launches 3+: the value slice, addressed from the script.
+    wall_replay: f64,
+    script_bytes: usize,
+    bit_identical: bool,
+}
+
 struct TuneRow {
     name: String,
     configs_tried: usize,
@@ -363,7 +402,11 @@ struct FastCase {
 struct FastRow {
     name: String,
     pattern: String,
+    /// The forced-general twin on the full launch path (what the gate
+    /// compares against).
     wall_general: f64,
+    /// The same twin relaunched in a row: launches 3+ replay.
+    wall_general_replayed: f64,
     wall_fast: f64,
     bit_identical: bool,
     deep_copies_fast: u64,
@@ -503,6 +546,7 @@ fn main() {
     let thread_configs: Vec<usize> = vec![1, multi];
     let cache = ProgramCache::global();
     let mut rows: Vec<Row> = Vec::new();
+    let mut relaunch_rows: Vec<RelaunchRow> = Vec::new();
     let mut compile_notes: Vec<(String, f64, bool, f64)> = Vec::new();
     let all_cases = cases();
 
@@ -561,8 +605,9 @@ fn main() {
             // seed interpreter (sequential), plus every thread config.
             let (_, r_ref, out_ref) = run_reference(case, &device, mode);
             for &threads in &thread_configs {
-                let ((_, r_new, out_new), dots, (row_run, generic)) =
-                    count_dispatch(|| run_program(case, &program, &device, mode, threads));
+                let ((_, r_new, out_new), dots, (row_run, generic)) = count_dispatch(|| {
+                    run_program(case, &fresh_program(case), &device, mode, threads)
+                });
                 if case.name == "spmm_block_group_fig7" && mode == Mode::Execute {
                     assert_dispatch(&format!("{} at {threads} threads", case.name), dots, true);
                 }
@@ -588,7 +633,8 @@ fn main() {
                     case.name
                 );
 
-                let wall_new = best_wall(|| run_program(case, &program, &device, mode, threads).0);
+                let wall_new =
+                    best_wall(|| run_program(case, &fresh_program(case), &device, mode, threads).0);
                 let wall_ref = best_wall(|| run_reference(case, &device, mode).0);
                 // Lane-level work per launch: block-arithmetic lanes,
                 // atomic lanes, and memory sector transactions at 8 f32
@@ -619,6 +665,93 @@ fn main() {
                 });
             }
         }
+
+        // Relaunches on one program. Two keys (the device model is part of
+        // the key) launched A A B B A A … make every even launch a miss
+        // that runs in full and only remembers its key — launch 1 — and
+        // every odd one the second sighting in a row, which records —
+        // launch 2: thirteen samples of each, interleaved, whose medians
+        // resolve a few percent on this VM where minima of five fresh
+        // programs do not. The last pair leaves A's script ready.
+        let (_, r_ref, out_ref) = run_reference(case, &device, Mode::Execute);
+        let same_as_seed = |r: &KernelReport, out: &[Tensor]| {
+            r.stats == r_ref.stats
+                && r.time == r_ref.time
+                && out.iter().zip(&out_ref).all(|(a, b)| a.bit_eq(b))
+        };
+        let other_device = DeviceModel {
+            launch_overhead: 2.0 * device.launch_overhead,
+            ..device.clone()
+        };
+        let relaunched = fresh_program(case);
+        let mut bit_identical = true;
+        let mut walls = [Vec::new(), Vec::new()];
+        let before = script_dispatch_counts();
+        for launch in 0..26 {
+            let on_a = (launch / 2) % 2 == 0;
+            let key = if on_a { &device } else { &other_device };
+            let (t, r, out) = run_program(case, &relaunched, key, Mode::Execute, 1);
+            walls[launch % 2].push(t);
+            bit_identical &= !on_a || same_as_seed(&r, &out);
+        }
+        let after = script_dispatch_counts();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            (13, 13, 0),
+            "{}: a new key runs in full, its second launch in a row records",
+            case.name
+        );
+        let [wall_full, wall_recording] = walls.map(|mut w| {
+            w.sort_by(f64::total_cmp);
+            w[w.len() / 2]
+        });
+        let before = script_dispatch_counts();
+        let wall_replay = best_wall(|| {
+            let (t, r, out) = run_program(case, &relaunched, &device, Mode::Execute, 1);
+            bit_identical &= same_as_seed(&r, &out);
+            t
+        });
+        let after = script_dispatch_counts();
+        assert!(
+            after.2 > before.2 && (after.0, after.1) == (before.0, before.1),
+            "{}: launches 3+ must be served from the address script ({:?})",
+            case.name,
+            relaunched.replay_decline()
+        );
+        assert!(
+            bit_identical,
+            "{}: a relaunch diverges from the seed",
+            case.name
+        );
+        // Wall-clock on a shared host: the 10 % target is reported, only a
+        // recorder that got grossly dearer fails the run.
+        let recording_over = wall_recording / wall_full - 1.0;
+        if recording_over > 0.10 {
+            eprintln!(
+                "warning: {}: recording cost {:+.1}% over a plain launch (target <= 10%; \
+                 medians of 13: launch 1 {:.3} ms, launch 2 {:.3} ms) — re-run on a quiet host",
+                case.name,
+                100.0 * recording_over,
+                wall_full * 1e3,
+                wall_recording * 1e3
+            );
+        }
+        assert!(
+            recording_over <= 0.25,
+            "{}: recording must stay near the cost of a plain launch \
+             (medians of 13: launch 1 {:.3} ms, launch 2 {:.3} ms)",
+            case.name,
+            wall_full * 1e3,
+            wall_recording * 1e3
+        );
+        relaunch_rows.push(RelaunchRow {
+            name: case.name.to_string(),
+            wall_full,
+            wall_recording,
+            wall_replay,
+            script_bytes: relaunched.script_bytes().expect("a ready script"),
+            bit_identical,
+        });
 
         // The other side of the dispatch gate: one NaN in B and no fig7
         // dot is eligible — the canonical loop serves all of them, with
@@ -811,6 +944,18 @@ fn main() {
             "{}: fast_path=false must force the general lowering",
             case.name
         );
+        let general_other_key = insum_with(
+            case.expr,
+            &case.tensors,
+            &InsumOptions {
+                device: DeviceModel {
+                    launch_overhead: 2.0 * general_opts.device.launch_overhead,
+                    ..general_opts.device.clone()
+                },
+                ..general_opts.clone()
+            },
+        )
+        .expect("general artifact compiles");
 
         let copies_before = Tensor::deep_copy_count();
         let ((out_fast, _), dots, _) =
@@ -855,7 +1000,32 @@ fn main() {
             fast.run(&case.tensors).expect("fast path runs");
             t.elapsed().as_secs_f64()
         });
+        // The gate compares against the *full* general launch path, so
+        // the timed twin must not replay: it runs under a second device
+        // model (same cached programs, another key; host work is the
+        // same) with an untimed run of `general` before each timed one, so
+        // it never sees its key twice in a row and never records.
+        let mut off_the_full_path = 0;
         let wall_general = best_wall(|| {
+            general.run(&case.tensors).expect("general path runs");
+            let before = script_dispatch_counts();
+            let t = Instant::now();
+            general_other_key
+                .run(&case.tensors)
+                .expect("general path runs");
+            let wall = t.elapsed().as_secs_f64();
+            let after = script_dispatch_counts();
+            off_the_full_path += (after.1 - before.1) + (after.2 - before.2);
+            wall
+        });
+        assert_eq!(
+            off_the_full_path, 0,
+            "{}: the general twin must be timed on the full launch path",
+            case.name
+        );
+        // What a server relaunching the twin pays: from its third run in a
+        // row its launches replay their address scripts. Not gated.
+        let wall_general_replayed = best_wall(|| {
             let t = Instant::now();
             general.run(&case.tensors).expect("general path runs");
             t.elapsed().as_secs_f64()
@@ -864,6 +1034,7 @@ fn main() {
             name: case.name.to_string(),
             pattern,
             wall_general,
+            wall_general_replayed,
             wall_fast,
             bit_identical,
             deep_copies_fast,
@@ -928,6 +1099,36 @@ fn main() {
             "exact-dot",
         ],
         &table,
+    );
+
+    let relaunch_table: Vec<Vec<String>> = relaunch_rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.clone(),
+                format!("{:.2}", r.wall_full * 1e3),
+                format!("{:.2}", r.wall_recording * 1e3),
+                format!("{:.2}", r.wall_replay * 1e3),
+                x(r.wall_full / r.wall_replay),
+                format!("{:+.1}%", 100.0 * (r.wall_recording / r.wall_full - 1.0)),
+                format!("{:.1}", r.script_bytes as f64 / 1024.0),
+                r.bit_identical.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "relaunch under one key (execute, 1 thread): full, recording, replayed from the script",
+        &[
+            "workload",
+            "launch 1 ms",
+            "launch 2 ms",
+            "launch 3+ ms",
+            "replay gain",
+            "recording",
+            "script KB",
+            "bits ok",
+        ],
+        &relaunch_table,
     );
 
     let tune_table: Vec<Vec<String>> = tune_rows
@@ -1025,6 +1226,7 @@ fn main() {
                 r.name.clone(),
                 r.pattern.clone(),
                 format!("{:.3}", r.wall_general * 1e3),
+                format!("{:.3}", r.wall_general_replayed * 1e3),
                 format!("{:.3}", r.wall_fast * 1e3),
                 x(r.wall_general / r.wall_fast),
                 r.bit_identical.to_string(),
@@ -1038,6 +1240,7 @@ fn main() {
             "case",
             "pattern",
             "general ms",
+            "replayed ms",
             "fast ms",
             "speedup",
             "bits ok",
@@ -1103,6 +1306,26 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str("  \"relaunch\": [\n");
+    for (i, r) in relaunch_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"wall_seconds_launch1_full\": {:.6}, \
+             \"wall_seconds_launch2_recording\": {:.6}, \"wall_seconds_launch3_replay\": {:.6}, \
+             \"replay_speedup\": {:.3}, \"recording_overhead\": {:.3}, \
+             \"script_bytes\": {}, \"launch3_served_from_script\": true, \
+             \"bit_identical\": {}}}{}\n",
+            r.name,
+            r.wall_full,
+            r.wall_recording,
+            r.wall_replay,
+            r.wall_full / r.wall_replay,
+            r.wall_recording / r.wall_full - 1.0,
+            r.script_bytes,
+            r.bit_identical,
+            if i + 1 < relaunch_rows.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"chains\": [\n");
     for (i, r) in chain_rows.iter().enumerate() {
         json.push_str(&format!(
@@ -1132,12 +1355,14 @@ fn main() {
     for (i, r) in fast_rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"pattern\": \"{}\", \
-             \"wall_seconds_general\": {:.9}, \"wall_seconds_fast\": {:.9}, \
+             \"wall_seconds_general\": {:.9}, \
+             \"wall_seconds_general_replayed\": {:.9}, \"wall_seconds_fast\": {:.9}, \
              \"speedup\": {:.3}, \"bit_identical\": {}, \
              \"deep_copies_fast\": {}}}{}\n",
             r.name,
             r.pattern,
             r.wall_general,
+            r.wall_general_replayed,
             r.wall_fast,
             r.wall_general / r.wall_fast,
             r.bit_identical,

@@ -103,6 +103,11 @@ proptest! {
             "LTR reference vs dense einsum for {}", spec
         );
         let opts = InsumOptions::default();
+        // Every pairwise step a program launch, none a microkernel.
+        let general = InsumOptions {
+            fast_path: false,
+            ..Default::default()
+        };
         let mut flops = BTreeMap::new();
         for strategy in [
             OrderStrategy::LeftToRight,
@@ -117,6 +122,24 @@ proptest! {
                 got.data(), want.data(),
                 "{:?} diverged on {}", strategy, spec
             );
+            // Relaunching is invisible, step by step: the second run of a
+            // chain records each step's address script, the third replays
+            // them, and both return what a one-shot plan-and-run returns.
+            for opts in [&opts, &general] {
+                let chain = plan_with_strategy(&spec, &tensors, opts, strategy).unwrap();
+                for launch in 1..=3 {
+                    let (got, got_profile) = chain.run(&tensors).unwrap();
+                    let (one_shot, one_shot_profile) =
+                        plan_with_strategy(&spec, &tensors, opts, strategy)
+                            .and_then(|c| c.run(&tensors))
+                            .unwrap();
+                    prop_assert!(
+                        got.bit_eq(&one_shot),
+                        "{:?} launch {} of {} under {:?}", strategy, launch, spec, opts
+                    );
+                    prop_assert_eq!(got_profile, one_shot_profile);
+                }
+            }
         }
         prop_assert!(flops["Dp"] <= flops["Greedy"], "DP beats greedy: {}", spec);
         prop_assert!(flops["Greedy"] <= flops["LeftToRight"], "greedy beats LTR: {}", spec);

@@ -62,6 +62,32 @@ fn assert_single_equals_batched(compiled: &Compiled, tensors: &BTreeMap<String, 
     }
 }
 
+/// Relaunching is invisible: three `run`s in a row of one artifact — the
+/// simulator runs the second in full while recording an address script
+/// and serves the third from it — return, in bits and `Profile`, what
+/// three one-shot compile-and-run calls return.
+fn assert_relaunches_equal_one_shots(
+    expr: &str,
+    tensors: &BTreeMap<String, Tensor>,
+    opts: &InsumOptions,
+) {
+    let compiled = insum::insum_with(expr, tensors, opts).expect("compiles");
+    for launch in 1..=3 {
+        let (got, got_profile) = compiled.run(tensors).expect("runs");
+        let (want, want_profile) = insum::insum_with(expr, tensors, opts)
+            .and_then(|one_shot| one_shot.run(tensors))
+            .expect("one-shot runs");
+        assert!(
+            got.bit_eq(&want),
+            "{expr} under {opts:?}: launch {launch} bits"
+        );
+        assert_eq!(
+            got_profile, want_profile,
+            "{expr} under {opts:?}: launch {launch}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -80,6 +106,7 @@ proptest! {
             );
             prop_assert!(profile.total_time() > 0.0);
             assert_single_equals_batched(&compiled, &app.tensors);
+            assert_relaunches_equal_one_shots(app.expr, &app.tensors, &opts);
         }
     }
 
@@ -173,6 +200,7 @@ fn random_dense_contractions_match_eager() {
                 got.max_abs_diff(&want)
             );
             assert_single_equals_batched(&compiled, &tensors);
+            assert_relaunches_equal_one_shots(expr, &tensors, &opts);
             fast_path_cases += usize::from(compiled.fast_path_pattern().is_some());
         }
     }

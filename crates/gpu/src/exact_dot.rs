@@ -60,7 +60,9 @@ static CANONICAL_DOTS: AtomicU64 = AtomicU64::new(0);
 /// workload of plain loads that reports canonical dots has lost its
 /// eligibility (non-finite input, or arithmetic between load and dot).
 /// Replayed (stream-cached) dots and Analytic launches execute no dot
-/// and count nothing. The counter reports the kernel that ran, not the
+/// and count nothing; an Execute launch served from an address script
+/// (`crate::script_dispatch_counts`) executes every dot of its value
+/// slice and counts each. The counter reports the kernel that ran, not the
 /// eligibility decision: an eligible dot whose B rows are not
 /// unit-stride (a transposed B), and every dot on a host without FMA,
 /// runs the canonical loop and counts there.

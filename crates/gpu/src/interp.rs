@@ -25,11 +25,17 @@
 //!    submodule): no offset block is formed and no lane is visited. The
 //!    per-lane `*_generic` bodies here stay the fallback and the
 //!    definition of access semantics.
+//! 7. A relaunch against the same I32 arguments runs only the kernel's
+//!    value slice, its accesses addressed from the script an earlier
+//!    launch recorded (`script.rs`; `program.rs`, analysis 7): the
+//!    machine skips every unit and node outside the slice and does no
+//!    cost pass.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
 use crate::exact_dot::DotTally;
 use crate::program::{CInstr, CNode, Program, UnitMode};
+use crate::script::{self, Cursor, Plan, Recorder};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::{BinOp, Kernel, KernelError, Reg};
 use insum_tensor::{DType, Tensor};
@@ -429,7 +435,12 @@ static GENERIC_SITES: AtomicU64 = AtomicU64::new(0);
 /// kernel that reports generic executions has lost a recognition —
 /// except where a site declines on its data (a gathered *column* index,
 /// non-integral offsets). Accesses replayed from a stream cache or an
-/// analytic instance class execute nothing and count nowhere.
+/// analytic instance class execute nothing and count nowhere. A launch
+/// served from an address script (see [`crate::script_dispatch_counts`])
+/// counts each value-site execution the way the recording launch ran it:
+/// a row run stays a row run (now served from the script), a per-lane
+/// access stays generic; the index-slice accesses it skips, and an
+/// Analytic launch answered from the stored report, count nowhere.
 pub fn site_dispatch_counts() -> (u64, u64) {
     (
         ROW_RUN_SITES.load(Ordering::Relaxed),
@@ -513,6 +524,15 @@ impl AtomicHits {
     }
 }
 
+/// What a machine does with address scripts (`script.rs`).
+enum ScriptIo<'a> {
+    Off,
+    /// A full launch that also writes down what its value sites resolve.
+    Record(Recorder),
+    /// A launch of the value slice alone, addressed from a script.
+    Replay(Cursor<'a>),
+}
+
 struct Machine<'a> {
     program: &'a Program,
     mode: Mode,
@@ -534,15 +554,27 @@ struct Machine<'a> {
     dots: DotTally,
     site_tally: SiteTally,
     row_scratch: RowScratch,
+    script: ScriptIo<'a>,
 }
 
 impl<'a> Machine<'a> {
-    fn new(program: &'a Program, mode: Mode, sink: WriteSink, nonfinite: u64) -> Machine<'a> {
+    fn new(
+        program: &'a Program,
+        mode: Mode,
+        sink: WriteSink,
+        nonfinite: u64,
+        script: ScriptIo<'a>,
+    ) -> Machine<'a> {
+        // A replay does no cost pass: it marks no sector.
+        let sectors = match script {
+            ScriptIo::Replay(_) => 0,
+            _ => program.params.total_sectors,
+        };
         Machine {
             program,
             mode,
-            dram_read_seen: SectorSet::new(program.params.total_sectors),
-            dram_write_seen: SectorSet::new(program.params.total_sectors),
+            dram_read_seen: SectorSet::new(sectors),
+            dram_write_seen: SectorSet::new(sectors),
             hits: vec![AtomicHits::default(); program.params.lens.len()],
             stats: KernelStats::default(),
             inst: InstCost::default(),
@@ -554,7 +586,13 @@ impl<'a> Machine<'a> {
             dots: DotTally::default(),
             site_tally: SiteTally::default(),
             row_scratch: RowScratch::default(),
+            script,
         }
+    }
+
+    #[inline]
+    fn replaying(&self) -> bool {
+        matches!(self.script, ScriptIo::Replay(_))
     }
 
     /// A buffer from the pool (or a fresh one); contents are stale.
@@ -898,6 +936,15 @@ impl<'a> Machine<'a> {
                 }
             }
             let record = dedup && new_row;
+            // One script segment per shard, per row and per instance.
+            let segments = [(new_shard, 0), (new_row, flat / gdims[0]), (true, flat)];
+            for (level, &(starts, segment)) in segments.iter().enumerate() {
+                match &mut self.script {
+                    ScriptIo::Record(rec) if starts => rec.begin(level),
+                    ScriptIo::Replay(cursor) if starts => cursor.seek(level, segment),
+                    _ => {}
+                }
+            }
             match self.run_instance(regs, pid, args, device, new_shard, new_row, record) {
                 Ok(t) => times.push(t),
                 Err(e) => return Err((flat, e)),
@@ -943,7 +990,11 @@ impl<'a> Machine<'a> {
             self.trace.valid = true;
             self.trace.rep_p0 = pid[0];
         }
+        let replaying = self.replaying();
         for unit in &program.units {
+            if replaying && !unit.value {
+                continue;
+            }
             match unit.mode {
                 UnitMode::Once => {
                     if new_shard {
@@ -998,11 +1049,12 @@ impl<'a> Machine<'a> {
         pid: [usize; 3],
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
-        // A row of one instance has no second member to replay to:
-        // its row-invariant nodes just execute.
-        let single_rows = self.program.gdims[0] == 1;
+        let replaying = self.replaying();
         for node in nodes {
-            match node.cached.filter(|&level| level == 0 || !single_rows) {
+            if replaying && !node.value {
+                continue;
+            }
+            match node.cached {
                 None => self.exec_cinstr(&node.instr, regs, pid, args)?,
                 Some(level) => {
                     let record = if level == 0 {
@@ -1326,8 +1378,11 @@ impl<'a> Machine<'a> {
         mask: Option<Reg>,
         other: f64,
         site: u32,
-        args: &ArgsView<'_, '_>,
+        args: &mut ArgsView<'_, '_>,
     ) -> Result<Block, GpuError> {
+        if self.replaying() {
+            return Ok(self.load_scripted(site, other, args));
+        }
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
@@ -1364,6 +1419,7 @@ impl<'a> Machine<'a> {
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
+        self.record_lanes(site, off, mb, joint.as_slice());
         let read_values =
             self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32;
 
@@ -1538,6 +1594,10 @@ impl<'a> Machine<'a> {
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
         let val = Self::reg(regs, value)?;
+        if self.replaying() {
+            self.write_scripted(site, val, args);
+            return Ok(());
+        }
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
@@ -1590,6 +1650,7 @@ impl<'a> Machine<'a> {
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
+        self.record_lanes(site, off, mb, joint.as_slice());
         self.record_access(param, off, mb, joint.as_slice(), true)?;
         if self.mode != Mode::Execute {
             return Ok(());
@@ -1676,6 +1737,7 @@ impl<'a> Machine<'a> {
         if self.trace.active {
             self.trace_site(site, off, mb, joint.as_slice());
         }
+        self.record_lanes(site, off, mb, joint.as_slice());
         self.record_access(param, off, mb, joint.as_slice(), true)?;
 
         let round = self.program.params.dtypes[param] == DType::F16;
@@ -2086,6 +2148,21 @@ impl Program {
 
     /// [`Program::launch`] with explicit instance-scheduling options.
     ///
+    /// # What a replayable program keeps of its arguments
+    ///
+    /// Nothing that owns them. A program whose
+    /// [`Program::replay_decline`] is `None` remembers the I32 arguments
+    /// of its last Execute launch, and of the launch whose address script
+    /// is ready, by [`insum_tensor::WeakTensor`] witnesses (analysis 7 in
+    /// the `program` module docs): the tensors are freed with the
+    /// caller's last handle, and a sole owner's `data_mut` still writes
+    /// without copying an element — it moves the buffer to a new
+    /// allocation, which is what makes the edited tensor a new key. What
+    /// a program does keep is the ready script itself
+    /// ([`Program::script_bytes`]), until a different key repeats or the
+    /// program is dropped (one in `insum_inductor`'s `ProgramCache`:
+    /// evicted or cleared). Float arguments are never remembered.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Program::launch`].
@@ -2130,9 +2207,42 @@ impl Program {
             Mode::Analytic => 0,
         };
 
+        // Inspect once, execute many (`program.rs`, analysis 7): a launch
+        // whose I32 arguments and device equal a ready key runs only its
+        // value slice against the recorded addresses — or nothing at all
+        // in Analytic mode — and reports what the recording launch did.
+        let slot = self.replay.as_ref().ok();
+        let plan = slot.map_or(Plan::Full, |slot| {
+            slot.plan(args, device, mode == Mode::Execute)
+        });
+        script::count_launch(&plan);
+        if let (Plan::Replay(script), Mode::Analytic) = (&plan, mode) {
+            return Ok(script.report.clone());
+        }
+        let script_io = |shard_instances: usize| match (&plan, slot) {
+            (Plan::Record(_), Some(slot)) => {
+                ScriptIo::Record(Recorder::new(slot.levels, shard_instances))
+            }
+            (Plan::Replay(script), _) => ScriptIo::Replay(Cursor::new(script)),
+            _ => ScriptIo::Off,
+        };
+        // What a machine that ran instances `[lo, hi)` recorded, with the
+        // rows of instances it started and ended in.
+        let recording_of = |script: ScriptIo<'_>, lo: usize, hi: usize| match script {
+            ScriptIo::Record(rec) if lo < hi => Some((rec, lo / gdims[0], (hi - 1) / gdims[0])),
+            _ => None,
+        };
+        let mut recorded: Vec<(Recorder, usize, usize)> = Vec::new();
+
         let (stats_sums, read_seen, write_seen, atomic_hits, instance_times) = if !parallel {
             // Sequential path: one machine, direct writes.
-            let mut machine = Machine::new(self, mode, WriteSink::Direct, nonfinite);
+            let mut machine = Machine::new(
+                self,
+                mode,
+                WriteSink::Direct,
+                nonfinite,
+                script_io(instances),
+            );
             let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
             let mut view = ArgsView::Exclusive(&mut *args);
             let mut instance_times = Vec::with_capacity(instances);
@@ -2150,6 +2260,7 @@ impl Program {
                 .map_err(|(_, e)| e)?;
             machine.dots.flush();
             machine.site_tally.flush();
+            recorded.extend(recording_of(machine.script, 0, instances));
             (
                 machine.stats,
                 machine.dram_read_seen,
@@ -2171,22 +2282,25 @@ impl Program {
                 log: Vec<WriteOp>,
                 dots: DotTally,
                 site_tally: SiteTally,
+                recorded: Option<(Recorder, usize, usize)>,
             }
             type ShardResult = Result<Shard, (usize, GpuError)>;
             let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..nshards)
                     .map(|si| {
-                        let shared = &shared;
+                        let (shared, script_io, recording_of) =
+                            (&shared, &script_io, &recording_of);
                         scope.spawn(move || -> ShardResult {
                             let sink = match mode {
                                 Mode::Execute => WriteSink::Log(Vec::new()),
                                 Mode::Analytic => WriteSink::Direct, // never writes
                             };
-                            let mut m = Machine::new(self, mode, sink, nonfinite);
-                            let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
-                            let mut view = ArgsView::Shared(shared);
                             let lo = (si * chunk).min(instances);
                             let hi = ((si + 1) * chunk).min(instances);
+                            let mut m =
+                                Machine::new(self, mode, sink, nonfinite, script_io(hi - lo));
+                            let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
+                            let mut view = ArgsView::Shared(shared);
                             let mut times = Vec::with_capacity(hi - lo);
                             m.run_range(
                                 lo, hi, gdims, &mut regs, &mut view, device, dedup, &mut times,
@@ -2204,6 +2318,7 @@ impl Program {
                                 log,
                                 dots: m.dots,
                                 site_tally: m.site_tally,
+                                recorded: recording_of(m.script, lo, hi),
                             })
                         })
                     })
@@ -2231,7 +2346,8 @@ impl Program {
             let mut instance_times = Vec::with_capacity(instances);
             let mut dots = DotTally::default();
             let mut site_tally = SiteTally::default();
-            for shard in &shards {
+            for shard in &mut shards {
+                recorded.extend(shard.recorded.take());
                 dots.merge(shard.dots);
                 site_tally.merge(shard.site_tally);
                 stats.l2_read_sectors += shard.stats.l2_read_sectors;
@@ -2289,6 +2405,9 @@ impl Program {
             (stats, read_seen, write_seen, hits, instance_times)
         };
 
+        if let Plan::Replay(script) = &plan {
+            return Ok(script.report.clone());
+        }
         let mut stats = stats_sums;
         stats.instances = instances as u64;
         stats.dram_read_sectors = read_seen.count();
@@ -2314,7 +2433,7 @@ impl Program {
         let (time, sm_time, dram_time) = combine_times(device, &instance_times, dram_time);
         let max_instance_time = instance_times.iter().copied().fold(0.0, f64::max);
 
-        Ok(KernelReport {
+        let report = KernelReport {
             name: self.name.clone(),
             grid: self.grid.clone(),
             stats,
@@ -2322,7 +2441,20 @@ impl Program {
             sm_time,
             dram_time,
             max_instance_time,
-        })
+        };
+        if let (Plan::Record(ticket), Some(slot)) = (plan, slot) {
+            if let Some(script) = Recorder::finish(recorded, report.clone()) {
+                slot.install(ticket, script);
+            }
+        }
+        Ok(report)
+    }
+
+    /// Heap bytes of the address script this program currently holds
+    /// (`None` when no launch has recorded one): a diagnostic for
+    /// `simbench`'s `relaunch[]` table.
+    pub fn script_bytes(&self) -> Option<usize> {
+        self.replay.as_ref().ok()?.script_bytes()
     }
 
     /// Launch this program once per request of a batch, sharing one pool

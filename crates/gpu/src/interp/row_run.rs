@@ -7,9 +7,13 @@
 //! the seed interpreter); whatever the conditions in [`resolve_rows`] do
 //! not cover goes back there.
 
-use super::{ArgsView, Machine, SectorSet, TraceEntry, WriteOp, WriteSink, SECTOR, WARP};
+use super::{
+    consecutive, ArgsView, Machine, ScriptIo, SectorSet, TraceEntry, WriteOp, WriteSink, SECTOR,
+    WARP,
+};
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::program::{RowSite, SiteMask, TermAxis, TreeOp};
+use crate::script::{Bases, Entry, Form, INACTIVE};
 use crate::{GpuError, Mode};
 use insum_kernel::BinOp;
 use insum_tensor::DType;
@@ -26,6 +30,8 @@ pub(super) struct RowScratch {
     col_sums: Vec<f64>,
     /// The resolved row bases.
     rows: Vec<i64>,
+    /// The row mask of a run decoded from a script.
+    mask: Vec<f64>,
 }
 
 /// `sums[k] += term[k]`; true when every term element is an integer
@@ -88,6 +94,7 @@ fn resolve_rows<'r>(
         row_sums,
         col_sums,
         rows,
+        ..
     } = scratch;
     row_sums.clear();
     row_sums.resize(rs.n, 0.0);
@@ -164,6 +171,66 @@ fn resolve_rows<'r>(
         }
     }
     Ok(Some(run))
+}
+
+/// The shape of a row run decoded from a script into a [`RowScratch`].
+#[derive(Clone, Copy)]
+struct Scripted {
+    m: usize,
+    cols: usize,
+    masked: bool,
+    /// The static shape of the site's lanes.
+    lanes: Shape4,
+}
+
+impl Scripted {
+    fn run<'r>(&self, scratch: &'r RowScratch) -> RowRun<'r> {
+        RowRun {
+            rows: &scratch.rows,
+            row_mask: self.masked.then_some(&scratch.mask[..]),
+            m: self.m,
+            cols: self.cols,
+        }
+    }
+}
+
+/// Decode the row run a script entry stands for, for a site whose lanes
+/// have static shape `lanes`: the recorded bases widened into `scratch`,
+/// rows the entry does not list (or lists as [`INACTIVE`]) masked off.
+fn decode(entry: Entry<'_>, lanes: Shape4, scratch: &mut RowScratch) -> Scripted {
+    let (n, m) = match (entry.form, lanes.as_slice()) {
+        (Form::Rows, &[n, m]) => (n, m),
+        (Form::Rows, _) => unreachable!("row runs are recorded at rank-2 sites only"),
+        (Form::Lanes, _) => (lanes.volume(), 1),
+        (Form::OneRow, _) => (1, lanes.volume()),
+    };
+    let RowScratch { rows, mask, .. } = scratch;
+    rows.clear();
+    let mut masked = false;
+    match entry.bases {
+        Bases::Progression {
+            base,
+            stride,
+            count,
+        } => rows.extend((0..i64::from(count)).map(|i| i64::from(base) + i * i64::from(stride))),
+        Bases::Listed(list) => {
+            masked = list.contains(&INACTIVE);
+            rows.extend(list.iter().map(|&b| i64::from(b)));
+        }
+    }
+    masked |= rows.len() < n;
+    if masked {
+        mask.clear();
+        mask.extend(rows.iter().map(|&b| f64::from(b != i64::from(INACTIVE))));
+        mask.resize(n, 0.0);
+    }
+    rows.resize(n, 0);
+    Scripted {
+        m,
+        cols: entry.cols.map_or(m, |c| c as usize),
+        masked,
+        lanes,
+    }
 }
 
 /// The warp-coalescing scan of a row run — what [`warp_scan`] computes
@@ -269,7 +336,8 @@ impl Machine<'_> {
         rs: &RowSite,
         regs: &[Option<Block>],
         site: u32,
-        body: impl FnOnce(&mut Self, &RowRun<'_>) -> T,
+        args: &mut ArgsView<'_, '_>,
+        body: impl FnOnce(&mut Self, &RowRun<'_>, &mut ArgsView<'_, '_>) -> T,
     ) -> Result<Option<T>, GpuError> {
         let mut scratch = std::mem::take(&mut self.row_scratch);
         let out = match resolve_rows(rs, regs, &mut scratch)? {
@@ -280,11 +348,163 @@ impl Machine<'_> {
                     self.trace_rows(site, &run);
                 }
                 self.cost_rows(site, &run)?;
-                Some(body(self, &run))
+                self.record_rows(site, &run);
+                Some(body(self, &run, args))
             }
         };
         self.row_scratch = scratch;
         Ok(out)
+    }
+
+    /// Decode the next script entry of `site` — the replay side of
+    /// [`Machine::with_row_run`] and of the per-lane sites alike: no
+    /// resolving, no cost pass; the entry was bounds-checked by the
+    /// launch that recorded it. Returns the (taken) scratch holding the
+    /// rows, to be put back once the value body has run.
+    fn next_scripted(&mut self, site: u32) -> (RowScratch, Scripted) {
+        let info = &self.program.sites[site as usize];
+        let lanes = info
+            .lanes
+            .expect("a replayable program knows its value sites' shapes");
+        let ScriptIo::Replay(cursor) = &mut self.script else {
+            unreachable!("scripted sites run in replaying machines only");
+        };
+        let entry = cursor.next(info.level as usize);
+        // Counted as the recording launch ran it.
+        match entry.form {
+            Form::Rows => self.site_tally.row_run += 1,
+            _ => self.site_tally.generic += u64::from(lanes.as_slice().len() >= 2),
+        }
+        let mut scratch = std::mem::take(&mut self.row_scratch);
+        let shape = decode(entry, lanes, &mut scratch);
+        (scratch, shape)
+    }
+
+    /// A replayed load: [`Machine::load_values`] from the script.
+    pub(super) fn load_scripted(
+        &mut self,
+        site: u32,
+        other: f64,
+        args: &ArgsView<'_, '_>,
+    ) -> Block {
+        let (scratch, shape) = self.next_scripted(site);
+        let out = self.load_values(&shape.run(&scratch), site, other, args, shape.lanes);
+        self.row_scratch = scratch;
+        out
+    }
+
+    /// A replayed store or atomic add: [`Machine::write_values`] from the
+    /// script.
+    pub(super) fn write_scripted(&mut self, site: u32, val: &Block, args: &mut ArgsView<'_, '_>) {
+        let (scratch, shape) = self.next_scripted(site);
+        self.write_values(&shape.run(&scratch), site, val, args, shape.lanes);
+        self.row_scratch = scratch;
+    }
+
+    /// Write a row run of value site `site` into the script being
+    /// recorded, if one is.
+    fn record_rows(&mut self, site: u32, run: &RowRun<'_>) {
+        let ScriptIo::Record(rec) = &mut self.script else {
+            return;
+        };
+        let info = &self.program.sites[site as usize];
+        if !info.value {
+            return;
+        }
+        // In bounds: the cost pass has just checked.
+        let cols = (run.cols != run.m).then_some(run.cols as u32);
+        let level = info.level as usize;
+        match run.row_mask {
+            None if run.cols != 0 => rec.push(level, Form::Rows, cols, run.rows, |_| true),
+            _ => rec.push(level, Form::Rows, cols, run.rows, |i| run.active(i)),
+        }
+    }
+
+    /// [`Machine::record_rows`] for the per-lane path: one base per lane
+    /// in lane order — or a single row when the active lanes are a prefix
+    /// of consecutive elements (`p₀ + arange` under a bound mask, the 1-D
+    /// value loads of every generated kernel). Runs before the cost pass:
+    /// an out-of-range offset records garbage and then fails the launch,
+    /// which drops the recording.
+    pub(super) fn record_lanes(
+        &mut self,
+        site: u32,
+        off: &Block,
+        mask: Option<&Block>,
+        joint: &[usize],
+    ) {
+        let ScriptIo::Record(rec) = &mut self.script else {
+            return;
+        };
+        let info = &self.program.sites[site as usize];
+        if !info.value {
+            return;
+        }
+        // Flat blocks of the lanes' own shape (every 1-D access) need no
+        // broadcast walk.
+        fn flat<'b>(b: &'b Block, joint: &[usize]) -> Option<&'b [f64]> {
+            (b.shape() == joint).then(|| b.as_slice()).flatten()
+        }
+        // A masked-off lane is staged as −1 (so is an active one with a
+        // negative offset: that launch fails and keeps no recording).
+        let lane = |o: f64, mk: f64| if mk != 0.0 { o as i64 } else { -1 };
+        let total: usize = joint.iter().product();
+        let (offs, ms) = (flat(off, joint), mask.map(|m| (m, flat(m, joint))));
+        let mut lanes = std::mem::take(&mut rec.lanes);
+        lanes.clear();
+        // One row — a prefix of active lanes over consecutive elements,
+        // every 1-D tile load under its bound mask — shows on the flat
+        // blocks themselves, without converting a lane.
+        let row = match (offs, ms) {
+            (Some(offs), None) => Some((offs, offs.len())),
+            (Some(offs), Some((_, Some(ms)))) => {
+                let live = ms.iter().take_while(|&&mk| mk != 0.0).count();
+                ms[live..]
+                    .iter()
+                    .all(|&mk| mk == 0.0)
+                    .then_some((offs, live))
+            }
+            _ => None,
+        }
+        .filter(|&(offs, live)| live > 0 && consecutive(&offs[..live]));
+        let (live, one_row) = match (row, offs, ms) {
+            (Some((offs, live)), _, _) => {
+                lanes.push(lane(offs[0], 1.0));
+                (live, true)
+            }
+            (None, Some(offs), None) => {
+                lanes.extend(offs.iter().map(|&o| lane(o, 1.0)));
+                (total, false)
+            }
+            (None, Some(offs), Some((_, Some(ms)))) => {
+                lanes.extend(offs.iter().zip(ms).map(|(&o, &mk)| lane(o, mk)));
+                (total, false)
+            }
+            // Strided or broadcast blocks (and scalars): walk them, then
+            // apply the same test to the lanes.
+            (None, _, ms) => {
+                match ms {
+                    None => off.broadcast_to(joint).walk(|o| lanes.push(lane(o, 1.0))),
+                    Some((m, _)) => {
+                        let (ob, mb) = (off.broadcast_to(joint), m.broadcast_to(joint));
+                        Block::walk2(&ob, &mb, |o, mk| lanes.push(lane(o, mk)));
+                    }
+                }
+                let live = lanes.iter().take_while(|&&o| o >= 0).count();
+                let one_row = live > 0
+                    && lanes[live..].iter().all(|&o| o < 0)
+                    && lanes[..live].windows(2).all(|w| w[1] == w[0] + 1);
+                (live, one_row)
+            }
+        };
+        let level = info.level as usize;
+        if one_row {
+            let cols = (live != total).then_some(live as u32);
+            rec.push(level, Form::OneRow, cols, &lanes[..1], |_| true);
+        } else {
+            rec.push(level, Form::Lanes, None, &lanes, |i| lanes[i] >= 0);
+        }
+        rec.lanes = lanes;
     }
 
     /// The offset block a separable site's adds would have formed, in the
@@ -412,23 +632,25 @@ impl Machine<'_> {
         regs: &[Option<Block>],
         site: u32,
         other: f64,
-        args: &ArgsView<'_, '_>,
+        args: &mut ArgsView<'_, '_>,
     ) -> Result<Option<Block>, GpuError> {
-        self.with_row_run(rs, regs, site, |machine, run| {
-            machine.load_values(run, site, other, args)
+        self.with_row_run(rs, regs, site, args, |machine, run, args| {
+            machine.load_values(run, site, other, args, Shape4::from_slice(&[rs.n, rs.m]))
         })
     }
 
+    /// The value body of a load: the block of shape `shape` whose lanes,
+    /// in row-major order, are the lanes of `run`.
     fn load_values(
         &mut self,
         run: &RowRun<'_>,
         site: u32,
         other: f64,
         args: &ArgsView<'_, '_>,
+        shape: Shape4,
     ) -> Block {
         let param = self.program.sites[site as usize].param;
         let (n, m) = (run.rows.len(), run.m);
-        let shape = Shape4::from_slice(&[n, m]);
         let read_values =
             self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32;
         let mut buf = self.alloc();
@@ -466,17 +688,16 @@ impl Machine<'_> {
         Block::from_packed(shape, buf)
     }
 
-    /// The value block of a separable store/atomic as `n · m` row-major
-    /// lanes: borrowed when it already is that, staged through a pool
+    /// The value block of a store/atomic as the row-major lanes of
+    /// `shape`: borrowed when it already is that, staged through a pool
     /// buffer (returned for recycling) when it broadcasts.
     fn value_lanes<'v>(
         &mut self,
         val: &'v Block,
-        n: usize,
-        m: usize,
+        shape: &[usize],
         staged: &'v mut Option<PoolBuf>,
     ) -> &'v [f64] {
-        if val.shape() == [n, m] {
+        if val.shape() == shape {
             if let Some(lanes) = val.as_slice() {
                 return lanes;
             }
@@ -484,8 +705,8 @@ impl Machine<'_> {
         let buf = staged.insert(self.alloc());
         let lanes = buf.vec();
         lanes.clear();
-        lanes.reserve(n * m);
-        val.broadcast_to(&[n, m]).walk(|x| lanes.push(x));
+        lanes.reserve(shape.iter().product());
+        val.broadcast_to(shape).walk(|x| lanes.push(x));
         lanes
     }
 
@@ -502,43 +723,56 @@ impl Machine<'_> {
         val: &Block,
         args: &mut ArgsView<'_, '_>,
     ) -> Result<Option<()>, GpuError> {
-        self.with_row_run(rs, regs, site, |machine, run| {
-            machine.write_values(run, site, val, args);
+        self.with_row_run(rs, regs, site, args, |machine, run, args| {
+            machine.count_atomics(run, site);
+            machine.write_values(run, site, val, args, Shape4::from_slice(&[rs.n, rs.m]));
         })
     }
 
+    /// The cost pass of an atomic row run beyond its sectors: one hit per
+    /// active element (the launch's collision counts) and one atomic per
+    /// lane.
+    fn count_atomics(&mut self, run: &RowRun<'_>, site: u32) {
+        let info = &self.program.sites[site as usize];
+        if !info.is_atomic {
+            return;
+        }
+        let cols = run.cols;
+        let hits = &mut self.hits[info.param];
+        let counts = hits.counts(self.program.params.lens[info.param]);
+        let (mut lo, mut hi, mut lanes) = (usize::MAX, 0usize, 0u64);
+        for (_, o) in run.active_rows() {
+            let o = o as usize;
+            for c in &mut counts[o..o + cols] {
+                *c += 1;
+            }
+            lo = lo.min(o);
+            hi = hi.max(o + cols);
+            lanes += cols as u64;
+        }
+        hits.touch(lo, hi);
+        self.inst.atomics += lanes;
+    }
+
+    /// The value body of a store or atomic add: `val`, broadcast to
+    /// `shape`, written (added) lane by lane to the lanes of `run`.
     fn write_values(
         &mut self,
         run: &RowRun<'_>,
         site: u32,
         val: &Block,
         args: &mut ArgsView<'_, '_>,
+        shape: Shape4,
     ) {
         let info = &self.program.sites[site as usize];
         let (param, atomic) = (info.param, info.is_atomic);
         let (m, cols) = (run.m, run.cols);
-        if atomic {
-            let hits = &mut self.hits[param];
-            let counts = hits.counts(self.program.params.lens[param]);
-            let (mut lo, mut hi, mut lanes) = (usize::MAX, 0usize, 0u64);
-            for (_, o) in run.active_rows() {
-                let o = o as usize;
-                for c in &mut counts[o..o + cols] {
-                    *c += 1;
-                }
-                lo = lo.min(o);
-                hi = hi.max(o + cols);
-                lanes += cols as u64;
-            }
-            hits.touch(lo, hi);
-            self.inst.atomics += lanes;
-        }
         if self.mode != Mode::Execute {
             return;
         }
         let round = self.program.params.dtypes[param] == DType::F16;
         let mut staged = None;
-        let lanes = self.value_lanes(val, run.rows.len(), m, &mut staged);
+        let lanes = self.value_lanes(val, shape.as_slice(), &mut staged);
         match &mut self.sink {
             WriteSink::Direct => {
                 let data = args.data_mut(param);

@@ -12,7 +12,10 @@
 //!    read-only by every instance), level 1 values are invariant along
 //!    grid axis 0 (computed once per *row* of instances — axis 0
 //!    iterates fastest), and level 2 values are re-computed per
-//!    instance. Invariant instructions trapped inside per-instance loops
+//!    instance. The grid is known: `program_id` of an extent-1 axis is
+//!    the constant 0 (level 0 — the column tile of the `[1, n]` grids of
+//!    COO, conv and the tensor product), and when axis 0 has extent 1
+//!    there is no per-row tier at all. Invariant instructions trapped inside per-instance loops
 //!    are cached as *occurrence streams*: the row representative records
 //!    one value per dynamic execution, later instances replay the
 //!    stream. Costs are still charged to every instance (they are
@@ -105,6 +108,78 @@
 //!    distinct, so same-address atomic chains add in the per-lane order:
 //!    output bits are unchanged too.
 //!
+//! And one analysis splits the kernel in two, so that what a launch works
+//! out about the sparse *structure* is worked out once:
+//!
+//! 7. **value slice and address scripts** (`value_slice.rs`,
+//!    `script.rs`) — an indirect Einsum keeps everything the format
+//!    knows in I32 metadata that is built once per sparse matrix and
+//!    launched against many dense operands, yet every address, mask,
+//!    coalescing scan and collision count of a launch is a function of
+//!    `(Program, I32 arguments, DeviceModel)` alone. The analysis finds
+//!    the part that is not.
+//!
+//!    *Slice rule.* The **value slice** is the backward slice from the
+//!    value operand of every `Store` / `AtomicAdd` through operand edges,
+//!    *cut at access sites*: a load in the slice is a leaf, its offset
+//!    and mask registers are not followed. Registers are not SSA, so the
+//!    slice is kept per register — every writer of a needed register is
+//!    in it, as is every loop around one — and it is closed under
+//!    operands by construction: nothing in it reads a register written
+//!    only outside it. Everything else (program ids, `arange`, metadata
+//!    loads and arithmetic, masks, the offset trees) is the **index
+//!    slice**. [`CUnit::value`], [`CNode::value`] and [`SiteInfo::value`]
+//!    carry the split.
+//!
+//!    *Replayable.* A program whose index slice reads nothing but the
+//!    program and its I32 arguments: no register derived from a float
+//!    parameter (or from a parameter the kernel writes) reaches an offset
+//!    or a mask, there is no `LoopDyn`, no I32 parameter is written, the
+//!    lanes of every value site have a static shape and every parameter
+//!    fits 32-bit addresses. [`Program::replay_decline`] names the first
+//!    condition that fails ([`ReplayDecline`]); such programs — the CSR
+//!    baselines, float-addressed kernels — launch exactly as before.
+//!
+//!    *Key.* A replayable program owns one slot. Its key is the launch's
+//!    I32 arguments **by storage identity** plus the [`DeviceModel`] by
+//!    value. The slot holds `WeakTensor` witnesses of the tensors, which
+//!    keep nothing alive and cost no owner a copy, and compares with
+//!    `ptr_eq`: while a witness lives its allocation's address is not
+//!    reused, and no write goes through it in place — `data_mut` on a
+//!    shared handle copies, on a sole owner's re-homes the buffer — so a
+//!    freed-and-reused or mutated buffer is a miss by construction. The
+//!    first Execute launch with a key only remembers it; the second *in
+//!    a row* runs in full with a recorder hooked into the value sites,
+//!    producing an **address script** — per executed value site, in
+//!    order, the element address of each active row of lanes, taken
+//!    right after the cost pass has bounds-checked them — plus the
+//!    launch's `KernelReport`. Rows in arithmetic progression take three
+//!    words however many they are; a gather or scatter lists its rows,
+//!    one word each. Every later launch with that key executes only the
+//!    value-slice units and nodes, feeds the same value bodies
+//!    (`load_values`, `write_values`, the dot kernels) from the script,
+//!    does no cost accounting and returns the stored report; an Analytic
+//!    launch returns the report without interpreting anything. One-shot
+//!    and alternating keys (autotune candidates, the paper harnesses,
+//!    unique serve requests) never pay for a recording, a ready script is
+//!    displaced only by a key that itself repeats, and a launch that
+//!    fails leaves none. Entries live in one stream per execution
+//!    frequency ([`SiteInfo::level`]) and are sought by shard, row and
+//!    instance, so a script recorded at one thread count serves all.
+//!
+//!    *Why no counter can move.* The recording launch *is* a full launch:
+//!    its report is what that launch returns. A replay returns that
+//!    report for the same program, metadata and device, under which every
+//!    counter is determined — the index slice, which decides addresses,
+//!    masks and trip counts, reads nothing else, and the float values a
+//!    replay may change reach no counter (Analytic mode already computes
+//!    every counter with all of them zero). Output bits: a replay runs
+//!    the value slice's instructions in program order through the same
+//!    bodies, with the addresses the full launch resolved; the per-launch
+//!    dot-eligibility scan of the float operands still runs, so a NaN
+//!    planted under a ready key flips the dot kernel exactly as it would
+//!    on a first launch (`tests/address_script.rs`).
+//!
 //! Compilation is cheap (one pass per analysis over the instruction
 //! tree), but `insum_inductor`'s `ProgramCache` still memoizes programs
 //! across launches keyed by kernel fingerprint + grid + argument
@@ -113,8 +188,13 @@
 use crate::block::{apply_binop, Shape4, MAX_RANK};
 use crate::exact_dot::{all_finite, f32_exact};
 use crate::interp::{GpuError, SECTOR};
+use crate::script::ReplaySlot;
 use insum_kernel::{param_usage, BinOp, Instr, Kernel, Reg};
 use insum_tensor::{DType, Tensor};
+
+mod value_slice;
+pub use value_slice::ReplayDecline;
+use value_slice::ValueSlice;
 
 /// How often a top-level unit executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,6 +318,8 @@ pub(crate) enum CInstr {
 #[derive(Debug, Clone)]
 pub(crate) struct CNode {
     pub(crate) cached: Option<u8>,
+    /// In the value slice (analysis 7): a replayed launch executes it.
+    pub(crate) value: bool,
     pub(crate) instr: CInstr,
 }
 
@@ -246,6 +328,8 @@ pub(crate) struct CNode {
 #[derive(Debug, Clone)]
 pub(crate) struct CUnit {
     pub(crate) mode: UnitMode,
+    /// In the value slice (analysis 7): a replayed launch executes it.
+    pub(crate) value: bool,
     pub(crate) instr: CInstr,
     /// Level-2 registers whose last use is inside this unit: released to
     /// the buffer pool right after it executes.
@@ -266,6 +350,17 @@ pub(crate) struct SiteInfo {
     /// Whether the row representative must record this site's streams
     /// for member replay (all atomics, plus shifted loads/stores).
     pub(crate) traced: bool,
+    /// In the value slice (analysis 7): every store and atomic, and the
+    /// loads a stored value is computed from. An address script holds
+    /// one entry per execution of such a site.
+    pub(crate) value: bool,
+    /// How often the site executes, which is the script stream its
+    /// entries live in: 0 once per shard (a `Once` unit or a level-0
+    /// cached node), 1 once per row of instances, 2 every instance.
+    pub(crate) level: u8,
+    /// The static shape of the site's lanes (offsets joined with mask and
+    /// value); `None` when `infer_shapes` cannot tell.
+    pub(crate) lanes: Option<Shape4>,
 }
 
 /// Shared per-launch parameter table (address layout, sizes, dtypes) —
@@ -333,6 +428,9 @@ pub struct Program {
     /// No parameter is both loaded and written: Execute-mode instances
     /// may run out of order across host threads.
     pub(crate) parallel_execute_ok: bool,
+    /// Analysis 7: the slot a replayable program keeps its address
+    /// script in, or why it keeps none.
+    pub(crate) replay: Result<ReplaySlot, ReplayDecline>,
 }
 
 impl Program {
@@ -357,6 +455,13 @@ impl Program {
     /// the module docs, analysis 6): `(recognised, total)`.
     pub fn separable_sites(&self) -> (usize, usize) {
         self.row_sites.counts()
+    }
+
+    /// Why this program's launches always run in full (see the module
+    /// docs, analysis 7); `None` when a relaunch against the same I32
+    /// arguments may be replayed from an address script.
+    pub fn replay_decline(&self) -> Option<ReplayDecline> {
+        self.replay.as_ref().err().copied()
     }
 
     /// Classification summary for diagnostics and benchmarks:
@@ -422,21 +527,13 @@ impl Program {
             .ok_or_else(|| GpuError::BadGrid(grid.to_vec()))?;
 
         let usage = param_usage(kernel);
-        let mut levels = compute_levels(kernel, &usage.written);
-        if gdims[0] == 1 {
-            // Rows are singletons: per-row caching would record streams
-            // every instance and replay them never. Folding level 1 into
-            // level 2 keeps only the profitable grid-invariant tier.
-            for l in &mut levels.reg {
-                if *l == 1 {
-                    *l = 2;
-                }
-            }
-        }
+        let levels = compute_levels(kernel, &usage.written, gdims);
         let uses = reg_use_counts(kernel);
         let avals = compute_avals(kernel, dtypes, &usage.written);
         let params = ParamTable::new(lens, dtypes);
-        let row_sites = RowSites::analyze(kernel, &uses);
+        let shapes = infer_shapes(kernel);
+        let row_sites = RowSites::analyze(kernel, &uses, &shapes);
+        let slice = ValueSlice::analyze(kernel, dtypes, &usage.written);
 
         let mut ctx = Lowering {
             levels: &levels,
@@ -444,6 +541,8 @@ impl Program {
             row_sites: &row_sites,
             avals: &avals,
             params: &params,
+            shapes: &shapes,
+            slice: &slice,
             sites: Vec::new(),
             dedup_ok: avals.loops_ok,
         };
@@ -454,13 +553,22 @@ impl Program {
             // per-instance loop also writes (the accumulator pattern)
             // must re-execute per instance to reset the register.
             let lvl = chunk_unit_level(&chunk, &levels);
+            let first_site = ctx.sites.len();
             let instr = ctx.lower_chunk(&chunk, lvl >= 2, 0);
+            if lvl < 2 {
+                // Nothing in a once/per-row unit is stream-cached: its
+                // sites all execute at the unit's own frequency.
+                for site in &mut ctx.sites[first_site..] {
+                    site.level = lvl;
+                }
+            }
             units.push(CUnit {
                 mode: match lvl {
                     0 => UnitMode::Once,
                     1 => UnitMode::PerRow,
                     _ => UnitMode::PerInstance,
                 },
+                value: slice.contains_chunk(&chunk),
                 instr,
                 release: Vec::new(),
             });
@@ -472,6 +580,10 @@ impl Program {
         let sites = ctx.sites;
         let dedup_ok = ctx.dedup_ok;
         assign_release_lists(&mut units, &level2_regs, kernel.num_regs, &row_sites);
+        let replay = match slice.decline(&sites, &params) {
+            Some(decline) => Err(decline),
+            None => Ok(ReplaySlot::new(dtypes, &sites)),
+        };
 
         let dot_f16 = {
             let floats: Vec<DType> = dtypes.iter().copied().filter(|d| d.is_float()).collect();
@@ -494,6 +606,7 @@ impl Program {
             row_sites,
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
+            replay,
         })
     }
 }
@@ -690,14 +803,13 @@ pub(crate) struct RowSites {
 pub(crate) const MAX_TREE_LEAVES: usize = 8;
 
 impl RowSites {
-    fn analyze(kernel: &Kernel, uses: &[u32]) -> RowSites {
-        let shapes = infer_shapes(kernel);
+    fn analyze(kernel: &Kernel, uses: &[u32], shapes: &[Option<Shape4>]) -> RowSites {
         let mut writers = vec![0u32; kernel.num_regs];
         for instr in &kernel.body {
             for_each_write(instr, &mut |r| writers[r] += 1);
         }
         let mut scan = SiteScan {
-            shapes: &shapes,
+            shapes,
             uses,
             writers: &writers,
             add_def: vec![None; kernel.num_regs],
@@ -1067,23 +1179,41 @@ struct Levels {
 /// parameters) and its operands' register levels; a register's level is
 /// the max over its writers. Loop-carried dependences converge in a few
 /// passes.
-fn compute_levels(kernel: &Kernel, written: &[bool]) -> Levels {
+///
+/// The grid decides what `program_id` costs: along an axis of extent 1
+/// it is the constant 0 (level 0), and when axis 0 has extent 1 a row is
+/// one instance, so a per-row tier would record streams every instance
+/// and replay them never — level 1 then folds into level 2 and only the
+/// grid-invariant tier remains (no node of such a program is cached at
+/// level 1).
+fn compute_levels(kernel: &Kernel, written: &[bool], gdims: [usize; 3]) -> Levels {
     let mut reg = vec![0u8; kernel.num_regs];
     loop {
         let before = reg.clone();
-        levels_pass(&kernel.body, written, &mut reg);
+        levels_pass(&kernel.body, written, gdims, &mut reg);
         if reg == before {
             break;
+        }
+    }
+    if gdims[0] == 1 {
+        for l in &mut reg {
+            if *l == 1 {
+                *l = 2;
+            }
         }
     }
     Levels { reg }
 }
 
-fn levels_pass(body: &[Instr], written: &[bool], reg: &mut [u8]) {
+fn levels_pass(body: &[Instr], written: &[bool], gdims: [usize; 3], reg: &mut [u8]) {
     for instr in body {
         match instr {
             Instr::ProgramId { dst, axis } => {
-                let lvl = if *axis == 0 { 2 } else { 1 };
+                let lvl = match *axis {
+                    a if gdims.get(a) == Some(&1) => 0,
+                    0 => 2,
+                    _ => 1,
+                };
                 reg[*dst] = reg[*dst].max(lvl);
             }
             Instr::Const { dst, .. } | Instr::Arange { dst, .. } | Instr::Full { dst, .. } => {
@@ -1121,7 +1251,7 @@ fn levels_pass(body: &[Instr], written: &[bool], reg: &mut [u8]) {
                 let lvl = reg[*a].max(reg[*b]);
                 reg[*dst] = reg[*dst].max(lvl);
             }
-            Instr::Loop { body, .. } => levels_pass(body, written, reg),
+            Instr::Loop { body, .. } => levels_pass(body, written, gdims, reg),
             Instr::LoopDyn {
                 var,
                 start,
@@ -1130,7 +1260,7 @@ fn levels_pass(body: &[Instr], written: &[bool], reg: &mut [u8]) {
             } => {
                 let bounds = reg[*start].max(reg[*end]);
                 reg[*var] = reg[*var].max(bounds);
-                levels_pass(body, written, reg);
+                levels_pass(body, written, gdims, reg);
             }
         }
     }
@@ -1418,6 +1548,8 @@ struct Lowering<'a> {
     row_sites: &'a RowSites,
     avals: &'a Avals,
     params: &'a ParamTable,
+    shapes: &'a [Option<Shape4>],
+    slice: &'a ValueSlice,
     sites: Vec<SiteInfo>,
     dedup_ok: bool,
 }
@@ -1478,8 +1610,13 @@ impl Lowering<'_> {
                         | CInstr::Store { .. }
                         | CInstr::AtomicAdd { .. }
                 );
+            if let (true, CInstr::Load { site, .. }) = (cacheable, &instr) {
+                // Executed by the shard's or the row's representative only.
+                self.sites[*site as usize].level = lvl;
+            }
             nodes.push(CNode {
                 cached: if cacheable { Some(lvl) } else { None },
+                value: self.slice.contains_chunk(&chunk),
                 instr,
             });
         }
@@ -1537,7 +1674,7 @@ impl Lowering<'_> {
                 mask,
                 other,
             } => {
-                let site = self.push_site(*param, *offset, *mask, false, false);
+                let site = self.push_site(*param, *offset, *mask, None, self.slice.needs(*dst));
                 CInstr::Load {
                     dst: *dst,
                     offset: *offset,
@@ -1552,7 +1689,7 @@ impl Lowering<'_> {
                 value,
                 mask,
             } => {
-                let site = self.push_site(*param, *offset, *mask, true, false);
+                let site = self.push_site(*param, *offset, *mask, Some((*value, false)), true);
                 CInstr::Store {
                     offset: *offset,
                     value: *value,
@@ -1566,7 +1703,7 @@ impl Lowering<'_> {
                 value,
                 mask,
             } => {
-                let site = self.push_site(*param, *offset, *mask, true, true);
+                let site = self.push_site(*param, *offset, *mask, Some((*value, true)), true);
                 CInstr::AtomicAdd {
                     offset: *offset,
                     value: *value,
@@ -1617,13 +1754,16 @@ impl Lowering<'_> {
         }
     }
 
+    /// Register one access site: `write` is the stored or added value
+    /// register and whether the write is atomic, `value` whether the site
+    /// belongs to the value slice.
     fn push_site(
         &mut self,
         param: usize,
         offset: Reg,
         mask: Option<Reg>,
-        is_write: bool,
-        is_atomic: bool,
+        write: Option<(Reg, bool)>,
+        value: bool,
     ) -> u32 {
         let esize = self.params.esizes[param];
         let coeff = match self.avals.reg[offset] {
@@ -1639,13 +1779,27 @@ impl Lowering<'_> {
             self.dedup_ok = false;
         }
         let coeff = coeff.unwrap_or(0.0);
+        let is_atomic = write.is_some_and(|(_, atomic)| atomic);
+        // The lanes of an access: its offsets joined with whatever
+        // broadcasts against them.
+        let lanes = self.shapes[offset].and_then(|offsets| {
+            [mask, write.map(|(v, _)| v)]
+                .into_iter()
+                .flatten()
+                .try_fold(offsets, |joint, r| {
+                    Shape4::try_joint(joint.as_slice(), self.shapes[r]?.as_slice())
+                })
+        });
         let id = self.sites.len() as u32;
         self.sites.push(SiteInfo {
             param,
             is_atomic,
-            is_write,
+            is_write: write.is_some(),
             coeff,
             traced: is_atomic || coeff != 0.0,
+            value,
+            level: 2,
+            lanes,
         });
         id
     }

@@ -1,0 +1,562 @@
+//! Address scripts: what one launch resolved about a sparse structure,
+//! kept so that later launches against the same structure only move
+//! values (`program.rs`, analysis 7).
+//!
+//! A script is a pure function of `(Program, I32 arguments, DeviceModel)`:
+//! for every executed value-slice access site, in execution order, the
+//! element address of each row of lanes, plus the launch's
+//! [`KernelReport`]. It is recorded by a full launch — the addresses are
+//! taken where the cost pass has just bounds-checked them — and replayed
+//! by a launch that executes the value slice alone.
+//!
+//! An entry is a header word (how the rows map onto the site's lanes,
+//! how many are stored) and its row bases: listed one word each, or —
+//! three words in all — as an arithmetic progression.
+//!
+//! Entries live in three streams, one per execution frequency
+//! ([`SiteInfo::level`]): what a shard's first instance executes once
+//! (stream 0), what a row's first instance executes (stream 1, one
+//! segment per row of instances), and the rest (stream 2, one segment per
+//! instance). A replaying shard seeks each stream by segment, so a script
+//! recorded under one thread count serves every other.
+
+use crate::device::DeviceModel;
+use crate::program::SiteInfo;
+use crate::stats::KernelReport;
+use insum_tensor::{DType, Tensor, WeakTensor};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// How an entry's rows map onto the site's lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// The site's own `n` rows of `m` lanes (a row run).
+    Rows = 0,
+    /// Every lane its own row of one element (the per-lane path).
+    Lanes = 1,
+    /// All lanes one row of consecutive elements (the per-lane path on
+    /// `base + arange` under at most a prefix mask).
+    OneRow = 2,
+}
+
+/// The row bases of one entry; [`INACTIVE`] marks a masked-off row, and
+/// rows past the stored ones are masked off too.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bases<'s> {
+    /// `count` active rows at `base + i · stride`.
+    Progression {
+        base: u32,
+        stride: i32,
+        count: u32,
+    },
+    Listed(&'s [u32]),
+}
+
+/// One decoded entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry<'s> {
+    pub(crate) form: Form,
+    /// Active lanes per row, when a column mask cut the row short.
+    pub(crate) cols: Option<u32>,
+    pub(crate) bases: Bases<'s>,
+}
+
+pub(crate) const INACTIVE: u32 = u32::MAX;
+
+// Header word: form in bits 31–30, bit 29 "a progression", bit 28 "a
+// `cols` word follows", the stored row count below.
+const PROGRESSION: u32 = 1 << 29;
+const HAS_COLS: u32 = 1 << 28;
+const COUNT_MASK: u32 = HAS_COLS - 1;
+
+/// One stream of entries, cut into segments.
+#[derive(Default)]
+struct Stream {
+    words: Vec<u32>,
+    /// Where each segment starts in `words`.
+    starts: Vec<u32>,
+}
+
+impl Stream {
+    /// Append `other`'s segments (all but the first when `skip_first`);
+    /// `None` when the stream outgrows its 32-bit positions.
+    fn append(&mut self, other: &Stream, skip_first: bool) -> Option<()> {
+        let from = usize::from(skip_first);
+        let Some(&first) = other.starts.get(from) else {
+            return Some(());
+        };
+        let base = self.words.len();
+        for &s in &other.starts[from..] {
+            self.starts
+                .push(u32::try_from(base + (s - first) as usize).ok()?);
+        }
+        self.words.extend_from_slice(&other.words[first as usize..]);
+        Some(())
+    }
+}
+
+/// The recorded address streams of one launch and its report.
+pub(crate) struct Script {
+    streams: [Stream; 3],
+    pub(crate) report: KernelReport,
+}
+
+impl Script {
+    /// Heap bytes held (exact: the vectors are shrunk to fit).
+    pub(crate) fn bytes(&self) -> usize {
+        self.streams
+            .iter()
+            .map(|s| 4 * (s.words.capacity() + s.starts.capacity()))
+            .sum()
+    }
+}
+
+/// Records one shard's entries during a full launch.
+pub(crate) struct Recorder {
+    streams: [Stream; 3],
+    /// Which streams some value site writes to; the others stay empty.
+    levels: [bool; 3],
+    /// Instances this shard will run.
+    instances: usize,
+    /// Staging for the lanes of a per-lane access (negative: masked off).
+    pub(crate) lanes: Vec<i64>,
+    /// A stream outgrew its 32-bit positions: the launch keeps no script.
+    overflow: bool,
+}
+
+impl Recorder {
+    pub(crate) fn new(levels: [bool; 3], instances: usize) -> Recorder {
+        Recorder {
+            streams: Default::default(),
+            levels,
+            instances,
+            lanes: Vec::new(),
+            overflow: false,
+        }
+    }
+
+    /// Open the next segment of stream `level`.
+    pub(crate) fn begin(&mut self, level: usize) {
+        if !self.levels[level] {
+            return;
+        }
+        let stream = &mut self.streams[level];
+        // Size the per-instance stream once, from what the first instance
+        // took (the paper's formats give every instance the same sites):
+        // growing by doubling would copy the script log₂ times and leave
+        // the copies' holes in the heap — the peak memory of a recording
+        // should be the script.
+        match (level, stream.starts.len()) {
+            (2, 0) => stream.starts.reserve_exact(self.instances),
+            (2, 1) => stream.words.reserve_exact(
+                stream
+                    .words
+                    .len()
+                    .saturating_mul(self.instances.saturating_sub(1)),
+            ),
+            _ => {}
+        }
+        match u32::try_from(stream.words.len()) {
+            Ok(at) => stream.starts.push(at),
+            Err(_) => self.overflow = true,
+        }
+    }
+
+    /// Append one entry to stream `level`: the bases `rows` of the rows
+    /// `active` says are on (in bounds, so below 2³²). Trailing inactive
+    /// rows are dropped. Three or more active rows in arithmetic
+    /// progression take three words.
+    pub(crate) fn push(
+        &mut self,
+        level: usize,
+        form: Form,
+        cols: Option<u32>,
+        rows: &[i64],
+        active: impl Fn(usize) -> bool,
+    ) {
+        let count = (0..rows.len()).rposition(&active).map_or(0, |l| l + 1);
+        if count as u64 > u64::from(COUNT_MASK) {
+            self.overflow = true;
+            return;
+        }
+        let rows = &rows[..count];
+        let words = &mut self.streams[level].words;
+        let dense = count >= 3 && (0..count).all(&active);
+        let stride = dense
+            .then(|| {
+                let stride = rows[1] - rows[0];
+                let regular = rows.windows(2).all(|w| w[1] - w[0] == stride);
+                i32::try_from(stride).ok().filter(|_| regular)
+            })
+            .flatten();
+        let flags = ((form as u32) << 30)
+            | if stride.is_some() { PROGRESSION } else { 0 }
+            | if cols.is_some() { HAS_COLS } else { 0 };
+        words.push(flags | count as u32);
+        words.extend(cols);
+        match stride {
+            Some(stride) => words.extend([rows[0] as u32, stride as u32]),
+            None => words.extend(rows.iter().enumerate().map(|(i, &row)| {
+                if active(i) {
+                    row as u32
+                } else {
+                    INACTIVE
+                }
+            })),
+        }
+    }
+
+    /// Join the recordings of the (non-empty) shards, in instance order,
+    /// into a script. Each comes with the rows of instances its shard
+    /// starts and ends in: a row cut by a shard boundary was recorded on
+    /// both sides, identically, and is kept once. `None` when a stream
+    /// overflowed.
+    pub(crate) fn finish(
+        shards: Vec<(Recorder, usize, usize)>,
+        report: KernelReport,
+    ) -> Option<Script> {
+        let mut shards = shards.into_iter();
+        let (first, _, mut prev_last_row) = shards.next()?;
+        let mut overflow = first.overflow;
+        // Stream 0 is grid-invariant: every shard recorded the same one.
+        let mut streams = first.streams;
+        for (rec, first_row, last_row) in shards {
+            overflow |= rec.overflow;
+            streams[1].append(&rec.streams[1], prev_last_row == first_row)?;
+            streams[2].append(&rec.streams[2], false)?;
+            prev_last_row = last_row;
+        }
+        if overflow {
+            return None;
+        }
+        for s in &mut streams {
+            s.words.shrink_to_fit();
+            s.starts.shrink_to_fit();
+        }
+        Some(Script { streams, report })
+    }
+}
+
+/// Reads a script back, one position per stream.
+pub(crate) struct Cursor<'s> {
+    script: &'s Script,
+    pos: [usize; 3],
+}
+
+impl<'s> Cursor<'s> {
+    pub(crate) fn new(script: &'s Script) -> Cursor<'s> {
+        Cursor {
+            script,
+            pos: [0; 3],
+        }
+    }
+
+    /// Move stream `level` to the start of `segment`. A stream no site
+    /// writes to has no segments and is never read.
+    pub(crate) fn seek(&mut self, level: usize, segment: usize) {
+        if let Some(&at) = self.script.streams[level].starts.get(segment) {
+            self.pos[level] = at as usize;
+        }
+    }
+
+    /// The next entry of stream `level`.
+    pub(crate) fn next(&mut self, level: usize) -> Entry<'s> {
+        let words = &self.script.streams[level].words;
+        let pos = &mut self.pos[level];
+        let mut take = || {
+            let w = words[*pos];
+            *pos += 1;
+            w
+        };
+        let header = take();
+        let form = match header >> 30 {
+            0 => Form::Rows,
+            1 => Form::Lanes,
+            _ => Form::OneRow,
+        };
+        let count = header & COUNT_MASK;
+        let cols = (header & HAS_COLS != 0).then(&mut take);
+        let bases = if header & PROGRESSION != 0 {
+            Bases::Progression {
+                base: take(),
+                stride: take() as i32,
+                count,
+            }
+        } else {
+            let at = *pos;
+            *pos += count as usize;
+            Bases::Listed(&words[at..*pos])
+        };
+        Entry { form, cols, bases }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-program slot
+// ---------------------------------------------------------------------
+
+static FULL_LAUNCHES: AtomicU64 = AtomicU64::new(0);
+static RECORDED_LAUNCHES: AtomicU64 = AtomicU64::new(0);
+static REPLAYED_LAUNCHES: AtomicU64 = AtomicU64::new(0);
+
+/// How many [`Program`](crate::Program) launches ran in full, ran in
+/// full while recording an address script, and were served from a
+/// script, process-wide since start: `(full, recorded, replayed)`.
+///
+/// A diagnostic in the mould of [`crate::site_dispatch_counts`] (relaxed
+/// counters, one add per launch, not part of [`crate::KernelStats`]).
+/// `replayed` counts Execute launches that ran only their value slice and
+/// Analytic launches answered from the stored report; launches of a
+/// program that [declines](crate::Program::replay_decline) are all
+/// `full`. `replayed / (full + recorded + replayed)` over a workload is
+/// the share of its launches whose `(Program, I32 storage, DeviceModel)`
+/// equalled a ready key — the property a replay gain depends on.
+pub fn script_dispatch_counts() -> (u64, u64, u64) {
+    (
+        FULL_LAUNCHES.load(Ordering::Relaxed),
+        RECORDED_LAUNCHES.load(Ordering::Relaxed),
+        REPLAYED_LAUNCHES.load(Ordering::Relaxed),
+    )
+}
+
+/// What a script is keyed on besides its program: the launch's I32
+/// arguments *by storage identity* and the device model by value. The
+/// key holds [`WeakTensor`] witnesses, which own nothing — a program
+/// keeps no argument alive and costs no owner a copy — and which match
+/// only the very storage they were taken from, unwritten: while a witness
+/// lives the allocation's address is not reused, and a write (a shared
+/// handle's copy or a sole owner's re-homing) presents new storage.
+struct Key {
+    metadata: Vec<WeakTensor>,
+    device: DeviceModel,
+}
+
+#[derive(Default)]
+struct SlotState {
+    /// The key of the last full Execute launch, until something else is
+    /// launched: a second sighting in a row is what earns a recording.
+    seen: Option<Key>,
+    ready: Option<(Key, Arc<Script>)>,
+}
+
+/// How one launch should run.
+pub(crate) enum Plan {
+    Full,
+    /// In full, recording; hand the recording to [`ReplaySlot::install`].
+    Record(Ticket),
+    Replay(Arc<Script>),
+}
+
+/// The key a recording launch will install its script under.
+pub(crate) struct Ticket(Key);
+
+/// The one script a replayable program keeps, and the policy that fills
+/// it: a key's first Execute launch is only remembered, its second in a
+/// row records, every later one replays — so one-shot and alternating
+/// keys never pay for a recording, and a ready script is displaced only
+/// by a key that itself repeats.
+pub(crate) struct ReplaySlot {
+    /// Positions of the I32 parameters.
+    metadata_params: Vec<usize>,
+    /// Which of the three streams some value site writes to.
+    pub(crate) levels: [bool; 3],
+    state: Mutex<SlotState>,
+}
+
+impl ReplaySlot {
+    pub(crate) fn new(dtypes: &[DType], sites: &[SiteInfo]) -> ReplaySlot {
+        let mut levels = [false; 3];
+        for site in sites.iter().filter(|s| s.value) {
+            levels[site.level as usize] = true;
+        }
+        ReplaySlot {
+            metadata_params: (0..dtypes.len())
+                .filter(|&p| dtypes[p] == DType::I32)
+                .collect(),
+            levels,
+            state: Mutex::default(),
+        }
+    }
+
+    fn matches(&self, key: &Key, args: &[&mut Tensor], device: &DeviceModel) -> bool {
+        self.metadata_params
+            .iter()
+            .zip(&key.metadata)
+            .all(|(&p, held)| held.ptr_eq(args[p]))
+            && key.device == *device
+    }
+
+    /// Decide how this launch runs. Analytic launches read the slot (a
+    /// ready key answers them from the stored report) and never change
+    /// it.
+    pub(crate) fn plan(&self, args: &[&mut Tensor], device: &DeviceModel, execute: bool) -> Plan {
+        let mut state = self
+            .state
+            .lock()
+            .expect("no launch panics holding the slot");
+        if let Some((key, script)) = &state.ready {
+            if self.matches(key, args, device) {
+                let script = Arc::clone(script);
+                if execute {
+                    state.seen = None;
+                }
+                return Plan::Replay(script);
+            }
+        }
+        if !execute {
+            return Plan::Full;
+        }
+        match state.seen.take() {
+            Some(key) if self.matches(&key, args, device) => Plan::Record(Ticket(key)),
+            _ => {
+                state.seen = Some(Key {
+                    metadata: self
+                        .metadata_params
+                        .iter()
+                        .map(|&p| args[p].downgrade())
+                        .collect(),
+                    device: device.clone(),
+                });
+                Plan::Full
+            }
+        }
+    }
+
+    pub(crate) fn install(&self, ticket: Ticket, script: Script) {
+        let mut state = self
+            .state
+            .lock()
+            .expect("no launch panics holding the slot");
+        state.ready = Some((ticket.0, Arc::new(script)));
+    }
+
+    /// Heap bytes of the ready script, if there is one.
+    pub(crate) fn script_bytes(&self) -> Option<usize> {
+        let state = self
+            .state
+            .lock()
+            .expect("no launch panics holding the slot");
+        state.ready.as_ref().map(|(_, script)| script.bytes())
+    }
+}
+
+/// Count one launch by the way it ran.
+pub(crate) fn count_launch(plan: &Plan) {
+    let counter = match plan {
+        Plan::Full => &FULL_LAUNCHES,
+        Plan::Record(_) => &RECORDED_LAUNCHES,
+        Plan::Replay(_) => &REPLAYED_LAUNCHES,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report() -> KernelReport {
+        KernelReport {
+            name: String::new(),
+            grid: vec![1],
+            stats: Default::default(),
+            time: 0.0,
+            sm_time: 0.0,
+            dram_time: 0.0,
+            max_instance_time: 0.0,
+        }
+    }
+
+    /// Every encoding reads back as what was staged, at its stated size.
+    #[test]
+    fn entries_round_trip_at_their_stated_sizes() {
+        // (staged bases, cols, words)
+        let cases: Vec<(Vec<u32>, Option<u32>, usize)> = vec![
+            // Progression: three words however many rows.
+            (vec![40, 72, 104, 136, 168], None, 3),
+            (vec![90, 60, 30], Some(5), 4),
+            // Listed: irregular rows, inactive rows inside, trailing ones
+            // dropped.
+            (vec![67, 115, 115, 19], None, 5),
+            (vec![5, INACTIVE, 9, INACTIVE, INACTIVE], None, 4),
+            (vec![12, 500], Some(1), 4),
+            (vec![INACTIVE, INACTIVE], None, 1),
+        ];
+        let mut rec = Recorder::new([false, false, true], 1);
+        rec.begin(2);
+        for (bases, cols, _) in &cases {
+            let rows: Vec<i64> = bases.iter().map(|&b| i64::from(b)).collect();
+            let on = |i: usize| bases[i] != INACTIVE;
+            rec.push(2, Form::Rows, *cols, &rows, on);
+        }
+        let script = Recorder::finish(vec![(rec, 0, 0)], report()).expect("no overflow");
+        assert_eq!(
+            script.bytes(),
+            4 * (1 + cases.iter().map(|c| c.2).sum::<usize>()),
+            "one segment start plus the entries"
+        );
+        let mut cursor = Cursor::new(&script);
+        cursor.seek(2, 0);
+        for (bases, cols, _) in &cases {
+            let entry = cursor.next(2);
+            assert_eq!(entry.form, Form::Rows);
+            assert_eq!(entry.cols, *cols);
+            let decoded: Vec<u32> = match entry.bases {
+                Bases::Progression {
+                    base,
+                    stride,
+                    count,
+                } => (0..count as i64)
+                    .map(|i| (i64::from(base) + i * i64::from(stride)) as u32)
+                    .collect(),
+                Bases::Listed(list) => list.to_vec(),
+            };
+            let live = bases
+                .iter()
+                .rposition(|&b| b != INACTIVE)
+                .map_or(0, |l| l + 1);
+            assert_eq!(decoded, bases[..live]);
+        }
+    }
+
+    /// Shards that cut a row of instances both record it; the script
+    /// keeps one copy and every segment stays where `seek` expects it.
+    #[test]
+    fn shard_recordings_join_on_row_boundaries() {
+        let record = |rows: &[(usize, u32)], instances: &[u32]| {
+            let mut rec = Recorder::new([true, true, true], instances.len());
+            rec.begin(0);
+            rec.push(0, Form::OneRow, None, &[7], |_| true);
+            for &(_, base) in rows {
+                rec.begin(1);
+                rec.push(1, Form::OneRow, None, &[i64::from(base)], |_| true);
+            }
+            for &base in instances {
+                rec.begin(2);
+                rec.push(2, Form::OneRow, None, &[i64::from(base)], |_| true);
+            }
+            (rec, rows[0].0, rows[rows.len() - 1].0)
+        };
+        // Rows of three instances; shards [0, 4), [4, 5), [5, 9).
+        let shards = vec![
+            record(&[(0, 100), (1, 101)], &[0, 1, 2, 3]),
+            record(&[(1, 101)], &[4]),
+            record(&[(1, 101), (2, 102)], &[5, 6, 7, 8]),
+        ];
+        let script = Recorder::finish(shards, report()).expect("no overflow");
+        let mut cursor = Cursor::new(&script);
+        let first = |entry: Entry<'_>| match entry.bases {
+            Bases::Listed(list) => list[0],
+            other => panic!("single rows are listed, got {other:?}"),
+        };
+        for row in 0..3 {
+            cursor.seek(1, row);
+            assert_eq!(first(cursor.next(1)), 100 + row as u32);
+        }
+        for instance in (0..9).rev() {
+            cursor.seek(2, instance);
+            assert_eq!(first(cursor.next(2)), instance as u32);
+        }
+        cursor.seek(0, 0);
+        assert_eq!(first(cursor.next(0)), 7);
+    }
+}

@@ -10,154 +10,8 @@ use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{DType, Tensor};
 use proptest::prelude::*;
 
-/// A tiled 2-D kernel shaped like the fused codegen's output:
-/// `DST[y, x] (+)= SCALE * SRC[IDX[y]-indirected rows, x]`, with grid
-/// axis 0 tiling columns (affine offsets) and axis 1 tiling rows.
-///
-/// Knobs cover the compile pipeline's branches:
-/// * `masked` — adds an axis-0-affine column mask, which disqualifies
-///   instance-class dedup (fallback path).
-/// * `indirect` — routes row addresses through an I32 metadata gather
-///   (row-invariant loads, data-dependent bases).
-/// * `atomic` — scatter via `atomic_add` instead of `store`.
-/// * `rloop` — accumulates over a reduction loop so invariant
-///   instructions are trapped inside a per-instance loop (occurrence
-///   streams).
-struct TiledSpec {
-    xb: usize,
-    yb: usize,
-    gx: usize,
-    gy: usize,
-    masked: bool,
-    indirect: bool,
-    atomic: bool,
-    rloop: bool,
-    scale: f64,
-}
-
-impl TiledSpec {
-    fn cols(&self) -> usize {
-        self.gx * self.xb
-    }
-
-    fn rows(&self) -> usize {
-        self.gy * self.yb
-    }
-
-    fn build(&self) -> Kernel {
-        let mut b = KernelBuilder::new("prop_tiled");
-        let src = b.input("SRC");
-        let idx = if self.indirect {
-            Some(b.input("IDX"))
-        } else {
-            None
-        };
-        let dst = b.output("DST");
-
-        let pid0 = b.program_id(0);
-        let pid1 = b.program_id(1);
-        let xb_c = b.constant(self.xb as f64);
-        let yb_c = b.constant(self.yb as f64);
-        let cols_c = b.constant(self.cols() as f64);
-        let xlanes = b.arange(self.xb);
-        let ylanes = b.arange(self.yb);
-
-        // Column offsets: pid0 * XB + arange(XB) — affine along axis 0.
-        let xbase = b.binary(BinOp::Mul, pid0, xb_c);
-        let xoffs = b.binary(BinOp::Add, xbase, xlanes);
-        // Row ids: pid1 * YB + arange(YB), optionally indirected.
-        let ybase = b.binary(BinOp::Mul, pid1, yb_c);
-        let yids = b.binary(BinOp::Add, ybase, ylanes);
-        let rowids = match idx {
-            Some(p) => b.load(p, yids, None, 0.0),
-            None => yids,
-        };
-        let rowoffs = b.binary(BinOp::Mul, rowids, cols_c);
-        let row2 = b.expand_dims(rowoffs, 1);
-        let col2 = b.expand_dims(xoffs, 0);
-        let offs = b.binary(BinOp::Add, row2, col2);
-
-        let mask = if self.masked {
-            let lim = b.constant((self.cols() - 1) as f64);
-            let colmask = b.binary(BinOp::Lt, xoffs, lim);
-            Some(b.expand_dims(colmask, 0))
-        } else {
-            None
-        };
-
-        let scale_c = b.constant(self.scale);
-        let value = if self.rloop {
-            let acc = b.full(vec![self.yb, self.xb], 0.0);
-            let r = b.begin_loop(0, 3, 1);
-            let roff = b.binary(BinOp::Mul, r, cols_c);
-            // Shift source rows by the (bounded) loop step so iterations
-            // read different data; SRC carries 3 extra rows of slack so
-            // the shifted offsets stay affine (no wrap-around).
-            let shifted = b.binary(BinOp::Add, offs, roff);
-            let v = b.load(src, shifted, mask, 0.0);
-            let sv = b.binary(BinOp::Mul, v, scale_c);
-            b.binary_into(acc, BinOp::Add, acc, sv);
-            b.end_loop();
-            acc
-        } else {
-            let v = b.load(src, offs, mask, 0.0);
-            b.binary(BinOp::Mul, v, scale_c)
-        };
-
-        if self.atomic {
-            b.atomic_add(dst, offs, value, mask);
-        } else {
-            b.store(dst, offs, value, mask);
-        }
-        b.build()
-    }
-
-    fn tensors(&self, seed: u64) -> Vec<Tensor> {
-        let total = self.rows() * self.cols();
-        // 3 extra rows of slack for the reduction loop's shifted reads.
-        let src_total = total + 3 * self.cols();
-        let src = Tensor::from_fn(vec![src_total], |i| {
-            ((i[0] as u64 ^ seed) % 13) as f32 - 6.0
-        });
-        let dst = Tensor::zeros(vec![total]);
-        if self.indirect {
-            let rows = self.rows() as i64;
-            let idx = Tensor::from_indices(
-                vec![self.rows()],
-                (0..rows).map(|i| (i * 7 + seed as i64) % rows).collect(),
-            )
-            .expect("length matches");
-            vec![src, idx, dst]
-        } else {
-            vec![src, dst]
-        }
-    }
-}
-
-fn spec_strategy() -> impl Strategy<Value = TiledSpec> {
-    (
-        1usize..4, // gx
-        1usize..5, // gy
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        proptest::bool::ANY,
-        -3.0f64..3.0,
-    )
-        .prop_map(
-            |(gx, gy, masked, indirect, atomic, rloop, scale)| TiledSpec {
-                xb: 16,
-                yb: 4,
-                gx,
-                gy,
-                masked,
-                indirect,
-                atomic,
-                rloop,
-                scale,
-            },
-        )
-}
+mod common;
+use common::{spec_strategy, TiledSpec};
 
 fn launch_program(
     spec: &TiledSpec,
@@ -320,4 +174,51 @@ fn long_loop_carried_chains_stay_bit_identical() {
         assert_eq!(y1.data(), y2.data(), "{mode:?} outputs diverge from seed");
         assert_eq!(new.stats.atomic_conflicts, 0, "distinct addresses");
     }
+}
+
+/// The grid is part of the launch shape, so `program_id` of an extent-1
+/// axis is a constant: on a `[1, n]` grid (COO, conv, tensor product)
+/// the column tile `pid0 · XB + arange(XB)` and its `expand_dims` are
+/// computed once per launch instead of once per instance, and with
+/// single-instance rows nothing is left at the per-row tier.
+#[test]
+fn extent_one_axes_are_grid_invariant() {
+    // One kernel (tiled for two column tiles), three launch grids.
+    let spec = TiledSpec {
+        xb: 16,
+        yb: 4,
+        gx: 2,
+        gy: 3,
+        masked: false,
+        indirect: true,
+        atomic: true,
+        rloop: false,
+        scale: 1.5,
+    };
+    let kernel = spec.build();
+    let owned = spec.tensors(1);
+    let lens: Vec<usize> = owned.iter().map(|t| t.len()).collect();
+    let dtypes: Vec<DType> = owned.iter().map(|t| t.dtype()).collect();
+    let classify = |grid: [usize; 2]| {
+        Program::compile(&kernel, &grid, &lens, &dtypes)
+            .unwrap()
+            .classification()
+    };
+    let (once_wide, row_wide, inst_wide, _) = classify([2, 3]);
+    let (once_one, row_one, inst_one, cached_one) = classify([1, 3]);
+    // `pid0`, `pid0 · XB`, `… + arange(XB)` and its `expand_dims` move to
+    // the prologue (the two binaries were one fused per-instance unit).
+    assert_eq!(once_one, once_wide + 4);
+    assert!(row_wide > 0, "a two-column grid has a per-row tier");
+    assert_eq!(
+        (row_one, cached_one),
+        (0, 0),
+        "single-instance rows have none"
+    );
+    // The per-row units are per-instance now, two of them fused.
+    assert_eq!(inst_one, inst_wide - 3 + row_wide - 1);
+    // Both axes of extent 1: only the gather-dependent tail and the
+    // write are left to the (single) instance.
+    let (_, row, _, _) = classify([1, 1]);
+    assert_eq!(row, 0);
 }

@@ -15,10 +15,16 @@ use insum_gpu::reference::launch_reference;
 use insum_gpu::{
     site_dispatch_counts, DeviceModel, GpuError, KernelReport, LaunchOptions, Mode, Program,
 };
-use insum_kernel::{BinOp, Kernel, KernelBuilder, Reg};
+use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{DType, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
+
+mod common;
+use common::{
+    build_args, build_kernel, case_strategy, conv_shaped_args, conv_shaped_kernel, plain, Case,
+    Columns, MaskKind, Poison,
+};
 
 /// The dispatch counters are process-wide and the tests of this binary
 /// run on parallel threads: every optimized launch happens under this
@@ -32,282 +38,6 @@ const _: fn() = || {
     fn shared_across_threads<T: Send + Sync>() {}
     shared_across_threads::<Program>();
 };
-
-/// SplitMix64: the test's own value stream, driven by one generated seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MaskKind {
-    None,
-    /// `expand_dims(row < valid, 1)`; the rows it switches off gather
-    /// garbage bases.
-    Rows,
-    /// `expand_dims(col < m - 3, 0)`.
-    Cols,
-    /// The `And` of the two: a full 2-D mask, which declines.
-    Both,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Columns {
-    /// `pid0 · m + arange(m)`.
-    Consecutive,
-    /// `2 · (pid0 · m + arange(m))`: separable, but not a run.
-    Strided,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Poison {
-    None,
-    /// A scalar term of 0.5: offsets truncate per lane.
-    Fraction,
-    /// `+ 2^53` early in the tree and `- 2^53` at its root: the f64 adds
-    /// round, so folding the terms would change addresses.
-    Huge,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Case {
-    n: usize,
-    m: usize,
-    gx: usize,
-    gy: usize,
-    f16: bool,
-    row_terms: usize,
-    col_terms: usize,
-    /// Add each further term on the left (`t + acc`) instead of the
-    /// right.
-    left_assoc: bool,
-    mask: MaskKind,
-    columns: Columns,
-    poison: Poison,
-    /// Constant scalar term: moves every row off its sector boundary.
-    misalign: usize,
-    /// Load inside a two-trip loop (the offset tree is stream-cached or
-    /// re-executed per trip) instead of at top level.
-    in_loop: bool,
-    /// Per-instance block arithmetic between the offset adds and the
-    /// accesses: with `gx == 1` the column term is a per-instance register
-    /// whose only IR reader is the add, so its pool buffer is recycled
-    /// before the access unless liveness sees the site's read.
-    filler: bool,
-    sorted_rows: bool,
-    seed: u64,
-}
-
-impl Case {
-    /// Distinct row ids the `IDX` parameter draws from.
-    fn row_ids(&self) -> usize {
-        (self.gy * self.n).div_ceil(2).max(2)
-    }
-
-    /// Elements per addressed row: the widest column offset plus slack
-    /// for the constant terms.
-    fn row_stride(&self) -> usize {
-        let span = self.gx * self.m;
-        let span = match self.columns {
-            Columns::Consecutive => span,
-            Columns::Strided => 2 * span,
-        };
-        span + 16
-    }
-
-    fn data_len(&self) -> usize {
-        self.row_ids() * self.row_stride() + 16
-    }
-
-    /// Rows below this are active under a row mask.
-    fn valid_rows(&self) -> usize {
-        (self.gy * self.n).saturating_sub(3).max(1)
-    }
-
-    fn row_masked(&self) -> bool {
-        matches!(self.mask, MaskKind::Rows | MaskKind::Both)
-    }
-}
-
-/// `OUT_S[off] = v; OUT_A[off] += v` with `v = SRC[off]` (accumulated over
-/// two trips when `in_loop`), each access with its own offset tree.
-fn build_kernel(c: &Case) -> Kernel {
-    let mut b = KernelBuilder::new("row_sites");
-    let idx = b.input("IDX");
-    let src = b.input("SRC");
-    let out_s = b.output("OUT_S");
-    let out_a = b.output("OUT_A");
-    let (n, m) = (c.n, c.m);
-
-    let pid0 = b.program_id(0);
-    let pid1 = b.program_id(1);
-    let n_c = b.constant(n as f64);
-    let row0 = b.binary(BinOp::Mul, pid1, n_c);
-    let lanes_n = b.arange(n);
-    let rows_i = b.binary(BinOp::Add, row0, lanes_n);
-    let row_ids = b.load(idx, rows_i, None, 0.0);
-    let stride = b.constant(c.row_stride() as f64);
-    let row_base = b.binary(BinOp::Mul, row_ids, stride);
-
-    let m_c = b.constant(m as f64);
-    let col0 = b.binary(BinOp::Mul, pid0, m_c);
-    let lanes_m = b.arange(m);
-    let mut cols = b.binary(BinOp::Add, col0, lanes_m);
-    if c.columns == Columns::Strided {
-        let two = b.constant(2.0);
-        cols = b.binary(BinOp::Mul, cols, two);
-    }
-
-    let row_mask = c.row_masked().then(|| {
-        let valid = b.constant(c.valid_rows() as f64);
-        let on = b.binary(BinOp::Lt, rows_i, valid);
-        b.expand_dims(on, 1)
-    });
-    let col_mask = matches!(c.mask, MaskKind::Cols | MaskKind::Both).then(|| {
-        let valid = b.constant(m.saturating_sub(3).max(1) as f64);
-        let on = b.binary(BinOp::Lt, lanes_m, valid);
-        b.expand_dims(on, 0)
-    });
-    let mask = match (row_mask, col_mask) {
-        (Some(r), Some(cm)) => Some(b.binary(BinOp::And, r, cm)),
-        (r, cm) => r.or(cm),
-    };
-
-    // A fresh offset tree per access: the recognised form needs the
-    // offset register to have one reader.
-    let offsets = |b: &mut KernelBuilder| -> Reg {
-        let mut row_side = vec![b.expand_dims(row_base, 1)];
-        if c.row_terms >= 2 {
-            row_side.push(b.constant(c.misalign as f64));
-        }
-        if c.row_terms >= 3 {
-            let four = b.full(vec![n], 4.0);
-            row_side.push(b.expand_dims(four, 1));
-        }
-        let mut col_side = vec![b.expand_dims(cols, 0)];
-        if c.col_terms >= 2 {
-            let one = b.full(vec![m], 1.0);
-            col_side.push(b.expand_dims(one, 0));
-        }
-        if c.col_terms >= 3 {
-            let two = b.full(vec![m], 2.0);
-            col_side.push(b.expand_dims(two, 0));
-        }
-        let mut acc = b.binary(BinOp::Add, row_side[0], col_side[0]);
-        match c.poison {
-            Poison::None => {}
-            Poison::Fraction => {
-                let half = b.constant(0.5);
-                acc = b.binary(BinOp::Add, acc, half);
-            }
-            Poison::Huge => {
-                let huge = b.constant(2f64.powi(53));
-                acc = b.binary(BinOp::Add, acc, huge);
-            }
-        }
-        // Alternate the remaining terms so row and column terms mix in
-        // the association.
-        let mut rest = Vec::new();
-        for i in 1..3 {
-            rest.extend(row_side.get(i));
-            rest.extend(col_side.get(i));
-        }
-        for t in rest {
-            acc = if c.left_assoc {
-                b.binary(BinOp::Add, t, acc)
-            } else {
-                b.binary(BinOp::Add, acc, t)
-            };
-        }
-        if c.poison == Poison::Huge {
-            let back = b.constant(-(2f64.powi(53)));
-            acc = b.binary(BinOp::Add, acc, back);
-        }
-        acc
-    };
-    let filler = |b: &mut KernelBuilder| -> Option<Reg> {
-        c.filler.then(|| {
-            let r = b.expand_dims(rows_i, 1);
-            let l = b.expand_dims(lanes_m, 0);
-            let z1 = b.binary(BinOp::Mul, r, l);
-            let z2 = b.binary(BinOp::Mul, z1, z1);
-            b.binary(BinOp::Add, z2, z1)
-        })
-    };
-
-    let value = if c.in_loop {
-        let acc = b.full(vec![n, m], 0.0);
-        b.begin_loop(0, 2, 1);
-        let off = offsets(&mut b);
-        let extra = filler(&mut b);
-        let v = b.load(src, off, mask, 0.25);
-        b.binary_into(acc, BinOp::Add, acc, v);
-        if let Some(z) = extra {
-            b.binary_into(acc, BinOp::Add, acc, z);
-        }
-        b.end_loop();
-        acc
-    } else {
-        let off = offsets(&mut b);
-        let extra = filler(&mut b);
-        let v = b.load(src, off, mask, 0.25);
-        match extra {
-            Some(z) => b.binary(BinOp::Add, v, z),
-            None => v,
-        }
-    };
-    let off_s = offsets(&mut b);
-    let off_a = offsets(&mut b);
-    let extra = filler(&mut b);
-    b.store(out_s, off_s, value, mask);
-    let value_a = match extra {
-        Some(z) => b.binary(BinOp::Add, value, z),
-        None => value,
-    };
-    b.atomic_add(out_a, off_a, value_a, mask);
-    b.build()
-}
-
-/// `(IDX, SRC, OUT_S, OUT_A)` for a case. Inactive rows gather a base far
-/// outside the tensors.
-fn build_args(c: &Case) -> [Tensor; 4] {
-    let mut rng = Rng(c.seed);
-    let rows = c.gy * c.n;
-    let mut ids: Vec<i64> = (0..rows).map(|_| rng.below(c.row_ids()) as i64).collect();
-    if c.sorted_rows {
-        ids.sort_unstable();
-    }
-    if c.row_masked() {
-        for id in &mut ids[c.valid_rows()..] {
-            *id = 1 << 20;
-        }
-    }
-    let dtype = if c.f16 { DType::F16 } else { DType::F32 };
-    let len = c.data_len();
-    let data = |rng: &mut Rng| {
-        let values = (0..len)
-            .map(|_| (rng.below(4096) as f32 - 2048.0) * 0.0625)
-            .collect();
-        Tensor::from_vec_with(vec![len], values, dtype).expect("length matches shape")
-    };
-    [
-        Tensor::from_indices(vec![rows], ids).expect("length matches shape"),
-        data(&mut rng),
-        data(&mut rng),
-        data(&mut rng),
-    ]
-}
 
 type Outcome = (Result<KernelReport, GpuError>, [Tensor; 4]);
 
@@ -415,62 +145,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn separable_sites_match_the_seed_interpreter(
-        (ni, mi) in (0usize..5, 0usize..4),
-        (gx, gy) in (1usize..4, 1usize..4),
-        (row_terms, col_terms) in (1usize..4, 1usize..4),
-        (mask, columns, poison) in (0usize..4, 0usize..6, 0usize..8),
-        flags in 0u32..64,
-        misalign in 0usize..8,
-        seed in 0u64..u64::MAX,
-    ) {
-        // `n · m < 32` (one partial warp) when `(n, m)` is `(1 | 2, 8)`.
-        let n = [1, 2, 4, 16, 32][ni];
-        let m = [8, 16, 32, 64][mi];
-        let c = Case {
-            n,
-            m,
-            gx,
-            gy,
-            f16: flags & 1 != 0,
-            row_terms,
-            col_terms,
-            left_assoc: flags & 2 != 0,
-            mask: [MaskKind::None, MaskKind::Rows, MaskKind::Cols, MaskKind::Both][mask],
-            columns: if columns == 0 { Columns::Strided } else { Columns::Consecutive },
-            poison: match poison {
-                0 => Poison::Fraction,
-                1 => Poison::Huge,
-                _ => Poison::None,
-            },
-            misalign: if row_terms >= 2 { misalign } else { 0 },
-            in_loop: flags & 4 != 0,
-            filler: flags & 8 != 0,
-            sorted_rows: flags & 16 != 0,
-            seed,
-        };
+    fn separable_sites_match_the_seed_interpreter(c in case_strategy()) {
         check_case(&c);
-    }
-}
-
-fn plain(n: usize, m: usize, gx: usize, gy: usize) -> Case {
-    Case {
-        n,
-        m,
-        gx,
-        gy,
-        f16: false,
-        row_terms: 1,
-        col_terms: 1,
-        left_assoc: false,
-        mask: MaskKind::None,
-        columns: Columns::Consecutive,
-        poison: Poison::None,
-        misalign: 0,
-        in_loop: false,
-        filler: false,
-        sorted_rows: false,
-        seed: 7,
     }
 }
 
@@ -529,69 +205,6 @@ fn pinned_corners() {
     });
 }
 
-/// The grouped sparse convolution's shape (Table 1): one instance per
-/// group of `LIVE` kernel-map pairs padded to a 16-row tile, so the
-/// gather of input rows and the scatter of output rows carry a row mask
-/// with 3 of 16 rows on, the weight tile is an unmasked full-width load,
-/// A is an in-kernel product (canonical `tl.dot`, 16 wide), and grid
-/// axis 0 has one member — every row of instances is a single instance.
-/// `IDX` holds the input row ids, the output row ids and the weight
-/// offset ids, one section each.
-fn conv_shaped_kernel(groups: usize) -> Kernel {
-    const T: usize = 16;
-    const LIVE: usize = 3;
-    let mut b = KernelBuilder::new("conv_shaped");
-    let idx = b.input("IDX");
-    let src = b.input("IN");
-    let weight = b.input("WEIGHT");
-    let out = b.output("OUT");
-    let lanes = b.arange(T);
-    let tile = b.constant(T as f64);
-    let group = b.program_id(1);
-    let live = b.constant(LIVE as f64);
-    let on = b.binary(BinOp::Lt, lanes, live);
-    let on_rows = b.expand_dims(on, 1);
-    let slot0 = b.binary(BinOp::Mul, group, tile);
-    let slots = b.binary(BinOp::Add, slot0, lanes);
-    let cols = b.expand_dims(lanes, 0);
-    let acc = b.full(vec![T, T], 0.0);
-    // Two R tiles of 16 input channels.
-    let r_tile = b.begin_loop(0, 2, 1);
-    let scale = b.load(src, slots, Some(on), 0.0);
-    let in_ids = b.load(idx, slots, Some(on), 0.0);
-    let two_tiles = b.constant(2.0 * T as f64);
-    let in_base = b.binary(BinOp::Mul, in_ids, two_tiles);
-    let r0 = b.binary(BinOp::Mul, r_tile, tile);
-    let in_base = b.binary(BinOp::Add, in_base, r0);
-    let in_rows = b.expand_dims(in_base, 1);
-    let in_off = b.binary(BinOp::Add, in_rows, cols);
-    let x = b.load(src, in_off, Some(on_rows), 0.0);
-    let scale_rows = b.expand_dims(scale, 1);
-    let a = b.binary(BinOp::Mul, scale_rows, x);
-    let z_at = b.constant((2 * groups * T) as f64);
-    let z_at = b.binary(BinOp::Add, z_at, group);
-    let z = b.load(idx, z_at, None, 0.0);
-    let w_size = b.constant((2 * T * T) as f64);
-    let w0 = b.binary(BinOp::Mul, z, w_size);
-    let r_rows = b.binary(BinOp::Add, r0, lanes);
-    let w_rows = b.binary(BinOp::Mul, r_rows, tile);
-    let w_rows = b.binary(BinOp::Add, w0, w_rows);
-    let w_rows = b.expand_dims(w_rows, 1);
-    let w_off = b.binary(BinOp::Add, w_rows, cols);
-    let w = b.load(weight, w_off, None, 0.0);
-    let d = b.dot(a, w);
-    b.binary_into(acc, BinOp::Add, acc, d);
-    b.end_loop();
-    let section = b.constant((groups * T) as f64);
-    let out_slots = b.binary(BinOp::Add, slots, section);
-    let out_ids = b.load(idx, out_slots, Some(on), 0.0);
-    let out_base = b.binary(BinOp::Mul, out_ids, tile);
-    let out_rows = b.expand_dims(out_base, 1);
-    let out_off = b.binary(BinOp::Add, out_rows, cols);
-    b.atomic_add(out, out_off, acc, Some(on_rows));
-    b.build()
-}
-
 /// Sharded against sequential (and both against the seed interpreter)
 /// on the conv shape: the launch whose shards each build, use and drop
 /// their own register file, whose narrow dots run the tile ladder, and
@@ -599,26 +212,7 @@ fn conv_shaped_kernel(groups: usize) -> Kernel {
 #[test]
 fn conv_shaped_launch_shards_like_it_runs_sequentially() {
     let (groups, voxels, offsets) = (9usize, 11usize, 4usize);
-    let mut rng = Rng(0xc017);
-    let mut ids = Vec::with_capacity(2 * groups * 16 + groups);
-    for _ in 0..2 * groups * 16 {
-        ids.push(rng.below(voxels) as i64);
-    }
-    for _ in 0..groups {
-        ids.push(rng.below(offsets) as i64);
-    }
-    let mut data = |len: usize| {
-        let values = (0..len)
-            .map(|_| (rng.below(4096) as f32 - 2048.0) * 0.001)
-            .collect();
-        Tensor::from_vec(vec![len], values).expect("length matches shape")
-    };
-    let args = [
-        Tensor::from_indices(vec![ids.len()], ids).expect("length matches shape"),
-        data((voxels.max(groups) * 32).max(groups * 16)),
-        data(offsets * 32 * 16),
-        Tensor::zeros(vec![voxels * 16]),
-    ];
+    let args = conv_shaped_args(groups, voxels, offsets);
     let kernel = conv_shaped_kernel(groups);
     let ((recognised, total), (row_run, generic)) =
         check_against_seed(&kernel, &[1, groups], &args, "conv shape");

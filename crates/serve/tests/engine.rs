@@ -188,6 +188,71 @@ fn shuffled_arrival_order_never_changes_bits() {
     );
 }
 
+/// One expression, three kinds of request interleaved: the *same*
+/// handles again and again (the simulator records an address script for
+/// their metadata and then replays it), equal content rebuilt in fresh
+/// storage (a different key: full launches), and the shared sparse
+/// structure with a new dense operand (a replay with new values). Every
+/// response is bit-equal to its one-shot result, whatever the
+/// simulator served it from, batched or one at a time.
+#[test]
+fn shared_and_fresh_storage_requests_interleave_bit_exactly() {
+    let shared = spmm_request(21);
+    let fresh = |tensors: &BTreeMap<String, Tensor>| -> BTreeMap<String, Tensor> {
+        tensors
+            .iter()
+            .map(|(name, t)| {
+                let copy = Tensor::from_vec_with(t.shape().to_vec(), t.data().to_vec(), t.dtype())
+                    .expect("length matches shape");
+                (name.clone(), copy)
+            })
+            .collect()
+    };
+    let mut new_b = shared.clone();
+    new_b.insert(
+        "B".to_string(),
+        rand_uniform(vec![24, 32], -1.0, 1.0, &mut SmallRng::seed_from_u64(5)),
+    );
+    let one_shot = |tensors: &BTreeMap<String, Tensor>| {
+        insum_with(SPMM, tensors, &InsumOptions::default())
+            .and_then(|op| op.run(tensors))
+            .expect("one-shot runs")
+    };
+    let (want, want_new_b) = (one_shot(&shared), one_shot(&new_b));
+    assert!(!want.0.bit_eq(&want_new_b.0), "a new B changes the output");
+
+    for max_batch in [1, 4] {
+        let engine = ServeEngine::new(ServeConfig::default().with_max_batch(max_batch)).unwrap();
+        let session = engine.session("mixed");
+        let mut pending = Vec::new();
+        for round in 0..4 {
+            // shared, shared, fresh, shared + new B, fresh + new B.
+            for (tensors, want) in [
+                (shared.clone(), &want),
+                (shared.clone(), &want),
+                (fresh(&shared), &want),
+                (new_b.clone(), &want_new_b),
+                (fresh(&new_b), &want_new_b),
+            ] {
+                let handle = session.submit(SPMM, &tensors).expect("admission succeeds");
+                pending.push((round, handle, want));
+            }
+        }
+        for (i, (round, handle, want)) in pending.into_iter().enumerate() {
+            let response = handle.wait().expect("request succeeds");
+            assert!(
+                response.output.bit_eq(&want.0),
+                "max_batch {max_batch}, round {round}, request {i}: output bits"
+            );
+            assert_eq!(
+                response.profile, want.1,
+                "max_batch {max_batch}, round {round}, request {i}: profile"
+            );
+        }
+        assert_eq!(engine.metrics().failed, 0);
+    }
+}
+
 #[test]
 fn reject_policy_saturates_and_block_policy_waits() {
     let tensors = spmm_request(11);

@@ -58,7 +58,7 @@ pub use einsum::{einsum, EinsumSpec};
 pub use error::TensorError;
 pub use f16::{f16_bits_to_f32, f16_round, f32_to_f16_bits};
 pub use rng::{rand_normal, rand_uniform, randint};
-pub use tensor::Tensor;
+pub use tensor::{Tensor, WeakTensor};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

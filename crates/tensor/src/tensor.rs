@@ -8,7 +8,7 @@ use crate::Result;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Process-wide count of buffer materializations (see
 /// [`Tensor::deep_copy_count`]). Incremented only when shared storage is
@@ -50,6 +50,31 @@ pub struct Tensor {
     strides: Vec<usize>,
     data: Arc<Vec<f32>>,
     dtype: DType,
+}
+
+/// What [`Tensor::ptr_eq`] needs of a tensor, without keeping its
+/// elements alive: made by [`Tensor::downgrade`], asked with
+/// [`WeakTensor::ptr_eq`]. It neither delays the buffer's release when the
+/// last handle drops nor makes a sole owner's next write copy; while it
+/// lives the allocation's address is not reused, so a buffer that was
+/// freed — or written, which re-homes it — never matches again.
+#[derive(Clone, Debug)]
+pub struct WeakTensor {
+    shape: Vec<usize>,
+    strides: Vec<usize>,
+    data: Weak<Vec<f32>>,
+    dtype: DType,
+}
+
+impl WeakTensor {
+    /// [`Tensor::ptr_eq`] between the tensor this was made from and
+    /// `other`.
+    pub fn ptr_eq(&self, other: &Tensor) -> bool {
+        std::ptr::eq(self.data.as_ptr(), Arc::as_ptr(&other.data))
+            && self.shape == other.shape
+            && self.strides == other.strides
+            && self.dtype == other.dtype
+    }
 }
 
 /// Logical equality: shape, dtype, and element values in *logical*
@@ -346,11 +371,14 @@ impl Tensor {
     /// copy (and counts it) when the storage is shared, then hands out
     /// the uniquely owned vector.
     fn buf_mut(&mut self) -> &mut Vec<f32> {
-        if Arc::get_mut(&mut self.data).is_none() {
+        // A [`WeakTensor`] does not share the storage: with one
+        // outstanding and no other handle, `make_mut` moves the vector to
+        // a new allocation (the witness then matches nothing) and copies
+        // no element.
+        if Arc::strong_count(&self.data) > 1 {
             DEEP_COPIES.fetch_add(1, Ordering::Relaxed);
-            self.data = Arc::new(self.data.as_ref().clone());
         }
-        Arc::get_mut(&mut self.data).expect("storage is unique after copy-on-write")
+        Arc::make_mut(&mut self.data)
     }
 
     /// Mutable access to the raw row-major data.
@@ -398,6 +426,17 @@ impl Tensor {
             && self.shape == other.shape
             && self.strides == other.strides
             && self.dtype == other.dtype
+    }
+
+    /// A witness of this handle's identity that owns nothing: see
+    /// [`WeakTensor`].
+    pub fn downgrade(&self) -> WeakTensor {
+        WeakTensor {
+            shape: self.shape.clone(),
+            strides: self.strides.clone(),
+            data: Arc::downgrade(&self.data),
+            dtype: self.dtype,
+        }
     }
 
     /// True if `self` and `other` share the same backing buffer, whatever
@@ -1232,6 +1271,27 @@ mod tests {
         b.set(&[0, 1], 8.0);
         b.data_mut()[2] = 7.0;
         assert_eq!(Tensor::deep_copy_count(), before, "unique writes are free");
+    }
+
+    #[test]
+    fn weak_witness_owns_nothing_and_never_matches_new_storage() {
+        let _serial = COUNT_LOCK.lock().unwrap();
+        let mut a = Tensor::from_vec(vec![4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let w = a.downgrade();
+        assert!(w.ptr_eq(&a) && w.ptr_eq(&a.clone()));
+        assert!(!w.ptr_eq(&a.reshape(vec![2, 2]).unwrap()));
+        // A sole owner's write copies no element and re-homes the buffer.
+        let before = Tensor::deep_copy_count();
+        a.data_mut()[0] = 9.0;
+        assert_eq!(Tensor::deep_copy_count(), before);
+        assert!(!w.ptr_eq(&a), "written storage is new storage");
+        assert_eq!(a.data(), &[9.0, 2.0, 3.0, 4.0]);
+        // Freed storage matches no later tensor, whatever the allocator
+        // hands out.
+        let w = a.downgrade();
+        drop(a);
+        let b = Tensor::from_vec(vec![4], vec![9.0, 2.0, 3.0, 4.0]).unwrap();
+        assert!(!w.ptr_eq(&b));
     }
 
     #[test]

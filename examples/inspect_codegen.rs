@@ -1,12 +1,16 @@
 //! Inspect the compiler: print the fusion plan roles and the generated
 //! Triton-like kernels for the paper's running example
 //! `C[D[y],x] += A[y,E[r]] * B[r,x]` (Fig. 9) in all three codegen modes,
-//! plus the autotuner's table and the unfused stock-Inductor pipeline
-//! shape.
+//! plus the autotuner's table, the unfused stock-Inductor pipeline
+//! shape, and what the simulator decided about relaunching the kernel
+//! (does it replay an address script, and how did the launches split).
 //!
 //! Run with: `cargo run --release --example inspect_codegen`
 
 use insum::{insum_with, InsumOptions, Tensor};
+use insum_gpu::{script_dispatch_counts, DeviceModel, LaunchOptions, Mode, Program};
+use insum_graph::TensorMeta;
+use insum_inductor::{build_plan, compile_fused, CodegenOptions};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -96,4 +100,49 @@ fn main() {
     for r in &profile.reports {
         println!("#   {r}");
     }
+
+    // Relaunch provenance: the lowered program says whether a relaunch
+    // against the same D and E may replay recorded addresses, and the
+    // process-wide counters say how four launches in a row actually ran.
+    let stmt = insum_lang::parse(expr).expect("parses");
+    let metas: BTreeMap<String, TensorMeta> = tensors
+        .iter()
+        .map(|(n, t)| (n.clone(), TensorMeta::new(t.shape().to_vec(), t.dtype())))
+        .collect();
+    let plan = build_plan(&stmt, &metas).expect("plan builds");
+    let op = compile_fused(&plan, &CodegenOptions::default()).expect("kernel compiles");
+    let mut args: Vec<Tensor> = op
+        .plan
+        .param_order
+        .iter()
+        .map(|n| tensors[n].clone())
+        .collect();
+    let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
+    let dtypes: Vec<_> = args.iter().map(Tensor::dtype).collect();
+    let program = Program::compile(&op.kernel, &op.grid, &lens, &dtypes).expect("lowers");
+    println!("\n# ==== relaunching the fused kernel ====");
+    match program.replay_decline() {
+        None => println!("# replayable: its addresses depend on D and E alone"),
+        Some(why) => println!("# every launch runs in full: {why}"),
+    }
+    let before = script_dispatch_counts();
+    for _ in 0..4 {
+        let mut refs: Vec<&mut Tensor> = args.iter_mut().collect();
+        program
+            .launch_with(
+                &mut refs,
+                &DeviceModel::rtx3090(),
+                Mode::Execute,
+                &LaunchOptions::default(),
+            )
+            .expect("launches");
+    }
+    let after = script_dispatch_counts();
+    println!(
+        "# four launches in a row: {} full, {} recording, {} replayed from a {}-byte script",
+        after.0 - before.0,
+        after.1 - before.1,
+        after.2 - before.2,
+        program.script_bytes().unwrap_or(0)
+    );
 }
