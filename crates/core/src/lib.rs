@@ -76,7 +76,7 @@ pub type CompiledChain = Compiled;
 // Re-exports so downstream users need only this crate.
 pub use insum_gpu::{DeviceModel, KernelReport, LaunchOptions, Mode, Profile};
 pub use insum_inductor::{ProgramCache, ProgramCacheStats, TileConfig};
-pub use insum_pattern::{classify_spec, classify_terms, Pattern};
+pub use insum_pattern::{classify_terms, Pattern};
 pub use insum_planner::{ChainSpec, ContractionPlan, OrderStrategy, PlanStep, PlannerError};
 pub use insum_tensor::{DType, Tensor};
 

@@ -3,8 +3,8 @@
 //! This is the optimized execution core (see `reference.rs` for the seed
 //! implementation it must match bit-for-bit). Kernels are first lowered
 //! by [`crate::program`] into a [`Program`] — grid-invariant prologue,
-//! per-row caching, occurrence streams, superinstructions, liveness
-//! release lists, and analytic instance classes — and this module
+//! per-row caching, occurrence streams, liveness release lists, and
+//! analytic instance classes — and this module
 //! executes compiled programs. The speed comes from:
 //!
 //! 1. [`Block`] is a strided copy-on-write view, so shape transforms are
@@ -24,12 +24,14 @@
 //! 6. 2-D accesses at `rows[i] + cols[j]` run as row runs (the `row_run`
 //!    submodule): no offset block is formed and no lane is visited. The
 //!    per-lane `*_generic` bodies here stay the fallback and the
-//!    definition of access semantics.
+//!    definition of per-lane addressing and coalescing; they stage their
+//!    active lanes once into the same run form, so every access moves
+//!    tensor data through one pair of value bodies.
 //! 7. A relaunch against the same I32 arguments runs only the kernel's
 //!    value slice, its accesses addressed from the script an earlier
 //!    launch recorded (`script.rs`; `program.rs`, analysis 7): the
-//!    machine skips every unit and node outside the slice and does no
-//!    cost pass.
+//!    machine skips every unit and node outside the slice, does no cost
+//!    pass, and feeds the decoded runs to those same value bodies.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
@@ -385,7 +387,7 @@ struct TraceEntry {
     runs: Vec<(u64, u64)>,
     /// Atomic hits as `(start_addr, run_len, hits)`: `run_len`
     /// consecutive addresses each hit `hits` times (scatter tiles are
-    /// row-major, so this compresses ~32:1).
+    /// row-major, so this compresses a row or more into one triple).
     counts: Vec<(i64, u32, u32)>,
     min_off: i64,
     max_off: i64,
@@ -400,9 +402,9 @@ struct TraceState {
     rep_cost: InstCost,
     rep_time: f64,
     rep_p0: usize,
-    /// Scratch lane buffers reused across sites (representatives only).
+    /// Scratch buffer for a site's sorted row starts (representatives
+    /// only).
     scratch: Vec<i64>,
-    scratch_pairs: Vec<(i64, u32)>,
 }
 
 impl TraceState {
@@ -415,7 +417,6 @@ impl TraceState {
             rep_time: 0.0,
             rep_p0: 0,
             scratch: Vec::new(),
-            scratch_pairs: Vec::new(),
         }
     }
 }
@@ -434,10 +435,13 @@ static GENERIC_SITES: AtomicU64 = AtomicU64::new(0);
 /// is separable (see `program.rs`, analysis 6), so a default-options
 /// kernel that reports generic executions has lost a recognition —
 /// except where a site declines on its data (a gathered *column* index,
-/// non-integral offsets). Accesses replayed from a stream cache or an
-/// analytic instance class execute nothing and count nowhere. A launch
-/// served from an address script (see [`crate::script_dispatch_counts`])
-/// counts each value-site execution the way the recording launch ran it:
+/// non-integral offsets). A per-lane execution is counted once, where its
+/// lanes are staged into a run (an Analytic float access that needs no
+/// staged lanes counts there too). Accesses replayed from a stream cache
+/// or an analytic instance class execute nothing and count nowhere. A
+/// launch served from an address script (see
+/// [`crate::script_dispatch_counts`]) counts each value-site execution
+/// the way the recording launch ran it:
 /// a row run stays a row run (now served from the script), a per-lane
 /// access stays generic; the index-slice accesses it skips, and an
 /// Analytic launch answered from the stored report, count nowhere.
@@ -734,120 +738,6 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Record one access-site execution for instance-class replay: the
-    /// set of touched sectors (compressed to runs), the atomic address
-    /// stream, and the active-offset bounds. Runs on row representatives
-    /// only; costs nothing on the replay path.
-    fn trace_site(&mut self, site: u32, off: &Block, mask: Option<&Block>, joint: &[usize]) {
-        let info = &self.program.sites[site as usize];
-        if !info.traced {
-            return;
-        }
-        let base = self.program.params.bases[info.param];
-        let esize = self.program.params.esizes[info.param];
-        let mut offs = std::mem::take(&mut self.trace.scratch);
-        offs.clear();
-        let mut exact = true;
-        let mut sorted = true;
-        let mut prev = i64::MIN;
-        let mut push = |o: f64, exact: &mut bool, sorted: &mut bool, prev: &mut i64| {
-            *exact &= o.fract() == 0.0 && o.abs() < 9.0e15;
-            let oi = o as i64;
-            *sorted &= *prev <= oi;
-            *prev = oi;
-            offs.push(oi);
-        };
-        let ob = off.broadcast_to(joint);
-        match mask {
-            None => ob.walk(|o| push(o, &mut exact, &mut sorted, &mut prev)),
-            Some(m) => {
-                let mb = m.broadcast_to(joint);
-                Block::walk2(&ob, &mb, |o, mk| {
-                    if mk != 0.0 {
-                        push(o, &mut exact, &mut sorted, &mut prev);
-                    }
-                });
-            }
-        }
-        if !exact {
-            // Non-integer offsets: the affine-shift argument does not
-            // hold, so the whole row falls back to full execution.
-            self.trace.valid = false;
-            self.trace.scratch = offs;
-            return;
-        }
-        let mut entry = TraceEntry {
-            site,
-            runs: Vec::new(),
-            counts: Vec::new(),
-            min_off: 0,
-            max_off: -1,
-        };
-        if !offs.is_empty() {
-            if !sorted {
-                offs.sort_unstable();
-            }
-            entry.min_off = offs[0];
-            entry.max_off = *offs.last().expect("nonempty");
-            if entry.min_off < 0
-                || entry.max_off as u64 >= self.program.params.lens[info.param] as u64
-            {
-                // The representative itself is out of bounds; execution
-                // will report the error — no replay for this row.
-                self.trace.valid = false;
-                self.trace.scratch = offs;
-                return;
-            }
-            if info.is_atomic {
-                // Collapse the sorted address stream to (addr, hits)
-                // pairs, then pairs with consecutive addresses and equal
-                // hit counts to runs.
-                let mut pairs = std::mem::take(&mut self.trace.scratch_pairs);
-                pairs.clear();
-                let mut i = 0;
-                while i < offs.len() {
-                    let addr = offs[i];
-                    let mut n = 1u32;
-                    while i + (n as usize) < offs.len() && offs[i + n as usize] == addr {
-                        n += 1;
-                    }
-                    pairs.push((addr, n));
-                    i += n as usize;
-                }
-                let mut k = 0;
-                while k < pairs.len() {
-                    let (start, c) = pairs[k];
-                    let mut len = 1usize;
-                    while k + len < pairs.len()
-                        && pairs[k + len].0 == start + len as i64
-                        && pairs[k + len].1 == c
-                    {
-                        len += 1;
-                    }
-                    entry.counts.push((start, len as u32, c));
-                    k += len;
-                }
-                self.trace.scratch_pairs = pairs;
-            }
-            // Sector runs straight off the sorted offsets.
-            let mut run_start = (base + offs[0] as u64 * esize) / SECTOR;
-            let mut prev_sec = run_start;
-            for &o in &offs[1..] {
-                let sec = (base + o as u64 * esize) / SECTOR;
-                if sec == prev_sec || sec == prev_sec + 1 {
-                    prev_sec = sec;
-                    continue;
-                }
-                entry.runs.push((run_start, prev_sec));
-                run_start = sec;
-                prev_sec = sec;
-            }
-            entry.runs.push((run_start, prev_sec));
-        }
-        self.trace.scratch = offs;
-        self.trace.entries.push(entry);
-    }
-
     /// Replay one row member from the representative's trace: shift the
     /// recorded sector runs and atomic streams by the member's axis-0
     /// delta, charge the representative's cost, and return its (equal)
@@ -1135,67 +1025,6 @@ impl<'a> Machine<'a> {
                     None => self.exec_binary(regs, *dst, *op, *a, *b)?,
                 }
             }
-            CInstr::FusedBinary {
-                dst,
-                op1,
-                a,
-                b,
-                op2,
-                c,
-                swapped,
-            } => {
-                // Superinstruction: `tmp = a op1 b; dst = tmp op2 c`
-                // without parking `tmp` in a register. Both instructions'
-                // counters are charged and each element is rounded twice,
-                // exactly as the unfused pair.
-                self.inst.instructions += 1;
-                let tmp = {
-                    let av = Self::reg(regs, *a)?;
-                    let bv = Self::reg(regs, *b)?;
-                    Block::try_scalar_binary(*op1, av, bv)
-                };
-                let tmp = match tmp {
-                    Some(t) => {
-                        self.inst.flops_scalar += 1;
-                        t
-                    }
-                    None => {
-                        let buf = self.alloc();
-                        let t = {
-                            let av = Self::reg(regs, *a)?;
-                            let bv = Self::reg(regs, *b)?;
-                            Block::binary_with(*op1, av, bv, buf)
-                        };
-                        self.inst.flops_scalar += t.len() as u64;
-                        t
-                    }
-                };
-                let scalar = {
-                    let cv = Self::reg(regs, *c)?;
-                    let (l, r) = if *swapped { (cv, &tmp) } else { (&tmp, cv) };
-                    Block::try_scalar_binary(*op2, l, r)
-                };
-                let out = match scalar {
-                    Some(o) => {
-                        self.inst.flops_scalar += 1;
-                        o
-                    }
-                    None => {
-                        let buf = self.alloc();
-                        let o = {
-                            let cv = Self::reg(regs, *c)?;
-                            let (l, r) = if *swapped { (cv, &tmp) } else { (&tmp, cv) };
-                            Block::binary_with(*op2, l, r, buf)
-                        };
-                        self.inst.flops_scalar += o.len() as u64;
-                        o
-                    }
-                };
-                if let Some(buf) = tmp.reclaim() {
-                    self.pool.push(buf);
-                }
-                self.set_reg(regs, *dst, out);
-            }
             CInstr::ExpandDims { dst, src, axis } => {
                 let out = Self::reg(regs, *src)?.expand_dims(*axis);
                 self.set_reg(regs, *dst, out);
@@ -1387,199 +1216,51 @@ impl<'a> Machine<'a> {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
         };
-        let param = self.program.sites[site as usize].param;
         let Some(rs) = self.program.row_sites.site(site) else {
             let off = Self::reg(regs, offset)?;
-            return self.load_generic(param, off, mb, other, site, args);
+            return self.load_generic(off, mb, other, site, args);
         };
         if let Some(out) = self.load_rows(rs, regs, site, other, args)? {
             return Ok(out);
         }
         let off = self.materialize(rs, regs)?;
-        let out = self.load_generic(param, &off, mb, other, site, args);
+        let out = self.load_generic(&off, mb, other, site, args);
         self.recycle(off);
         out
     }
 
-    /// The per-lane load: any offset block, any mask.
+    /// The per-lane load: any offset block, any mask. Its lanes are
+    /// staged once and read by [`Machine::load_values`].
     fn load_generic(
         &mut self,
-        param: usize,
         off: &Block,
         mb: Option<&Block>,
         other: f64,
         site: u32,
-        args: &ArgsView<'_, '_>,
+        args: &mut ArgsView<'_, '_>,
     ) -> Result<Block, GpuError> {
-        let joint = match mb {
+        let lanes = match mb {
             Some(m) => Shape4::joint(off.shape(), m.shape()),
             None => off.shape4(),
         };
-        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
+        let staged = self.with_lanes(site, off, mb, lanes, args, |machine, run, args| {
+            machine.load_values(run, site, other, args, lanes)
+        })?;
+        if let Some(out) = staged {
+            return Ok(out);
         }
-        self.record_lanes(site, off, mb, joint.as_slice());
-        let read_values =
-            self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32;
-
-        // Scalar loads (row-pointer reads and the like) need no buffer
-        // at all — the result is an inline scalar.
-        if joint.as_slice().is_empty() {
-            self.record_access(param, off, mb, joint.as_slice(), false)?;
-            let active = match mb {
-                Some(m) => m.first() != 0.0,
-                None => true,
-            };
-            let value = if !active {
-                other
-            } else if read_values {
-                args.data(param)[off.first() as usize] as f64
-            } else {
-                0.0
-            };
-            return Ok(Block::scalar(value));
-        }
-
-        // Fused fast path: unmasked contiguous offsets with real value
-        // reads — one pass does the warp/sector accounting and the
-        // gather together (these dominate Execute-mode launches).
-        if read_values && mb.is_none() {
-            if let Some(offs) = off.as_slice() {
-                let mut buf = self.alloc();
-                let out = buf.vec();
-                out.clear();
-                out.reserve(offs.len());
-                let base = self.program.params.bases[param];
-                let esize = self.program.params.esizes[param];
-                let len = self.program.params.lens[param];
-                let data = args.data(param);
-                let seen = &mut self.dram_read_seen;
-                let mut l2 = 0u64;
-                let mut oob = None;
-                for chunk in offs.chunks(WARP) {
-                    if chunk.len() == WARP && consecutive(chunk) {
-                        match scan_consecutive(chunk, base, esize, len, seen) {
-                            Ok(uniq) => l2 += uniq,
-                            Err(offset) => {
-                                oob = Some(offset);
-                                break;
-                            }
-                        }
-                        let o0 = chunk[0] as usize;
-                        out.extend(data[o0..o0 + WARP].iter().map(|&x| x as f64));
-                    } else {
-                        let (uniq, bad) = scan_chunk(chunk, None, base, esize, len, seen);
-                        l2 += uniq;
-                        if bad.is_some() {
-                            oob = bad;
-                            break;
-                        }
-                        out.extend(chunk.iter().map(|&o| data[o as usize] as f64));
-                    }
-                }
-                if let Some(offset) = oob {
-                    self.pool.push(buf);
-                    return Err(GpuError::OffsetOutOfBounds {
-                        param: self.program.param_names[param].clone(),
-                        offset,
-                        len,
-                    });
-                }
-                self.inst.l2_read_sectors += l2;
-                return Ok(Block::from_packed(joint, buf));
-            }
-        }
-
-        // Fused fast path for masked loads with flat layouts.
-        if read_values {
-            if let Some(m) = mb {
-                let off_flat = if off.shape() == joint.as_slice() {
-                    off.as_slice()
-                } else {
-                    None
-                };
-                let mask_flat = if m.shape() == joint.as_slice() {
-                    m.as_slice()
-                } else {
-                    None
-                };
-                if let (Some(offs), Some(ms)) = (off_flat, mask_flat) {
-                    let mut buf = self.alloc();
-                    let out = buf.vec();
-                    out.clear();
-                    out.reserve(offs.len());
-                    let base = self.program.params.bases[param];
-                    let esize = self.program.params.esizes[param];
-                    let len = self.program.params.lens[param];
-                    let data = args.data(param);
-                    let seen = &mut self.dram_read_seen;
-                    let mut l2 = 0u64;
-                    let mut oob = None;
-                    for (chunk, mchunk) in offs.chunks(WARP).zip(ms.chunks(WARP)) {
-                        let (uniq, bad) = scan_chunk(chunk, Some(mchunk), base, esize, len, seen);
-                        l2 += uniq;
-                        if bad.is_some() {
-                            oob = bad;
-                            break;
-                        }
-                        out.extend(chunk.iter().zip(mchunk).map(|(&o, &mk)| {
-                            if mk != 0.0 {
-                                data[o as usize] as f64
-                            } else {
-                                other
-                            }
-                        }));
-                    }
-                    if let Some(offset) = oob {
-                        self.pool.push(buf);
-                        return Err(GpuError::OffsetOutOfBounds {
-                            param: self.program.param_names[param].clone(),
-                            offset,
-                            len,
-                        });
-                    }
-                    self.inst.l2_read_sectors += l2;
-                    return Ok(Block::from_packed(joint, buf));
-                }
-            }
-        }
-
-        self.record_access(param, off, mb, joint.as_slice(), false)?;
-        // Analytic fast path: float loads with no mask are all zeros; a
-        // constant block costs one slot instead of a full gather.
-        if !read_values && mb.is_none() {
-            let buf = self.alloc();
-            return Ok(Block::full_packed(joint, 0.0, buf));
-        }
+        // An Analytic float load: 0.0 on the active lanes, `other` on the
+        // rest — the mask is all it reads.
+        let Some(m) = mb else {
+            return Ok(self.filled(lanes, 0.0));
+        };
         let mut buf = self.alloc();
         let out = buf.vec();
         out.clear();
-        out.reserve(joint.volume());
-        match (mb, read_values) {
-            (None, _) => {
-                let data = args.data(param);
-                let ob = off.broadcast_to(joint.as_slice());
-                ob.walk(|o| out.push(data[o as usize] as f64));
-            }
-            (Some(m), true) => {
-                let data = args.data(param);
-                Block::walk2(off, m, |o, mk| {
-                    out.push(if mk != 0.0 {
-                        data[o as usize] as f64
-                    } else {
-                        other
-                    });
-                });
-            }
-            (Some(m), false) => {
-                // Analytic values depend only on the mask (0.0 active,
-                // `other` inactive) — walk it alone.
-                let mv = m.broadcast_to(joint.as_slice());
-                mv.walk(|mk| out.push(if mk != 0.0 { 0.0 } else { other }));
-            }
-        }
-        Ok(Block::from_packed(joint, buf))
+        out.reserve(lanes.volume());
+        m.broadcast_to(lanes.as_slice())
+            .walk(|mk| out.push(if mk != 0.0 { 0.0 } else { other }));
+        Ok(self.packed(lanes, buf))
     }
 
     /// A `Store` or `AtomicAdd` (the site knows which): as row runs when
@@ -1615,7 +1296,9 @@ impl<'a> Machine<'a> {
         out
     }
 
-    /// The per-lane store or atomic add.
+    /// The per-lane store or atomic add: any offset block, any value, any
+    /// mask. Its lanes are staged once and written by
+    /// [`Machine::write_values`].
     fn write_generic(
         &mut self,
         off: &Block,
@@ -1624,219 +1307,34 @@ impl<'a> Machine<'a> {
         site: u32,
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
-        let info = &self.program.sites[site as usize];
-        if info.is_atomic {
-            self.atomic_add_generic(info.param, off, val, mb, site, args)
-        } else {
-            self.store_generic(info.param, off, val, mb, site, args)
-        }
-    }
-
-    /// The per-lane store: any offset block, any value, any mask.
-    fn store_generic(
-        &mut self,
-        param: usize,
-        off: &Block,
-        val: &Block,
-        mb: Option<&Block>,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<(), GpuError> {
-        let mut joint = Shape4::joint(off.shape(), val.shape());
+        let mut lanes = Shape4::joint(off.shape(), val.shape());
         if let Some(m) = mb {
-            joint = Shape4::joint(joint.as_slice(), m.shape());
+            lanes = Shape4::joint(lanes.as_slice(), m.shape());
         }
-        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
-        }
-        self.record_lanes(site, off, mb, joint.as_slice());
-        self.record_access(param, off, mb, joint.as_slice(), true)?;
-        if self.mode != Mode::Execute {
-            return Ok(());
-        }
-        let round = self.program.params.dtypes[param] == DType::F16;
-        match &mut self.sink {
-            WriteSink::Direct => {
-                let data = args.data_mut(param);
-                // Flat fast path: unmasked, same-shape contiguous offset
-                // and value blocks.
-                if mb.is_none() && off.shape() == val.shape() {
-                    if let (Some(so), Some(sv)) = (off.as_slice(), val.as_slice()) {
-                        for (&o, &v) in so.iter().zip(sv) {
-                            let mut x = v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            data[o as usize] = x;
-                        }
-                        return Ok(());
-                    }
-                }
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| {
-                        if mk != 0.0 {
-                            let mut x = v as f32;
-                            if round {
-                                x = insum_tensor::f16_round(x);
-                            }
-                            data[o as usize] = x;
-                        }
-                    }),
-                    None => Block::walk2(off, val, |o, v| {
-                        let mut x = v as f32;
-                        if round {
-                            x = insum_tensor::f16_round(x);
-                        }
-                        data[o as usize] = x;
-                    }),
-                }
-            }
-            WriteSink::Log(log) => {
-                let p = param as u16;
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| {
-                        if mk != 0.0 {
-                            log.push(WriteOp {
-                                off: o as u32,
-                                val: v as f32,
-                                param: p,
-                                atomic: false,
-                            });
-                        }
-                    }),
-                    None => Block::walk2(off, val, |o, v| {
-                        log.push(WriteOp {
-                            off: o as u32,
-                            val: v as f32,
-                            param: p,
-                            atomic: false,
-                        });
-                    }),
-                }
-            }
-        }
+        self.with_lanes(site, off, mb, lanes, args, |machine, run, args| {
+            machine.write_values(run, site, val, args, lanes);
+        })?;
         Ok(())
     }
 
-    /// The per-lane atomic add: any offset block, any value, any mask.
-    fn atomic_add_generic(
-        &mut self,
-        param: usize,
-        off: &Block,
-        val: &Block,
-        mb: Option<&Block>,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<(), GpuError> {
-        let mut joint = Shape4::joint(off.shape(), val.shape());
-        if let Some(m) = mb {
-            joint = Shape4::joint(joint.as_slice(), m.shape());
+    /// `buf` as a block of shape `shape`; a scalar hands its buffer back.
+    fn packed(&mut self, shape: Shape4, mut buf: PoolBuf) -> Block {
+        if shape.as_slice().is_empty() {
+            let value = buf.vec()[0];
+            self.pool.push(buf);
+            return Block::scalar(value);
         }
-        self.site_tally.generic += u64::from(joint.as_slice().len() >= 2);
-        if self.trace.active {
-            self.trace_site(site, off, mb, joint.as_slice());
-        }
-        self.record_lanes(site, off, mb, joint.as_slice());
-        self.record_access(param, off, mb, joint.as_slice(), true)?;
+        Block::from_packed(shape, buf)
+    }
 
-        let round = self.program.params.dtypes[param] == DType::F16;
-        let execute = self.mode == Mode::Execute;
-        let hits = &mut self.hits[param];
-        let counts = hits.counts(self.program.params.lens[param]);
-        // Count one hit, tracking the touched element range.
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        let mut hit = |o: usize| {
-            counts[o] += 1;
-            lo = lo.min(o);
-            hi = hi.max(o + 1);
-        };
-        let inst = &mut self.inst;
-        // Flat layout: unmasked, same-shape contiguous offset and value
-        // blocks — a plain zip with register-resident state.
-        let flat = match mb {
-            None if off.shape() == joint.as_slice() => off.as_slice(),
-            _ => None,
-        };
-        match (&mut self.sink, execute) {
-            (WriteSink::Direct, true) => {
-                let data = args.data_mut(param);
-                let mut add = |o: usize, v: f64| {
-                    hit(o);
-                    let slot = &mut data[o];
-                    let mut x = *slot + v as f32;
-                    if round {
-                        x = insum_tensor::f16_round(x);
-                    }
-                    *slot = x;
-                };
-                match (flat, val.as_slice()) {
-                    (Some(so), Some(sv)) if off.shape() == val.shape() => {
-                        for (&o, &v) in so.iter().zip(sv) {
-                            add(o as usize, v);
-                        }
-                        inst.atomics += so.len() as u64;
-                    }
-                    _ => {
-                        let mut per_lane = |o: f64, v: f64, active: bool| {
-                            if active {
-                                inst.atomics += 1;
-                                add(o as usize, v);
-                            }
-                        };
-                        match mb {
-                            Some(m) => {
-                                Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0));
-                            }
-                            None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
-                        }
-                    }
-                }
-            }
-            (WriteSink::Log(log), true) => {
-                let p = param as u16;
-                let mut per_lane = |o: f64, v: f64, active: bool| {
-                    if active {
-                        inst.atomics += 1;
-                        let o = o as usize;
-                        hit(o);
-                        log.push(WriteOp {
-                            off: o as u32,
-                            val: v as f32,
-                            param: p,
-                            atomic: true,
-                        });
-                    }
-                };
-                match mb {
-                    Some(m) => Block::walk3(off, val, m, |o, v, mk| per_lane(o, v, mk != 0.0)),
-                    None => Block::walk2(off, val, |o, v| per_lane(o, v, true)),
-                }
-            }
-            // Analytic: count collisions, write nothing.
-            (_, false) => match flat {
-                Some(so) => {
-                    for &o in so {
-                        hit(o as usize);
-                    }
-                    inst.atomics += so.len() as u64;
-                }
-                None => {
-                    let mut per_lane = |o: f64, active: bool| {
-                        if active {
-                            inst.atomics += 1;
-                            hit(o as usize);
-                        }
-                    };
-                    match mb {
-                        Some(m) => Block::walk3(off, val, m, |o, _, mk| per_lane(o, mk != 0.0)),
-                        None => Block::walk2(off, val, |o, _| per_lane(o, true)),
-                    }
-                }
-            },
+    /// A block of shape `shape` filled with `value` (a scalar takes no
+    /// buffer).
+    fn filled(&mut self, shape: Shape4, value: f64) -> Block {
+        if shape.as_slice().is_empty() {
+            return Block::scalar(value);
         }
-        hits.touch(lo, hi);
-        Ok(())
+        let buf = self.alloc();
+        Block::full_packed(shape, value, buf)
     }
 
     /// Return a temporary's buffer to the pool if nothing shares it.
@@ -1855,7 +1353,6 @@ fn cached_dst(instr: &CInstr) -> Reg {
         | CInstr::Arange { dst, .. }
         | CInstr::Full { dst, .. }
         | CInstr::Binary { dst, .. }
-        | CInstr::FusedBinary { dst, .. }
         | CInstr::ExpandDims { dst, .. }
         | CInstr::Broadcast { dst, .. }
         | CInstr::View { dst, .. }

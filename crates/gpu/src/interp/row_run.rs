@@ -1,11 +1,25 @@
-//! Row-run execution of separable access sites (`program.rs`,
-//! analysis 6): a 2-D access whose offsets are `R[i] + C[j]` with `C` a
-//! run of consecutive integers is `n` ranges of `m` consecutive elements,
-//! and is costed and executed as such — no offset block, no per-lane
-//! walk. Everything here must agree with the per-lane path in the parent
-//! module lane for lane (`tests/row_sites.rs` holds it to that through
-//! the seed interpreter); whatever the conditions in [`resolve_rows`] do
-//! not cover goes back there.
+//! Runs: the one form in which an access site's resolved addresses meet
+//! the value bodies. A run is `n` rows of `m` lanes, row `i` addressing
+//! the consecutive elements `rows[i] ..`; a site reaches it three ways.
+//!
+//! * A separable 2-D site (`program.rs`, analysis 6) whose offsets are
+//!   `R[i] + C[j]` with `C` a run of consecutive integers *is* `n` ranges
+//!   of `m` consecutive elements, and is resolved, costed and executed as
+//!   such — no offset block, no per-lane walk ([`resolve_rows`]).
+//! * Any other site runs the per-lane cost pass of the parent module
+//!   (`record_access`: coalescing, bounds, truncation of non-integral
+//!   offsets) and then stages its active lanes once ([`stage_lanes`]): one
+//!   row when they are a prefix of consecutive elements, one row per lane
+//!   otherwise.
+//! * A replayed site decodes its run from the address script.
+//!
+//! Whichever way, the run then feeds the instance-class trace, the script
+//! recorder, the atomic hit counts and the value bodies
+//! ([`Machine::load_values`], [`Machine::write_values`]) — one definition
+//! of what an access does to tensor data. Row runs must agree with the
+//! per-lane path lane for lane (`tests/row_sites.rs` holds both to the
+//! seed interpreter); whatever the conditions in [`resolve_rows`] do not
+//! cover goes there.
 
 use super::{
     consecutive, ArgsView, Machine, ScriptIo, SectorSet, TraceEntry, WriteOp, WriteSink, SECTOR,
@@ -22,7 +36,8 @@ use insum_tensor::DType;
 /// [`crate::program::MAX_TREE_LEAVES`]).
 const ROW_TERM_LIMIT: f64 = (1u64 << 48) as f64;
 
-/// Reusable buffers for resolving a separable site's address terms.
+/// Reusable buffers for resolving a site's run: a separable site's term
+/// sums, or a per-lane site's staged lanes.
 #[derive(Default)]
 pub(super) struct RowScratch {
     /// Per-row and per-column term sums (exact: small integers).
@@ -30,7 +45,8 @@ pub(super) struct RowScratch {
     col_sums: Vec<f64>,
     /// The resolved row bases.
     rows: Vec<i64>,
-    /// The row mask of a run decoded from a script.
+    /// The row mask of a run decoded from a script, or the staged mask of
+    /// a per-lane access.
     mask: Vec<f64>,
 }
 
@@ -50,11 +66,13 @@ fn add_integral(sums: &mut [f64], term: &[f64]) -> bool {
     ok
 }
 
-/// One execution of a separable site resolved to row runs: lane `(i, j)`
-/// of the `n × m` access addresses element `rows[i] + j`, and is active
-/// when row `i` is on in `row_mask` and `j < cols` (a column mask is
-/// accepted only as a prefix).
-struct RowRun<'a> {
+/// One access-site execution resolved to a run: lane `(i, j)` of the
+/// `n × m` access addresses element `rows[i] + j`, and is active when row
+/// `i` is on in `row_mask` and `j < cols` (a column mask is accepted only
+/// as a prefix).
+pub(super) struct RowRun<'a> {
+    /// How the rows map onto the site's lanes (what a script records).
+    form: Form,
     rows: &'a [i64],
     row_mask: Option<&'a [f64]>,
     /// Lanes per row.
@@ -140,6 +158,7 @@ fn resolve_rows<'r>(
     rows.clear();
     rows.extend(row_sums.iter().map(|&r| (r + fold) as i64));
     let mut run = RowRun {
+        form: Form::Rows,
         rows,
         row_mask: None,
         m: rs.m,
@@ -173,9 +192,98 @@ fn resolve_rows<'r>(
     Ok(Some(run))
 }
 
+/// Stage the active lanes of one per-lane access — offsets `off`, mask
+/// `mask`, lanes of shape `lanes` — into `scratch` as the run a script
+/// stores them as: [`Form::OneRow`] when they are a prefix of consecutive
+/// elements (`p₀ + arange` under at most a bound mask, the 1-D value
+/// loads of every generated kernel), [`Form::Lanes`], one single-element
+/// row per lane, otherwise. Runs after the cost pass, which has
+/// bounds-checked every active lane; each offset truncates as it
+/// truncated there. With `check`, the second result says whether every
+/// active offset is an integer (the instance-class trace's shift argument
+/// needs it); it is `true` otherwise.
+fn stage_lanes<'r>(
+    off: &'r Block,
+    mask: Option<&'r Block>,
+    lanes: &[usize],
+    check: bool,
+    scratch: &'r mut RowScratch,
+) -> (RowRun<'r>, bool) {
+    // Flat blocks of the lanes' own shape (every 1-D access) are read in
+    // place; strided and broadcast ones (and scalars) are walked.
+    fn flat<'b>(b: &'b Block, lanes: &[usize]) -> Option<&'b [f64]> {
+        (b.shape() == lanes).then(|| b.as_slice()).flatten()
+    }
+    let total: usize = lanes.iter().product();
+    let RowScratch {
+        rows, mask: staged, ..
+    } = scratch;
+    let ms: Option<&[f64]> = match mask.map(|m| (m, flat(m, lanes))) {
+        None => None,
+        Some((_, Some(ms))) => Some(ms),
+        Some((m, None)) => {
+            staged.clear();
+            m.broadcast_to(lanes).walk(|mk| staged.push(mk));
+            Some(&staged[..])
+        }
+    };
+    let active = |k: usize| ms.is_none_or(|ms| ms[k] != 0.0);
+    // Branch-free folds, so both vectorize: the active lanes are a prefix
+    // when the first `live` lanes are all on.
+    let live = ms.map_or(total, |ms| {
+        ms.iter().fold(0, |n, &mk| n + usize::from(mk != 0.0))
+    });
+    let prefix =
+        live > 0 && ms.is_none_or(|ms| ms[..live].iter().fold(true, |on, &mk| on & (mk != 0.0)));
+    let offs = flat(off, lanes);
+    rows.clear();
+    // On flat offsets one row shows without converting a lane: from a
+    // non-negative start, f64 steps of one truncate to steps of one.
+    let flat_row = offs.filter(|o| prefix && o[0] >= 0.0 && consecutive(&o[..live]));
+    match (flat_row, offs) {
+        (Some(o), _) => rows.push(o[0] as i64),
+        (None, Some(o)) => rows.extend(o.iter().map(|&o| o as i64)),
+        (None, None) => off.broadcast_to(lanes).walk(|o| rows.push(o as i64)),
+    }
+    let integral = !check || {
+        let (mut k, mut all) = (0, true);
+        let mut exact = |o: f64| {
+            all &= !active(k) || o.fract() == 0.0;
+            k += 1;
+        };
+        match offs {
+            Some(o) => o.iter().for_each(|&o| exact(o)),
+            None => off.broadcast_to(lanes).walk(exact),
+        }
+        all
+    };
+    let one_row = flat_row.is_some()
+        || (offs.is_none() && prefix && rows[..live].windows(2).all(|w| w[1] == w[0] + 1));
+    let run = if one_row {
+        rows.truncate(1);
+        RowRun {
+            form: Form::OneRow,
+            rows,
+            row_mask: None,
+            m: total,
+            cols: live,
+        }
+    } else {
+        RowRun {
+            form: Form::Lanes,
+            rows,
+            row_mask: ms,
+            m: 1,
+            cols: 1,
+        }
+    };
+    (run, integral)
+}
+
 /// The shape of a row run decoded from a script into a [`RowScratch`].
 #[derive(Clone, Copy)]
 struct Scripted {
+    form: Form,
     m: usize,
     cols: usize,
     masked: bool,
@@ -186,6 +294,7 @@ struct Scripted {
 impl Scripted {
     fn run<'r>(&self, scratch: &'r RowScratch) -> RowRun<'r> {
         RowRun {
+            form: self.form,
             rows: &scratch.rows,
             row_mask: self.masked.then_some(&scratch.mask[..]),
             m: self.m,
@@ -226,6 +335,7 @@ fn decode(entry: Entry<'_>, lanes: Shape4, scratch: &mut RowScratch) -> Scripted
     }
     rows.resize(n, 0);
     Scripted {
+        form: entry.form,
         m,
         cols: entry.cols.map_or(m, |c| c as usize),
         masked,
@@ -327,10 +437,10 @@ fn union_len(ranges: &mut [(u64, u64)]) -> u64 {
 
 impl Machine<'_> {
     /// Run `body` over the row-run form of one execution of separable
-    /// site `site`: resolve the address terms, record the instance-class
-    /// trace, do the cost pass (L2 transactions, DRAM first touch, bounds)
-    /// and hand the rows to the value pass. `None` when the site declines
-    /// on its data; nothing has been charged or touched then.
+    /// site `site`: resolve the address terms, do the cost pass (L2
+    /// transactions, DRAM first touch, bounds) and [feed](Machine::feed)
+    /// the rows on. `None` when the site declines on its data; nothing
+    /// has been charged or touched then.
     fn with_row_run<T>(
         &mut self,
         rs: &RowSite,
@@ -344,16 +454,63 @@ impl Machine<'_> {
             None => None,
             Some(run) => {
                 self.site_tally.row_run += 1;
-                if self.trace.active {
-                    self.trace_rows(site, &run);
-                }
                 self.cost_rows(site, &run)?;
-                self.record_rows(site, &run);
-                Some(body(self, &run, args))
+                Some(self.feed(site, &run, args, body))
             }
         };
         self.row_scratch = scratch;
         Ok(out)
+    }
+
+    /// Run `body` over one per-lane execution of `site` (offsets `off`,
+    /// mask `mask`, lanes of shape `lanes`): the per-lane cost pass, then —
+    /// when something consumes the addresses — [`stage_lanes`] and
+    /// [feed](Machine::feed) the run on, exactly as a row run is fed.
+    /// `None` when nothing does: an Analytic float access off the trace,
+    /// which pays for its cost pass alone.
+    pub(super) fn with_lanes<T>(
+        &mut self,
+        site: u32,
+        off: &Block,
+        mask: Option<&Block>,
+        lanes: Shape4,
+        args: &mut ArgsView<'_, '_>,
+        body: impl FnOnce(&mut Self, &RowRun<'_>, &mut ArgsView<'_, '_>) -> T,
+    ) -> Result<Option<T>, GpuError> {
+        let info = &self.program.sites[site as usize];
+        self.site_tally.generic += u64::from(lanes.as_slice().len() >= 2);
+        self.record_access(info.param, off, mask, lanes.as_slice(), info.is_write)?;
+        // A recording launch is an Execute launch: `moves_values` covers
+        // the recorder.
+        let traced = self.trace.active && info.traced;
+        if !(traced || info.is_atomic || self.moves_values(site)) {
+            return Ok(None);
+        }
+        let mut scratch = std::mem::take(&mut self.row_scratch);
+        let (run, integral) = stage_lanes(off, mask, lanes.as_slice(), traced, &mut scratch);
+        // Non-integral offsets: the affine-shift argument does not hold,
+        // so the whole row falls back to full execution.
+        self.trace.valid &= integral;
+        let out = self.feed(site, &run, args, body);
+        self.row_scratch = scratch;
+        Ok(Some(out))
+    }
+
+    /// Hand one costed run of `site` to the instance-class trace, the
+    /// script recorder and the atomic hit counts, then to its value body.
+    fn feed<T>(
+        &mut self,
+        site: u32,
+        run: &RowRun<'_>,
+        args: &mut ArgsView<'_, '_>,
+        body: impl FnOnce(&mut Self, &RowRun<'_>, &mut ArgsView<'_, '_>) -> T,
+    ) -> T {
+        if self.trace.active {
+            self.trace_rows(site, run);
+        }
+        self.record_rows(site, run);
+        self.count_atomics(run, site);
+        body(self, run, args)
     }
 
     /// Decode the next script entry of `site` — the replay side of
@@ -401,8 +558,8 @@ impl Machine<'_> {
         self.row_scratch = scratch;
     }
 
-    /// Write a row run of value site `site` into the script being
-    /// recorded, if one is.
+    /// Write a run of value site `site` into the script being recorded,
+    /// if one is.
     fn record_rows(&mut self, site: u32, run: &RowRun<'_>) {
         let ScriptIo::Record(rec) = &mut self.script else {
             return;
@@ -415,96 +572,9 @@ impl Machine<'_> {
         let cols = (run.cols != run.m).then_some(run.cols as u32);
         let level = info.level as usize;
         match run.row_mask {
-            None if run.cols != 0 => rec.push(level, Form::Rows, cols, run.rows, |_| true),
-            _ => rec.push(level, Form::Rows, cols, run.rows, |i| run.active(i)),
+            None if run.cols != 0 => rec.push(level, run.form, cols, run.rows, |_| true),
+            _ => rec.push(level, run.form, cols, run.rows, |i| run.active(i)),
         }
-    }
-
-    /// [`Machine::record_rows`] for the per-lane path: one base per lane
-    /// in lane order — or a single row when the active lanes are a prefix
-    /// of consecutive elements (`p₀ + arange` under a bound mask, the 1-D
-    /// value loads of every generated kernel). Runs before the cost pass:
-    /// an out-of-range offset records garbage and then fails the launch,
-    /// which drops the recording.
-    pub(super) fn record_lanes(
-        &mut self,
-        site: u32,
-        off: &Block,
-        mask: Option<&Block>,
-        joint: &[usize],
-    ) {
-        let ScriptIo::Record(rec) = &mut self.script else {
-            return;
-        };
-        let info = &self.program.sites[site as usize];
-        if !info.value {
-            return;
-        }
-        // Flat blocks of the lanes' own shape (every 1-D access) need no
-        // broadcast walk.
-        fn flat<'b>(b: &'b Block, joint: &[usize]) -> Option<&'b [f64]> {
-            (b.shape() == joint).then(|| b.as_slice()).flatten()
-        }
-        // A masked-off lane is staged as −1 (so is an active one with a
-        // negative offset: that launch fails and keeps no recording).
-        let lane = |o: f64, mk: f64| if mk != 0.0 { o as i64 } else { -1 };
-        let total: usize = joint.iter().product();
-        let (offs, ms) = (flat(off, joint), mask.map(|m| (m, flat(m, joint))));
-        let mut lanes = std::mem::take(&mut rec.lanes);
-        lanes.clear();
-        // One row — a prefix of active lanes over consecutive elements,
-        // every 1-D tile load under its bound mask — shows on the flat
-        // blocks themselves, without converting a lane.
-        let row = match (offs, ms) {
-            (Some(offs), None) => Some((offs, offs.len())),
-            (Some(offs), Some((_, Some(ms)))) => {
-                let live = ms.iter().take_while(|&&mk| mk != 0.0).count();
-                ms[live..]
-                    .iter()
-                    .all(|&mk| mk == 0.0)
-                    .then_some((offs, live))
-            }
-            _ => None,
-        }
-        .filter(|&(offs, live)| live > 0 && consecutive(&offs[..live]));
-        let (live, one_row) = match (row, offs, ms) {
-            (Some((offs, live)), _, _) => {
-                lanes.push(lane(offs[0], 1.0));
-                (live, true)
-            }
-            (None, Some(offs), None) => {
-                lanes.extend(offs.iter().map(|&o| lane(o, 1.0)));
-                (total, false)
-            }
-            (None, Some(offs), Some((_, Some(ms)))) => {
-                lanes.extend(offs.iter().zip(ms).map(|(&o, &mk)| lane(o, mk)));
-                (total, false)
-            }
-            // Strided or broadcast blocks (and scalars): walk them, then
-            // apply the same test to the lanes.
-            (None, _, ms) => {
-                match ms {
-                    None => off.broadcast_to(joint).walk(|o| lanes.push(lane(o, 1.0))),
-                    Some((m, _)) => {
-                        let (ob, mb) = (off.broadcast_to(joint), m.broadcast_to(joint));
-                        Block::walk2(&ob, &mb, |o, mk| lanes.push(lane(o, mk)));
-                    }
-                }
-                let live = lanes.iter().take_while(|&&o| o >= 0).count();
-                let one_row = live > 0
-                    && lanes[live..].iter().all(|&o| o < 0)
-                    && lanes[..live].windows(2).all(|w| w[1] == w[0] + 1);
-                (live, one_row)
-            }
-        };
-        let level = info.level as usize;
-        if one_row {
-            let cols = (live != total).then_some(live as u32);
-            rec.push(level, Form::OneRow, cols, &lanes[..1], |_| true);
-        } else {
-            rec.push(level, Form::Lanes, None, &lanes, |i| lanes[i] >= 0);
-        }
-        rec.lanes = lanes;
     }
 
     /// The offset block a separable site's adds would have formed, in the
@@ -566,14 +636,16 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// [`Machine::trace_site`] for a row run: the same sector set, atomic
-    /// hit counts and offset bounds, from the (sorted) row bases instead
-    /// of the sorted lanes. Equal bases collapse into one hit-count
-    /// triple; overlapping rows stay separate triples, which replay adds
-    /// up to the same counts.
+    /// Record one execution of a traced site for instance-class replay:
+    /// the set of touched sectors (compressed to runs), the atomic hit
+    /// counts and the active-offset bounds, from the sorted row bases.
+    /// Equal bases collapse into one hit-count triple, and so do abutting
+    /// ranges hit equally often; overlapping rows stay separate triples,
+    /// which replay adds up to the same counts. Runs on row
+    /// representatives only, and not once the row's trace is void.
     fn trace_rows(&mut self, site: u32, run: &RowRun<'_>) {
         let info = &self.program.sites[site as usize];
-        if !info.traced {
+        if !info.traced || !self.trace.valid {
             return;
         }
         let base = self.program.params.bases[info.param];
@@ -602,10 +674,16 @@ impl Machine<'_> {
                 return;
             }
             if info.is_atomic {
-                let mut k = 0;
+                let (mut k, cols) = (0, run.cols as u32);
                 while k < starts.len() {
-                    let same = starts[k..].iter().take_while(|&&s| s == starts[k]).count();
-                    entry.counts.push((starts[k], run.cols as u32, same as u32));
+                    let start = starts[k];
+                    let same = starts[k..].iter().take_while(|&&s| s == start).count();
+                    match entry.counts.last_mut() {
+                        Some((s, len, n)) if *s + i64::from(*len) == start && *n == same as u32 => {
+                            *len += cols;
+                        }
+                        _ => entry.counts.push((start, cols, same as u32)),
+                    }
                     k += same;
                 }
             }
@@ -639,9 +717,19 @@ impl Machine<'_> {
         })
     }
 
+    /// Whether the value body of `site` moves tensor data: every access
+    /// of an Execute launch, and the I32 loads an Analytic launch still
+    /// needs for its addresses. Nothing else about an access reads the
+    /// launch's [`Mode`].
+    fn moves_values(&self, site: u32) -> bool {
+        let info = &self.program.sites[site as usize];
+        self.mode == Mode::Execute
+            || (!info.is_write && self.program.params.dtypes[info.param] == DType::I32)
+    }
+
     /// The value body of a load: the block of shape `shape` whose lanes,
     /// in row-major order, are the lanes of `run`.
-    fn load_values(
+    pub(super) fn load_values(
         &mut self,
         run: &RowRun<'_>,
         site: u32,
@@ -650,42 +738,44 @@ impl Machine<'_> {
         shape: Shape4,
     ) -> Block {
         let param = self.program.sites[site as usize].param;
-        let (n, m) = (run.rows.len(), run.m);
-        let read_values =
-            self.mode == Mode::Execute || self.program.params.dtypes[param] == DType::I32;
-        let mut buf = self.alloc();
-        if !read_values && run.row_mask.is_none() && run.cols == m {
+        let (n, m, cols) = (run.rows.len(), run.m, run.cols);
+        let read_values = self.moves_values(site);
+        let dense = run.row_mask.is_none() && cols == m;
+        if !read_values && dense {
             // Analytic float loads with every lane on are all zeros.
-            return Block::full_packed(shape, 0.0, buf);
+            return self.filled(shape, 0.0);
         }
+        let mut buf = self.alloc();
         let out = buf.vec();
         out.clear();
         let data = args.data(param);
-        if run.row_mask.is_none() && run.cols == m {
+        if dense {
             // Every lane is read: write each once, no `other` fill first.
             out.reserve(n * m);
-            for &o in run.rows {
-                let o = o as usize;
-                out.extend(data[o..o + m].iter().map(|&x| x as f64));
+            if m == 1 {
+                // A gather: one element per row.
+                out.extend(run.rows.iter().map(|&o| data[o as usize] as f64));
+            } else {
+                for &o in run.rows {
+                    let o = o as usize;
+                    out.extend(data[o..o + m].iter().map(|&x| x as f64));
+                }
             }
-            return Block::from_packed(shape, buf);
+            return self.packed(shape, buf);
         }
         out.resize(n * m, other);
-        for ((i, &o), lanes) in run.rows.iter().enumerate().zip(out.chunks_exact_mut(m)) {
-            if !run.active(i) {
-                continue;
-            }
-            let lanes = &mut lanes[..run.cols];
+        for (i, o) in run.active_rows() {
+            let lanes = &mut out[i * m..i * m + cols];
             if read_values {
                 let o = o as usize;
-                for (lane, &x) in lanes.iter_mut().zip(&data[o..o + run.cols]) {
+                for (lane, &x) in lanes.iter_mut().zip(&data[o..o + cols]) {
                     *lane = x as f64;
                 }
             } else {
                 lanes.fill(0.0);
             }
         }
-        Block::from_packed(shape, buf)
+        self.packed(shape, buf)
     }
 
     /// The value block of a store/atomic as the row-major lanes of
@@ -724,14 +814,13 @@ impl Machine<'_> {
         args: &mut ArgsView<'_, '_>,
     ) -> Result<Option<()>, GpuError> {
         self.with_row_run(rs, regs, site, args, |machine, run, args| {
-            machine.count_atomics(run, site);
             machine.write_values(run, site, val, args, Shape4::from_slice(&[rs.n, rs.m]));
         })
     }
 
-    /// The cost pass of an atomic row run beyond its sectors: one hit per
-    /// active element (the launch's collision counts) and one atomic per
-    /// lane.
+    /// The cost pass of an atomic run beyond its sectors: one hit per
+    /// active lane's element (the launch's collision counts) and one
+    /// atomic per active lane.
     fn count_atomics(&mut self, run: &RowRun<'_>, site: u32) {
         let info = &self.program.sites[site as usize];
         if !info.is_atomic {
@@ -756,7 +845,7 @@ impl Machine<'_> {
 
     /// The value body of a store or atomic add: `val`, broadcast to
     /// `shape`, written (added) lane by lane to the lanes of `run`.
-    fn write_values(
+    pub(super) fn write_values(
         &mut self,
         run: &RowRun<'_>,
         site: u32,
@@ -767,7 +856,7 @@ impl Machine<'_> {
         let info = &self.program.sites[site as usize];
         let (param, atomic) = (info.param, info.is_atomic);
         let (m, cols) = (run.m, run.cols);
-        if self.mode != Mode::Execute {
+        if !self.moves_values(site) {
             return;
         }
         let round = self.program.params.dtypes[param] == DType::F16;

@@ -97,11 +97,15 @@
 //!   one slice copy / write / add per row — in the cost pass and the
 //!   value pass, Execute and Analytic, instance-class traces included.
 //!   Sites that are not separable in form, or whose terms turn out
-//!   non-integral or whose columns are gathered, take the per-lane path
-//!   as before. [`site_dispatch_counts`] reports how many executed 2-D
-//!   accesses took each path; `simbench` asserts 100 % row runs on its
-//!   five workloads. The rule and the bit-identity argument are in
-//!   `program.rs` (analysis 6), the differential test in
+//!   non-integral or whose columns are gathered, take the per-lane path:
+//!   a per-lane cost pass, then their active lanes staged once into the
+//!   same run form (one row for a prefix of consecutive elements, one row
+//!   per lane otherwise), so every access — row run or per lane, full,
+//!   recording or replayed launch — moves tensor data through one load
+//!   body and one write body. [`site_dispatch_counts`] reports how many
+//!   executed 2-D accesses took each path; `simbench` asserts 100 % row
+//!   runs on its five workloads. The rule and the bit-identity argument
+//!   are in `program.rs` (analysis 6), the differential test in
 //!   `tests/row_sites.rs`.
 //! * **Inspect once, execute many** — a sparse structure is converted
 //!   once and launched against many dense operands, and everything a
@@ -162,9 +166,6 @@
 //! * **Last-use liveness** — per-unit release lists return dead
 //!   register buffers to the allocation pool immediately, and the
 //!   between-instance sweep touches only per-instance registers.
-//! * **Superinstructions** — adjacent `Binary` pairs whose intermediate
-//!   register dies immediately fuse into one dispatch with both
-//!   instructions' counters and unchanged per-element rounding.
 //! * **Analytic instance classes** — each memory site's offset stream is
 //!   classified as grid-invariant or *affine* in the axis-0 coordinate
 //!   with a sector-aligned stride. When every site qualifies (masks,

@@ -4,7 +4,7 @@
 //! The seed interpreter re-walked the kernel IR tree for every grid
 //! instance, re-materializing `arange`/constant blocks and re-deriving
 //! every schedule-invariant offset each time. Compilation hoists that
-//! work with four coordinated analyses:
+//! work with three coordinated analyses (item 3 records one retired):
 //!
 //! 1. **pid-dependence levels** — every register is classified by the
 //!    grid axes its value (transitively) depends on: level 0 values are
@@ -25,11 +25,15 @@
 //!    register buffers to the allocation pool immediately instead of
 //!    waiting for the end-of-instance sweep, and the sweep itself only
 //!    touches the per-instance registers.
-//! 3. **superinstructions** — adjacent `Binary` pairs whose intermediate
-//!    register is used exactly once fuse into one dispatch
-//!    ([`CInstr::FusedBinary`]), skipping the intermediate's register
-//!    traffic while preserving both instructions' counters and the
-//!    two-rounding floating-point semantics.
+//! 3. *(retired)* **superinstructions** — adjacent `Binary` pairs whose
+//!    intermediate register died at once used to fuse into one dispatch.
+//!    Since the register file is thread-local (`Rc`, no atomics per
+//!    register write) the pairing no longer paid: with it off, perfbench's
+//!    replays stayed within the interquartile range of the build with it
+//!    on, on every workload (2-vCPU x86-64 VM, 5 alternating pairs of
+//!    13 s runs each; median ops/s −1.0 % on `spmm_tc_exec`, −2.3 % on
+//!    `irregular_exec`, −1.3 % on `coldstart_tune` against IQRs of 2.0 %,
+//!    6.0 % and 40 %), so every instruction now dispatches alone.
 //! 4. **address-stream classification** — every memory-access site's
 //!    offset stream is classified as grid-invariant, affine in the
 //!    axis-0 coordinate (`offsets = base + pid0 · c` with a compile-time
@@ -95,7 +99,14 @@
 //!    huge term, a gathered column index (`A[y, E[r]]`), a non-prefix
 //!    column mask — the site then materialises the offset block with the
 //!    kernel's own association and takes the per-lane path, which remains
-//!    the single definition of access semantics.
+//!    the single definition of per-lane *addressing and coalescing*: its
+//!    cost pass walks the lanes (warps, sectors, bounds, truncation of a
+//!    non-integral offset), then stages the active lanes once as one row
+//!    (a prefix of consecutive elements) or one row per lane. Values go
+//!    through the bodies row runs use (`load_values`, `write_values`), as
+//!    do the instance-class trace, the script recorder and the atomic hit
+//!    counts: an access site is an address stage followed by a shared
+//!    value body.
 //!
 //!    *Why no counter can move.* An elided add stays where it stood — same
 //!    unit, same stream-cache occurrence — and charges what it charged:
@@ -167,6 +178,12 @@
 //!    frequency ([`SiteInfo::level`]) and are sought by shard, row and
 //!    instance, so a script recorded at one thread count serves all.
 //!
+//!    *One value path.* Full, recording and replayed launches run the same
+//!    value bodies at every site. A full launch resolves a site's run (row
+//!    run or staged lanes) and feeds it to the body; a recording launch
+//!    also writes that run down; a replay decodes it. Only where the run
+//!    comes from differs.
+//!
 //!    *Why no counter can move.* The recording launch *is* a full launch:
 //!    its report is what that launch returns. A replay returns that
 //!    report for the same program, metadata and device, under which every
@@ -208,8 +225,7 @@ pub(crate) enum UnitMode {
 }
 
 /// A compiled instruction. Mirrors [`Instr`] with loop bodies lowered to
-/// [`CNode`]s, memory accesses annotated with site ids, and fused
-/// superinstructions.
+/// [`CNode`]s and memory accesses annotated with site ids.
 #[derive(Debug, Clone)]
 pub(crate) enum CInstr {
     ProgramId {
@@ -234,19 +250,6 @@ pub(crate) enum CInstr {
         op: BinOp,
         a: Reg,
         b: Reg,
-    },
-    /// `tmp = a op1 b; dst = tmp op2 c` (or `c op2 tmp` when `swapped`),
-    /// with `tmp` dead afterwards: one dispatch, two instructions'
-    /// counters, and the same two per-element roundings as the unfused
-    /// pair.
-    FusedBinary {
-        dst: Reg,
-        op1: BinOp,
-        a: Reg,
-        b: Reg,
-        op2: BinOp,
-        c: Reg,
-        swapped: bool,
     },
     ExpandDims {
         dst: Reg,
@@ -537,8 +540,6 @@ impl Program {
 
         let mut ctx = Lowering {
             levels: &levels,
-            uses: &uses,
-            row_sites: &row_sites,
             avals: &avals,
             params: &params,
             shapes: &shapes,
@@ -547,14 +548,14 @@ impl Program {
             dedup_ok: avals.loops_ok,
         };
         let mut units = Vec::new();
-        for chunk in fuse_body(&kernel.body, &levels, &uses, &row_sites) {
+        for top in &kernel.body {
             // A unit's frequency covers its whole subtree *and* every
             // register it writes: a prologue `full(...)` that a
             // per-instance loop also writes (the accumulator pattern)
             // must re-execute per instance to reset the register.
-            let lvl = chunk_unit_level(&chunk, &levels);
+            let lvl = unit_level(top, &levels);
             let first_site = ctx.sites.len();
-            let instr = ctx.lower_chunk(&chunk, lvl >= 2, 0);
+            let instr = ctx.lower_one(top, lvl >= 2, 0);
             if lvl < 2 {
                 // Nothing in a once/per-row unit is stream-cached: its
                 // sites all execute at the unit's own frequency.
@@ -568,7 +569,7 @@ impl Program {
                     1 => UnitMode::PerRow,
                     _ => UnitMode::PerInstance,
                 },
-                value: slice.contains_chunk(&chunk),
+                value: slice.contains(top),
                 instr,
                 release: Vec::new(),
             });
@@ -1266,30 +1267,20 @@ fn levels_pass(body: &[Instr], written: &[bool], gdims: [usize; 3], reg: &mut [u
     }
 }
 
-/// The level at which a top-level chunk must execute: the max level of
+/// The level at which an instruction must execute: the max level of
 /// every register it writes, plus 2 for memory writes (their effects
 /// accumulate or must stay ordered against other instances) and the
 /// levels of dynamic loop bounds (they control trip counts).
-fn chunk_unit_level(chunk: &Chunk<'_>, levels: &Levels) -> u8 {
+fn unit_level(instr: &Instr, levels: &Levels) -> u8 {
     let mut lvl = 0u8;
-    let mut visit = |instr: &Instr| {
-        let walk = |i: &Instr, lvl: &mut u8| match i {
-            Instr::Store { .. } | Instr::AtomicAdd { .. } => *lvl = 2,
-            Instr::LoopDyn { start, end, .. } => {
-                *lvl = (*lvl).max(levels.reg[*start]).max(levels.reg[*end]);
-            }
-            _ => {}
-        };
-        visit_tree(instr, &mut |i| walk(i, &mut lvl));
-        for_each_write(instr, &mut |r| lvl = lvl.max(levels.reg[r]));
-    };
-    match chunk {
-        Chunk::One(i) => visit(i),
-        Chunk::Pair(a, b) => {
-            visit(a);
-            visit(b);
+    visit_tree(instr, &mut |i| match i {
+        Instr::Store { .. } | Instr::AtomicAdd { .. } => lvl = 2,
+        Instr::LoopDyn { start, end, .. } => {
+            lvl = lvl.max(levels.reg[*start]).max(levels.reg[*end]);
         }
-    }
+        _ => {}
+    });
+    for_each_write(instr, &mut |r| lvl = lvl.max(levels.reg[r]));
     lvl
 }
 
@@ -1396,11 +1387,6 @@ fn for_each_read_ci(instr: &CInstr, row_sites: &RowSites, f: &mut impl FnMut(Reg
             f(*a);
             f(*b);
         }
-        CInstr::FusedBinary { a, b, c, .. } => {
-            f(*a);
-            f(*b);
-            f(*c);
-        }
         CInstr::ExpandDims { src, .. }
         | CInstr::Broadcast { src, .. }
         | CInstr::View { src, .. }
@@ -1485,67 +1471,11 @@ fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
 }
 
 // ---------------------------------------------------------------------
-// Superinstruction fusion
-// ---------------------------------------------------------------------
-
-/// A view of a body with adjacent fusable `Binary` pairs merged.
-enum Chunk<'a> {
-    One(&'a Instr),
-    /// `(first, second)` — `first.dst` feeds `second` and dies there.
-    Pair(&'a Instr, &'a Instr),
-}
-
-fn fuse_body<'a>(
-    body: &'a [Instr],
-    levels: &Levels,
-    uses: &[u32],
-    row_sites: &RowSites,
-) -> Vec<Chunk<'a>> {
-    let mut out = Vec::with_capacity(body.len());
-    let mut i = 0;
-    while i < body.len() {
-        if i + 1 < body.len() {
-            if let (
-                Instr::Binary { dst: d1, .. },
-                Instr::Binary {
-                    dst: d2,
-                    a: a2,
-                    b: b2,
-                    ..
-                },
-            ) = (&body[i], &body[i + 1])
-            {
-                // Exactly one operand of the second instruction is the
-                // intermediate, the intermediate is read nowhere else in
-                // the whole program, and both registers are per-instance
-                // (cached instructions keep one stream entry each). The
-                // adds of a separable offset tree stay apart: eliding
-                // them beats fusing them.
-                let feeds = (a2 == d1) ^ (b2 == d1);
-                let hot = levels.reg[*d1] >= 2 && levels.reg[*d2] >= 2;
-                let elided =
-                    row_sites.elided_lanes(*d1).is_some() || row_sites.elided_lanes(*d2).is_some();
-                if feeds && hot && !elided && uses[*d1] == 1 && d2 != d1 {
-                    out.push(Chunk::Pair(&body[i], &body[i + 1]));
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        out.push(Chunk::One(&body[i]));
-        i += 1;
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Lowering
 // ---------------------------------------------------------------------
 
 struct Lowering<'a> {
     levels: &'a Levels,
-    uses: &'a [u32],
-    row_sites: &'a RowSites,
     avals: &'a Avals,
     params: &'a ParamTable,
     shapes: &'a [Option<Shape4>],
@@ -1555,42 +1485,6 @@ struct Lowering<'a> {
 }
 
 impl Lowering<'_> {
-    fn lower_chunk(&mut self, chunk: &Chunk<'_>, per_instance: bool, trip_level: u8) -> CInstr {
-        match chunk {
-            Chunk::Pair(first, second) => {
-                let (
-                    Instr::Binary {
-                        dst: d1,
-                        op: op1,
-                        a,
-                        b,
-                    },
-                    Instr::Binary {
-                        dst: d2,
-                        op: op2,
-                        a: a2,
-                        b: b2,
-                    },
-                ) = (*first, *second)
-                else {
-                    unreachable!("pairs are built from adjacent Binary instrs")
-                };
-                let swapped = b2 == d1;
-                let c = if swapped { *a2 } else { *b2 };
-                CInstr::FusedBinary {
-                    dst: *d2,
-                    op1: *op1,
-                    a: *a,
-                    b: *b,
-                    op2: *op2,
-                    c,
-                    swapped,
-                }
-            }
-            Chunk::One(instr) => self.lower_one(instr, per_instance, trip_level),
-        }
-    }
-
     /// Lower a loop body. `trip_level` is the invariance level of every
     /// enclosing loop's trip count: a node's occurrence stream is only
     /// aligned across instances when both its value *and* the number of
@@ -1598,9 +1492,10 @@ impl Lowering<'_> {
     /// level is the max of the two.
     fn lower_body(&mut self, body: &[Instr], per_instance: bool, trip_level: u8) -> Vec<CNode> {
         let mut nodes = Vec::with_capacity(body.len());
-        for chunk in fuse_body(body, self.levels, self.uses, self.row_sites) {
-            let lvl = chunk_unit_level(&chunk, self.levels).max(trip_level);
-            let instr = self.lower_chunk(&chunk, per_instance, trip_level);
+        for instr in body {
+            let lvl = unit_level(instr, self.levels).max(trip_level);
+            let value = self.slice.contains(instr);
+            let instr = self.lower_one(instr, per_instance, trip_level);
             let cacheable = per_instance
                 && lvl <= 1
                 && !matches!(
@@ -1616,7 +1511,7 @@ impl Lowering<'_> {
             }
             nodes.push(CNode {
                 cached: if cacheable { Some(lvl) } else { None },
-                value: self.slice.contains_chunk(&chunk),
+                value,
                 instr,
             });
         }

@@ -1,7 +1,7 @@
 //! Analysis 7 (see the parent module docs): the value slice of a kernel
 //! and whether a relaunch may replay it against recorded addresses.
 
-use super::{for_each_write, visit_tree, Chunk, ParamTable, SiteInfo};
+use super::{for_each_write, visit_tree, ParamTable, SiteInfo};
 use insum_kernel::{Instr, Kernel, Reg};
 use insum_tensor::DType;
 use std::fmt;
@@ -74,7 +74,7 @@ impl ValueSlice {
 
     /// Whether a replayed launch executes `instr`: every store and atomic,
     /// every writer of a needed register, every loop around one of those.
-    fn contains(&self, instr: &Instr) -> bool {
+    pub(super) fn contains(&self, instr: &Instr) -> bool {
         match instr {
             Instr::Store { .. } | Instr::AtomicAdd { .. } => true,
             Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
@@ -85,13 +85,6 @@ impl ValueSlice {
                 for_each_write(other, &mut |r| hit |= self.needed[r]);
                 hit
             }
-        }
-    }
-
-    pub(super) fn contains_chunk(&self, chunk: &Chunk<'_>) -> bool {
-        match chunk {
-            Chunk::One(i) => self.contains(i),
-            Chunk::Pair(first, second) => self.contains(first) || self.contains(second),
         }
     }
 

@@ -118,8 +118,6 @@ pub(crate) struct Recorder {
     levels: [bool; 3],
     /// Instances this shard will run.
     instances: usize,
-    /// Staging for the lanes of a per-lane access (negative: masked off).
-    pub(crate) lanes: Vec<i64>,
     /// A stream outgrew its 32-bit positions: the launch keeps no script.
     overflow: bool,
 }
@@ -130,7 +128,6 @@ impl Recorder {
             streams: Default::default(),
             levels,
             instances,
-            lanes: Vec::new(),
             overflow: false,
         }
     }

@@ -22,7 +22,7 @@ mod common;
 use common::{
     block_group_args, block_group_kernel, build_args, build_kernel, case_strategy,
     conv_shaped_args, conv_shaped_kernel, plain, spec_strategy, tp_shaped_args, tp_shaped_kernel,
-    Case, MaskKind,
+    Case, MaskKind, Side,
 };
 
 /// The dispatch counters are process-wide and the tests of this binary
@@ -210,7 +210,7 @@ proptest! {
 
     /// The separable-site generator of `row_sites.rs`: row runs, per-lane
     /// declines, masks of both kinds, loops, out-of-range garbage in
-    /// masked-off rows.
+    /// masked-off rows, and each staged per-lane form.
     #[test]
     fn row_site_kernels_relaunch_like_they_launch(c in case_strategy()) {
         let args = build_args(&c);
@@ -247,6 +247,27 @@ fn paper_shaped_kernels_relaunch_like_they_launch() {
     let args = block_group_args(groups, g, xtiles, 5);
     let kernel = block_group_kernel(groups, g, xtiles);
     check_relaunches(&kernel, &[xtiles, groups], &args, "block-group shape");
+}
+
+/// Each form the per-lane path stages its lanes as — a scalar, a row
+/// cut short by a prefix mask, lanes under a non-prefix mask, a broadcast
+/// offset and mask, duplicate-address atomics into f16 — is recorded and
+/// replayed to the seed's bits.
+#[test]
+fn staged_lane_forms_relaunch_like_they_launch() {
+    for side in Side::ALL {
+        for f16 in [false, true] {
+            let c = Case {
+                side,
+                f16,
+                ..plain(4, 16, 3, 2)
+            };
+            let (kernel, args) = (build_kernel(&c), build_args(&c));
+            let program = compile(&kernel, &[c.gx, c.gy], &args);
+            assert_eq!(program.replay_decline(), None, "{c:?}");
+            check_relaunches(&kernel, &[c.gx, c.gy], &args, &format!("{c:?}"));
+        }
+    }
 }
 
 /// Row bases gathered through metadata — a permutation no progression

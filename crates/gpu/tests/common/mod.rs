@@ -56,6 +56,40 @@ pub enum Poison {
     Huge,
 }
 
+/// A 1-D load feeding a 1-D store or atomic, beside the 2-D accesses:
+/// per-lane sites, whose lanes are staged as one row (a prefix of
+/// consecutive elements) or as one row per lane. Every form sits at
+/// `p₀ = 16 · pid0 + pid1`, which shifts by whole sectors along grid
+/// axis 0 for f32 and f16 alike, so instance classes still form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Side {
+    None,
+    /// `OUT_S[p₀] = SRC[p₀]`: a scalar load and store.
+    Scalar,
+    /// `p₀ + arange(m)` under `lane < m - 3`: one row, cut short.
+    Prefix,
+    /// `p₀ + arange(m)` under `lane >= 2`: active lanes that are not a
+    /// prefix, one row each.
+    Suffix,
+    /// A `[1]` offset broadcast over `m` lanes under `lane < m - 3`, stored
+    /// at `p₀ + arange(m)` under a `[1]` mask that only `pid1 == 0` sets.
+    Broadcast,
+    /// `OUT_A[p₀ + lane % 3] += SRC[p₀ + lane]`: every address hit several
+    /// times, into an f16 output when the case is f16.
+    Duplicates,
+}
+
+impl Side {
+    pub const ALL: [Side; 6] = [
+        Side::None,
+        Side::Scalar,
+        Side::Prefix,
+        Side::Suffix,
+        Side::Broadcast,
+        Side::Duplicates,
+    ];
+}
+
 #[derive(Debug, Clone, Copy)]
 pub struct Case {
     pub n: usize,
@@ -82,6 +116,7 @@ pub struct Case {
     /// before the access unless liveness sees the site's read.
     pub filler: bool,
     pub sorted_rows: bool,
+    pub side: Side,
     pub seed: u64,
 }
 
@@ -114,10 +149,21 @@ impl Case {
     pub fn row_masked(&self) -> bool {
         matches!(self.mask, MaskKind::Rows | MaskKind::Both)
     }
+
+    /// Access sites of the kernel: one 1-D metadata gather, three 2-D
+    /// accesses and the pair of the [`Side`] form.
+    pub fn sites(&self) -> usize {
+        if self.side == Side::None {
+            4
+        } else {
+            6
+        }
+    }
 }
 
 /// `OUT_S[off] = v; OUT_A[off] += v` with `v = SRC[off]` (accumulated over
-/// two trips when `in_loop`), each access with its own offset tree.
+/// two trips when `in_loop`), each access with its own offset tree; then
+/// the [`Side`] pair.
 pub fn build_kernel(c: &Case) -> Kernel {
     let mut b = KernelBuilder::new("row_sites");
     let idx = b.input("IDX");
@@ -252,6 +298,45 @@ pub fn build_kernel(c: &Case) -> Kernel {
         None => value,
     };
     b.atomic_add(out_a, off_a, value_a, mask);
+
+    let sixteen = b.constant(16.0);
+    let p0 = b.binary(BinOp::Mul, pid0, sixteen);
+    let p0 = b.binary(BinOp::Add, p0, pid1);
+    let at = b.binary(BinOp::Add, p0, lanes_m);
+    let limit = b.constant(m.saturating_sub(3).max(1) as f64);
+    let prefix = b.binary(BinOp::Lt, lanes_m, limit);
+    match c.side {
+        Side::None => {}
+        Side::Scalar => {
+            let v = b.load(src, p0, None, 0.0);
+            b.store(out_s, p0, v, None);
+        }
+        Side::Prefix => {
+            let v = b.load(src, at, Some(prefix), 0.25);
+            b.store(out_s, at, v, Some(prefix));
+        }
+        Side::Suffix => {
+            let two = b.constant(2.0);
+            let suffix = b.binary(BinOp::Ge, lanes_m, two);
+            let v = b.load(src, at, Some(suffix), 0.25);
+            b.store(out_s, at, v, Some(suffix));
+        }
+        Side::Broadcast => {
+            let one = b.expand_dims(p0, 0);
+            let v = b.load(src, one, Some(prefix), 0.25);
+            let zero = b.constant(0.0);
+            let first = b.binary(BinOp::Eq, pid1, zero);
+            let first = b.expand_dims(first, 0);
+            b.store(out_s, at, v, Some(first));
+        }
+        Side::Duplicates => {
+            let v = b.load(src, at, None, 0.0);
+            let three = b.constant(3.0);
+            let folded = b.binary(BinOp::Mod, lanes_m, three);
+            let dup = b.binary(BinOp::Add, p0, folded);
+            b.atomic_add(out_a, dup, v, None);
+        }
+    }
     b.build()
 }
 
@@ -302,6 +387,7 @@ pub fn plain(n: usize, m: usize, gx: usize, gy: usize) -> Case {
         in_loop: false,
         filler: false,
         sorted_rows: false,
+        side: Side::None,
         seed: 7,
     }
 }
@@ -312,7 +398,7 @@ pub fn case_strategy() -> impl Strategy<Value = Case> {
         (0usize..5, 0usize..4),
         (1usize..4, 1usize..4),
         (1usize..4, 1usize..4),
-        (0usize..4, 0usize..6, 0usize..8),
+        (0usize..4, 0usize..6, 0usize..8, 0usize..Side::ALL.len()),
         0u32..64,
         0usize..8,
         0u64..u64::MAX,
@@ -322,7 +408,7 @@ pub fn case_strategy() -> impl Strategy<Value = Case> {
                 (ni, mi),
                 (gx, gy),
                 (row_terms, col_terms),
-                (mask, columns, poison),
+                (mask, columns, poison, side),
                 flags,
                 misalign,
                 seed,
@@ -357,6 +443,7 @@ pub fn case_strategy() -> impl Strategy<Value = Case> {
                     in_loop: flags & 4 != 0,
                     filler: flags & 8 != 0,
                     sorted_rows: flags & 16 != 0,
+                    side: Side::ALL[side],
                     seed,
                 }
             },

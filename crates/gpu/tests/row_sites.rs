@@ -9,7 +9,10 @@
 //! everything the recognition rule and its run-time conditions branch on
 //! varied: terms per side, association, masks, dtypes, misalignment,
 //! duplicates, partial warps, loops, non-consecutive columns,
-//! non-integral and huge terms, and out-of-bounds lanes.
+//! non-integral and huge terms, and out-of-bounds lanes. Beside them sits
+//! a 1-D access pair in each form the per-lane path stages its lanes as
+//! (scalar, prefix-masked row, non-prefix mask, broadcast offset and mask,
+//! duplicate-address atomics).
 
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
@@ -23,7 +26,7 @@ use std::sync::Mutex;
 mod common;
 use common::{
     build_args, build_kernel, case_strategy, conv_shaped_args, conv_shaped_kernel, plain, Case,
-    Columns, MaskKind, Poison,
+    Columns, MaskKind, Poison, Side,
 };
 
 /// The dispatch counters are process-wide and the tests of this binary
@@ -118,8 +121,8 @@ fn check_case(c: &Case) {
     let label = format!("{c:?}");
     let ((recognised, total), (row_run, generic)) =
         check_against_seed(&kernel, &[c.gx, c.gy], &args, &label);
-    // One 1-D metadata gather and three 2-D accesses.
-    assert_eq!(total, 4, "{label}");
+    // One 1-D metadata gather, three 2-D accesses, the 1-D side pair.
+    assert_eq!(total, c.sites(), "{label}");
     // With a single row of lanes the `And` of the two masks is `[1, m]`:
     // a column mask.
     if c.mask == MaskKind::Both && c.n > 1 {
@@ -203,6 +206,24 @@ fn pinned_corners() {
         mask: MaskKind::Both,
         ..plain(16, 16, 2, 2)
     });
+    // Every staged per-lane form beside row runs, f32 and f16, with
+    // instance classes (a multi-instance grid axis 0) and without.
+    for side in Side::ALL {
+        for (f16, gx) in [(false, 3), (true, 1)] {
+            let c = Case {
+                side,
+                f16,
+                ..plain(4, 16, gx, 2)
+            };
+            check_case(&c);
+            let args = build_args(&c);
+            let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
+            let dtypes: Vec<DType> = args.iter().map(Tensor::dtype).collect();
+            let program = Program::compile(&build_kernel(&c), &[gx, 2], &lens, &dtypes)
+                .expect("kernel compiles");
+            assert!(program.analytic_dedup_available(), "{c:?}");
+        }
+    }
 }
 
 /// Sharded against sequential (and both against the seed interpreter)

@@ -5,9 +5,17 @@ use crate::error::LangError;
 use crate::lexer::{lex, Token};
 use crate::Result;
 
+/// How deep accesses may nest (`A[B[i]]` is depth 2). The analyzer
+/// accepts one level of indirection, so nothing it accepts comes near the
+/// cap; the cap keeps hostile input from recursing through a thread's
+/// stack, which no caller could catch.
+const MAX_NESTING: usize = 16;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Accesses open around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -56,6 +64,18 @@ impl Parser {
 
     /// access := IDENT '[' index (',' index)* ']'
     fn access(&mut self) -> Result<Access> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!(
+                "an index variable (accesses nest at most {MAX_NESTING} deep)"
+            )));
+        }
+        self.depth += 1;
+        let access = self.access_body();
+        self.depth -= 1;
+        access
+    }
+
+    fn access_body(&mut self) -> Result<Access> {
         let tensor = self.ident("tensor name")?;
         self.expect(&Token::LBracket, "'['")?;
         let mut indices = Vec::new();
@@ -103,10 +123,14 @@ impl Parser {
 ///
 /// Returns [`LangError::UnexpectedChar`] for lexical errors and
 /// [`LangError::ParseError`] for grammatical ones (including trailing
-/// tokens).
+/// tokens, and accesses nested more than 16 deep).
 pub fn parse(src: &str) -> Result<Statement> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let output = p.access()?;
     let op = match p.advance() {
         Some(Token::PlusEquals) => AssignOp::Accumulate,
@@ -201,6 +225,26 @@ mod tests {
         assert!(parse("C[] += A[i]").is_err()); // empty index list
         assert!(parse("C[i,] += A[i]").is_err()); // trailing comma
         assert!(parse("C[i] += A[i] extra").is_err()); // trailing tokens
+    }
+
+    /// Deep nesting is a typed error, not a stack overflow, even on a
+    /// 2 MiB thread (the default stack of a spawned thread).
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let nested = |depth: usize| format!("C[i] = {}i{}", "A[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        assert!(parse(&nested(MAX_NESTING + 1)).is_err());
+        let deep = nested(20_000);
+        let got = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&deep))
+            .expect("thread spawns")
+            .join()
+            .expect("parsing does not panic");
+        assert!(
+            matches!(&got, Err(LangError::ParseError { expected, .. }) if expected.contains("nest")),
+            "{got:?}"
+        );
     }
 
     #[test]

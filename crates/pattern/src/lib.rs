@@ -11,7 +11,7 @@
 //!
 //! Index names below are canonical placeholders; classification is
 //! structural, so any names that are equal/distinct in the same positions
-//! classify identically (see [`canonical_spec`]).
+//! classify identically.
 //!
 //! | Spec shape                | Pattern                  | Extracted dims |
 //! |---------------------------|--------------------------|----------------|
@@ -257,150 +257,77 @@ pub fn classify_terms<S: AsRef<str>>(inputs: &[Vec<S>], output: &[S]) -> Pattern
     }
 }
 
-/// Parse and classify an einsum in compact notation, e.g. `"ij,jk->ik"`.
-///
-/// Each index is a single non-`,`/`->` character; whitespace is ignored.
-/// Returns `None` if the spec is malformed (no `->`, empty input term).
-pub fn classify_spec(spec: &str) -> Option<Pattern> {
-    let (lhs, rhs) = spec.split_once("->")?;
-    let output: Vec<String> = rhs
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .map(String::from)
-        .collect();
-    let mut inputs = Vec::new();
-    for term in lhs.split(',') {
-        let vars: Vec<String> = term
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .map(String::from)
-            .collect();
-        if vars.is_empty() {
-            return None;
-        }
-        inputs.push(vars);
-    }
-    Some(classify_terms(&inputs, &output))
-}
-
-/// Canonicalize index names by order of first appearance (inputs
-/// left-to-right, then output) and render the spec compactly:
-/// `classify_terms` is invariant under this renaming, so two specs with
-/// the same canonical form always classify identically.
-///
-/// `canonical_spec(&[vec!["p","q"], vec!["q","r"]], &["p","r"])` is
-/// `"ab,bc->ac"`. Names beyond 26 distinct indices render as `#<n>`.
-pub fn canonical_spec<S: AsRef<str>>(inputs: &[Vec<S>], output: &[S]) -> String {
-    fn rank<'a>(order: &mut Vec<&'a str>, name: &'a str) -> usize {
-        match order.iter().position(|n| *n == name) {
-            Some(p) => p,
-            None => {
-                order.push(name);
-                order.len() - 1
-            }
-        }
-    }
-    fn letter(r: usize) -> String {
-        if r < 26 {
-            char::from(b'a' + r as u8).to_string()
-        } else {
-            format!("#{r}")
-        }
-    }
-    let mut order: Vec<&str> = Vec::new();
-    let mut rendered_inputs = Vec::new();
-    for term in inputs {
-        let mut s = String::new();
-        for v in term {
-            s.push_str(&letter(rank(&mut order, v.as_ref())));
-        }
-        rendered_inputs.push(s);
-    }
-    let mut out = String::new();
-    for v in output {
-        out.push_str(&letter(rank(&mut order, v.as_ref())));
-    }
-    format!("{}->{}", rendered_inputs.join(","), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn c(spec: &str) -> Pattern {
-        classify_spec(spec).unwrap()
+    /// Classify single-letter index terms: `c(&["ij", "jk"], "ik")`.
+    fn c(inputs: &[&str], output: &str) -> Pattern {
+        let term = |t: &str| t.chars().map(String::from).collect::<Vec<_>>();
+        let inputs: Vec<Vec<String>> = inputs.iter().map(|t| term(t)).collect();
+        classify_terms(&inputs, &term(output))
     }
 
     #[test]
     fn recognizes_every_table_row() {
-        assert_eq!(c("ij,jk->ik"), Pattern::Matmul);
-        assert_eq!(c("gij,gjk->gik"), Pattern::BatchedMatmul);
-        assert_eq!(c("ij->ji"), Pattern::Transpose { perm: vec![1, 0] });
+        assert_eq!(c(&["ij", "jk"], "ik"), Pattern::Matmul);
+        assert_eq!(c(&["gij", "gjk"], "gik"), Pattern::BatchedMatmul);
+        assert_eq!(c(&["ij"], "ji"), Pattern::Transpose { perm: vec![1, 0] });
         assert_eq!(
-            c("ijk->kij"),
+            c(&["ijk"], "kij"),
             Pattern::Transpose {
                 perm: vec![2, 0, 1]
             }
         );
-        assert_eq!(c("ij->ij"), Pattern::Transpose { perm: vec![0, 1] });
-        assert_eq!(c("ijk->ik"), Pattern::Reduction { axes: vec![1] });
-        assert_eq!(c("ij->"), Pattern::Reduction { axes: vec![0, 1] });
-        assert_eq!(c("ij->i"), Pattern::Reduction { axes: vec![1] });
-        assert_eq!(c("ij,ij->ij"), Pattern::Hadamard);
-        assert_eq!(c("i,i->i"), Pattern::Hadamard);
-        assert_eq!(c("i,j->ij"), Pattern::Outer);
-        assert_eq!(c("i,i->"), Pattern::Dot);
-        assert_eq!(c("ii->"), Pattern::Trace);
-        assert_eq!(c("ii->i"), Pattern::Diagonal);
+        assert_eq!(c(&["ij"], "ij"), Pattern::Transpose { perm: vec![0, 1] });
+        assert_eq!(c(&["ijk"], "ik"), Pattern::Reduction { axes: vec![1] });
+        assert_eq!(c(&["ij"], ""), Pattern::Reduction { axes: vec![0, 1] });
+        assert_eq!(c(&["ij"], "i"), Pattern::Reduction { axes: vec![1] });
+        assert_eq!(c(&["ij", "ij"], "ij"), Pattern::Hadamard);
+        assert_eq!(c(&["i", "i"], "i"), Pattern::Hadamard);
+        assert_eq!(c(&["i", "j"], "ij"), Pattern::Outer);
+        assert_eq!(c(&["i", "i"], ""), Pattern::Dot);
+        assert_eq!(c(&["ii"], ""), Pattern::Trace);
+        assert_eq!(c(&["ii"], "i"), Pattern::Diagonal);
     }
 
     #[test]
     fn near_misses_fall_back_to_general() {
         // Repeated indices outside the aa forms.
-        assert_eq!(c("iij->j"), Pattern::General);
-        assert_eq!(c("iii->i"), Pattern::General);
-        assert_eq!(c("ii->ii"), Pattern::General);
+        assert_eq!(c(&["iij"], "j"), Pattern::General);
+        assert_eq!(c(&["iii"], "i"), Pattern::General);
+        assert_eq!(c(&["ii"], "ii"), Pattern::General);
         // Broadcast / invented output index.
-        assert_eq!(c("i->ij"), Pattern::General);
-        assert_eq!(c("ij,j->ij"), Pattern::General);
+        assert_eq!(c(&["i"], "ij"), Pattern::General);
+        assert_eq!(c(&["ij", "j"], "ij"), Pattern::General);
         // Reduce + permute is not an ordered subsequence.
-        assert_eq!(c("ijk->ji"), Pattern::General);
+        assert_eq!(c(&["ijk"], "ji"), Pattern::General);
         // Matvec and transposed-operand matmuls.
-        assert_eq!(c("ij,j->i"), Pattern::General);
-        assert_eq!(c("ij,kj->ik"), Pattern::General);
-        assert_eq!(c("ji,jk->ik"), Pattern::General);
+        assert_eq!(c(&["ij", "j"], "i"), Pattern::General);
+        assert_eq!(c(&["ij", "kj"], "ik"), Pattern::General);
+        assert_eq!(c(&["ji", "jk"], "ik"), Pattern::General);
         // Transposed Hadamard, Frobenius dot, 2-D "outer".
-        assert_eq!(c("ij,ji->ij"), Pattern::General);
-        assert_eq!(c("ij,ij->"), Pattern::General);
-        assert_eq!(c("ij,kl->ijkl"), Pattern::General);
+        assert_eq!(c(&["ij", "ji"], "ij"), Pattern::General);
+        assert_eq!(c(&["ij", "ij"], ""), Pattern::General);
+        assert_eq!(c(&["ij", "kl"], "ijkl"), Pattern::General);
         // Matmul degenerate index collisions.
-        assert_eq!(c("ij,ji->ii"), Pattern::General);
-        assert_eq!(c("ii,ij->ij"), Pattern::General);
+        assert_eq!(c(&["ij", "ji"], "ii"), Pattern::General);
+        assert_eq!(c(&["ii", "ij"], "ij"), Pattern::General);
         // Three operands never classify.
-        assert_eq!(c("ij,jk,kl->il"), Pattern::General);
+        assert_eq!(c(&["ij", "jk", "kl"], "il"), Pattern::General);
         // Batched matmul with a colliding batch index.
-        assert_eq!(c("iab,ibi->iai"), Pattern::General);
+        assert_eq!(c(&["iab", "ibi"], "iai"), Pattern::General);
     }
 
     #[test]
     fn classification_is_name_invariant() {
         let a = classify_terms(&[vec!["p", "q"], vec!["q", "r"]], &["p", "r"]);
         assert_eq!(a, Pattern::Matmul);
+        assert_eq!(a, c(&["ab", "bc"], "ac"));
         assert_eq!(
-            canonical_spec(&[vec!["p", "q"], vec!["q", "r"]], &["p", "r"]),
-            "ab,bc->ac"
+            classify_terms(&[vec!["row", "col"]], &["col", "row"]),
+            c(&["ab"], "ba")
         );
-        assert_eq!(
-            canonical_spec(&[vec!["row", "col"]], &["col", "row"]),
-            "ab->ba"
-        );
-    }
-
-    #[test]
-    fn spec_parsing_edges() {
-        assert!(classify_spec("ij,jk").is_none());
-        assert!(classify_spec("ij,->ij").is_none());
-        assert_eq!(classify_spec(" i j -> j i "), Some(c("ij->ji")));
     }
 
     #[test]

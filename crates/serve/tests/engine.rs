@@ -2,7 +2,7 @@
 //! arrival orders and varying batch compositions, the backpressure
 //! model, metrics accounting, and the async handle surface.
 
-use insum::{insum_with, InsumOptions, Mode, Profile, Tensor};
+use insum::{insum_with, InsumError, InsumOptions, Mode, Profile, Tensor};
 use insum_serve::{block_on, AdmissionPolicy, ServeConfig, ServeEngine, ServeError, SubmitOptions};
 use insum_tensor::{rand_uniform, randint};
 use rand::rngs::SmallRng;
@@ -351,6 +351,30 @@ fn compile_errors_complete_the_ticket_and_count_as_failed() {
     assert_eq!(metrics.failed, 2);
     assert_eq!(metrics.tenants["t"].failed, 2);
     assert_eq!(metrics.registry.misses, 1, "error compiled once");
+}
+
+/// An expression nested 20,000 accesses deep is parsed on the scheduler
+/// thread (2 MiB of stack). It fails that request with a typed parse
+/// error instead of overflowing the stack and aborting every tenant's
+/// process, and the next request is served as usual.
+#[test]
+fn deeply_nested_expression_fails_alone() {
+    let engine = ServeEngine::with_defaults().unwrap();
+    let session = engine.session("t");
+    let tensors = spmm_request(29);
+    let deep = format!("C[i] = {}i{}", "A[".repeat(20_000), "]".repeat(20_000));
+    match session.submit(&deep, &tensors).unwrap().wait() {
+        Err(ServeError::Insum(e @ InsumError::Lang(_))) => {
+            assert!(e.to_string().contains("nest"), "{e}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let want = insum_with(SPMM, &tensors, &InsumOptions::default())
+        .and_then(|op| op.run(&tensors))
+        .expect("one-shot runs");
+    let response = session.submit(SPMM, &tensors).unwrap().wait().unwrap();
+    assert!(response.output.bit_eq(&want.0));
+    assert_eq!(engine.metrics().failed, 1);
 }
 
 #[test]
