@@ -52,7 +52,7 @@ struct Workload {
 }
 
 fn fig7_requests(n_requests: usize) -> Workload {
-    let (_, bgc, _) = structured_spmm_setup(1024, 256, 0.5, DType::F16, 77);
+    let (_, bgc, _) = structured_spmm_setup(1024, 256, 0.5, 77);
     let mut rng = SmallRng::seed_from_u64(770);
     let mut requests = Vec::with_capacity(n_requests);
     let mut expr = "";
@@ -122,7 +122,7 @@ fn pointcloud_requests(n_requests: usize) -> Workload {
 }
 
 fn smoke_requests(n_requests: usize) -> Workload {
-    let (_, bgc, _) = structured_spmm_setup(128, 64, 0.8, DType::F16, 5);
+    let (_, bgc, _) = structured_spmm_setup(128, 64, 0.8, 5);
     let mut rng = SmallRng::seed_from_u64(50);
     let mut requests = Vec::with_capacity(n_requests);
     let mut expr = "";

@@ -79,7 +79,7 @@ fn cases() -> Vec<Case> {
 
     // Fig. 7 scale: 1024x1024 block-sparse (32x32 blocks, 50% dense), B
     // with 256 columns — the acceptance benchmark for this harness.
-    let (_, bgc, b) = structured_spmm_setup(1024, 256, 0.5, DType::F16, 77);
+    let (_, bgc, b) = structured_spmm_setup(1024, 256, 0.5, 77);
     let app = apps::spmm_block_group(&bgc, &b);
     let (op, plan) = compile(app.expr, &app.tensors);
     out.push(Case {

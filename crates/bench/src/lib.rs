@@ -1,6 +1,8 @@
-//! Shared helpers for the benchmark harness that regenerates every table
-//! and figure of the paper (see EXPERIMENTS.md for the index and the
-//! scaled problem sizes).
+//! Shared helpers for the benchmark harnesses, and [`paper`]: every table
+//! and figure of the paper as one table of experiments (see
+//! EXPERIMENTS.md for the index and the scaled problem sizes).
+
+pub mod paper;
 
 use insum::apps::BoundApp;
 use insum::{InsumOptions, Tensor};
@@ -11,11 +13,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Geometric mean of positive values.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let logs: Vec<f64> = xs.into_iter().map(f64::ln).collect();
+    if logs.is_empty() {
         return 0.0;
     }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
+    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
 }
 
 /// Print an aligned text table.
@@ -64,21 +67,32 @@ pub fn time_app(app: &BoundApp, opts: &InsumOptions) -> f64 {
         .total_time()
 }
 
-/// Build the structured-SpMM workload of Figs. 10/13: a block-sparse
-/// matrix in BlockGroupCOO (heuristic group size) plus a dense `B`.
+/// Draw a block-sparse FP16 `n`×`n` matrix (32×32 blocks at `sparsity`),
+/// in dense and BlockCOO form, and a dense FP16 `n`×`cols` `B`.
+pub fn block_sparse_operands(
+    n: usize,
+    cols: usize,
+    sparsity: f64,
+    seed: u64,
+) -> (Tensor, BlockCoo, Tensor) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let dense = block_sparse_dense(n, n, 32, 32, sparsity, &mut rng).cast(DType::F16);
+    let b = insum_tensor::rand_uniform(vec![n, cols], -1.0, 1.0, &mut rng).cast(DType::F16);
+    let bcoo = BlockCoo::from_dense(&dense, 32, 32).expect("extents divide block size");
+    (dense, bcoo, b)
+}
+
+/// The structured-SpMM workload: [`block_sparse_operands`] with `A` in
+/// BlockGroupCOO at the heuristic group size.
 pub fn structured_spmm_setup(
     n: usize,
-    cols_b: usize,
+    cols: usize,
     sparsity: f64,
-    dtype: DType,
     seed: u64,
 ) -> (Tensor, BlockGroupCoo, Tensor) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let dense = block_sparse_dense(n, n, 32, 32, sparsity, &mut rng).cast(dtype);
-    let bcoo = BlockCoo::from_dense(&dense, 32, 32).expect("extents divide block size");
+    let (dense, bcoo, b) = block_sparse_operands(n, cols, sparsity, seed);
     let g = insum_formats::heuristic::heuristic_group_size(&bcoo.block_occupancy());
     let bgc = BlockGroupCoo::from_block_coo(&bcoo, g).expect("valid group size");
-    let b = insum_tensor::rand_uniform(vec![n, cols_b], -1.0, 1.0, &mut rng).cast(dtype);
     (dense, bgc, b)
 }
 
@@ -98,13 +112,13 @@ mod tests {
 
     #[test]
     fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
+        assert!((geomean([1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert_eq!(geomean([]), 0.0);
     }
 
     #[test]
     fn structured_setup_consistent() {
-        let (dense, bgc, b) = structured_spmm_setup(128, 64, 0.8, DType::F16, 1);
+        let (dense, bgc, b) = structured_spmm_setup(128, 64, 0.8, 1);
         assert_eq!(dense.shape(), &[128, 128]);
         assert_eq!(b.shape(), &[128, 64]);
         assert_eq!(bgc.to_dense(), dense);
@@ -112,7 +126,7 @@ mod tests {
 
     #[test]
     fn time_app_returns_positive_time() {
-        let (_, bgc, b) = structured_spmm_setup(128, 64, 0.8, DType::F16, 2);
+        let (_, bgc, b) = structured_spmm_setup(128, 64, 0.8, 2);
         let app = insum::apps::spmm_block_group(&bgc, &b);
         let t = time_app(&app, &InsumOptions::default());
         assert!(t > 0.0);

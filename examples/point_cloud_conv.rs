@@ -38,8 +38,7 @@ fn main() {
         .iter()
         .map(Vec::len)
         .collect();
-    let g = heuristic_group_size(&occ).clamp(8, 64);
-    let km = kernel_map(&scene, g);
+    let km = kernel_map(&scene, heuristic_group_size(&occ));
     println!(
         "kernel map: {} pairs in {} groups of {} (padding {:.1}%)",
         km.pairs,
