@@ -1,29 +1,38 @@
-//! The serving engine: admission, lifecycle, and observability.
+//! The serving engine's shell: the one place that locks, parks, reads
+//! the clock, calls the registry and launches.
+//!
+//! All scheduling decisions live in the pure [`Core`] (`scheduler.rs`).
+//! The shell steps it under one mutex — from client threads for submit,
+//! cancel, pause/resume and close, from the scheduler thread for
+//! everything else — reading the engine clock for every step while the
+//! lock is held. It performs `Respond` (complete a ticket) and `Wake`
+//! (notify the one condvar) before releasing the lock; the scheduler
+//! thread then carries out its one `Resolve`, `Launch`, `Park`,
+//! `Persist` or `Exit` and reports the result as its next event.
 
 use crate::clock::{Clock, SystemClock};
-use crate::config::{AdmissionPolicy, ServeConfig, SubmitOptions};
+use crate::config::{ServeConfig, SubmitOptions};
 use crate::error::ServeError;
-use crate::metrics::{MetricsInner, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::registry::ArtifactRegistry;
-use crate::scheduler;
+use crate::scheduler::{Action, Core, Event, Request, Resolution, Resolved};
 use crate::session::{RequestId, ResponseHandle, Session, TicketInner};
-use insum::{InsumOptions, Mode, Tensor};
+use insum::{LaunchOptions, Mode, Tensor};
 use insum_inductor::ProgramCache;
-use insum_telemetry::{FlightRecorder, Phase, RecordedTrace, Trace, TraceOutcome};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use insum_telemetry::hook;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Acquire a lock, recovering the guard if a previous holder panicked.
 ///
-/// Every engine panic site is isolated (`scheduler::execute_batch`
-/// catches unwinds at the execution boundary), and the guarded state —
-/// queues and counters — is kept consistent at every point a panic can
-/// unwind through, so a poisoned guard is safe to reuse. Recovering here
-/// means one panicking request can never take down unrelated tenants via
-/// cascading `PoisonError` panics in `submit`/`metrics`/`shutdown`.
+/// Every engine panic site is isolated (compilation and execution are
+/// caught at their boundaries), and the guarded state is kept consistent
+/// at every point a panic can unwind through, so a poisoned guard is
+/// safe to reuse. Recovering here means one panicking request can never
+/// take down unrelated tenants via cascading `PoisonError` panics in
+/// `submit`/`metrics`/`shutdown`.
 pub(crate) fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -33,72 +42,15 @@ pub(crate) fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuar
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] with the same poison recovery as
-/// [`relock`] (the timeout flag is dropped: callers re-check their
-/// predicates either way).
-pub(crate) fn rewait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    cv.wait_timeout(guard, dur)
-        .map(|(g, _)| g)
-        .unwrap_or_else(|e| e.into_inner().0)
-}
-
-/// One admitted, not-yet-executed request.
-pub(crate) struct Pending {
-    pub(crate) id: u64,
-    pub(crate) tenant: Arc<str>,
-    pub(crate) expr: String,
-    pub(crate) tensors: BTreeMap<String, Tensor>,
-    pub(crate) options: InsumOptions,
-    pub(crate) mode: Mode,
-    /// Admission stamp on the engine clock.
-    pub(crate) submitted_at: Duration,
-    /// Absolute expiry on the engine clock (admission + the relative
-    /// deadline from [`SubmitOptions::deadline`]); `None` never expires.
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) max_retries: u32,
-    pub(crate) priority: i32,
-    /// Zero-based attempt counter; incremented each time a transient
-    /// failure requeues the request.
-    pub(crate) attempt: u32,
-    /// Backoff gate: the scheduler leaves the request queued until this
-    /// clock stamp (ignored when the engine is draining for shutdown).
-    pub(crate) not_before: Option<Duration>,
-    pub(crate) ticket: Arc<TicketInner>,
-    /// The request's span (empty when telemetry is disabled). Owned by
-    /// whoever owns the `Pending`; finalized exactly once at the
-    /// terminal decision by [`finalize_terminal`].
-    pub(crate) trace: Trace,
-}
-
-/// Safety net for the ticket contract: every admitted request's handle
-/// must resolve. If a `Pending` is ever dropped without its ticket
-/// having been completed — e.g. an unforeseen panic unwinding through
-/// the scheduler's drained window into the last-resort catch — the
-/// waiter gets an [`ServeError::Engine`] instead of blocking forever.
-/// (`TicketInner::complete` is first-wins, so the normal completion
-/// paths are unaffected.)
-impl Drop for Pending {
-    fn drop(&mut self) {
-        // Normal completions take only this relaxed-cost flag check; the
-        // error is built solely on the abnormal path.
-        if !self.ticket.is_complete() {
-            self.ticket.complete(Err(ServeError::Engine(
-                "request dropped by the engine without a response (internal \
-                 panic while it was in flight)"
-                    .to_string(),
-            )));
-        }
+/// Render a caught panic payload for [`ServeError::Engine`].
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic payload".to_string()
     }
-}
-
-pub(crate) struct QueueState {
-    pub(crate) queue: VecDeque<Pending>,
-    pub(crate) closed: bool,
-    pub(crate) paused: bool,
 }
 
 /// State shared between sessions, the engine handle, and the scheduler
@@ -106,13 +58,31 @@ pub(crate) struct QueueState {
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) state: Mutex<QueueState>,
-    pub(crate) not_empty: Condvar,
-    pub(crate) not_full: Condvar,
+    pub(crate) core: Mutex<Core>,
+    /// Parks the scheduler (on `Park`) and blocked submitters (on
+    /// `Blocked`); notified on every `Wake`.
+    wake: Condvar,
     pub(crate) registry: ArtifactRegistry,
-    pub(crate) metrics: Mutex<MetricsInner>,
-    pub(crate) recorder: FlightRecorder,
-    next_id: AtomicU64,
+}
+
+impl Shared {
+    /// Step the core (whose lock the caller holds) at the current clock
+    /// time and perform the actions that must happen under the lock.
+    /// Returns the one action left for the caller: an admission answer
+    /// for a submit, the scheduler's next move for its own events.
+    pub(crate) fn step(&self, core: &mut Core, event: Event) -> Option<Action> {
+        let mut next = None;
+        for action in core.step(event, self.clock.now()) {
+            match action {
+                Action::Respond(pending, result) => {
+                    pending.req.ticket.complete(result);
+                }
+                Action::Wake => self.wake.notify_all(),
+                other => next = Some(other),
+            }
+        }
+        next
+    }
 }
 
 /// The async multi-tenant serving engine. See the crate docs for the
@@ -153,45 +123,32 @@ impl ServeEngine {
         if let Some(path) = &config.snapshot_path {
             ProgramCache::global().load_snapshot(path);
         }
-        let registry = ArtifactRegistry::with_capacity(config.registry_capacity);
-        let recorder = FlightRecorder::new(if config.telemetry {
-            config.flight_recorder_capacity
-        } else {
-            0
-        });
         let shared = Arc::new(Shared {
+            core: Mutex::new(Core::new(config.clone(), clock.now())),
+            registry: ArtifactRegistry::with_capacity(config.registry_capacity),
             config,
             clock,
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-                paused: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            registry,
-            metrics: Mutex::new(MetricsInner::default()),
-            recorder,
-            next_id: AtomicU64::new(0),
+            wake: Condvar::new(),
         });
-        // Clock jumps (a TestClock advance) must re-check every timed
-        // scheduler wait; weak so the subscription never keeps a dropped
-        // engine alive. The scheduler reads the clock and parks under
-        // `state`, so passing through that mutex first orders the wake-up
-        // either before the read (which then sees the new time) or after
-        // the park (which then receives it) — never in between, lost.
+        // Clock jumps (a TestClock advance) must wake a parked scheduler,
+        // whose next step then sees the new time; weak so the
+        // subscription never keeps a dropped engine alive. The scheduler
+        // reads the clock and parks under the core lock, so passing
+        // through that lock first orders the wake-up either before the
+        // read (which then sees the new time) or after the park (which
+        // then receives it) — never in between, lost.
         let waker = Arc::downgrade(&shared);
         shared.clock.subscribe(Box::new(move || {
             if let Some(shared) = waker.upgrade() {
-                drop(relock(&shared.state));
-                shared.not_empty.notify_all();
+                drop(relock(&shared.core));
+                shared.wake.notify_all();
             }
         }));
         let worker = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("insum-serve-scheduler".to_string())
-                .spawn(move || scheduler::run(&shared))
+                .spawn(move || run(&shared))
                 .expect("spawn scheduler thread")
         };
         Ok(ServeEngine {
@@ -224,14 +181,16 @@ impl ServeEngine {
     /// backpressure path). Used for drain control and deterministic
     /// tests.
     pub fn pause(&self) {
-        relock(&self.shared.state).paused = true;
-        self.shared.not_empty.notify_all();
+        self.event(Event::Pause(true));
     }
 
     /// Resume scheduling after [`ServeEngine::pause`].
     pub fn resume(&self) {
-        relock(&self.shared.state).paused = false;
-        self.shared.not_empty.notify_all();
+        self.event(Event::Pause(false));
+    }
+
+    fn event(&self, event: Event) {
+        self.shared.step(&mut relock(&self.shared.core), event);
     }
 
     /// A point-in-time snapshot of the engine's counters (queue depths
@@ -243,20 +202,20 @@ impl ServeEngine {
 
     /// The flight recorder's recent terminal request spans, oldest
     /// first. Empty when telemetry is disabled.
-    pub fn traces(&self) -> Vec<RecordedTrace> {
-        self.shared.recorder.recent()
+    pub fn traces(&self) -> Vec<insum_telemetry::RecordedTrace> {
+        relock(&self.shared.core).recorder.recent()
     }
 
     /// The flight recorder's failure ring: spans of requests that
     /// failed, expired, were cancelled, or were rejected — kept
     /// separately so success floods cannot evict them. Oldest first.
-    pub fn failed_traces(&self) -> Vec<RecordedTrace> {
-        self.shared.recorder.failures()
+    pub fn failed_traces(&self) -> Vec<insum_telemetry::RecordedTrace> {
+        relock(&self.shared.core).recorder.failures()
     }
 
     /// Render every failure span as an ASCII report (dump-on-failure).
     pub fn dump_failed_traces(&self) -> String {
-        self.shared.recorder.dump_failures()
+        relock(&self.shared.core).recorder.dump_failures()
     }
 
     /// Shut down: admission closes immediately (blocked submitters fail
@@ -264,15 +223,10 @@ impl ServeEngine {
     /// served, and the scheduler thread is joined. Idempotent; also runs
     /// on drop.
     pub fn shutdown(&mut self) {
-        {
-            relock(&self.shared.state).closed = true;
-        }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
+        self.event(Event::Close);
         if let Some(worker) = self.worker.take() {
-            // The scheduler contains panics at the execution boundary; if
-            // one still escapes, a panicking join inside Drop would abort
-            // the process — swallow it and finish the shutdown.
+            // A panicking join inside Drop would abort the process —
+            // swallow it and finish the shutdown.
             let _ = worker.join();
         }
     }
@@ -284,104 +238,207 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Build a point-in-time [`MetricsSnapshot`] from the shared engine
-/// state. Factored out of [`ServeEngine::metrics`] so the scheduler's
-/// telemetry-dump path renders the identical view.
-pub(crate) fn snapshot_of(shared: &Shared) -> MetricsSnapshot {
-    // Lock order state → metrics, matching admission: every queued
-    // request's submission (and tenant entry) is visible in the
-    // counters, so a snapshot never shows completed > submitted or
-    // misses a queued tenant's depth.
-    let state = relock(&shared.state);
-    let inner = relock(&shared.metrics);
-    let program_cache = ProgramCache::global().stats();
-    let mut snap = MetricsSnapshot {
-        submitted: inner.submitted,
-        completed: inner.completed,
-        failed: inner.failed,
-        rejected: inner.rejected,
-        retries: inner.retries,
-        deadline_expired: inner.deadline_expired,
-        cancelled: inner.cancelled,
-        budget_rejected: inner.budget_rejected,
-        quarantined: inner.quarantined,
-        queue_depth: state.queue.len(),
-        queue_depth_max: inner.queue_depth_max,
-        batches: inner.batches,
-        batched_requests: inner.batched_requests,
-        largest_batch: inner.largest_batch,
-        registry: shared.registry.stats(),
-        snapshot_writes: inner.snapshot_writes,
-        telemetry_dumps: inner.telemetry_dumps,
-        warm_start_hits: program_cache.warm_hits,
-        snapshot_rejected: program_cache.snapshot_rejected,
-        program_cache,
-        tenants: inner.tenants.clone(),
-        kernels: inner.kernels.clone(),
-    };
-    drop(inner);
-    for t in snap.tenants.values_mut() {
-        t.queue_depth = 0;
+/// The scheduler thread. Compilation, autotuning and launches all run
+/// here, so a thread-local profiling collector sees exactly the work
+/// done for the requests being processed; the engine clock is its time
+/// source, so under a virtual `TestClock` every hook duration is 0 and
+/// traces stay bit-deterministic.
+fn run(shared: &Shared) {
+    let _hook_guard = shared.config.telemetry.then(|| {
+        let clock = Arc::clone(&shared.clock);
+        hook::collect(Box::new(move || clock.now()))
+    });
+    // Last-resort containment: compilation and execution contain their
+    // own panics, but if one ever escapes, the scheduler thread must
+    // survive — a dead scheduler strands every queued and future request
+    // of every tenant. The core resumes from wherever it stood.
+    while catch_unwind(AssertUnwindSafe(|| drive(shared))).is_err() {}
+}
+
+fn drive(shared: &Shared) {
+    let mut core = relock(&shared.core);
+    let mut event = Event::Clock;
+    loop {
+        let action = shared.step(&mut core, event);
+        event = match action.expect("the core names the scheduler's next move") {
+            Action::Resolve(pending) => {
+                drop(core);
+                let req = &pending.req;
+                let (result, registry_hit, compile_lowered) =
+                    shared
+                        .registry
+                        .get_or_compile(&req.expr, &req.tensors, &req.options);
+                let hooks = hook::drain();
+                core = relock(&shared.core);
+                Event::Resolved(Resolution {
+                    pending,
+                    result,
+                    registry_hit,
+                    compile_lowered,
+                    hooks,
+                })
+            }
+            Action::Launch(batch) => {
+                drop(core);
+                let event = launch(shared, batch);
+                core = relock(&shared.core);
+                event
+            }
+            Action::Park(until) => {
+                core = match until.and_then(|t| shared.clock.wait_budget(t)) {
+                    // A virtual clock (`None` budget) or no timed
+                    // obligation: park until woken.
+                    None => rewait(&shared.wake, core),
+                    Some(budget) if budget.is_zero() => core,
+                    Some(budget) => shared
+                        .wake
+                        .wait_timeout(core, budget)
+                        .map_or_else(|e| e.into_inner().0, |(guard, _)| guard),
+                };
+                Event::Clock
+            }
+            Action::Persist { snapshot, dump } => {
+                drop(core);
+                let event = Event::Persisted {
+                    snapshot: snapshot && write_snapshot(shared),
+                    dump: dump && write_telemetry_dump(shared),
+                };
+                core = relock(&shared.core);
+                event
+            }
+            Action::Exit => return,
+            _ => unreachable!("admission and completion answer client events only"),
+        };
     }
-    for p in &state.queue {
-        if let Some(t) = snap.tenants.get_mut(p.tenant.as_ref()) {
+}
+
+/// Execute one launch-compatible batch. Panics are contained at this
+/// boundary: a request that panics the simulator must fail alone —
+/// retrying if attempts remain — instead of killing the scheduler
+/// thread. No engine lock is held across the launch.
+fn launch(shared: &Shared, batch: Vec<Resolved>) -> Event {
+    let artifact = Arc::clone(&batch[0].artifact);
+    let mode = batch[0].pending.req.mode;
+    let options = LaunchOptions {
+        threads: shared.config.sim_threads,
+        ..Default::default()
+    };
+    let inputs: Vec<&BTreeMap<String, Tensor>> =
+        batch.iter().map(|r| &r.pending.req.tensors).collect();
+    // A miss whose compile lowered nothing classifies here: if this
+    // first launch lowers nothing either, every program was already
+    // resident (snapshot-seeded) and the miss counts as warm.
+    let compiles_before = batch
+        .iter()
+        .any(|r| r.warm_pending)
+        .then(|| ProgramCache::global().stats().compiles);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "fault-injection")]
+        {
+            use crate::faults;
+            if let Some(t) = faults::panic_tenant() {
+                if batch.iter().any(|r| r.pending.req.tenant.as_ref() == t) {
+                    panic!("injected fault for tenant {t:?}");
+                }
+            }
+            for r in &batch {
+                if let Some(d) = faults::exec_latency(r.pending.id, r.pending.attempt) {
+                    shared.clock.delay(d);
+                }
+            }
+            if let Some(r) = batch
+                .iter()
+                .find(|r| faults::exec_panic(r.pending.id, r.pending.attempt))
+            {
+                panic!(
+                    "injected chaos execution fault for request {} (attempt {})",
+                    r.pending.id, r.pending.attempt
+                );
+            }
+        }
+        artifact.run_batch_mode(&inputs, mode, &options)
+    }));
+    drop(inputs);
+    let hooks = hook::drain();
+    let result = match caught {
+        Err(payload) => Err(ServeError::Engine(panic_message(payload))),
+        Ok(Err(e)) => Err(ServeError::from(e)),
+        Ok(Ok(results)) => {
+            if compiles_before.is_some_and(|c| ProgramCache::global().stats().compiles == c) {
+                for _ in batch.iter().filter(|r| r.warm_pending) {
+                    shared.registry.note_warm_miss();
+                }
+            }
+            let charged = results
+                .into_iter()
+                .zip(&batch)
+                .map(|((output, profile), _r)| {
+                    #[cfg(feature = "fault-injection")]
+                    let spike = crate::faults::budget_spike(_r.pending.id);
+                    #[cfg(not(feature = "fault-injection"))]
+                    let spike = 0u64;
+                    let units = profile.total_cost_units().saturating_add(spike);
+                    (output, profile, units)
+                });
+            Ok(charged.collect())
+        }
+    };
+    Event::Launched {
+        batch,
+        result,
+        hooks,
+    }
+}
+
+/// Atomically write the metrics snapshot to the configured telemetry
+/// dump path: Prometheus text at the path itself, JSON at a `.json`
+/// sibling — both via the snapshot crate's temp + fsync + rename write.
+/// Failures are absorbed: an engine that cannot dump keeps serving.
+fn write_telemetry_dump(shared: &Shared) -> bool {
+    let Some(path) = &shared.config.telemetry_dump_path else {
+        return false;
+    };
+    let snap = snapshot_of(shared);
+    insum_snapshot::write_atomic(path, snap.render_prometheus().as_bytes()).is_ok()
+        && insum_snapshot::write_atomic(&path.with_extension("json"), snap.render_json().as_bytes())
+            .is_ok()
+}
+
+/// Atomically persist the process-wide program cache and autotune
+/// winners to the configured snapshot path (temp + fsync + rename).
+/// Failures are absorbed — a server that cannot persist keeps serving,
+/// it just restarts cold.
+fn write_snapshot(shared: &Shared) -> bool {
+    shared
+        .config
+        .snapshot_path
+        .as_ref()
+        .is_some_and(|path| ProgramCache::global().save_snapshot(path).is_ok())
+}
+
+/// Build a point-in-time [`MetricsSnapshot`]. Factored out of
+/// [`ServeEngine::metrics`] so the telemetry dump renders the identical
+/// view. One lock covers the queue and the counters, so a snapshot
+/// never shows completed > submitted or misses a queued tenant's depth.
+pub(crate) fn snapshot_of(shared: &Shared) -> MetricsSnapshot {
+    let core = relock(&shared.core);
+    let mut snap = core.metrics.clone();
+    snap.queue_depth = core.queue.len();
+    for p in &core.queue {
+        if let Some(t) = snap.tenants.get_mut(p.req.tenant.as_ref()) {
             t.queue_depth += 1;
         }
     }
+    drop(core);
+    snap.registry = shared.registry.stats();
+    snap.program_cache = ProgramCache::global().stats();
+    snap.warm_start_hits = snap.program_cache.warm_hits;
+    snap.snapshot_rejected = snap.program_cache.snapshot_rejected;
     snap
 }
 
-/// Finalize a terminal request exactly once: record its queue wait into
-/// the tenant's latency histogram and, when telemetry is on, stamp the
-/// terminal phase onto its trace and hand the span to the flight
-/// recorder.
-///
-/// The caller owns the `Pending` (it is about to be dropped) and holds
-/// the metrics lock. Exactly one call happens per admitted request —
-/// whoever removes the request from engine ownership makes it: the
-/// cancel path for queue removals, the scheduler for everything it
-/// drained. `wait` is the queue wait to record (admission → terminal
-/// decision, or admission → execution start for executed requests);
-/// `at` timestamps the terminal trace event on the engine clock.
-///
-/// Returns the finalized span for `Completed` outcomes (so the caller
-/// can attach it to the [`crate::Response`]); `None` otherwise or when
-/// telemetry is disabled.
-pub(crate) fn finalize_terminal(
-    shared: &Shared,
-    pending: &mut Pending,
-    outcome: TraceOutcome,
-    metrics: &mut MetricsInner,
-    wait: Duration,
-    at: Duration,
-) -> Option<Trace> {
-    metrics
-        .tenant(&pending.tenant)
-        .queue_wait
-        .record_duration(wait);
-    if !shared.config.telemetry {
-        return None;
-    }
-    let (phase, info) = match &outcome {
-        TraceOutcome::Completed => (Phase::Respond, u64::from(pending.attempt) + 1),
-        TraceOutcome::Failed(_) => (Phase::Failed, u64::from(pending.attempt) + 1),
-        TraceOutcome::Cancelled => (Phase::Cancelled, 0),
-        TraceOutcome::Expired => (Phase::Expired, 0),
-        TraceOutcome::BudgetRejected => (Phase::BudgetRejected, 0),
-        TraceOutcome::Quarantined => (Phase::Quarantined, 0),
-    };
-    pending.trace.push(phase, at, info);
-    let trace = std::mem::take(&mut pending.trace);
-    if matches!(outcome, TraceOutcome::Completed) {
-        shared.recorder.record(trace.clone(), outcome);
-        Some(trace)
-    } else {
-        shared.recorder.record(trace, outcome);
-        None
-    }
-}
-
-/// Admission: validate, apply backpressure, enqueue, hand out a ticket.
+/// Admission: validate, then submit to the core — parking while the
+/// queue is full under the blocking policy — and hand out a ticket.
 pub(crate) fn submit(
     session: &Session,
     expression: &str,
@@ -394,84 +451,36 @@ pub(crate) fn submit(
         .clone()
         .unwrap_or_else(|| shared.config.options.clone());
     options.validate()?;
-    let mode = submit_options.mode.unwrap_or(Mode::Execute);
-
-    let mut state = relock(&shared.state);
-    loop {
-        if state.closed {
-            drop(state);
-            note_rejection(shared, &session.tenant);
-            return Err(ServeError::Closed);
-        }
-        if state.queue.len() < shared.config.queue_capacity {
-            break;
-        }
-        match shared.config.admission {
-            AdmissionPolicy::Reject => {
-                drop(state);
-                note_rejection(shared, &session.tenant);
-                return Err(ServeError::Saturated {
-                    capacity: shared.config.queue_capacity,
-                });
-            }
-            AdmissionPolicy::Block => {
-                state = rewait(&shared.not_full, state);
-            }
-        }
-    }
-
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let ticket = Arc::new(TicketInner::default());
-    let now = shared.clock.now();
-    let trace = if shared.config.telemetry {
-        let mut t = Trace::new(id, &session.tenant);
-        t.push(Phase::Admitted, now, 0);
-        t
-    } else {
-        Trace::default()
-    };
-    state.queue.push_back(Pending {
-        id,
+    let mut request = Request {
         tenant: Arc::clone(&session.tenant),
         expr: expression.to_string(),
         tensors: tensors.clone(),
         options,
-        mode,
-        submitted_at: now,
-        deadline: submit_options.deadline.map(|d| now + d),
+        mode: submit_options.mode.unwrap_or(Mode::Execute),
+        deadline: submit_options.deadline,
         max_retries: submit_options.max_retries,
         priority: submit_options.priority,
-        attempt: 0,
-        not_before: None,
         ticket: Arc::clone(&ticket),
-        trace,
-    });
-    let depth = state.queue.len();
-    // Record the submission while still holding the queue lock (lock
-    // order: state → metrics, matching [`ServeEngine::metrics`]) so a
-    // snapshot can never observe a completed request before its
-    // submission was counted.
-    {
-        let mut metrics = relock(&shared.metrics);
-        metrics.submitted += 1;
-        metrics.queue_depth_max = metrics.queue_depth_max.max(depth);
-        metrics.tenant(&session.tenant).submitted += 1;
-    }
-    drop(state);
-    shared.not_empty.notify_all();
-
+    };
+    let mut core = relock(&shared.core);
+    let id = loop {
+        match shared.step(&mut core, Event::Submit(request)) {
+            Some(Action::Admitted(id)) => break id,
+            Some(Action::Refused(e)) => return Err(e),
+            Some(Action::Blocked(r)) => {
+                request = r;
+                core = rewait(&shared.wake, core);
+            }
+            _ => unreachable!("admission answers every submit"),
+        }
+    };
     Ok(ResponseHandle {
         id: RequestId(id),
         tenant: Arc::clone(&session.tenant),
         ticket,
         shared: Arc::downgrade(shared),
     })
-}
-
-fn note_rejection(shared: &Shared, tenant: &str) {
-    let mut metrics = relock(&shared.metrics);
-    metrics.rejected += 1;
-    metrics.tenant(tenant).rejected += 1;
 }
 
 #[cfg(test)]
@@ -488,27 +497,19 @@ mod tests {
         .collect()
     }
 
-    /// A panic while holding the engine locks must not cascade: after a
+    /// A panic while holding the engine lock must not cascade: after a
     /// deliberate poisoning, `submit`, `metrics`, `pause`/`resume`, and
-    /// `shutdown` all recover the guards and keep serving.
+    /// `shutdown` all recover the guard and keep serving.
     #[test]
     fn poisoned_engine_locks_are_recovered() {
         let mut engine = ServeEngine::with_defaults().unwrap();
-        for lock in [true, false] {
-            let shared = Arc::clone(&engine.shared);
-            let _ = std::thread::spawn(move || {
-                if lock {
-                    let _guard = shared.state.lock().unwrap();
-                    panic!("deliberate state poisoning");
-                } else {
-                    let _guard = shared.metrics.lock().unwrap();
-                    panic!("deliberate metrics poisoning");
-                }
-            })
-            .join();
-        }
-        assert!(engine.shared.state.is_poisoned());
-        assert!(engine.shared.metrics.is_poisoned());
+        let shared = Arc::clone(&engine.shared);
+        let _ = std::thread::spawn(move || {
+            let _guard = shared.core.lock().unwrap();
+            panic!("deliberate core poisoning");
+        })
+        .join();
+        assert!(engine.shared.core.is_poisoned());
 
         engine.pause();
         engine.resume();

@@ -59,37 +59,45 @@
 //!
 //! ## Request lifecycle
 //!
-//! Every admitted request moves through a small state machine, and
-//! every path out of it resolves the client's [`ResponseHandle`]:
+//! The scheduler is a deterministic state machine: a pure core that
+//! steps on events (`Submit`, `Cancel`, `Clock`, `Pause`, `Close`,
+//! `Resolved`, `Launched`, `Persisted`) at an engine-clock time and
+//! answers with actions (`Resolve`, `Launch`, `Respond` — complete one
+//! request — `Park` until a time or a wake-up, `Persist` a snapshot or
+//! dump, `Exit`), and a thin shell that locks, parks, reads the clock,
+//! compiles and launches. Every admitted request moves through the
+//! core's lifecycle, and every path out of it resolves the client's
+//! [`ResponseHandle`]:
 //!
 //! ```text
-//!              submit()
+//!              Submit
 //!                 │
 //!                 ▼
 //!  ┌─────────► queued ──────────────┬────────────► cancelled
-//!  │              │                 │              (ResponseHandle::cancel;
-//!  │   drained by the scheduler     │               frees the queue slot)
+//!  │              │                 │              (Cancel; frees the slot)
+//!  │   Clock: drained in a window   │
 //!  │              ▼                 │
 //!  │          scheduled ────────────┼────────────► expired
-//!  │         │    │     │          deadline        (ServeError::DeadlineExceeded,
-//!  │  breaker│    │     │budget     elapses         enforced even while paused)
-//!  │    open │    │     │exhausted
+//!  │         │    │     │          deadline        (ServeError::DeadlineExceeded:
+//!  │  breaker│    │     │budget     elapses         even while paused, and
+//!  │    open │    │     │exhausted                 again at launch)
 //!  │         ▼    │     ▼
-//!  │  quarantined │   budget-rejected
+//!  │  quarantined │   budget-rejected (also re-gated at launch)
 //!  │              ▼
-//!  │          executing ──────────────────────────► done (Ok / deterministic Err)
+//!  │   Resolve → Resolved → Launch ───────────────► Respond (Ok / deterministic Err)
 //!  │              │
-//!  │     transient failure (contained panic, injected fault)
+//!  │     Launched with a transient failure (contained panic, injected fault)
 //!  │              │
-//!  │   attempt < max_retries?
+//!  │   attempt < max_retries and not cancelled?
 //!  └──── yes: retrying ──── no: failed (ServeError::Engine)
 //!        (exponential backoff:
 //!         retry_backoff × 2^(attempt−1), capped)
 //! ```
 //!
 //! Deadlines ([`SubmitOptions::with_deadline`]) are relative to
-//! admission and enforced scheduler-side, so a timed-out request never
-//! occupies a batch slot. Cancellation
+//! admission and checked when a request is drained and again when its
+//! batch launches, so a timed-out request never occupies a batch slot
+//! and is never charged. Cancellation
 //! ([`ResponseHandle::cancel`]) removes queued requests immediately and
 //! marks in-flight ones abandoned (the engine discards their results).
 //! Retries re-enter the same scheduling path and **never change bits**:
@@ -210,6 +218,9 @@ mod clock;
 mod config;
 mod engine;
 mod error;
+#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
+pub mod faults;
 mod lifecycle;
 mod metrics;
 mod registry;
@@ -229,10 +240,6 @@ pub use session::{RequestId, Response, ResponseHandle, Session};
 pub use insum_telemetry::{
     Histogram, Phase, PhaseCost, RecordedTrace, Trace, TraceEvent, TraceOutcome,
 };
-
-#[cfg(feature = "fault-injection")]
-#[doc(hidden)]
-pub use scheduler::faults;
 
 use std::future::Future;
 use std::sync::Arc;

@@ -1,8 +1,8 @@
 //! Scheduler-side lifecycle policy: per-tenant cost budgets and the
 //! circuit breaker.
 //!
-//! Both structures are owned exclusively by the scheduler thread (no
-//! locks): every admission/charge decision happens at a deterministic
+//! Both structures are owned by the scheduler core (a plain state
+//! machine): every admission/charge decision happens at a deterministic
 //! point in the scheduling order, fed by the simulator's bit-exact
 //! per-launch cost counters ([`insum::Profile::total_cost_units`]), so
 //! budget and quarantine outcomes are replayable given the same request
@@ -59,7 +59,7 @@ impl TenantMeter {
     }
 }
 
-/// Per-tenant token-bucket cost meter (scheduler-thread local).
+/// Per-tenant token-bucket cost meter (owned by the scheduler core).
 ///
 /// Charges are the simulator's deterministic per-launch cost units; the
 /// bucket refills continuously at `refill_per_second` up to `capacity`.
@@ -162,7 +162,7 @@ struct TenantBreaker {
     consecutive_failures: u32,
 }
 
-/// Per-tenant circuit breaker (scheduler-thread local).
+/// Per-tenant circuit breaker (owned by the scheduler core).
 ///
 /// `threshold` consecutive panics/timeouts open the breaker for
 /// `cooldown`; after the cooldown one probe request is let through

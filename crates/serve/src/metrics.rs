@@ -496,29 +496,10 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Mutable interior of the snapshot, owned by the engine.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsInner {
-    pub submitted: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub rejected: u64,
-    pub retries: u64,
-    pub deadline_expired: u64,
-    pub cancelled: u64,
-    pub budget_rejected: u64,
-    pub quarantined: u64,
-    pub queue_depth_max: usize,
-    pub batches: u64,
-    pub batched_requests: u64,
-    pub largest_batch: usize,
-    pub snapshot_writes: u64,
-    pub telemetry_dumps: u64,
-    pub tenants: BTreeMap<String, TenantMetrics>,
-    pub kernels: BTreeMap<String, KernelMetrics>,
-}
-
-impl MetricsInner {
+/// The scheduler core keeps its counters in a `MetricsSnapshot`; a
+/// snapshot is a clone with the live fields (queue depths, registry and
+/// program-cache counters) filled in.
+impl MetricsSnapshot {
     pub(crate) fn tenant(&mut self, tenant: &str) -> &mut TenantMetrics {
         if !self.tenants.contains_key(tenant) {
             self.tenants

@@ -38,10 +38,9 @@
 //! keep their `Arc<Compiled>` (or slot) alive — and a revisited key
 //! simply recompiles.
 
-use crate::engine::{relock, rewait};
+use crate::engine::{panic_message, relock, rewait};
 use crate::error::ServeError;
 use crate::metrics::RegistryStats;
-use crate::scheduler::panic_message;
 use insum::{insum_with, is_chain_expression, Compiled, InsumOptions, Tensor};
 use insum_tensor::DType;
 use std::collections::{BTreeMap, HashMap};

@@ -1,9 +1,9 @@
 //! Tenant session handles and awaitable responses.
 
 use crate::config::SubmitOptions;
-use crate::engine::{self, Shared};
-use crate::engine::{relock, rewait};
+use crate::engine::{self, relock, rewait, Shared};
 use crate::error::ServeError;
+use crate::scheduler::Event;
 use insum::{Profile, Tensor};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -160,44 +160,24 @@ impl ResponseHandle {
     /// Returns `true` if this call cancelled the request, `false` if it
     /// had already completed (the existing result stands).
     pub fn cancel(&self) -> bool {
+        let Some(shared) = self.shared.upgrade() else {
+            return self.ticket.complete(Err(ServeError::Cancelled));
+        };
+        // Complete under the core lock, where every other completion of
+        // an admitted request happens, so the core's first-wins check
+        // (`is_complete`) is exact.
+        let mut core = relock(&shared.core);
         if !self.ticket.complete(Err(ServeError::Cancelled)) {
             return false;
         }
-        if let Some(shared) = self.shared.upgrade() {
-            // Lock order state → metrics, matching admission and
-            // `ServeEngine::metrics`.
-            let mut state = relock(&shared.state);
-            let removed = state
-                .queue
-                .iter()
-                .position(|p| p.id == self.id.0)
-                .and_then(|i| state.queue.remove(i));
-            if removed.is_some() {
-                shared.not_full.notify_all();
-            }
-            {
-                let mut metrics = relock(&shared.metrics);
-                metrics.cancelled += 1;
-                metrics.tenant(&self.tenant).cancelled += 1;
-                // A request cancelled straight out of the queue is
-                // finalized here (queue wait + trace); one cancelled
-                // mid-flight is finalized by the scheduler when its
-                // completion loses the first-wins race.
-                if let Some(mut pending) = removed {
-                    let now = shared.clock.now();
-                    let wait = now.saturating_sub(pending.submitted_at);
-                    engine::finalize_terminal(
-                        &shared,
-                        &mut pending,
-                        insum_telemetry::TraceOutcome::Cancelled,
-                        &mut metrics,
-                        wait,
-                        now,
-                    );
-                }
-            }
-            drop(state);
-        }
+        let tenant = Arc::clone(&self.tenant);
+        shared.step(
+            &mut core,
+            Event::Cancel {
+                id: self.id.0,
+                tenant,
+            },
+        );
         true
     }
 }

@@ -7,12 +7,12 @@
 
 use insum::{insum_with, InsumOptions, Tensor};
 use insum_serve::faults::FaultPlan;
-use insum_serve::{ServeConfig, ServeEngine, ServeError, SubmitOptions};
+use insum_serve::{ServeConfig, ServeEngine, ServeError, SubmitOptions, TestClock};
 use insum_tensor::{rand_uniform, randint};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The fault plan is process-global (`set_plan` governs every engine in
@@ -217,6 +217,50 @@ fn seeded_chaos_preserves_bit_identity_and_resolves_every_handle() {
         drop(engine);
     }
     insum_serve::faults::set_plan(None);
+}
+
+/// A deadline that passes while an earlier batch of the window runs is
+/// checked again at launch: the request expires instead of occupying a
+/// batch slot, and charges no budget. The plan's latency advances the
+/// test clock by 10 s inside every launch.
+#[test]
+fn a_deadline_passed_during_an_earlier_launch_expires_at_its_own() {
+    let _guard = plan_guard();
+    insum_serve::faults::set_plan(Some(FaultPlan {
+        seed: 5,
+        latency_per_mille: 1000,
+        latency: Duration::from_secs(10),
+        ..FaultPlan::default()
+    }));
+    let clock = TestClock::new();
+    let engine = ServeEngine::with_clock(ServeConfig::default(), Arc::clone(&clock) as _).unwrap();
+    engine.pause();
+    let session = engine.session("late-t");
+    let first = session.submit(SPMM, &spmm_request(1)).unwrap();
+    let late = session
+        .submit_with(
+            MATMUL,
+            &matmul_request(2),
+            &SubmitOptions::default().with_deadline(Duration::from_secs(5)),
+        )
+        .unwrap();
+    engine.resume();
+    let done = first.wait().expect("no deadline: latency only delays it");
+    let late = late.wait();
+    insum_serve::faults::set_plan(None);
+    match late {
+        Err(ServeError::DeadlineExceeded { deadline }) => {
+            assert_eq!(deadline, Duration::from_secs(5));
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    let m = engine.metrics();
+    assert_eq!((m.completed, m.deadline_expired), (1, 1));
+    assert_eq!(
+        m.tenants["late-t"].cost_units,
+        done.profile.total_cost_units(),
+        "the expired request charged nothing"
+    );
 }
 
 #[test]
