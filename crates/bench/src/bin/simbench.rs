@@ -41,7 +41,7 @@ use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, Order
 use insum_bench::{print_table, structured_spmm_setup, x};
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
-    dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, DotIsa,
+    dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, Isa,
     KernelReport, LaunchOptions, Mode, Program,
 };
 use insum_graph::TensorMeta;
@@ -239,7 +239,7 @@ fn count_dispatch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
 /// counters report the kernel that ran, so on a host without FMA every
 /// dot is canonical.
 fn assert_dispatch(what: &str, (exact, canonical): (u64, u64), want_exact: bool) {
-    let want_exact = want_exact && DotIsa::detect() != DotIsa::Portable;
+    let want_exact = want_exact && Isa::detect() != Isa::Portable;
     let (want, other) = if want_exact {
         (exact, canonical)
     } else {

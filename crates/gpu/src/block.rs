@@ -24,7 +24,8 @@
 //! locked read-modify-write (`Arc`); the compiler keeps the boundary
 //! honest, since a block that tried to leave its thread would not build.
 
-use crate::exact_dot::{self, DotIsa};
+use crate::exact_dot;
+use crate::isa::{Body, Isa};
 use insum_kernel::BinOp;
 use std::rc::Rc;
 
@@ -60,24 +61,21 @@ impl Default for PoolBuf {
     }
 }
 
-/// Runtime check for 4-wide f64 SIMD. Elementwise f64 add/mul/compare
+/// The rung of the ISA ladder (`isa.rs`) the elementwise bodies and the
+/// canonical `tl.dot` loop run at. Elementwise f64 add/mul/compare
 /// vectorize bit-exactly (each element keeps its own operation chain, no
-/// reassociation, and the multiply and add of the canonical `tl.dot`
-/// loop stay separate instructions), so the wide path produces identical
-/// results; the detection result is cached by the standard library.
+/// reassociation, and the multiply and add of the canonical loop stay
+/// separate instructions), so every rung produces identical results.
 /// Fusing the multiply-add is legal only where the product is exact —
 /// that is [`Block::dot_exact_with`] and the `exact_dot` module, which
-/// carries the argument.
-#[cfg(target_arch = "x86_64")]
+/// carries the argument. Capped at AVX2: with these bodies at AVX-512
+/// too, `irregular_exec` (whose time is mostly elementwise ops on
+/// 16-lane blocks) read worse in an A/B against the cap — median
+/// `op_tail_s` +22 %, `setup_s` +23 %, `ops_per_s` −10 % (EXPERIMENTS.md,
+/// "The value pass at the host's vector width").
 #[inline]
-fn wide_f64_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn wide_f64_available() -> bool {
-    false
+fn elementwise_isa() -> Isa {
+    Isa::detect().min(Isa::Avx2)
 }
 
 #[derive(Debug, Clone)]
@@ -365,6 +363,50 @@ impl Block {
         let mut out = Vec::with_capacity(self.len());
         self.walk(|v| out.push(v));
         out
+    }
+
+    /// Append this block, broadcast to `shape`, to `out` in logical
+    /// row-major order — what `broadcast_to(shape).walk(|v| out.push(v))`
+    /// appends, a row at a time: a contiguous row is one copy, a
+    /// broadcast row one fill. Always inlined, so it runs at the vector
+    /// width of the value body that stages through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block cannot broadcast to `shape`.
+    #[inline(always)]
+    pub(crate) fn extend_broadcast(&self, shape: &[usize], out: &mut Vec<f64>) {
+        let n: usize = shape.iter().product();
+        if let Storage::Inline(v) = self.storage {
+            // A scalar broadcasts to any shape.
+            out.extend(std::iter::repeat_n(v, n));
+            return;
+        }
+        let view = self.broadcast_view(shape);
+        if n == 0 {
+            return;
+        }
+        let (dims, st) = view.dims4();
+        let data = view.storage_slice();
+        let inner = dims[3];
+        out.reserve(n);
+        let mut o0 = view.offset;
+        for _ in 0..dims[0] {
+            let mut o1 = o0;
+            for _ in 0..dims[1] {
+                let mut o2 = o1;
+                for _ in 0..dims[2] {
+                    match st[3] {
+                        1 => out.extend_from_slice(&data[o2..o2 + inner]),
+                        0 => out.extend(std::iter::repeat_n(data[o2], inner)),
+                        s => out.extend((0..inner).map(|t| data[o2 + t * s])),
+                    }
+                    o2 += st[2];
+                }
+                o1 += st[1];
+            }
+            o0 += st[0];
+        }
     }
 
     /// Shape and strides padded to `MAX_RANK` with leading unit dims.
@@ -655,23 +697,21 @@ impl Block {
     /// The op dispatch happens once out here so each operator gets fully
     /// monomorphized inner loops.
     pub fn binary_with(op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        #[cfg(target_arch = "x86_64")]
-        if wide_f64_available() {
-            // SAFETY: `avx` was just detected; the body is plain safe
-            // Rust compiled with wider vectors (see `wide_f64_available`
-            // for why results are bit-identical).
-            return unsafe { Block::binary_with_wide(op, a, b, buf) };
-        }
-        Block::binary_with_body(op, a, b, buf)
+        Block::binary_with_on(elementwise_isa(), op, a, b, buf)
     }
 
-    /// # Safety
-    ///
-    /// The host must support `avx`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn binary_with_wide(op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        Block::binary_with_body(op, a, b, buf)
+    /// [`Block::binary_with`] at a named rung.
+    fn binary_with_on(isa: Isa, op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
+        struct BinaryWith<'a>(BinOp, &'a Block, &'a Block, PoolBuf);
+        impl Body for BinaryWith<'_> {
+            type Out = Block;
+            #[inline(always)]
+            fn run(self) -> Block {
+                let BinaryWith(op, a, b, buf) = self;
+                Block::binary_with_body(op, a, b, buf)
+            }
+        }
+        isa.run(BinaryWith(op, a, b, buf))
     }
 
     #[inline(always)]
@@ -698,22 +738,21 @@ impl Block {
     /// shape (the compiled accumulator pattern `acc = acc + v`). Returns
     /// false — leaving `a` untouched — when the layout doesn't allow it.
     pub fn binary_assign(op: BinOp, a: &mut Block, b: &Block) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if wide_f64_available() {
-            // SAFETY: `avx` was just detected; same-body dispatch as in
-            // `binary_with`.
-            return unsafe { Block::binary_assign_wide(op, a, b) };
-        }
-        Block::binary_assign_body(op, a, b)
+        Block::binary_assign_on(elementwise_isa(), op, a, b)
     }
 
-    /// # Safety
-    ///
-    /// The host must support `avx`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn binary_assign_wide(op: BinOp, a: &mut Block, b: &Block) -> bool {
-        Block::binary_assign_body(op, a, b)
+    /// [`Block::binary_assign`] at a named rung.
+    fn binary_assign_on(isa: Isa, op: BinOp, a: &mut Block, b: &Block) -> bool {
+        struct BinaryAssign<'a>(BinOp, &'a mut Block, &'a Block);
+        impl Body for BinaryAssign<'_> {
+            type Out = bool;
+            #[inline(always)]
+            fn run(self) -> bool {
+                let BinaryAssign(op, a, b) = self;
+                Block::binary_assign_body(op, a, b)
+            }
+        }
+        isa.run(BinaryAssign(op, a, b))
     }
 
     #[inline(always)]
@@ -920,22 +959,21 @@ impl Block {
     ///
     /// Panics on rank or inner-dimension mismatch.
     pub fn dot_with(a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        #[cfg(target_arch = "x86_64")]
-        if wide_f64_available() {
-            // SAFETY: `avx` was just detected; same-body dispatch as in
-            // `binary_with`.
-            return unsafe { Block::dot_with_wide(a, b, buf) };
-        }
-        Block::dot_with_body(a, b, buf)
+        Block::canonical_dot_on(elementwise_isa(), a, b, buf)
     }
 
-    /// # Safety
-    ///
-    /// The host must support `avx`.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn dot_with_wide(a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        Block::dot_with_body(a, b, buf)
+    /// The canonical `tl.dot` loop at a named rung.
+    fn canonical_dot_on(isa: Isa, a: &Block, b: &Block, buf: PoolBuf) -> Block {
+        struct CanonicalDot<'a>(&'a Block, &'a Block, PoolBuf);
+        impl Body for CanonicalDot<'_> {
+            type Out = Block;
+            #[inline(always)]
+            fn run(self) -> Block {
+                let CanonicalDot(a, b, buf) = self;
+                Block::dot_with_body(a, b, buf)
+            }
+        }
+        isa.run(CanonicalDot(a, b, buf))
     }
 
     #[inline(always)]
@@ -1020,7 +1058,7 @@ impl Block {
     ///
     /// Panics on rank or inner-dimension mismatch.
     pub(crate) fn dot_exact_with(a: &Block, b: &Block, buf: PoolBuf) -> (Block, bool) {
-        Block::dot_on_with(DotIsa::detect(), a, b, buf)
+        Block::dot_on_with(Isa::detect(), a, b, buf)
     }
 
     /// Run one named `tl.dot` implementation on f32-exact operands:
@@ -1032,7 +1070,7 @@ impl Block {
     /// Panics on rank or inner-dimension mismatch, or if `isa` is not
     /// available on this host.
     #[doc(hidden)]
-    pub fn dot_on(isa: DotIsa, a: &Block, b: &Block) -> Block {
+    pub fn dot_on(isa: Isa, a: &Block, b: &Block) -> Block {
         Block::dot_on_with(isa, a, b, PoolBuf::new()).0
     }
 
@@ -1049,13 +1087,13 @@ impl Block {
         }
     }
 
-    fn dot_on_with(isa: DotIsa, a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
+    fn dot_on_with(isa: Isa, a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
         debug_assert!(
             a.is_f32_exact() && b.is_f32_exact(),
             "exact dot dispatched on an operand that is not finite and f32-representable"
         );
         assert!(isa.available(), "{isa:?} is not available on this host");
-        if isa == DotIsa::Portable {
+        if isa == Isa::Portable {
             return (Block::dot_with_body(a, b, buf), false);
         }
         assert_eq!(a.rank, 2, "dot lhs must be rank 2");
@@ -1312,7 +1350,7 @@ mod tests {
             &Block::from_vec(vec![3, 4], a.to_vec()),
             &Block::from_vec(vec![4, 6], b.to_vec()),
         ));
-        for isa in DotIsa::ALL.into_iter().filter(|i| i.available()) {
+        for isa in Isa::ALL.into_iter().filter(|i| i.available()) {
             assert_eq!(bits(Block::dot_on(isa, &a, &b)), want, "{isa:?}");
         }
     }
@@ -1383,5 +1421,200 @@ mod tests {
         );
         assert!(alias.reclaim().is_some(), "sole owner reclaims");
         assert!(Block::scalar(1.0).reclaim().is_none());
+    }
+
+    const OPS: [BinOp; 13] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::FloorDiv,
+        BinOp::Mod,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Eq,
+        BinOp::Ge,
+        BinOp::And,
+    ];
+
+    /// `n` values for the forced-rung differentials: ordinary numbers
+    /// (zeros of both signs among them) beside ±Inf, f64 extremes and —
+    /// with `nan` — quiet NaNs with payloads of both signs. Callers put
+    /// NaNs into one operand only: where two NaNs meet, which payload
+    /// survives is the compiler's choice, not the rung's.
+    fn payloads(n: usize, seed: u64, nan: bool) -> Vec<f64> {
+        let specials = [
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -5e-324,
+            0.1,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff8_0000_0000_1234),
+        ];
+        let usable = if nan {
+            specials.len()
+        } else {
+            specials.len() - 2
+        };
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (s >> 33) as usize;
+                match r % 4 {
+                    0 => specials[r / 4 % usable],
+                    _ => (r % 2001) as f64 / 8.0 - 125.0,
+                }
+            })
+            .collect()
+    }
+
+    fn bit_vec(x: &Block) -> Vec<u64> {
+        x.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn rungs() -> Vec<Isa> {
+        Isa::ALL.into_iter().filter(|i| i.available()).collect()
+    }
+
+    /// The operand pairs at row length `len`: equal shapes, scalars on
+    /// either side, row and column broadcasts (a stride-0 view among
+    /// them), a transposed view, 1-D rows. NaNs only on the left.
+    fn operand_pairs(len: usize) -> Vec<(Block, Block)> {
+        let a = Block::from_vec(vec![3, len], payloads(3 * len, len as u64, true));
+        let b = |shape: Vec<usize>, seed| {
+            let n = shape.iter().product();
+            Block::from_vec(shape, payloads(n, seed, false))
+        };
+        let nan = Block::scalar(f64::from_bits(0x7ff8_0000_0000_0042));
+        vec![
+            (a.clone(), b(vec![3, len], 1)),
+            (a.clone(), Block::scalar(-2.5)),
+            (nan, b(vec![3, len], 2)),
+            (a.clone(), b(vec![1, len], 3)),
+            (a.clone(), b(vec![1, len], 4).broadcast_to(&[3, len])),
+            // (A `[3, 1]` column against `[3, 0]` rows: `joint_of` takes
+            // the larger extent, 1, which the rows cannot broadcast to.)
+            (a.clone(), b(vec![3, len.min(1)], 5)),
+            (
+                Block::from_vec(vec![len, 3], payloads(3 * len, 6, true)).trans(),
+                b(vec![3, len], 7),
+            ),
+            (
+                Block::from_vec(vec![len], payloads(len, 8, true)),
+                b(vec![len], 9),
+            ),
+        ]
+    }
+
+    /// `binary_with` and `binary_assign` at every rung the host has,
+    /// bit for bit against `Portable`, for every operator over rows of
+    /// 0..=33 elements.
+    #[test]
+    fn elementwise_bodies_are_the_portable_bits_at_every_rung() {
+        for len in 0..=33 {
+            for (a, b) in operand_pairs(len) {
+                for op in OPS {
+                    let with =
+                        |isa| bit_vec(&Block::binary_with_on(isa, op, &a, &b, PoolBuf::new()));
+                    let assign = |isa| {
+                        let mut acc = Block::from_vec(a.shape().to_vec(), a.to_vec());
+                        let done = Block::binary_assign_on(isa, op, &mut acc, &b);
+                        (done, bit_vec(&acc))
+                    };
+                    let (want, want_assign) = (with(Isa::Portable), assign(Isa::Portable));
+                    for isa in rungs() {
+                        assert_eq!(with(isa), want, "{op:?}, len {len}, {isa:?}");
+                        assert_eq!(assign(isa), want_assign, "{op:?}=, len {len}, {isa:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The canonical `tl.dot` loop at every rung, bit for bit against
+    /// `Portable`: output rows of 0..=33 columns (every tile of the
+    /// 32/16/8/4/1 ladder), contiguous, transposed and row-broadcast B,
+    /// zeros of both signs, one NaN or ±Inf planted per dot.
+    #[test]
+    fn the_canonical_dot_is_the_portable_bits_at_every_rung() {
+        let plants = [
+            None,
+            Some(f64::from_bits(0x7ff8_0000_dead_beef)),
+            Some(f64::INFINITY),
+            Some(f64::NEG_INFINITY),
+        ];
+        let ordinary = |n: usize, seed: u64| -> Vec<f64> {
+            payloads(n, seed, false)
+                .into_iter()
+                .map(|v| {
+                    if v.is_finite() && v.abs() < 1e3 {
+                        v
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        };
+        for n in 0..=33 {
+            for k in [0usize, 1, 5, 33] {
+                for layout in 0..3 {
+                    for plant in plants {
+                        let mut av = ordinary(3 * k, (n * 7 + k) as u64);
+                        if let (Some(v), true) = (plant, k > 0) {
+                            av[(n + k) % (3 * k)] = v;
+                        }
+                        let a = Block::from_vec(vec![3, k], av);
+                        let b = match layout {
+                            0 => Block::from_vec(vec![k, n], ordinary(k * n, 11)),
+                            1 => Block::from_vec(vec![n, k], ordinary(k * n, 12)).trans(),
+                            _ => Block::from_vec(vec![1, n], ordinary(n, 13)).broadcast_to(&[k, n]),
+                        };
+                        let dot =
+                            |isa| bit_vec(&Block::canonical_dot_on(isa, &a, &b, PoolBuf::new()));
+                        let want = dot(Isa::Portable);
+                        for isa in rungs() {
+                            assert_eq!(
+                                dot(isa),
+                                want,
+                                "3x{k}x{n}, B layout {layout}, {plant:?}, {isa:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Staging a broadcast value row by row appends what the element
+    /// walk appends, for scalars, row and column broadcasts, strided and
+    /// contiguous blocks.
+    #[test]
+    fn broadcast_staging_is_the_walk() {
+        for len in 0..=33 {
+            let shape = [3, len];
+            let values = [
+                Block::scalar(-0.0),
+                Block::from_vec(vec![len], payloads(len, 1, true)),
+                Block::from_vec(vec![3, 1], payloads(3, 2, true)),
+                Block::from_vec(vec![1, len], payloads(len, 3, true)),
+                Block::from_vec(vec![len, 3], payloads(3 * len, 4, true)).trans(),
+                Block::from_vec(vec![3, len], payloads(3 * len, 5, true)),
+            ];
+            for v in values {
+                let mut want = Vec::new();
+                v.broadcast_to(&shape).walk(|x| want.push(x.to_bits()));
+                let mut got = vec![1.0];
+                v.extend_broadcast(&shape, &mut got);
+                let got: Vec<u64> = got[1..].iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{:?} to {shape:?}", v.shape());
+            }
+        }
     }
 }

@@ -40,11 +40,14 @@
 //! Debug builds re-check every operand element on entry.
 //!
 //! The kernel body is generic over a vector type and instantiated per
-//! ISA behind runtime detection: AVX2+FMA (4 rows × 12 columns = 12
-//! `ymm` accumulators) and AVX-512F (8 × 16 = 16 `zmm` accumulators).
-//! Per `l` it loads the B row segment once and broadcasts one A element
-//! per row. Hosts without FMA keep the canonical loop.
+//! rung of the crate's ISA ladder ([`Isa`]) behind runtime detection:
+//! AVX2+FMA (4 rows × 12 columns = 12 `ymm` accumulators) and AVX-512F
+//! (8 × 16 = 16 `zmm` accumulators). Per `l` it loads the B row segment
+//! once and broadcasts one A element per row. Hosts without FMA keep the
+//! canonical loop.
 
+#[cfg(target_arch = "x86_64")]
+use crate::isa::Isa;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide dispatch counts (see [`dot_dispatch_counts`]). Pure
@@ -120,53 +123,6 @@ pub(crate) fn f32_exact(v: f64) -> bool {
     v.is_finite() && (v as f32) as f64 == v
 }
 
-/// The implementations a `tl.dot` can run on. `Portable` is the
-/// canonical loop compiled without target features; the other two are
-/// the exact-product kernel's instantiations.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DotIsa {
-    Portable,
-    Avx2Fma,
-    Avx512f,
-}
-
-impl DotIsa {
-    /// Every variant, narrowest first.
-    pub const ALL: [DotIsa; 3] = [DotIsa::Portable, DotIsa::Avx2Fma, DotIsa::Avx512f];
-
-    /// Whether this host can run the variant (the standard library
-    /// caches the CPUID probe).
-    pub fn available(self) -> bool {
-        match self {
-            DotIsa::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            DotIsa::Avx2Fma => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(target_arch = "x86_64")]
-            DotIsa::Avx512f => {
-                std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
-    }
-
-    /// The widest variant this host can run.
-    pub fn detect() -> DotIsa {
-        if DotIsa::Avx512f.available() {
-            DotIsa::Avx512f
-        } else if DotIsa::Avx2Fma.available() {
-            DotIsa::Avx2Fma
-        } else {
-            DotIsa::Portable
-        }
-    }
-}
-
 /// A rank-2 strided operand: element `(i, j)` is
 /// `data[offset + i * s0 + j * s1]`.
 #[cfg(target_arch = "x86_64")]
@@ -203,7 +159,7 @@ impl Mat<'_> {
 /// strided rows, an operand reaches outside its storage, or `isa` is
 /// `Portable` or unavailable on this host.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn matmul(isa: DotIsa, a: Mat<'_>, b: Mat<'_>, out: &mut [f64]) {
+pub(crate) fn matmul(isa: Isa, a: Mat<'_>, b: Mat<'_>, out: &mut [f64]) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     assert_eq!(k, b.rows, "dot inner dimensions disagree");
     assert_eq!(out.len(), m * n, "dot output volume mismatch");
@@ -244,9 +200,9 @@ pub(crate) fn matmul(isa: DotIsa, a: Mat<'_>, b: Mat<'_>, out: &mut [f64]) {
     // operand borrows.
     unsafe {
         match isa {
-            DotIsa::Avx512f => matmul_avx512f(ops, m, n, c),
-            DotIsa::Avx2Fma => matmul_avx2_fma(ops, m, n, c),
-            DotIsa::Portable => unreachable!("the portable path is the canonical loop"),
+            Isa::Avx512 => matmul_avx512f(ops, m, n, c),
+            Isa::Avx2 => matmul_avx2_fma(ops, m, n, c),
+            Isa::Portable => unreachable!("the portable path is the canonical loop"),
         }
     }
 }

@@ -1876,7 +1876,9 @@ impl Program {
             // keeps materialization exact (only params with logged
             // writes are bound); kernels write one or two params, so the
             // per-param filtered replay stays within a small constant of
-            // the old single interleaved pass.
+            // the old single interleaved pass. It stays scalar, unlike
+            // the value bodies: the log's offsets are scattered, so
+            // there is no row for a vector loop to run along.
             if mode == Mode::Execute {
                 let mut touched = vec![false; self.params.lens.len()];
                 for shard in &shards {

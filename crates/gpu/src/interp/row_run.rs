@@ -26,11 +26,12 @@ use super::{
     WARP,
 };
 use crate::block::{Block, PoolBuf, Shape4};
+use crate::isa::{Body, Isa};
 use crate::program::{RowSite, SiteMask, TermAxis, TreeOp};
 use crate::script::{Bases, Entry, Form, INACTIVE};
 use crate::{GpuError, Mode};
 use insum_kernel::BinOp;
-use insum_tensor::DType;
+use insum_tensor::{f16_round_slice, DType};
 
 /// Largest leaf magnitude a row run accepts: 2^48 (see
 /// [`crate::program::MAX_TREE_LEAVES`]).
@@ -435,6 +436,132 @@ fn union_len(ranges: &mut [(u64, u64)]) -> u64 {
     total
 }
 
+// The value bodies. Each is compiled once per rung of the ISA ladder
+// (`isa.rs`) and entered at the host's widest; a lane's widening,
+// narrowing, add and rounding are the same operations at every width.
+
+/// A dense load: every lane of every row, widened to f64 and appended to
+/// `out` — `m` consecutive elements from each row base, or one element
+/// per row when `m == 1` (a gather).
+struct WidenRows<'a> {
+    data: &'a [f32],
+    rows: &'a [i64],
+    m: usize,
+    out: &'a mut Vec<f64>,
+}
+
+impl Body for WidenRows<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let WidenRows { data, rows, m, out } = self;
+        out.reserve(rows.len() * m);
+        if m == 1 {
+            out.extend(rows.iter().map(|&o| data[o as usize] as f64));
+        } else {
+            for &o in rows {
+                let o = o as usize;
+                out.extend(data[o..o + m].iter().map(|&x| x as f64));
+            }
+        }
+    }
+}
+
+/// A masked load: the active lanes of `run` widened into `out` (its
+/// `n × m` lanes, already holding `other`), or zeroed when `read` is
+/// false (an Analytic float load).
+struct WidenMasked<'a> {
+    data: &'a [f32],
+    run: &'a RowRun<'a>,
+    out: &'a mut [f64],
+    read: bool,
+}
+
+impl Body for WidenMasked<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let WidenMasked {
+            data,
+            run,
+            out,
+            read,
+        } = self;
+        let (m, cols) = (run.m, run.cols);
+        for (i, o) in run.active_rows() {
+            let lanes = &mut out[i * m..i * m + cols];
+            if read {
+                let o = o as usize;
+                for (lane, &x) in lanes.iter_mut().zip(&data[o..o + cols]) {
+                    *lane = x as f64;
+                }
+            } else {
+                lanes.fill(0.0);
+            }
+        }
+    }
+}
+
+/// A store or atomic add: lane `j` of row `i` of `lanes` (row-major,
+/// `run.m` per row) stored to, or added to, element `rows[i] + j` of
+/// `data` for every active lane, rows in order. An f16 parameter stores
+/// or adds in f32 and then rounds the row through binary16 — per lane
+/// exactly `f16_round(v)` / `f16_round(slot + v)`, because a row's
+/// elements are distinct (no lane reads another lane's result) and a
+/// row is rounded before the next one runs.
+struct WriteRows<'a> {
+    data: &'a mut [f32],
+    run: &'a RowRun<'a>,
+    lanes: &'a [f64],
+    atomic: bool,
+    round: bool,
+}
+
+impl Body for WriteRows<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        let WriteRows {
+            data,
+            run,
+            lanes,
+            atomic,
+            round,
+        } = self;
+        let (m, cols) = (run.m, run.cols);
+        for (i, o) in run.active_rows() {
+            let o = o as usize;
+            let slots = &mut data[o..o + cols];
+            let row = slots.iter_mut().zip(&lanes[i * m..i * m + cols]);
+            // One loop per case so each vectorizes.
+            if atomic {
+                row.for_each(|(slot, &v)| *slot += v as f32);
+            } else {
+                row.for_each(|(slot, &v)| *slot = v as f32);
+            }
+            if round {
+                f16_round_slice(slots);
+            }
+        }
+    }
+}
+
+/// The staging of a written value that broadcasts: `val` broadcast to
+/// `shape`, appended row-major to `out`.
+struct Stage<'a> {
+    val: &'a Block,
+    shape: &'a [usize],
+    out: &'a mut Vec<f64>,
+}
+
+impl Body for Stage<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self) {
+        self.val.extend_broadcast(self.shape, self.out);
+    }
+}
+
 impl Machine<'_> {
     /// Run `body` over the row-run form of one execution of separable
     /// site `site`: resolve the address terms, do the cost pass (L2
@@ -751,30 +878,18 @@ impl Machine<'_> {
         let data = args.data(param);
         if dense {
             // Every lane is read: write each once, no `other` fill first.
-            out.reserve(n * m);
-            if m == 1 {
-                // A gather: one element per row.
-                out.extend(run.rows.iter().map(|&o| data[o as usize] as f64));
-            } else {
-                for &o in run.rows {
-                    let o = o as usize;
-                    out.extend(data[o..o + m].iter().map(|&x| x as f64));
-                }
-            }
+            let rows = run.rows;
+            Isa::detect().run(WidenRows { data, rows, m, out });
             return self.packed(shape, buf);
         }
         out.resize(n * m, other);
-        for (i, o) in run.active_rows() {
-            let lanes = &mut out[i * m..i * m + cols];
-            if read_values {
-                let o = o as usize;
-                for (lane, &x) in lanes.iter_mut().zip(&data[o..o + cols]) {
-                    *lane = x as f64;
-                }
-            } else {
-                lanes.fill(0.0);
-            }
-        }
+        let read = read_values;
+        Isa::detect().run(WidenMasked {
+            data,
+            run,
+            out,
+            read,
+        });
         self.packed(shape, buf)
     }
 
@@ -795,8 +910,11 @@ impl Machine<'_> {
         let buf = staged.insert(self.alloc());
         let lanes = buf.vec();
         lanes.clear();
-        lanes.reserve(shape.iter().product());
-        val.broadcast_to(shape).walk(|x| lanes.push(x));
+        Isa::detect().run(Stage {
+            val,
+            shape,
+            out: &mut *lanes,
+        });
         lanes
     }
 
@@ -863,26 +981,13 @@ impl Machine<'_> {
         let mut staged = None;
         let lanes = self.value_lanes(val, shape.as_slice(), &mut staged);
         match &mut self.sink {
-            WriteSink::Direct => {
-                let data = args.data_mut(param);
-                for (i, o) in run.active_rows() {
-                    let o = o as usize;
-                    let slots = data[o..o + cols]
-                        .iter_mut()
-                        .zip(&lanes[i * m..i * m + cols]);
-                    // One loop per case so the unrounded ones vectorize.
-                    match (atomic, round) {
-                        (false, false) => slots.for_each(|(slot, &v)| *slot = v as f32),
-                        (false, true) => {
-                            slots.for_each(|(slot, &v)| *slot = insum_tensor::f16_round(v as f32));
-                        }
-                        (true, false) => slots.for_each(|(slot, &v)| *slot += v as f32),
-                        (true, true) => slots.for_each(|(slot, &v)| {
-                            *slot = insum_tensor::f16_round(*slot + v as f32);
-                        }),
-                    }
-                }
-            }
+            WriteSink::Direct => Isa::detect().run(WriteRows {
+                data: args.data_mut(param),
+                run,
+                lanes,
+                atomic,
+                round,
+            }),
             WriteSink::Log(log) => {
                 for (i, o) in run.active_rows() {
                     let row = &lanes[i * m..i * m + cols];
@@ -897,6 +1002,210 @@ impl Machine<'_> {
         }
         if let Some(buf) = staged {
             self.pool.push(buf);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64: the tests' own value stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Stored f32 values: the f16 grid, arbitrary bit patterns, and every
+    /// payload a body must carry — ±0, ±Inf, quiet and signalling NaNs of
+    /// both signs with payloads, the f16 subnormal and overflow edges.
+    fn stored(n: usize, rng: &mut Rng) -> Vec<f32> {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_1234),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xff9a_bcde),
+            2f32.powi(-14),
+            -(2f32.powi(-24)),
+            2f32.powi(-25),
+            65504.0,
+            -65519.0,
+            65520.0,
+        ];
+        (0..n)
+            .map(|_| {
+                let b = rng.next();
+                match b % 4 {
+                    0 => specials[(b >> 8) as usize % specials.len()],
+                    1 => f32::from_bits((b >> 16) as u32),
+                    _ => ((b >> 20) % 4096) as f32 * 0.03125 - 64.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Written f64 lanes: f32 values, f64s that round on narrowing
+    /// (overflowing, underflowing, inexact) and — with `nan` — f64 NaNs
+    /// with payloads. Atomic cases pass no NaN: where a NaN slot meets a
+    /// NaN lane, which payload survives is the compiler's choice, not the
+    /// rung's.
+    fn lanes(n: usize, rng: &mut Rng, nan: bool) -> Vec<f64> {
+        let odd = [0.1, 1e300, -1e-300, 65519.99, -5e-324, 3.000_000_1];
+        (0..n)
+            .map(|_| {
+                let b = rng.next();
+                match b % 5 {
+                    0 => odd[(b >> 8) as usize % odd.len()],
+                    1 if nan => f64::from_bits(0x7ff8_0000_0000_0000 | (b >> 20) | (b & 1) << 63),
+                    _ => stored(1, rng)[0] as f64,
+                }
+            })
+            .filter(|v| nan || !v.is_nan())
+            .chain(std::iter::repeat(0.5))
+            .take(n)
+            .collect()
+    }
+
+    /// One run of the differential: row bases, row mask, lanes per row
+    /// and active lanes per row.
+    struct Case {
+        rows: Vec<i64>,
+        mask: Option<Vec<f64>>,
+        m: usize,
+        cols: usize,
+    }
+
+    impl Case {
+        fn run(&self) -> RowRun<'_> {
+            RowRun {
+                form: if self.m == 1 { Form::Lanes } else { Form::Rows },
+                rows: &self.rows,
+                row_mask: self.mask.as_deref(),
+                m: self.m,
+                cols: self.cols,
+            }
+        }
+    }
+
+    /// The runs of row length `m`: dense rows (two of them overlapping),
+    /// a row mask, a column prefix, and a one-lane-per-row gather with
+    /// repeated elements.
+    fn cases(m: usize) -> [Case; 4] {
+        let case = |rows: Vec<i64>, mask: Option<Vec<f64>>, m, cols| Case {
+            rows,
+            mask,
+            m,
+            cols,
+        };
+        [
+            case(vec![5, 40, 5, 77], None, m, m),
+            case(vec![5, 40, 5, 77], Some(vec![1.0, 0.0, 1.0, 1.0]), m, m),
+            case(vec![9, 9, 60], None, m, m / 2),
+            case((0..m as i64).map(|i| (i * 7) % 5 + 3).collect(), None, 1, 1),
+        ]
+    }
+
+    /// `f` at every rung the host has equals `f` at `Portable`.
+    fn at_every_rung<T: PartialEq + std::fmt::Debug>(what: &str, f: impl Fn(Isa) -> T) {
+        let want = f(Isa::Portable);
+        for isa in Isa::ALL.into_iter().filter(|i| i.available()) {
+            assert_eq!(f(isa), want, "{what} at {isa:?}");
+        }
+    }
+
+    fn bits64(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every value body of an access — dense, gathered and masked
+    /// widening, the four store / atomic × f32 / f16 arms, the staging
+    /// of a broadcast value — at every rung the host has, bit for bit
+    /// against `Portable`, over rows of 0..=33 lanes.
+    #[test]
+    fn value_bodies_are_the_portable_bits_at_every_rung() {
+        let mut rng = Rng(0x5eed_1a7e);
+        for m in 0..=33 {
+            let data = stored(120, &mut rng);
+            for case in cases(m) {
+                let (run, lanes_per_row) = (case.run(), case.m);
+                let n = case.rows.len();
+                let what = format!(
+                    "m {m}, rows {:?}, mask {:?}, cols {}",
+                    case.rows, case.mask, case.cols
+                );
+                if case.mask.is_none() && case.cols == lanes_per_row {
+                    at_every_rung(&format!("dense load, {what}"), |isa| {
+                        let mut out = vec![-1.0];
+                        isa.run(WidenRows {
+                            data: &data,
+                            rows: &case.rows,
+                            m: lanes_per_row,
+                            out: &mut out,
+                        });
+                        bits64(&out)
+                    });
+                }
+                for read in [true, false] {
+                    at_every_rung(&format!("masked load (read {read}), {what}"), |isa| {
+                        let mut out =
+                            vec![f64::from_bits(0x7ff8_0000_0000_0077); n * lanes_per_row];
+                        isa.run(WidenMasked {
+                            data: &data,
+                            run: &run,
+                            out: &mut out,
+                            read,
+                        });
+                        bits64(&out)
+                    });
+                }
+                for (atomic, round) in [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let values = lanes(n * lanes_per_row, &mut rng, !atomic);
+                    at_every_rung(
+                        &format!("write (atomic {atomic}, f16 {round}), {what}"),
+                        |isa| {
+                            let mut slots = data.clone();
+                            isa.run(WriteRows {
+                                data: &mut slots,
+                                run: &run,
+                                lanes: &values,
+                                atomic,
+                                round,
+                            });
+                            slots.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+                        },
+                    );
+                }
+            }
+            let shape = [3, m];
+            let values: Vec<f64> = lanes(3 * m, &mut rng, true);
+            for val in [
+                Block::scalar(f64::from_bits(0xfff8_0000_0000_0009)),
+                Block::from_vec(vec![m], values[..m].to_vec()),
+                Block::from_vec(vec![3, 1], lanes(3, &mut rng, true)),
+                Block::from_vec(vec![m, 3], values.clone()).trans(),
+            ] {
+                at_every_rung(&format!("staging {:?} to {shape:?}", val.shape()), |isa| {
+                    let mut out = Vec::new();
+                    isa.run(Stage {
+                        val: &val,
+                        shape: &shape,
+                        out: &mut out,
+                    });
+                    bits64(&out)
+                });
+            }
         }
     }
 }

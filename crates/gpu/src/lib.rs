@@ -53,15 +53,29 @@
 //!   address-space bitmap and atomic collisions are per-parameter count
 //!   vectors; the per-warp coalescing scan runs over stack buffers with
 //!   an arithmetic shortcut for the dominant `base + arange` pattern.
-//! * **Bit-exact SIMD** — elementwise f64 arithmetic and the canonical
-//!   `tl.dot` loop dispatch to 4-wide vector code at runtime where the
-//!   host supports it. Every element keeps its own operation chain (no
-//!   reassociation of any reduction), and the loop's multiply and add
-//!   stay two roundings, so results are unchanged. The dot sweeps each
-//!   output row with one tile body at the widest of 32, 16, 8, 4 or 1
-//!   columns that still fits, so the narrow tiles of the fixed-length
-//!   formats (16-wide conv and tensor-product dots) are vector tiles
-//!   too, with unit-stride and strided B alike.
+//! * **One ISA ladder, bit-exact SIMD** — every host-vector body is safe
+//!   Rust compiled once per rung of `Isa { Portable, Avx2, Avx512 }`
+//!   (`isa.rs`: an `#[inline(always)]` body entered through one
+//!   `#[target_feature]` function per rung, the host's widest picked by
+//!   runtime detection; the workspace builds for baseline x86-64 and sets
+//!   no `target-cpu`, so other hosts run the portable rung). Wide: the
+//!   elementwise f64 ops, the canonical `tl.dot` loop, and the value
+//!   bodies of every access — the f32 → f64 widening copies of a load
+//!   (dense rows, gathers, masked rows), the store / atomic-add × f32 /
+//!   f16 arms of a write, the staging of a broadcast value. An f16 write
+//!   stores or adds in f32 and then rounds the row with
+//!   `insum_tensor::f16_round_slice` (16-lane chunks: one branch-free add
+//!   per lane when the whole chunk lands on normal f16 values, scalar
+//!   `f16_round` otherwise). The bits cannot differ between rungs: every
+//!   lane keeps its own widening, narrowing, add or rounding, no
+//!   reduction is reassociated, and Rust never contracts a multiply and
+//!   an add into an FMA, so the canonical loop's multiply and add stay
+//!   two roundings; each body has a forced-rung differential test
+//!   against `Portable`. The dot sweeps each output row with one tile
+//!   body at the widest of 32, 16, 8, 4 or 1 columns that still fits, so
+//!   the narrow tiles of the fixed-length formats (16-wide conv and
+//!   tensor-product dots) are vector tiles too, with unit-stride and
+//!   strided B alike.
 //! * **Exact-product dot** — a `tl.dot` whose operands are finite and
 //!   f32-representable runs a dense register-blocked FMA kernel instead
 //!   (AVX2+FMA 4 × 12 or AVX-512F 8 × 16 accumulators, chosen by runtime
@@ -196,6 +210,7 @@ mod block;
 mod device;
 mod exact_dot;
 mod interp;
+mod isa;
 mod micro;
 mod program;
 #[doc(hidden)]
@@ -206,9 +221,9 @@ mod stats;
 pub use block::Block;
 pub use device::DeviceModel;
 pub use exact_dot::dot_dispatch_counts;
-#[doc(hidden)]
-pub use exact_dot::DotIsa;
 pub use interp::{launch, launch_with, site_dispatch_counts, GpuError, LaunchOptions, Mode};
+#[doc(hidden)]
+pub use isa::Isa;
 pub use micro::{copy_view_eligible, run_micro};
 pub use program::{Program, ReplayDecline};
 pub use script::script_dispatch_counts;

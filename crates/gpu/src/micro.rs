@@ -46,8 +46,8 @@
 //! * Plain reductions sum in `f64` in row-major input order with no
 //!   splitting, then round once to `f32`.
 //! * `+=` (accumulate) adds the rounded `f32` result to the existing
-//!   output value in `f32`; an `f16` output rounds through [`f16_round`]
-//!   after every store.
+//!   output value in `f32`; an `f16` output rounds through
+//!   [`f16_round`](insum_tensor::f16_round) after every store.
 //!
 //! # Cost model
 //!
@@ -69,7 +69,7 @@ use crate::interp::{GpuError, Mode};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::BinOp;
 use insum_pattern::Pattern;
-use insum_tensor::{f16_round, DType, Tensor};
+use insum_tensor::{f16_round_slice, DType, Tensor};
 
 /// Output elements modeled per grid instance.
 const BLOCK: usize = 256;
@@ -79,9 +79,9 @@ const BLOCK: usize = 256;
 ///
 /// Same dtype: the view *is* the raw bits the general pipeline would
 /// store. `F16 -> F32`: widening preserves raw bits, so a retagged view
-/// still matches. `F32 -> F16` narrows through [`f16_round`] and
-/// therefore needs a real kernel — callers must route it to the general
-/// path.
+/// still matches. `F32 -> F16` narrows through
+/// [`f16_round`](insum_tensor::f16_round) and therefore needs a real
+/// kernel — callers must route it to the general path.
 pub fn copy_view_eligible(input: DType, output: DType) -> bool {
     input == output || (input == DType::F16 && output == DType::F32)
 }
@@ -421,9 +421,7 @@ fn compute(
             }
         }
         if round {
-            for slot in od.iter_mut() {
-                *slot = f16_round(*slot);
-            }
+            f16_round_slice(od);
         }
     }
     Ok((out, report))

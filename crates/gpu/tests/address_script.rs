@@ -10,7 +10,7 @@
 
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
-    dot_dispatch_counts, script_dispatch_counts, DeviceModel, DotIsa, GpuError, KernelReport,
+    dot_dispatch_counts, script_dispatch_counts, DeviceModel, GpuError, Isa, KernelReport,
     LaunchOptions, Mode, Program, ReplayDecline,
 };
 use insum_kernel::{BinOp, Kernel, KernelBuilder};
@@ -328,7 +328,7 @@ fn new_float_operands_replay_like_a_fresh_launch() {
     for v in fresh_values[2].data_mut() {
         *v = 0.5 - *v;
     }
-    let finite = DotIsa::detect() != DotIsa::Portable;
+    let finite = Isa::detect() != Isa::Portable;
     for (what, operands, exact) in [
         ("new values", fresh_values, finite),
         ("-0.0 in AV", with(1, 5, -0.0), finite),

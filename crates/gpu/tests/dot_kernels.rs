@@ -8,7 +8,7 @@
 //! eligibility decision the interpreter makes per dot.
 
 use insum_gpu::reference::{launch_reference, RefBlock};
-use insum_gpu::{dot_dispatch_counts, launch, Block, DeviceModel, DotIsa, Mode};
+use insum_gpu::{dot_dispatch_counts, launch, Block, DeviceModel, Isa, Mode};
 use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{f16_round, Tensor};
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ proptest! {
         prop_assert!(a.is_f32_exact() && b.is_f32_exact());
         let want = bits(&Block::dot(&a, &b).to_vec());
         prop_assert_eq!(&want, &seed_dot(&a, &b), "canonical vs seed, {m}x{k}x{n}");
-        for isa in DotIsa::ALL.into_iter().filter(|i| i.available()) {
+        for isa in Isa::ALL.into_iter().filter(|i| i.available()) {
             let got = Block::dot_on(isa, &a, &b);
             prop_assert_eq!(got.shape(), &[m, n][..]);
             prop_assert_eq!(
@@ -346,7 +346,7 @@ const CANONICAL: (u64, u64) = (0, 1);
 /// What an eligible dot with unit-stride B rows counts as: the counter
 /// reports the kernel that ran, and a host without FMA has only one.
 fn exact() -> (u64, u64) {
-    if DotIsa::detect() == DotIsa::Portable {
+    if Isa::detect() == Isa::Portable {
         CANONICAL
     } else {
         (1, 0)

@@ -99,20 +99,75 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 /// ```
 #[inline]
 pub fn f16_round(value: f32) -> f32 {
-    let bits = value.to_bits();
-    let absbits = bits & 0x7fff_ffff;
-    // Fast path: results that land on normal f16 values (|v| in
-    // [2^-14, 65520); 65520 is the smallest magnitude that rounds to
-    // f16 infinity). Rounding the f32 mantissa to 10 bits half-to-even
-    // is one integer add — a carry correctly propagates into the
-    // exponent — so no bit unpacking/repacking round trip is needed.
-    // `tests::fast_path_matches_bit_conversion` checks equivalence
-    // against the full conversion.
-    if (0x3880_0000..0x477f_f000).contains(&absbits) {
-        let round = 0x0fff + ((bits >> 13) & 1);
-        return f32::from_bits(bits.wrapping_add(round) & !0x1fff);
+    if in_fast_range(value.to_bits()) {
+        return round_fast(value);
     }
     f16_bits_to_f32(f32_to_f16_bits(value))
+}
+
+/// Whether `f16_round`'s one-add formula applies: results that land on
+/// normal f16 values (|v| in [2^-14, 65520); 65520 is the smallest
+/// magnitude that rounds to f16 infinity). Two compares and an `&`, no
+/// branch, so a fold over a chunk vectorizes (`Range::contains` would
+/// spell the same test with a short-circuiting `&&`).
+#[allow(clippy::manual_range_contains)]
+#[inline(always)]
+fn in_fast_range(bits: u32) -> bool {
+    let absbits = bits & 0x7fff_ffff;
+    (absbits >= 0x3880_0000) & (absbits < 0x477f_f000)
+}
+
+/// The fast path of [`f16_round`]: rounding the f32 mantissa to 10 bits
+/// half-to-even is one integer add — a carry correctly propagates into
+/// the exponent — so no bit unpacking/repacking round trip is needed.
+/// `tests::fast_path_matches_bit_conversion` checks equivalence against
+/// the full conversion.
+#[inline(always)]
+fn round_fast(value: f32) -> f32 {
+    let bits = value.to_bits();
+    let round = 0x0fff + ((bits >> 13) & 1);
+    f32::from_bits(bits.wrapping_add(round) & !0x1fff)
+}
+
+/// Lanes per chunk of [`f16_round_slice`].
+const CHUNK: usize = 16;
+
+/// Round every element of `values` through binary16 in place: the bits
+/// of `f16_round` on each element, computed in chunks of 16 lanes.
+/// A chunk whose every lane lies in `f16_round`'s fast range applies the
+/// one-add formula to all of them with no branch, so it compiles to
+/// vector integer adds and masks at whatever width the caller is built
+/// for; any other chunk (±0, f16 subnormals, overflow, ±Inf, NaN) and
+/// the tail shorter than a chunk run `f16_round` lane by lane. Same
+/// formula, same fallback: the bits cannot differ.
+///
+/// Always inlined, so a caller compiled with wider vector features
+/// (the simulator's value bodies) rounds at its own width.
+///
+/// ```
+/// use insum_tensor::{f16_round, f16_round_slice};
+/// let mut v = [0.1f32, 1.0, -0.0, f32::INFINITY, 70000.0];
+/// let want = v.map(f16_round);
+/// f16_round_slice(&mut v);
+/// assert_eq!(v.map(f32::to_bits), want.map(f32::to_bits));
+/// ```
+#[inline(always)]
+pub fn f16_round_slice(values: &mut [f32]) {
+    let mut chunks = values.chunks_exact_mut(CHUNK);
+    for chunk in &mut chunks {
+        let fast = chunk
+            .iter()
+            .fold(true, |ok, v| ok & in_fast_range(v.to_bits()));
+        if fast {
+            chunk.iter_mut().for_each(|v| *v = round_fast(*v));
+        } else {
+            chunk.iter_mut().for_each(|v| *v = f16_round(*v));
+        }
+    }
+    chunks
+        .into_remainder()
+        .iter_mut()
+        .for_each(|v| *v = f16_round(*v));
 }
 
 #[cfg(test)]
@@ -230,5 +285,94 @@ mod tests {
                 "f16_round must be idempotent for {x}"
             );
         }
+    }
+
+    /// `f16_round_slice` against `f16_round` lane by lane, bit for bit.
+    fn assert_slice_rounds_like_scalar(values: &[f32]) {
+        let want: Vec<u32> = values.iter().map(|&v| f16_round(v).to_bits()).collect();
+        let mut got = values.to_vec();
+        f16_round_slice(&mut got);
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            got,
+            want,
+            "input bits {:x?}",
+            values.iter().map(|v| v.to_bits())
+        );
+    }
+
+    /// One special among fast-range values, and a second one three lanes
+    /// on, at every lane of slices of 0..=48 elements: every chunk offset
+    /// of a fallback chunk, every tail length, chunks that are all fast.
+    #[test]
+    fn slice_rounding_mixes_specials_inside_a_chunk() {
+        let positive = [
+            0.0f32,
+            2f32.powi(-14),
+            2f32.powi(-24),
+            2f32.powi(-25),
+            65504.0,
+            65519.0,
+            65520.0,
+            f32::INFINITY,
+            f32::from_bits(0x7fc0_0001), // quiet NaN, payload
+            f32::from_bits(0x7f80_0001), // signalling NaN, payload
+            f32::from_bits(0x7fa5_5aa5), // signalling NaN, payload
+        ];
+        let specials: Vec<f32> = positive.iter().flat_map(|&v| [v, -v]).collect();
+        // |v| in [0.25, 65.5]: all inside the fast range.
+        let ordinary =
+            |i: usize| (0.25 + i as f32 * 1.37) * if i.is_multiple_of(2) { 1.0 } else { -1.0 };
+        for len in 0..=48 {
+            let base: Vec<f32> = (0..len).map(ordinary).collect();
+            assert_slice_rounds_like_scalar(&base);
+            for (k, &special) in specials.iter().enumerate() {
+                for at in 0..len {
+                    let mut v = base.clone();
+                    v[at] = special;
+                    if at + 3 < len {
+                        v[at + 3] = specials[(k + 7) % specials.len()];
+                    }
+                    assert_slice_rounds_like_scalar(&v);
+                }
+            }
+        }
+    }
+
+    /// Every f32 bit pattern, in slices whose lengths cycle through
+    /// 0..48 (every tail length 0..15 beside zero, one and two whole
+    /// chunks) and whose starts drift, so each pattern is met at many
+    /// lane offsets of its chunk. ≈ 20 s on two cores in release.
+    #[test]
+    #[ignore = "all 2^32 patterns: run with `cargo test --release -p insum_tensor -- --ignored`"]
+    fn slice_rounding_equals_scalar_on_every_f32() {
+        const BLOCK: u64 = 1 << 20;
+        const BLOCKS: u64 = (1u64 << 32) / BLOCK;
+        let workers = std::thread::available_parallelism().map_or(2, |n| n.get().min(4)) as u64;
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || {
+                    let mut buf = vec![0f32; BLOCK as usize];
+                    for b in (w..BLOCKS).step_by(workers as usize) {
+                        let start = b * BLOCK;
+                        for (i, v) in buf.iter_mut().enumerate() {
+                            *v = f32::from_bits((start + i as u64) as u32);
+                        }
+                        let want: Vec<u32> = buf.iter().map(|&v| f16_round(v).to_bits()).collect();
+                        let (mut at, mut k) = ((b % 16) as usize, 0usize);
+                        f16_round_slice(&mut buf[..at]);
+                        while at < buf.len() {
+                            let len = (16 * (k % 3) + k % 16).min(buf.len() - at);
+                            f16_round_slice(&mut buf[at..at + len]);
+                            at += len;
+                            k += 1;
+                        }
+                        for (i, (v, w)) in buf.iter().zip(&want).enumerate() {
+                            assert_eq!(v.to_bits(), *w, "pattern {:#010x}", start + i as u64);
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -56,7 +56,7 @@ pub use broadcast::broadcast_shapes;
 pub use dtype::DType;
 pub use einsum::{einsum, EinsumSpec};
 pub use error::TensorError;
-pub use f16::{f16_bits_to_f32, f16_round, f32_to_f16_bits};
+pub use f16::{f16_bits_to_f32, f16_round, f16_round_slice, f32_to_f16_bits};
 pub use rng::{rand_normal, rand_uniform, randint};
 pub use tensor::{Tensor, WeakTensor};
 

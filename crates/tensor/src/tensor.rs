@@ -3,7 +3,7 @@
 use crate::broadcast::broadcast_shapes;
 use crate::dtype::DType;
 use crate::error::TensorError;
-use crate::f16::f16_round;
+use crate::f16::{f16_round, f16_round_slice};
 use crate::Result;
 use std::borrow::Cow;
 use std::fmt;
@@ -574,7 +574,11 @@ impl Tensor {
         }
         let src = self.contiguous_data();
         let data = match dtype {
-            DType::F16 => src.iter().map(|&v| f16_round(v)).collect(),
+            DType::F16 => {
+                let mut data = src.into_owned();
+                f16_round_slice(&mut data);
+                data
+            }
             DType::I32 => src.iter().map(|&v| v.trunc()).collect(),
             DType::F32 => unreachable!("handled above"),
         };
