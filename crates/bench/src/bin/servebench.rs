@@ -1071,43 +1071,21 @@ fn main() {
         ]
         .into_iter()
         .collect();
-        // Dense pairwise steps classify onto the pattern fast path and
-        // lower no programs at all; force the general lowering so this
-        // smoke keeps exercising the per-step ProgramCache contract.
-        let opts = InsumOptions {
-            fast_path: false,
-            ..InsumOptions::default()
-        };
-        let local_plan = insum::plan(chain_expr, &chain_tensors, &opts).expect("chain plans");
+        // Default options: the pairwise steps are dense contractions,
+        // whose one lowering is the general kernel, so every device step
+        // owns a program.
+        let local_plan =
+            insum::plan(chain_expr, &chain_tensors, &InsumOptions::default()).expect("chain plans");
         let device_steps = local_plan.device_step_count() as u64;
+        assert_eq!(
+            local_plan.program_step_count() as u64,
+            device_steps,
+            "every device step of the chain lowers through the ProgramCache"
+        );
         let reference = insum::chain_reference(chain_expr, &chain_tensors).expect("reference");
 
-        // And the fast-path counterpart: with default options the same
-        // chain's matmul steps all dispatch to microkernels — zero
-        // programs lowered, bit-identical output.
         let cache = insum::ProgramCache::global();
-        let fast_before = cache.stats().misses;
-        let fast_plan = insum::plan(chain_expr, &chain_tensors, &InsumOptions::default())
-            .expect("fast chain plans");
-        assert_eq!(
-            fast_plan.program_step_count(),
-            0,
-            "dense pairwise chain steps must classify onto the fast path"
-        );
-        assert_eq!(
-            cache.stats().misses,
-            fast_before,
-            "fast-path chain steps must lower no programs"
-        );
-        let (fast_out, _) = fast_plan.run(&chain_tensors).expect("fast chain runs");
-        assert_eq!(
-            fast_out.data(),
-            reference.data(),
-            "fast-path chain output must match the naive reference bit-for-bit"
-        );
-
-        let chain_engine = ServeEngine::new(ServeConfig::default().with_options(opts.clone()))
-            .expect("engine starts");
+        let chain_engine = ServeEngine::new(ServeConfig::default()).expect("engine starts");
         let session = chain_engine.session("chain");
         let before = cache.stats();
         let first = session

@@ -14,10 +14,10 @@
 //! search must return the exhaustive sweep's winner tile with zero
 //! regret. The headline row is the fig7-scale
 //! block-group SpMM in Execute mode. `tl.dot` dispatch is asserted, not
-//! just timed: the fig7 Execute rows and the matmul fast-path rows must
-//! run every dot on the exact-product kernel, and the same workloads with
-//! one NaN in B must run none there — a lost eligibility annotation
-//! fails here instead of surfacing as a silent slowdown.
+//! just timed: the fig7 SpMM and dense matmul Execute rows must run
+//! every dot on the exact-product kernel, and the same workloads with one
+//! NaN in B must run none there — a lost eligibility annotation fails
+//! here instead of surfacing as a silent slowdown.
 //!
 //! Every timed launch of the `workloads[]` rows is a program's *first*
 //! (a fresh `Program::compile`, ≈ 50 µs, outside the timer), so those
@@ -233,6 +233,10 @@ fn count_dispatch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
         (sites_after.0 - sites.0, sites_after.1 - sites.1),
     )
 }
+
+/// The workloads whose Execute dots must all run exact-product, and all
+/// canonical once a NaN is planted in B.
+const DOT_DISPATCH_CASES: [&str; 2] = ["spmm_block_group_fig7", "dense_matmul_512"];
 
 /// Assert that a run dispatched all of its dots one way: to the
 /// exact-product kernel (`want_exact`) or to the canonical loop. The
@@ -457,24 +461,6 @@ fn fast_cases() -> Vec<FastCase> {
             expr: "D[i] = A[i,i]",
             tensors: bind(vec![("D", Tensor::zeros(vec![512])), ("A", a.clone())]),
         },
-        FastCase {
-            name: "matmul_256",
-            expr: "C[y,x] = A[y,r] * B[r,x]",
-            tensors: bind(vec![
-                ("C", Tensor::zeros(vec![256, 224])),
-                ("A", u(vec![256, 192])),
-                ("B", u(vec![192, 224])),
-            ]),
-        },
-        FastCase {
-            name: "batched_matmul_8x64",
-            expr: "C[b,y,x] = A[b,y,r] * B[b,r,x]",
-            tensors: bind(vec![
-                ("C", Tensor::zeros(vec![8, 64, 64])),
-                ("A", u(vec![8, 64, 64])),
-                ("B", u(vec![8, 64, 64])),
-            ]),
-        },
     ]
 }
 
@@ -608,7 +594,7 @@ fn main() {
                 let ((_, r_new, out_new), dots, (row_run, generic)) = count_dispatch(|| {
                     run_program(case, &fresh_program(case), &device, mode, threads)
                 });
-                if case.name == "spmm_block_group_fig7" && mode == Mode::Execute {
+                if DOT_DISPATCH_CASES.contains(&case.name) && mode == Mode::Execute {
                     assert_dispatch(&format!("{} at {threads} threads", case.name), dots, true);
                 }
                 // Every 2-D access of a default-options kernel is
@@ -753,10 +739,10 @@ fn main() {
             bit_identical,
         });
 
-        // The other side of the dispatch gate: one NaN in B and no fig7
-        // dot is eligible — the canonical loop serves all of them, with
-        // the seed's bits.
-        if case.name == "spmm_block_group_fig7" {
+        // The other side of the dispatch gate: one NaN in B and no dot
+        // is eligible — the canonical loop serves all of them, with the
+        // seed's bits.
+        if DOT_DISPATCH_CASES.contains(&case.name) {
             let mut tensors = case.tensors.clone();
             tensors.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
             let poisoned = Case {
@@ -767,13 +753,14 @@ fn main() {
             };
             let ((_, r_new, out_new), dots, _) =
                 count_dispatch(|| run_program(&poisoned, &program, &device, Mode::Execute, 1));
-            assert_dispatch("fig7 with a NaN in B", dots, false);
+            assert_dispatch(&format!("{} with a NaN in B", case.name), dots, false);
             let (_, r_ref, out_ref) = run_reference(&poisoned, &device, Mode::Execute);
             assert!(
                 r_new.stats == r_ref.stats
                     && r_new.time == r_ref.time
                     && out_new.iter().zip(&out_ref).all(|(a, b)| a.bit_eq(b)),
-                "fig7 with a NaN in B diverges from the seed interpreter"
+                "{} with a NaN in B diverges from the seed interpreter",
+                case.name
             );
         }
     }
@@ -958,23 +945,8 @@ fn main() {
         .expect("general artifact compiles");
 
         let copies_before = Tensor::deep_copy_count();
-        let ((out_fast, _), dots, _) =
-            count_dispatch(|| fast.run(&case.tensors).expect("fast path runs"));
+        let (out_fast, _) = fast.run(&case.tensors).expect("fast path runs");
         let deep_copies_fast = Tensor::deep_copy_count() - copies_before;
-        if pattern == "matmul" {
-            assert_dispatch(case.name, dots, true);
-            let mut poisoned = case.tensors.clone();
-            poisoned.insert("B".to_string(), nan_poisoned(&case.tensors["B"]));
-            let ((nan_fast, _), dots, _) =
-                count_dispatch(|| fast.run(&poisoned).expect("fast path runs"));
-            assert_dispatch(&format!("{} with a NaN in B", case.name), dots, false);
-            let (nan_general, _) = general.run(&poisoned).expect("general path runs");
-            assert!(
-                nan_fast.bit_eq(&nan_general),
-                "{}: the fast path must match the general lowering on NaN input",
-                case.name
-            );
-        }
         let (out_general, _) = general.run(&case.tensors).expect("general path runs");
         let bit_identical = out_fast.bit_eq(&out_general);
         assert!(
@@ -1041,23 +1013,15 @@ fn main() {
         });
     }
     for r in &fast_rows {
-        // The headline claim covers the matmul-free patterns: stride
-        // views and single-pass microkernels vs full interpreter
-        // launches. Matmul rows are reported but not gated — they run
-        // the same tiled Block::dot arithmetic as the interpreter (for
-        // bit-identity) and save only the lowering/launch overhead.
-        let matmul_free = !matches!(r.pattern.as_str(), "matmul" | "batched_matmul" | "dot");
-        if matmul_free {
-            assert!(
-                r.wall_general / r.wall_fast >= 5.0,
-                "{}: the {} fast path must be >=5x over the general lowering \
-                 (general {:.3} ms, fast {:.3} ms)",
-                r.name,
-                r.pattern,
-                r.wall_general * 1e3,
-                r.wall_fast * 1e3
-            );
-        }
+        assert!(
+            r.wall_general / r.wall_fast >= 5.0,
+            "{}: the {} fast path must be >=5x over the general lowering \
+             (general {:.3} ms, fast {:.3} ms)",
+            r.name,
+            r.pattern,
+            r.wall_general * 1e3,
+            r.wall_fast * 1e3
+        );
     }
 
     let table: Vec<Vec<String>> = rows

@@ -215,6 +215,12 @@ impl Table {
         fact.unwrap_or_else(|| panic!("{}: no fact {name:?}", self.title))
     }
 
+    /// The source listing a qualitative artifact prints instead of its
+    /// rows (Fig. 8's generated kernels).
+    pub fn listing(&self) -> Option<&str> {
+        self.listing.as_deref()
+    }
+
     /// Append a `geomean` row: the geomean of each speedup column from
     /// `from` on.
     fn with_geomeans(mut self, from: usize) -> Table {

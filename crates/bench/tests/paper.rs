@@ -21,6 +21,26 @@ fn ablation_ladder_is_monotone() {
 }
 
 #[test]
+fn fig8_times_the_three_kernels_it_prints() {
+    // Fig. 8's claim: `ops.dot` with lazy broadcasting beats eager
+    // broadcasting, and both beat the scalar kernel. The dense matmul has
+    // one lowering, so every flavour is a generated kernel.
+    let fig8 = paper::fig8(&Config::TEST);
+    let listing = fig8.listing().expect("Fig. 8 prints its kernels");
+    assert_eq!(listing.matches("@triton.jit").count(), 3, "{listing}");
+    assert!(!listing.contains("# fast path"), "{listing}");
+    let time = |flavour| fig8.get(&[flavour], "simulated time (us)");
+    let scalar = time("(a) default Inductor: no ops.dot, scalar multiply + tl.sum");
+    let eager = time("(b) ops.dot with EAGER broadcasting: tl.view / tl.trans before the dot");
+    let lazy = time("(c) ops.dot with LAZY broadcasting (ours)");
+    assert!(lazy < eager, "lazy {lazy} us must beat eager {eager} us");
+    assert!(
+        eager < scalar,
+        "eager {eager} us must beat scalar {scalar} us"
+    );
+}
+
+#[test]
 fn heuristic_group_size_is_near_optimal_in_simulated_time() {
     let fig7 = paper::fig7(&Config::TEST);
     let g_star = fig7.fact("heuristic g");

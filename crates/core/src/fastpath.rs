@@ -15,14 +15,14 @@
 //!   (`fuse: false`) always reproduces stock Inductor;
 //! * any indirection (`B[AK[p],n]`), more than two factors, or an
 //!   output tensor that also appears as a factor;
-//! * a classification of [`Pattern::General`];
+//! * a pattern without a dedicated target ([`Pattern::is_fast`] is
+//!   false: the dense contractions matmul, batched matmul and dot, whose
+//!   only lowering is the general one, and [`Pattern::General`]);
 //! * integer factors or outputs;
 //! * copy-shaped patterns (transpose/diagonal) with `+=` or with a
 //!   narrowing dtype pair ([`insum_gpu::copy_view_eligible`]);
-//! * dot-family (matmul/batched/dot) statements with Tensor Cores off
-//!   (the scalar lowering has no zero skip), and dot-family or reduction
-//!   statements with autotuning or explicit R/X block overrides (the
-//!   microkernels pin the default lowering's tile boundaries);
+//! * reductions with autotuning or an explicit R block override (the
+//!   microkernel pins the default lowering's R chunking);
 //! * inconsistent index extents (left for the general path to report).
 
 use crate::options::InsumOptions;
@@ -122,28 +122,11 @@ pub(crate) fn try_fast_plan(
             return None;
         }
     }
-    if matches!(
-        pattern,
-        Pattern::Matmul | Pattern::BatchedMatmul | Pattern::Dot
-    ) {
-        // The dot microkernel reproduces the Tensor-Core lowering's
-        // accumulation (Block::dot zero-skip at the default R/X tile
-        // boundaries). The scalar lowering has no zero skip, and
-        // autotuned or overridden blocks move the tile boundaries — both
-        // would break NaN-corner bit-identity, so they take the general
-        // path.
-        if !options.tensor_cores
-            || options.autotune
-            || options.rblock.is_some()
-            || options.xblock.is_some()
-        {
-            return None;
-        }
-    }
     if matches!(pattern, Pattern::Reduction { .. })
         && (options.autotune || options.rblock.is_some())
     {
-        // Same reasoning for the reduction sum's R chunking.
+        // The microkernel's sum reproduces the default lowering's R
+        // chunking; autotuned or overridden R blocks move it.
         return None;
     }
     Some(FastOp {
@@ -198,5 +181,46 @@ impl FastOp {
             ))));
         }
         Ok(t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use insum_lang::Access;
+
+    fn access(tensor: &str, vars: &str) -> Access {
+        let indices = vars.chars().map(|v| IndexExpr::Var(v.to_string()));
+        Access {
+            tensor: tensor.to_string(),
+            indices: indices.collect(),
+        }
+    }
+
+    /// `out = a * b` over single-letter index terms, with every index
+    /// of extent 4 (a statement the parser cannot spell when `out` is
+    /// rank 0).
+    fn plan(out: &str, a: &str, b: &str) -> Option<FastOp> {
+        let statement = Statement {
+            output: access("C", out),
+            op: AssignOp::Assign,
+            factors: vec![access("A", a), access("B", b)],
+        };
+        let metas = [("C", out), ("A", a), ("B", b)].map(|(t, vars)| {
+            (
+                t.to_string(),
+                TensorMeta::new(vec![4; vars.len()], DType::F32),
+            )
+        });
+        try_fast_plan(&statement, &BTreeMap::from(metas), &InsumOptions::default())
+    }
+
+    #[test]
+    fn dense_contractions_take_the_general_lowering() {
+        assert!(plan("", "i", "i").is_none(), "dot");
+        assert!(plan("ij", "ik", "kj").is_none(), "matmul");
+        assert!(plan("gij", "gik", "gkj").is_none(), "batched matmul");
+        let outer = plan("ij", "i", "j").map(|op| op.pattern);
+        assert_eq!(outer, Some(Pattern::Outer));
     }
 }

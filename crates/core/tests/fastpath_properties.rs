@@ -1,20 +1,23 @@
-//! Fast-path dispatch properties: soundness (every recognized pattern
-//! is bit-identical to the general lowering, NaN/±0.0 included) and
+//! Fast-path dispatch properties: soundness (every pattern with a fast
+//! path is bit-identical to the general lowering, NaN/±0.0 included),
+//! the dense contractions' single lowering (matmul and batched matmul
+//! compile to the same general kernel whatever `fast_path` says), and
 //! completeness (curated near-miss specs fall back to `General` and
 //! still agree with the eager reference).
 //!
 //! Rank-0 outputs (`C[] = …`) are unparseable in the statement
 //! language, so the `dot`/`trace` patterns are unreachable from
-//! `insum_with`; they are covered by the classifier's unit tests and
-//! `insum_gpu`'s microkernel tests. Likewise `ii->` (trace) vs `ii->i`
-//! (diagonal) near-misses live in `insum_pattern`'s tests.
+//! `insum_with` (a planned chain runs rank-0 steps on the host); the
+//! gate's unit tests decline `dot`, and `insum_gpu`'s microkernel tests
+//! cover `trace`. Likewise `ii->` (trace) vs `ii->i` (diagonal)
+//! near-misses live in `insum_pattern`'s tests.
 
-use insum::{eager, insum_with, InsumOptions, Tensor};
+use insum::{eager, insum_with, DType, InsumOptions, Tensor};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Sprinkle the values the bit-identity contract cares about: exact
-/// zeros (the matmul zero-skip), negative zeros, NaN, and infinities.
+/// zeros (the `tl.dot` zero-skip), negative zeros, NaN, and infinities.
 fn specialize(mut data: Vec<f32>, specials: bool) -> Vec<f32> {
     if specials {
         for (i, v) in data.iter_mut().enumerate() {
@@ -70,6 +73,82 @@ fn assert_fast_matches_general(
     pattern
 }
 
+/// Compile + run a dense contraction with default options and with
+/// `fast_path: false`: both must be the same general kernel — no
+/// fast-path pattern, equal output bits, and equal profiles (every
+/// `KernelReport` field) in Execute and Analytic mode.
+fn assert_one_lowering(expr: &str, tensors: &BTreeMap<String, Tensor>) {
+    let default = insum_with(expr, tensors, &InsumOptions::default()).expect("compiles");
+    let forced = InsumOptions {
+        fast_path: false,
+        ..Default::default()
+    };
+    let general = insum_with(expr, tensors, &forced).expect("general compile");
+    assert_eq!(default.fast_path_pattern(), None, "{expr}");
+    assert_eq!(general.fast_path_pattern(), None, "{expr}");
+    assert!(
+        default.launch_signature().is_some(),
+        "{expr}: one fused kernel"
+    );
+    let (got, profile) = default.run(tensors).expect("default run");
+    let (want, want_profile) = general.run(tensors).expect("general run");
+    assert!(
+        got.bit_eq(&want),
+        "{expr}: results differ (max |Δ| = {:?})",
+        got.max_abs_diff(&want)
+    );
+    assert_eq!(profile, want_profile, "{expr}: Execute profiles differ");
+    let analytic = default.time(tensors).expect("default time");
+    assert_eq!(analytic, general.time(tensors).expect("general time"));
+    assert_eq!(analytic, profile, "{expr}: Analytic and Execute differ");
+}
+
+/// Build a (batched, when `batch > 1`) matmul's operands from the raw
+/// draws and check it has one lowering: `batch == 1` is a plain matmul
+/// (`ik,kj->ij`); above it, a batched matmul (`gik,gkj->gij`).
+fn check_matmul(
+    batch: usize,
+    (m, k, n): (usize, usize, usize),
+    (specials, accumulate, half): (bool, bool, bool),
+    a: &[f32],
+    b: &[f32],
+) {
+    let dtype = if half { DType::F16 } else { DType::F32 };
+    // `-Inf` beside `+Inf` and NaN: `+Inf + -Inf` in a sum makes a
+    // NaN of the other sign, so NaN sign selection is exercised too.
+    let operand = |shape: Vec<usize>, src: &[f32]| {
+        let len = shape.iter().product::<usize>();
+        let mut data = specialize(src[..len].to_vec(), specials);
+        if specials {
+            data.iter_mut()
+                .skip(2)
+                .step_by(13)
+                .for_each(|v| *v = f32::NEG_INFINITY);
+        }
+        Tensor::from_vec(shape, data)
+            .expect("length matches")
+            .cast(dtype)
+    };
+    let lead = |dims: [usize; 2]| -> Vec<usize> {
+        (batch > 1)
+            .then_some(batch)
+            .into_iter()
+            .chain(dims)
+            .collect()
+    };
+    let tensors: BTreeMap<String, Tensor> = [
+        ("A".to_string(), operand(lead([m, k]), a)),
+        ("B".to_string(), operand(lead([k, n]), b)),
+        ("C".to_string(), operand(lead([m, n]), b)),
+    ]
+    .into_iter()
+    .collect();
+    let g = if batch > 1 { "g," } else { "" };
+    let op = if accumulate { "+=" } else { "=" };
+    let expr = format!("C[{g}i,j] {op} A[{g}i,k] * B[{g}k,j]");
+    assert_one_lowering(&expr, &tensors);
+}
+
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (2usize..10, 2usize..10, 2usize..10)
 }
@@ -78,58 +157,36 @@ fn data(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-2.0f32..2.0, len)
 }
 
+fn flags() -> impl Strategy<Value = (bool, bool, bool)> {
+    (
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn matmul_family_is_bit_identical(
-        (m, k, n) in dims(),
-        specials in proptest::bool::ANY,
-        accumulate in proptest::bool::ANY,
+        shape in dims(),
+        flags in flags(),
         a in data(1024),
         b in data(1024),
     ) {
-        let tensors: BTreeMap<String, Tensor> = [
-            ("A".to_string(), tensor(vec![m, k], a[..m * k].to_vec(), specials)),
-            ("B".to_string(), tensor(vec![k, n], b[..k * n].to_vec(), specials)),
-            ("C".to_string(), tensor(vec![m, n], a[..m * n].to_vec(), false)),
-        ]
-        .into_iter()
-        .collect();
-        let expr = if accumulate {
-            "C[i,j] += A[i,k] * B[k,j]"
-        } else {
-            "C[i,j] = A[i,k] * B[k,j]"
-        };
-        prop_assert_eq!(
-            assert_fast_matches_general(expr, &tensors, &InsumOptions::default()),
-            "matmul"
-        );
+        check_matmul(1, shape, flags, &a, &b);
     }
 
     #[test]
     fn batched_matmul_is_bit_identical(
-        (g, m, k) in (2usize..5, 2usize..7, 2usize..7),
-        specials in proptest::bool::ANY,
+        batch in 2usize..5,
+        shape in dims(),
+        flags in flags(),
         a in data(1024),
         b in data(1024),
     ) {
-        let n = 3usize;
-        let tensors: BTreeMap<String, Tensor> = [
-            ("A".to_string(), tensor(vec![g, m, k], a[..g * m * k].to_vec(), specials)),
-            ("B".to_string(), tensor(vec![g, k, n], b[..g * k * n].to_vec(), specials)),
-            ("C".to_string(), Tensor::zeros(vec![g, m, n])),
-        ]
-        .into_iter()
-        .collect();
-        prop_assert_eq!(
-            assert_fast_matches_general(
-                "C[g,i,j] = A[g,i,k] * B[g,k,j]",
-                &tensors,
-                &InsumOptions::default()
-            ),
-            "batched_matmul"
-        );
+        check_matmul(batch, shape, flags, &a, &b);
     }
 
     #[test]
@@ -244,40 +301,41 @@ proptest! {
 
     #[test]
     fn soundness_holds_across_option_ablations(
-        (m, k, n) in (2usize..8, 2usize..8, 2usize..8),
+        (m, n) in (2usize..8, 2usize..8),
         specials in proptest::bool::ANY,
         a in data(256),
         b in data(256),
     ) {
         let tensors: BTreeMap<String, Tensor> = [
-            ("A".to_string(), tensor(vec![m, k], a[..m * k].to_vec(), specials)),
-            ("B".to_string(), tensor(vec![k, n], b[..k * n].to_vec(), specials)),
+            ("A".to_string(), tensor(vec![m, n], a[..m * n].to_vec(), specials)),
+            ("B".to_string(), tensor(vec![m, n], b[..m * n].to_vec(), specials)),
             ("C".to_string(), Tensor::zeros(vec![m, n])),
+            ("S".to_string(), Tensor::zeros(vec![m])),
         ]
         .into_iter()
         .collect();
+        let hadamard = "C[i,j] = A[i,j] * B[i,j]";
+        let reduction = "S[i] = A[i,j]";
         for opts in [
             InsumOptions::default(),
             InsumOptions { lazy_broadcast: false, ..Default::default() },
-        ] {
-            prop_assert_eq!(
-                assert_fast_matches_general("C[i,j] = A[i,k] * B[k,j]", &tensors, &opts),
-                "matmul"
-            );
-        }
-        // Ablations that change the lowering's accumulation semantics
-        // (scalar path without the zero skip, autotuned or overridden
-        // tile boundaries) must decline the fast path entirely.
-        for opts in [
             InsumOptions { tensor_cores: false, ..Default::default() },
+        ] {
+            prop_assert_eq!(assert_fast_matches_general(hadamard, &tensors, &opts), "hadamard");
+            prop_assert_eq!(assert_fast_matches_general(reduction, &tensors, &opts), "reduction");
+        }
+        // Autotuned or overridden tiles move the lowering's R chunking,
+        // which only the reduction microkernel reproduces: the reduction
+        // declines the fast path, the elementwise product keeps it.
+        for opts in [
             InsumOptions { autotune: true, ..Default::default() },
             InsumOptions { rblock: Some(16), ..Default::default() },
         ] {
-            let compiled = insum_with("C[i,j] = A[i,k] * B[k,j]", &tensors, &opts)
-                .expect("general compile");
+            prop_assert_eq!(assert_fast_matches_general(hadamard, &tensors, &opts), "hadamard");
+            let compiled = insum_with(reduction, &tensors, &opts).expect("general compile");
             prop_assert!(
                 compiled.fast_path_pattern().is_none(),
-                "semantics-changing ablations must route to the general path"
+                "R-chunk ablations must route reductions to the general path"
             );
         }
     }
@@ -292,22 +350,25 @@ fn large_extents_cross_tile_boundaries() {
             .map(|i| (i as f32 * 0.618 + seed).sin() * 2.0)
             .collect()
     };
-    let (m, k, n) = (70, 257, 33);
+    let (m, n) = (70, 257);
     let tensors: BTreeMap<String, Tensor> = [
-        ("A".to_string(), tensor(vec![m, k], gen(m * k, 0.3), true)),
-        ("B".to_string(), tensor(vec![k, n], gen(k * n, 0.7), true)),
+        ("A".to_string(), tensor(vec![m, n], gen(m * n, 0.3), true)),
+        ("B".to_string(), tensor(vec![m, n], gen(m * n, 0.7), true)),
+        ("U".to_string(), tensor(vec![m], gen(m, 0.1), true)),
+        ("V".to_string(), tensor(vec![n], gen(n, 0.9), true)),
         ("C".to_string(), Tensor::zeros(vec![m, n])),
+        ("T".to_string(), Tensor::zeros(vec![n, m])),
     ]
     .into_iter()
     .collect();
-    assert_eq!(
-        assert_fast_matches_general(
-            "C[i,j] = A[i,k] * B[k,j]",
-            &tensors,
-            &InsumOptions::default()
-        ),
-        "matmul"
-    );
+    for (expr, pattern) in [
+        ("C[i,j] = A[i,j] * B[i,j]", "hadamard"),
+        ("C[i,j] = U[i] * V[j]", "outer"),
+        ("T[j,i] = A[i,j]", "transpose"),
+    ] {
+        let opts = InsumOptions::default();
+        assert_eq!(assert_fast_matches_general(expr, &tensors, &opts), pattern);
+    }
     let red: BTreeMap<String, Tensor> = [
         (
             "A".to_string(),
@@ -388,7 +449,6 @@ fn near_misses_fall_back_to_general() {
 /// accumulate copies and narrowing transposes run the general path.
 #[test]
 fn copy_gates_route_to_general() {
-    use insum::DType;
     let a32 = Tensor::from_vec(vec![3, 4], (0..12).map(|i| i as f32 - 5.5).collect()).unwrap();
     let opts = InsumOptions::default();
 
@@ -426,17 +486,17 @@ fn copy_gates_route_to_general() {
     );
 
     // Opt-out: fast_path = false compiles the general pipeline even for
-    // a perfect matmul.
-    let mm: BTreeMap<String, Tensor> = [
+    // a perfect Hadamard product.
+    let had: BTreeMap<String, Tensor> = [
         ("A".to_string(), a32.clone()),
-        ("B".to_string(), Tensor::ones(vec![4, 2])),
-        ("C".to_string(), Tensor::zeros(vec![3, 2])),
+        ("B".to_string(), Tensor::ones(vec![3, 4])),
+        ("C".to_string(), Tensor::zeros(vec![3, 4])),
     ]
     .into_iter()
     .collect();
     let off = insum_with(
-        "C[i,j] = A[i,k] * B[k,j]",
-        &mm,
+        "C[i,j] = A[i,j] * B[i,j]",
+        &had,
         &InsumOptions {
             fast_path: false,
             ..Default::default()
@@ -450,33 +510,35 @@ fn copy_gates_route_to_general() {
 /// F16 end-to-end: rounding epilogues must match the general pipeline.
 #[test]
 fn f16_compute_patterns_are_bit_identical() {
-    use insum::DType;
-    let gen = |len: usize, s: f32| -> Vec<f32> {
-        (0..len)
-            .map(|i| ((i as f32) * 0.377 + s).cos() * 3.0)
-            .collect()
+    let gen = |shape: Vec<usize>, s: f32| -> Tensor {
+        let len = shape.iter().product::<usize>();
+        let data = (0..len).map(|i| ((i as f32) * 0.377 + s).cos() * 3.0);
+        Tensor::from_vec(shape, data.collect())
+            .unwrap()
+            .cast(DType::F16)
     };
-    let (m, k, n) = (6, 9, 5);
-    let a = Tensor::from_vec(vec![m, k], gen(m * k, 0.2))
-        .unwrap()
-        .cast(DType::F16);
-    let b = Tensor::from_vec(vec![k, n], gen(k * n, 1.4))
-        .unwrap()
-        .cast(DType::F16);
-    let c = Tensor::from_vec(vec![m, n], gen(m * n, 2.6))
-        .unwrap()
-        .cast(DType::F16);
+    let (m, n) = (6, 9);
     let tensors: BTreeMap<String, Tensor> = [
-        ("A".to_string(), a),
-        ("B".to_string(), b),
-        ("C".to_string(), c),
+        ("A".to_string(), gen(vec![m, n], 0.2)),
+        ("B".to_string(), gen(vec![m, n], 1.4)),
+        ("U".to_string(), gen(vec![m], 0.5)),
+        ("V".to_string(), gen(vec![n], 0.8)),
+        ("C".to_string(), gen(vec![m, n], 2.6)),
+        ("S".to_string(), gen(vec![m], 3.1)),
     ]
     .into_iter()
     .collect();
-    for expr in ["C[i,j] = A[i,k] * B[k,j]", "C[i,j] += A[i,k] * B[k,j]"] {
+    for (expr, pattern) in [
+        ("C[i,j] = A[i,j] * B[i,j]", "hadamard"),
+        ("C[i,j] += A[i,j] * B[i,j]", "hadamard"),
+        ("C[i,j] = U[i] * V[j]", "outer"),
+        ("C[i,j] += U[i] * V[j]", "outer"),
+        ("S[i] = A[i,j]", "reduction"),
+        ("S[i] += A[i,j]", "reduction"),
+    ] {
         assert_eq!(
             assert_fast_matches_general(expr, &tensors, &InsumOptions::default()),
-            "matmul",
+            pattern,
             "{expr}"
         );
     }

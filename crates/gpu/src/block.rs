@@ -459,90 +459,6 @@ impl Block {
         }
     }
 
-    /// Visit `(a[i], b[i])` over the joint broadcast shape in logical
-    /// row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    #[inline]
-    pub fn walk2<F: FnMut(f64, f64)>(a: &Block, b: &Block, mut f: F) {
-        let joint = Block::joint_shape(a, b);
-        let av = a.broadcast_view(&joint);
-        let bv = b.broadcast_view(&joint);
-        let (shape, sa) = av.dims4();
-        let (_, sb) = bv.dims4();
-        let da = av.storage_slice();
-        let db = bv.storage_slice();
-        let (mut a0, mut b0) = (av.offset, bv.offset);
-        for _ in 0..shape[0] {
-            let (mut a1, mut b1) = (a0, b0);
-            for _ in 0..shape[1] {
-                let (mut a2, mut b2) = (a1, b1);
-                for _ in 0..shape[2] {
-                    let (mut a3, mut b3) = (a2, b2);
-                    for _ in 0..shape[3] {
-                        f(da[a3], db[b3]);
-                        a3 += sa[3];
-                        b3 += sb[3];
-                    }
-                    a2 += sa[2];
-                    b2 += sb[2];
-                }
-                a1 += sa[1];
-                b1 += sb[1];
-            }
-            a0 += sa[0];
-            b0 += sb[0];
-        }
-    }
-
-    /// Visit `(a[i], b[i], c[i])` over the joint broadcast shape in
-    /// logical row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    #[inline]
-    pub fn walk3<F: FnMut(f64, f64, f64)>(a: &Block, b: &Block, c: &Block, mut f: F) {
-        let mut joint = Block::joint_shape(a, b);
-        joint = joint_of(&joint, c.shape());
-        let av = a.broadcast_view(&joint);
-        let bv = b.broadcast_view(&joint);
-        let cv = c.broadcast_view(&joint);
-        let (shape, sa) = av.dims4();
-        let (_, sb) = bv.dims4();
-        let (_, sc) = cv.dims4();
-        let da = av.storage_slice();
-        let db = bv.storage_slice();
-        let dc = cv.storage_slice();
-        let (mut a0, mut b0, mut c0) = (av.offset, bv.offset, cv.offset);
-        for _ in 0..shape[0] {
-            let (mut a1, mut b1, mut c1) = (a0, b0, c0);
-            for _ in 0..shape[1] {
-                let (mut a2, mut b2, mut c2) = (a1, b1, c1);
-                for _ in 0..shape[2] {
-                    let (mut a3, mut b3, mut c3) = (a2, b2, c2);
-                    for _ in 0..shape[3] {
-                        f(da[a3], db[b3], dc[c3]);
-                        a3 += sa[3];
-                        b3 += sb[3];
-                        c3 += sc[3];
-                    }
-                    a2 += sa[2];
-                    b2 += sb[2];
-                    c2 += sc[2];
-                }
-                a1 += sa[1];
-                b1 += sb[1];
-                c1 += sc[1];
-            }
-            a0 += sa[0];
-            b0 += sb[0];
-            c0 += sc[0];
-        }
-    }
-
     /// The backing slice a non-scalar view indexes into; scalars expose a
     /// one-element slice via a broadcast-view conversion first.
     #[inline]
@@ -667,21 +583,6 @@ impl Block {
         }
     }
 
-    /// Joint broadcast shape of two blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    pub fn joint_shape(a: &Block, b: &Block) -> Vec<usize> {
-        joint_of(a.shape(), b.shape())
-    }
-
-    /// Elementwise binary op with broadcasting.
-    pub fn binary(op: BinOp, a: &Block, b: &Block) -> Block {
-        Block::try_scalar_binary(op, a, b)
-            .unwrap_or_else(|| Block::binary_with(op, a, b, PoolBuf::new()))
-    }
-
     /// Scalar ∘ scalar without touching the heap (the loop-counter
     /// arithmetic path); `None` when either operand is non-scalar.
     pub fn try_scalar_binary(op: BinOp, a: &Block, b: &Block) -> Option<Block> {
@@ -691,8 +592,9 @@ impl Block {
         None
     }
 
-    /// [`Block::binary`] writing into `buf` (cleared; used as the output
-    /// allocation so register slots can be recycled across iterations).
+    /// Elementwise binary op with broadcasting, writing into `buf`
+    /// (cleared; used as the output allocation so register slots can be
+    /// recycled across iterations).
     ///
     /// The op dispatch happens once out here so each operator gets fully
     /// monomorphized inner loops.
@@ -938,16 +840,8 @@ impl Block {
         Block::from_vec(shape, data)
     }
 
-    /// Matrix multiply of rank-2 blocks `[m, k] x [k, n] -> [m, n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or inner-dimension mismatch.
-    pub fn dot(a: &Block, b: &Block) -> Block {
-        Block::dot_with(a, b, PoolBuf::new())
-    }
-
-    /// [`Block::dot`] writing into a recycled pool buffer.
+    /// Matrix multiply of rank-2 blocks `[m, k] x [k, n] -> [m, n]`
+    /// (`tl.dot`'s definition), writing into a recycled pool buffer.
     ///
     /// The output tiles along columns with a stack-resident accumulator,
     /// so the `c` row is not reloaded from memory on every `l` step. For
@@ -1194,30 +1088,6 @@ pub(crate) fn apply_binop(op: BinOp, x: f64, y: f64) -> f64 {
     }
 }
 
-/// NumPy-style joint broadcast shape of two shapes.
-fn joint_of(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let nd = a.len().max(b.len());
-    let mut out = vec![0usize; nd];
-    for i in 0..nd {
-        let da = if i < nd - a.len() {
-            1
-        } else {
-            a[i - (nd - a.len())]
-        };
-        let db = if i < nd - b.len() {
-            1
-        } else {
-            b[i - (nd - b.len())]
-        };
-        assert!(
-            da == db || da == 1 || db == 1,
-            "incompatible block shapes {a:?} / {b:?}"
-        );
-        out[i] = da.max(db);
-    }
-    out
-}
-
 impl PartialEq for Block {
     /// Logical equality: same shape and same elements (representation —
     /// strides, sharing, inline vs heap — is invisible).
@@ -1229,6 +1099,14 @@ impl PartialEq for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn binary(op: BinOp, a: &Block, b: &Block) -> Block {
+        Block::binary_with(op, a, b, PoolBuf::new())
+    }
+
+    fn dot(a: &Block, b: &Block) -> Block {
+        Block::dot_with(a, b, PoolBuf::new())
+    }
 
     #[test]
     fn iota_and_full() {
@@ -1252,7 +1130,7 @@ mod tests {
         let y = Block::iota(2).expand_dims(1);
         let x = Block::iota(4).expand_dims(0);
         let four = Block::scalar(4.0);
-        let off = Block::binary(BinOp::Add, &Block::binary(BinOp::Mul, &y, &four), &x);
+        let off = binary(BinOp::Add, &binary(BinOp::Mul, &y, &four), &x);
         assert_eq!(off.shape(), &[2, 4]);
         assert_eq!(off.to_vec(), vec![0., 1., 2., 3., 4., 5., 6., 7.]);
     }
@@ -1261,10 +1139,10 @@ mod tests {
     fn comparison_produces_masks() {
         let x = Block::iota(4);
         let two = Block::scalar(2.0);
-        let m = Block::binary(BinOp::Lt, &x, &two);
+        let m = binary(BinOp::Lt, &x, &two);
         assert_eq!(m.to_vec(), vec![1.0, 1.0, 0.0, 0.0]);
-        let m2 = Block::binary(BinOp::Ge, &x, &two);
-        let both = Block::binary(BinOp::And, &m, &m2);
+        let m2 = binary(BinOp::Ge, &x, &two);
+        let both = binary(BinOp::And, &m, &m2);
         assert_eq!(both.to_vec(), vec![0.0; 4]);
     }
 
@@ -1272,8 +1150,8 @@ mod tests {
     fn floor_div_and_mod() {
         let x = Block::iota(6);
         let three = Block::scalar(3.0);
-        let d = Block::binary(BinOp::FloorDiv, &x, &three);
-        let m = Block::binary(BinOp::Mod, &x, &three);
+        let d = binary(BinOp::FloorDiv, &x, &three);
+        let m = binary(BinOp::Mod, &x, &three);
         assert_eq!(d.to_vec(), vec![0., 0., 0., 1., 1., 1.]);
         assert_eq!(m.to_vec(), vec![0., 1., 2., 0., 1., 2.]);
     }
@@ -1318,7 +1196,7 @@ mod tests {
     fn dot_matches_reference() {
         let a = Block::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = Block::from_vec(vec![3, 2], vec![7., 8., 9., 10., 11., 12.]);
-        let c = Block::dot(&a, &b);
+        let c = dot(&a, &b);
         assert_eq!(c.to_vec(), vec![58., 64., 139., 154.]);
     }
 
@@ -1326,7 +1204,7 @@ mod tests {
     fn dot_with_strided_operands() {
         let a = Block::from_vec(vec![3, 2], vec![1., 4., 2., 5., 3., 6.]).trans(); // [2,3]
         let b = Block::from_vec(vec![2, 3], vec![7., 9., 11., 8., 10., 12.]).trans(); // [3,2]
-        let c = Block::dot(&a, &b);
+        let c = dot(&a, &b);
         assert_eq!(c.to_vec(), vec![58., 64., 139., 154.]);
     }
 
@@ -1346,7 +1224,7 @@ mod tests {
         let a = window([3, 4], 5, 7);
         let b = window([4, 6], 9, 3);
         let bits = |x: Block| x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        let want = bits(Block::dot(
+        let want = bits(dot(
             &Block::from_vec(vec![3, 4], a.to_vec()),
             &Block::from_vec(vec![4, 6], b.to_vec()),
         ));
@@ -1360,28 +1238,22 @@ mod tests {
     fn dot_shape_mismatch_panics() {
         let a = Block::full(vec![2, 3], 1.0);
         let b = Block::full(vec![2, 2], 1.0);
-        Block::dot(&a, &b);
+        dot(&a, &b);
     }
 
     #[test]
     fn scalar_fast_paths() {
         let x = Block::iota(3);
         let s = Block::scalar(10.0);
-        assert_eq!(
-            Block::binary(BinOp::Add, &x, &s).to_vec(),
-            vec![10., 11., 12.]
-        );
-        assert_eq!(
-            Block::binary(BinOp::Sub, &s, &x).to_vec(),
-            vec![10., 9., 8.]
-        );
+        assert_eq!(binary(BinOp::Add, &x, &s).to_vec(), vec![10., 11., 12.]);
+        assert_eq!(binary(BinOp::Sub, &s, &x).to_vec(), vec![10., 9., 8.]);
     }
 
     #[test]
     fn scalar_ops_stay_inline() {
         let a = Block::scalar(3.0);
         let b = Block::scalar(4.0);
-        let c = Block::binary(BinOp::Mul, &a, &b);
+        let c = binary(BinOp::Mul, &a, &b);
         assert!(matches!(c.storage, Storage::Inline(v) if v == 12.0));
     }
 
@@ -1398,17 +1270,6 @@ mod tests {
             Rc::ptr_eq(dx, db),
             "expand/view/trans/broadcast must not copy"
         );
-    }
-
-    #[test]
-    fn walk2_matches_materialized_broadcast() {
-        let y = Block::iota(2).expand_dims(1);
-        let x = Block::iota(4).expand_dims(0);
-        let mut pairs = Vec::new();
-        Block::walk2(&y, &x, |a, b| pairs.push((a, b)));
-        assert_eq!(pairs.len(), 8);
-        assert_eq!(pairs[0], (0.0, 0.0));
-        assert_eq!(pairs[5], (1.0, 1.0));
     }
 
     #[test]
@@ -1499,7 +1360,7 @@ mod tests {
             (nan, b(vec![3, len], 2)),
             (a.clone(), b(vec![1, len], 3)),
             (a.clone(), b(vec![1, len], 4).broadcast_to(&[3, len])),
-            // (A `[3, 1]` column against `[3, 0]` rows: `joint_of` takes
+            // (A `[3, 1]` column against `[3, 0]` rows: `Shape4::joint` takes
             // the larger extent, 1, which the rows cannot broadcast to.)
             (a.clone(), b(vec![3, len.min(1)], 5)),
             (

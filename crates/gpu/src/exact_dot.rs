@@ -1,6 +1,6 @@
 //! The exact-product `tl.dot` kernel: a dense, register-blocked FMA
 //! matrix multiply that is bit-identical to the canonical loop
-//! ([`Block::dot`](crate::Block::dot)) **by construction**, for operands
+//! ([`Block::dot_with`](crate::Block::dot_with)) **by construction**, for operands
 //! whose every element is finite and f32-representable
 //! (`v == (v as f32) as f64`).
 //!
@@ -22,9 +22,8 @@
 //!    dropped and the kernel run dense.
 //! 3. **No Inf, hence no NaN, is ever produced.** `|a·b| < 2²⁵⁶`, so
 //!    `|acc| ≤ k·2²⁵⁶` — nowhere near overflow for any representable
-//!    `k`. The "which NaN payload survives" corner that forces the
-//!    fast-path matmul to share the canonical loop's machine code cannot
-//!    arise here.
+//!    `k`. The "which NaN payload survives" corner, which only the
+//!    canonical loop's own machine code settles, cannot arise here.
 //! 4. **No chain is reordered.** Every output element keeps its own
 //!    accumulator and visits `l` in ascending order; blocking over rows
 //!    and columns only changes *which elements advance together*. There
@@ -36,8 +35,8 @@
 //! O(1) per dot by the callers: statically per operand register in
 //! `Program::compile` (the value derives from loads and f32-exact
 //! constants through shape transforms only) plus one `is_finite` scan per
-//! read parameter per launch; once per call in the fast-path matmul.
-//! Debug builds re-check every operand element on entry.
+//! read parameter per launch. Debug builds re-check every operand element
+//! on entry.
 //!
 //! The kernel body is generic over a vector type and instantiated per
 //! rung of the crate's ISA ladder ([`Isa`]) behind runtime detection:
@@ -58,8 +57,7 @@ static CANONICAL_DOTS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide `(exact, canonical)` counts of Execute-mode `tl.dot`
 /// dispatches: how many ran the exact-product FMA kernel and how many
-/// the canonical loop, over every interpreter launch and fast-path
-/// matmul so far. Read it before and after a run and subtract; a
+/// the canonical loop, over every interpreter launch so far. Read it before and after a run and subtract; a
 /// workload of plain loads that reports canonical dots has lost its
 /// eligibility (non-finite input, or arithmetic between load and dot).
 /// Replayed (stream-cached) dots and Analytic launches execute no dot

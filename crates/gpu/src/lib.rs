@@ -91,15 +91,14 @@
 //!   values, rearranged by `expand_dims`/`broadcast_to`/`view`/`trans`
 //!   only — decided once per register in [`Program::compile`] — whose
 //!   source parameters hold no NaN or Inf, checked with one scan per
-//!   parameter per launch. The fast-path matmul scans its two factors
-//!   once per call. **Declines** (canonical loop, same bits as ever):
+//!   parameter per launch. **Declines** (canonical loop, same bits as ever):
 //!   any operand that passed through arithmetic (`load(A) * s`, an
 //!   accumulator, another dot), a load from a parameter the kernel also
 //!   writes, a non-f32 constant, or a non-finite input.
 //!   [`dot_dispatch_counts`] reports how many executed dots ran each
 //!   kernel (an eligible dot whose B rows are not unit-stride runs, and
 //!   counts as, the canonical loop); `simbench` asserts 100 % exact on
-//!   the fig7 Execute and matmul fast-path rows and 0 % with a NaN
+//!   the fig7 SpMM and dense matmul Execute rows and 0 % with a NaN
 //!   planted in B, and records every row's `exact_dot_share`.
 //! * **Row-run address streams** — a 2-D access at
 //!   `expand_dims(rows, 1) + expand_dims(cols, 0)` (every gather, scatter

@@ -3,9 +3,9 @@
 //! The general interpreter ([`crate::launch`]) executes a lowered kernel
 //! IR instruction by instruction; that generality is exactly what makes
 //! it expensive on the host. For the canonical contraction shapes that
-//! [`insum_pattern`] recognizes, this module provides two far cheaper
-//! targets that preserve the simulator's contract (bit-exact values,
-//! deterministic [`KernelStats`]):
+//! [`insum_pattern`] recognizes and marks [`Pattern::is_fast`], this
+//! module provides two far cheaper targets that preserve the simulator's
+//! contract (bit-exact values, deterministic [`KernelStats`]):
 //!
 //! * **Zero-copy stride transforms** — transpose (any permutation,
 //!   identity included) and diagonal extraction become
@@ -14,10 +14,14 @@
 //!   fused general pipeline stores the *raw input bits* for these
 //!   copy-shaped statements (NaN payloads and `-0.0` survive), so a view
 //!   over the same storage is bit-identical by construction.
-//! * **Microkernels** — matmul, batched matmul, reduction, Hadamard,
-//!   outer, dot, trace run as tight host loops that reproduce the fused
-//!   pipeline's accumulation semantics exactly (see below) and charge an
-//!   analytic cost model.
+//! * **Microkernels** — reduction, Hadamard, outer and trace run as tight
+//!   host loops that reproduce the fused pipeline's accumulation
+//!   semantics exactly (see below) and charge an analytic cost model.
+//!
+//! The dense contractions (matmul, batched matmul, dot) have no target
+//! here: they are classified, but the general lowering is their only
+//! lowering, so their simulated time is the generated kernel's and their
+//! `tl.dot` is the interpreter's own.
 //!
 //! # Bit-identity contract
 //!
@@ -27,22 +31,6 @@
 //! * Products compute in `f64` and round once to `f32`
 //!   (`(a as f64 * b as f64) as f32` equals the single-rounded `f32`
 //!   product); `-0.0` is preserved and `0 * inf` produces NaN.
-//! * Dot-style reductions (matmul, batched matmul, dot) accumulate into
-//!   an `f64` initialized to `0.0`, visiting the contraction axis in
-//!   ascending order, and **skip terms whose left factor is `0.0`**
-//!   (the interpreter's sparse-operand short-circuit; `-0.0` counts as
-//!   zero, so a `0.0 * NaN` term is skipped, not propagated). To pin the
-//!   remaining unspecified IEEE corners (which NaN sign survives
-//!   `-inf + NaN` depends on how the compiler schedules the loop), these
-//!   microkernels call the interpreter's own `tl.dot` (the canonical
-//!   [`Block::dot`], or the exact-product FMA kernel that equals it bit
-//!   for bit when both factors are finite) with the general kernel's
-//!   default R/X tile boundaries rather than re-rolling the loop — see
-//!   [`matmul_block`]. Because those boundaries are the
-//!   *default* ones, the fast-path gate declines dot-family statements
-//!   compiled with autotuning or explicit block overrides, and declines
-//!   them entirely when Tensor Cores are off (the scalar lowering has no
-//!   zero skip).
 //! * Plain reductions sum in `f64` in row-major input order with no
 //!   splitting, then round once to `f32`.
 //! * `+=` (accumulate) adds the rounded `f32` result to the existing
@@ -53,21 +41,17 @@
 //!
 //! Microkernel launches are modeled as one 1-D grid over output elements
 //! (256 per instance) with perfect operand reuse: every operand crosses
-//! L2/DRAM exactly once (compulsory traffic), dense FLOP issue (the
-//! zero-skip is a value optimization, not a cost one), and one modeled
-//! instruction per FLOP plus one per element moved. Times follow the
+//! L2/DRAM exactly once (compulsory traffic), dense FLOP issue, and one
+//! modeled instruction per FLOP plus one per element moved. Times follow the
 //! same [`DeviceModel`] arithmetic as the interpreter:
 //! `launch_overhead + max(SM makespan, DRAM time)`. Stride-transform
 //! views report zeroed counters and `time == 0.0` — no kernel runs. All
 //! counters derive from shapes and dtypes only, so [`Mode::Execute`] and
 //! [`Mode::Analytic`] report identical profiles.
 
-use crate::block::{Block, PoolBuf};
 use crate::device::DeviceModel;
-use crate::exact_dot::{all_finite, DotTally};
 use crate::interp::{GpuError, Mode};
 use crate::stats::{combine_times, KernelReport, KernelStats};
-use insum_kernel::BinOp;
 use insum_pattern::Pattern;
 use insum_tensor::{f16_round_slice, DType, Tensor};
 
@@ -217,29 +201,6 @@ pub fn run_micro(
                 },
             )
         }
-        Pattern::Dot => {
-            let [a, b] = factors else {
-                return Err(micro_err("dot expects two factors"));
-            };
-            if a.ndim() != 1 || b.ndim() != 1 || a.len() != b.len() {
-                return Err(micro_err("dot factors must be equal-length vectors"));
-            }
-            check_out_shape(output, &[], "dot")?;
-            compute(
-                "micro_dot",
-                factors,
-                output,
-                accumulate,
-                mode,
-                device,
-                2 * a.len() as u64,
-                |out| {
-                    let av = a.contiguous_data();
-                    let bv = b.contiguous_data();
-                    matmul_block(&av, &bv, out, 1, av.len(), 1).flush();
-                },
-            )
-        }
         Pattern::Trace => {
             let [a] = factors else {
                 return Err(micro_err("trace expects one factor"));
@@ -267,68 +228,9 @@ pub fn run_micro(
                 },
             )
         }
-        Pattern::Matmul => {
-            let [a, b] = factors else {
-                return Err(micro_err("matmul expects two factors"));
-            };
-            if a.ndim() != 2 || b.ndim() != 2 || a.shape()[1] != b.shape()[0] {
-                return Err(micro_err("matmul factor shapes disagree"));
-            }
-            let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
-            check_out_shape(output, &[m, n], "matmul")?;
-            compute(
-                "micro_matmul",
-                factors,
-                output,
-                accumulate,
-                mode,
-                device,
-                2 * (m * n * k) as u64,
-                |out| {
-                    matmul_block(&a.contiguous_data(), &b.contiguous_data(), out, m, k, n).flush()
-                },
-            )
-        }
-        Pattern::BatchedMatmul => {
-            let [a, b] = factors else {
-                return Err(micro_err("batched matmul expects two factors"));
-            };
-            if a.ndim() != 3
-                || b.ndim() != 3
-                || a.shape()[0] != b.shape()[0]
-                || a.shape()[2] != b.shape()[1]
-            {
-                return Err(micro_err("batched matmul factor shapes disagree"));
-            }
-            let (g, m, k, n) = (a.shape()[0], a.shape()[1], a.shape()[2], b.shape()[2]);
-            check_out_shape(output, &[g, m, n], "batched matmul")?;
-            compute(
-                "micro_batched_matmul",
-                factors,
-                output,
-                accumulate,
-                mode,
-                device,
-                2 * (g * m * n * k) as u64,
-                |out| {
-                    let av = a.contiguous_data();
-                    let bv = b.contiguous_data();
-                    let mut tally = DotTally::default();
-                    for gi in 0..g {
-                        tally.merge(matmul_block(
-                            &av[gi * m * k..(gi + 1) * m * k],
-                            &bv[gi * k * n..(gi + 1) * k * n],
-                            &mut out[gi * m * n..(gi + 1) * m * n],
-                            m,
-                            k,
-                            n,
-                        ));
-                    }
-                    tally.flush();
-                },
-            )
-        }
-        Pattern::General => Err(micro_err("the general pattern has no microkernel")),
+        Pattern::Matmul | Pattern::BatchedMatmul | Pattern::Dot | Pattern::General => Err(
+            micro_err(format!("the {pattern} pattern has no microkernel")),
+        ),
     }
 }
 
@@ -425,86 +327,6 @@ fn compute(
         }
     }
     Ok((out, report))
-}
-
-/// `out[i*n + j] = sum_r a[i*k + r] * b[r*n + j]`, replicating the
-/// general kernel's execution structure exactly: R is tiled by
-/// `rb = next_pow2(k).clamp(16, 32)` and X by
-/// `xb = next_pow2(n).clamp(16, 32)` (B tiles zero-padded the way the
-/// kernel's masked loads pad them), each tile runs through the
-/// interpreter's own `tl.dot`, and per-tile partials combine with
-/// [`Block::binary`] adds — the same machine code the general pipeline
-/// executes, in the same call pattern. Matching source-level semantics
-/// is not enough: the optimizer is free to pick which NaN survives a
-/// float add or a vectorized reduction, so bit-identity on NaN corners
-/// requires sharing both the compiled kernels and their tile
-/// boundaries.
-///
-/// Tiles are `f32` data widened to `f64`, so they are f32-representable
-/// by construction; when `a` and `b` are also finite (one scan per
-/// call) every tile goes to [`Block::dot_exact_with`], which equals the
-/// canonical loop bit for bit on such operands — the general lowering
-/// may decide eligibility differently for the same data without the two
-/// paths diverging. NaN/Inf inputs keep the canonical loop, where the
-/// paragraph above applies. Returns the dispatch tally for the caller
-/// to flush.
-fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) -> DotTally {
-    let rb = k.next_power_of_two().clamp(16, 32);
-    let xb = n.next_power_of_two().clamp(16, 32);
-    let exact = all_finite(a) && all_finite(b);
-    let mut tally = DotTally::default();
-    // The A panels depend on the R tile only: widen each once, not once
-    // per X tile.
-    let a_panels: Vec<Block> = (0..k)
-        .step_by(rb)
-        .map(|r0| {
-            let r1 = (r0 + rb).min(k);
-            let mut at = Vec::with_capacity(m * (r1 - r0));
-            for i in 0..m {
-                at.extend(a[i * k + r0..i * k + r1].iter().map(|&v| v as f64));
-            }
-            Block::from_vec(vec![m, r1 - r0], at)
-        })
-        .collect();
-    // One B-tile buffer, handed to each tile block and reclaimed after
-    // its dot.
-    let mut bbuf = PoolBuf::new();
-    let mut x0 = 0usize;
-    while x0 < n {
-        let xw = (n - x0).min(xb);
-        let mut acc: Option<Block> = None;
-        for (panel, r0) in a_panels.iter().zip((0..k).step_by(rb)) {
-            let kw = panel.shape()[1];
-            let bt = bbuf.vec();
-            bt.clear();
-            bt.resize(kw * xb, 0.0);
-            for (row, r) in bt.chunks_mut(xb).zip(r0..) {
-                for (slot, &v) in row.iter_mut().zip(&b[r * n + x0..r * n + x0 + xw]) {
-                    *slot = v as f64;
-                }
-            }
-            let tile = Block::from_pool(vec![kw, xb], bbuf);
-            let (d, ran_exact) = if exact {
-                Block::dot_exact_with(panel, &tile, PoolBuf::new())
-            } else {
-                (Block::dot(panel, &tile), false)
-            };
-            tally.count(ran_exact);
-            bbuf = tile.reclaim().expect("the tile block is the sole owner");
-            acc = Some(match acc {
-                None => d,
-                Some(p) => Block::binary(BinOp::Add, &p, &d),
-            });
-        }
-        let av = acc.expect("contraction extent is nonzero").to_vec();
-        for i in 0..m {
-            for t in 0..xw {
-                out[i * n + x0 + t] = av[i * xb + t] as f32;
-            }
-        }
-        x0 += xb;
-    }
-    tally
 }
 
 /// Row-major `f64` sum over `axes` of `a` into `out` (raw `f32`s).
@@ -685,23 +507,20 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_dense_reference() {
-        let a = ramp(vec![4, 6]);
-        let b = ramp(vec![6, 3]);
-        let out = Tensor::zeros(vec![4, 3]);
-        let (got, report) = run_micro(
-            &Pattern::Matmul,
-            &[a.clone(), b.clone()],
-            &out,
-            false,
-            Mode::Execute,
-            &dev(),
-        )
-        .unwrap();
-        let want = a.matmul(&b).unwrap();
-        assert!(got.allclose(&want, 1e-6, 1e-6));
-        assert_eq!(report.stats.flops_scalar, 2 * 4 * 3 * 6);
-        assert!(report.time > 0.0);
+    fn dense_contractions_have_no_microkernel() {
+        let v = ramp(vec![4]);
+        let m = ramp(vec![4, 4]);
+        let g = ramp(vec![2, 4, 4]);
+        let cases = [
+            (Pattern::Dot, [v.clone(), v], Tensor::zeros(vec![])),
+            (Pattern::Matmul, [m.clone(), m.clone()], m),
+            (Pattern::BatchedMatmul, [g.clone(), g.clone()], g),
+        ];
+        for (pattern, factors, out) in cases {
+            assert!(!pattern.is_fast());
+            let err = run_micro(&pattern, &factors, &out, false, Mode::Execute, &dev());
+            assert!(matches!(err, Err(GpuError::Micro(_))), "{pattern}");
+        }
     }
 
     #[test]
@@ -710,7 +529,7 @@ mod tests {
         let b = ramp(vec![8, 8]);
         let out = Tensor::zeros(vec![8, 8]);
         let (v, r_exec) = run_micro(
-            &Pattern::Matmul,
+            &Pattern::Hadamard,
             &[a.clone(), b.clone()],
             &out,
             false,
@@ -719,7 +538,7 @@ mod tests {
         )
         .unwrap();
         let (skipped, r_ana) = run_micro(
-            &Pattern::Matmul,
+            &Pattern::Hadamard,
             &[a, b],
             &out,
             false,
@@ -728,6 +547,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r_exec, r_ana);
+        assert!(r_exec.time > 0.0);
         assert!(skipped.bit_eq(&out), "analytic returns the binding");
         assert!(!v.bit_eq(&out));
     }
@@ -750,12 +570,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_trace_produce_scalars() {
-        let a = Tensor::from_vec(vec![3], vec![1.0, 2.0, 3.0]).unwrap();
-        let b = Tensor::from_vec(vec![3], vec![4.0, 5.0, 6.0]).unwrap();
+    fn trace_produces_a_scalar() {
         let out = Tensor::zeros(vec![]);
-        let (d, _) = run_micro(&Pattern::Dot, &[a, b], &out, false, Mode::Execute, &dev()).unwrap();
-        assert_eq!(d.contiguous_data()[0], 32.0);
         let m = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let (t, _) = run_micro(&Pattern::Trace, &[m], &out, false, Mode::Execute, &dev()).unwrap();
         assert_eq!(t.contiguous_data()[0], 5.0);

@@ -38,11 +38,6 @@ impl KernelStats {
         32 * (self.dram_read_sectors + self.dram_write_sectors)
     }
 
-    /// Total bytes that crossed L2.
-    pub fn l2_bytes(&self) -> u64 {
-        32 * (self.l2_read_sectors + self.l2_write_sectors)
-    }
-
     /// Deterministic abstract cost of this launch, in dimensionless
     /// "cost units": dynamic instructions plus an 8× weight on DRAM
     /// sector traffic plus atomics. The counters are bit-exact outputs
@@ -316,7 +311,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.dram_bytes(), 96);
-        assert_eq!(s.l2_bytes(), 128);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `tl.dot` kernel equivalence: every implementation this host can run —
 //! the canonical loop without target features, and the exact-product FMA
 //! kernel at each ISA width — must return the bits of the dispatching
-//! canonical [`Block::dot`] and of the seed [`RefBlock::dot`] on eligible
+//! canonical [`Block::dot_with`] and of the seed [`RefBlock::dot`] on eligible
 //! operands; ineligible operands must be declined (canonical loop taken)
 //! with the same bits. This is the scalar-vs-SIMD test for the gpu
 //! crate's `unsafe` kernels, and the soundness test for the O(1)
@@ -70,6 +70,11 @@ fn operand(rows: usize, cols: usize, layout: usize, mut value: impl FnMut() -> f
     }
 }
 
+/// The canonical loop, as the interpreter's non-exact path runs it.
+fn canonical_dot(a: &Block, b: &Block) -> Block {
+    Block::dot_with(a, b, Default::default())
+}
+
 fn seed_dot(a: &Block, b: &Block) -> Vec<u64> {
     let r = |x: &Block| RefBlock {
         shape: x.shape().to_vec(),
@@ -97,7 +102,7 @@ proptest! {
         let a = operand(m, k, layout_a, || eligible_value(class_a, &mut rng) as f64);
         let b = operand(k, n, layout_b, || eligible_value(class_b, &mut rng) as f64);
         prop_assert!(a.is_f32_exact() && b.is_f32_exact());
-        let want = bits(&Block::dot(&a, &b).to_vec());
+        let want = bits(&canonical_dot(&a, &b).to_vec());
         prop_assert_eq!(&want, &seed_dot(&a, &b), "canonical vs seed, {m}x{k}x{n}");
         for isa in Isa::ALL.into_iter().filter(|i| i.available()) {
             let got = Block::dot_on(isa, &a, &b);
@@ -189,7 +194,7 @@ fn the_tile_ladder_is_the_seed_loop_at_every_width() {
                         "not canonical-only"
                     );
                     assert_eq!(
-                        bits(&Block::dot(&a, &b).to_vec()),
+                        bits(&canonical_dot(&a, &b).to_vec()),
                         seed_dot(&a, &b),
                         "4x{k}x{n}, B layout {layout_b}, A layout {layout_a}, special {special:?}"
                     );
@@ -453,6 +458,6 @@ proptest! {
         let a = Block::from_vec(vec![m, k], a64);
         let b = Block::from_vec(vec![k, n], b64);
         prop_assert!(!(a.is_f32_exact() && b.is_f32_exact()), "the predicate must reject");
-        prop_assert_eq!(bits(&Block::dot(&a, &b).to_vec()), seed_dot(&a, &b));
+        prop_assert_eq!(bits(&canonical_dot(&a, &b).to_vec()), seed_dot(&a, &b));
     }
 }

@@ -2,32 +2,40 @@
 //!
 //! The general indirect-einsum lowering (crates/gpu) can execute *every*
 //! contraction, but production engines win the common case by recognizing
-//! it: a transpose is a stride permutation, a matmul is a microkernel.
+//! it: a transpose is a stride permutation, a row sum is a tight loop.
 //! This crate is the recognition layer — a pure, dependency-free function
 //! from the *index structure* of an einsum (its input terms and output
-//! term) to a [`Pattern`].
+//! term) to a [`Pattern`] — and, through [`Pattern::is_fast`], the one
+//! place that says which patterns have a dedicated execution target.
 //!
 //! # Recognition table
 //!
 //! Index names below are canonical placeholders; classification is
 //! structural, so any names that are equal/distinct in the same positions
-//! classify identically.
+//! classify identically. The last column says how a recognized statement
+//! runs: on a fast path (`insum_gpu::run_micro`: a stride view or a
+//! microkernel) or through the general lowering, whose `tl.dot` kernel
+//! *is* the dense contraction.
 //!
-//! | Spec shape                | Pattern                  | Extracted dims |
-//! |---------------------------|--------------------------|----------------|
-//! | `a…z -> permutation`      | [`Pattern::Transpose`]   | `perm[d]` = input axis feeding output axis `d` |
-//! | `a…z -> ordered subset`   | [`Pattern::Reduction`]   | `axes` = input axes summed away |
-//! | `aa -> a`                 | [`Pattern::Diagonal`]    | — |
-//! | `aa ->`                   | [`Pattern::Trace`]       | — |
-//! | `ab,bc -> ac`             | [`Pattern::Matmul`]      | — |
-//! | `gab,gbc -> gac`          | [`Pattern::BatchedMatmul`] | — |
-//! | `T,T -> T` (same term)    | [`Pattern::Hadamard`]    | — |
-//! | `a,b -> ab`               | [`Pattern::Outer`]       | — |
-//! | `a,a ->`                  | [`Pattern::Dot`]         | — |
-//! | anything else             | [`Pattern::General`]     | — |
+//! | Spec shape                | Pattern                  | Extracted dims | Lowered by |
+//! |---------------------------|--------------------------|----------------|------------|
+//! | `a…z -> permutation`      | [`Pattern::Transpose`]   | `perm[d]` = input axis feeding output axis `d` | stride view |
+//! | `a…z -> ordered subset`   | [`Pattern::Reduction`]   | `axes` = input axes summed away | microkernel |
+//! | `aa -> a`                 | [`Pattern::Diagonal`]    | — | stride view |
+//! | `aa ->`                   | [`Pattern::Trace`]       | — | microkernel |
+//! | `ab,bc -> ac`             | [`Pattern::Matmul`]      | — | general |
+//! | `gab,gbc -> gac`          | [`Pattern::BatchedMatmul`] | — | general |
+//! | `T,T -> T` (same term)    | [`Pattern::Hadamard`]    | — | microkernel |
+//! | `a,b -> ab`               | [`Pattern::Outer`]       | — | microkernel |
+//! | `a,a ->`                  | [`Pattern::Dot`]         | — | general |
+//! | anything else             | [`Pattern::General`]     | — | general |
 //!
 //! The identity copy `ab -> ab` is a [`Pattern::Transpose`] with the
-//! identity permutation.
+//! identity permutation. The three dense contractions are still
+//! classified, so [`classify_terms`] keeps one answer for every statement
+//! (perfbench's layer trace classifies each one); they have no
+//! microkernel because the general lowering already runs them as one
+//! `tl.dot` kernel, with the simulated time of that kernel.
 //!
 //! # Fallback guarantee
 //!
@@ -38,11 +46,11 @@
 //! `ijk -> ji`, three or more operands, transposed Hadamard `ij,ji -> ij`,
 //! matvec `ij,j -> i` — all classify as [`Pattern::General`] and run
 //! through the full lowering. The general path therefore remains the
-//! bit-identity oracle: for every recognized pattern the dedicated
-//! fast-path execution must produce bit-identical results to the general
-//! lowering, and everything unrecognized *is* the general lowering.
+//! bit-identity oracle: for every pattern with a fast path the dedicated
+//! execution must produce bit-identical results to the general lowering,
+//! and everything else *is* the general lowering.
 
-/// The canonical contraction shapes the fast path recognizes.
+/// The canonical contraction shapes the classifier recognizes.
 ///
 /// See the crate docs for the recognition table. `Transpose` and
 /// `Reduction` carry the extracted axis structure; the remaining
@@ -99,10 +107,15 @@ impl Pattern {
         }
     }
 
-    /// True for every pattern with a dedicated execution target
-    /// (everything except [`Pattern::General`]).
+    /// True for every pattern with a dedicated execution target: the
+    /// stride views and microkernels. The dense contractions (matmul,
+    /// batched matmul, dot) and [`Pattern::General`] run the general
+    /// lowering.
     pub fn is_fast(&self) -> bool {
-        !matches!(self, Pattern::General)
+        !matches!(
+            self,
+            Pattern::Matmul | Pattern::BatchedMatmul | Pattern::Dot | Pattern::General
+        )
     }
 }
 
@@ -335,7 +348,11 @@ mod tests {
         assert_eq!(Pattern::Matmul.name(), "matmul");
         assert_eq!(Pattern::Transpose { perm: vec![] }.name(), "transpose");
         assert_eq!(Pattern::General.name(), "general");
-        assert!(Pattern::Dot.is_fast());
+        assert!(Pattern::Hadamard.is_fast());
+        assert!(Pattern::Transpose { perm: vec![] }.is_fast());
+        for dense in [Pattern::Matmul, Pattern::BatchedMatmul, Pattern::Dot] {
+            assert!(!dense.is_fast(), "{dense}");
+        }
         assert!(!Pattern::General.is_fast());
         assert_eq!(format!("{}", Pattern::BatchedMatmul), "batched_matmul");
     }
