@@ -394,9 +394,8 @@ struct ChainRow {
     bit_identical: bool,
 }
 
-/// One canonical einsum the pattern classifier routes to a microkernel
-/// or stride view, benchmarked against the general lowering it would
-/// otherwise take.
+/// One canonical einsum the pattern classifier routes to a stride view,
+/// benchmarked against the general lowering it would otherwise take.
 struct FastCase {
     name: &'static str,
     expr: &'static str,
@@ -420,7 +419,6 @@ fn fast_cases() -> Vec<FastCase> {
     let mut rng = SmallRng::seed_from_u64(29);
     let mut u = |shape: Vec<usize>| insum_tensor::rand_uniform(shape, -1.0, 1.0, &mut rng);
     let a = u(vec![512, 512]);
-    let b = u(vec![512, 512]);
     let bind = |pairs: Vec<(&str, Tensor)>| -> BTreeMap<String, Tensor> {
         pairs.into_iter().map(|(n, t)| (n.to_string(), t)).collect()
     };
@@ -429,32 +427,6 @@ fn fast_cases() -> Vec<FastCase> {
             name: "transpose_512",
             expr: "T[j,i] = A[i,j]",
             tensors: bind(vec![("T", Tensor::zeros(vec![512, 512])), ("A", a.clone())]),
-        },
-        FastCase {
-            name: "reduction_768x512",
-            expr: "S[i] = A[i,j]",
-            tensors: bind(vec![
-                ("S", Tensor::zeros(vec![768])),
-                ("A", u(vec![768, 512])),
-            ]),
-        },
-        FastCase {
-            name: "hadamard_512",
-            expr: "H[i,j] = A[i,j] * B[i,j]",
-            tensors: bind(vec![
-                ("H", Tensor::zeros(vec![512, 512])),
-                ("A", a.clone()),
-                ("B", b.clone()),
-            ]),
-        },
-        FastCase {
-            name: "outer_512",
-            expr: "O[i,j] = U[i] * V[j]",
-            tensors: bind(vec![
-                ("O", Tensor::zeros(vec![512, 512])),
-                ("U", u(vec![512])),
-                ("V", u(vec![512])),
-            ]),
         },
         FastCase {
             name: "diagonal_512",
@@ -907,10 +879,10 @@ fn main() {
         skew4.wall_planned * 1e3
     );
 
-    // Pattern fast path: canonical einsums dispatched to microkernels
-    // and zero-copy stride views vs the same statements forced through
-    // the general lowering (`fast_path: false`), which remains the
-    // bit-identity oracle for every row.
+    // Pattern fast path: canonical einsums served as zero-copy stride
+    // views vs the same statements forced through the general lowering
+    // (`fast_path: false`), which remains the bit-identity oracle for
+    // every row.
     let mut fast_rows: Vec<FastRow> = Vec::new();
     for case in fast_cases() {
         let fast = insum_with(case.expr, &case.tensors, &InsumOptions::default())
@@ -954,18 +926,16 @@ fn main() {
             "{}: the fast path must be bit-identical to the general lowering",
             case.name
         );
-        if pattern == "transpose" || pattern == "diagonal" {
-            assert_eq!(
-                deep_copies_fast, 0,
-                "{}: stride-transform patterns must perform zero deep copies",
-                case.name
-            );
-            assert!(
-                out_fast.shares_storage(&case.tensors["A"]),
-                "{}: the fast output must be a view of the input's storage",
-                case.name
-            );
-        }
+        assert_eq!(
+            deep_copies_fast, 0,
+            "{}: stride views must perform zero deep copies",
+            case.name
+        );
+        assert!(
+            out_fast.shares_storage(&case.tensors["A"]),
+            "{}: the fast output must be a view of the input's storage",
+            case.name
+        );
 
         let wall_fast = best_wall(|| {
             let t = Instant::now();
@@ -1199,7 +1169,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "pattern fast path (microkernels + stride views vs general lowering)",
+        "pattern fast path (stride views vs general lowering)",
         &[
             "case",
             "pattern",

@@ -8,9 +8,9 @@
 //! A statement is a chain of one step; a single request is a batch of
 //! one. There are four step kinds:
 //!
-//! * **fast path** — the statement matched the [`insum_pattern`]
-//!   recognition table ([`crate::fastpath`]): no kernel is generated, the
-//!   step runs a microkernel or returns a zero-copy stride view;
+//! * **fast path** — the statement is a transpose or diagonal in the
+//!   [`insum_pattern`] recognition table ([`crate::fastpath`]): no kernel
+//!   is generated, the step returns a zero-copy stride view;
 //! * **fused** — the paper's pipeline: one generated kernel that gathers,
 //!   contracts (with `tl.dot` when legal) and scatters, launched through
 //!   the process-wide [`ProgramCache`];
@@ -163,7 +163,7 @@ impl Compiled {
     /// Device steps lowered through the general (fused or unfused)
     /// pipeline, i.e. the ones whose programs live in the cross-launch
     /// `ProgramCache`. Steps that classified onto the pattern fast path
-    /// dispatch straight to microkernels and lower no programs at all,
+    /// return stride views and lower no programs at all,
     /// so they are excluded here (the compile-once benchmarks count
     /// cache hits per program-backed step).
     pub fn program_step_count(&self) -> usize {
@@ -200,7 +200,7 @@ impl Compiled {
 
     /// Number of kernels launched per run: 1 per fused step, the node
     /// count of an unfused step, none for a host step. A fast-path step
-    /// reports 1 even when a stride view launches nothing — the profile
+    /// reports 1 although its stride view launches nothing — the profile
     /// still carries one report per run.
     pub fn kernel_count(&self) -> usize {
         self.steps
@@ -221,7 +221,7 @@ impl Compiled {
             .iter()
             .map(|step| match step {
                 Step::FastPath(op) => format!(
-                    "# fast path: {} microkernel / stride view — no kernel generated",
+                    "# fast path: {} stride view — no kernel generated",
                     op.pattern.name()
                 ),
                 Step::Fused(op) => insum_kernel::print_kernel(&op.kernel),

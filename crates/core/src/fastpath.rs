@@ -1,11 +1,13 @@
 //! The fast-path dispatch stage of [`crate::insum_with`].
 //!
-//! Compilation now has an explicit classification step in front of the
-//! general lowering: statements with no indirection whose index
-//! structure matches the [`insum_pattern`] recognition table compile to
-//! a Program-less [`FastOp`] artifact that executes through
-//! [`insum_gpu::run_micro`] (microkernels and zero-copy stride views)
-//! instead of building a kernel IR and running the interpreter.
+//! Compilation has an explicit classification step in front of the
+//! general lowering: a statement with no indirection that only moves its
+//! one factor's elements — a transpose or a diagonal in the
+//! [`insum_pattern`] recognition table — compiles to a Program-less
+//! [`FastOp`] artifact that returns a zero-copy stride view through
+//! [`insum_gpu::run_micro`] instead of building a kernel IR and running
+//! the interpreter. Every statement that computes takes the general
+//! lowering.
 //!
 //! The gate here is deliberately conservative — *everything* it declines
 //! falls through to the general pipeline, which remains the bit-identity
@@ -13,16 +15,11 @@
 //!
 //! * opt-out via [`InsumOptions::fast_path`], and the unfused ablation
 //!   (`fuse: false`) always reproduces stock Inductor;
-//! * any indirection (`B[AK[p],n]`), more than two factors, or an
-//!   output tensor that also appears as a factor;
-//! * a pattern without a dedicated target ([`Pattern::is_fast`] is
-//!   false: the dense contractions matmul, batched matmul and dot, whose
-//!   only lowering is the general one, and [`Pattern::General`]);
-//! * integer factors or outputs;
-//! * copy-shaped patterns (transpose/diagonal) with `+=` or with a
-//!   narrowing dtype pair ([`insum_gpu::copy_view_eligible`]);
-//! * reductions with autotuning or an explicit R block override (the
-//!   microkernel pins the default lowering's R chunking);
+//! * any indirection (`B[AK[p],n]`), any factor count but one, or an
+//!   output tensor that is also the factor;
+//! * [`Pattern::General`]: every shape but transpose and diagonal;
+//! * `+=`, integer tensors, or a narrowing dtype pair
+//!   ([`insum_gpu::copy_view_eligible`]);
 //! * inconsistent index extents (left for the general path to report).
 
 use crate::options::InsumOptions;
@@ -36,13 +33,12 @@ use insum_tensor::{DType, Tensor};
 use std::collections::BTreeMap;
 
 /// A compiled fast-path artifact: no kernel IR, no launch grid — just
-/// the recognized pattern, the binding names, and the shapes/dtypes the
-/// statement was compiled against.
+/// the recognized view pattern, the binding names, and the shapes/dtypes
+/// the statement was compiled against.
 pub(crate) struct FastOp {
     pub(crate) pattern: Pattern,
-    factors: Vec<String>,
+    factor: String,
     out_name: String,
-    accumulate: bool,
     metas: BTreeMap<String, TensorMeta>,
 }
 
@@ -53,20 +49,13 @@ pub(crate) fn try_fast_plan(
     metas: &BTreeMap<String, TensorMeta>,
     options: &InsumOptions,
 ) -> Option<FastOp> {
-    if !options.fast_path || !options.fuse {
+    if !options.fast_path || !options.fuse || statement.op == AssignOp::Accumulate {
         return None;
     }
-    if statement.output.has_indirection() || statement.factors.iter().any(|f| f.has_indirection()) {
+    let [factor] = statement.factors.as_slice() else {
         return None;
-    }
-    if statement.factors.is_empty() || statement.factors.len() > 2 {
-        return None;
-    }
-    if statement
-        .factors
-        .iter()
-        .any(|f| f.tensor == statement.output.tensor)
-    {
+    };
+    if factor.tensor == statement.output.tensor {
         return None;
     }
     let term_of = |indices: &[IndexExpr]| -> Option<Vec<String>> {
@@ -78,91 +67,71 @@ pub(crate) fn try_fast_plan(
             })
             .collect()
     };
-    let terms: Vec<Vec<String>> = statement
-        .factors
-        .iter()
-        .map(|f| term_of(&f.indices))
-        .collect::<Option<_>>()?;
+    let term = term_of(&factor.indices)?;
     let out_vars = term_of(&statement.output.indices)?;
-    let pattern = classify_terms(&terms, &out_vars);
-    if !pattern.is_fast() {
+    let pattern = classify_terms(std::slice::from_ref(&term), &out_vars);
+    if pattern == Pattern::General {
         return None;
     }
 
-    // Extent consistency across every index occurrence; the general
-    // path owns error reporting for genuinely inconsistent bindings.
+    // Extent consistency across every index occurrence (the diagonal's
+    // two axes included); the general path owns error reporting for
+    // genuinely inconsistent bindings.
+    let in_meta = metas.get(&factor.tensor)?;
+    let out_meta = metas.get(&statement.output.tensor)?;
+    if in_meta.shape.len() != term.len()
+        || in_meta.dtype == DType::I32
+        || out_meta.dtype == DType::I32
+        || !insum_gpu::copy_view_eligible(in_meta.dtype, out_meta.dtype)
+    {
+        return None;
+    }
     let mut extents: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut op_metas = BTreeMap::new();
-    for (f, term) in statement.factors.iter().zip(&terms) {
-        let meta = metas.get(&f.tensor)?;
-        if meta.dtype == DType::I32 || meta.shape.len() != term.len() {
+    for (var, &ext) in term.iter().zip(&in_meta.shape) {
+        if *extents.entry(var).or_insert(ext) != ext {
             return None;
         }
-        for (var, &ext) in term.iter().zip(&meta.shape) {
-            if *extents.entry(var).or_insert(ext) != ext {
-                return None;
-            }
-        }
-        op_metas.insert(f.tensor.clone(), meta.clone());
     }
-    let out_meta = metas.get(&statement.output.tensor)?;
     let want_out: Vec<usize> = out_vars
         .iter()
         .map(|v| extents.get(v.as_str()).copied())
         .collect::<Option<_>>()?;
-    if out_meta.dtype == DType::I32 || out_meta.shape != want_out {
-        return None;
-    }
-    op_metas.insert(statement.output.tensor.clone(), out_meta.clone());
-
-    let accumulate = statement.op == AssignOp::Accumulate;
-    if matches!(pattern, Pattern::Transpose { .. } | Pattern::Diagonal) {
-        let in_dtype = op_metas[&statement.factors[0].tensor].dtype;
-        if accumulate || !insum_gpu::copy_view_eligible(in_dtype, out_meta.dtype) {
-            return None;
-        }
-    }
-    if matches!(pattern, Pattern::Reduction { .. })
-        && (options.autotune || options.rblock.is_some())
-    {
-        // The microkernel's sum reproduces the default lowering's R
-        // chunking; autotuned or overridden R blocks move it.
+    if out_meta.shape != want_out {
         return None;
     }
     Some(FastOp {
         pattern,
-        factors: statement.factors.iter().map(|f| f.tensor.clone()).collect(),
+        factor: factor.tensor.clone(),
         out_name: statement.output.tensor.clone(),
-        accumulate,
-        metas: op_metas,
+        metas: BTreeMap::from([
+            (factor.tensor.clone(), in_meta.clone()),
+            (statement.output.tensor.clone(), out_meta.clone()),
+        ]),
     })
 }
 
 impl FastOp {
-    /// The tensors one request would bind (factors then output), for
-    /// the batched runner's fault-injection parity check. Missing names
-    /// are skipped here — [`FastOp::run`] reports them properly.
+    /// The tensors one request would bind (factor then output), for the
+    /// batched runner's fault-injection parity check. Missing names are
+    /// skipped here — [`FastOp::run`] reports them properly.
     pub(crate) fn bound_args(&self, tensors: &BTreeMap<String, Tensor>) -> Vec<Tensor> {
-        self.factors
-            .iter()
-            .chain(std::iter::once(&self.out_name))
+        [&self.factor, &self.out_name]
+            .into_iter()
             .filter_map(|name| tensors.get(name).cloned())
             .collect()
     }
 
-    /// Execute (or, in [`Mode::Analytic`], cost-model) one request.
+    /// Serve (or, in [`Mode::Analytic`], report) one request's view.
     pub(crate) fn run(
         &self,
         tensors: &BTreeMap<String, Tensor>,
         mode: Mode,
         device: &DeviceModel,
     ) -> Result<(Tensor, KernelReport)> {
-        let mut factors = Vec::with_capacity(self.factors.len());
-        for name in &self.factors {
-            factors.push(self.bound(tensors, name)?.clone());
-        }
+        let factor = self.bound(tensors, &self.factor)?;
         let out = self.bound(tensors, &self.out_name)?;
-        insum_gpu::run_micro(&self.pattern, &factors, out, self.accumulate, mode, device)
+        let factors = std::slice::from_ref(factor);
+        insum_gpu::run_micro(&self.pattern, factors, out, false, mode, device)
             .map_err(|e| InsumError::Inductor(InductorError::Gpu(e)))
     }
 
@@ -197,30 +166,44 @@ mod tests {
         }
     }
 
-    /// `out = a * b` over single-letter index terms, with every index
-    /// of extent 4 (a statement the parser cannot spell when `out` is
-    /// rank 0).
-    fn plan(out: &str, a: &str, b: &str) -> Option<FastOp> {
+    /// `C[out] = A[..] * B[..] …` over single-letter index terms, with
+    /// every index of extent 4 (a statement the parser cannot spell when
+    /// `out` is rank 0).
+    fn plan(out: &str, factors: &[&str]) -> Option<Pattern> {
+        let names = ["A", "B"];
         let statement = Statement {
             output: access("C", out),
             op: AssignOp::Assign,
-            factors: vec![access("A", a), access("B", b)],
+            factors: names
+                .iter()
+                .zip(factors)
+                .map(|(t, v)| access(t, v))
+                .collect(),
         };
-        let metas = [("C", out), ("A", a), ("B", b)].map(|(t, vars)| {
-            (
-                t.to_string(),
-                TensorMeta::new(vec![4; vars.len()], DType::F32),
-            )
-        });
-        try_fast_plan(&statement, &BTreeMap::from(metas), &InsumOptions::default())
+        let metas = std::iter::once(("C", out))
+            .chain(names.into_iter().zip(factors.iter().copied()))
+            .map(|(t, vars)| {
+                let meta = TensorMeta::new(vec![4; vars.len()], DType::F32);
+                (t.to_string(), meta)
+            });
+        try_fast_plan(&statement, &metas.collect(), &InsumOptions::default()).map(|op| op.pattern)
     }
 
     #[test]
     fn dense_contractions_take_the_general_lowering() {
-        assert!(plan("", "i", "i").is_none(), "dot");
-        assert!(plan("ij", "ik", "kj").is_none(), "matmul");
-        assert!(plan("gij", "gik", "gkj").is_none(), "batched matmul");
-        let outer = plan("ij", "i", "j").map(|op| op.pattern);
-        assert_eq!(outer, Some(Pattern::Outer));
+        for (out, factors, what) in [
+            ("", &["i", "i"][..], "dot"),
+            ("ij", &["ik", "kj"], "matmul"),
+            ("gij", &["gik", "gkj"], "batched matmul"),
+            ("ij", &["ij", "ij"], "hadamard"),
+            ("ij", &["i", "j"], "outer"),
+            ("i", &["ij"], "reduction"),
+            ("", &["ii"], "trace"),
+        ] {
+            assert_eq!(plan(out, factors), None, "{what}");
+        }
+        let transpose = Pattern::Transpose { perm: vec![1, 0] };
+        assert_eq!(plan("ji", &["ij"]), Some(transpose));
+        assert_eq!(plan("i", &["ii"]), Some(Pattern::Diagonal));
     }
 }

@@ -36,8 +36,8 @@
 //! Both front doors — [`insum_with`] for one statement, [`plan`] for a
 //! multi-operand contraction chain (`ij,jk,kl->il`, or a dense statement
 //! with three or more factors) — return the same type, [`Compiled`]: an
-//! ordered list of steps, each a **fast-path** microkernel or stride
-//! view, a **fused** generated kernel, the **unfused** one-kernel-per-node
+//! ordered list of steps, each a **fast-path** stride view, a
+//! **fused** generated kernel, the **unfused** one-kernel-per-node
 //! ablation, or a **host**-evaluated rank-0 corner of a chain. A
 //! statement is a chain of one step that binds the caller's tensors
 //! directly; a planned chain threads zero-initialized temporaries from

@@ -10,15 +10,14 @@ pub struct InsumOptions {
     /// extended Inductor). `false` reproduces stock TorchInductor: one
     /// kernel per graph node with materialized intermediates.
     pub fuse: bool,
-    /// Route statements whose index structure matches a fast row of the
-    /// [`insum_pattern`] recognition table (transpose, diagonal,
-    /// reduction, Hadamard, outer, trace) to dedicated microkernels and
+    /// Serve statements whose index structure matches a view row of the
+    /// [`insum_pattern`] recognition table (transpose, diagonal) as
     /// zero-copy stride views instead of generating and interpreting a
-    /// kernel. Dense contractions (matmul, batched matmul, dot) always
-    /// take the general lowering. `false` forces every statement through
-    /// the general lowering (the bit-identity oracle). Ignored when
-    /// `fuse` is `false`: the unfused ablation always reproduces stock
-    /// Inductor.
+    /// copy kernel. Every statement that computes takes the general
+    /// lowering either way, so this chooses only between a view and the
+    /// general kernel; `false` forces every statement through the general
+    /// lowering (the bit-identity oracle). Ignored when `fuse` is
+    /// `false`: the unfused ablation always reproduces stock Inductor.
     pub fast_path: bool,
     /// Emit `ops.dot`/`tl.dot` (Tensor Cores) when a legal partition
     /// exists.

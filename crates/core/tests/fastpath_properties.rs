@@ -1,15 +1,16 @@
-//! Fast-path dispatch properties: soundness (every pattern with a fast
-//! path is bit-identical to the general lowering, NaN/±0.0 included),
-//! the dense contractions' single lowering (matmul and batched matmul
-//! compile to the same general kernel whatever `fast_path` says), and
-//! completeness (curated near-miss specs fall back to `General` and
-//! still agree with the eager reference).
+//! Fast-path dispatch properties: soundness (the two stride views,
+//! transpose and diagonal, are bit-identical to the general lowering,
+//! NaN signs and payloads, ±0.0 and ±Inf included), one lowering for
+//! every statement that computes (reductions, elementwise and outer
+//! products, matmul and batched matmul compile to the same general
+//! kernel whatever `fast_path` says), and completeness (curated
+//! near-miss specs fall back to `General` and still agree with the eager
+//! reference).
 //!
 //! Rank-0 outputs (`C[] = …`) are unparseable in the statement
-//! language, so the `dot`/`trace` patterns are unreachable from
+//! language, so `dot` and `trace` shapes are unreachable from
 //! `insum_with` (a planned chain runs rank-0 steps on the host); the
-//! gate's unit tests decline `dot`, and `insum_gpu`'s microkernel tests
-//! cover `trace`. Likewise `ii->` (trace) vs `ii->i` (diagonal)
+//! gate's unit tests decline both. Likewise `ii->` vs `ii->i` (diagonal)
 //! near-misses live in `insum_pattern`'s tests.
 
 use insum::{eager, insum_with, DType, InsumOptions, Tensor};
@@ -17,14 +18,18 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Sprinkle the values the bit-identity contract cares about: exact
-/// zeros (the `tl.dot` zero-skip), negative zeros, NaN, and infinities.
+/// zeros (the `tl.dot` zero-skip), negative zeros, NaNs of both signs,
+/// and infinities of both signs (`+Inf + -Inf` in a sum makes a NaN of
+/// its own sign, so NaN sign selection is exercised too).
 fn specialize(mut data: Vec<f32>, specials: bool) -> Vec<f32> {
     if specials {
         for (i, v) in data.iter_mut().enumerate() {
             match i % 13 {
                 0 => *v = 0.0,
+                2 => *v = f32::NEG_INFINITY,
                 4 => *v = -0.0,
                 7 => *v = f32::NAN,
+                9 => *v = NEG_NAN,
                 10 => *v = f32::INFINITY,
                 _ => {}
             }
@@ -32,6 +37,9 @@ fn specialize(mut data: Vec<f32>, specials: bool) -> Vec<f32> {
     }
     data
 }
+
+/// The quiet NaN with the sign bit set (`f32::NAN` has it clear).
+const NEG_NAN: f32 = f32::from_bits(0xffc0_0000);
 
 fn tensor(shape: Vec<usize>, data: Vec<f32>, specials: bool) -> Tensor {
     Tensor::from_vec(shape, specialize(data, specials)).expect("length matches")
@@ -73,15 +81,15 @@ fn assert_fast_matches_general(
     pattern
 }
 
-/// Compile + run a dense contraction with default options and with
-/// `fast_path: false`: both must be the same general kernel — no
+/// Compile + run a statement that computes with `options` and with
+/// `fast_path: false` added: both must be the same general kernel — no
 /// fast-path pattern, equal output bits, and equal profiles (every
 /// `KernelReport` field) in Execute and Analytic mode.
-fn assert_one_lowering(expr: &str, tensors: &BTreeMap<String, Tensor>) {
-    let default = insum_with(expr, tensors, &InsumOptions::default()).expect("compiles");
+fn assert_one_lowering(expr: &str, tensors: &BTreeMap<String, Tensor>, options: &InsumOptions) {
+    let default = insum_with(expr, tensors, options).expect("compiles");
     let forced = InsumOptions {
         fast_path: false,
-        ..Default::default()
+        ..options.clone()
     };
     let general = insum_with(expr, tensors, &forced).expect("general compile");
     assert_eq!(default.fast_path_pattern(), None, "{expr}");
@@ -114,20 +122,9 @@ fn check_matmul(
     b: &[f32],
 ) {
     let dtype = if half { DType::F16 } else { DType::F32 };
-    // `-Inf` beside `+Inf` and NaN: `+Inf + -Inf` in a sum makes a
-    // NaN of the other sign, so NaN sign selection is exercised too.
     let operand = |shape: Vec<usize>, src: &[f32]| {
         let len = shape.iter().product::<usize>();
-        let mut data = specialize(src[..len].to_vec(), specials);
-        if specials {
-            data.iter_mut()
-                .skip(2)
-                .step_by(13)
-                .for_each(|v| *v = f32::NEG_INFINITY);
-        }
-        Tensor::from_vec(shape, data)
-            .expect("length matches")
-            .cast(dtype)
+        tensor(shape, src[..len].to_vec(), specials).cast(dtype)
     };
     let lead = |dims: [usize; 2]| -> Vec<usize> {
         (batch > 1)
@@ -146,7 +143,7 @@ fn check_matmul(
     let g = if batch > 1 { "g," } else { "" };
     let op = if accumulate { "+=" } else { "=" };
     let expr = format!("C[{g}i,j] {op} A[{g}i,k] * B[{g}k,j]");
-    assert_one_lowering(&expr, &tensors);
+    assert_one_lowering(&expr, &tensors, &InsumOptions::default());
 }
 
 fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -219,10 +216,10 @@ proptest! {
             prop_assert!(out.shares_storage(src), "{expr} must not copy");
         }
 
-        // Reductions (assign and accumulate).
+        // Reductions (assign and accumulate): one lowering.
         for (expr, out_shape, base_specials) in [
             ("C[i] = A2[i,j]", vec![d0], false),
-            ("C[i] += A2[i,j]", vec![d0], false),
+            ("C[i] += A2[i,j]", vec![d0], specials),
             ("C[i,k] = A3[i,j,k]", vec![d0, d2], false),
         ] {
             let tensors: BTreeMap<String, Tensor> = [
@@ -235,10 +232,7 @@ proptest! {
             ]
             .into_iter()
             .collect();
-            prop_assert_eq!(
-                assert_fast_matches_general(expr, &tensors, &opts),
-                "reduction"
-            );
+            assert_one_lowering(expr, &tensors, &opts);
         }
 
         // Diagonal view of a square matrix.
@@ -274,14 +268,7 @@ proptest! {
         ]
         .into_iter()
         .collect();
-        prop_assert_eq!(
-            assert_fast_matches_general(
-                &format!("C[i,j] {op} A[i,j] * B[i,j]"),
-                &had,
-                &InsumOptions::default()
-            ),
-            "hadamard"
-        );
+        assert_one_lowering(&format!("C[i,j] {op} A[i,j] * B[i,j]"), &had, &InsumOptions::default());
         let outer: BTreeMap<String, Tensor> = [
             ("A".to_string(), tensor(vec![m], a[..m].to_vec(), specials)),
             ("B".to_string(), tensor(vec![n], b[..n].to_vec(), specials)),
@@ -289,14 +276,7 @@ proptest! {
         ]
         .into_iter()
         .collect();
-        prop_assert_eq!(
-            assert_fast_matches_general(
-                &format!("C[i,j] {op} A[i] * B[j]"),
-                &outer,
-                &InsumOptions::default()
-            ),
-            "outer"
-        );
+        assert_one_lowering(&format!("C[i,j] {op} A[i] * B[j]"), &outer, &InsumOptions::default());
     }
 
     #[test]
@@ -311,38 +291,30 @@ proptest! {
             ("B".to_string(), tensor(vec![m, n], b[..m * n].to_vec(), specials)),
             ("C".to_string(), Tensor::zeros(vec![m, n])),
             ("S".to_string(), Tensor::zeros(vec![m])),
+            ("T".to_string(), Tensor::zeros(vec![n, m])),
         ]
         .into_iter()
         .collect();
         let hadamard = "C[i,j] = A[i,j] * B[i,j]";
         let reduction = "S[i] = A[i,j]";
+        let transpose = "T[j,i] = A[i,j]";
         for opts in [
             InsumOptions::default(),
             InsumOptions { lazy_broadcast: false, ..Default::default() },
             InsumOptions { tensor_cores: false, ..Default::default() },
-        ] {
-            prop_assert_eq!(assert_fast_matches_general(hadamard, &tensors, &opts), "hadamard");
-            prop_assert_eq!(assert_fast_matches_general(reduction, &tensors, &opts), "reduction");
-        }
-        // Autotuned or overridden tiles move the lowering's R chunking,
-        // which only the reduction microkernel reproduces: the reduction
-        // declines the fast path, the elementwise product keeps it.
-        for opts in [
             InsumOptions { autotune: true, ..Default::default() },
             InsumOptions { rblock: Some(16), ..Default::default() },
         ] {
-            prop_assert_eq!(assert_fast_matches_general(hadamard, &tensors, &opts), "hadamard");
-            let compiled = insum_with(reduction, &tensors, &opts).expect("general compile");
-            prop_assert!(
-                compiled.fast_path_pattern().is_none(),
-                "R-chunk ablations must route reductions to the general path"
-            );
+            prop_assert_eq!(assert_fast_matches_general(transpose, &tensors, &opts), "transpose");
+            assert_one_lowering(hadamard, &tensors, &opts);
+            assert_one_lowering(reduction, &tensors, &opts);
         }
     }
 }
 
 /// Large extents that cross every default tile width (the general
-/// pipeline tiles Y/X/R; the fast path must still match bit-for-bit).
+/// pipeline tiles Y/X/R): the transpose view still matches bit-for-bit,
+/// and the statements that compute still have one lowering.
 #[test]
 fn large_extents_cross_tile_boundaries() {
     let gen = |len: usize, seed: f32| -> Vec<f32> {
@@ -361,14 +333,13 @@ fn large_extents_cross_tile_boundaries() {
     ]
     .into_iter()
     .collect();
-    for (expr, pattern) in [
-        ("C[i,j] = A[i,j] * B[i,j]", "hadamard"),
-        ("C[i,j] = U[i] * V[j]", "outer"),
-        ("T[j,i] = A[i,j]", "transpose"),
-    ] {
-        let opts = InsumOptions::default();
-        assert_eq!(assert_fast_matches_general(expr, &tensors, &opts), pattern);
-    }
+    let opts = InsumOptions::default();
+    assert_eq!(
+        assert_fast_matches_general("T[j,i] = A[i,j]", &tensors, &opts),
+        "transpose"
+    );
+    assert_one_lowering("C[i,j] = A[i,j] * B[i,j]", &tensors, &opts);
+    assert_one_lowering("C[i,j] = U[i] * V[j]", &tensors, &opts);
     let red: BTreeMap<String, Tensor> = [
         (
             "A".to_string(),
@@ -378,10 +349,36 @@ fn large_extents_cross_tile_boundaries() {
     ]
     .into_iter()
     .collect();
-    assert_eq!(
-        assert_fast_matches_general("C[i] = A[i,j]", &red, &InsumOptions::default()),
-        "reduction"
-    );
+    assert_one_lowering("C[i] = A[i,j]", &red, &opts);
+}
+
+/// A row holding NaNs of both signs sums to one NaN whose sign the
+/// general lowering's accumulation order picks; a second lowering of the
+/// same reduction must pick the same one, in both orders of the row.
+#[test]
+fn mixed_sign_nan_rows_reduce_to_the_general_bits() {
+    for row in [[NEG_NAN, 1.0, f32::NAN], [f32::NAN, 1.0, NEG_NAN]] {
+        let tensors: BTreeMap<String, Tensor> = [
+            (
+                "X".to_string(),
+                Tensor::from_vec(vec![1, 3], row.to_vec()).unwrap(),
+            ),
+            ("R".to_string(), Tensor::zeros(vec![1])),
+        ]
+        .into_iter()
+        .collect();
+        let bits = |fast_path| {
+            let opts = InsumOptions {
+                fast_path,
+                ..Default::default()
+            };
+            let compiled = insum_with("R[i] = X[i,j]", &tensors, &opts).expect("compiles");
+            let (out, _) = compiled.run(&tensors).expect("runs");
+            out.contiguous_data()[0].to_bits()
+        };
+        assert_eq!(bits(true), bits(false), "{row:?}");
+        assert_one_lowering("R[i] = X[i,j]", &tensors, &InsumOptions::default());
+    }
 }
 
 /// Near-miss specs that must classify `General`: the compiled operation
@@ -486,17 +483,10 @@ fn copy_gates_route_to_general() {
     );
 
     // Opt-out: fast_path = false compiles the general pipeline even for
-    // a perfect Hadamard product.
-    let had: BTreeMap<String, Tensor> = [
-        ("A".to_string(), a32.clone()),
-        ("B".to_string(), Tensor::ones(vec![3, 4])),
-        ("C".to_string(), Tensor::zeros(vec![3, 4])),
-    ]
-    .into_iter()
-    .collect();
+    // a view-eligible transpose.
     let off = insum_with(
-        "C[i,j] = A[i,j] * B[i,j]",
-        &had,
+        "C[j,i] = A[i,j]",
+        &widen,
         &InsumOptions {
             fast_path: false,
             ..Default::default()
@@ -528,18 +518,14 @@ fn f16_compute_patterns_are_bit_identical() {
     ]
     .into_iter()
     .collect();
-    for (expr, pattern) in [
-        ("C[i,j] = A[i,j] * B[i,j]", "hadamard"),
-        ("C[i,j] += A[i,j] * B[i,j]", "hadamard"),
-        ("C[i,j] = U[i] * V[j]", "outer"),
-        ("C[i,j] += U[i] * V[j]", "outer"),
-        ("S[i] = A[i,j]", "reduction"),
-        ("S[i] += A[i,j]", "reduction"),
+    for expr in [
+        "C[i,j] = A[i,j] * B[i,j]",
+        "C[i,j] += A[i,j] * B[i,j]",
+        "C[i,j] = U[i] * V[j]",
+        "C[i,j] += U[i] * V[j]",
+        "S[i] = A[i,j]",
+        "S[i] += A[i,j]",
     ] {
-        assert_eq!(
-            assert_fast_matches_general(expr, &tensors, &InsumOptions::default()),
-            pattern,
-            "{expr}"
-        );
+        assert_one_lowering(expr, &tensors, &InsumOptions::default());
     }
 }

@@ -176,6 +176,11 @@ fn random_dense_contractions_match_eager() {
             "C[i,j] = A[i] * B[j]",
             vec![("C", vec![5, 8]), ("A", vec![5]), ("B", vec![8])],
         ),
+        // A stride view: the fast-path step of the batch check.
+        (
+            "C[j,i] = A[i,j]",
+            vec![("C", vec![7, 4]), ("A", vec![4, 7])],
+        ),
     ];
     let mut fast_path_cases = 0;
     for (expr, shapes) in cases {

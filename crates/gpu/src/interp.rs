@@ -92,7 +92,7 @@ pub enum GpuError {
     Kernel(KernelError),
     /// A register was read before being written.
     UninitializedRegister(Reg),
-    /// A fast-path microkernel rejected its bindings (see
+    /// A fast-path stride view rejected its pattern or bindings (see
     /// [`crate::run_micro`]).
     Micro(String),
 }
@@ -116,7 +116,7 @@ impl fmt::Display for GpuError {
             GpuError::BadGrid(g) => write!(f, "bad launch grid {g:?}"),
             GpuError::Kernel(e) => write!(f, "{e}"),
             GpuError::UninitializedRegister(r) => write!(f, "register v{r} read before write"),
-            GpuError::Micro(detail) => write!(f, "fast-path microkernel: {detail}"),
+            GpuError::Micro(detail) => write!(f, "fast-path view: {detail}"),
         }
     }
 }

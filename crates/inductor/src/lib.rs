@@ -56,7 +56,7 @@ pub use winners::{AutotuneCache, TileConfig};
 pub type Result<T> = std::result::Result<T, InductorError>;
 
 /// Mid-plan fault check for batched launches that bypass the fused
-/// runner (the fast-path microkernels and stride views execute without
+/// runner (the fast-path stride views execute without
 /// a compiled program, so [`run_fused_batch_with_cache`]'s hook never
 /// sees them). Panics if a marked tensor is bound anywhere in the
 /// argument lists `args` builds; without the `fault-injection` feature

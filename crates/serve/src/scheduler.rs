@@ -836,8 +836,8 @@ enum GroupKey {
         analytic: bool,
         device: String,
     },
-    /// A planned contraction chain or a fast-path artifact (microkernel
-    /// or stride view): there is no single simulator launch signature to
+    /// A planned contraction chain or a fast-path artifact (a stride
+    /// view): there is no single simulator launch signature to
     /// compare, but two requests resolve to the same `Arc` only through
     /// the same registry key — equal expression, argument metadata
     /// (names, shapes, dtypes), and normalized options — so artifact

@@ -1,12 +1,13 @@
-//! Attention served through `insum_serve`, staged to exercise the
-//! pattern fast path: the Kᵀ layout change and the probability-mass
-//! reduction are canonical einsums that dispatch to zero-copy stride
-//! views / microkernels, while the two contractions (`QKᵀ` scores and
-//! `P·V` values) are spec-form chains routed through the planner, with
-//! the softmax (the only non-einsum stage) on the host. Two tenants run
-//! the same attention shapes on their own data — the registry keys
-//! artifacts by expression, shapes, and options, so both tenants share
-//! every artifact and each stage compiles exactly once process-wide.
+//! Attention served through `insum_serve`, staged to exercise each
+//! dispatch: the Kᵀ layout change is a canonical einsum served as a
+//! zero-copy stride view, the probability-mass reduction is a statement
+//! that computes and so runs one generated kernel, and the two
+//! contractions (`QKᵀ` scores and `P·V` values) are spec-form chains
+//! routed through the planner, with the softmax (the only non-einsum
+//! stage) on the host. Two tenants run the same attention shapes on
+//! their own data — the registry keys artifacts by expression, shapes,
+//! and options, so both tenants share every artifact and each stage
+//! compiles exactly once process-wide.
 //!
 //! Each stage prints whether it dispatched onto the fast path (and to
 //! which pattern) or onto the general lowering.
@@ -28,8 +29,8 @@ const KEY_T: &str = "KT[b,h,e,k] = K[b,h,k,e]";
 const SCORES: &str = "bhqe,bhek->bhqk";
 /// Values einsum: `O[b,h,q,d] = P[b,h,q,k] * V[b,h,k,d]`.
 const VALUES: &str = "bhqk,bhkd->bhqd";
-/// Probability mass per query row (sums the key axis away):
-/// `Pattern::Reduction` territory, used to sanity-check the softmax.
+/// Probability mass per query row (sums the key axis away): a
+/// reduction, so the general lowering; used to sanity-check the softmax.
 const MASS: &str = "M[b,h,q] = P[b,h,q,k]";
 
 const BATCH: usize = 2;
@@ -136,8 +137,8 @@ fn main() -> Result<(), ServeError> {
         // Stage 3 (host): scaled softmax over keys.
         let probs = softmax(&scores.output, DIM);
 
-        // Stage 4 (served, fast path): probability mass per query row —
-        // a reduction microkernel — which must give 1 for every row.
+        // Stage 4 (served, general): probability mass per query row — one
+        // generated reduction kernel — which must give 1 for every row.
         let mass_in: BTreeMap<String, Tensor> = [
             ("P".to_string(), probs.clone()),
             ("M".to_string(), Tensor::zeros(vec![BATCH, HEADS, SEQ])),
@@ -191,9 +192,9 @@ fn main() -> Result<(), ServeError> {
         );
     }
 
-    // Both tenants shared every artifact — two fast-path statements and
-    // two chain plans: four compilations total, and the second tenant
-    // hit the registry on all four stages.
+    // Both tenants shared every artifact — a stride-view statement, a
+    // general statement and two chain plans: four compilations total, and
+    // the second tenant hit the registry on all four stages.
     let m = engine.metrics();
     assert_eq!(m.registry.misses, 4, "one artifact per served stage");
     assert_eq!(m.registry.hits, 4, "the second tenant reused all four");
