@@ -1052,6 +1052,49 @@ fn main() {
             );
         }
 
+        // Equal-content fan-out in fresh storage: every request binds its
+        // own copy of the same tensors. They resolve to the one artifact,
+        // so they form one batch, and every response carries the serial
+        // bits.
+        let serial = insum_with(w.expr, shared_req, &w.options)
+            .and_then(|op| op.run(shared_req))
+            .expect("serial run succeeds");
+        let fresh_requests: Vec<BTreeMap<String, Tensor>> = (0..fanout)
+            .map(|_| {
+                shared_req
+                    .iter()
+                    .map(|(name, t)| {
+                        let data = t.data().to_vec();
+                        let copy = Tensor::from_vec_with(t.shape().to_vec(), data, t.dtype());
+                        (name.clone(), copy.expect("a copy keeps its shape"))
+                    })
+                    .collect()
+            })
+            .collect();
+        engine.pause();
+        let handles: Vec<_> = fresh_requests
+            .iter()
+            .enumerate()
+            .map(|(i, tensors)| {
+                engine
+                    .session(&format!("fresh-{i}"))
+                    .submit(w.expr, tensors)
+                    .expect("admission succeeds")
+            })
+            .collect();
+        engine.resume();
+        for h in handles {
+            let r = h.wait().expect("request succeeds");
+            assert_eq!(
+                r.batch_size, fanout,
+                "equal-content requests in fresh storage must form one batch"
+            );
+            assert!(
+                r.output.bit_eq(&serial.0) && r.profile == serial.1,
+                "fresh-storage responses carry the serial bits"
+            );
+        }
+
         // Chain compile-once smoke: a 4-operand contraction chain
         // submitted twice must compile (and lower) each pairwise step
         // exactly once — the second submission is a registry hit and
@@ -1195,6 +1238,7 @@ fn main() {
              {:.1} req/s (serial one-shot {:.1} req/s), bit_identical; \
              clone accounting: analytic fan-out {analytic_copies} deep copies, \
              execute fan-out {execute_copies} (outputs only); \
+             fresh-storage fan-out of {fanout} formed one batch, bit-identical; \
              chain smoke: {device_steps} device steps compiled once across two submissions; \
              snapshot smoke: corrupt rejected ({snapshot_rejected}), restored file \
              warm-started ({warm_start_hits} warm hits, 0 lowered); \

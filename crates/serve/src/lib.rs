@@ -18,11 +18,9 @@
 //!   so the simulator's host threads are shared by the batch instead of
 //!   being scheduled per request
 //!   ([`insum_gpu::Program::launch_batch_with`]). Every request resolves
-//!   to the one artifact type, so compatibility is one of three things:
-//!   for an artifact that is exactly one fused kernel, the same kernel
-//!   fingerprint, grid, parameter metadata, mode and device; for a
-//!   planned chain or a fast-path artifact, the same shared artifact and
-//!   mode; an unfused artifact runs alone.
+//!   to the one artifact type, so compatibility is one rule: the same
+//!   shared artifact and the same mode. The registry key behind the
+//!   artifact fixes every step's kernel, grid and argument metadata.
 //! * **A compiled-artifact registry** shares `Arc<`[`insum::Compiled`]`>`
 //!   handles — pairwise statements and planned chains alike — across
 //!   tenants with single-flight compilation, layered on the process-wide

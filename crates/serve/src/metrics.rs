@@ -212,8 +212,10 @@ pub struct MetricsSnapshot {
     pub snapshot_rejected: u64,
     /// Per-tenant breakdown.
     pub tenants: BTreeMap<String, TenantMetrics>,
-    /// Per-kernel breakdown, keyed `"<fingerprint>@<grid>"` (or
-    /// `"unfused:<statement>"` for unbatchable pipelines).
+    /// Per-kernel breakdown, keyed `"<fingerprint>@<grid>"` for one fused
+    /// kernel, `"unfused:<statement>"` for an unfused pipeline,
+    /// `"chain[<n> steps]:<expression>"` for a planned chain and
+    /// `"fastpath:<pattern>"` for a stride view.
     pub kernels: BTreeMap<String, KernelMetrics>,
 }
 

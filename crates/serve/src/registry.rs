@@ -12,11 +12,11 @@
 //! through the same pipeline, so one chain artifact shared across tenants
 //! compiles every step exactly once process-wide. Because the key fixes
 //! every name, shape, dtype and option, two requests that resolve to the
-//! same `Arc` are launch-compatible step for step; the scheduler's
-//! grouping relies on that. Layered under it, the process-wide
-//! [`insum_inductor::ProgramCache`] dedups the simulator lowering (and
-//! autotuning relaunches), so concurrent tenants never re-lower the same
-//! program.
+//! same `Arc` are launch-compatible step for step; the scheduler groups
+//! a window by that identity (plus the interpreter mode) alone. Layered
+//! under it, the process-wide [`insum_inductor::ProgramCache`] dedups
+//! the simulator lowering (and autotuning relaunches), so concurrent
+//! tenants never re-lower the same program.
 //!
 //! Compilation is deterministic, so errors are cached alongside
 //! successes: a second request with the same broken key fails fast

@@ -32,16 +32,15 @@
 //! request's `max_retries`.
 //!
 //! **Grouping.** Every request resolves to an [`insum::Compiled`], a plan
-//! of steps. `GroupKey` has three variants: an artifact that is exactly
-//! one fused kernel groups by `Batched` (shared artifact plus the launch
-//! signature, argument metadata, interpreter mode and device spelled
-//! out); planned chains and fast-path artifacts have no single launch
-//! signature and group by `Artifact` (shared artifact plus mode — the
-//! registry key already fixes everything else); an unfused artifact or an
-//! unresolvable binding runs alone under `Single`. Grouping only ever
-//! changes *scheduling*: each request inside a batch is executed with
-//! exactly the per-request interpreter semantics, so its response is
-//! bit-identical to a serial [`insum::Compiled::run`] no matter the
+//! of steps, and a window groups by one key: the artifact's identity
+//! plus the interpreter mode. The registry key behind that `Arc` —
+//! expression, every argument's name, shape and dtype, and the
+//! normalized options — fixes each step's kernel, grid and argument
+//! metadata, so requests that share an artifact are launch-compatible
+//! step for step, whatever storage their tensors live in. Grouping only
+//! ever changes *scheduling*: each request inside a batch is executed
+//! with exactly the per-request interpreter semantics, so its response
+//! is bit-identical to a serial [`insum::Compiled::run`] no matter the
 //! arrival order or batch composition.
 //!
 //! **Terminal outcomes** all go through [`Core::finish`]: the queue
@@ -57,8 +56,6 @@ use crate::session::{RequestId, Response, TicketInner};
 use insum::{Compiled, InsumOptions, Mode, Profile, Tensor};
 use insum_telemetry::hook::HookPhase;
 use insum_telemetry::{FlightRecorder, Phase, Trace, TraceOutcome};
-use insum_tensor::DType;
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,11 +118,6 @@ pub(crate) struct Resolved {
     /// Miss whose compile lowered no simulator program: warm/cold is
     /// decided at the artifact's first launch (lazy lowering).
     pub(crate) warm_pending: bool,
-    /// Content fingerprints of the bound tensors in map order, computed
-    /// lazily so the content-identity grouping pass hashes each request's
-    /// tensors at most once per window (and never when `ptr_eq` settles
-    /// every comparison).
-    fingerprints: OnceCell<Vec<u64>>,
 }
 
 /// What happened, as the shell reports it. (Events and actions are moved
@@ -558,7 +550,6 @@ impl Core {
                     artifact,
                     registry_hit,
                     warm_pending: !registry_hit && !compile_lowered,
-                    fingerprints: OnceCell::new(),
                 };
                 join_group(&mut self.window.groups, resolved);
             }
@@ -816,153 +807,27 @@ impl Core {
     }
 }
 
-/// Launch-compatibility key: requests with equal keys may share one
-/// batched launch.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    Batched {
-        /// Identity of the shared registry artifact
-        /// (`Arc::as_ptr`-derived). The 64-bit fingerprint alone could
-        /// collide across distinct kernels — `ProgramCache` guards the
-        /// same case with full kernel equality — so batches only ever
-        /// form within one compiled artifact, which the registry already
-        /// dedups across tenants.
-        artifact: usize,
-        kernel_fingerprint: u64,
-        grid: Vec<usize>,
-        params: Vec<String>,
-        lens: Vec<usize>,
-        dtypes: Vec<DType>,
-        analytic: bool,
-        device: String,
-    },
-    /// A planned contraction chain or a fast-path artifact (a stride
-    /// view): there is no single simulator launch signature to
-    /// compare, but two requests resolve to the same `Arc` only through
-    /// the same registry key — equal expression, argument metadata
-    /// (names, shapes, dtypes), and normalized options — so artifact
-    /// identity plus interpreter mode already proves launch
-    /// compatibility, step for step. Chains batch per step; fast-path
-    /// members execute back-to-back under one batched entry point (and
-    /// one fault-injection check).
-    Artifact { artifact: usize, analytic: bool },
-    /// Unbatchable (unfused pipeline or unresolvable binding): executes
-    /// alone, keyed by request id.
-    Single(u64),
+/// Launch-compatibility key: requests with equal keys share batches.
+/// Every `Resolved` of the window holds its `Arc`, so no artifact
+/// address is reused while the window's groups exist.
+#[derive(PartialEq, Eq)]
+struct GroupKey {
+    /// `Arc::as_ptr` of the registry artifact.
+    artifact: usize,
+    analytic: bool,
 }
 
-/// Add a resolved request to the window's groups. Groups are ordered by
-/// their earliest request and requests stay in arrival order inside
-/// each group (fair ordering only reorders on unequal keys).
-///
-/// Cheap first pass: if every tensor handle is identical to a batched
-/// group representative's (same shared artifact, same mode), launch
-/// compatibility is proved without re-extracting argument metadata —
-/// the common case for retry storms and fan-out, where requests share
-/// copy-on-write storage. The pass can only join the group [`group_key`]
-/// alone would pick (keys are distinct across groups, and identical
-/// bindings imply equal lengths and dtypes); the tests check it.
+/// Add a resolved request to the group of its [`GroupKey`]. Groups are
+/// ordered by their earliest request and requests stay in arrival order
+/// inside each group (fair ordering only reorders on unequal keys).
 fn join_group(groups: &mut Vec<(GroupKey, Vec<Resolved>)>, resolved: Resolved) {
-    match groups.iter_mut().find(|(k, members)| {
-        !matches!(k, GroupKey::Single(_)) && ptr_identical(&resolved, &members[0])
-    }) {
+    let key = GroupKey {
+        artifact: Arc::as_ptr(&resolved.artifact) as usize,
+        analytic: resolved.pending.req.mode == Mode::Analytic,
+    };
+    match groups.iter_mut().find(|(k, _)| *k == key) {
         Some((_, members)) => members.push(resolved),
-        None => {
-            let key = group_key(&resolved.artifact, &resolved.pending);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(resolved),
-                None => groups.push((key, vec![resolved])),
-            }
-        }
-    }
-}
-
-/// The cheap first pass of launch-compatibility grouping: same registry
-/// artifact, same interpreter mode, and identical tensor bindings —
-/// pointer-identical ([`Tensor::ptr_eq`], free), or bit-identical by
-/// content fingerprint (the ROADMAP's content-identity dedup first
-/// step: bit-identical-but-not-*shared* arguments group together too).
-/// Either proof implies equal lengths and dtypes, so this pass can only
-/// join groups the full key would also join.
-fn ptr_identical(candidate: &Resolved, rep: &Resolved) -> bool {
-    Arc::ptr_eq(&candidate.artifact, &rep.artifact)
-        && candidate.pending.req.mode == rep.pending.req.mode
-        && bindings_identical(
-            &candidate.pending.req.tensors,
-            &rep.pending.req.tensors,
-            &candidate.fingerprints,
-            &rep.fingerprints,
-        )
-}
-
-/// True when both maps bind the same names to identical tensors.
-/// `ptr_eq` settles a pair for free; pairs it cannot settle fall back to
-/// equal shape + dtype (launch compatibility stays proven even under a
-/// hash collision) plus equal [`Tensor::content_fingerprint`], memoized
-/// in `memo_*` so each request's tensors are hashed at most once per
-/// drain window.
-fn bindings_identical(
-    a: &BTreeMap<String, Tensor>,
-    b: &BTreeMap<String, Tensor>,
-    memo_a: &std::cell::OnceCell<Vec<u64>>,
-    memo_b: &std::cell::OnceCell<Vec<u64>>,
-) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut unsettled = Vec::new();
-    for (i, ((an, at), (bn, bt))) in a.iter().zip(b.iter()).enumerate() {
-        if an != bn || at.dtype() != bt.dtype() || at.shape() != bt.shape() {
-            return false;
-        }
-        if !at.ptr_eq(bt) {
-            unsettled.push(i);
-        }
-    }
-    if unsettled.is_empty() {
-        return true;
-    }
-    let fp = |map: &BTreeMap<String, Tensor>| -> Vec<u64> {
-        map.values().map(Tensor::content_fingerprint).collect()
-    };
-    let fa = memo_a.get_or_init(|| fp(a));
-    let fb = memo_b.get_or_init(|| fp(b));
-    unsettled.into_iter().all(|i| fa[i] == fb[i])
-}
-
-fn group_key(artifact: &Arc<Compiled>, pending: &Pending) -> GroupKey {
-    if artifact.plan().is_some() || artifact.fast_path_pattern().is_some() {
-        // See the variant docs: artifact identity subsumes the
-        // launch-compatibility conditions a kernel signature would
-        // encode, for every step.
-        return GroupKey::Artifact {
-            artifact: Arc::as_ptr(artifact) as usize,
-            analytic: pending.req.mode == Mode::Analytic,
-        };
-    }
-    let Some(sig) = artifact.launch_signature() else {
-        return GroupKey::Single(pending.id);
-    };
-    let mut lens = Vec::with_capacity(sig.params.len());
-    let mut dtypes = Vec::with_capacity(sig.params.len());
-    for name in &sig.params {
-        let Some(t) = pending.req.tensors.get(name) else {
-            // Missing binding: let the execution path report it for this
-            // request alone.
-            return GroupKey::Single(pending.id);
-        };
-        lens.push(t.len());
-        dtypes.push(t.dtype());
-    }
-    GroupKey::Batched {
-        artifact: Arc::as_ptr(artifact) as usize,
-        kernel_fingerprint: sig.kernel_fingerprint,
-        grid: sig.grid,
-        params: sig.params,
-        lens,
-        dtypes,
-        analytic: pending.req.mode == Mode::Analytic,
-        device: format!("{:?}", artifact.options().device),
+        None => groups.push((key, vec![resolved])),
     }
 }
 
@@ -997,67 +862,6 @@ mod tests {
             .iter()
             .map(|(n, t)| (n.to_string(), t.clone()))
             .collect()
-    }
-
-    #[test]
-    fn ptr_eq_path_groups_shared_storage_without_hashing() {
-        let a = Tensor::from_vec(vec![4], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let left = map(&[("A", a.clone()), ("C", Tensor::zeros(vec![4]))]);
-        // Tensor clones share storage, so every pair settles on ptr_eq.
-        let right = left.clone();
-        let (ma, mb) = (OnceCell::new(), OnceCell::new());
-        assert!(bindings_identical(&left, &right, &ma, &mb));
-        assert!(
-            ma.get().is_none() && mb.get().is_none(),
-            "the pointer path never pays for a content hash"
-        );
-    }
-
-    #[test]
-    fn content_path_groups_bit_identical_distinct_buffers() {
-        let bits = |v: Vec<f32>| Tensor::from_vec(vec![4], v).unwrap();
-        let left = map(&[("A", bits(vec![1.0, -0.0, f32::NAN, 4.0]))]);
-        let right = map(&[("A", bits(vec![1.0, -0.0, f32::NAN, 4.0]))]);
-        assert!(!left["A"].ptr_eq(&right["A"]), "distinct storage");
-        let (ma, mb) = (OnceCell::new(), OnceCell::new());
-        assert!(
-            bindings_identical(&left, &right, &ma, &mb),
-            "bit-identical-but-not-shared arguments group together"
-        );
-        assert!(
-            ma.get().is_some() && mb.get().is_some(),
-            "the fallback memoized both fingerprint vectors"
-        );
-        // The memo is reused: a third comparison against `left` must not
-        // recompute its fingerprints (OnceCell can only be set once, so
-        // reaching another successful compare proves reuse).
-        assert!(bindings_identical(&left, &right, &ma, &mb));
-    }
-
-    #[test]
-    fn content_path_rejects_differing_bits_shapes_and_names() {
-        let t = |v: Vec<f32>| Tensor::from_vec(vec![2], v).unwrap();
-        let base = map(&[("A", t(vec![1.0, 2.0]))]);
-        let cells = || (OnceCell::new(), OnceCell::new());
-        // Different value bits (including a sign-of-zero flip).
-        for other in [
-            map(&[("A", t(vec![1.0, 2.5]))]),
-            map(&[("A", t([1.0, -0.0].iter().map(|&v| v * 2.0).collect()))]),
-        ] {
-            let (ma, mb) = cells();
-            assert!(!bindings_identical(&base, &other, &ma, &mb));
-        }
-        // Different binding name, shape, or dtype short-circuit before
-        // any hashing happens.
-        for other in [
-            map(&[("B", t(vec![1.0, 2.0]))]),
-            map(&[("A", Tensor::from_vec(vec![2, 1], vec![1.0, 2.0]).unwrap())]),
-            map(&[("A", t(vec![1.0, 2.0]).cast(insum_tensor::DType::F16))]),
-        ] {
-            let (ma, mb) = cells();
-            assert!(!bindings_identical(&base, &other, &ma, &mb));
-            assert!(ma.get().is_none(), "structural mismatch never hashes");
-        }
     }
 
     // ---- Event-sequence tests: the core on a virtual clock, no thread. ----
@@ -1718,12 +1522,14 @@ mod tests {
         }
     }
 
-    /// Grouping with the pointer/fingerprint first pass gives exactly the
-    /// groups, in the same member order, that `group_key` alone gives —
-    /// over shared, equal-content fresh and unique tensors, both modes,
-    /// and single-kernel, chain, fast-path and unfused artifacts.
+    /// Every group `join_group` forms is launch-compatible: it runs as
+    /// one `run_batch_mode` call and each member gets the bits and
+    /// profile of its own serial run — over shared, equal-content fresh
+    /// and unique tensors, both modes, and single-kernel, chain,
+    /// fast-path and unfused artifacts. Requests of one artifact and mode
+    /// form one group whatever storage their tensors live in.
     #[test]
-    fn the_grouping_pass_is_only_a_shortcut() {
+    fn every_group_is_one_launch_compatible_batch() {
         let fresh = |m: &BTreeMap<String, Tensor>| -> BTreeMap<String, Tensor> {
             m.iter()
                 .map(|(n, t)| {
@@ -1781,42 +1587,56 @@ mod tests {
         assert!(kinds[3].0.launch_signature().is_none());
         for seed in 0..30 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let window: Vec<Resolved> = (0..24u64)
-                .map(|id| {
-                    let (artifact, shared, unique) = &kinds[rng.gen_range(0..kinds.len())];
-                    let tensors = match rng.gen_range(0..3) {
-                        0 => shared.clone(),
-                        1 => fresh(shared),
-                        _ => unique.clone(),
-                    };
-                    let mode = [Mode::Execute, Mode::Analytic][rng.gen_range(0..2)];
-                    Resolved {
-                        pending: pending(id, tensors, mode),
-                        artifact: Arc::clone(artifact),
-                        registry_hit: true,
-                        warm_pending: false,
-                        fingerprints: OnceCell::new(),
+            let (mut groups, mut kind_of) = (Vec::new(), Vec::new());
+            for id in 0..24u64 {
+                let kind = rng.gen_range(0..kinds.len());
+                kind_of.push(kind);
+                let (artifact, shared, unique) = &kinds[kind];
+                let tensors = match rng.gen_range(0..3) {
+                    0 => shared.clone(),
+                    1 => fresh(shared),
+                    _ => unique.clone(),
+                };
+                let mode = [Mode::Execute, Mode::Analytic][rng.gen_range(0..2)];
+                let resolved = Resolved {
+                    pending: pending(id, tensors, mode),
+                    artifact: Arc::clone(artifact),
+                    registry_hit: true,
+                    warm_pending: false,
+                };
+                join_group(&mut groups, resolved);
+            }
+            let mut seen = Vec::new();
+            for (_, members) in &groups {
+                let rep = &members[0].pending;
+                let kind = kind_of[rep.id as usize];
+                let kind_mode = (kind, rep.req.mode);
+                assert!(
+                    !seen.contains(&kind_mode),
+                    "seed {seed}: one group per kind and mode"
+                );
+                seen.push(kind_mode);
+                let inputs: Vec<_> = members.iter().map(|r| &r.pending.req.tensors).collect();
+                let artifact = &members[0].artifact;
+                let batch = artifact
+                    .run_batch_mode(&inputs, rep.req.mode, &LaunchOptions::default())
+                    .unwrap();
+                for (r, (output, profile)) in members.iter().zip(batch) {
+                    let req = &r.pending.req;
+                    assert_eq!(kind_of[r.pending.id as usize], kind, "seed {seed}");
+                    assert_eq!(req.mode, rep.req.mode, "seed {seed}");
+                    match req.mode {
+                        Mode::Execute => {
+                            let (want, want_profile) = artifact.run(&req.tensors).unwrap();
+                            assert!(output.bit_eq(&want), "seed {seed}, id {}", r.pending.id);
+                            assert_eq!(profile, want_profile, "seed {seed}, id {}", r.pending.id);
+                        }
+                        Mode::Analytic => {
+                            let want_profile = artifact.time(&req.tensors).unwrap();
+                            assert_eq!(profile, want_profile, "seed {seed}, id {}", r.pending.id);
+                        }
                     }
-                })
-                .collect();
-            let mut by_key: Vec<(GroupKey, Vec<u64>)> = Vec::new();
-            for r in &window {
-                let key = group_key(&r.artifact, &r.pending);
-                match by_key.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, ids)) => ids.push(r.pending.id),
-                    None => by_key.push((key, vec![r.pending.id])),
                 }
-            }
-            let mut groups = Vec::new();
-            for r in window {
-                join_group(&mut groups, r);
-            }
-            assert!(groups.len() < 24, "seed {seed}: something grouped");
-            assert_eq!(groups.len(), by_key.len(), "seed {seed}");
-            for ((key, members), (want_key, want_ids)) in groups.iter().zip(&by_key) {
-                let ids: Vec<u64> = members.iter().map(|r| r.pending.id).collect();
-                assert!(key == want_key, "seed {seed}: group keys differ");
-                assert_eq!(&ids, want_ids, "seed {seed}");
             }
         }
     }

@@ -429,11 +429,10 @@ fn metrics_attribute_tenants_kernels_and_registry_sharing() {
 #[test]
 fn fast_path_artifacts_batch_and_key_by_pattern() {
     // Program-less fast-path artifacts are first-class in the grouping:
-    // they share one `GroupKey::Artifact` batch (artifact identity plus
-    // interpreter mode proves compatibility) and their kernel metrics
-    // key on the recognized pattern. Each request builds its tensors
-    // from scratch, so grouping here also exercises the content-identity
-    // fallback — bit-identical arguments that share no storage.
+    // they share one batch (artifact identity plus interpreter mode
+    // proves compatibility) and their kernel metrics key on the
+    // recognized pattern. Each request builds its tensors from scratch,
+    // so the batch also holds arguments that share no storage.
     let fresh = || -> BTreeMap<String, Tensor> {
         [
             ("C".to_string(), Tensor::zeros(vec![4, 3])),
@@ -548,6 +547,53 @@ fn per_request_options_and_unfused_pipeline_are_served() {
         session.submit_with(SPMM, &tensors, &SubmitOptions::default().with_options(bad)),
         Err(ServeError::Config(_))
     ));
+}
+
+#[test]
+fn unfused_requests_of_one_artifact_share_a_batch() {
+    // An unfused step runs each request's node kernels back to back
+    // inside one batched launch, so unfused requests batch like every
+    // other artifact and stay bit-identical to serial runs.
+    let unfused = InsumOptions::unfused();
+    let structure = spmm_request(43);
+    let mut rng = SmallRng::seed_from_u64(44);
+    let requests: Vec<BTreeMap<String, Tensor>> = (0..4)
+        .map(|_| {
+            let mut tensors = structure.clone();
+            let b = rand_uniform(vec![24, 32], -1.0, 1.0, &mut rng);
+            tensors.insert("B".to_string(), b);
+            tensors
+        })
+        .collect();
+    let want: Vec<_> = requests
+        .iter()
+        .map(|t| insum_with(SPMM, t, &unfused).unwrap().run(t).unwrap())
+        .collect();
+    let engine = ServeEngine::new(ServeConfig::default().with_max_batch(8)).unwrap();
+    engine.pause();
+    let session = engine.session("t");
+    let opts = SubmitOptions::default().with_options(unfused);
+    let handles: Vec<_> = requests
+        .iter()
+        .map(|t| session.submit_with(SPMM, t, &opts).unwrap())
+        .collect();
+    engine.resume();
+    for (h, (output, profile)) in handles.into_iter().zip(&want) {
+        let r = h.wait().unwrap();
+        assert!(r.output.bit_eq(output), "request {:?}", r.id);
+        assert_eq!(&r.profile, profile, "request {:?}", r.id);
+    }
+    let m = engine.metrics();
+    let (_, km) = m
+        .kernels
+        .iter()
+        .find(|(key, _)| key.starts_with("unfused:"))
+        .expect("an unfused kernel key");
+    assert!(
+        km.largest_batch > 1,
+        "unfused requests of one artifact share a batch (largest {})",
+        km.largest_batch
+    );
 }
 
 #[test]

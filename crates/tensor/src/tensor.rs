@@ -464,10 +464,10 @@ impl Tensor {
 
     /// A cheap FNV-1a fingerprint of the logical content: dtype, shape,
     /// and every element's bits in row-major order. Equal fingerprints on
-    /// equal-shape/dtype tensors make bit-identity overwhelmingly likely
-    /// (the serve scheduler uses this as the content-identity fallback
-    /// behind [`Tensor::ptr_eq`] when grouping launch-compatible
-    /// requests); it is not a cryptographic guarantee.
+    /// equal-shape/dtype tensors make bit-identity overwhelmingly likely;
+    /// it is not a cryptographic guarantee. The serve scheduler does not
+    /// use it (it groups requests by artifact identity); perfbench's
+    /// `tensor.fingerprint` probe times it.
     pub fn content_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
