@@ -34,7 +34,12 @@
 //! twin as an extra, ungated column.
 //!
 //! Results print as tables and are written to `BENCH_sim.json` so the
-//! perf trajectory is tracked across PRs (see EXPERIMENTS.md).
+//! perf trajectory is tracked across PRs (see EXPERIMENTS.md). Each
+//! `workloads[]` and `relaunch[]` row carries `cpu_user_s` / `cpu_sys_s`
+//! beside its wall time: the process's user and system CPU seconds per
+//! run over the same timed runs (`/proc/self/stat`, every thread
+//! included, one 10 ms clock tick of resolution over all the runs;
+//! `null` where `/proc` is absent).
 
 use insum::apps;
 use insum::{chain_reference, insum_with, plan_with_strategy, InsumOptions, OrderStrategy, Tensor};
@@ -221,8 +226,8 @@ fn run_reference(
 
 /// Run `f` and return the `(exact, canonical)` `tl.dot` dispatches and
 /// the `(row_run, generic)` 2-D access-site executions it caused. The
-/// counters are process-wide; simbench launches from this thread only,
-/// so the deltas belong to `f`.
+/// counters are this thread's (a sharded launch's shards report to the
+/// thread that launched it), so the deltas belong to `f`.
 fn count_dispatch<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), (u64, u64)) {
     let (dots, sites) = (dot_dispatch_counts(), site_dispatch_counts());
     let out = f();
@@ -283,12 +288,54 @@ fn best_wall(mut run: impl FnMut() -> f64) -> f64 {
     best
 }
 
+/// User and system CPU seconds this process has used so far, all
+/// threads included: `/proc/self/stat`'s `utime` and `stime`, in clock
+/// ticks of `USER_HZ` (100 per second on Linux). `None` without `/proc`.
+fn cpu_times() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = stat
+        .get(stat.rfind(')')? + 1..)?
+        .split_whitespace()
+        .collect();
+    let ticks = |field: usize| fields.get(field - 3)?.parse::<f64>().ok();
+    Some((ticks(14)? / 100.0, ticks(15)? / 100.0))
+}
+
+/// Mean user and system CPU seconds per run of `runs` runs made between
+/// two [`cpu_times`] readings (one tick of resolution over all runs).
+fn cpu_per_run(before: Option<(f64, f64)>, runs: usize) -> Option<(f64, f64)> {
+    let (b, a) = (before?, cpu_times()?);
+    Some(((a.0 - b.0) / runs as f64, (a.1 - b.1) / runs as f64))
+}
+
+/// [`best_wall`] plus [`cpu_per_run`] over the same runs.
+fn best_wall_cpu(mut run: impl FnMut() -> f64) -> (f64, Option<(f64, f64)>) {
+    let (before, mut runs) = (cpu_times(), 0);
+    let wall = best_wall(|| {
+        runs += 1;
+        run()
+    });
+    (wall, cpu_per_run(before, runs))
+}
+
+/// A row's CPU seconds per run as JSON fields.
+fn cpu_json(cpu: Option<(f64, f64)>) -> String {
+    match cpu {
+        Some((user, sys)) => format!("\"cpu_user_s\": {user:.6}, \"cpu_sys_s\": {sys:.6}"),
+        None => "\"cpu_user_s\": null, \"cpu_sys_s\": null".to_string(),
+    }
+}
+
 struct Row {
     name: String,
     mode: &'static str,
     host_threads: usize,
     instances: u64,
     wall_new: f64,
+    /// User and system CPU seconds per timed run of `wall_new` (every
+    /// thread of a sharded launch included).
+    cpu_new: Option<(f64, f64)>,
     wall_ref: f64,
     lane_ops: u64,
     bit_identical: bool,
@@ -316,6 +363,9 @@ struct RelaunchRow {
     wall_recording: f64,
     /// Launches 3+: the value slice, addressed from the script.
     wall_replay: f64,
+    /// User and system CPU seconds per launch over the 26 launch-1 and
+    /// launch-2 samples.
+    cpu: Option<(f64, f64)>,
     script_bytes: usize,
     bit_identical: bool,
 }
@@ -591,8 +641,9 @@ fn main() {
                     case.name
                 );
 
-                let wall_new =
-                    best_wall(|| run_program(case, &fresh_program(case), &device, mode, threads).0);
+                let (wall_new, cpu_new) = best_wall_cpu(|| {
+                    run_program(case, &fresh_program(case), &device, mode, threads).0
+                });
                 let wall_ref = best_wall(|| run_reference(case, &device, mode).0);
                 // Lane-level work per launch: block-arithmetic lanes,
                 // atomic lanes, and memory sector transactions at 8 f32
@@ -610,6 +661,7 @@ fn main() {
                     host_threads: threads,
                     instances: r_new.stats.instances,
                     wall_new,
+                    cpu_new,
                     wall_ref,
                     lane_ops,
                     bit_identical,
@@ -645,6 +697,7 @@ fn main() {
         let mut bit_identical = true;
         let mut walls = [Vec::new(), Vec::new()];
         let before = script_dispatch_counts();
+        let cpu_before = cpu_times();
         for launch in 0..26 {
             let on_a = (launch / 2) % 2 == 0;
             let key = if on_a { &device } else { &other_device };
@@ -652,6 +705,7 @@ fn main() {
             walls[launch % 2].push(t);
             bit_identical &= !on_a || same_as_seed(&r, &out);
         }
+        let cpu = cpu_per_run(cpu_before, 26);
         let after = script_dispatch_counts();
         assert_eq!(
             (after.0 - before.0, after.1 - before.1, after.2 - before.2),
@@ -707,6 +761,7 @@ fn main() {
             wall_full,
             wall_recording,
             wall_replay,
+            cpu,
             script_bytes: relaunched.script_bytes().expect("a ready script"),
             bit_identical,
         });
@@ -1215,7 +1270,7 @@ fn main() {
              \"wall_seconds_seed\": {:.6}, \"wall_seconds_new\": {:.6}, \
              \"speedup\": {:.3}, \"instances_per_sec\": {:.1}, \
              \"lanes_per_sec\": {:.1}, \"analytic_instance_classes\": {}, \
-             \"row_run_site_share\": {:.3}, \"exact_dot_share\": {}, \
+             \"row_run_site_share\": {:.3}, \"exact_dot_share\": {}, {}, \
              \"bit_identical\": {}{}}}{}\n",
             r.name,
             r.mode,
@@ -1230,6 +1285,7 @@ fn main() {
             r.row_run_site_share,
             r.exact_dot_share
                 .map_or("null".to_string(), |s| format!("{s:.3}")),
+            cpu_json(r.cpu_new),
             r.bit_identical,
             if r.oversubscribed {
                 ", \"oversubscribed\": true"
@@ -1246,7 +1302,7 @@ fn main() {
             "    {{\"name\": \"{}\", \"wall_seconds_launch1_full\": {:.6}, \
              \"wall_seconds_launch2_recording\": {:.6}, \"wall_seconds_launch3_replay\": {:.6}, \
              \"replay_speedup\": {:.3}, \"recording_overhead\": {:.3}, \
-             \"script_bytes\": {}, \"launch3_served_from_script\": true, \
+             \"script_bytes\": {}, \"launch3_served_from_script\": true, {}, \
              \"bit_identical\": {}}}{}\n",
             r.name,
             r.wall_full,
@@ -1255,6 +1311,7 @@ fn main() {
             r.wall_full / r.wall_replay,
             r.wall_recording / r.wall_full - 1.0,
             r.script_bytes,
+            cpu_json(r.cpu),
             r.bit_identical,
             if i + 1 < relaunch_rows.len() { "," } else { "" },
         ));

@@ -38,22 +38,8 @@ pub fn pow2_candidates(occ: &[usize]) -> Vec<usize> {
 ///
 /// Propagates compilation/simulation errors.
 pub fn tune_group_size(coo: &Coo, b: &Tensor, options: &InsumOptions) -> Result<(usize, f64)> {
-    let occ = coo.occupancy();
-    let mut best: Option<(usize, f64)> = None;
-    for g in pow2_candidates(&occ) {
-        let gc = GroupCoo::from_coo(coo, g).map_err(|e| {
-            crate::InsumError::Tensor(insum_tensor::TensorError::ShapeMismatch {
-                op: "group conversion".into(),
-                detail: e.to_string(),
-            })
-        })?;
-        let app = apps::spmm_group(&gc, b);
-        let t = app.compile(options)?.time(&app.tensors)?.total_time();
-        if best.as_ref().is_none_or(|&(_, bt)| t < bt) {
-            best = Some((g, t));
-        }
-    }
-    Ok(best.expect("at least one candidate"))
+    let build = |g| GroupCoo::from_coo(coo, g).map(|gc| apps::spmm_group(&gc, b));
+    fastest(&coo.occupancy(), "group conversion", options, build)
 }
 
 /// Select the BlockGroupCOO group size for structured SpMM by measured
@@ -69,16 +55,27 @@ pub fn tune_block_group_size(
     b: &Tensor,
     options: &InsumOptions,
 ) -> Result<(usize, f64)> {
+    let build = |g| BlockGroupCoo::from_block_coo(bcoo, g).map(|f| apps::spmm_block_group(&f, b));
     let occ = bcoo.block_occupancy();
+    fastest(&occ, "block group conversion", options, build)
+}
+
+/// The candidate `g` whose app `build(g)` simulates fastest (the first on
+/// a tie); `op` names the format conversion in its errors.
+fn fastest(
+    occ: &[usize],
+    op: &str,
+    options: &InsumOptions,
+    build: impl Fn(usize) -> insum_formats::Result<apps::BoundApp>,
+) -> Result<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
-    for g in pow2_candidates(&occ) {
-        let bgc = BlockGroupCoo::from_block_coo(bcoo, g).map_err(|e| {
+    for g in pow2_candidates(occ) {
+        let app = build(g).map_err(|e| {
             crate::InsumError::Tensor(insum_tensor::TensorError::ShapeMismatch {
-                op: "block group conversion".into(),
+                op: op.into(),
                 detail: e.to_string(),
             })
         })?;
-        let app = apps::spmm_block_group(&bgc, b);
         let t = app.compile(options)?.time(&app.tensors)?.total_time();
         if best.as_ref().is_none_or(|&(_, bt)| t < bt) {
             best = Some((g, t));

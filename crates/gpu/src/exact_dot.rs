@@ -47,65 +47,6 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::isa::Isa;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide dispatch counts (see [`dot_dispatch_counts`]). Pure
-/// statistics — they publish no other data — so relaxed ordering
-/// suffices, and launches add their tallies once, not per dot.
-static EXACT_DOTS: AtomicU64 = AtomicU64::new(0);
-static CANONICAL_DOTS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(exact, canonical)` counts of Execute-mode `tl.dot`
-/// dispatches: how many ran the exact-product FMA kernel and how many
-/// the canonical loop, over every interpreter launch so far. Read it before and after a run and subtract; a
-/// workload of plain loads that reports canonical dots has lost its
-/// eligibility (non-finite input, or arithmetic between load and dot).
-/// Replayed (stream-cached) dots and Analytic launches execute no dot
-/// and count nothing; an Execute launch served from an address script
-/// (`crate::script_dispatch_counts`) executes every dot of its value
-/// slice and counts each. The counter reports the kernel that ran, not the
-/// eligibility decision: an eligible dot whose B rows are not
-/// unit-stride (a transposed B), and every dot on a host without FMA,
-/// runs the canonical loop and counts there.
-pub fn dot_dispatch_counts() -> (u64, u64) {
-    (
-        EXACT_DOTS.load(Ordering::Relaxed),
-        CANONICAL_DOTS.load(Ordering::Relaxed),
-    )
-}
-
-/// One launch's dispatch tally, flushed to the process-wide counters
-/// when the launch completes.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DotTally {
-    exact: u64,
-    canonical: u64,
-}
-
-impl DotTally {
-    #[inline]
-    pub(crate) fn count(&mut self, exact: bool) {
-        if exact {
-            self.exact += 1;
-        } else {
-            self.canonical += 1;
-        }
-    }
-
-    pub(crate) fn merge(&mut self, other: DotTally) {
-        self.exact += other.exact;
-        self.canonical += other.canonical;
-    }
-
-    pub(crate) fn flush(self) {
-        if self.exact != 0 {
-            EXACT_DOTS.fetch_add(self.exact, Ordering::Relaxed);
-        }
-        if self.canonical != 0 {
-            CANONICAL_DOTS.fetch_add(self.canonical, Ordering::Relaxed);
-        }
-    }
-}
 
 /// True when every element is finite. Branch-free within a chunk so the
 /// scan vectorizes; chunking keeps the early exit.

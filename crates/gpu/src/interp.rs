@@ -18,9 +18,11 @@
 //! 4. Grid-invariant and row-invariant work executes once and is shared
 //!    (or stream-replayed) across instances; fully affine analytic
 //!    launches cost one representative per row and replay the rest.
-//! 5. The grid-instance loop can run sharded across threads with a
-//!    deterministic merge (see [`LaunchOptions`]); results are
-//!    bit-identical to the sequential order.
+//! 5. Every launch is one loop: its instances are cut into ranges (one,
+//!    or several when sharded across threads), a machine runs each range
+//!    into a shard, and the shards fold in instance order (see
+//!    [`LaunchOptions`]); results are bit-identical at every thread
+//!    count. A batch hands its requests to the same runner.
 //! 6. 2-D accesses at `rows[i] + cols[j]` run as row runs (the `row_run`
 //!    submodule): no offset block is formed and no lane is visited. The
 //!    per-lane `*_generic` bodies here stay the fallback and the
@@ -35,15 +37,14 @@
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
-use crate::exact_dot::DotTally;
 use crate::program::{CInstr, CNode, Program, UnitMode};
-use crate::script::{self, Cursor, Plan, Recorder};
+use crate::script::{Cursor, Plan, Recorder};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::{BinOp, Kernel, KernelError, Reg};
 use insum_tensor::{DType, Tensor};
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 mod row_run;
 use row_run::RowScratch;
@@ -138,15 +139,21 @@ impl From<KernelError> for GpuError {
 
 /// Controls how the simulator schedules grid instances on host threads.
 ///
-/// Instances are independent except for DRAM first-touch accounting,
-/// atomic-collision accounting, and (in [`Mode::Execute`]) tensor writes.
-/// The first two merge exactly (set unions and counter sums), so analytic
-/// launches always parallelize. Execute-mode launches parallelize only
-/// when every written parameter is write-only within the kernel: shards
-/// then emit ordered write logs that are replayed in instance order,
-/// reproducing the sequential result bit-for-bit. Kernels that read a
-/// parameter they also write (a cross-instance hazard) fall back to the
-/// sequential path.
+/// A launch cuts its instances into contiguous ranges and runs one
+/// machine per range; each machine leaves a shard (costs, first-touch
+/// sets, collision counts, instance times, dispatch tally), and the
+/// shards fold into the first in instance order. One range runs inline
+/// on the calling thread and writes in place; several run on scoped
+/// threads, one each. Instances are independent except for DRAM
+/// first-touch accounting, atomic-collision accounting, and (in
+/// [`Mode::Execute`]) tensor writes. The first two fold exactly (set
+/// unions and counter sums), so analytic launches always shard.
+/// Execute-mode launches shard only when every written parameter is
+/// write-only within the kernel: shards then log their writes, which
+/// are replayed in instance order, reproducing the one-range result
+/// bit-for-bit. A kernel that reads a parameter it also writes (a
+/// cross-instance hazard), and a launch that records an address script
+/// (`program.rs`, analysis 7), run as one range.
 #[derive(Debug, Clone)]
 pub struct LaunchOptions {
     /// Worker threads; `None` resolves `INSUM_SIM_THREADS` or the
@@ -302,10 +309,11 @@ impl SectorSet {
     }
 }
 
-/// Read-only or exclusive access to the launch arguments. Parallel shards
-/// share immutable views; the sequential Execute path owns the tensors.
+/// A machine's access to the launch arguments: exclusive for a launch
+/// that runs as one machine, which writes in place; shared between the
+/// shards of a sharded launch, which log their writes instead.
 enum ArgsView<'a, 'b> {
-    Shared(&'a [&'b Tensor]),
+    Shared(&'a [&'a Tensor]),
     Exclusive(&'a mut [&'b mut Tensor]),
 }
 
@@ -317,31 +325,15 @@ impl ArgsView<'_, '_> {
             ArgsView::Exclusive(ts) => ts[param].data(),
         }
     }
-
-    #[inline]
-    fn data_mut(&mut self, param: usize) -> &mut [f32] {
-        match self {
-            ArgsView::Shared(_) => unreachable!("parallel shards never mutate tensors directly"),
-            ArgsView::Exclusive(ts) => ts[param].data_mut(),
-        }
-    }
 }
 
 /// One deferred Execute-mode write, replayed in instance order after a
-/// parallel launch.
+/// sharded launch.
 struct WriteOp {
     off: u32,
     val: f32,
     param: u16,
     atomic: bool,
-}
-
-/// Where Execute-mode value writes go.
-enum WriteSink {
-    /// Mutate tensors in place (sequential path).
-    Direct,
-    /// Defer into an ordered log (parallel path).
-    Log(Vec<WriteOp>),
 }
 
 /// One recorded occurrence of an invariant instruction inside a
@@ -421,16 +413,80 @@ impl TraceState {
     }
 }
 
-static ROW_RUN_SITES: AtomicU64 = AtomicU64::new(0);
-static GENERIC_SITES: AtomicU64 = AtomicU64::new(0);
+/// What a machine dispatched on the host: its `tl.dot` kernels, its
+/// block-shaped access paths, and the way its launch ran (see
+/// [`dot_dispatch_counts`]). A launch folds its shards' tallies into one
+/// and a batch its workers'; the top-level call publishes the sum.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    exact_dots: u64,
+    canonical_dots: u64,
+    row_run_sites: u64,
+    generic_sites: u64,
+    full: u64,
+    recorded: u64,
+    replayed: u64,
+}
 
-/// How many executed block-shaped (rank ≥ 2) memory accesses ran as row
-/// runs and how many on the generic per-lane path, process-wide since
-/// start: `(row_run, generic)`.
+impl Tally {
+    fn merge(&mut self, o: &Tally) {
+        self.exact_dots += o.exact_dots;
+        self.canonical_dots += o.canonical_dots;
+        self.row_run_sites += o.row_run_sites;
+        self.generic_sites += o.generic_sites;
+        self.full += o.full;
+        self.recorded += o.recorded;
+        self.replayed += o.replayed;
+    }
+
+    /// Add this tally to the calling thread's counters.
+    fn publish(&self) {
+        COUNTS.with(|counts| {
+            let mut sum = counts.get();
+            sum.merge(self);
+            counts.set(sum);
+        });
+    }
+}
+
+thread_local! {
+    static COUNTS: Cell<Tally> = Cell::new(Tally::default());
+}
+
+/// `(exact, canonical)` counts of the Execute-mode `tl.dot` dispatches
+/// of the calling thread's launches: how many ran the exact-product FMA
+/// kernel and how many the canonical loop.
 ///
-/// A diagnostic in the mould of [`crate::dot_dispatch_counts`]: relaxed
-/// counters, added to once per launch, not part of
-/// [`KernelStats`] (which describe the simulated device, not the host).
+/// This and [`site_dispatch_counts`] and [`script_dispatch_counts`] are
+/// diagnostics about the host interpreter, not the simulated device, so
+/// they are not part of [`KernelStats`]. They count per thread: every
+/// machine keeps its own tally, a launch folds its shards' tallies and a
+/// batch its workers', and the top-level call ([`launch_with`],
+/// [`Program::launch_with`], [`Program::launch_batch_with`]) adds the sum
+/// once, on the thread that made it. Launches made on other threads —
+/// concurrent tests, other serve tenants — never move these counts,
+/// however the launch was sharded. A launch that fails counts as a launch
+/// and counts none of its dots or sites.
+///
+/// Read it before and after a run and subtract; a workload of plain
+/// loads that reports canonical dots has lost its eligibility
+/// (non-finite input, or arithmetic between load and dot). Replayed (stream-cached) dots and
+/// Analytic launches execute no dot and count nothing; an Execute launch
+/// served from an address script ([`script_dispatch_counts`]) executes
+/// every dot of its value slice and counts each. The counter reports the
+/// kernel that ran, not the eligibility decision: an eligible dot whose
+/// B rows are not unit-stride (a transposed B), and every dot on a host
+/// without FMA, runs the canonical loop and counts there.
+pub fn dot_dispatch_counts() -> (u64, u64) {
+    let t = COUNTS.with(Cell::get);
+    (t.exact_dots, t.canonical_dots)
+}
+
+/// How many executed block-shaped (rank ≥ 2) memory accesses of the
+/// calling thread's launches (counted as [`dot_dispatch_counts`] says)
+/// ran as row runs and how many on the generic per-lane path:
+/// `(row_run, generic)`.
+///
 /// Every 2-D access the Insum code generator emits with lazy broadcasting
 /// is separable (see `program.rs`, analysis 6), so a default-options
 /// kernel that reports generic executions has lost a recognition —
@@ -439,40 +495,30 @@ static GENERIC_SITES: AtomicU64 = AtomicU64::new(0);
 /// lanes are staged into a run (an Analytic float access that needs no
 /// staged lanes counts there too). Accesses replayed from a stream cache
 /// or an analytic instance class execute nothing and count nowhere. A
-/// launch served from an address script (see
-/// [`crate::script_dispatch_counts`]) counts each value-site execution
-/// the way the recording launch ran it:
+/// launch served from an address script ([`script_dispatch_counts`])
+/// counts each value-site execution the way the recording launch ran it:
 /// a row run stays a row run (now served from the script), a per-lane
 /// access stays generic; the index-slice accesses it skips, and an
 /// Analytic launch answered from the stored report, count nowhere.
 pub fn site_dispatch_counts() -> (u64, u64) {
-    (
-        ROW_RUN_SITES.load(Ordering::Relaxed),
-        GENERIC_SITES.load(Ordering::Relaxed),
-    )
+    let t = COUNTS.with(Cell::get);
+    (t.row_run_sites, t.generic_sites)
 }
 
-/// One launch's (or shard's) site dispatch tally.
-#[derive(Debug, Default, Clone, Copy)]
-struct SiteTally {
-    row_run: u64,
-    generic: u64,
-}
-
-impl SiteTally {
-    fn merge(&mut self, other: SiteTally) {
-        self.row_run += other.row_run;
-        self.generic += other.generic;
-    }
-
-    fn flush(self) {
-        if self.row_run != 0 {
-            ROW_RUN_SITES.fetch_add(self.row_run, Ordering::Relaxed);
-        }
-        if self.generic != 0 {
-            GENERIC_SITES.fetch_add(self.generic, Ordering::Relaxed);
-        }
-    }
+/// How many of the calling thread's [`Program`] launches (counted as
+/// [`dot_dispatch_counts`] says) ran in full, ran in full while recording
+/// an address script, and were served from a script:
+/// `(full, recorded, replayed)`.
+///
+/// `replayed` counts Execute launches that ran only their value slice and
+/// Analytic launches answered from the stored report; launches of a
+/// program that [declines](Program::replay_decline) are all `full`.
+/// `replayed / (full + recorded + replayed)` over a workload is the share
+/// of its launches whose `(Program, I32 storage, DeviceModel)` equalled a
+/// ready key — the property a replay gain depends on.
+pub fn script_dispatch_counts() -> (u64, u64, u64) {
+    let t = COUNTS.with(Cell::get);
+    (t.full, t.recorded, t.replayed)
 }
 
 /// Atomic hit counts of one parameter, allocated (zeroed) on first use,
@@ -528,25 +574,71 @@ impl AtomicHits {
     }
 }
 
-/// What a machine does with address scripts (`script.rs`).
-enum ScriptIo<'a> {
-    Off,
-    /// A full launch that also writes down what its value sites resolve.
-    Record(Recorder),
-    /// A launch of the value slice alone, addressed from a script.
-    Replay(Cursor<'a>),
+/// What one machine leaves behind after running its range of instances.
+struct Shard {
+    stats: KernelStats,
+    /// DRAM first-touch sets.
+    read: SectorSet,
+    write: SectorSet,
+    /// Per-parameter atomic hit counts.
+    hits: Vec<AtomicHits>,
+    /// Simulated time of each instance, in instance order.
+    times: Vec<f64>,
+    /// Writes deferred by a shard of a sharded Execute launch.
+    log: Vec<WriteOp>,
+    tally: Tally,
+    /// The address script a recording launch writes down.
+    recorder: Option<Recorder>,
+}
+
+impl Shard {
+    /// Fold in the shard that ran the instances after this one's (its
+    /// write log stays where it is, for the replay).
+    fn absorb(&mut self, o: &Shard) {
+        let s = &mut self.stats;
+        s.l2_read_sectors += o.stats.l2_read_sectors;
+        s.l2_write_sectors += o.stats.l2_write_sectors;
+        s.flops_tc_f16 += o.stats.flops_tc_f16;
+        s.flops_tc_f32 += o.stats.flops_tc_f32;
+        s.flops_scalar += o.stats.flops_scalar;
+        s.smem_bytes += o.stats.smem_bytes;
+        s.atomics += o.stats.atomics;
+        s.instructions += o.stats.instructions;
+        self.read.union(&o.read);
+        self.write.union(&o.write);
+        for (acc, h) in self.hits.iter_mut().zip(&o.hits) {
+            acc.merge(h);
+        }
+        self.times.extend_from_slice(&o.times);
+        self.tally.merge(&o.tally);
+    }
+}
+
+/// Run every unit through `run` and return the results in unit order: a
+/// single unit inline on the calling thread, several on scoped threads,
+/// one each. The one place the simulator spawns.
+fn run_units<U: Send, R: Send>(mut units: Vec<U>, run: impl Fn(U) -> R + Sync) -> Vec<R> {
+    if units.len() == 1 {
+        return units.pop().map(run).into_iter().collect();
+    }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = units
+            .into_iter()
+            .map(|unit| scope.spawn(move || run(unit)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("simulator worker panicked"))
+            .collect()
+    })
 }
 
 struct Machine<'a> {
     program: &'a Program,
     mode: Mode,
-    dram_read_seen: SectorSet,
-    dram_write_seen: SectorSet,
-    /// Per-parameter atomic hit counts.
-    hits: Vec<AtomicHits>,
-    stats: KernelStats,
+    out: Shard,
     inst: InstCost,
-    sink: WriteSink,
     /// Recycled heap buffers: registers overwritten by later instructions
     /// (or released by liveness) donate their allocations back, refcount
     /// block included.
@@ -555,48 +647,50 @@ struct Machine<'a> {
     trace: TraceState,
     /// This launch's `DotSources::nonfinite_params` mask.
     nonfinite: u64,
-    dots: DotTally,
-    site_tally: SiteTally,
     row_scratch: RowScratch,
-    script: ScriptIo<'a>,
+    /// The script a replaying launch reads its value-site addresses from.
+    replay: Option<Cursor<'a>>,
 }
 
 impl<'a> Machine<'a> {
     fn new(
         program: &'a Program,
         mode: Mode,
-        sink: WriteSink,
         nonfinite: u64,
-        script: ScriptIo<'a>,
+        recorder: Option<Recorder>,
+        replay: Option<Cursor<'a>>,
     ) -> Machine<'a> {
         // A replay does no cost pass: it marks no sector.
-        let sectors = match script {
-            ScriptIo::Replay(_) => 0,
-            _ => program.params.total_sectors,
+        let sectors = match replay {
+            Some(_) => 0,
+            None => program.params.total_sectors,
         };
         Machine {
             program,
             mode,
-            dram_read_seen: SectorSet::new(sectors),
-            dram_write_seen: SectorSet::new(sectors),
-            hits: vec![AtomicHits::default(); program.params.lens.len()],
-            stats: KernelStats::default(),
+            out: Shard {
+                stats: KernelStats::default(),
+                read: SectorSet::new(sectors),
+                write: SectorSet::new(sectors),
+                hits: vec![AtomicHits::default(); program.params.lens.len()],
+                times: Vec::new(),
+                log: Vec::new(),
+                tally: Tally::default(),
+                recorder,
+            },
             inst: InstCost::default(),
-            sink,
             pool: Vec::new(),
             cs: CacheState::new(),
             trace: TraceState::new(),
             nonfinite,
-            dots: DotTally::default(),
-            site_tally: SiteTally::default(),
             row_scratch: RowScratch::default(),
-            script,
+            replay,
         }
     }
 
     #[inline]
     fn replaying(&self) -> bool {
-        matches!(self.script, ScriptIo::Replay(_))
+        self.replay.is_some()
     }
 
     /// A buffer from the pool (or a fresh one); contents are stale.
@@ -633,14 +727,14 @@ impl<'a> Machine<'a> {
 
     /// Accumulate one instance's cost into the launch totals.
     fn charge(&mut self, c: &InstCost) {
-        self.stats.l2_read_sectors += c.l2_read_sectors;
-        self.stats.l2_write_sectors += c.l2_write_sectors;
-        self.stats.flops_tc_f16 += c.flops_tc_f16;
-        self.stats.flops_tc_f32 += c.flops_tc_f32;
-        self.stats.flops_scalar += c.flops_scalar;
-        self.stats.smem_bytes += c.smem_bytes;
-        self.stats.atomics += c.atomics;
-        self.stats.instructions += c.instructions;
+        self.out.stats.l2_read_sectors += c.l2_read_sectors;
+        self.out.stats.l2_write_sectors += c.l2_write_sectors;
+        self.out.stats.flops_tc_f16 += c.flops_tc_f16;
+        self.out.stats.flops_tc_f32 += c.flops_tc_f32;
+        self.out.stats.flops_scalar += c.flops_scalar;
+        self.out.stats.smem_bytes += c.smem_bytes;
+        self.out.stats.atomics += c.atomics;
+        self.out.stats.instructions += c.instructions;
     }
 
     /// Record a warp-granular memory access over the active lanes of an
@@ -711,9 +805,9 @@ impl<'a> Machine<'a> {
                 (Some(_), None, None) => unreachable!("mask staged or direct"),
             };
             let seen = if is_write {
-                &mut self.dram_write_seen
+                &mut self.out.write
             } else {
-                &mut self.dram_read_seen
+                &mut self.out.read
             };
             warp_scan(so, sm, base, esize, len, seen)
         };
@@ -768,9 +862,9 @@ impl<'a> Machine<'a> {
             // of sectors.
             let shift_secs = shift_elems * esize / SECTOR as i64;
             let seen = if site.is_write {
-                &mut self.dram_write_seen
+                &mut self.out.write
             } else {
-                &mut self.dram_read_seen
+                &mut self.out.read
             };
             for &(lo, hi) in &e.runs {
                 for sec in lo..=hi {
@@ -778,7 +872,7 @@ impl<'a> Machine<'a> {
                 }
             }
             if site.is_atomic && !e.counts.is_empty() {
-                let hits = &mut self.hits[site.param];
+                let hits = &mut self.out.hits[site.param];
                 hits.touch(
                     (e.min_off + shift_elems) as usize,
                     (e.max_off + shift_elems) as usize + 1,
@@ -799,48 +893,49 @@ impl<'a> Machine<'a> {
 
     /// Execute the instance range `[lo, hi)` with row-change tracking,
     /// stream caching, and (when `dedup`) analytic instance-class replay.
-    /// Pushes one simulated time per instance; errors carry the flat
-    /// instance id for first-error-wins ordering.
-    #[allow(clippy::too_many_arguments)]
+    /// Pushes one simulated time per instance.
+    ///
+    /// Kept out of line: its one caller is the runner's closure, and
+    /// inlined there the instance loop ran ≈ 5 % slower on a replayed
+    /// scatter (EXPERIMENTS.md, "One launch loop").
+    #[inline(never)]
     fn run_range(
         &mut self,
-        lo: usize,
-        hi: usize,
+        (lo, hi): (usize, usize),
         gdims: [usize; 3],
-        regs: &mut Vec<Option<Block>>,
         args: &mut ArgsView<'_, '_>,
         device: &DeviceModel,
         dedup: bool,
-        times: &mut Vec<f64>,
-    ) -> Result<(), (usize, GpuError)> {
-        let mut started = false;
+    ) -> Result<(), GpuError> {
+        let mut regs: Vec<Option<Block>> = vec![None; self.program.num_regs];
+        self.out.times.reserve_exact(hi - lo);
         let mut row = (usize::MAX, usize::MAX);
         for flat in lo..hi {
             let pid = pid_of(flat, gdims);
-            let new_shard = !started;
+            let new_shard = flat == lo;
             let new_row = new_shard || (pid[1], pid[2]) != row;
+            row = (pid[1], pid[2]);
             if dedup && !new_row {
                 if let Some(t) = self.replay_member(pid[0]) {
-                    times.push(t);
+                    self.out.times.push(t);
                     continue;
                 }
             }
-            let record = dedup && new_row;
             // One script segment per shard, per row and per instance.
             let segments = [(new_shard, 0), (new_row, flat / gdims[0]), (true, flat)];
             for (level, &(starts, segment)) in segments.iter().enumerate() {
-                match &mut self.script {
-                    ScriptIo::Record(rec) if starts => rec.begin(level),
-                    ScriptIo::Replay(cursor) if starts => cursor.seek(level, segment),
-                    _ => {}
+                if starts {
+                    if let Some(rec) = &mut self.out.recorder {
+                        rec.begin(level);
+                    }
+                    if let Some(cursor) = &mut self.replay {
+                        cursor.seek(level, segment);
+                    }
                 }
             }
-            match self.run_instance(regs, pid, args, device, new_shard, new_row, record) {
-                Ok(t) => times.push(t),
-                Err(e) => return Err((flat, e)),
-            }
-            started = true;
-            row = (pid[1], pid[2]);
+            let record = dedup && new_row;
+            let t = self.run_instance(&mut regs, pid, args, device, new_shard, new_row, record)?;
+            self.out.times.push(t);
         }
         Ok(())
     }
@@ -1085,7 +1180,11 @@ impl<'a> Machine<'a> {
                             } else {
                                 (Block::dot_with(av, bv, buf), false)
                             };
-                        self.dots.count(exact);
+                        if exact {
+                            self.out.tally.exact_dots += 1;
+                        } else {
+                            self.out.tally.canonical_dots += 1;
+                        }
                         out
                     } else {
                         debug_assert_eq!(bv.shape()[0], k, "dot inner dims");
@@ -1670,11 +1769,25 @@ impl Program {
         mode: Mode,
         options: &LaunchOptions,
     ) -> Result<KernelReport, GpuError> {
-        // Profiling hook: one launch interval per top-level launch
-        // (nested same-phase guards are suppressed, so the n==1
-        // delegation from `launch_batch_with` records once). Inert — a
-        // single relaxed atomic load — unless a collector is installed.
+        // Profiling hook: one launch interval per top-level launch. Inert
+        // — a single relaxed atomic load — unless a collector is
+        // installed.
         let _launch_span = insum_telemetry::hook::timed(insum_telemetry::HookPhase::Launch);
+        let mut tally = Tally::default();
+        let report = self.launch_tallied(args, device, mode, options, &mut tally);
+        tally.publish();
+        report
+    }
+
+    /// [`Program::launch_with`], adding what it dispatched to `tally`.
+    fn launch_tallied(
+        &self,
+        args: &mut [&mut Tensor],
+        device: &DeviceModel,
+        mode: Mode,
+        options: &LaunchOptions,
+        tally: &mut Tally,
+    ) -> Result<KernelReport, GpuError> {
         if args.len() != self.param_names.len() {
             return Err(GpuError::ParamCountMismatch {
                 expected: self.param_names.len(),
@@ -1686,13 +1799,7 @@ impl Program {
                 return Err(GpuError::ArgumentMismatch { index });
             }
         }
-        let gdims = self.gdims;
-        let instances = self.instances;
-
-        let threads = options.resolve_threads().min(instances.max(1));
-        let parallel = threads > 1
-            && instances >= options.min_parallel_instances.max(2)
-            && (mode == Mode::Analytic || self.parallel_execute_ok);
+        let (gdims, instances) = (self.gdims, self.instances);
         let dedup =
             mode == Mode::Analytic && options.analytic_dedup && self.dedup_ok && gdims[0] > 1;
 
@@ -1712,208 +1819,114 @@ impl Program {
         let plan = slot.map_or(Plan::Full, |slot| {
             slot.plan(args, device, mode == Mode::Execute)
         });
-        script::count_launch(&plan);
-        if let (Plan::Replay(script), Mode::Analytic) = (&plan, mode) {
+        let (recording, replay) = match (&plan, slot) {
+            (Plan::Record(_), Some(slot)) => (Some(slot.levels), None),
+            (Plan::Replay(script), _) => (None, Some(&**script)),
+            _ => (None, None),
+        };
+        match plan {
+            Plan::Full => tally.full += 1,
+            Plan::Record(_) => tally.recorded += 1,
+            Plan::Replay(_) => tally.replayed += 1,
+        }
+        if let (Some(script), Mode::Analytic) = (replay, mode) {
             return Ok(script.report.clone());
         }
-        let script_io = |shard_instances: usize| match (&plan, slot) {
-            (Plan::Record(_), Some(slot)) => {
-                ScriptIo::Record(Recorder::new(slot.levels, shard_instances))
-            }
-            (Plan::Replay(script), _) => ScriptIo::Replay(Cursor::new(script)),
-            _ => ScriptIo::Off,
-        };
-        // What a machine that ran instances `[lo, hi)` recorded, with the
-        // rows of instances it started and ended in.
-        let recording_of = |script: ScriptIo<'_>, lo: usize, hi: usize| match script {
-            ScriptIo::Record(rec) if lo < hi => Some((rec, lo / gdims[0], (hi - 1) / gdims[0])),
-            _ => None,
-        };
-        let mut recorded: Vec<(Recorder, usize, usize)> = Vec::new();
 
-        let (stats_sums, read_seen, write_seen, atomic_hits, instance_times) = if !parallel {
-            // Sequential path: one machine, direct writes.
-            let mut machine = Machine::new(
-                self,
-                mode,
-                WriteSink::Direct,
-                nonfinite,
-                script_io(instances),
-            );
-            let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
-            let mut view = ArgsView::Exclusive(&mut *args);
-            let mut instance_times = Vec::with_capacity(instances);
-            machine
-                .run_range(
-                    0,
-                    instances,
-                    gdims,
-                    &mut regs,
-                    &mut view,
-                    device,
-                    dedup,
-                    &mut instance_times,
-                )
-                .map_err(|(_, e)| e)?;
-            machine.dots.flush();
-            machine.site_tally.flush();
-            recorded.extend(recording_of(machine.script, 0, instances));
-            (
-                machine.stats,
-                machine.dram_read_seen,
-                machine.dram_write_seen,
-                machine.hits,
-                instance_times,
-            )
+        // The instance ranges: one (run inline with direct writes), or —
+        // a sharded launch — contiguous ones on scoped threads that log
+        // their writes. A recording is one machine's, so it never shards.
+        let threads = options.resolve_threads().min(instances);
+        let sharded = threads > 1
+            && instances >= options.min_parallel_instances.max(2)
+            && (mode == Mode::Analytic || self.parallel_execute_ok)
+            && recording.is_none();
+        let chunk = instances.div_ceil(if sharded { threads } else { 1 });
+        let shared: Vec<&Tensor>;
+        let units: Vec<((usize, usize), ArgsView<'_, '_>)> = if sharded {
+            shared = args.iter().map(|t| &**t).collect();
+            (0..instances)
+                .step_by(chunk)
+                .map(|lo| ((lo, (lo + chunk).min(instances)), ArgsView::Shared(&shared)))
+                .collect()
         } else {
-            // Parallel path: contiguous shards, deterministic merge.
-            let shared: Vec<&Tensor> = args.iter().map(|t| &**t).collect();
-            let nshards = threads.min(instances);
-            let chunk = instances.div_ceil(nshards);
-            struct Shard {
-                stats: KernelStats,
-                read: SectorSet,
-                write: SectorSet,
-                hits: Vec<AtomicHits>,
-                times: Vec<f64>,
-                log: Vec<WriteOp>,
-                dots: DotTally,
-                site_tally: SiteTally,
-                recorded: Option<(Recorder, usize, usize)>,
-            }
-            type ShardResult = Result<Shard, (usize, GpuError)>;
-            let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..nshards)
-                    .map(|si| {
-                        let (shared, script_io, recording_of) =
-                            (&shared, &script_io, &recording_of);
-                        scope.spawn(move || -> ShardResult {
-                            let sink = match mode {
-                                Mode::Execute => WriteSink::Log(Vec::new()),
-                                Mode::Analytic => WriteSink::Direct, // never writes
-                            };
-                            let lo = (si * chunk).min(instances);
-                            let hi = ((si + 1) * chunk).min(instances);
-                            let mut m =
-                                Machine::new(self, mode, sink, nonfinite, script_io(hi - lo));
-                            let mut regs: Vec<Option<Block>> = vec![None; self.num_regs];
-                            let mut view = ArgsView::Shared(shared);
-                            let mut times = Vec::with_capacity(hi - lo);
-                            m.run_range(
-                                lo, hi, gdims, &mut regs, &mut view, device, dedup, &mut times,
-                            )?;
-                            let log = match m.sink {
-                                WriteSink::Log(log) => log,
-                                WriteSink::Direct => Vec::new(),
-                            };
-                            Ok(Shard {
-                                stats: m.stats,
-                                read: m.dram_read_seen,
-                                write: m.dram_write_seen,
-                                hits: m.hits,
-                                times,
-                                log,
-                                dots: m.dots,
-                                site_tally: m.site_tally,
-                                recorded: recording_of(m.script, lo, hi),
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulator shard panicked"))
-                    .collect()
-            });
-
-            // First error in instance order wins (shards cover ordered,
-            // disjoint ranges, so the first erroring shard holds it).
-            let mut shards = Vec::with_capacity(nshards);
-            for r in shard_results {
-                match r {
-                    Ok(s) => shards.push(s),
-                    Err((_, e)) => return Err(e),
-                }
-            }
-
-            let mut stats = KernelStats::default();
-            let mut read_seen = SectorSet::new(self.params.total_sectors);
-            let mut write_seen = SectorSet::new(self.params.total_sectors);
-            let mut hits = vec![AtomicHits::default(); self.params.lens.len()];
-            let mut instance_times = Vec::with_capacity(instances);
-            let mut dots = DotTally::default();
-            let mut site_tally = SiteTally::default();
-            for shard in &mut shards {
-                recorded.extend(shard.recorded.take());
-                dots.merge(shard.dots);
-                site_tally.merge(shard.site_tally);
-                stats.l2_read_sectors += shard.stats.l2_read_sectors;
-                stats.l2_write_sectors += shard.stats.l2_write_sectors;
-                stats.flops_tc_f16 += shard.stats.flops_tc_f16;
-                stats.flops_tc_f32 += shard.stats.flops_tc_f32;
-                stats.flops_scalar += shard.stats.flops_scalar;
-                stats.smem_bytes += shard.stats.smem_bytes;
-                stats.atomics += shard.stats.atomics;
-                stats.instructions += shard.stats.instructions;
-                read_seen.union(&shard.read);
-                write_seen.union(&shard.write);
-                for (acc, h) in hits.iter_mut().zip(&shard.hits) {
-                    acc.merge(h);
-                }
-                instance_times.extend_from_slice(&shard.times);
-            }
-            dots.flush();
-            site_tally.flush();
-
-            // Replay Execute-mode writes in instance order: bit-identical
-            // to the sequential interleaving because shards are ordered
-            // and written parameters are never read back by the kernel.
-            // Replay runs per written parameter — distinct parameters
-            // never alias, so their relative write order is immaterial —
-            // which binds each output's copy-on-write storage exactly
-            // once instead of re-checking uniqueness on every write op.
-            // The marking pass costs one sequential scan of the logs and
-            // keeps materialization exact (only params with logged
-            // writes are bound); kernels write one or two params, so the
-            // per-param filtered replay stays within a small constant of
-            // the old single interleaved pass. It stays scalar, unlike
-            // the value bodies: the log's offsets are scattered, so
-            // there is no row for a vector loop to run along.
-            if mode == Mode::Execute {
-                let mut touched = vec![false; self.params.lens.len()];
-                for shard in &shards {
-                    for w in &shard.log {
-                        touched[w.param as usize] = true;
-                    }
-                }
-                for (p, _) in touched.iter().enumerate().filter(|&(_, &t)| t) {
-                    let round = self.params.dtypes[p] == DType::F16;
-                    let data = args[p].data_mut();
-                    for shard in &shards {
-                        for w in shard.log.iter().filter(|w| w.param as usize == p) {
-                            let slot = &mut data[w.off as usize];
-                            let mut v = if w.atomic { *slot + w.val } else { w.val };
-                            if round {
-                                v = insum_tensor::f16_round(v);
-                            }
-                            *slot = v;
-                        }
-                    }
-                }
-            }
-            (stats, read_seen, write_seen, hits, instance_times)
+            vec![((0, instances), ArgsView::Exclusive(&mut *args))]
         };
+        let results = run_units(units, |(range, mut view)| {
+            let recorder = recording.map(|levels| Recorder::new(levels, instances));
+            let cursor = replay.map(Cursor::new);
+            let mut machine = Machine::new(self, mode, nonfinite, recorder, cursor);
+            machine.run_range(range, gdims, &mut view, device, dedup)?;
+            Ok(machine.out)
+        });
 
-        if let Plan::Replay(script) = &plan {
+        // Fold the shards into the first. They cover ordered, disjoint
+        // ranges, so the first error in instance order is the first
+        // erroring shard's.
+        let mut results = results.into_iter();
+        let mut first = results.next().expect("a launch has instances")?;
+        let rest = results.collect::<Result<Vec<Shard>, GpuError>>()?;
+        for shard in &rest {
+            first.absorb(shard);
+        }
+        tally.merge(&first.tally);
+        let shards = || std::iter::once(&first).chain(&rest);
+
+        // Replay Execute-mode writes in instance order: bit-identical
+        // to the sequential interleaving because shards are ordered
+        // and written parameters are never read back by the kernel.
+        // Replay runs per written parameter — distinct parameters
+        // never alias, so their relative write order is immaterial —
+        // which binds each output's copy-on-write storage exactly
+        // once instead of re-checking uniqueness on every write op.
+        // The marking pass costs one sequential scan of the logs and
+        // keeps materialization exact (only params with logged
+        // writes are bound); kernels write one or two params, so the
+        // per-param filtered replay stays within a small constant of
+        // the old single interleaved pass. It stays scalar, unlike
+        // the value bodies: the log's offsets are scattered, so
+        // there is no row for a vector loop to run along.
+        if shards().any(|s| !s.log.is_empty()) {
+            let mut touched = vec![false; self.params.lens.len()];
+            for shard in shards() {
+                for w in &shard.log {
+                    touched[w.param as usize] = true;
+                }
+            }
+            for (p, _) in touched.iter().enumerate().filter(|&(_, &t)| t) {
+                let round = self.params.dtypes[p] == DType::F16;
+                let data = args[p].data_mut();
+                for shard in shards() {
+                    for w in shard.log.iter().filter(|w| w.param as usize == p) {
+                        let slot = &mut data[w.off as usize];
+                        let mut v = if w.atomic { *slot + w.val } else { w.val };
+                        if round {
+                            v = insum_tensor::f16_round(v);
+                        }
+                        *slot = v;
+                    }
+                }
+            }
+        }
+
+        if let Some(script) = replay {
             return Ok(script.report.clone());
         }
-        let mut stats = stats_sums;
+        let Shard {
+            mut stats,
+            read,
+            write,
+            hits,
+            times,
+            recorder,
+            ..
+        } = first;
         stats.instances = instances as u64;
-        stats.dram_read_sectors = read_seen.count();
-        stats.dram_write_sectors = write_seen.count();
+        stats.dram_read_sectors = read.count();
+        stats.dram_write_sectors = write.count();
         let mut conflicts = 0u64;
         let mut max_chain = 0u64;
-        for hits in &atomic_hits {
+        for hits in &hits {
             for &c in hits.touched() {
                 if c > 0 {
                     conflicts += c - 1;
@@ -1929,8 +1942,8 @@ impl Program {
         let dram_time = stats.dram_bytes() as f64 / device.dram_bw
             + stats.atomics as f64 / device.atomic_rate
             + max_chain as f64 * device.atomic_conflict_penalty;
-        let (time, sm_time, dram_time) = combine_times(device, &instance_times, dram_time);
-        let max_instance_time = instance_times.iter().copied().fold(0.0, f64::max);
+        let (time, sm_time, dram_time) = combine_times(device, &times, dram_time);
+        let max_instance_time = times.iter().copied().fold(0.0, f64::max);
 
         let report = KernelReport {
             name: self.name.clone(),
@@ -1941,8 +1954,8 @@ impl Program {
             dram_time,
             max_instance_time,
         };
-        if let (Plan::Record(ticket), Some(slot)) = (plan, slot) {
-            if let Some(script) = Recorder::finish(recorded, report.clone()) {
+        if let (Plan::Record(ticket), Some(slot), Some(recorder)) = (plan, slot, recorder) {
+            if let Some(script) = recorder.finish(report.clone()) {
                 slot.install(ticket, script);
             }
         }
@@ -1963,10 +1976,14 @@ impl Program {
     /// Each element of `batch` is one request's argument list (same
     /// layout as [`Program::launch_with`]); all requests must match the
     /// metadata this program was compiled with. The thread budget in
-    /// `options` is split across the batch: requests are distributed over
-    /// the workers in contiguous chunks, and any leftover budget shards
-    /// the grid-instance loop *inside* each request exactly as
-    /// [`Program::launch_with`] would.
+    /// `options` is split across the batch: requests are cut into
+    /// contiguous chunks, one per worker, and handed to the runner a
+    /// launch hands its instance ranges to (one chunk runs inline on the
+    /// calling thread, several on scoped threads); any leftover budget
+    /// shards the grid-instance loop *inside* each request exactly as
+    /// [`Program::launch_with`] would. The workers' dispatch tallies come
+    /// back with their reports and are added once, on the calling thread
+    /// (see [`dot_dispatch_counts`]).
     ///
     /// Requests are independent — each owns its tensor handles — so
     /// request-level parallelism needs no write-log merge and is safe
@@ -1974,10 +1991,10 @@ impl Program {
     /// the intra-request loop sequential. Handles across requests may
     /// share copy-on-write storage (batched serving binds one buffer for
     /// operands shared by every request); a request's first write
-    /// materializes its own private output, so workers never race. Every request's output tensors
-    /// and [`KernelReport`] are bit-identical to a serial per-request
-    /// [`Program::launch_with`] call, regardless of batch composition or
-    /// thread count.
+    /// materializes its own private output, so workers never race. Every
+    /// request's output tensors and [`KernelReport`] are bit-identical to
+    /// a serial per-request [`Program::launch_with`] call, regardless of
+    /// batch composition or thread count.
     ///
     /// # Errors
     ///
@@ -1991,33 +2008,11 @@ impl Program {
         mode: Mode,
         options: &LaunchOptions,
     ) -> Result<Vec<KernelReport>, GpuError> {
-        // One launch interval covers the whole batched launch (the
-        // per-request `launch_with` guards inside are suppressed as
-        // nested same-phase spans).
+        // One launch interval covers the whole batched launch.
         let _launch_span = insum_telemetry::hook::timed(insum_telemetry::HookPhase::Launch);
         let n = batch.len();
         if n == 0 {
             return Ok(Vec::new());
-        }
-        if n == 1 {
-            return Ok(vec![self.launch_with(
-                &mut *batch[0],
-                device,
-                mode,
-                options,
-            )?]);
-        }
-        let total = options.resolve_threads();
-        if total <= 1 {
-            let seq = LaunchOptions {
-                threads: Some(1),
-                ..options.clone()
-            };
-            let mut out = Vec::with_capacity(n);
-            for args in batch.iter_mut() {
-                out.push(self.launch_with(args, device, mode, &seq)?);
-            }
-            return Ok(out);
         }
         // Contiguous request chunks, one worker each; the remaining
         // thread budget is spread over the workers (first `rem` workers
@@ -2025,52 +2020,35 @@ impl Program {
         // their requests, so the whole budget is used. The split only
         // affects scheduling — per-request results are bit-identical at
         // every configuration.
+        let total = options.resolve_threads();
         let chunk = n.div_ceil(total.min(n));
         let workers = n.div_ceil(chunk);
         let (base, rem) = (total / workers, total % workers);
-        type ChunkResult = Result<Vec<KernelReport>, (usize, GpuError)>;
-        let chunk_results: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, requests)| {
-                    let inner = LaunchOptions {
-                        threads: Some((base + usize::from(ci < rem)).max(1)),
-                        ..options.clone()
-                    };
-                    scope.spawn(move || -> ChunkResult {
-                        let mut reports = Vec::with_capacity(requests.len());
-                        for (ri, args) in requests.iter_mut().enumerate() {
-                            reports.push(
-                                self.launch_with(args, device, mode, &inner)
-                                    .map_err(|e| (ci * chunk + ri, e))?,
-                            );
-                        }
-                        Ok(reports)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
-                .collect()
+        let units: Vec<_> = batch.chunks_mut(chunk).enumerate().collect();
+        let results = run_units(units, |(ci, requests)| {
+            let inner = LaunchOptions {
+                threads: Some((base + usize::from(ci < rem)).max(1)),
+                ..options.clone()
+            };
+            let mut tally = Tally::default();
+            let reports = requests
+                .iter_mut()
+                .map(|args| self.launch_tallied(args, device, mode, &inner, &mut tally))
+                .collect::<Result<Vec<_>, _>>();
+            (reports, tally)
         });
-        let mut first_err: Option<(usize, GpuError)> = None;
+        let mut tally = Tally::default();
+        for (_, worker) in &results {
+            tally.merge(worker);
+        }
+        tally.publish();
+        // Each worker stops at its first failure and the chunks are in
+        // request order, so the first error met is the lowest index's.
         let mut out = Vec::with_capacity(n);
-        for r in chunk_results {
-            match r {
-                Ok(reports) => out.extend(reports),
-                Err((i, e)) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
+        for (reports, _) in results {
+            out.extend(reports?);
         }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 }
 #[cfg(test)]
@@ -2681,7 +2659,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            // Batched, at several thread budgets (1 = sequential path,
+            // Batched, at several thread budgets (1 = one inline worker,
             // 3 = requests split unevenly, 16 = leftover budget shards
             // inside each request).
             for threads in [1usize, 3, 16] {
@@ -2773,8 +2751,8 @@ mod tests {
             let opts = LaunchOptions::with_threads(2);
             let got = program.launch_with(&mut [&mut x, &mut y], &device(), Mode::Execute, &opts);
             assert_eq!(got.map(|_| ()), want);
-            // The batch entry, behind a well-formed request, on its
-            // sequential and its worker-per-chunk path.
+            // The batch entry, behind a well-formed request, with one
+            // inline worker and with a worker per chunk.
             for threads in [1, 2] {
                 let (mut x0, mut y0) = (good(), good());
                 let (mut r0, mut r1) = ([&mut x0, &mut y0], [&mut x, &mut y]);

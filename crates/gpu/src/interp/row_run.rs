@@ -21,10 +21,7 @@
 //! seed interpreter); whatever the conditions in [`resolve_rows`] do not
 //! cover goes there.
 
-use super::{
-    consecutive, ArgsView, Machine, ScriptIo, SectorSet, TraceEntry, WriteOp, WriteSink, SECTOR,
-    WARP,
-};
+use super::{consecutive, ArgsView, Machine, SectorSet, TraceEntry, WriteOp, SECTOR, WARP};
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::isa::{Body, Isa};
 use crate::program::{RowSite, SiteMask, TermAxis, TreeOp};
@@ -580,7 +577,7 @@ impl Machine<'_> {
         let out = match resolve_rows(rs, regs, &mut scratch)? {
             None => None,
             Some(run) => {
-                self.site_tally.row_run += 1;
+                self.out.tally.row_run_sites += 1;
                 self.cost_rows(site, &run)?;
                 Some(self.feed(site, &run, args, body))
             }
@@ -605,7 +602,7 @@ impl Machine<'_> {
         body: impl FnOnce(&mut Self, &RowRun<'_>, &mut ArgsView<'_, '_>) -> T,
     ) -> Result<Option<T>, GpuError> {
         let info = &self.program.sites[site as usize];
-        self.site_tally.generic += u64::from(lanes.as_slice().len() >= 2);
+        self.out.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2);
         self.record_access(info.param, off, mask, lanes.as_slice(), info.is_write)?;
         // A recording launch is an Execute launch: `moves_values` covers
         // the recorder.
@@ -650,14 +647,14 @@ impl Machine<'_> {
         let lanes = info
             .lanes
             .expect("a replayable program knows its value sites' shapes");
-        let ScriptIo::Replay(cursor) = &mut self.script else {
+        let Some(cursor) = &mut self.replay else {
             unreachable!("scripted sites run in replaying machines only");
         };
         let entry = cursor.next(info.level as usize);
         // Counted as the recording launch ran it.
         match entry.form {
-            Form::Rows => self.site_tally.row_run += 1,
-            _ => self.site_tally.generic += u64::from(lanes.as_slice().len() >= 2),
+            Form::Rows => self.out.tally.row_run_sites += 1,
+            _ => self.out.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2),
         }
         let mut scratch = std::mem::take(&mut self.row_scratch);
         let shape = decode(entry, lanes, &mut scratch);
@@ -688,7 +685,7 @@ impl Machine<'_> {
     /// Write a run of value site `site` into the script being recorded,
     /// if one is.
     fn record_rows(&mut self, site: u32, run: &RowRun<'_>) {
-        let ScriptIo::Record(rec) = &mut self.script else {
+        let Some(rec) = &mut self.out.recorder else {
             return;
         };
         let info = &self.program.sites[site as usize];
@@ -737,9 +734,9 @@ impl Machine<'_> {
         let info = &self.program.sites[site as usize];
         let params = &self.program.params;
         let seen = if info.is_write {
-            &mut self.dram_write_seen
+            &mut self.out.write
         } else {
-            &mut self.dram_read_seen
+            &mut self.out.read
         };
         let (l2, oob) = scan_rows(
             run,
@@ -945,7 +942,7 @@ impl Machine<'_> {
             return;
         }
         let cols = run.cols;
-        let hits = &mut self.hits[info.param];
+        let hits = &mut self.out.hits[info.param];
         let counts = hits.counts(self.program.params.lens[info.param]);
         let (mut lo, mut hi, mut lanes) = (usize::MAX, 0usize, 0u64);
         for (_, o) in run.active_rows() {
@@ -980,15 +977,16 @@ impl Machine<'_> {
         let round = self.program.params.dtypes[param] == DType::F16;
         let mut staged = None;
         let lanes = self.value_lanes(val, shape.as_slice(), &mut staged);
-        match &mut self.sink {
-            WriteSink::Direct => Isa::detect().run(WriteRows {
-                data: args.data_mut(param),
+        match args {
+            ArgsView::Exclusive(ts) => Isa::detect().run(WriteRows {
+                data: ts[param].data_mut(),
                 run,
                 lanes,
                 atomic,
                 round,
             }),
-            WriteSink::Log(log) => {
+            ArgsView::Shared(_) => {
+                let log = &mut self.out.log;
                 for (i, o) in run.active_rows() {
                     let row = &lanes[i * m..i * m + cols];
                     log.extend(row.iter().enumerate().map(|(j, &v)| WriteOp {

@@ -95,11 +95,12 @@
 //!   any operand that passed through arithmetic (`load(A) * s`, an
 //!   accumulator, another dot), a load from a parameter the kernel also
 //!   writes, a non-f32 constant, or a non-finite input.
-//!   [`dot_dispatch_counts`] reports how many executed dots ran each
-//!   kernel (an eligible dot whose B rows are not unit-stride runs, and
-//!   counts as, the canonical loop); `simbench` asserts 100 % exact on
-//!   the fig7 SpMM and dense matmul Execute rows and 0 % with a NaN
-//!   planted in B, and records every row's `exact_dot_share`.
+//!   [`dot_dispatch_counts`] reports how many of the calling thread's
+//!   executed dots ran each kernel (an eligible dot whose B rows are not
+//!   unit-stride runs, and counts as, the canonical loop); `simbench`
+//!   asserts 100 % exact on the fig7 SpMM and dense matmul Execute rows
+//!   and 0 % with a NaN planted in B, and records every row's
+//!   `exact_dot_share`.
 //! * **Row-run address streams** — a 2-D access at
 //!   `expand_dims(rows, 1) + expand_dims(cols, 0)` (every gather, scatter
 //!   and atomic the code generator emits; Fig. 9) never materialises its
@@ -116,10 +117,10 @@
 //!   per lane otherwise), so every access — row run or per lane, full,
 //!   recording or replayed launch — moves tensor data through one load
 //!   body and one write body. [`site_dispatch_counts`] reports how many
-//!   executed 2-D accesses took each path; `simbench` asserts 100 % row
-//!   runs on its five workloads. The rule and the bit-identity argument
-//!   are in `program.rs` (analysis 6), the differential test in
-//!   `tests/row_sites.rs`.
+//!   of the calling thread's executed 2-D accesses took each path;
+//!   `simbench` asserts 100 % row runs on its five workloads. The rule
+//!   and the bit-identity argument are in `program.rs` (analysis 6), the
+//!   differential test in `tests/row_sites.rs`.
 //! * **Inspect once, execute many** — a sparse structure is converted
 //!   once and launched against many dense operands, and everything a
 //!   launch derives from it (addresses, masks, coalescing, collision
@@ -142,17 +143,26 @@
 //!   this;
 //!   [`Program::replay_decline`] says why a program opts out (a dynamic
 //!   loop, a float-derived address, a store into metadata) and
-//!   [`script_dispatch_counts`] how launches split into full / recorded /
-//!   replayed. Rule, key and bit-identity argument: `program.rs`
-//!   (analysis 7); differential test: `tests/address_script.rs`;
-//!   `simbench`'s `relaunch[]` table times launches 1, 2 and 3+.
-//! * **Deterministic parallelism** — [`launch_with`] can shard the
-//!   grid-instance loop across threads ([`LaunchOptions`]); DRAM
+//!   [`script_dispatch_counts`] how the calling thread's launches split
+//!   into full / recorded / replayed. Rule, key and bit-identity
+//!   argument: `program.rs` (analysis 7); differential test:
+//!   `tests/address_script.rs`; `simbench`'s `relaunch[]` table times
+//!   launches 1, 2 and 3+.
+//! * **Deterministic parallelism, one launch loop** — every launch cuts
+//!   its grid instances into ranges, runs one machine per range and
+//!   folds the machines' shards in instance order ([`LaunchOptions`]):
+//!   one range runs inline on the calling thread and writes in place;
+//!   several — a sharded launch — run on scoped threads, DRAM
 //!   first-touch sets union, collision counters add, and Execute-mode
 //!   writes replay from per-shard logs in instance order, so outputs and
-//!   [`KernelStats`] are bit-for-bit identical to the sequential path at
-//!   every thread count. Kernels that read a parameter they also write
-//!   fall back to sequential execution.
+//!   [`KernelStats`] are bit-for-bit identical at every thread count.
+//!   Kernels that read a parameter they also write, and launches that
+//!   record an address script, run as one range;
+//!   [`Program::launch_batch_with`] hands its request chunks to the same
+//!   runner. The three dispatch counters are per thread: each machine
+//!   keeps a tally, the fold and the batch runner carry it back, and the
+//!   top-level call adds it once to its own thread's counters, so
+//!   concurrent tests and serve tenants never see each other's launches.
 //!
 //! # Compile pipeline
 //!
@@ -219,13 +229,14 @@ mod stats;
 
 pub use block::Block;
 pub use device::DeviceModel;
-pub use exact_dot::dot_dispatch_counts;
-pub use interp::{launch, launch_with, site_dispatch_counts, GpuError, LaunchOptions, Mode};
+pub use interp::{
+    dot_dispatch_counts, launch, launch_with, script_dispatch_counts, site_dispatch_counts,
+    GpuError, LaunchOptions, Mode,
+};
 #[doc(hidden)]
 pub use isa::Isa;
 pub use micro::{copy_view_eligible, run_micro};
 pub use program::{Program, ReplayDecline};
-pub use script::script_dispatch_counts;
 pub use stats::{uniform_launch_time, KernelReport, KernelStats, Profile};
 
 /// Crate-wide result alias.

@@ -160,8 +160,9 @@
 //!    shared handle copies, on a sole owner's re-homes the buffer — so a
 //!    freed-and-reused or mutated buffer is a miss by construction. The
 //!    first Execute launch with a key only remembers it; the second *in
-//!    a row* runs in full with a recorder hooked into the value sites,
-//!    producing an **address script** — per executed value site, in
+//!    a row* runs in full, as one machine whatever the thread budget,
+//!    with a recorder hooked into the value sites, producing an
+//!    **address script** — per executed value site, in
 //!    order, the element address of each active row of lanes, taken
 //!    right after the cost pass has bounds-checked them — plus the
 //!    launch's `KernelReport`. Rows in arithmetic progression take three
@@ -176,7 +177,8 @@
 //!    displaced only by a key that itself repeats, and a launch that
 //!    fails leaves none. Entries live in one stream per execution
 //!    frequency ([`SiteInfo::level`]) and are sought by shard, row and
-//!    instance, so a script recorded at one thread count serves all.
+//!    instance, so a script recorded by one machine is replayed at any
+//!    thread count.
 //!
 //!    *One value path.* Full, recording and replayed launches run the same
 //!    value bodies at every site. A full launch resolves a site's run (row

@@ -5,9 +5,10 @@
 //! A script is a pure function of `(Program, I32 arguments, DeviceModel)`:
 //! for every executed value-slice access site, in execution order, the
 //! element address of each row of lanes, plus the launch's
-//! [`KernelReport`]. It is recorded by a full launch — the addresses are
-//! taken where the cost pass has just bounds-checked them — and replayed
-//! by a launch that executes the value slice alone.
+//! [`KernelReport`]. It is recorded by a full launch that runs as one
+//! machine whatever its thread budget — the addresses are taken where the
+//! cost pass has just bounds-checked them — and replayed by a launch that
+//! executes the value slice alone.
 //!
 //! An entry is a header word (how the rows map onto the site's lanes,
 //! how many are stored) and its row bases: listed one word each, or —
@@ -18,13 +19,12 @@
 //! (stream 0), what a row's first instance executes (stream 1, one
 //! segment per row of instances), and the rest (stream 2, one segment per
 //! instance). A replaying shard seeks each stream by segment, so a script
-//! recorded under one thread count serves every other.
+//! is recorded by one machine and replayed at any thread count.
 
 use crate::device::DeviceModel;
 use crate::program::SiteInfo;
 use crate::stats::KernelReport;
 use insum_tensor::{DType, Tensor, WeakTensor};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How an entry's rows map onto the site's lanes.
@@ -77,24 +77,6 @@ struct Stream {
     starts: Vec<u32>,
 }
 
-impl Stream {
-    /// Append `other`'s segments (all but the first when `skip_first`);
-    /// `None` when the stream outgrows its 32-bit positions.
-    fn append(&mut self, other: &Stream, skip_first: bool) -> Option<()> {
-        let from = usize::from(skip_first);
-        let Some(&first) = other.starts.get(from) else {
-            return Some(());
-        };
-        let base = self.words.len();
-        for &s in &other.starts[from..] {
-            self.starts
-                .push(u32::try_from(base + (s - first) as usize).ok()?);
-        }
-        self.words.extend_from_slice(&other.words[first as usize..]);
-        Some(())
-    }
-}
-
 /// The recorded address streams of one launch and its report.
 pub(crate) struct Script {
     streams: [Stream; 3],
@@ -111,12 +93,12 @@ impl Script {
     }
 }
 
-/// Records one shard's entries during a full launch.
+/// Records a launch's entries as its one machine runs it in full.
 pub(crate) struct Recorder {
     streams: [Stream; 3],
     /// Which streams some value site writes to; the others stay empty.
     levels: [bool; 3],
-    /// Instances this shard will run.
+    /// Instances the launch runs.
     instances: usize,
     /// A stream outgrew its 32-bit positions: the launch keeps no script.
     overflow: bool,
@@ -203,29 +185,13 @@ impl Recorder {
         }
     }
 
-    /// Join the recordings of the (non-empty) shards, in instance order,
-    /// into a script. Each comes with the rows of instances its shard
-    /// starts and ends in: a row cut by a shard boundary was recorded on
-    /// both sides, identically, and is kept once. `None` when a stream
-    /// overflowed.
-    pub(crate) fn finish(
-        shards: Vec<(Recorder, usize, usize)>,
-        report: KernelReport,
-    ) -> Option<Script> {
-        let mut shards = shards.into_iter();
-        let (first, _, mut prev_last_row) = shards.next()?;
-        let mut overflow = first.overflow;
-        // Stream 0 is grid-invariant: every shard recorded the same one.
-        let mut streams = first.streams;
-        for (rec, first_row, last_row) in shards {
-            overflow |= rec.overflow;
-            streams[1].append(&rec.streams[1], prev_last_row == first_row)?;
-            streams[2].append(&rec.streams[2], false)?;
-            prev_last_row = last_row;
-        }
-        if overflow {
+    /// The script this recording and the launch's `report` make; `None`
+    /// when a stream overflowed.
+    pub(crate) fn finish(self, report: KernelReport) -> Option<Script> {
+        if self.overflow {
             return None;
         }
+        let mut streams = self.streams;
         for s in &mut streams {
             s.words.shrink_to_fit();
             s.starts.shrink_to_fit();
@@ -291,30 +257,6 @@ impl<'s> Cursor<'s> {
 // ---------------------------------------------------------------------
 // The per-program slot
 // ---------------------------------------------------------------------
-
-static FULL_LAUNCHES: AtomicU64 = AtomicU64::new(0);
-static RECORDED_LAUNCHES: AtomicU64 = AtomicU64::new(0);
-static REPLAYED_LAUNCHES: AtomicU64 = AtomicU64::new(0);
-
-/// How many [`Program`](crate::Program) launches ran in full, ran in
-/// full while recording an address script, and were served from a
-/// script, process-wide since start: `(full, recorded, replayed)`.
-///
-/// A diagnostic in the mould of [`crate::site_dispatch_counts`] (relaxed
-/// counters, one add per launch, not part of [`crate::KernelStats`]).
-/// `replayed` counts Execute launches that ran only their value slice and
-/// Analytic launches answered from the stored report; launches of a
-/// program that [declines](crate::Program::replay_decline) are all
-/// `full`. `replayed / (full + recorded + replayed)` over a workload is
-/// the share of its launches whose `(Program, I32 storage, DeviceModel)`
-/// equalled a ready key — the property a replay gain depends on.
-pub fn script_dispatch_counts() -> (u64, u64, u64) {
-    (
-        FULL_LAUNCHES.load(Ordering::Relaxed),
-        RECORDED_LAUNCHES.load(Ordering::Relaxed),
-        REPLAYED_LAUNCHES.load(Ordering::Relaxed),
-    )
-}
 
 /// What a script is keyed on besides its program: the launch's I32
 /// arguments *by storage identity* and the device model by value. The
@@ -437,16 +379,6 @@ impl ReplaySlot {
     }
 }
 
-/// Count one launch by the way it ran.
-pub(crate) fn count_launch(plan: &Plan) {
-    let counter = match plan {
-        Plan::Full => &FULL_LAUNCHES,
-        Plan::Record(_) => &RECORDED_LAUNCHES,
-        Plan::Replay(_) => &REPLAYED_LAUNCHES,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,7 +417,7 @@ mod tests {
             let on = |i: usize| bases[i] != INACTIVE;
             rec.push(2, Form::Rows, *cols, &rows, on);
         }
-        let script = Recorder::finish(vec![(rec, 0, 0)], report()).expect("no overflow");
+        let script = rec.finish(report()).expect("no overflow");
         assert_eq!(
             script.bytes(),
             4 * (1 + cases.iter().map(|c| c.2).sum::<usize>()),
@@ -513,47 +445,5 @@ mod tests {
                 .map_or(0, |l| l + 1);
             assert_eq!(decoded, bases[..live]);
         }
-    }
-
-    /// Shards that cut a row of instances both record it; the script
-    /// keeps one copy and every segment stays where `seek` expects it.
-    #[test]
-    fn shard_recordings_join_on_row_boundaries() {
-        let record = |rows: &[(usize, u32)], instances: &[u32]| {
-            let mut rec = Recorder::new([true, true, true], instances.len());
-            rec.begin(0);
-            rec.push(0, Form::OneRow, None, &[7], |_| true);
-            for &(_, base) in rows {
-                rec.begin(1);
-                rec.push(1, Form::OneRow, None, &[i64::from(base)], |_| true);
-            }
-            for &base in instances {
-                rec.begin(2);
-                rec.push(2, Form::OneRow, None, &[i64::from(base)], |_| true);
-            }
-            (rec, rows[0].0, rows[rows.len() - 1].0)
-        };
-        // Rows of three instances; shards [0, 4), [4, 5), [5, 9).
-        let shards = vec![
-            record(&[(0, 100), (1, 101)], &[0, 1, 2, 3]),
-            record(&[(1, 101)], &[4]),
-            record(&[(1, 101), (2, 102)], &[5, 6, 7, 8]),
-        ];
-        let script = Recorder::finish(shards, report()).expect("no overflow");
-        let mut cursor = Cursor::new(&script);
-        let first = |entry: Entry<'_>| match entry.bases {
-            Bases::Listed(list) => list[0],
-            other => panic!("single rows are listed, got {other:?}"),
-        };
-        for row in 0..3 {
-            cursor.seek(1, row);
-            assert_eq!(first(cursor.next(1)), 100 + row as u32);
-        }
-        for instance in (0..9).rev() {
-            cursor.seek(2, instance);
-            assert_eq!(first(cursor.next(2)), instance as u32);
-        }
-        cursor.seek(0, 0);
-        assert_eq!(first(cursor.next(0)), 7);
     }
 }

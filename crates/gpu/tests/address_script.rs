@@ -10,13 +10,12 @@
 
 use insum_gpu::reference::launch_reference;
 use insum_gpu::{
-    dot_dispatch_counts, script_dispatch_counts, DeviceModel, GpuError, Isa, KernelReport,
-    LaunchOptions, Mode, Program, ReplayDecline,
+    dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, GpuError, Isa,
+    KernelReport, LaunchOptions, Mode, Program, ReplayDecline,
 };
 use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{DType, Tensor};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 
 mod common;
 use common::{
@@ -24,14 +23,6 @@ use common::{
     conv_shaped_args, conv_shaped_kernel, plain, spec_strategy, tp_shaped_args, tp_shaped_kernel,
     Case, MaskKind, Side,
 };
-
-/// The dispatch counters are process-wide and the tests of this binary
-/// run on parallel threads: every launch happens under this lock.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 type Outcome = (Result<KernelReport, GpuError>, Vec<Tensor>);
 
@@ -88,13 +79,32 @@ fn sharded() -> LaunchOptions {
 
 /// `(full, recorded, replayed)` launches `f` caused.
 fn counting<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, u64)) {
-    let before = script_dispatch_counts();
-    let out = f();
-    let after = script_dispatch_counts();
+    let (out, (_, _, launches)) = counting_all(f);
+    (out, launches)
+}
+
+/// Every dispatch counter of this thread: `(dots, sites, launches)`.
+type Counts = ((u64, u64), (u64, u64), (u64, u64, u64));
+
+fn all_counts() -> Counts {
     (
-        out,
-        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        dot_dispatch_counts(),
+        site_dispatch_counts(),
+        script_dispatch_counts(),
     )
+}
+
+/// What `f` added to every dispatch counter of this thread.
+fn counting_all<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    let (d, s, l) = all_counts();
+    let out = f();
+    let (d2, s2, l2) = all_counts();
+    let counts = (
+        (d2.0 - d.0, d2.1 - d.1),
+        (s2.0 - s.0, s2.1 - s.1),
+        (l2.0 - l.0, l2.1 - l.1, l2.2 - l.2),
+    );
+    (out, counts)
 }
 
 /// Launches 1–4 of one key under every mix of sequential and sharded
@@ -103,7 +113,6 @@ fn counting<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, u64)) {
 /// result equals the seed interpreter's, and the launches split into
 /// full / recorded / replayed exactly as the policy says.
 fn check_relaunches(kernel: &Kernel, grid: &[usize], args: &[Tensor], label: &str) {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let want_x = seed(kernel, grid, args, &device, Mode::Execute);
     let want_a = seed(kernel, grid, args, &device, Mode::Analytic);
@@ -184,13 +193,7 @@ fn check_batch(
     want: &Outcome,
     label: &str,
 ) {
-    let mut owned: Vec<Vec<Tensor>> = (0..3).map(|_| args.to_vec()).collect();
-    let mut views: Vec<Vec<&mut Tensor>> =
-        owned.iter_mut().map(|a| a.iter_mut().collect()).collect();
-    let mut batch: Vec<&mut [&mut Tensor]> = views.iter_mut().map(|v| v.as_mut_slice()).collect();
-    let mut opts = LaunchOptions::with_threads(2);
-    opts.min_parallel_instances = 2;
-    let reports = program.launch_batch_with(&mut batch, device, Mode::Execute, &opts);
+    let (reports, owned) = launch_batch(program, args, device, 3, &sharded());
     match (&reports, &want.0) {
         (Ok(reports), Ok(want_report)) => {
             for (r, request) in reports.iter().zip(&owned) {
@@ -203,6 +206,22 @@ fn check_batch(
         (Err(got), Err(want)) => assert_eq!(got, want, "{label}: batched error"),
         _ => panic!("{label}: batched launch and seed disagree on success"),
     }
+}
+
+/// `n` copies of `args` launched as one Execute batch, and the copies.
+fn launch_batch(
+    program: &Program,
+    args: &[Tensor],
+    device: &DeviceModel,
+    n: usize,
+    opts: &LaunchOptions,
+) -> (Result<Vec<KernelReport>, GpuError>, Vec<Vec<Tensor>>) {
+    let mut owned: Vec<Vec<Tensor>> = (0..n).map(|_| args.to_vec()).collect();
+    let mut views: Vec<Vec<&mut Tensor>> =
+        owned.iter_mut().map(|a| a.iter_mut().collect()).collect();
+    let mut batch: Vec<&mut [&mut Tensor]> = views.iter_mut().map(|v| v.as_mut_slice()).collect();
+    let reports = program.launch_batch_with(&mut batch, device, Mode::Execute, opts);
+    (reports, owned)
 }
 
 proptest! {
@@ -283,7 +302,6 @@ fn gathered_rows_are_listed_at_their_exact_size() {
     let kernel = build_kernel(&c);
     let args = build_args(&c).to_vec();
     check_relaunches(&kernel, &[c.gx, c.gy], &args, "gathered rows");
-    let _guard = exclusive();
     let program = compile(&kernel, &[c.gx, c.gy], &args);
     make_ready(&program, &args, &DeviceModel::rtx3090());
     // Per instance: one segment start and three value sites (load, store,
@@ -310,7 +328,6 @@ fn make_ready(program: &Program, args: &[Tensor], device: &DeviceModel) {
 /// the operands are finite, canonical once they are not.
 #[test]
 fn new_float_operands_replay_like_a_fresh_launch() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let (groups, g, xtiles) = (6, 2, 2);
     let kernel = block_group_kernel(groups, g, xtiles);
@@ -368,6 +385,81 @@ fn new_float_operands_replay_like_a_fresh_launch() {
     }
 }
 
+/// The counters are the calling thread's: launches made on another
+/// thread — sequential, sharded, recording, replaying and batched —
+/// count there and leave this thread's counters where they were.
+#[test]
+fn launches_on_another_thread_leave_this_threads_counts() {
+    let device = DeviceModel::rtx3090();
+    let (groups, g, xtiles) = (6, 2, 2);
+    let kernel = block_group_kernel(groups, g, xtiles);
+    let args = block_group_args(groups, g, xtiles, 4);
+    let program = compile(&kernel, &[xtiles, groups], &args);
+    let mine = all_counts();
+    let ((), theirs) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                counting_all(|| {
+                    for opts in [sequential(), sharded(), sequential(), sharded()] {
+                        launch(&program, &args, &device, Mode::Execute, &opts)
+                            .0
+                            .expect("launches");
+                    }
+                    launch_batch(&program, &args, &device, 3, &sharded())
+                        .0
+                        .expect("launches");
+                })
+            })
+            .join()
+            .expect("the launching thread finishes")
+    });
+    assert_eq!(all_counts(), mine, "this thread launched nothing");
+    let (dots, sites, launches) = theirs;
+    assert!(dots.0 + dots.1 > 0 && sites.0 > 0, "{theirs:?}");
+    assert_eq!(launches, (1, 1, 5), "the launching thread counted each");
+}
+
+/// A batch counts what its requests dispatched, on the thread that
+/// launched it. Eight requests at four threads run one sequential
+/// request after another on each of four workers; under a ready key they
+/// add exactly the dots, sites and launches of eight sequential replays,
+/// so a worker whose tally went missing shows. On a fresh program which
+/// request records is a race, but every Execute launch — full, recording
+/// or replayed — runs every dot.
+#[test]
+fn a_batch_counts_what_its_requests_dispatch() {
+    let device = DeviceModel::rtx3090();
+    let (groups, g, xtiles) = (6, 2, 2);
+    let kernel = block_group_kernel(groups, g, xtiles);
+    let grid = [xtiles, groups];
+    let args = block_group_args(groups, g, xtiles, 4);
+    let program = compile(&kernel, &grid, &args);
+    make_ready(&program, &args, &device);
+    let ((), serial) = counting_all(|| {
+        for _ in 0..8 {
+            launch(&program, &args, &device, Mode::Execute, &sequential())
+                .0
+                .expect("launches");
+        }
+    });
+    assert_eq!(serial.2, (0, 0, 8));
+    assert!(
+        serial.0 .0 + serial.0 .1 > 0 && serial.1 .0 > 0,
+        "{serial:?}"
+    );
+    let four = LaunchOptions::with_threads(4);
+    let (batch, batched) = counting_all(|| launch_batch(&program, &args, &device, 8, &four));
+    assert_eq!(batched, serial, "a ready key");
+    assert_eq!(batch.0.expect("launches").len(), 8);
+
+    let fresh = compile(&kernel, &grid, &args);
+    let (batch, batched) = counting_all(|| launch_batch(&fresh, &args, &device, 8, &four));
+    batch.0.expect("launches");
+    let (full, recorded, replayed) = batched.2;
+    assert_eq!(full + recorded + replayed, 8, "a fresh program");
+    assert_eq!(batched.0, serial.0, "a fresh program: every dot ran");
+}
+
 /// One metadata element written through `data_mut`: copy-on-write hands
 /// the writer new storage, which is a new key — a miss, a recording on
 /// its second launch, and results for the *changed* metadata throughout.
@@ -375,7 +467,6 @@ fn new_float_operands_replay_like_a_fresh_launch() {
 /// repeats.
 #[test]
 fn a_metadata_write_misses_and_records_again() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let groups = 9;
     let kernel = conv_shaped_kernel(groups);
@@ -420,7 +511,6 @@ fn a_metadata_write_misses_and_records_again() {
 /// must not displace.
 #[test]
 fn alternating_keys_never_record() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let c = plain(4, 16, 2, 3);
     let kernel = build_kernel(&c);
@@ -462,7 +552,6 @@ fn alternating_keys_never_record() {
 /// key, which the write turns into a miss.
 #[test]
 fn the_slot_pins_no_argument() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let c = plain(4, 16, 2, 3);
     let kernel = build_kernel(&c);
@@ -514,7 +603,6 @@ fn the_slot_pins_no_argument() {
 /// model is another key.
 #[test]
 fn a_replaced_device_model_misses() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let slow = DeviceModel {
         l2_bw: device.l2_bw / 2.0,
@@ -550,7 +638,6 @@ fn a_replaced_device_model_misses() {
 /// offset read from a float parameter, a store into the metadata.
 #[test]
 fn declining_programs_report_why_and_never_replay() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let rows = 6usize;
     let ptr = Tensor::from_indices(vec![rows + 1], vec![0, 2, 2, 5, 6, 9, 12])
@@ -638,7 +725,6 @@ fn declining_programs_report_why_and_never_replay() {
 /// and leaves no script behind.
 #[test]
 fn a_failing_launch_leaves_no_script() {
-    let _guard = exclusive();
     let device = DeviceModel::rtx3090();
     let c = Case {
         mask: MaskKind::None,

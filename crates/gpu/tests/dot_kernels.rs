@@ -12,7 +12,6 @@ use insum_gpu::{dot_dispatch_counts, launch, Block, DeviceModel, Isa, Mode};
 use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{f16_round, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// Extents that straddle every tile edge of both instantiations
 /// (4 × 12 and 8 × 16) plus the degenerate ones.
@@ -208,10 +207,6 @@ fn the_tile_ladder_is_the_seed_loop_at_every_width() {
 // Dispatch: what the interpreter decides per `tl.dot`
 // ---------------------------------------------------------------------
 
-/// The dispatch counters are process-wide and the tests of this binary
-/// run on parallel threads: every launch below happens under this lock.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
 /// How operand A reaches the dot in [`dot_kernel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum AVia {
@@ -305,7 +300,6 @@ fn launch_counted(kernel: &Kernel, a: &Tensor, b: &Tensor, c_shape: [usize; 2]) 
     let device = DeviceModel::rtx3090();
     let (mut a1, mut b1, mut c1) = (a.clone(), b.clone(), Tensor::zeros(c_shape.to_vec()));
     let (mut a2, mut b2, mut c2) = (a.clone(), b.clone(), Tensor::zeros(c_shape.to_vec()));
-    let guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let before = dot_dispatch_counts();
     let got = launch(
         kernel,
@@ -316,7 +310,6 @@ fn launch_counted(kernel: &Kernel, a: &Tensor, b: &Tensor, c_shape: [usize; 2]) 
     )
     .expect("optimized launch");
     let after = dot_dispatch_counts();
-    drop(guard);
     let want = launch_reference(
         kernel,
         &[1],

@@ -21,18 +21,12 @@ use insum_gpu::{
 use insum_kernel::{BinOp, Kernel, KernelBuilder};
 use insum_tensor::{DType, Tensor};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 mod common;
 use common::{
     build_args, build_kernel, case_strategy, conv_shaped_args, conv_shaped_kernel, plain, Case,
     Columns, MaskKind, Poison, Side,
 };
-
-/// The dispatch counters are process-wide and the tests of this binary
-/// run on parallel threads: every optimized launch happens under this
-/// lock.
-static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// A sharded launch shares one `Program` between its shard threads and
 /// the program cache hands one out to many; blocks, which are `!Send`,
@@ -93,7 +87,6 @@ fn check_against_seed(
     let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
     let dtypes: Vec<DType> = args.iter().map(Tensor::dtype).collect();
     let program = Program::compile(kernel, grid, &lens, &dtypes).expect("kernel compiles");
-    let guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let before = site_dispatch_counts();
     for mode in [Mode::Execute, Mode::Analytic] {
         let (want, want_args) = run_reference(kernel, grid, args, mode);
@@ -108,7 +101,6 @@ fn check_against_seed(
         }
     }
     let after = site_dispatch_counts();
-    drop(guard);
     (
         program.separable_sites(),
         (after.0 - before.0, after.1 - before.1),
@@ -337,14 +329,12 @@ fn eager_broadcast_and_rank3_kernels_stay_generic() {
             Program::compile(kernel, &[1], &[len, n * m], &[DType::F32, DType::F32]).unwrap();
         let (recognised, _) = program.separable_sites();
         assert_eq!(recognised, 0, "{what}");
-        let guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let before = site_dispatch_counts();
         let (mut s1, mut o1) = (src.clone(), Tensor::zeros(vec![n * m]));
         let got = program
             .launch(&mut [&mut s1, &mut o1], &device, Mode::Execute)
             .expect("launches");
         let after = site_dispatch_counts();
-        drop(guard);
         assert_eq!(after.0 - before.0, 0, "{what}: no row runs");
         assert!(after.1 - before.1 > 0, "{what}: generic executions");
         let (mut s2, mut o2) = (src.clone(), Tensor::zeros(vec![n * m]));

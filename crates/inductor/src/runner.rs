@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 
 /// Run a fused operation over named tensors: the batch of one request
 /// (see [`run_fused_batch_with_cache`], which costs nothing extra for a
-/// single request — [`insum_gpu::Program::launch_batch_with`] delegates
-/// `n == 1` to the plain launch).
+/// single request — [`insum_gpu::Program::launch_batch_with`] runs a
+/// batch of one inline on the calling thread, as a plain launch).
 ///
 /// The output tensor named by the plan is cloned from `inputs`, mutated by
 /// the kernel (in [`Mode::Execute`]), and returned together with the

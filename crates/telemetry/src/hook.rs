@@ -16,8 +16,8 @@
 //! the active traces.
 //!
 //! Nesting rules keep the aggregates non-overlapping: a nested interval
-//! of the same phase is suppressed (e.g. `launch_batch_with` delegating
-//! to `launch_with`), and `Compile`/`Launch` intervals are suppressed
+//! of the same phase is suppressed (e.g. a launch made inside another
+//! launch's interval), and `Compile`/`Launch` intervals are suppressed
 //! while an `Autotune` interval is open (probe compiles/launches are
 //! part of the sweep).
 

@@ -102,8 +102,8 @@ fn main() {
     }
 
     // Relaunch provenance: the lowered program says whether a relaunch
-    // against the same D and E may replay recorded addresses, and the
-    // process-wide counters say how four launches in a row actually ran.
+    // against the same D and E may replay recorded addresses, and this
+    // thread's launch counters say how four launches in a row ran.
     let stmt = insum_lang::parse(expr).expect("parses");
     let metas: BTreeMap<String, TensorMeta> = tensors
         .iter()
