@@ -236,6 +236,8 @@ pub use interp::{
 #[doc(hidden)]
 pub use isa::Isa;
 pub use micro::{copy_view_eligible, run_micro};
+#[doc(hidden)]
+pub use program::record_digests;
 pub use program::{Program, ReplayDecline};
 pub use stats::{uniform_launch_time, KernelReport, KernelStats, Profile};
 

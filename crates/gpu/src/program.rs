@@ -211,7 +211,9 @@ use crate::script::ReplaySlot;
 use insum_kernel::{param_usage, BinOp, Instr, Kernel, Reg};
 use insum_tensor::{DType, Tensor};
 
+mod digest;
 mod value_slice;
+pub use digest::record_digests;
 pub use value_slice::ReplayDecline;
 use value_slice::ValueSlice;
 
@@ -593,7 +595,7 @@ impl Program {
             !floats.is_empty() && floats.iter().all(|&d| d == DType::F16)
         };
 
-        Ok(Program {
+        let program = Program {
             name: kernel.name.clone(),
             param_names: kernel.params.iter().map(|p| p.name.clone()).collect(),
             num_regs: kernel.num_regs,
@@ -610,7 +612,9 @@ impl Program {
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
             replay,
-        })
+        };
+        digest::note(&program);
+        Ok(program)
     }
 }
 
@@ -628,6 +632,7 @@ impl Program {
 /// value is f32-representable by construction (tensor storage is `f32`),
 /// and finite exactly when those parameters are — which the launch
 /// checks once per parameter, so each dot decides in O(1).
+#[derive(Debug)]
 pub(crate) struct DotSources {
     /// Source mask per register.
     reg: Vec<u64>,
@@ -792,6 +797,7 @@ pub(crate) struct RowSite {
 /// Analysis 6 (see the module docs): which access sites are separable,
 /// and which `Binary::Add`s exist only to form their offset blocks.
 /// Derived from the kernel alone, like [`DotSources`].
+#[derive(Debug)]
 pub(crate) struct RowSites {
     /// Per site id (lowering order), the recognised form if any.
     site: Vec<Option<RowSite>>,

@@ -28,6 +28,7 @@
 //! sweep's outcome changes the key.
 
 use crate::codegen::{CodegenOptions, FusedOp};
+use insum_kernel::Fnv;
 use insum_snapshot::{SnapshotError, Writer};
 use insum_tensor::{DType, Tensor};
 use std::collections::BTreeMap;
@@ -239,31 +240,6 @@ fn dtype_rank(d: DType) -> u8 {
     insum_snapshot::dtype_tag(d)
 }
 
-/// FNV-1a, matching the constants `insum_kernel::fingerprint` documents
-/// as stable across processes.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,5 +322,37 @@ mod tests {
         let reshaped: BTreeMap<String, Tensor> =
             [("A".to_string(), Tensor::ones(vec![2, 8]))].into();
         assert_ne!(base, workload_signature(1, &[4], &reshaped, &dev));
+    }
+
+    /// Snapshots persist both the kernel fingerprint (program-cache keys)
+    /// and the workload signature (winner keys): neither may drift, or
+    /// every snapshot written before the drift stops warm-starting.
+    #[test]
+    fn fingerprint_and_signature_are_pinned() {
+        let mut b = insum_kernel::KernelBuilder::new("pinned");
+        let x = b.input("X");
+        let y = b.output("Y");
+        let pid = b.program_id(0);
+        let w = b.constant(16.0);
+        let base = b.binary(insum_kernel::BinOp::Mul, pid, w);
+        let lanes = b.arange(16);
+        let offs = b.binary(insum_kernel::BinOp::Add, base, lanes);
+        let v = b.load(x, offs, None, 0.5);
+        b.store(y, offs, v, None);
+        let fingerprint = insum_kernel::fingerprint(&b.build());
+        assert_eq!(fingerprint, 16529053674403354731);
+        let inputs: BTreeMap<String, Tensor> = [
+            ("X".to_string(), Tensor::ones(vec![4, 16])),
+            (
+                "IDX".to_string(),
+                Tensor::from_indices(vec![3], vec![0, 2, 1]).unwrap(),
+            ),
+        ]
+        .into();
+        let dev = insum_gpu::DeviceModel::rtx3090();
+        assert_eq!(
+            workload_signature(fingerprint, &[4, 2], &inputs, &dev),
+            16472283989349682502
+        );
     }
 }

@@ -56,46 +56,68 @@ pub fn param_usage(kernel: &Kernel) -> ParamUsage {
 /// A 64-bit FNV-1a accumulator — stable across platforms and runs
 /// (unlike `DefaultHasher`, whose seed and algorithm are unspecified),
 /// which makes fingerprints safe to persist or compare out of process.
-struct Fnv(u64);
+/// The one FNV of the workspace: kernel fingerprints, autotune workload
+/// signatures and the simulator's analysis digests all hash with it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
 
 impl Fnv {
-    fn new() -> Fnv {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn byte(&mut self, b: u8) {
+    /// Mix one byte.
+    pub fn byte(&mut self, b: u8) {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
-    fn bytes(&mut self, bs: &[u8]) {
+    /// Mix raw bytes (no length prefix).
+    pub fn bytes(&mut self, bs: &[u8]) {
         for &b in bs {
             self.byte(b);
         }
     }
 
-    fn u64(&mut self, v: u64) {
+    /// Mix a `u64`, little-endian.
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn usize(&mut self, v: usize) {
+    /// Mix a `usize` as a `u64`.
+    pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    fn f64(&mut self, v: f64) {
+    /// Mix an `f64` by its bits.
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    fn str(&mut self, s: &str) {
+    /// Mix a string, length first.
+    pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.bytes(s.as_bytes());
     }
 
-    fn shape(&mut self, s: &[usize]) {
+    /// Mix a shape, rank first.
+    pub fn shape(&mut self, s: &[usize]) {
         self.usize(s.len());
         for &d in s {
             self.usize(d);
         }
+    }
+
+    /// The hash so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -250,7 +272,7 @@ pub fn fingerprint(kernel: &Kernel) -> u64 {
     }
     h.usize(kernel.num_regs);
     hash_body(&mut h, &kernel.body);
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

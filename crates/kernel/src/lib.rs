@@ -21,7 +21,7 @@ mod builder;
 mod ir;
 mod printer;
 
-pub use analysis::{fingerprint, param_usage, visit_instrs, ParamUsage};
+pub use analysis::{fingerprint, param_usage, visit_instrs, Fnv, ParamUsage};
 pub use builder::KernelBuilder;
 pub use ir::{BinOp, Instr, Kernel, KernelError, ParamDecl, Reg};
 pub use printer::print_kernel;
