@@ -1041,7 +1041,7 @@ impl<'a> Machine<'a> {
             }
             match node.cached {
                 None => self.exec_cinstr(&node.instr, regs, pid, args)?,
-                Some(level) => {
+                Some((level, dst)) => {
                     let record = if level == 0 {
                         self.cs.record0
                     } else {
@@ -1051,7 +1051,6 @@ impl<'a> Machine<'a> {
                         let before = self.inst;
                         self.exec_cinstr(&node.instr, regs, pid, args)?;
                         let cost = self.inst.minus(&before);
-                        let dst = cached_dst(&node.instr);
                         let block = regs[dst]
                             .as_ref()
                             .expect("cached instruction writes its destination")
@@ -1444,30 +1443,6 @@ impl<'a> Machine<'a> {
     }
 }
 
-/// The destination register of a cached (value-producing) instruction.
-fn cached_dst(instr: &CInstr) -> Reg {
-    match instr {
-        CInstr::ProgramId { dst, .. }
-        | CInstr::Const { dst, .. }
-        | CInstr::Arange { dst, .. }
-        | CInstr::Full { dst, .. }
-        | CInstr::Binary { dst, .. }
-        | CInstr::ExpandDims { dst, .. }
-        | CInstr::Broadcast { dst, .. }
-        | CInstr::View { dst, .. }
-        | CInstr::Trans { dst, .. }
-        | CInstr::Load { dst, .. }
-        | CInstr::Dot { dst, .. }
-        | CInstr::Sum { dst, .. } => *dst,
-        CInstr::Store { .. }
-        | CInstr::AtomicAdd { .. }
-        | CInstr::Loop { .. }
-        | CInstr::LoopDyn { .. } => {
-            unreachable!("stores and loops are never stream-cached")
-        }
-    }
-}
-
 /// The warp-coalescing scan over one access's lane stream: chunk lanes
 /// into warps of 32, bounds-check active offsets, dedup each warp's
 /// sector ids into L2 transactions, and feed the launch-wide DRAM
@@ -1671,7 +1646,8 @@ fn kernel_allows_parallel_execute(kernel: &Kernel) -> bool {
 ///
 /// # Errors
 ///
-/// * [`GpuError::Kernel`] if the kernel fails validation.
+/// * [`GpuError::Kernel`] if the kernel fails validation or breaks a
+///   block-shape rule (see [`Program::compile`]).
 /// * [`GpuError::ParamCountMismatch`] / [`GpuError::BadGrid`] on binding
 ///   errors.
 /// * [`GpuError::OffsetOutOfBounds`] if any active lane addresses outside

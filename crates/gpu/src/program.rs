@@ -4,7 +4,26 @@
 //! The seed interpreter re-walked the kernel IR tree for every grid
 //! instance, re-materializing `arange`/constant blocks and re-deriving
 //! every schedule-invariant offset each time. Compilation hoists that
-//! work with three coordinated analyses (item 3 records one retired):
+//! work, guided by the analyses the items below describe.
+//!
+//! Six of them are dataflow problems over the kernel's registers, and
+//! all six run on one driver, `solve`: starting from every register at
+//! the lattice's bottom, it applies the analysis's transfer function to
+//! each instruction in pre-order until a whole pass changes nothing (the
+//! register edges come from [`Instr::dst`] and [`Instr::operands`]), and
+//! answers the lattice's top should it not converge within its cap. The
+//! two analyses that are not fixpoints — liveness (item 2) and separable
+//! sites (item 6) — are computed by lowering, the one walk that turns
+//! the kernel into units, from the same edges.
+//!
+//! | analysis (module, item) | lattice per register: bottom; join | transfer of one instruction | consumer |
+//! | --- | --- | --- | --- |
+//! | levels (`levels`, 1) | 0 ≤ 1 ≤ 2: 0; max | its destination takes the max of its operands' levels and its own (`program_id` of a grid axis, a load of a written parameter) | unit modes, node cache levels, per-instance registers |
+//! | affine values (`affine`, 4) | unset ≤ constant ≤ invariant ≤ bad, affine ≤ bad: unset; widen | its destination's value along grid axis 0 under analytic semantics | site coefficients, `dedup_ok` |
+//! | dot sources (`dot_sources`, 5) | parameter bits and `INEXACT`: none; or | a constant or load names its source, a rearrangement passes its operand's mask on, anything else is `INEXACT` | exact-product `tl.dot` eligibility |
+//! | shapes (`shapes`) | unset ≤ one shape ≤ unknown: unset; equal or unknown | its shape rule; a rule that fails on converged known operand shapes is a [`GpuError::Kernel`] | separable sites, value-site lanes |
+//! | taint (`value_slice`, 7) | false ≤ true: false; or | a load of a float or written parameter, or a tainted value operand, taints its destination | [`ReplayDecline::FloatAddress`] |
+//! | needed (`value_slice`, 7) | false ≤ true: false; or | a store, or a writer of a needed register, needs its value operands (backward; cut at index operands) | value flags of units, nodes and sites |
 //!
 //! 1. **pid-dependence levels** — every register is classified by the
 //!    grid axes its value (transitively) depends on: level 0 values are
@@ -15,8 +34,8 @@
 //!    instance. The grid is known: `program_id` of an extent-1 axis is
 //!    the constant 0 (level 0 — the column tile of the `[1, n]` grids of
 //!    COO, conv and the tensor product), and when axis 0 has extent 1
-//!    there is no per-row tier at all. Invariant instructions trapped inside per-instance loops
-//!    are cached as *occurrence streams*: the row representative records
+//!    there is no per-row tier at all. Invariant instructions trapped
+//!    inside per-instance loops are cached as *occurrence streams*: the row representative records
 //!    one value per dynamic execution, later instances replay the
 //!    stream. Costs are still charged to every instance (they are
 //!    deterministic), so [`crate::KernelStats`] and timing stay
@@ -69,7 +88,7 @@
 //!    the access's own body, each read by nothing but its parent (the
 //!    root: by the access alone). The tree's leaves are whatever else
 //!    the adds read; by their static shapes (every block shape is a
-//!    function of the kernel text — `infer_shapes`) the root is `[n, m]`
+//!    function of the kernel text — `shapes`) the root is `[n, m]`
 //!    and each leaf varies along at most one of the two axes: a *row
 //!    term* `[n, 1]`, a *column term* `[1, m]` or `[m]`, or a scalar. So
 //!    `off[i, j] = R[i] + C[j]` with `R` the sum of the row and scalar
@@ -77,7 +96,7 @@
 //!    row mask `[n, 1]` or a column mask `[1, m]`; a stored or added
 //!    value broadcasts into `[n, m]`. Between the add that reads a leaf
 //!    and the access nothing writes that leaf, because the site reads it
-//!    when it executes (liveness counts that read: `for_each_read_ci`).
+//!    when it executes (liveness counts that read at the access).
 //!
 //!    *Integrality.* Folding `(R₁[i] + C₁[j]) + C₂[j]` into
 //!    `R₁[i] + (C₁ + C₂)[j]` reassociates f64 adds. Each execution
@@ -199,23 +218,33 @@
 //!    planted under a ready key flips the dot kernel exactly as it would
 //!    on a first launch (`tests/address_script.rs`).
 //!
-//! Compilation is cheap (one pass per analysis over the instruction
+//! Compilation is cheap (a few passes per analysis over the instruction
 //! tree), but `insum_inductor`'s `ProgramCache` still memoizes programs
 //! across launches keyed by kernel fingerprint + grid + argument
 //! metadata, so repeated executions and autotuning sweeps never re-lower.
 
-use crate::block::{apply_binop, Shape4, MAX_RANK};
-use crate::exact_dot::{all_finite, f32_exact};
+use crate::block::Shape4;
 use crate::interp::{GpuError, SECTOR};
 use crate::script::ReplaySlot;
-use insum_kernel::{param_usage, BinOp, Instr, Kernel, Reg};
-use insum_tensor::{DType, Tensor};
-
-mod digest;
-mod value_slice;
-pub use digest::record_digests;
-pub use value_slice::ReplayDecline;
+use affine::{Avals, AV};
+use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, Reg};
+use insum_tensor::DType;
+use levels::Levels;
+use row_sites::SiteScan;
 use value_slice::ValueSlice;
+
+mod affine;
+mod digest;
+mod dot_sources;
+mod levels;
+mod row_sites;
+mod shapes;
+mod value_slice;
+
+pub use digest::record_digests;
+pub(crate) use dot_sources::DotSources;
+pub(crate) use row_sites::{RowSite, RowSites, SiteMask, TermAxis, TreeOp};
+pub use value_slice::ReplayDecline;
 
 /// How often a top-level unit executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,12 +348,13 @@ pub(crate) enum CInstr {
 }
 
 /// One instruction inside a per-instance region. `cached` is the
-/// invariance level (0 grid-invariant, 1 row-invariant) of instructions
-/// whose per-occurrence values the representative records and later
-/// instances replay; `None` executes every time.
+/// invariance level (0 grid-invariant, 1 row-invariant) and destination
+/// register of instructions whose per-occurrence values the
+/// representative records and later instances replay; `None` executes
+/// every time.
 #[derive(Debug, Clone)]
 pub(crate) struct CNode {
-    pub(crate) cached: Option<u8>,
+    pub(crate) cached: Option<(u8, Reg)>,
     /// In the value slice (analysis 7): a replayed launch executes it.
     pub(crate) value: bool,
     pub(crate) instr: CInstr,
@@ -366,7 +396,7 @@ pub(crate) struct SiteInfo {
     /// cached node), 1 once per row of instances, 2 every instance.
     pub(crate) level: u8,
     /// The static shape of the site's lanes (offsets joined with mask and
-    /// value); `None` when `infer_shapes` cannot tell.
+    /// value); `None` when the shape analysis cannot tell.
     pub(crate) lanes: Option<Shape4>,
 }
 
@@ -505,7 +535,9 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// * [`GpuError::Kernel`] if the kernel fails validation.
+    /// * [`GpuError::Kernel`] if the kernel fails validation, or applies
+    ///   a shape rule to blocks whose static shapes break it (a transpose
+    ///   of a 1-D block, a dot of disagreeing dimensions, …).
     /// * [`GpuError::ParamCountMismatch`] if `lens`/`dtypes` do not match
     ///   the kernel's parameter list.
     /// * [`GpuError::BadGrid`] if the grid is empty, has more than three
@@ -534,12 +566,10 @@ impl Program {
             .ok_or_else(|| GpuError::BadGrid(grid.to_vec()))?;
 
         let usage = param_usage(kernel);
-        let levels = compute_levels(kernel, &usage.written, gdims);
-        let uses = reg_use_counts(kernel);
-        let avals = compute_avals(kernel, dtypes, &usage.written);
+        let shapes = shapes::infer(kernel)?;
+        let levels = Levels::analyze(kernel, &usage.written, gdims);
+        let avals = Avals::analyze(kernel, dtypes, &usage.written);
         let params = ParamTable::new(lens, dtypes);
-        let shapes = infer_shapes(kernel);
-        let row_sites = RowSites::analyze(kernel, &uses, &shapes);
         let slice = ValueSlice::analyze(kernel, dtypes, &usage.written);
 
         let mut ctx = Lowering {
@@ -548,43 +578,30 @@ impl Program {
             params: &params,
             shapes: &shapes,
             slice: &slice,
+            rows: SiteScan::new(kernel, &shapes),
             sites: Vec::new(),
             dedup_ok: avals.loops_ok,
+            unit: 0,
+            last_use: vec![None; kernel.num_regs],
         };
-        let mut units = Vec::new();
-        for top in &kernel.body {
-            // A unit's frequency covers its whole subtree *and* every
-            // register it writes: a prologue `full(...)` that a
-            // per-instance loop also writes (the accumulator pattern)
-            // must re-execute per instance to reset the register.
-            let lvl = unit_level(top, &levels);
-            let first_site = ctx.sites.len();
-            let instr = ctx.lower_one(top, lvl >= 2, 0);
-            if lvl < 2 {
-                // Nothing in a once/per-row unit is stream-cached: its
-                // sites all execute at the unit's own frequency.
-                for site in &mut ctx.sites[first_site..] {
-                    site.level = lvl;
-                }
-            }
-            units.push(CUnit {
-                mode: match lvl {
-                    0 => UnitMode::Once,
-                    1 => UnitMode::PerRow,
-                    _ => UnitMode::PerInstance,
-                },
-                value: slice.contains(top),
-                instr,
-                release: Vec::new(),
-            });
-        }
-
+        let mut units = ctx.lower_units(&kernel.body);
         let level2_regs: Vec<Reg> = (0..kernel.num_regs)
             .filter(|&r| levels.reg[r] >= 2)
             .collect();
-        let sites = ctx.sites;
-        let dedup_ok = ctx.dedup_ok;
-        assign_release_lists(&mut units, &level2_regs, kernel.num_regs, &row_sites);
+        // Last-use liveness at top-level granularity: after the final unit
+        // that reads a per-instance register, its buffer is dead.
+        for &r in &level2_regs {
+            if let Some(i) = ctx.last_use[r] {
+                units[i].release.push(r);
+            }
+        }
+        let Lowering {
+            sites,
+            dedup_ok,
+            rows,
+            ..
+        } = ctx;
+        let row_sites = rows.finish();
         let replay = match slice.decline(&sites, &params) {
             Some(decline) => Err(decline),
             None => Ok(ReplaySlot::new(dtypes, &sites)),
@@ -619,906 +636,122 @@ impl Program {
 }
 
 // ---------------------------------------------------------------------
-// Dot-operand provenance (exact-product eligibility)
+// The dataflow driver
 // ---------------------------------------------------------------------
 
-/// Where each register's value comes from, as far as `tl.dot`
-/// eligibility cares. A register's mask has bit `p` set when its
-/// elements may be loaded from parameter `p`, and [`DotSources::INEXACT`]
-/// set when they may be anything that is not provably f32-representable.
-/// A mask without `INEXACT` means: every element is an f32-exact
-/// constant or a raw element of one of the named read-only parameters,
-/// moved around by `ExpandDims`/`Broadcast`/`View`/`Trans` only. Such a
-/// value is f32-representable by construction (tensor storage is `f32`),
-/// and finite exactly when those parameters are — which the launch
-/// checks once per parameter, so each dot decides in O(1).
-#[derive(Debug)]
-pub(crate) struct DotSources {
-    /// Source mask per register.
-    reg: Vec<u64>,
-    /// Parameters some dot's eligibility depends on: the ones a launch
-    /// scans for non-finite values.
-    scanned_params: u64,
-}
-
-impl DotSources {
-    /// Poison bit: the value is not provably f32-representable.
-    const INEXACT: u64 = 1 << 63;
-
-    fn analyze(kernel: &Kernel, written: &[bool]) -> DotSources {
-        // Registers are not SSA (accumulators, loop-carried values):
-        // a register's mask is the union over all its writers, reached
-        // by iterating the monotone pass to a fixpoint.
-        let mut reg = vec![0u64; kernel.num_regs];
-        loop {
-            let before = reg.clone();
-            dot_sources_pass(&kernel.body, written, &mut reg);
-            if reg == before {
-                break;
-            }
-        }
-        let mut scanned_params = 0u64;
-        for instr in &kernel.body {
-            visit_tree(instr, &mut |i| {
-                if let Instr::Dot { a, b, .. } = i {
-                    let mask = reg[*a] | reg[*b];
-                    if mask & DotSources::INEXACT == 0 {
-                        scanned_params |= mask;
-                    }
-                }
-            });
-        }
-        DotSources {
-            reg,
-            scanned_params,
+/// The one fixpoint of the analyses: starting from every register at
+/// `bottom`, run `step` on every instruction in pre-order (a loop before
+/// its body) until a whole pass changes nothing. An analysis is its
+/// transfer function: `step` joins what one instruction implies into the
+/// state — a forward analysis into the instruction's destination, the
+/// value slice into its operands. Registers are not SSA and loop-carried
+/// values flow backwards, so one pass is not always enough. Joins are
+/// monotone on lattices a few levels high, so convergence takes a few
+/// passes; should the safety cap be hit anyway, every register is `top`,
+/// so an analysis may over-approximate but never under-approximate.
+fn solve<T: Copy + PartialEq>(
+    kernel: &Kernel,
+    bottom: T,
+    top: T,
+    mut step: impl FnMut(&Instr, &mut [T]),
+) -> Vec<T> {
+    let mut state = vec![bottom; kernel.num_regs];
+    for _ in 0..3 * kernel.num_regs + 8 {
+        let before = state.clone();
+        visit_instrs(&kernel.body, &mut |instr| step(instr, &mut state));
+        if state == before {
+            return state;
         }
     }
-
-    /// The per-launch half of eligibility: which of the parameters a
-    /// dot depends on hold a NaN or Inf right now. One pass over each
-    /// such parameter; the result feeds [`DotSources::eligible`] for the
-    /// whole launch, every shard included.
-    pub(crate) fn nonfinite_params(&self, args: &[&mut Tensor]) -> u64 {
-        let mut nonfinite = DotSources::INEXACT;
-        // Bit 63 is the poison bit, so only parameters 0..63 have one.
-        for (p, t) in args.iter().enumerate().take(63) {
-            if self.scanned_params & (1 << p) != 0 && !all_finite(t.data()) {
-                nonfinite |= 1 << p;
-            }
-        }
-        nonfinite
-    }
-
-    /// Whether `dot(a, b)` may run the exact-product kernel this launch
-    /// (`nonfinite` from [`DotSources::nonfinite_params`]): both operands
-    /// provably f32-representable, and every parameter they draw from
-    /// finite.
-    #[inline]
-    pub(crate) fn eligible(&self, a: Reg, b: Reg, nonfinite: u64) -> bool {
-        (self.reg[a] | self.reg[b]) & nonfinite == 0
-    }
-}
-
-fn dot_sources_pass(body: &[Instr], written: &[bool], reg: &mut [u64]) {
-    let exact_const = |v: f64| {
-        if f32_exact(v) {
-            0
-        } else {
-            DotSources::INEXACT
-        }
-    };
-    for instr in body {
-        match instr {
-            Instr::Const { dst, value } | Instr::Full { dst, value, .. } => {
-                reg[*dst] |= exact_const(*value);
-            }
-            Instr::Load {
-                dst, param, other, ..
-            } => {
-                // A parameter the kernel also writes holds whatever the
-                // kernel computed, not what the launch-time scan saw;
-                // masked-off lanes take `other`.
-                reg[*dst] |= if written[*param] || *param >= 63 {
-                    DotSources::INEXACT
-                } else {
-                    (1 << *param) | exact_const(*other)
-                };
-            }
-            Instr::ExpandDims { dst, src, .. }
-            | Instr::Broadcast { dst, src, .. }
-            | Instr::View { dst, src, .. }
-            | Instr::Trans { dst, src } => {
-                let mask = reg[*src];
-                reg[*dst] |= mask;
-            }
-            // Arithmetic results are arbitrary f64s. (Program ids,
-            // `arange` lanes and loop counters are small integers, but
-            // no kernel feeds them to a dot; poisoning them keeps the
-            // rule one line long.)
-            Instr::ProgramId { dst, .. }
-            | Instr::Arange { dst, .. }
-            | Instr::Binary { dst, .. }
-            | Instr::Dot { dst, .. }
-            | Instr::Sum { dst, .. } => reg[*dst] |= DotSources::INEXACT,
-            Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
-            Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
-                reg[*var] |= DotSources::INEXACT;
-                dot_sources_pass(body, written, reg);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Separable access sites (row-run address streams)
-// ---------------------------------------------------------------------
-
-/// Which lane axis a leaf of a separable offset tree varies along.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TermAxis {
-    /// Shape `[n, 1]`: one value per row of lanes.
-    Row,
-    /// Shape `[1, m]` (or `[m]`): one value per column of lanes.
-    Col,
-    /// A scalar (every dimension 1).
-    Scalar,
-}
-
-/// One step of an offset tree in postfix order: evaluating the steps on
-/// a stack reproduces the kernel's own association of the adds, which is
-/// what the generic fallback materialises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TreeOp {
-    Leaf(Reg, TermAxis),
-    Add,
-}
-
-/// The mask of a separable site, by the lane axis it varies along.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SiteMask {
-    None,
-    /// Shape `[n, 1]`: whole rows of lanes are on or off.
-    Rows(Reg),
-    /// Shape `[1, m]`: whole columns of lanes are on or off.
-    Cols(Reg),
-}
-
-/// A 2-D memory access whose offsets are `off[i, j] = R[i] + C[j]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RowSite {
-    /// Rows of lanes.
-    pub(crate) n: usize,
-    /// Lanes per row.
-    pub(crate) m: usize,
-    pub(crate) tree: Vec<TreeOp>,
-    pub(crate) mask: SiteMask,
-}
-
-/// Analysis 6 (see the module docs): which access sites are separable,
-/// and which `Binary::Add`s exist only to form their offset blocks.
-/// Derived from the kernel alone, like [`DotSources`].
-#[derive(Debug)]
-pub(crate) struct RowSites {
-    /// Per site id (lowering order), the recognised form if any.
-    site: Vec<Option<RowSite>>,
-    /// Per register, the lane count of the elided add that defines it.
-    elided: Vec<Option<u64>>,
-}
-
-/// Leaves per offset tree. With every leaf an integer below 2^48 in
-/// magnitude (checked at each execution), any partial sum of at most
-/// this many leaves stays below 2^52, so f64 adds are exact in every
-/// association and agree with the i64 sums the row walk forms.
-pub(crate) const MAX_TREE_LEAVES: usize = 8;
-
-impl RowSites {
-    fn analyze(kernel: &Kernel, uses: &[u32], shapes: &[Option<Shape4>]) -> RowSites {
-        let mut writers = vec![0u32; kernel.num_regs];
-        for instr in &kernel.body {
-            for_each_write(instr, &mut |r| writers[r] += 1);
-        }
-        let mut scan = SiteScan {
-            shapes,
-            uses,
-            writers: &writers,
-            add_def: vec![None; kernel.num_regs],
-            next_body: 0,
-            out: RowSites {
-                site: Vec::new(),
-                elided: vec![None; kernel.num_regs],
-            },
-        };
-        scan.body(&kernel.body);
-        scan.out
-    }
-
-    /// The separable form of site `site`, if it was recognised.
-    #[inline]
-    pub(crate) fn site(&self, site: u32) -> Option<&RowSite> {
-        self.site.get(site as usize).and_then(Option::as_ref)
-    }
-
-    /// When `dst` is defined by an elided offset-forming add, the number
-    /// of lanes that add computes (its `flops_scalar` charge).
-    #[inline]
-    pub(crate) fn elided_lanes(&self, dst: Reg) -> Option<u64> {
-        self.elided[dst]
-    }
-
-    fn for_each_leaf(&self, site: u32, f: &mut impl FnMut(Reg)) {
-        if let Some(rs) = self.site(site) {
-            for op in &rs.tree {
-                if let TreeOp::Leaf(r, _) = op {
-                    f(*r);
-                }
-            }
-        }
-    }
-
-    /// `(recognised, total)` access sites.
-    fn counts(&self) -> (usize, usize) {
-        (self.site.iter().flatten().count(), self.site.len())
-    }
-}
-
-/// A single-writer `dst = a + b` at top level of some body.
-#[derive(Clone, Copy)]
-struct AddDef {
-    body: u32,
-    idx: usize,
-    a: Reg,
-    b: Reg,
-}
-
-struct SiteScan<'a> {
-    shapes: &'a [Option<Shape4>],
-    uses: &'a [u32],
-    writers: &'a [u32],
-    add_def: Vec<Option<AddDef>>,
-    next_body: u32,
-    out: RowSites,
-}
-
-impl SiteScan<'_> {
-    /// Walk one body in program order — the order lowering numbers
-    /// sites in — recognising each access against the adds of the same
-    /// body.
-    fn body(&mut self, body: &[Instr]) {
-        let id = self.next_body;
-        self.next_body += 1;
-        for (idx, instr) in body.iter().enumerate() {
-            if let Instr::Binary {
-                dst,
-                op: BinOp::Add,
-                a,
-                b,
-            } = instr
-            {
-                if self.writers[*dst] == 1 {
-                    self.add_def[*dst] = Some(AddDef {
-                        body: id,
-                        idx,
-                        a: *a,
-                        b: *b,
-                    });
-                }
-            }
-        }
-        for (idx, instr) in body.iter().enumerate() {
-            match instr {
-                Instr::Load { offset, mask, .. } => {
-                    self.access(body, id, idx, *offset, *mask, None);
-                }
-                Instr::Store {
-                    offset,
-                    value,
-                    mask,
-                    ..
-                }
-                | Instr::AtomicAdd {
-                    offset,
-                    value,
-                    mask,
-                    ..
-                } => self.access(body, id, idx, *offset, *mask, Some(*value)),
-                Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => self.body(body),
-                _ => {}
-            }
-        }
-    }
-
-    fn access(
-        &mut self,
-        body: &[Instr],
-        id: u32,
-        idx: usize,
-        offset: Reg,
-        mask: Option<Reg>,
-        value: Option<Reg>,
-    ) {
-        let found = self.recognise(body, id, idx, offset, mask, value);
-        self.out.site.push(found.map(|(site, adds)| {
-            for (dst, lanes) in adds {
-                self.out.elided[dst] = Some(lanes);
-            }
-            site
-        }));
-    }
-
-    /// The separable form of the access at `body[idx]`, with the
-    /// `(dst, lanes)` of the adds it makes unnecessary.
-    fn recognise(
-        &self,
-        body: &[Instr],
-        id: u32,
-        idx: usize,
-        offset: Reg,
-        mask: Option<Reg>,
-        value: Option<Reg>,
-    ) -> Option<(RowSite, Vec<(Reg, u64)>)> {
-        let off_shape = self.shapes[offset]?;
-        let &[n, m] = off_shape.as_slice() else {
-            return None;
-        };
-        if n == 0 || m == 0 {
-            return None;
-        }
-        let mut found = OffsetTree::default();
-        self.collect(offset, id, idx, (n, m), &mut found)?;
-        let OffsetTree { ops, adds, leaves } = found;
-        if ops.last() != Some(&TreeOp::Add) {
-            return None;
-        }
-        // The site reads a leaf when it executes, not where the add that
-        // consumed it stood: nothing in between may overwrite it.
-        for &(leaf, read_at) in &leaves {
-            let mut clobbered = false;
-            for instr in &body[read_at + 1..idx] {
-                for_each_write(instr, &mut |r| clobbered |= r == leaf);
-            }
-            if clobbered {
-                return None;
-            }
-        }
-        let mask = match mask {
-            None => SiteMask::None,
-            Some(r) => match lane_axis(self.shapes[r]?, n, m)? {
-                TermAxis::Row => SiteMask::Rows(r),
-                TermAxis::Col => SiteMask::Cols(r),
-                // One row of lanes: a `[1, 1]` mask is its row mask.
-                TermAxis::Scalar if n == 1 => SiteMask::Rows(r),
-                TermAxis::Scalar => return None,
-            },
-        };
-        if let Some(v) = value {
-            // The value must broadcast *into* the offset block, or some
-            // address would be written more than once per lane.
-            let vs = self.shapes[v]?;
-            if Shape4::try_joint(vs.as_slice(), &[n, m])? != off_shape {
-                return None;
-            }
-        }
-        Some((
-            RowSite {
-                n,
-                m,
-                tree: ops,
-                mask,
-            },
-            adds,
-        ))
-    }
-
-    /// Append the postfix form of `reg`'s subtree: an add that this site
-    /// alone reads (and that stands before `before`, its reader, in the
-    /// same body) is an inner node, anything else a leaf.
-    fn collect(
-        &self,
-        reg: Reg,
-        id: u32,
-        before: usize,
-        nm: (usize, usize),
-        out: &mut OffsetTree,
-    ) -> Option<()> {
-        if let Some(d) = self.add_def[reg] {
-            if d.body == id && d.idx < before && self.uses[reg] == 1 {
-                self.collect(d.a, id, d.idx, nm, out)?;
-                self.collect(d.b, id, d.idx, nm, out)?;
-                out.ops.push(TreeOp::Add);
-                out.adds.push((reg, self.shapes[reg]?.volume() as u64));
-                return Some(());
-            }
-        }
-        if out.leaves.len() >= MAX_TREE_LEAVES {
-            return None;
-        }
-        let axis = lane_axis(self.shapes[reg]?, nm.0, nm.1)?;
-        out.ops.push(TreeOp::Leaf(reg, axis));
-        out.leaves.push((reg, before));
-        Some(())
-    }
-}
-
-/// An offset tree under construction.
-#[derive(Default)]
-struct OffsetTree {
-    /// Postfix form.
-    ops: Vec<TreeOp>,
-    /// `(dst, lanes)` of the inner adds.
-    adds: Vec<(Reg, u64)>,
-    /// `(reg, position of the add that reads it)` of the leaves.
-    leaves: Vec<(Reg, usize)>,
-}
-
-/// The lane axis a block of `shape` varies along inside an `[n, m]`
-/// access; `None` when it varies along both or does not broadcast into
-/// `[n, m]`.
-fn lane_axis(shape: Shape4, n: usize, m: usize) -> Option<TermAxis> {
-    let (d0, d1) = match *shape.as_slice() {
-        [] => (1, 1),
-        [b] => (1, b),
-        [a, b] => (a, b),
-        _ => return None,
-    };
-    match (d0 != 1, d1 != 1) {
-        (true, true) => None,
-        (true, false) => (d0 == n).then_some(TermAxis::Row),
-        (false, true) => (d1 == m).then_some(TermAxis::Col),
-        (false, false) => Some(TermAxis::Scalar),
-    }
-}
-
-/// Static block shapes: every instruction's result shape is a function
-/// of the kernel text alone. `None` for a register whose writers disagree
-/// or whose shape depends on such a register.
-fn infer_shapes(kernel: &Kernel) -> Vec<Option<Shape4>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum S {
-        Unset,
-        Known(Shape4),
-        Unknown,
-    }
-    fn get(st: &[S], r: Reg) -> Option<Shape4> {
-        match st[r] {
-            S::Known(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn set(st: &mut [S], r: Reg, v: Option<Shape4>) {
-        st[r] = match (st[r], v) {
-            (S::Unset, Some(s)) => S::Known(s),
-            (S::Known(old), Some(s)) if old == s => S::Known(s),
-            _ => S::Unknown,
-        };
-    }
-    fn packed(shape: &[usize]) -> Option<Shape4> {
-        (shape.len() <= MAX_RANK).then(|| Shape4::from_slice(shape))
-    }
-    fn pass(body: &[Instr], st: &mut [S]) {
-        for instr in body {
-            match instr {
-                Instr::ProgramId { dst, .. } | Instr::Const { dst, .. } => {
-                    set(st, *dst, packed(&[]));
-                }
-                Instr::Arange { dst, len } => set(st, *dst, packed(&[*len])),
-                Instr::Full { dst, shape, .. }
-                | Instr::Broadcast { dst, shape, .. }
-                | Instr::View { dst, shape, .. } => set(st, *dst, packed(shape)),
-                Instr::Binary { dst, a, b, .. } => {
-                    let v = get(st, *a)
-                        .zip(get(st, *b))
-                        .and_then(|(x, y)| Shape4::try_joint(x.as_slice(), y.as_slice()));
-                    set(st, *dst, v);
-                }
-                Instr::ExpandDims { dst, src, axis } => {
-                    let v = get(st, *src).and_then(|s| {
-                        let mut dims = s.as_slice().to_vec();
-                        (*axis <= dims.len()).then(|| dims.insert(*axis, 1))?;
-                        packed(&dims)
-                    });
-                    set(st, *dst, v);
-                }
-                Instr::Trans { dst, src } => {
-                    let v = get(st, *src).and_then(|s| match *s.as_slice() {
-                        [a, b] => packed(&[b, a]),
-                        _ => None,
-                    });
-                    set(st, *dst, v);
-                }
-                Instr::Sum { dst, src, axis } => {
-                    let v = get(st, *src).and_then(|s| {
-                        let mut dims = s.as_slice().to_vec();
-                        (*axis < dims.len()).then(|| dims.remove(*axis))?;
-                        packed(&dims)
-                    });
-                    set(st, *dst, v);
-                }
-                Instr::Dot { dst, a, b } => {
-                    let v = get(st, *a).zip(get(st, *b)).and_then(|(x, y)| {
-                        match (x.as_slice(), y.as_slice()) {
-                            (&[m, _], &[_, n]) => packed(&[m, n]),
-                            _ => None,
-                        }
-                    });
-                    set(st, *dst, v);
-                }
-                Instr::Load {
-                    dst, offset, mask, ..
-                } => {
-                    let v = get(st, *offset).and_then(|o| match mask {
-                        None => Some(o),
-                        Some(m) => Shape4::try_joint(o.as_slice(), get(st, *m)?.as_slice()),
-                    });
-                    set(st, *dst, v);
-                }
-                Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
-                Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
-                    set(st, *var, packed(&[]));
-                    pass(body, st);
-                }
-            }
-        }
-    }
-    // `Unset → Known → Unknown` only ever moves forward, so the passes
-    // converge; a register read before any writer reached it makes its
-    // reader `Unknown` straight away, which is merely conservative.
-    let mut st = vec![S::Unset; kernel.num_regs];
-    loop {
-        let before = st.clone();
-        pass(&kernel.body, &mut st);
-        if st == before {
-            break;
-        }
-    }
-    (0..kernel.num_regs).map(|r| get(&st, r)).collect()
-}
-
-// ---------------------------------------------------------------------
-// pid-dependence levels
-// ---------------------------------------------------------------------
-
-struct Levels {
-    /// Invariance level per register: 0 grid-invariant, 1 row-invariant
-    /// (axis 0 free), 2 per-instance.
-    reg: Vec<u8>,
-}
-
-/// Fixpoint over the instruction tree: an instruction's level is the max
-/// of its intrinsic level (`program_id` axes, loads from written
-/// parameters) and its operands' register levels; a register's level is
-/// the max over its writers. Loop-carried dependences converge in a few
-/// passes.
-///
-/// The grid decides what `program_id` costs: along an axis of extent 1
-/// it is the constant 0 (level 0), and when axis 0 has extent 1 a row is
-/// one instance, so a per-row tier would record streams every instance
-/// and replay them never — level 1 then folds into level 2 and only the
-/// grid-invariant tier remains (no node of such a program is cached at
-/// level 1).
-fn compute_levels(kernel: &Kernel, written: &[bool], gdims: [usize; 3]) -> Levels {
-    let mut reg = vec![0u8; kernel.num_regs];
-    loop {
-        let before = reg.clone();
-        levels_pass(&kernel.body, written, gdims, &mut reg);
-        if reg == before {
-            break;
-        }
-    }
-    if gdims[0] == 1 {
-        for l in &mut reg {
-            if *l == 1 {
-                *l = 2;
-            }
-        }
-    }
-    Levels { reg }
-}
-
-fn levels_pass(body: &[Instr], written: &[bool], gdims: [usize; 3], reg: &mut [u8]) {
-    for instr in body {
-        match instr {
-            Instr::ProgramId { dst, axis } => {
-                let lvl = match *axis {
-                    a if gdims.get(a) == Some(&1) => 0,
-                    0 => 2,
-                    _ => 1,
-                };
-                reg[*dst] = reg[*dst].max(lvl);
-            }
-            Instr::Const { dst, .. } | Instr::Arange { dst, .. } | Instr::Full { dst, .. } => {
-                // Intrinsically invariant; level raised only by other
-                // writers of the same register.
-                let _ = dst;
-            }
-            Instr::Binary { dst, a, b, .. } => {
-                let lvl = reg[*a].max(reg[*b]);
-                reg[*dst] = reg[*dst].max(lvl);
-            }
-            Instr::ExpandDims { dst, src, .. }
-            | Instr::Broadcast { dst, src, .. }
-            | Instr::View { dst, src, .. }
-            | Instr::Trans { dst, src }
-            | Instr::Sum { dst, src, .. } => {
-                let lvl = reg[*src];
-                reg[*dst] = reg[*dst].max(lvl);
-            }
-            Instr::Load {
-                dst,
-                param,
-                offset,
-                mask,
-                ..
-            } => {
-                // Loads from parameters the kernel also writes see
-                // evolving data: never cacheable across instances.
-                let base = if written[*param] { 2 } else { 0 };
-                let lvl = base.max(reg[*offset]).max(mask.map_or(0, |m| reg[m]));
-                reg[*dst] = reg[*dst].max(lvl);
-            }
-            Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
-            Instr::Dot { dst, a, b } => {
-                let lvl = reg[*a].max(reg[*b]);
-                reg[*dst] = reg[*dst].max(lvl);
-            }
-            Instr::Loop { body, .. } => levels_pass(body, written, gdims, reg),
-            Instr::LoopDyn {
-                var,
-                start,
-                end,
-                body,
-            } => {
-                let bounds = reg[*start].max(reg[*end]);
-                reg[*var] = reg[*var].max(bounds);
-                levels_pass(body, written, gdims, reg);
-            }
-        }
-    }
-}
-
-/// The level at which an instruction must execute: the max level of
-/// every register it writes, plus 2 for memory writes (their effects
-/// accumulate or must stay ordered against other instances) and the
-/// levels of dynamic loop bounds (they control trip counts).
-fn unit_level(instr: &Instr, levels: &Levels) -> u8 {
-    let mut lvl = 0u8;
-    visit_tree(instr, &mut |i| match i {
-        Instr::Store { .. } | Instr::AtomicAdd { .. } => lvl = 2,
-        Instr::LoopDyn { start, end, .. } => {
-            lvl = lvl.max(levels.reg[*start]).max(levels.reg[*end]);
-        }
-        _ => {}
-    });
-    for_each_write(instr, &mut |r| lvl = lvl.max(levels.reg[r]));
-    lvl
-}
-
-fn visit_tree(instr: &Instr, f: &mut impl FnMut(&Instr)) {
-    f(instr);
-    if let Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } = instr {
-        for i in body {
-            visit_tree(i, f);
-        }
-    }
-}
-
-fn for_each_write(instr: &Instr, f: &mut impl FnMut(Reg)) {
-    match instr {
-        Instr::ProgramId { dst, .. }
-        | Instr::Const { dst, .. }
-        | Instr::Arange { dst, .. }
-        | Instr::Full { dst, .. }
-        | Instr::Binary { dst, .. }
-        | Instr::ExpandDims { dst, .. }
-        | Instr::Broadcast { dst, .. }
-        | Instr::View { dst, .. }
-        | Instr::Trans { dst, .. }
-        | Instr::Load { dst, .. }
-        | Instr::Dot { dst, .. }
-        | Instr::Sum { dst, .. } => f(*dst),
-        Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
-        Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
-            f(*var);
-            for i in body {
-                for_each_write(i, f);
-            }
-        }
-    }
-}
-
-/// Visit every register `instr` reads, recursing into loop bodies.
-fn for_each_read(instr: &Instr, f: &mut impl FnMut(Reg)) {
-    match instr {
-        Instr::ProgramId { .. }
-        | Instr::Const { .. }
-        | Instr::Arange { .. }
-        | Instr::Full { .. } => {}
-        Instr::Binary { a, b, .. } | Instr::Dot { a, b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        Instr::ExpandDims { src, .. }
-        | Instr::Broadcast { src, .. }
-        | Instr::View { src, .. }
-        | Instr::Trans { src, .. }
-        | Instr::Sum { src, .. } => f(*src),
-        Instr::Load { offset, mask, .. } => {
-            f(*offset);
-            if let Some(m) = mask {
-                f(*m);
-            }
-        }
-        Instr::Store {
-            offset,
-            value,
-            mask,
-            ..
-        }
-        | Instr::AtomicAdd {
-            offset,
-            value,
-            mask,
-            ..
-        } => {
-            f(*offset);
-            f(*value);
-            if let Some(m) = mask {
-                f(*m);
-            }
-        }
-        Instr::Loop { body, .. } => {
-            for i in body {
-                for_each_read(i, f);
-            }
-        }
-        Instr::LoopDyn {
-            start, end, body, ..
-        } => {
-            f(*start);
-            f(*end);
-            for i in body {
-                for_each_read(i, f);
-            }
-        }
-    }
-}
-
-/// Visit every register `instr` reads, recursing into loop bodies. A
-/// recognised separable site also reads the leaves of its offset tree
-/// (see [`RowSites`]), so they stay live until the access.
-fn for_each_read_ci(instr: &CInstr, row_sites: &RowSites, f: &mut impl FnMut(Reg)) {
-    match instr {
-        CInstr::ProgramId { .. }
-        | CInstr::Const { .. }
-        | CInstr::Arange { .. }
-        | CInstr::Full { .. } => {}
-        CInstr::Binary { a, b, .. } | CInstr::Dot { a, b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        CInstr::ExpandDims { src, .. }
-        | CInstr::Broadcast { src, .. }
-        | CInstr::View { src, .. }
-        | CInstr::Trans { src, .. }
-        | CInstr::Sum { src, .. } => f(*src),
-        CInstr::Load {
-            offset, mask, site, ..
-        } => {
-            f(*offset);
-            if let Some(m) = mask {
-                f(*m);
-            }
-            row_sites.for_each_leaf(*site, f);
-        }
-        CInstr::Store {
-            offset,
-            value,
-            mask,
-            site,
-            ..
-        }
-        | CInstr::AtomicAdd {
-            offset,
-            value,
-            mask,
-            site,
-            ..
-        } => {
-            f(*offset);
-            f(*value);
-            if let Some(m) = mask {
-                f(*m);
-            }
-            row_sites.for_each_leaf(*site, f);
-        }
-        CInstr::Loop { body, .. } => {
-            for n in body {
-                for_each_read_ci(&n.instr, row_sites, f);
-            }
-        }
-        CInstr::LoopDyn {
-            start, end, body, ..
-        } => {
-            f(*start);
-            f(*end);
-            for n in body {
-                for_each_read_ci(&n.instr, row_sites, f);
-            }
-        }
-    }
-}
-
-/// Last-use liveness at top-level granularity: after the final unit that
-/// reads a per-instance register (`level2_regs`), its buffer is dead.
-/// A separable site reads the leaves of its offset tree, so the lists
-/// depend on [`RowSites`].
-fn assign_release_lists(
-    units: &mut [CUnit],
-    level2_regs: &[Reg],
-    num_regs: usize,
-    row_sites: &RowSites,
-) {
-    let mut last_use: Vec<Option<usize>> = vec![None; num_regs];
-    for (i, unit) in units.iter().enumerate() {
-        for_each_read_ci(&unit.instr, row_sites, &mut |r| last_use[r] = Some(i));
-    }
-    for &r in level2_regs {
-        if let Some(i) = last_use[r] {
-            units[i].release.push(r);
-        }
-    }
-}
-
-fn reg_use_counts(kernel: &Kernel) -> Vec<u32> {
-    let mut uses = vec![0u32; kernel.num_regs];
-    // `for_each_read` recurses into loop bodies, so one pass over the top
-    // level counts every read in the program.
-    for instr in &kernel.body {
-        for_each_read(instr, &mut |r| uses[r] += 1);
-    }
-    uses
+    vec![top; kernel.num_regs]
 }
 
 // ---------------------------------------------------------------------
 // Lowering
 // ---------------------------------------------------------------------
 
+/// The one walk that lowers the kernel: it numbers sites and bodies in
+/// program order, feeds the separable-site scan, and takes liveness from
+/// each source instruction's operands.
 struct Lowering<'a> {
     levels: &'a Levels,
     avals: &'a Avals,
     params: &'a ParamTable,
     shapes: &'a [Option<Shape4>],
     slice: &'a ValueSlice,
+    rows: SiteScan<'a>,
     sites: Vec<SiteInfo>,
     dedup_ok: bool,
+    /// The top-level unit being lowered.
+    unit: usize,
+    /// Per register, the last top-level unit that reads it (a separable
+    /// site also reads the leaves of its offset tree).
+    last_use: Vec<Option<usize>>,
 }
 
 impl Lowering<'_> {
+    /// Lower the kernel's top-level body into units.
+    fn lower_units(&mut self, body: &[Instr]) -> Vec<CUnit> {
+        let id = self.rows.body();
+        let mut units = Vec::with_capacity(body.len());
+        for (idx, top) in body.iter().enumerate() {
+            self.unit = idx;
+            // A unit's frequency covers its whole subtree *and* every
+            // register it writes: a prologue `full(...)` that a
+            // per-instance loop also writes (the accumulator pattern)
+            // must re-execute per instance to reset the register.
+            let lvl = self.levels.of(top);
+            let first_site = self.sites.len();
+            let instr = self.lower_one(body, id, idx, lvl >= 2, 0);
+            if lvl < 2 {
+                // Nothing in a once/per-row unit is stream-cached: its
+                // sites all execute at the unit's own frequency.
+                for site in &mut self.sites[first_site..] {
+                    site.level = lvl;
+                }
+            }
+            units.push(CUnit {
+                mode: match lvl {
+                    0 => UnitMode::Once,
+                    1 => UnitMode::PerRow,
+                    _ => UnitMode::PerInstance,
+                },
+                value: self.slice.contains(top),
+                instr,
+                release: Vec::new(),
+            });
+        }
+        units
+    }
+
     /// Lower a loop body. `trip_level` is the invariance level of every
     /// enclosing loop's trip count: a node's occurrence stream is only
     /// aligned across instances when both its value *and* the number of
     /// times control reaches it are invariant, so the effective cache
     /// level is the max of the two.
     fn lower_body(&mut self, body: &[Instr], per_instance: bool, trip_level: u8) -> Vec<CNode> {
+        let id = self.rows.body();
         let mut nodes = Vec::with_capacity(body.len());
-        for instr in body {
-            let lvl = unit_level(instr, self.levels).max(trip_level);
+        for (idx, instr) in body.iter().enumerate() {
+            let lvl = self.levels.of(instr).max(trip_level);
             let value = self.slice.contains(instr);
-            let instr = self.lower_one(instr, per_instance, trip_level);
-            let cacheable = per_instance
-                && lvl <= 1
-                && !matches!(
-                    instr,
-                    CInstr::Loop { .. }
-                        | CInstr::LoopDyn { .. }
-                        | CInstr::Store { .. }
-                        | CInstr::AtomicAdd { .. }
-                );
-            if let (true, CInstr::Load { site, .. }) = (cacheable, &instr) {
+            let cached = match instr.dst() {
+                Some(dst)
+                    if per_instance
+                        && lvl <= 1
+                        && !matches!(instr, Instr::Loop { .. } | Instr::LoopDyn { .. }) =>
+                {
+                    Some((lvl, dst))
+                }
+                _ => None,
+            };
+            let instr = self.lower_one(body, id, idx, per_instance, trip_level);
+            if let (Some(_), CInstr::Load { site, .. }) = (cached, &instr) {
                 // Executed by the shard's or the row's representative only.
                 self.sites[*site as usize].level = lvl;
             }
             nodes.push(CNode {
-                cached: if cacheable { Some(lvl) } else { None },
+                cached,
                 value,
                 instr,
             });
@@ -1526,7 +759,20 @@ impl Lowering<'_> {
         nodes
     }
 
-    fn lower_one(&mut self, instr: &Instr, per_instance: bool, trip_level: u8) -> CInstr {
+    /// Lower `body[idx]`, the instruction at `idx` of body `id`.
+    fn lower_one(
+        &mut self,
+        body: &[Instr],
+        id: u32,
+        idx: usize,
+        per_instance: bool,
+        trip_level: u8,
+    ) -> CInstr {
+        let instr = &body[idx];
+        for (r, _) in instr.operands() {
+            self.last_use[r] = Some(self.unit);
+        }
+        self.rows.note(body, id, idx);
         match instr {
             Instr::ProgramId { dst, axis } => CInstr::ProgramId {
                 dst: *dst,
@@ -1629,25 +875,25 @@ impl Lowering<'_> {
                 start,
                 end,
                 step,
-                body,
+                body: inner,
             } => CInstr::Loop {
                 var: *var,
                 start: *start,
                 end: *end,
                 step: *step,
-                body: self.lower_body(body, per_instance, trip_level),
+                body: self.lower_body(inner, per_instance, trip_level),
             },
             Instr::LoopDyn {
                 var,
                 start,
                 end,
-                body,
+                body: inner,
             } => CInstr::LoopDyn {
                 var: *var,
                 start: *start,
                 end: *end,
                 body: self.lower_body(
-                    body,
+                    inner,
                     per_instance,
                     trip_level
                         .max(self.levels.reg[*start])
@@ -1669,14 +915,14 @@ impl Lowering<'_> {
         value: bool,
     ) -> u32 {
         let esize = self.params.esizes[param];
-        let coeff = match self.avals.reg[offset] {
+        let coeff = match self.avals.get(offset) {
             AV::Known { .. } | AV::NX { .. } => Some(0.0),
             AV::Aff(c) if ((c.abs() as u64) * esize).is_multiple_of(SECTOR) => Some(c),
             _ => None,
         };
         let mask_ok = match mask {
             None => true,
-            Some(m) => !matches!(self.avals.reg[m], AV::Aff(_) | AV::Bad),
+            Some(m) => !matches!(self.avals.get(m), AV::Aff(_) | AV::Bad),
         };
         if coeff.is_none() || !mask_ok {
             self.dedup_ok = false;
@@ -1704,293 +950,12 @@ impl Lowering<'_> {
             level: 2,
             lanes,
         });
+        // A separable site reads the leaves of its offset tree when it
+        // executes, so they stay live until the access.
+        let (unit, last_use) = (self.unit, &mut self.last_use);
+        self.rows
+            .sites()
+            .for_each_leaf(id, |r| last_use[r] = Some(unit));
         id
-    }
-}
-
-// ---------------------------------------------------------------------
-// Affine address-stream analysis (analytic instance classes)
-// ---------------------------------------------------------------------
-
-/// Abstract value of a register along grid axis 0, under *analytic*
-/// execution semantics (float loads produce zeros). `int` tracks
-/// provably-integer values: affine shifts are exact in `f64` only along
-/// all-integer chains, so `Aff` is produced and propagated only through
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AV {
-    /// Scalar compile-time constant (axis-0-invariant; usable as a
-    /// multiplication coefficient when integral).
-    Known { value: f64 },
-    /// Axis-0-invariant, not a known constant.
-    NX { int: bool },
-    /// `value = base + pid0 · c` elementwise, with integer values and a
-    /// compile-time integer constant `c != 0`.
-    Aff(f64),
-    /// Unknown axis-0 dependence.
-    Bad,
-}
-
-impl AV {
-    fn invariant(self) -> bool {
-        matches!(self, AV::Known { .. } | AV::NX { .. })
-    }
-
-    fn integral(self) -> bool {
-        match self {
-            AV::Known { value } => value.fract() == 0.0,
-            AV::NX { int } => int,
-            AV::Aff(_) => true,
-            AV::Bad => false,
-        }
-    }
-
-    fn join(self, other: AV) -> AV {
-        if self == other {
-            return self;
-        }
-        match (self, other) {
-            (AV::Known { .. } | AV::NX { .. }, AV::Known { .. } | AV::NX { .. }) => AV::NX {
-                int: self.integral() && other.integral(),
-            },
-            _ => AV::Bad,
-        }
-    }
-}
-
-struct Avals {
-    reg: Vec<AV>,
-    /// No dynamic loop has axis-0-varying trip counts.
-    loops_ok: bool,
-}
-
-fn compute_avals(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Avals {
-    let mut reg = vec![AV::NX { int: true }; kernel.num_regs];
-    let mut initialized = vec![false; kernel.num_regs];
-    let mut loops_ok = true;
-    // Fixpoint with join-on-rewrite: loop-carried values that change
-    // across iterations widen until stable (or to Bad). Joins are
-    // monotone on a 3-level lattice, so convergence takes at most
-    // ~3 · num_regs passes; if the safety cap is somehow hit anyway,
-    // degrade every register to Bad rather than ship an
-    // under-approximation (a stale "invariant" classification would
-    // silently break the bit-identity of instance-class replay).
-    let cap = 3 * kernel.num_regs + 8;
-    let mut converged = false;
-    for _ in 0..cap {
-        let before = reg.clone();
-        avals_pass(
-            &kernel.body,
-            dtypes,
-            written,
-            &mut reg,
-            &mut initialized,
-            &mut loops_ok,
-        );
-        if reg == before {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        reg.fill(AV::Bad);
-        loops_ok = false;
-    }
-    Avals { reg, loops_ok }
-}
-
-fn set_aval(reg: &mut [AV], initialized: &mut [bool], r: Reg, v: AV) {
-    if initialized[r] {
-        reg[r] = reg[r].join(v);
-    } else {
-        reg[r] = v;
-        initialized[r] = true;
-    }
-}
-
-fn avals_pass(
-    body: &[Instr],
-    dtypes: &[DType],
-    written: &[bool],
-    reg: &mut [AV],
-    initialized: &mut [bool],
-    loops_ok: &mut bool,
-) {
-    for instr in body {
-        match instr {
-            Instr::ProgramId { dst, axis } => {
-                let v = if *axis == 0 {
-                    AV::Aff(1.0)
-                } else {
-                    AV::NX { int: true }
-                };
-                set_aval(reg, initialized, *dst, v);
-            }
-            Instr::Const { dst, value } => {
-                set_aval(reg, initialized, *dst, AV::Known { value: *value })
-            }
-            Instr::Arange { dst, .. } => set_aval(reg, initialized, *dst, AV::NX { int: true }),
-            Instr::Full { dst, value, .. } => set_aval(
-                reg,
-                initialized,
-                *dst,
-                AV::NX {
-                    int: value.fract() == 0.0,
-                },
-            ),
-            Instr::Binary { dst, op, a, b } => {
-                let v = binary_aval(*op, reg[*a], reg[*b]);
-                set_aval(reg, initialized, *dst, v);
-            }
-            Instr::ExpandDims { dst, src, .. }
-            | Instr::Broadcast { dst, src, .. }
-            | Instr::View { dst, src, .. }
-            | Instr::Trans { dst, src } => {
-                let v = reg[*src];
-                set_aval(reg, initialized, *dst, v);
-            }
-            Instr::Sum { dst, src, .. } => {
-                // Sums of invariant blocks are invariant; affine blocks
-                // would need the (runtime) axis length as a coefficient.
-                let v = match reg[*src] {
-                    AV::Known { .. } | AV::NX { .. } => AV::NX {
-                        int: reg[*src].integral(),
-                    },
-                    _ => AV::Bad,
-                };
-                set_aval(reg, initialized, *dst, v);
-            }
-            Instr::Dot { dst, .. } => {
-                // Analytic `tl.dot` yields a zeros block whatever the
-                // inputs; only the (invariant) shapes matter.
-                set_aval(reg, initialized, *dst, AV::NX { int: true });
-            }
-            Instr::Load {
-                dst,
-                param,
-                offset,
-                mask,
-                other,
-            } => {
-                let mask_av = mask.map_or(AV::NX { int: true }, |m| reg[m]);
-                let v = if written[*param] {
-                    // Conservative: data under a written parameter may
-                    // change between launches of the same program.
-                    AV::Bad
-                } else if dtypes[*param] == DType::I32 {
-                    // Metadata loads read real values in analytic mode.
-                    if reg[*offset].invariant() && mask_av.invariant() {
-                        AV::NX { int: true }
-                    } else {
-                        AV::Bad
-                    }
-                } else {
-                    // Float loads are zeros/`other` in analytic mode: the
-                    // value depends only on the mask.
-                    if mask_av.invariant() {
-                        AV::NX {
-                            int: other.fract() == 0.0,
-                        }
-                    } else {
-                        AV::Bad
-                    }
-                };
-                set_aval(reg, initialized, *dst, v);
-            }
-            Instr::Store { .. } | Instr::AtomicAdd { .. } => {}
-            Instr::Loop { var, body, .. } => {
-                set_aval(reg, initialized, *var, AV::NX { int: true });
-                avals_pass(body, dtypes, written, reg, initialized, loops_ok);
-            }
-            Instr::LoopDyn {
-                var,
-                start,
-                end,
-                body,
-            } => {
-                if !(reg[*start].invariant() && reg[*end].invariant()) {
-                    // Axis-0-varying trip counts: per-instance costs
-                    // genuinely differ, no class dedup.
-                    *loops_ok = false;
-                }
-                set_aval(reg, initialized, *var, AV::NX { int: true });
-                avals_pass(body, dtypes, written, reg, initialized, loops_ok);
-            }
-        }
-    }
-}
-
-fn binary_aval(op: BinOp, a: AV, b: AV) -> AV {
-    use BinOp::*;
-    if a == AV::Bad || b == AV::Bad {
-        return AV::Bad;
-    }
-    if let (AV::Known { value: x }, AV::Known { value: y }) = (a, b) {
-        return AV::Known {
-            value: apply_binop(op, x, y),
-        };
-    }
-    let coeff = |v: AV| match v {
-        AV::Aff(c) => c,
-        _ => 0.0,
-    };
-    let both_int = a.integral() && b.integral();
-    match op {
-        Add | Sub => {
-            let c = if op == Add {
-                coeff(a) + coeff(b)
-            } else {
-                coeff(a) - coeff(b)
-            };
-            if matches!(a, AV::Aff(_)) || matches!(b, AV::Aff(_)) {
-                // Affine shifts are exact only along all-integer chains.
-                if !both_int {
-                    return AV::Bad;
-                }
-                if c == 0.0 {
-                    // Cancelling coefficients: exact integer arithmetic
-                    // means the value is axis-0-invariant again.
-                    AV::NX { int: true }
-                } else {
-                    AV::Aff(c)
-                }
-            } else {
-                AV::NX { int: both_int }
-            }
-        }
-        Mul => match (a, b) {
-            (AV::Known { value: k }, AV::Aff(c)) | (AV::Aff(c), AV::Known { value: k }) => {
-                if k.fract() != 0.0 {
-                    AV::Bad
-                } else if c * k == 0.0 {
-                    AV::NX { int: true }
-                } else {
-                    AV::Aff(c * k)
-                }
-            }
-            _ if a.invariant() && b.invariant() => AV::NX { int: both_int },
-            _ => AV::Bad,
-        },
-        Div => {
-            if a.invariant() && b.invariant() {
-                AV::NX { int: false }
-            } else {
-                AV::Bad
-            }
-        }
-        FloorDiv | Lt | Le | Eq | Ge | And => {
-            if a.invariant() && b.invariant() {
-                AV::NX { int: true }
-            } else {
-                AV::Bad
-            }
-        }
-        Mod | Min | Max => {
-            if a.invariant() && b.invariant() {
-                AV::NX { int: both_int }
-            } else {
-                AV::Bad
-            }
-        }
     }
 }

@@ -98,7 +98,8 @@ fn instr(i: &CInstr, s: &mut String) {
 
 fn nodes(body: &[CNode], s: &mut String) {
     for node in body {
-        let _ = writeln!(s, "node cached={:?} value={}", node.cached, node.value);
+        let level = node.cached.map(|(level, _)| level);
+        let _ = writeln!(s, "node cached={level:?} value={}", node.value);
         instr(&node.instr, s);
     }
     let _ = writeln!(s, "end");

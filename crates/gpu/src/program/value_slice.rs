@@ -1,8 +1,8 @@
 //! Analysis 7 (see the parent module docs): the value slice of a kernel
 //! and whether a relaunch may replay it against recorded addresses.
 
-use super::{for_each_write, visit_tree, ParamTable, SiteInfo};
-use insum_kernel::{Instr, Kernel, Reg};
+use super::{solve, ParamTable, SiteInfo};
+use insum_kernel::{visit_instrs, Instr, Kernel, Reg, Use};
 use insum_tensor::DType;
 use std::fmt;
 
@@ -52,15 +52,15 @@ impl ValueSlice {
         // Registers are not SSA: every writer of a needed register is in
         // the slice, and the marking iterates to a fixpoint because a
         // reader may stand before its operand's writer (loop-carried
-        // accumulators).
-        let mut needed = vec![false; kernel.num_regs];
-        loop {
-            let before = needed.clone();
-            mark_needed(&kernel.body, &mut needed);
-            if needed == before {
-                break;
+        // accumulators). A store's or atomic's value is needed; a needed
+        // register's writer needs its value operands.
+        let needed = solve(kernel, false, true, |instr, needed| {
+            if instr.dst().is_none_or(|d| needed[d]) {
+                for (r, u) in instr.operands() {
+                    needed[r] |= u == Use::Value;
+                }
             }
-        }
+        });
         ValueSlice {
             needed,
             decline: kernel_decline(kernel, dtypes, written),
@@ -75,17 +75,11 @@ impl ValueSlice {
     /// Whether a replayed launch executes `instr`: every store and atomic,
     /// every writer of a needed register, every loop around one of those.
     pub(super) fn contains(&self, instr: &Instr) -> bool {
-        match instr {
-            Instr::Store { .. } | Instr::AtomicAdd { .. } => true,
-            Instr::Loop { var, body, .. } | Instr::LoopDyn { var, body, .. } => {
-                self.needed[*var] || body.iter().any(|i| self.contains(i))
-            }
-            other => {
-                let mut hit = false;
-                for_each_write(other, &mut |r| hit |= self.needed[r]);
-                hit
-            }
-        }
+        let mut hit = false;
+        visit_instrs(std::slice::from_ref(instr), &mut |i| {
+            hit |= i.dst().is_none_or(|d| self.needed[d]);
+        });
+        hit
     }
 
     /// Why the lowered program keeps no script, if it does not: the
@@ -106,41 +100,15 @@ impl ValueSlice {
     }
 }
 
-fn mark_needed(body: &[Instr], needed: &mut [bool]) {
-    for instr in body {
-        match instr {
-            Instr::Store { value, .. } | Instr::AtomicAdd { value, .. } => needed[*value] = true,
-            Instr::Binary { dst, a, b, .. } | Instr::Dot { dst, a, b } if needed[*dst] => {
-                needed[*a] = true;
-                needed[*b] = true;
-            }
-            Instr::ExpandDims { dst, src, .. }
-            | Instr::Broadcast { dst, src, .. }
-            | Instr::View { dst, src, .. }
-            | Instr::Trans { dst, src }
-            | Instr::Sum { dst, src, .. }
-                if needed[*dst] =>
-            {
-                needed[*src] = true;
-            }
-            Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => mark_needed(body, needed),
-            // A needed load is a leaf: its offset and mask stay outside.
-            _ => {}
-        }
-    }
-}
-
 /// What the kernel text alone rules out. `tainted[r]`: `r` may hold
 /// something other than a function of the program and the I32 arguments
 /// — a float parameter's element, an element of a parameter the kernel
 /// writes, or anything computed from one.
 fn kernel_decline(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Option<ReplayDecline> {
     let mut dyn_loop = false;
-    for instr in &kernel.body {
-        visit_tree(instr, &mut |i| {
-            dyn_loop |= matches!(i, Instr::LoopDyn { .. })
-        });
-    }
+    visit_instrs(&kernel.body, &mut |i| {
+        dyn_loop |= matches!(i, Instr::LoopDyn { .. })
+    });
     if dyn_loop {
         return Some(ReplayDecline::DynLoop);
     }
@@ -151,51 +119,23 @@ fn kernel_decline(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Option
     {
         return Some(ReplayDecline::WritesMetadata);
     }
-    let mut tainted = vec![false; kernel.num_regs];
-    loop {
-        let before = tainted.clone();
-        taint_pass(&kernel.body, dtypes, written, &mut tainted);
-        if tainted == before {
-            break;
+    // A load taints its result by its parameter alone (its offset and
+    // mask are index operands); everything else by its value operands.
+    let tainted = solve(kernel, false, true, |instr, tainted| {
+        if let Some(dst) = instr.dst() {
+            let from_param = match instr {
+                Instr::Load { param, .. } => dtypes[*param] != DType::I32 || written[*param],
+                _ => false,
+            };
+            tainted[dst] |=
+                from_param || instr.operands().any(|(r, u)| u == Use::Value && tainted[r]);
         }
-    }
+    });
+    // The index operands left are the accesses' offsets and masks (a
+    // dynamic loop's bounds declined above).
     let mut float_address = false;
-    for instr in &kernel.body {
-        visit_tree(instr, &mut |i| {
-            if let Instr::Load { offset, mask, .. }
-            | Instr::Store { offset, mask, .. }
-            | Instr::AtomicAdd { offset, mask, .. } = i
-            {
-                float_address |= tainted[*offset] || mask.is_some_and(|m| tainted[m]);
-            }
-        });
-    }
+    visit_instrs(&kernel.body, &mut |i| {
+        float_address |= i.operands().any(|(r, u)| u == Use::Index && tainted[r]);
+    });
     float_address.then_some(ReplayDecline::FloatAddress)
-}
-
-fn taint_pass(body: &[Instr], dtypes: &[DType], written: &[bool], tainted: &mut [bool]) {
-    for instr in body {
-        match instr {
-            Instr::Load { dst, param, .. } => {
-                tainted[*dst] |= dtypes[*param] != DType::I32 || written[*param];
-            }
-            Instr::Binary { dst, a, b, .. } | Instr::Dot { dst, a, b } => {
-                tainted[*dst] |= tainted[*a] || tainted[*b];
-            }
-            Instr::ExpandDims { dst, src, .. }
-            | Instr::Broadcast { dst, src, .. }
-            | Instr::View { dst, src, .. }
-            | Instr::Trans { dst, src }
-            | Instr::Sum { dst, src, .. } => tainted[*dst] |= tainted[*src],
-            Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => {
-                taint_pass(body, dtypes, written, tainted);
-            }
-            Instr::ProgramId { .. }
-            | Instr::Const { .. }
-            | Instr::Arange { .. }
-            | Instr::Full { .. }
-            | Instr::Store { .. }
-            | Instr::AtomicAdd { .. } => {}
-        }
-    }
 }

@@ -2,19 +2,7 @@
 //! compiler and the launch-time safety checks: structural fingerprinting
 //! (the program-cache key) and per-parameter access summaries.
 
-use crate::ir::{Instr, Kernel};
-
-/// Visit every instruction in `body` in pre-order, recursing into loop
-/// bodies.
-pub fn visit_instrs<'a, F: FnMut(&'a Instr)>(body: &'a [Instr], f: &mut F) {
-    for instr in body {
-        f(instr);
-        match instr {
-            Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => visit_instrs(body, f),
-            _ => {}
-        }
-    }
-}
+use crate::ir::{visit_instrs, Instr, Kernel};
 
 /// Per-parameter access summary: which parameters the kernel loads and
 /// which it stores or atomically updates.

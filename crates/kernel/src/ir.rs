@@ -232,6 +232,116 @@ pub enum Instr {
     },
 }
 
+/// How an instruction reads one of its operand registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Use {
+    /// The operand's elements flow into the instruction's result, or are
+    /// the value a store or atomic add writes.
+    Value,
+    /// The operand decides *where* or *whether*: an access's offset or
+    /// mask, a dynamic loop's bounds. Nothing of its elements reaches
+    /// memory through this edge, which is where a value slice is cut.
+    Index,
+}
+
+impl Instr {
+    /// The register this instruction writes: its `dst`, or a loop's
+    /// induction variable; `None` for `Store` and `AtomicAdd`. Writes
+    /// inside a loop body belong to the body's instructions.
+    pub fn dst(&self) -> Option<Reg> {
+        match self {
+            Instr::ProgramId { dst, .. }
+            | Instr::Const { dst, .. }
+            | Instr::Arange { dst, .. }
+            | Instr::Full { dst, .. }
+            | Instr::Binary { dst, .. }
+            | Instr::ExpandDims { dst, .. }
+            | Instr::Broadcast { dst, .. }
+            | Instr::View { dst, .. }
+            | Instr::Trans { dst, .. }
+            | Instr::Load { dst, .. }
+            | Instr::Dot { dst, .. }
+            | Instr::Sum { dst, .. } => Some(*dst),
+            Instr::Loop { var, .. } | Instr::LoopDyn { var, .. } => Some(*var),
+            Instr::Store { .. } | Instr::AtomicAdd { .. } => None,
+        }
+    }
+
+    /// The registers this instruction reads itself (not its loop body),
+    /// in field order, each with how it is read. A register read twice
+    /// (`dot(a, a)`) is reported twice.
+    pub fn operands(&self) -> impl Iterator<Item = (Reg, Use)> {
+        use Use::{Index, Value};
+        let mut ops = [(0, Value); 3];
+        let n = match self {
+            Instr::ProgramId { .. }
+            | Instr::Const { .. }
+            | Instr::Arange { .. }
+            | Instr::Full { .. }
+            | Instr::Loop { .. } => 0,
+            Instr::Binary { a, b, .. } | Instr::Dot { a, b, .. } => {
+                ops[..2].copy_from_slice(&[(*a, Value), (*b, Value)]);
+                2
+            }
+            Instr::ExpandDims { src, .. }
+            | Instr::Broadcast { src, .. }
+            | Instr::View { src, .. }
+            | Instr::Trans { src, .. }
+            | Instr::Sum { src, .. } => {
+                ops[0] = (*src, Value);
+                1
+            }
+            Instr::Load { offset, mask, .. } => {
+                ops[0] = (*offset, Index);
+                if let Some(m) = mask {
+                    ops[1] = (*m, Index);
+                }
+                1 + usize::from(mask.is_some())
+            }
+            Instr::Store {
+                offset,
+                value,
+                mask,
+                ..
+            }
+            | Instr::AtomicAdd {
+                offset,
+                value,
+                mask,
+                ..
+            } => {
+                ops[..2].copy_from_slice(&[(*offset, Index), (*value, Value)]);
+                if let Some(m) = mask {
+                    ops[2] = (*m, Index);
+                }
+                2 + usize::from(mask.is_some())
+            }
+            Instr::LoopDyn { start, end, .. } => {
+                ops[..2].copy_from_slice(&[(*start, Index), (*end, Index)]);
+                2
+            }
+        };
+        ops.into_iter().take(n)
+    }
+
+    /// A loop's body; empty for every other instruction.
+    pub fn body(&self) -> &[Instr] {
+        match self {
+            Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => body,
+            _ => &[],
+        }
+    }
+}
+
+/// Visit every instruction in `body` in pre-order (a loop before its
+/// body), recursing into loop bodies: the one walk over the IR.
+pub fn visit_instrs<'a, F: FnMut(&'a Instr)>(body: &'a [Instr], f: &mut F) {
+    for instr in body {
+        f(instr);
+        visit_instrs(instr.body(), f);
+    }
+}
+
 /// Declaration of a kernel parameter (a device tensor).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamDecl {
@@ -292,112 +402,62 @@ impl Kernel {
     ///
     /// Returns [`KernelError`] describing the first violation found.
     pub fn validate(&self) -> crate::Result<()> {
-        fn walk(kernel: &Kernel, body: &[Instr]) -> crate::Result<()> {
-            for instr in body {
-                let regs: Vec<Reg> = match instr {
-                    Instr::ProgramId { dst, .. }
-                    | Instr::Const { dst, .. }
-                    | Instr::Arange { dst, .. }
-                    | Instr::Full { dst, .. } => vec![*dst],
-                    Instr::Binary { dst, a, b, .. } => vec![*dst, *a, *b],
-                    Instr::ExpandDims { dst, src, .. }
-                    | Instr::Broadcast { dst, src, .. }
-                    | Instr::View { dst, src, .. }
-                    | Instr::Trans { dst, src } => vec![*dst, *src],
-                    Instr::Load {
-                        dst,
-                        offset,
-                        mask,
-                        param,
-                        ..
-                    } => {
-                        check_param(kernel, *param, false)?;
-                        let mut v = vec![*dst, *offset];
-                        v.extend(mask.iter());
-                        v
-                    }
-                    Instr::Store {
-                        offset,
-                        value,
-                        mask,
-                        param,
-                    }
-                    | Instr::AtomicAdd {
-                        offset,
-                        value,
-                        mask,
-                        param,
-                    } => {
-                        check_param(kernel, *param, true)?;
-                        let mut v = vec![*offset, *value];
-                        v.extend(mask.iter());
-                        v
-                    }
-                    Instr::Dot { dst, a, b } => vec![*dst, *a, *b],
-                    Instr::Sum { dst, src, .. } => vec![*dst, *src],
-                    Instr::Loop {
-                        var, step, body, ..
-                    } => {
-                        if *step <= 0 {
-                            return Err(KernelError(format!("loop step {step} must be positive")));
-                        }
-                        walk(kernel, body)?;
-                        vec![*var]
-                    }
-                    Instr::LoopDyn {
-                        var,
-                        start,
-                        end,
-                        body,
-                    } => {
-                        walk(kernel, body)?;
-                        vec![*var, *start, *end]
-                    }
-                };
-                for r in regs {
-                    if r >= kernel.num_regs {
-                        return Err(KernelError(format!(
-                            "register {r} out of range ({} registers declared)",
-                            kernel.num_regs
-                        )));
-                    }
-                }
-                if let Instr::ProgramId { axis, .. } = instr {
-                    if *axis >= 3 {
-                        return Err(KernelError(format!("program_id axis {axis} must be < 3")));
-                    }
-                }
+        let mut result = Ok(());
+        visit_instrs(&self.body, &mut |instr| {
+            if result.is_ok() {
+                result = self.check(instr);
             }
-            Ok(())
+        });
+        result
+    }
+
+    /// [`Kernel::validate`] for one instruction, without its loop body.
+    fn check(&self, instr: &Instr) -> crate::Result<()> {
+        let mut regs = instr
+            .dst()
+            .into_iter()
+            .chain(instr.operands().map(|(r, _)| r));
+        if let Some(r) = regs.find(|&r| r >= self.num_regs) {
+            return Err(KernelError(format!(
+                "register {r} out of range ({} registers declared)",
+                self.num_regs
+            )));
         }
-        fn check_param(kernel: &Kernel, param: usize, needs_write: bool) -> crate::Result<()> {
-            let decl = kernel
-                .params
-                .get(param)
-                .ok_or_else(|| KernelError(format!("parameter index {param} out of range")))?;
-            if needs_write && !decl.written {
-                return Err(KernelError(format!(
-                    "parameter {:?} is stored to but not declared written",
-                    decl.name
-                )));
+        match instr {
+            Instr::Load { param, .. } => self.check_param(*param, false),
+            Instr::Store { param, .. } | Instr::AtomicAdd { param, .. } => {
+                self.check_param(*param, true)
             }
-            Ok(())
+            Instr::Loop { step, .. } if *step <= 0 => {
+                Err(KernelError(format!("loop step {step} must be positive")))
+            }
+            Instr::ProgramId { axis, .. } if *axis >= 3 => {
+                Err(KernelError(format!("program_id axis {axis} must be < 3")))
+            }
+            _ => Ok(()),
         }
-        walk(self, &self.body)
+    }
+
+    fn check_param(&self, param: usize, needs_write: bool) -> crate::Result<()> {
+        let decl = self
+            .params
+            .get(param)
+            .ok_or_else(|| KernelError(format!("parameter index {param} out of range")))?;
+        if needs_write && !decl.written {
+            return Err(KernelError(format!(
+                "parameter {:?} is stored to but not declared written",
+                decl.name
+            )));
+        }
+        Ok(())
     }
 
     /// Count instructions, recursing into loop bodies (static count, not
     /// dynamic trip counts).
     pub fn instruction_count(&self) -> usize {
-        fn count(body: &[Instr]) -> usize {
-            body.iter()
-                .map(|i| match i {
-                    Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => 1 + count(body),
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        let mut n = 0;
+        visit_instrs(&self.body, &mut |_| n += 1);
+        n
     }
 }
 
@@ -432,6 +492,254 @@ mod tests {
     #[test]
     fn valid_kernel_passes() {
         trivial_kernel().validate().unwrap();
+    }
+
+    /// A builder of one instruction from the registers of its register
+    /// fields in declaration order, with the positions read as
+    /// [`Use::Index`].
+    type Variant = (usize, fn(&[Reg]) -> Instr, &'static [usize]);
+
+    /// Every variant once (with and without the optional mask).
+    fn variants() -> Vec<Variant> {
+        vec![
+            (1, |r| Instr::ProgramId { dst: r[0], axis: 0 }, &[]),
+            (
+                1,
+                |r| Instr::Const {
+                    dst: r[0],
+                    value: 1.0,
+                },
+                &[],
+            ),
+            (1, |r| Instr::Arange { dst: r[0], len: 4 }, &[]),
+            (
+                1,
+                |r| Instr::Full {
+                    dst: r[0],
+                    shape: vec![4],
+                    value: 0.0,
+                },
+                &[],
+            ),
+            (
+                3,
+                |r| Instr::Binary {
+                    dst: r[0],
+                    op: BinOp::Add,
+                    a: r[1],
+                    b: r[2],
+                },
+                &[],
+            ),
+            (
+                2,
+                |r| Instr::ExpandDims {
+                    dst: r[0],
+                    src: r[1],
+                    axis: 0,
+                },
+                &[],
+            ),
+            (
+                2,
+                |r| Instr::Broadcast {
+                    dst: r[0],
+                    src: r[1],
+                    shape: vec![4],
+                },
+                &[],
+            ),
+            (
+                2,
+                |r| Instr::View {
+                    dst: r[0],
+                    src: r[1],
+                    shape: vec![4],
+                },
+                &[],
+            ),
+            (
+                2,
+                |r| Instr::Trans {
+                    dst: r[0],
+                    src: r[1],
+                },
+                &[],
+            ),
+            (
+                3,
+                |r| Instr::Load {
+                    dst: r[0],
+                    param: 0,
+                    offset: r[1],
+                    mask: Some(r[2]),
+                    other: 0.0,
+                },
+                &[1, 2],
+            ),
+            (
+                2,
+                |r| Instr::Load {
+                    dst: r[0],
+                    param: 0,
+                    offset: r[1],
+                    mask: None,
+                    other: 0.0,
+                },
+                &[1],
+            ),
+            (
+                3,
+                |r| Instr::Store {
+                    param: 1,
+                    offset: r[0],
+                    value: r[1],
+                    mask: Some(r[2]),
+                },
+                &[0, 2],
+            ),
+            (
+                2,
+                |r| Instr::Store {
+                    param: 1,
+                    offset: r[0],
+                    value: r[1],
+                    mask: None,
+                },
+                &[0],
+            ),
+            (
+                3,
+                |r| Instr::AtomicAdd {
+                    param: 1,
+                    offset: r[0],
+                    value: r[1],
+                    mask: Some(r[2]),
+                },
+                &[0, 2],
+            ),
+            (
+                2,
+                |r| Instr::AtomicAdd {
+                    param: 1,
+                    offset: r[0],
+                    value: r[1],
+                    mask: None,
+                },
+                &[0],
+            ),
+            (
+                3,
+                |r| Instr::Dot {
+                    dst: r[0],
+                    a: r[1],
+                    b: r[2],
+                },
+                &[],
+            ),
+            (
+                2,
+                |r| Instr::Sum {
+                    dst: r[0],
+                    src: r[1],
+                    axis: 0,
+                },
+                &[],
+            ),
+            (
+                1,
+                |r| Instr::Loop {
+                    var: r[0],
+                    start: 0,
+                    end: 4,
+                    step: 1,
+                    body: vec![],
+                },
+                &[],
+            ),
+            (
+                3,
+                |r| Instr::LoopDyn {
+                    var: r[0],
+                    start: r[1],
+                    end: r[2],
+                    body: vec![],
+                },
+                &[1, 2],
+            ),
+        ]
+    }
+
+    /// Exhaustive on purpose: a new variant fails to compile here until
+    /// [`variants`] builds it.
+    fn variant_index(instr: &Instr) -> usize {
+        match instr {
+            Instr::ProgramId { .. } => 0,
+            Instr::Const { .. } => 1,
+            Instr::Arange { .. } => 2,
+            Instr::Full { .. } => 3,
+            Instr::Binary { .. } => 4,
+            Instr::ExpandDims { .. } => 5,
+            Instr::Broadcast { .. } => 6,
+            Instr::View { .. } => 7,
+            Instr::Trans { .. } => 8,
+            Instr::Load { .. } => 9,
+            Instr::Store { .. } => 10,
+            Instr::AtomicAdd { .. } => 11,
+            Instr::Dot { .. } => 12,
+            Instr::Sum { .. } => 13,
+            Instr::Loop { .. } => 14,
+            Instr::LoopDyn { .. } => 15,
+        }
+    }
+
+    #[test]
+    fn edge_table_reports_every_register_field_once() {
+        let mut covered = [false; 16];
+        for (fields, make, index_positions) in variants() {
+            let regs: Vec<Reg> = (10..10 + fields).collect();
+            let instr = make(&regs);
+            covered[variant_index(&instr)] = true;
+            let mut reported: Vec<Reg> = instr.dst().into_iter().collect();
+            reported.extend(instr.operands().map(|(r, _)| r));
+            reported.sort_unstable();
+            assert_eq!(reported, regs, "{instr:?}");
+            let index: Vec<Reg> = instr
+                .operands()
+                .filter(|&(_, u)| u == Use::Index)
+                .map(|(r, _)| r)
+                .collect();
+            let want: Vec<Reg> = index_positions.iter().map(|&p| regs[p]).collect();
+            assert_eq!(index, want, "{instr:?}");
+        }
+        assert!(covered.iter().all(|&c| c), "every variant is built");
+    }
+
+    #[test]
+    fn register_out_of_range_rejected_in_every_position() {
+        for (fields, make, _) in variants() {
+            let in_range: Vec<Reg> = (1..=fields).collect();
+            let mut k = trivial_kernel();
+            k.num_regs = 5;
+            k.body = vec![make(&in_range)];
+            k.validate().unwrap();
+            for pos in 0..fields {
+                let mut regs = in_range.clone();
+                regs[pos] = 5;
+                k.body = vec![make(&regs)];
+                let err = k.validate().unwrap_err();
+                assert!(err.to_string().contains("register 5 out of range"), "{err}");
+                // Inside a loop body too.
+                k.body = vec![Instr::Loop {
+                    var: 0,
+                    start: 0,
+                    end: 1,
+                    step: 1,
+                    body: vec![make(&regs)],
+                }];
+                assert!(k.validate().is_err());
+            }
+        }
     }
 
     #[test]
