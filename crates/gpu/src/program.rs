@@ -7,14 +7,15 @@
 //! work, guided by the analyses the items below describe.
 //!
 //! Six of them are dataflow problems over the kernel's registers, and
-//! all six run on one driver, `solve`: starting from every register at
-//! the lattice's bottom, it applies the analysis's transfer function to
-//! each instruction in pre-order until a whole pass changes nothing (the
-//! register edges come from [`Instr::dst`] and [`Instr::operands`]), and
-//! answers the lattice's top should it not converge within its cap. The
-//! two analyses that are not fixpoints — liveness (item 2) and separable
-//! sites (item 6) — are computed by lowering, the one walk that turns
-//! the kernel into units, from the same edges.
+//! all six run on one driver, `Dataflow::solve`. The kernel is walked
+//! once into its instructions in pre-order, each with its register edges
+//! ([`Instr::dst`], [`Instr::operands`]); from every register at the
+//! lattice's bottom, the driver applies the analysis's transfer function
+//! to each of them until a whole pass changes nothing, and answers the
+//! lattice's top should it not converge within its cap. The two
+//! analyses that are not fixpoints — liveness (item 2) and separable
+//! sites (item 6) — are computed by lowering, the walk that turns the
+//! kernel into units, from the same edges.
 //!
 //! | analysis (module, item) | lattice per register: bottom; join | transfer of one instruction | consumer |
 //! | --- | --- | --- | --- |
@@ -44,15 +45,8 @@
 //!    register buffers to the allocation pool immediately instead of
 //!    waiting for the end-of-instance sweep, and the sweep itself only
 //!    touches the per-instance registers.
-//! 3. *(retired)* **superinstructions** — adjacent `Binary` pairs whose
-//!    intermediate register died at once used to fuse into one dispatch.
-//!    Since the register file is thread-local (`Rc`, no atomics per
-//!    register write) the pairing no longer paid: with it off, perfbench's
-//!    replays stayed within the interquartile range of the build with it
-//!    on, on every workload (2-vCPU x86-64 VM, 5 alternating pairs of
-//!    13 s runs each; median ops/s −1.0 % on `spmm_tc_exec`, −2.3 % on
-//!    `irregular_exec`, −1.3 % on `coldstart_tune` against IQRs of 2.0 %,
-//!    6.0 % and 40 %), so every instruction now dispatches alone.
+//! 3. *(retired)* **superinstructions** — fused adjacent `Binary` pairs;
+//!    retired on a perfbench measurement (EXPERIMENTS.md).
 //! 4. **address-stream classification** — every memory-access site's
 //!    offset stream is classified as grid-invariant, affine in the
 //!    axis-0 coordinate (`offsets = base + pid0 · c` with a compile-time
@@ -227,7 +221,7 @@ use crate::block::Shape4;
 use crate::interp::{GpuError, SECTOR};
 use crate::script::ReplaySlot;
 use affine::{Avals, AV};
-use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, Reg};
+use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, Operands, Reg};
 use insum_tensor::DType;
 use levels::Levels;
 use row_sites::SiteScan;
@@ -451,6 +445,8 @@ pub struct Program {
     pub(crate) gdims: [usize; 3],
     pub(crate) instances: usize,
     pub(crate) units: Vec<CUnit>,
+    /// Nodes whose values are recorded as occurrence streams.
+    cached_nodes: usize,
     /// Registers written by per-instance code: the only ones cleared
     /// between instances (level-0/1 registers persist by construction).
     pub(crate) level2_regs: Vec<Reg>,
@@ -504,29 +500,13 @@ impl Program {
     /// Classification summary for diagnostics and benchmarks:
     /// `(once_units, per_row_units, per_instance_units, cached_nodes)`.
     pub fn classification(&self) -> (usize, usize, usize, usize) {
-        let mut once = 0;
-        let mut row = 0;
-        let mut inst = 0;
-        let mut cached = 0;
-        fn count_cached(i: &CInstr, cached: &mut usize) {
-            if let CInstr::Loop { body, .. } | CInstr::LoopDyn { body, .. } = i {
-                for n in body {
-                    if n.cached.is_some() {
-                        *cached += 1;
-                    }
-                    count_cached(&n.instr, cached);
-                }
-            }
-        }
-        for u in &self.units {
-            match u.mode {
-                UnitMode::Once => once += 1,
-                UnitMode::PerRow => row += 1,
-                UnitMode::PerInstance => inst += 1,
-            }
-            count_cached(&u.instr, &mut cached);
-        }
-        (once, row, inst, cached)
+        let count = |mode| self.units.iter().filter(|u| u.mode == mode).count();
+        (
+            count(UnitMode::Once),
+            count(UnitMode::PerRow),
+            count(UnitMode::PerInstance),
+            self.cached_nodes,
+        )
     }
 
     /// Compile a kernel for a launch shape. `lens`/`dtypes` describe the
@@ -566,11 +546,12 @@ impl Program {
             .ok_or_else(|| GpuError::BadGrid(grid.to_vec()))?;
 
         let usage = param_usage(kernel);
-        let shapes = shapes::infer(kernel)?;
-        let levels = Levels::analyze(kernel, &usage.written, gdims);
-        let avals = Avals::analyze(kernel, dtypes, &usage.written);
+        let flow = Dataflow::new(kernel);
+        let shapes = shapes::infer(&flow)?;
+        let levels = Levels::analyze(&flow, &usage.written, gdims);
+        let avals = Avals::analyze(&flow, dtypes, &usage.written);
         let params = ParamTable::new(lens, dtypes);
-        let slice = ValueSlice::analyze(kernel, dtypes, &usage.written);
+        let slice = ValueSlice::analyze(&flow, dtypes, &usage.written);
 
         let mut ctx = Lowering {
             levels: &levels,
@@ -578,9 +559,10 @@ impl Program {
             params: &params,
             shapes: &shapes,
             slice: &slice,
-            rows: SiteScan::new(kernel, &shapes),
+            rows: SiteScan::new(&flow, &shapes),
             sites: Vec::new(),
             dedup_ok: avals.loops_ok,
+            cached_nodes: 0,
             unit: 0,
             last_use: vec![None; kernel.num_regs],
         };
@@ -598,6 +580,7 @@ impl Program {
         let Lowering {
             sites,
             dedup_ok,
+            cached_nodes,
             rows,
             ..
         } = ctx;
@@ -620,11 +603,12 @@ impl Program {
             gdims,
             instances,
             units,
+            cached_nodes,
             level2_regs,
             sites,
             dedup_ok,
             params,
-            dot_sources: DotSources::analyze(kernel, &usage.written),
+            dot_sources: DotSources::analyze(&flow, &usage.written),
             row_sites,
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
@@ -639,31 +623,63 @@ impl Program {
 // The dataflow driver
 // ---------------------------------------------------------------------
 
-/// The one fixpoint of the analyses: starting from every register at
-/// `bottom`, run `step` on every instruction in pre-order (a loop before
-/// its body) until a whole pass changes nothing. An analysis is its
-/// transfer function: `step` joins what one instruction implies into the
-/// state — a forward analysis into the instruction's destination, the
-/// value slice into its operands. Registers are not SSA and loop-carried
-/// values flow backwards, so one pass is not always enough. Joins are
-/// monotone on lattices a few levels high, so convergence takes a few
-/// passes; should the safety cap be hit anyway, every register is `top`,
-/// so an analysis may over-approximate but never under-approximate.
-fn solve<T: Copy + PartialEq>(
-    kernel: &Kernel,
-    bottom: T,
-    top: T,
-    mut step: impl FnMut(&Instr, &mut [T]),
-) -> Vec<T> {
-    let mut state = vec![bottom; kernel.num_regs];
-    for _ in 0..3 * kernel.num_regs + 8 {
-        let before = state.clone();
-        visit_instrs(&kernel.body, &mut |instr| step(instr, &mut state));
-        if state == before {
-            return state;
+/// One instruction of the kernel with its register edges, read once
+/// from [`Instr::dst`] and [`Instr::operands`].
+pub(super) struct Edges<'k> {
+    pub(super) instr: &'k Instr,
+    pub(super) dst: Option<Reg>,
+    pub(super) operands: Operands,
+}
+
+/// The kernel as the analyses see it: its instructions in pre-order (a
+/// loop before its body), each with its edges, walked once.
+pub(super) struct Dataflow<'k> {
+    pub(super) num_regs: usize,
+    /// Every instruction, in pre-order.
+    pub(super) instrs: Vec<Edges<'k>>,
+}
+
+impl<'k> Dataflow<'k> {
+    fn new(kernel: &'k Kernel) -> Dataflow<'k> {
+        let mut instrs = Vec::new();
+        visit_instrs(&kernel.body, &mut |instr| {
+            instrs.push(Edges {
+                instr,
+                dst: instr.dst(),
+                operands: instr.operands(),
+            })
+        });
+        Dataflow {
+            num_regs: kernel.num_regs,
+            instrs,
         }
     }
-    vec![top; kernel.num_regs]
+
+    /// The one fixpoint of the analyses: from every register at `bottom`,
+    /// run `step` (an analysis's transfer function, which joins what one
+    /// instruction implies into the state) on every instruction in
+    /// pre-order until a whole pass changes nothing — registers are not
+    /// SSA and loop-carried values flow backwards. Should the safety cap
+    /// be hit, every register is `top`: an analysis may over-approximate,
+    /// never under-approximate.
+    pub(super) fn solve<T: Copy + PartialEq>(
+        &self,
+        bottom: T,
+        top: T,
+        mut step: impl FnMut(&Edges<'k>, &mut [T]),
+    ) -> Vec<T> {
+        let mut state = vec![bottom; self.num_regs];
+        for _ in 0..3 * self.num_regs + 8 {
+            let before = state.clone();
+            for e in &self.instrs {
+                step(e, &mut state);
+            }
+            if state == before {
+                return state;
+            }
+        }
+        vec![top; self.num_regs]
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -682,6 +698,7 @@ struct Lowering<'a> {
     rows: SiteScan<'a>,
     sites: Vec<SiteInfo>,
     dedup_ok: bool,
+    cached_nodes: usize,
     /// The top-level unit being lowered.
     unit: usize,
     /// Per register, the last top-level unit that reads it (a separable
@@ -746,6 +763,7 @@ impl Lowering<'_> {
                 _ => None,
             };
             let instr = self.lower_one(body, id, idx, per_instance, trip_level);
+            self.cached_nodes += usize::from(cached.is_some());
             if let (Some(_), CInstr::Load { site, .. }) = (cached, &instr) {
                 // Executed by the shard's or the row's representative only.
                 self.sites[*site as usize].level = lvl;
@@ -769,53 +787,45 @@ impl Lowering<'_> {
         trip_level: u8,
     ) -> CInstr {
         let instr = &body[idx];
-        for (r, _) in instr.operands() {
-            self.last_use[r] = Some(self.unit);
+        let (unit, last_use) = (self.unit, &mut self.last_use);
+        for &(r, _) in instr.operands().iter() {
+            last_use[r] = Some(unit);
         }
         self.rows.note(body, id, idx);
-        match instr {
-            Instr::ProgramId { dst, axis } => CInstr::ProgramId {
-                dst: *dst,
-                axis: *axis,
-            },
-            Instr::Const { dst, value } => CInstr::Const {
-                dst: *dst,
-                value: *value,
-            },
-            Instr::Arange { dst, len } => CInstr::Arange {
-                dst: *dst,
-                len: *len,
-            },
-            Instr::Full { dst, shape, value } => CInstr::Full {
-                dst: *dst,
+        match *instr {
+            Instr::ProgramId { dst, axis } => CInstr::ProgramId { dst, axis },
+            Instr::Const { dst, value } => CInstr::Const { dst, value },
+            Instr::Arange { dst, len } => CInstr::Arange { dst, len },
+            Instr::Full {
+                dst,
+                ref shape,
+                value,
+            } => CInstr::Full {
+                dst,
                 shape: shape.clone(),
-                value: *value,
+                value,
             },
-            Instr::Binary { dst, op, a, b } => CInstr::Binary {
-                dst: *dst,
-                op: *op,
-                a: *a,
-                b: *b,
-            },
-            Instr::ExpandDims { dst, src, axis } => CInstr::ExpandDims {
-                dst: *dst,
-                src: *src,
-                axis: *axis,
-            },
-            Instr::Broadcast { dst, src, shape } => CInstr::Broadcast {
-                dst: *dst,
-                src: *src,
+            Instr::Binary { dst, op, a, b } => CInstr::Binary { dst, op, a, b },
+            Instr::ExpandDims { dst, src, axis } => CInstr::ExpandDims { dst, src, axis },
+            Instr::Broadcast {
+                dst,
+                src,
+                ref shape,
+            } => CInstr::Broadcast {
+                dst,
+                src,
                 shape: shape.clone(),
             },
-            Instr::View { dst, src, shape } => CInstr::View {
-                dst: *dst,
-                src: *src,
+            Instr::View {
+                dst,
+                src,
+                ref shape,
+            } => CInstr::View {
+                dst,
+                src,
                 shape: shape.clone(),
             },
-            Instr::Trans { dst, src } => CInstr::Trans {
-                dst: *dst,
-                src: *src,
-            },
+            Instr::Trans { dst, src } => CInstr::Trans { dst, src },
             Instr::Load {
                 dst,
                 param,
@@ -823,12 +833,12 @@ impl Lowering<'_> {
                 mask,
                 other,
             } => {
-                let site = self.push_site(*param, *offset, *mask, None, self.slice.needs(*dst));
+                let site = self.push_site(param, offset, mask, None, self.slice.needs(dst));
                 CInstr::Load {
-                    dst: *dst,
-                    offset: *offset,
-                    mask: *mask,
-                    other: *other,
+                    dst,
+                    offset,
+                    mask,
+                    other,
                     site,
                 }
             }
@@ -838,11 +848,11 @@ impl Lowering<'_> {
                 value,
                 mask,
             } => {
-                let site = self.push_site(*param, *offset, *mask, Some((*value, false)), true);
+                let site = self.push_site(param, offset, mask, Some((value, false)), true);
                 CInstr::Store {
-                    offset: *offset,
-                    value: *value,
-                    mask: *mask,
+                    offset,
+                    value,
+                    mask,
                     site,
                 }
             }
@@ -852,54 +862,45 @@ impl Lowering<'_> {
                 value,
                 mask,
             } => {
-                let site = self.push_site(*param, *offset, *mask, Some((*value, true)), true);
+                let site = self.push_site(param, offset, mask, Some((value, true)), true);
                 CInstr::AtomicAdd {
-                    offset: *offset,
-                    value: *value,
-                    mask: *mask,
+                    offset,
+                    value,
+                    mask,
                     site,
                 }
             }
-            Instr::Dot { dst, a, b } => CInstr::Dot {
-                dst: *dst,
-                a: *a,
-                b: *b,
-            },
-            Instr::Sum { dst, src, axis } => CInstr::Sum {
-                dst: *dst,
-                src: *src,
-                axis: *axis,
-            },
+            Instr::Dot { dst, a, b } => CInstr::Dot { dst, a, b },
+            Instr::Sum { dst, src, axis } => CInstr::Sum { dst, src, axis },
             Instr::Loop {
                 var,
                 start,
                 end,
                 step,
-                body: inner,
+                body: ref inner,
             } => CInstr::Loop {
-                var: *var,
-                start: *start,
-                end: *end,
-                step: *step,
+                var,
+                start,
+                end,
+                step,
                 body: self.lower_body(inner, per_instance, trip_level),
             },
             Instr::LoopDyn {
                 var,
                 start,
                 end,
-                body: inner,
-            } => CInstr::LoopDyn {
-                var: *var,
-                start: *start,
-                end: *end,
-                body: self.lower_body(
-                    inner,
-                    per_instance,
-                    trip_level
-                        .max(self.levels.reg[*start])
-                        .max(self.levels.reg[*end]),
-                ),
-            },
+                body: ref inner,
+            } => {
+                let trip_level = trip_level
+                    .max(self.levels.reg[start])
+                    .max(self.levels.reg[end]);
+                CInstr::LoopDyn {
+                    var,
+                    start,
+                    end,
+                    body: self.lower_body(inner, per_instance, trip_level),
+                }
+            }
         }
     }
 
@@ -952,10 +953,9 @@ impl Lowering<'_> {
         });
         // A separable site reads the leaves of its offset tree when it
         // executes, so they stay live until the access.
-        let (unit, last_use) = (self.unit, &mut self.last_use);
-        self.rows
-            .sites()
-            .for_each_leaf(id, |r| last_use[r] = Some(unit));
+        for r in self.rows.leaves(id) {
+            self.last_use[r] = Some(self.unit);
+        }
         id
     }
 }

@@ -1,9 +1,9 @@
 //! Analysis 4 (see the parent module docs): affine address streams, the
 //! static half of analytic instance classes.
 
-use super::solve;
+use super::Dataflow;
 use crate::block::apply_binop;
-use insum_kernel::{visit_instrs, BinOp, Instr, Kernel, Reg};
+use insum_kernel::{BinOp, Instr, Reg};
 use insum_tensor::DType;
 
 /// Abstract value of a register along grid axis 0, under *analytic*
@@ -67,20 +67,20 @@ impl Avals {
     /// "invariant" classification would silently break the bit-identity
     /// of instance-class replay — and so no site and no dynamic loop
     /// admits a class.
-    pub(super) fn analyze(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Avals {
-        let reg = solve(kernel, AV::Unset, AV::Bad, |instr, reg| {
-            if let Some(dst) = instr.dst() {
-                let v = transfer(instr, dtypes, written, reg);
+    pub(super) fn analyze(flow: &Dataflow, dtypes: &[DType], written: &[bool]) -> Avals {
+        let reg = flow.solve(AV::Unset, AV::Bad, |e, reg| {
+            if let Some(dst) = e.dst {
+                let v = transfer(e.instr, dtypes, written, reg);
                 reg[dst] = reg[dst].join(v);
             }
         });
         // Axis-0-varying trip counts: per-instance costs genuinely
         // differ, no class dedup.
-        let mut loops_ok = true;
-        visit_instrs(&kernel.body, &mut |i| {
-            if let Instr::LoopDyn { start, end, .. } = i {
-                loops_ok &= read(&reg, *start).invariant() && read(&reg, *end).invariant();
+        let loops_ok = flow.instrs.iter().all(|e| match e.instr {
+            Instr::LoopDyn { start, end, .. } => {
+                read(&reg, *start).invariant() && read(&reg, *end).invariant()
             }
+            _ => true,
         });
         Avals { reg, loops_ok }
     }

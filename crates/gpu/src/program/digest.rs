@@ -5,7 +5,7 @@
 //! replay decline. Golden digests (`crates/core/tests/analysis_digests.rs`)
 //! pin them, so a refactor of the analyses can show it changed nothing.
 
-use super::{CInstr, CNode, Program};
+use super::{CInstr, Program};
 use insum_kernel::Fnv;
 use std::cell::RefCell;
 use std::fmt::Write;
@@ -70,7 +70,7 @@ impl Program {
 }
 
 fn instr(i: &CInstr, s: &mut String) {
-    match i {
+    let body = match i {
         CInstr::Loop {
             var,
             start,
@@ -79,7 +79,7 @@ fn instr(i: &CInstr, s: &mut String) {
             body,
         } => {
             let _ = writeln!(s, "loop {var} {start} {end} {step}");
-            nodes(body, s);
+            body
         }
         CInstr::LoopDyn {
             var,
@@ -88,15 +88,13 @@ fn instr(i: &CInstr, s: &mut String) {
             body,
         } => {
             let _ = writeln!(s, "loop_dyn {var} {start} {end}");
-            nodes(body, s);
+            body
         }
         leaf => {
             let _ = writeln!(s, "{leaf:?}");
+            return;
         }
-    }
-}
-
-fn nodes(body: &[CNode], s: &mut String) {
+    };
     for node in body {
         let level = node.cached.map(|(level, _)| level);
         let _ = writeln!(s, "node cached={level:?} value={}", node.value);

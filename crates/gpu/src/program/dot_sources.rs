@@ -1,9 +1,9 @@
 //! Analysis 5 (see the parent module docs): dot-operand provenance, the
 //! static half of exact-product `tl.dot` eligibility.
 
-use super::solve;
+use super::Dataflow;
 use crate::exact_dot::{all_finite, f32_exact};
-use insum_kernel::{visit_instrs, Instr, Kernel, Reg};
+use insum_kernel::{Instr, Reg};
 use insum_tensor::Tensor;
 
 /// Where each register's value comes from, as far as `tl.dot`
@@ -31,21 +31,21 @@ impl DotSources {
 
     /// Registers are not SSA (accumulators, loop-carried values): a
     /// register's mask is the union over all its writers.
-    pub(super) fn analyze(kernel: &Kernel, written: &[bool]) -> DotSources {
-        let reg = solve(kernel, 0u64, u64::MAX, |instr, reg| {
-            if let Some(dst) = instr.dst() {
-                reg[dst] |= source(instr, written, reg);
+    pub(super) fn analyze(flow: &Dataflow, written: &[bool]) -> DotSources {
+        let reg = flow.solve(0u64, u64::MAX, |e, reg| {
+            if let Some(dst) = e.dst {
+                reg[dst] |= source(e.instr, written, reg);
             }
         });
         let mut scanned_params = 0u64;
-        visit_instrs(&kernel.body, &mut |i| {
-            if let Instr::Dot { a, b, .. } = i {
+        for e in &flow.instrs {
+            if let Instr::Dot { a, b, .. } = e.instr {
                 let mask = reg[*a] | reg[*b];
                 if mask & DotSources::INEXACT == 0 {
                     scanned_params |= mask;
                 }
             }
-        });
+        }
         DotSources {
             reg,
             scanned_params,

@@ -1,7 +1,7 @@
 //! Analysis 1 (see the parent module docs): pid-dependence levels.
 
-use super::solve;
-use insum_kernel::{visit_instrs, Instr, Kernel};
+use super::Dataflow;
+use insum_kernel::{visit_instrs, Instr};
 
 pub(super) struct Levels {
     /// Invariance level per register: 0 grid-invariant, 1 row-invariant
@@ -21,12 +21,15 @@ impl Levels {
     /// instance and replay them never — level 1 then folds into level 2
     /// and only the grid-invariant tier remains (no node of such a
     /// program is cached at level 1).
-    pub(super) fn analyze(kernel: &Kernel, written: &[bool], gdims: [usize; 3]) -> Levels {
-        let mut reg = solve(kernel, 0u8, 2, |instr, reg| {
-            if let Some(dst) = instr.dst() {
-                let lvl = instr
-                    .operands()
-                    .fold(intrinsic(instr, written, gdims), |l, (r, _)| l.max(reg[r]));
+    pub(super) fn analyze(flow: &Dataflow, written: &[bool], gdims: [usize; 3]) -> Levels {
+        let mut reg = flow.solve(0u8, 2, |e, reg| {
+            if let Some(dst) = e.dst {
+                let lvl = e
+                    .operands
+                    .iter()
+                    .fold(intrinsic(e.instr, written, gdims), |l, &(r, _)| {
+                        l.max(reg[r])
+                    });
                 reg[dst] = reg[dst].max(lvl);
             }
         });

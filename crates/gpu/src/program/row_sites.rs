@@ -1,8 +1,9 @@
 //! Analysis 6 (see the parent module docs): separable access sites,
 //! recognised while lowering walks the kernel.
 
+use super::Dataflow;
 use crate::block::Shape4;
-use insum_kernel::{visit_instrs, BinOp, Instr, Kernel, Reg};
+use insum_kernel::{visit_instrs, BinOp, Instr, Reg};
 
 /// Which lane axis a leaf of a separable offset tree varies along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,16 +77,6 @@ impl RowSites {
         self.elided[dst]
     }
 
-    pub(super) fn for_each_leaf(&self, site: u32, mut f: impl FnMut(Reg)) {
-        if let Some(rs) = self.site(site) {
-            for op in &rs.tree {
-                if let TreeOp::Leaf(r, _) = op {
-                    f(*r);
-                }
-            }
-        }
-    }
-
     /// `(recognised, total)` access sites.
     pub(super) fn counts(&self) -> (usize, usize) {
         (self.site.iter().flatten().count(), self.site.len())
@@ -119,26 +110,27 @@ pub(super) struct SiteScan<'a> {
 }
 
 impl<'a> SiteScan<'a> {
-    pub(super) fn new(kernel: &Kernel, shapes: &'a [Option<Shape4>]) -> SiteScan<'a> {
-        let mut uses = vec![0u32; kernel.num_regs];
-        let mut writers = vec![0u32; kernel.num_regs];
-        visit_instrs(&kernel.body, &mut |i| {
-            if let Some(d) = i.dst() {
+    pub(super) fn new(flow: &Dataflow, shapes: &'a [Option<Shape4>]) -> SiteScan<'a> {
+        let n = flow.num_regs;
+        let mut uses = vec![0u32; n];
+        let mut writers = vec![0u32; n];
+        for e in &flow.instrs {
+            if let Some(d) = e.dst {
                 writers[d] += 1;
             }
-            for (r, _) in i.operands() {
+            for &(r, _) in e.operands.iter() {
                 uses[r] += 1;
             }
-        });
+        }
         SiteScan {
             shapes,
             uses,
             writers,
-            add_def: vec![None; kernel.num_regs],
+            add_def: vec![None; n],
             next_body: 0,
             out: RowSites {
                 site: Vec::new(),
-                elided: vec![None; kernel.num_regs],
+                elided: vec![None; n],
             },
         }
     }
@@ -185,8 +177,14 @@ impl<'a> SiteScan<'a> {
         }
     }
 
-    pub(super) fn sites(&self) -> &RowSites {
-        &self.out
+    /// The leaves of site `site`'s offset tree, if it was recognised: the
+    /// site reads them when it executes.
+    pub(super) fn leaves(&self, site: u32) -> impl Iterator<Item = Reg> + '_ {
+        let tree = self.out.site(site).map_or(&[][..], |rs| &rs.tree);
+        tree.iter().filter_map(|op| match *op {
+            TreeOp::Leaf(r, _) => Some(r),
+            TreeOp::Add => None,
+        })
     }
 
     pub(super) fn finish(self) -> RowSites {

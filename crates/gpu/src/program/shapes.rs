@@ -3,9 +3,9 @@
 //! value sites (analysis 7) read them, and an instruction whose operand
 //! shapes are known and break its rule makes the kernel illegal.
 
-use super::solve;
+use super::{Dataflow, Edges};
 use crate::block::{Shape4, MAX_RANK};
-use insum_kernel::{visit_instrs, Instr, Kernel, KernelError, Reg};
+use insum_kernel::{Instr, KernelError, Reg};
 
 /// The shape lattice: `Unset` (no writer reached the register yet) below
 /// `Known`, below `Unknown` (writers disagree, or the shape depends on
@@ -49,24 +49,18 @@ fn packed(shape: &[usize]) -> Option<Shape4> {
 /// whose operand shapes are known and break its rule — a rank above
 /// four, a transpose or dot of a block that is not rank 2, disagreeing
 /// dot dimensions, an axis out of range, a view that changes volume, a
-/// broadcast or elementwise op of incompatible shapes. Launching such a
-/// kernel would fail inside the interpreter.
-pub(super) fn infer(kernel: &Kernel) -> Result<Vec<Option<Shape4>>, KernelError> {
-    let st = solve(kernel, S::Unset, S::Unknown, |instr, st| {
-        if let Some(dst) = instr.dst() {
-            st[dst] = st[dst].join(shape_of(instr, st));
+/// broadcast, elementwise op or masked load of incompatible shapes.
+/// Launching such a kernel would fail inside the interpreter.
+pub(super) fn infer(flow: &Dataflow) -> Result<Vec<Option<Shape4>>, KernelError> {
+    let st = flow.solve(S::Unset, S::Unknown, |e, st| {
+        if let Some(dst) = e.dst {
+            st[dst] = st[dst].join(shape_of(e.instr, st));
         }
     });
-    let mut illegal = None;
-    visit_instrs(&kernel.body, &mut |instr| {
-        if illegal.is_none() {
-            illegal = violation(instr, &st);
-        }
-    });
-    match illegal {
-        Some(why) => Err(KernelError(why)),
-        None => Ok((0..kernel.num_regs).map(|r| get(&st, r)).collect()),
+    if let Some(why) = flow.instrs.iter().find_map(|e| violation(e, &st)) {
+        return Err(KernelError(why));
     }
+    Ok((0..flow.num_regs).map(|r| get(&st, r)).collect())
 }
 
 /// The shape one write of `instr` gives its destination.
@@ -83,19 +77,25 @@ fn shape_of(instr: &Instr, st: &[S]) -> Option<Shape4> {
         Instr::Binary { a, b, .. } => get(st, *a)
             .zip(get(st, *b))
             .and_then(|(x, y)| Shape4::try_joint(x.as_slice(), y.as_slice())),
+        // `get_mut` fails exactly when the axis is out of range.
         Instr::ExpandDims { src, axis, .. } => get(st, *src).and_then(|s| {
-            let mut dims = s.as_slice().to_vec();
-            (*axis <= dims.len()).then(|| dims.insert(*axis, 1))?;
-            packed(&dims)
+            let (d, a) = (s.as_slice(), *axis);
+            let mut dims = [1; MAX_RANK + 1];
+            dims.get_mut(a + 1..=d.len())?.copy_from_slice(&d[a..]);
+            dims[..a].copy_from_slice(&d[..a]);
+            packed(&dims[..=d.len()])
         }),
         Instr::Trans { src, .. } => get(st, *src).and_then(|s| match *s.as_slice() {
             [a, b] => packed(&[b, a]),
             _ => None,
         }),
         Instr::Sum { src, axis, .. } => get(st, *src).and_then(|s| {
-            let mut dims = s.as_slice().to_vec();
-            (*axis < dims.len()).then(|| dims.remove(*axis))?;
-            packed(&dims)
+            let (d, a) = (s.as_slice(), *axis);
+            let mut dims = [0; MAX_RANK];
+            dims.get_mut(a..d.len().checked_sub(1)?)?
+                .copy_from_slice(&d[a + 1..]);
+            dims[..a].copy_from_slice(&d[..a]);
+            packed(&dims[..d.len() - 1])
         }),
         Instr::Dot { a, b, .. } => {
             get(st, *a)
@@ -113,78 +113,35 @@ fn shape_of(instr: &Instr, st: &[S]) -> Option<Shape4> {
     }
 }
 
-/// Why `instr` cannot execute, when the converged shapes of its
-/// operands prove it.
-fn violation(instr: &Instr, st: &[S]) -> Option<String> {
-    let rank_ok = |shape: &[usize]| shape.len() <= MAX_RANK;
-    let why = match instr {
-        Instr::Full { shape, .. } | Instr::Broadcast { shape, .. } | Instr::View { shape, .. }
-            if !rank_ok(shape) =>
-        {
-            format!("a block of rank {} (at most {MAX_RANK})", shape.len())
-        }
-        Instr::Broadcast { src, shape, .. } => {
-            let s = get(st, *src)?;
-            let s = s.as_slice();
-            let fits = s.len() <= shape.len()
-                && s.iter()
-                    .zip(&shape[shape.len() - s.len()..])
-                    .all(|(&d, &t)| d == t || d == 1);
-            if fits {
-                return None;
+/// Why `instr` cannot execute, when the converged shapes of all its
+/// operands are known and prove it: its shape rule fails on them, or
+/// they break a condition the rule does not need (a broadcast's source
+/// must fit its target, a view keeps the volume, a dot's inner
+/// dimensions agree).
+fn violation(e: &Edges, st: &[S]) -> Option<String> {
+    let (instr, dst) = (e.instr, e.dst?);
+    let mut ops = [Shape4::from_slice(&[]); 3];
+    let n = e.operands.len();
+    for (op, &(r, _)) in ops.iter_mut().zip(e.operands.iter()) {
+        *op = get(st, r)?;
+    }
+    let dims = |i: usize| ops[i].as_slice();
+    // A known destination means every writer's rule held at the fixpoint.
+    let legal = (matches!(st[dst], S::Known(_)) || shape_of(instr, st).is_some())
+        && match instr {
+            Instr::Broadcast { shape, .. } => {
+                dims(0).len() <= shape.len()
+                    && dims(0)
+                        .iter()
+                        .zip(&shape[shape.len() - dims(0).len()..])
+                        .all(|(&d, &t)| d == t || d == 1)
             }
-            format!("broadcast of {s:?} to {shape:?}")
-        }
-        Instr::View { src, shape, .. } => {
-            let s = get(st, *src)?;
-            if s.volume() == shape.iter().product::<usize>() {
-                return None;
-            }
-            format!("view of {:?} as {shape:?} changes volume", s.as_slice())
-        }
-        Instr::Binary { a, b, .. } => {
-            let (x, y) = (get(st, *a)?, get(st, *b)?);
-            if Shape4::try_joint(x.as_slice(), y.as_slice()).is_some() {
-                return None;
-            }
-            format!(
-                "elementwise op of {:?} and {:?}",
-                x.as_slice(),
-                y.as_slice()
-            )
-        }
-        Instr::Trans { src, .. } => {
-            let s = get(st, *src)?;
-            if s.as_slice().len() == 2 {
-                return None;
-            }
-            format!("transpose of a rank-{} block", s.as_slice().len())
-        }
-        Instr::Dot { a, b, .. } => {
-            let (x, y) = (get(st, *a)?, get(st, *b)?);
-            if let (&[_, k], &[k2, _]) = (x.as_slice(), y.as_slice()) {
-                if k == k2 {
-                    return None;
-                }
-            }
-            format!("dot of {:?} and {:?}", x.as_slice(), y.as_slice())
-        }
-        Instr::Sum { src, axis, .. } => {
-            let s = get(st, *src)?;
-            if *axis < s.as_slice().len() {
-                return None;
-            }
-            format!("sum over axis {axis} of {:?}", s.as_slice())
-        }
-        Instr::ExpandDims { src, axis, .. } => {
-            let s = get(st, *src)?;
-            let rank = s.as_slice().len();
-            if *axis <= rank && rank < MAX_RANK {
-                return None;
-            }
-            format!("expand_dims at axis {axis} of {:?}", s.as_slice())
-        }
-        _ => return None,
-    };
-    Some(format!("ill-shaped instruction: {why}"))
+            Instr::View { shape, .. } => ops[0].volume() == shape.iter().product::<usize>(),
+            Instr::Dot { .. } => dims(0)[1] == dims(1)[0],
+            _ => true,
+        };
+    (!legal).then(|| {
+        let shapes: Vec<&[usize]> = ops[..n].iter().map(Shape4::as_slice).collect();
+        format!("ill-shaped instruction {instr:?} on operand shapes {shapes:?}")
+    })
 }

@@ -1,8 +1,8 @@
 //! Analysis 7 (see the parent module docs): the value slice of a kernel
 //! and whether a relaunch may replay it against recorded addresses.
 
-use super::{solve, ParamTable, SiteInfo};
-use insum_kernel::{visit_instrs, Instr, Kernel, Reg, Use};
+use super::{Dataflow, ParamTable, SiteInfo};
+use insum_kernel::{visit_instrs, Instr, Reg, Use};
 use insum_tensor::DType;
 use std::fmt;
 
@@ -38,9 +38,10 @@ impl fmt::Display for ReplayDecline {
 }
 
 /// The value slice, per register: `needed[r]` when some store or atomic
-/// add's value is computed from `r` along operand edges. A load's offset
-/// and mask are *not* operand edges — the slice is cut there, which is
-/// what lets a script stand in for everything behind them.
+/// add's value is computed from `r` along value operands
+/// ([`Use::Value`]). Offsets, masks and loop bounds are index operands:
+/// the slice is cut there, which is what lets a script stand in for
+/// everything behind them.
 pub(super) struct ValueSlice {
     needed: Vec<bool>,
     /// The first kernel-level reason no launch may be replayed.
@@ -48,22 +49,22 @@ pub(super) struct ValueSlice {
 }
 
 impl ValueSlice {
-    pub(super) fn analyze(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> ValueSlice {
+    pub(super) fn analyze(flow: &Dataflow, dtypes: &[DType], written: &[bool]) -> ValueSlice {
         // Registers are not SSA: every writer of a needed register is in
         // the slice, and the marking iterates to a fixpoint because a
         // reader may stand before its operand's writer (loop-carried
         // accumulators). A store's or atomic's value is needed; a needed
         // register's writer needs its value operands.
-        let needed = solve(kernel, false, true, |instr, needed| {
-            if instr.dst().is_none_or(|d| needed[d]) {
-                for (r, u) in instr.operands() {
+        let needed = flow.solve(false, true, |e, needed| {
+            if e.dst.is_none_or(|d| needed[d]) {
+                for &(r, u) in e.operands.iter() {
                     needed[r] |= u == Use::Value;
                 }
             }
         });
         ValueSlice {
             needed,
-            decline: kernel_decline(kernel, dtypes, written),
+            decline: kernel_decline(flow, dtypes, written),
         }
     }
 
@@ -104,12 +105,12 @@ impl ValueSlice {
 /// something other than a function of the program and the I32 arguments
 /// — a float parameter's element, an element of a parameter the kernel
 /// writes, or anything computed from one.
-fn kernel_decline(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Option<ReplayDecline> {
-    let mut dyn_loop = false;
-    visit_instrs(&kernel.body, &mut |i| {
-        dyn_loop |= matches!(i, Instr::LoopDyn { .. })
-    });
-    if dyn_loop {
+fn kernel_decline(flow: &Dataflow, dtypes: &[DType], written: &[bool]) -> Option<ReplayDecline> {
+    if flow
+        .instrs
+        .iter()
+        .any(|e| matches!(e.instr, Instr::LoopDyn { .. }))
+    {
         return Some(ReplayDecline::DynLoop);
     }
     if dtypes
@@ -121,21 +122,24 @@ fn kernel_decline(kernel: &Kernel, dtypes: &[DType], written: &[bool]) -> Option
     }
     // A load taints its result by its parameter alone (its offset and
     // mask are index operands); everything else by its value operands.
-    let tainted = solve(kernel, false, true, |instr, tainted| {
-        if let Some(dst) = instr.dst() {
-            let from_param = match instr {
+    let tainted = flow.solve(false, true, |e, tainted| {
+        if let Some(dst) = e.dst {
+            let from_param = match e.instr {
                 Instr::Load { param, .. } => dtypes[*param] != DType::I32 || written[*param],
                 _ => false,
             };
-            tainted[dst] |=
-                from_param || instr.operands().any(|(r, u)| u == Use::Value && tainted[r]);
+            tainted[dst] |= from_param
+                || e.operands
+                    .iter()
+                    .any(|&(r, u)| u == Use::Value && tainted[r]);
         }
     });
     // The index operands left are the accesses' offsets and masks (a
     // dynamic loop's bounds declined above).
-    let mut float_address = false;
-    visit_instrs(&kernel.body, &mut |i| {
-        float_address |= i.operands().any(|(r, u)| u == Use::Index && tainted[r]);
+    let float_address = flow.instrs.iter().any(|e| {
+        e.operands
+            .iter()
+            .any(|&(r, u)| u == Use::Index && tainted[r])
     });
     float_address.then_some(ReplayDecline::FloatAddress)
 }

@@ -56,12 +56,10 @@ impl Default for Fnv {
 }
 
 impl Fnv {
-    /// The FNV-1a offset basis.
     pub fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    /// Mix one byte.
     pub fn byte(&mut self, b: u8) {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -74,17 +72,14 @@ impl Fnv {
         }
     }
 
-    /// Mix a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
 
-    /// Mix a `usize` as a `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    /// Mix an `f64` by its bits.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -103,7 +98,6 @@ impl Fnv {
         }
     }
 
-    /// The hash so far.
     pub fn finish(&self) -> u64 {
         self.0
     }

@@ -244,6 +244,29 @@ pub enum Use {
     Index,
 }
 
+/// The registers an instruction reads itself — at most three — each with
+/// how it reads them ([`Instr::operands`]); derefs to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands {
+    ops: [(Reg, Use); 3],
+    len: u8,
+}
+
+impl Operands {
+    fn push(&mut self, r: Reg, u: Use) {
+        self.ops[usize::from(self.len)] = (r, u);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [(Reg, Use)];
+
+    fn deref(&self) -> &[(Reg, Use)] {
+        &self.ops[..usize::from(self.len)]
+    }
+}
+
 impl Instr {
     /// The register this instruction writes: its `dst`, or a loop's
     /// induction variable; `None` for `Store` and `AtomicAdd`. Writes
@@ -270,33 +293,30 @@ impl Instr {
     /// The registers this instruction reads itself (not its loop body),
     /// in field order, each with how it is read. A register read twice
     /// (`dot(a, a)`) is reported twice.
-    pub fn operands(&self) -> impl Iterator<Item = (Reg, Use)> {
+    pub fn operands(&self) -> Operands {
         use Use::{Index, Value};
-        let mut ops = [(0, Value); 3];
-        let n = match self {
+        let mut ops = Operands {
+            ops: [(0, Value); 3],
+            len: 0,
+        };
+        match *self {
             Instr::ProgramId { .. }
             | Instr::Const { .. }
             | Instr::Arange { .. }
             | Instr::Full { .. }
-            | Instr::Loop { .. } => 0,
+            | Instr::Loop { .. } => {}
             Instr::Binary { a, b, .. } | Instr::Dot { a, b, .. } => {
-                ops[..2].copy_from_slice(&[(*a, Value), (*b, Value)]);
-                2
+                ops.push(a, Value);
+                ops.push(b, Value);
             }
             Instr::ExpandDims { src, .. }
             | Instr::Broadcast { src, .. }
             | Instr::View { src, .. }
             | Instr::Trans { src, .. }
-            | Instr::Sum { src, .. } => {
-                ops[0] = (*src, Value);
-                1
-            }
+            | Instr::Sum { src, .. } => ops.push(src, Value),
             Instr::Load { offset, mask, .. } => {
-                ops[0] = (*offset, Index);
-                if let Some(m) = mask {
-                    ops[1] = (*m, Index);
-                }
-                1 + usize::from(mask.is_some())
+                ops.push(offset, Index);
+                mask.into_iter().for_each(|m| ops.push(m, Index));
             }
             Instr::Store {
                 offset,
@@ -310,21 +330,20 @@ impl Instr {
                 mask,
                 ..
             } => {
-                ops[..2].copy_from_slice(&[(*offset, Index), (*value, Value)]);
-                if let Some(m) = mask {
-                    ops[2] = (*m, Index);
-                }
-                2 + usize::from(mask.is_some())
+                ops.push(offset, Index);
+                ops.push(value, Value);
+                mask.into_iter().for_each(|m| ops.push(m, Index));
             }
             Instr::LoopDyn { start, end, .. } => {
-                ops[..2].copy_from_slice(&[(*start, Index), (*end, Index)]);
-                2
+                ops.push(start, Index);
+                ops.push(end, Index);
             }
-        };
-        ops.into_iter().take(n)
+        }
+        ops
     }
 
     /// A loop's body; empty for every other instruction.
+    #[inline]
     pub fn body(&self) -> &[Instr] {
         match self {
             Instr::Loop { body, .. } | Instr::LoopDyn { body, .. } => body,
@@ -338,7 +357,10 @@ impl Instr {
 pub fn visit_instrs<'a, F: FnMut(&'a Instr)>(body: &'a [Instr], f: &mut F) {
     for instr in body {
         f(instr);
-        visit_instrs(instr.body(), f);
+        let inner = instr.body();
+        if !inner.is_empty() {
+            visit_instrs(inner, f);
+        }
     }
 }
 
@@ -413,10 +435,11 @@ impl Kernel {
 
     /// [`Kernel::validate`] for one instruction, without its loop body.
     fn check(&self, instr: &Instr) -> crate::Result<()> {
+        let operands = instr.operands();
         let mut regs = instr
             .dst()
             .into_iter()
-            .chain(instr.operands().map(|(r, _)| r));
+            .chain(operands.iter().map(|&(r, _)| r));
         if let Some(r) = regs.find(|&r| r >= self.num_regs) {
             return Err(KernelError(format!(
                 "register {r} out of range ({} registers declared)",
@@ -701,13 +724,14 @@ mod tests {
             let instr = make(&regs);
             covered[variant_index(&instr)] = true;
             let mut reported: Vec<Reg> = instr.dst().into_iter().collect();
-            reported.extend(instr.operands().map(|(r, _)| r));
+            reported.extend(instr.operands().iter().map(|&(r, _)| r));
             reported.sort_unstable();
             assert_eq!(reported, regs, "{instr:?}");
             let index: Vec<Reg> = instr
                 .operands()
-                .filter(|&(_, u)| u == Use::Index)
-                .map(|(r, _)| r)
+                .iter()
+                .filter(|&&(_, u)| u == Use::Index)
+                .map(|&(r, _)| r)
                 .collect();
             let want: Vec<Reg> = index_positions.iter().map(|&p| regs[p]).collect();
             assert_eq!(index, want, "{instr:?}");

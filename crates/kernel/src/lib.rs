@@ -12,23 +12,15 @@
 //! *blocks* (small n-d arrays). The grid is supplied at launch; each
 //! program instance reads its coordinates with [`Instr::ProgramId`].
 //!
-//! **Register edges.** This crate is the one place that states which
-//! registers an instruction touches; everything that walks kernels —
-//! [`Kernel::validate`], [`param_usage`], [`Kernel::instruction_count`],
-//! the simulator's ahead-of-time analyses — goes through it:
-//!
-//! * [`Instr::dst`] — the register the instruction writes (a loop's
-//!   induction variable; `None` for `Store` / `AtomicAdd`);
-//! * [`Instr::operands`] — the registers it reads itself, each tagged
-//!   [`Use::Value`] (its elements flow into the result or the stored
-//!   value) or [`Use::Index`] (an access's offset or mask, a dynamic
-//!   loop's bounds: they decide where and whether, and a value slice is
-//!   cut there);
-//! * [`Instr::body`] — a loop's body (empty otherwise);
-//! * [`visit_instrs`] — the one pre-order walk (a loop before its body).
-//!
-//! A new variant is added to those three methods and nowhere else that
-//! deals in registers.
+//! **Register edges.** This crate alone states which registers an
+//! instruction touches: [`Instr::dst`] (the register it writes, a loop's
+//! variable included), [`Instr::operands`] (the registers it reads, each
+//! [`Use::Value`] or [`Use::Index`] — an access's offset or mask, a
+//! dynamic loop's bounds, where a value slice is cut) and [`Instr::body`],
+//! with [`visit_instrs`] the one pre-order walk. [`Kernel::validate`],
+//! [`param_usage`], [`Kernel::instruction_count`] and the simulator's
+//! analyses use them, so a new variant is taught to those three methods
+//! and nowhere else that deals in registers.
 //!
 //! The [`print_kernel`] pretty-printer renders a kernel as Triton-flavoured
 //! pseudo-Python, used for golden codegen tests (paper Fig. 8) and
@@ -41,7 +33,7 @@ mod printer;
 
 pub use analysis::{fingerprint, param_usage, Fnv, ParamUsage};
 pub use builder::KernelBuilder;
-pub use ir::{visit_instrs, BinOp, Instr, Kernel, KernelError, ParamDecl, Reg, Use};
+pub use ir::{visit_instrs, BinOp, Instr, Kernel, KernelError, Operands, ParamDecl, Reg, Use};
 pub use printer::print_kernel;
 
 /// Crate-wide result alias.
