@@ -36,9 +36,9 @@
 //!    the constant 0 (level 0 — the column tile of the `[1, n]` grids of
 //!    COO, conv and the tensor product), and when axis 0 has extent 1
 //!    there is no per-row tier at all. Invariant instructions trapped
-//!    inside per-instance loops are cached as *occurrence streams*: the row representative records
-//!    one value per dynamic execution, later instances replay the
-//!    stream. Costs are still charged to every instance (they are
+//!    inside per-instance loops are cached as *occurrence streams*: the
+//!    row representative records one value per dynamic execution, later
+//!    instances replay the stream. Costs are still charged to every instance (they are
 //!    deterministic), so [`crate::KernelStats`] and timing stay
 //!    bit-identical to the reference interpreter.
 //! 2. **last-use liveness** — per-unit release lists return dead
