@@ -20,7 +20,7 @@ mod common;
 use insum::apps;
 use insum::{insum_with, plan, DeviceModel, InsumOptions, Mode, ProgramCache, Tensor};
 use insum_formats::{Bcsr, BlockCoo, BlockGroupCoo, Coo, Csr, GroupCoo};
-use insum_gpu::{record_digests, Program};
+use insum_gpu::{record_programs, Program, ReplayDecline};
 use insum_kernel::{Fnv, Kernel};
 use insum_tensor::{rand_uniform, DType};
 use insum_workloads::blocksparse::{block_sparse_dense, coo_from_degrees};
@@ -31,6 +31,7 @@ use proptest::test_runner::TestRng;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// `(corpus entry, digest)`, recorded before the analyses were unified
 /// behind one dataflow driver.
@@ -197,23 +198,43 @@ fn error_digest(e: &dyn std::fmt::Display) -> u64 {
     h.finish()
 }
 
-/// The digests of every program compiled while `f` runs, the program
-/// cache emptied first so that each one compiles.
-fn recorded<E: std::fmt::Display>(f: impl FnOnce() -> Result<(), E>) -> u64 {
+/// How a corpus entry's programs relaunch, one word each in compile
+/// order: `tape` (replayed by value tape) or the `ReplayDecline`.
+fn census(replays: &[Result<(), ReplayDecline>]) -> String {
+    let word = |r: &Result<(), ReplayDecline>| match r {
+        Ok(()) => "tape".to_string(),
+        Err(why) => format!("{why:?}"),
+    };
+    replays.iter().map(word).collect::<Vec<_>>().join(" ")
+}
+
+/// One corpus entry: its digest and its replay census.
+type Entry = (String, u64, String);
+
+/// The digest and census of every program compiled while `f` runs, the
+/// program cache emptied first so that each one compiles.
+fn recorded<E: std::fmt::Display>(f: impl FnOnce() -> Result<(), E>) -> (u64, String) {
     ProgramCache::global().clear();
-    let (result, digests) = record_digests(f);
+    let (result, notes) = record_programs(f);
+    let (digests, replays): (Vec<u64>, Vec<_>) = notes.into_iter().unzip();
     match result {
-        Ok(()) => combine(&digests),
-        Err(e) => error_digest(&e),
+        Ok(()) => (combine(&digests), census(&replays)),
+        Err(e) => (error_digest(&e), "error".into()),
     }
 }
 
-fn compiled(kernel: &Kernel, grid: &[usize], args: &[Tensor]) -> u64 {
+fn compiled(kernel: &Kernel, grid: &[usize], args: &[Tensor]) -> (u64, String) {
     let lens: Vec<usize> = args.iter().map(Tensor::len).collect();
     let dtypes: Vec<DType> = args.iter().map(Tensor::dtype).collect();
     match Program::compile(kernel, grid, &lens, &dtypes) {
-        Ok(p) => p.analysis_digest(),
-        Err(e) => error_digest(&e),
+        Ok(p) => {
+            let replay = match p.replay_decline() {
+                Some(why) => Err(why),
+                None => p.tape_listing().map(drop),
+            };
+            (p.analysis_digest(), census(&[replay]))
+        }
+        Err(e) => (error_digest(&e), "error".into()),
     }
 }
 
@@ -374,11 +395,11 @@ fn ablations() -> Vec<(&'static str, InsumOptions)> {
     ]
 }
 
-fn corpus() -> Vec<(String, u64)> {
+fn build_corpus() -> Vec<Entry> {
     let mut out = Vec::new();
     for (name, expr, tensors) in expressions() {
         for (ablation, opts) in ablations() {
-            let digest = recorded(|| {
+            let entry = recorded(|| {
                 let compiled = if insum::is_chain_expression(expr) {
                     plan(expr, &tensors, &opts)?
                 } else {
@@ -386,7 +407,7 @@ fn corpus() -> Vec<(String, u64)> {
                 };
                 compiled.time(&tensors).map(|_| ())
             });
-            out.push((format!("{name}/{ablation}"), digest));
+            out.push((format!("{name}/{ablation}"), entry));
         }
     }
 
@@ -496,12 +517,18 @@ fn corpus() -> Vec<(String, u64)> {
             &common::block_group_args(groups, g, xtiles, 5),
         ),
     ));
-    out
+    out.into_iter().map(|(name, (d, c))| (name, d, c)).collect()
+}
+
+/// The corpus, built once per test process.
+fn corpus() -> &'static [Entry] {
+    static CORPUS: OnceLock<Vec<Entry>> = OnceLock::new();
+    CORPUS.get_or_init(build_corpus)
 }
 
 #[test]
 fn compile_derives_the_recorded_analyses() {
-    let got = corpus();
+    let got: Vec<(String, u64)> = corpus().iter().map(|(n, d, _)| (n.clone(), *d)).collect();
     let table: String = got
         .iter()
         .map(|(name, d)| format!("    ({name:?}, {d}),\n"))
@@ -519,4 +546,28 @@ fn compile_derives_the_recorded_analyses() {
         got.len().abs_diff(want.len()) + moved.len(),
         got.len()
     );
+}
+
+/// The replay census: every kernel the code generator emits for the
+/// corpus expressions, under every ablation, relaunches by value tape, as
+/// do the simulator tests' generated kernels and the hand-built baselines
+/// but the CSR ones, whose dynamic loops decline at compile time as they
+/// always have. `error` is the corpus entry that compiles no program (the
+/// unfused pipeline has no kernel for a repeated index); the stride views'
+/// fast paths compile none either and have an empty census.
+#[test]
+fn every_generated_kernel_replays_by_tape() {
+    const DECLINES: &[(&str, &str)] = &[
+        ("diagonal/unfused", "error"),
+        ("baseline/torch_bsr", "DynLoop"),
+        ("baseline/cusparse", "DynLoop"),
+        ("baseline/sputnik", "DynLoop"),
+    ];
+    let mut declines = Vec::new();
+    for (name, _, census) in corpus() {
+        for word in census.split_whitespace().filter(|&w| w != "tape") {
+            declines.push((name.as_str(), word));
+        }
+    }
+    assert_eq!(declines, DECLINES, "the programs that never replay moved");
 }

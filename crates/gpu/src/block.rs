@@ -74,7 +74,7 @@ impl Default for PoolBuf {
 /// `op_tail_s` +22 %, `setup_s` +23 %, `ops_per_s` −10 % (EXPERIMENTS.md,
 /// "The value pass at the host's vector width").
 #[inline]
-fn elementwise_isa() -> Isa {
+pub(crate) fn elementwise_isa() -> Isa {
     Isa::detect().min(Isa::Avx2)
 }
 
@@ -93,23 +93,8 @@ enum Storage {
 /// destination tensor's dtype.
 #[derive(Debug, Clone)]
 pub struct Block {
-    rank: u8,
-    shape: [usize; MAX_RANK],
-    /// Element strides; 0 on broadcast dimensions.
-    strides: [usize; MAX_RANK],
-    offset: usize,
+    geom: Geom,
     storage: Storage,
-}
-
-/// Row-major contiguous strides for `shape[..rank]`.
-fn contiguous_strides(shape: &[usize; MAX_RANK], rank: usize) -> [usize; MAX_RANK] {
-    let mut strides = [0usize; MAX_RANK];
-    let mut acc = 1usize;
-    for d in (0..rank).rev() {
-        strides[d] = acc;
-        acc *= shape[d];
-    }
-    strides
 }
 
 fn pack_shape(shape: &[usize]) -> (u8, [usize; MAX_RANK]) {
@@ -195,14 +180,283 @@ impl Shape4 {
     }
 }
 
+/// Where a strided view's elements sit in its storage: the shape, each
+/// dimension's element stride (0 on broadcast dimensions) and the first
+/// element. A [`Block`] is a geometry over its own storage, a [`Tile`]
+/// one over borrowed data, and a value-tape operand one over an arena
+/// slot (`interp/tape.rs`), so a shape transform — `expand_dims`,
+/// `broadcast_to`, `trans`, a contiguous `view` — is one metadata edit
+/// here whichever of them it moves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Geom {
+    rank: u8,
+    shape: [usize; MAX_RANK],
+    strides: [usize; MAX_RANK],
+    offset: usize,
+}
+
+impl Geom {
+    /// Row-major over `shape`, from element `offset`.
+    pub(crate) fn contiguous(shape: Shape4, offset: usize) -> Geom {
+        let mut strides = [0usize; MAX_RANK];
+        let mut acc = 1usize;
+        for d in (0..shape.rank as usize).rev() {
+            strides[d] = acc;
+            acc *= shape.dims[d];
+        }
+        Geom {
+            rank: shape.rank,
+            shape: shape.dims,
+            strides,
+            offset,
+        }
+    }
+
+    /// The logical shape (empty for scalars).
+    pub(crate) fn shape(&self) -> &[usize] {
+        &self.shape[..self.rank as usize]
+    }
+
+    pub(crate) fn shape4(&self) -> Shape4 {
+        Shape4 {
+            rank: self.rank,
+            dims: self.shape,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.shape().iter().product()
+    }
+
+    /// True when logical order equals storage order with no gaps.
+    pub(crate) fn is_contiguous(&self) -> bool {
+        let mut acc = 1usize;
+        for d in (0..self.rank as usize).rev() {
+            if self.shape[d] != 1 && self.strides[d] != acc {
+                return false;
+            }
+            acc *= self.shape[d];
+        }
+        true
+    }
+
+    /// Shape and strides padded to `MAX_RANK` with leading unit dims.
+    /// The walkers iterate these four fixed loops.
+    #[inline]
+    fn dims4(&self) -> ([usize; MAX_RANK], [usize; MAX_RANK]) {
+        let rank = self.rank as usize;
+        let pad = MAX_RANK - rank;
+        let mut shape = [1usize; MAX_RANK];
+        let mut strides = [0usize; MAX_RANK];
+        shape[pad..].copy_from_slice(&self.shape[..rank]);
+        strides[pad..].copy_from_slice(&self.strides[..rank]);
+        (shape, strides)
+    }
+
+    /// A size-1 axis inserted at `axis`; `None` past the rank or beyond
+    /// `MAX_RANK`.
+    pub(crate) fn expand_dims(&self, axis: usize) -> Option<Geom> {
+        let rank = self.rank as usize;
+        if axis > rank || rank == MAX_RANK {
+            return None;
+        }
+        let mut g = *self;
+        g.shape.copy_within(axis..rank, axis + 1);
+        g.strides.copy_within(axis..rank, axis + 1);
+        (g.shape[axis], g.strides[axis], g.rank) = (1, 0, self.rank + 1);
+        Some(g)
+    }
+
+    /// The 2-D transpose; `None` unless rank 2.
+    pub(crate) fn trans(&self) -> Option<Geom> {
+        let mut g = *self;
+        g.shape.swap(0, 1);
+        g.strides.swap(0, 1);
+        (self.rank == 2).then_some(g)
+    }
+
+    /// Broadcast to `shape`, NumPy rules (broadcast dims get stride 0);
+    /// `None` when the shapes are incompatible.
+    pub(crate) fn broadcast(&self, shape: &[usize]) -> Option<Geom> {
+        let rank = self.rank as usize;
+        if self.shape() == shape {
+            return Some(*self);
+        }
+        let nd = shape.len();
+        if nd < rank || nd > MAX_RANK {
+            return None;
+        }
+        let pad = nd - rank;
+        let mut g = Geom {
+            rank: nd as u8,
+            shape: [1; MAX_RANK],
+            strides: [0; MAX_RANK],
+            offset: self.offset,
+        };
+        g.shape[..nd].copy_from_slice(shape);
+        for d in 0..rank {
+            let (dim, target) = (self.shape[d], shape[pad + d]);
+            if dim != target && dim != 1 {
+                return None;
+            }
+            g.strides[pad + d] = if dim == 1 { 0 } else { self.strides[d] };
+        }
+        Some(g)
+    }
+
+    /// The same elements as `shape`: a contiguous view of equal volume;
+    /// `None` otherwise.
+    pub(crate) fn reshape(&self, shape: Shape4) -> Option<Geom> {
+        (self.is_contiguous() && shape.volume() == self.len())
+            .then(|| Geom::contiguous(shape, self.offset))
+    }
+}
+
+/// A borrowed strided view of `f64` elements — a [`Geom`] over `data`:
+/// what a [`Block`] is over its own storage, and what a value-tape
+/// operand is over its slot of the tape's arena. The value bodies —
+/// elementwise ops, `tl.dot`, reductions, broadcast staging — run on
+/// tiles, so the register file and the tape share one definition of each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tile<'a> {
+    pub(crate) data: &'a [f64],
+    pub(crate) geom: Geom,
+}
+
+impl<'a> Tile<'a> {
+    pub(crate) fn shape(&self) -> &[usize] {
+        self.geom.shape()
+    }
+
+    fn rank(&self) -> usize {
+        self.geom.rank as usize
+    }
+
+    /// The first element (the value of a scalar).
+    fn first(&self) -> f64 {
+        self.data[self.geom.offset]
+    }
+
+    /// The elements as a flat row-major slice, if contiguous (a scalar
+    /// is its one element).
+    pub(crate) fn as_slice(&self) -> Option<&'a [f64]> {
+        let g = &self.geom;
+        g.is_contiguous()
+            .then(|| &self.data[g.offset..g.offset + g.len()])
+    }
+
+    /// Visit every element in logical row-major order.
+    #[inline]
+    pub(crate) fn walk<F: FnMut(f64)>(&self, mut f: F) {
+        if let Some(s) = self.as_slice() {
+            for &v in s {
+                f(v);
+            }
+            return;
+        }
+        let (shape, st) = self.geom.dims4();
+        let data = self.data;
+        let mut o0 = self.geom.offset;
+        for _ in 0..shape[0] {
+            let mut o1 = o0;
+            for _ in 0..shape[1] {
+                let mut o2 = o1;
+                for _ in 0..shape[2] {
+                    let mut o3 = o2;
+                    for _ in 0..shape[3] {
+                        f(data[o3]);
+                        o3 += st[3];
+                    }
+                    o2 += st[2];
+                }
+                o1 += st[1];
+            }
+            o0 += st[0];
+        }
+    }
+
+    /// Broadcast to `shape` (stride 0 on broadcast dims).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes are incompatible.
+    fn broadcast_view(&self, shape: &[usize]) -> Tile<'a> {
+        let geom = self.geom.broadcast(shape);
+        assert!(
+            geom.is_some(),
+            "cannot broadcast {:?} to {shape:?}",
+            self.shape()
+        );
+        Tile {
+            data: self.data,
+            geom: geom.unwrap_or(self.geom),
+        }
+    }
+
+    /// Append this tile, broadcast to `shape`, to `out` in logical
+    /// row-major order — what `broadcast_view(shape).walk(|v| out.push(v))`
+    /// appends, a row at a time: a contiguous row is one copy, a
+    /// broadcast row one fill. Always inlined, so it runs at the vector
+    /// width of the value body that stages through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile cannot broadcast to `shape`.
+    #[inline(always)]
+    pub(crate) fn extend_broadcast(&self, shape: &[usize], out: &mut Vec<f64>) {
+        let n: usize = shape.iter().product();
+        if self.rank() == 0 {
+            // A scalar broadcasts to any shape.
+            out.extend(std::iter::repeat_n(self.first(), n));
+            return;
+        }
+        let view = self.broadcast_view(shape);
+        if n == 0 {
+            return;
+        }
+        let (dims, st) = view.geom.dims4();
+        let data = view.data;
+        let inner = dims[3];
+        out.reserve(n);
+        let mut o0 = view.geom.offset;
+        for _ in 0..dims[0] {
+            let mut o1 = o0;
+            for _ in 0..dims[1] {
+                let mut o2 = o1;
+                for _ in 0..dims[2] {
+                    match st[3] {
+                        1 => out.extend_from_slice(&data[o2..o2 + inner]),
+                        0 => out.extend(std::iter::repeat_n(data[o2], inner)),
+                        s => out.extend((0..inner).map(|t| data[o2 + t * s])),
+                    }
+                    o2 += st[2];
+                }
+                o1 += st[1];
+            }
+            o0 += st[0];
+        }
+    }
+
+    /// This rank-2 tile as a strided kernel operand.
+    #[cfg(target_arch = "x86_64")]
+    fn mat(&self) -> exact_dot::Mat<'a> {
+        let g = &self.geom;
+        exact_dot::Mat {
+            data: self.data,
+            offset: g.offset,
+            rows: g.shape[0],
+            cols: g.shape[1],
+            s0: g.strides[0],
+            s1: g.strides[1],
+        }
+    }
+}
+
 impl Block {
     /// A scalar block (inline; no allocation).
     pub fn scalar(value: f64) -> Block {
         Block {
-            rank: 0,
-            shape: [1; MAX_RANK],
-            strides: [0; MAX_RANK],
-            offset: 0,
+            geom: Geom::contiguous(Shape4::from_slice(&[]), 0),
             storage: Storage::Inline(value),
         }
     }
@@ -242,20 +496,14 @@ impl Block {
             return Block::scalar(buf.vec()[0]);
         }
         Block {
-            rank: shape.rank,
-            shape: shape.dims,
-            strides: contiguous_strides(&shape.dims, shape.rank as usize),
-            offset: 0,
+            geom: Geom::contiguous(shape, 0),
             storage: Storage::Heap(buf.rc),
         }
     }
 
     /// This block's shape in packed form.
     pub fn shape4(&self) -> Shape4 {
-        Shape4 {
-            rank: self.rank,
-            dims: self.shape,
-        }
+        self.geom.shape4()
     }
 
     /// [`Block::full`] reusing a pool buffer for the single backing slot.
@@ -271,13 +519,7 @@ impl Block {
         let v = buf.vec();
         v.clear();
         v.push(value);
-        Block {
-            rank: shape.rank,
-            shape: shape.dims,
-            strides: [0; MAX_RANK],
-            offset: 0,
-            storage: Storage::Heap(buf.rc),
-        }
+        Block::constant(shape, Storage::Heap(buf.rc))
     }
 
     /// A block filled with `value`.
@@ -285,16 +527,18 @@ impl Block {
         if shape.is_empty() {
             return Block::scalar(value);
         }
-        // A broadcast view of one element: full blocks are constant, so
-        // every dimension can stride 0 over a single slot.
-        let (rank, s) = pack_shape(&shape);
-        Block {
-            rank,
-            shape: s,
-            strides: [0; MAX_RANK],
-            offset: 0,
-            storage: Storage::Heap(Rc::new(vec![value])),
-        }
+        Block::constant(
+            Shape4::from_slice(&shape),
+            Storage::Heap(Rc::new(vec![value])),
+        )
+    }
+
+    /// Every element of `shape` at the one slot of `storage`: full blocks
+    /// are constant, so every dimension strides 0.
+    fn constant(shape: Shape4, storage: Storage) -> Block {
+        let mut geom = Geom::contiguous(shape, 0);
+        geom.strides = [0; MAX_RANK];
+        Block { geom, storage }
     }
 
     /// `[0, 1, ..., len-1]`.
@@ -304,12 +548,12 @@ impl Block {
 
     /// The logical shape (empty for scalars).
     pub fn shape(&self) -> &[usize] {
-        &self.shape[..self.rank as usize]
+        self.geom.shape()
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.shape().iter().product()
+        self.geom.len()
     }
 
     /// True if the block has no elements.
@@ -325,7 +569,7 @@ impl Block {
     pub fn first(&self) -> f64 {
         match &self.storage {
             Storage::Inline(v) => *v,
-            Storage::Heap(data) => data[self.offset],
+            Storage::Heap(data) => data[self.geom.offset],
         }
     }
 
@@ -334,16 +578,7 @@ impl Block {
     pub fn is_contiguous(&self) -> bool {
         match &self.storage {
             Storage::Inline(_) => true,
-            Storage::Heap(_) => {
-                let mut acc = 1usize;
-                for d in (0..self.rank as usize).rev() {
-                    if self.shape[d] != 1 && self.strides[d] != acc {
-                        return false;
-                    }
-                    acc *= self.shape[d];
-                }
-                true
-            }
+            Storage::Heap(_) => self.geom.is_contiguous(),
         }
     }
 
@@ -351,10 +586,7 @@ impl Block {
     pub fn as_slice(&self) -> Option<&[f64]> {
         match &self.storage {
             Storage::Inline(_) => None,
-            Storage::Heap(data) if self.is_contiguous() => {
-                Some(&data[self.offset..self.offset + self.len()])
-            }
-            Storage::Heap(_) => None,
+            Storage::Heap(_) => self.tile().as_slice(),
         }
     }
 
@@ -365,107 +597,30 @@ impl Block {
         out
     }
 
-    /// Append this block, broadcast to `shape`, to `out` in logical
-    /// row-major order — what `broadcast_to(shape).walk(|v| out.push(v))`
-    /// appends, a row at a time: a contiguous row is one copy, a
-    /// broadcast row one fill. Always inlined, so it runs at the vector
-    /// width of the value body that stages through it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block cannot broadcast to `shape`.
-    #[inline(always)]
-    pub(crate) fn extend_broadcast(&self, shape: &[usize], out: &mut Vec<f64>) {
-        let n: usize = shape.iter().product();
-        if let Storage::Inline(v) = self.storage {
-            // A scalar broadcasts to any shape.
-            out.extend(std::iter::repeat_n(v, n));
-            return;
-        }
-        let view = self.broadcast_view(shape);
-        if n == 0 {
-            return;
-        }
-        let (dims, st) = view.dims4();
-        let data = view.storage_slice();
-        let inner = dims[3];
-        out.reserve(n);
-        let mut o0 = view.offset;
-        for _ in 0..dims[0] {
-            let mut o1 = o0;
-            for _ in 0..dims[1] {
-                let mut o2 = o1;
-                for _ in 0..dims[2] {
-                    match st[3] {
-                        1 => out.extend_from_slice(&data[o2..o2 + inner]),
-                        0 => out.extend(std::iter::repeat_n(data[o2], inner)),
-                        s => out.extend((0..inner).map(|t| data[o2 + t * s])),
-                    }
-                    o2 += st[2];
-                }
-                o1 += st[1];
-            }
-            o0 += st[0];
-        }
-    }
-
-    /// Shape and strides padded to `MAX_RANK` with leading unit dims.
-    /// The walkers iterate these four fixed loops.
+    /// This block as a borrowed strided view of its storage.
     #[inline]
-    fn dims4(&self) -> ([usize; MAX_RANK], [usize; MAX_RANK]) {
-        let rank = self.rank as usize;
-        let pad = MAX_RANK - rank;
-        let mut shape = [1usize; MAX_RANK];
-        let mut strides = [0usize; MAX_RANK];
-        shape[pad..].copy_from_slice(&self.shape[..rank]);
-        strides[pad..].copy_from_slice(&self.strides[..rank]);
-        (shape, strides)
+    pub(crate) fn tile(&self) -> Tile<'_> {
+        let data = match &self.storage {
+            Storage::Heap(data) => &data[..],
+            Storage::Inline(v) => std::slice::from_ref(v),
+        };
+        Tile {
+            data,
+            geom: self.geom,
+        }
     }
 
     /// Visit every element in logical row-major order.
     #[inline]
-    pub fn walk<F: FnMut(f64)>(&self, mut f: F) {
-        if let Some(s) = self.as_slice() {
-            for &v in s {
-                f(v);
-            }
-            return;
-        }
-        if let Storage::Inline(v) = self.storage {
-            // Rank 0 ⇒ exactly one element.
-            f(v);
-            return;
-        }
-        let Storage::Heap(data) = &self.storage else {
-            unreachable!()
-        };
-        let (shape, st) = self.dims4();
-        let mut o0 = self.offset;
-        for _ in 0..shape[0] {
-            let mut o1 = o0;
-            for _ in 0..shape[1] {
-                let mut o2 = o1;
-                for _ in 0..shape[2] {
-                    let mut o3 = o2;
-                    for _ in 0..shape[3] {
-                        f(data[o3]);
-                        o3 += st[3];
-                    }
-                    o2 += st[2];
-                }
-                o1 += st[1];
-            }
-            o0 += st[0];
-        }
+    pub fn walk<F: FnMut(f64)>(&self, f: F) {
+        self.tile().walk(f)
     }
 
-    /// The backing slice a non-scalar view indexes into; scalars expose a
-    /// one-element slice via a broadcast-view conversion first.
-    #[inline]
-    fn storage_slice(&self) -> &[f64] {
-        match &self.storage {
-            Storage::Heap(data) => data,
-            Storage::Inline(v) => std::slice::from_ref(v),
+    /// This block's storage under another geometry.
+    fn with(&self, geom: Geom) -> Block {
+        Block {
+            geom,
+            storage: self.storage.clone(),
         }
     }
 
@@ -475,24 +630,9 @@ impl Block {
     ///
     /// Panics if `axis > rank` or the result exceeds `MAX_RANK`.
     pub fn expand_dims(&self, axis: usize) -> Block {
-        let rank = self.rank as usize;
-        assert!(axis <= rank, "expand_dims axis out of range");
-        assert!(rank < MAX_RANK, "expand_dims beyond rank {MAX_RANK}");
-        let mut shape = [1usize; MAX_RANK];
-        let mut strides = [0usize; MAX_RANK];
-        shape[..axis].copy_from_slice(&self.shape[..axis]);
-        strides[..axis].copy_from_slice(&self.strides[..axis]);
-        shape[axis] = 1;
-        strides[axis] = 0;
-        shape[axis + 1..=rank].copy_from_slice(&self.shape[axis..rank]);
-        strides[axis + 1..=rank].copy_from_slice(&self.strides[axis..rank]);
-        Block {
-            rank: self.rank + 1,
-            shape,
-            strides,
-            offset: self.offset,
-            storage: self.storage.clone(),
-        }
+        let geom = self.geom.expand_dims(axis);
+        assert!(geom.is_some(), "expand_dims axis {axis} out of range");
+        self.with(geom.unwrap_or(self.geom))
     }
 
     /// Reshape (same volume). Zero-copy when the block is contiguous;
@@ -507,20 +647,19 @@ impl Block {
             self.len(),
             "view changes volume"
         );
-        if self.is_contiguous() {
-            if shape.is_empty() {
-                return Block::scalar(self.first());
-            }
-            let (rank, s) = pack_shape(&shape);
-            return Block {
-                rank,
-                shape: s,
-                strides: contiguous_strides(&s, rank as usize),
-                offset: self.offset,
-                storage: self.storage.clone(),
-            };
+        let shape = Shape4::from_slice(&shape);
+        if !self.is_contiguous() {
+            return Block::from_packed(
+                shape,
+                PoolBuf {
+                    rc: Rc::new(self.to_vec()),
+                },
+            );
         }
-        Block::from_vec(shape, self.to_vec())
+        if shape.rank == 0 {
+            return Block::scalar(self.first());
+        }
+        self.with(Geom::contiguous(shape, self.geom.offset))
     }
 
     /// 2-D transpose (zero-copy stride swap).
@@ -529,11 +668,9 @@ impl Block {
     ///
     /// Panics unless the block is rank 2.
     pub fn trans(&self) -> Block {
-        assert_eq!(self.rank, 2, "trans requires a rank-2 block");
-        let mut out = self.clone();
-        out.shape.swap(0, 1);
-        out.strides.swap(0, 1);
-        out
+        let geom = self.geom.trans();
+        assert!(geom.is_some(), "trans requires a rank-2 block");
+        self.with(geom.unwrap_or(self.geom))
     }
 
     /// Broadcast to a larger shape, NumPy rules (zero-copy: broadcast
@@ -543,43 +680,14 @@ impl Block {
     ///
     /// Panics if the shapes are incompatible.
     pub fn broadcast_to(&self, shape: &[usize]) -> Block {
-        self.broadcast_view(shape)
-    }
-
-    fn broadcast_view(&self, shape: &[usize]) -> Block {
-        let rank = self.rank as usize;
-        if self.shape() == shape {
-            return self.clone();
-        }
-        let nd = shape.len();
-        assert!(nd >= rank, "broadcast cannot reduce rank");
-        assert!(nd <= MAX_RANK, "block rank {nd} exceeds {MAX_RANK}");
-        let pad = nd - rank;
-        let mut new_shape = [1usize; MAX_RANK];
-        let mut new_strides = [0usize; MAX_RANK];
-        new_shape[..nd].copy_from_slice(shape);
-        for d in 0..rank {
-            let dim = self.shape[d];
-            let target = shape[pad + d];
-            assert!(
-                dim == target || dim == 1,
-                "cannot broadcast {:?} to {:?}",
-                self.shape(),
-                shape
-            );
-            new_strides[pad + d] = if dim == 1 { 0 } else { self.strides[d] };
-        }
-        let storage = match &self.storage {
+        let geom = self.tile().broadcast_view(shape).geom;
+        match &self.storage {
             // Promote inline scalars so the walkers have a slice.
-            Storage::Inline(v) => Storage::Heap(Rc::new(vec![*v])),
-            heap => heap.clone(),
-        };
-        Block {
-            rank: nd as u8,
-            shape: new_shape,
-            strides: new_strides,
-            offset: self.offset,
-            storage,
+            Storage::Inline(v) if geom != self.geom => Block {
+                geom,
+                storage: Storage::Heap(Rc::new(vec![*v])),
+            },
+            _ => self.with(geom),
         }
     }
 
@@ -594,45 +702,19 @@ impl Block {
 
     /// Elementwise binary op with broadcasting, writing into `buf`
     /// (cleared; used as the output allocation so register slots can be
-    /// recycled across iterations).
-    ///
-    /// The op dispatch happens once out here so each operator gets fully
-    /// monomorphized inner loops.
+    /// recycled across iterations). Scalar ∘ scalar stays inline: this is
+    /// the loop-counter arithmetic path, which must not allocate.
     pub fn binary_with(op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
         Block::binary_with_on(elementwise_isa(), op, a, b, buf)
     }
 
     /// [`Block::binary_with`] at a named rung.
-    fn binary_with_on(isa: Isa, op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        struct BinaryWith<'a>(BinOp, &'a Block, &'a Block, PoolBuf);
-        impl Body for BinaryWith<'_> {
-            type Out = Block;
-            #[inline(always)]
-            fn run(self) -> Block {
-                let BinaryWith(op, a, b, buf) = self;
-                Block::binary_with_body(op, a, b, buf)
-            }
+    fn binary_with_on(isa: Isa, op: BinOp, a: &Block, b: &Block, mut buf: PoolBuf) -> Block {
+        if let (Storage::Inline(x), Storage::Inline(y)) = (&a.storage, &b.storage) {
+            return Block::scalar(apply_binop(op, *x, *y));
         }
-        isa.run(BinaryWith(op, a, b, buf))
-    }
-
-    #[inline(always)]
-    fn binary_with_body(op: BinOp, a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        match op {
-            BinOp::Add => Block::binary_impl(a, b, buf, |x, y| x + y),
-            BinOp::Sub => Block::binary_impl(a, b, buf, |x, y| x - y),
-            BinOp::Mul => Block::binary_impl(a, b, buf, |x, y| x * y),
-            BinOp::Div => Block::binary_impl(a, b, buf, |x, y| x / y),
-            BinOp::FloorDiv => Block::binary_impl(a, b, buf, |x, y| (x / y).floor()),
-            BinOp::Mod => Block::binary_impl(a, b, buf, |x, y| x - (x / y).floor() * y),
-            BinOp::Min => Block::binary_impl(a, b, buf, f64::min),
-            BinOp::Max => Block::binary_impl(a, b, buf, f64::max),
-            BinOp::Lt => Block::binary_impl(a, b, buf, |x, y| f64::from(x < y)),
-            BinOp::Le => Block::binary_impl(a, b, buf, |x, y| f64::from(x <= y)),
-            BinOp::Eq => Block::binary_impl(a, b, buf, |x, y| f64::from(x == y)),
-            BinOp::Ge => Block::binary_impl(a, b, buf, |x, y| f64::from(x >= y)),
-            BinOp::And => Block::binary_impl(a, b, buf, |x, y| f64::from(x != 0.0 && y != 0.0)),
-        }
+        let shape = binary_into(isa, op, &a.tile(), &b.tile(), buf.vec());
+        Block::from_packed(shape, buf)
     }
 
     /// Elementwise `a = a <op> b` in place, when `a` is contiguous,
@@ -645,159 +727,22 @@ impl Block {
 
     /// [`Block::binary_assign`] at a named rung.
     fn binary_assign_on(isa: Isa, op: BinOp, a: &mut Block, b: &Block) -> bool {
-        struct BinaryAssign<'a>(BinOp, &'a mut Block, &'a Block);
-        impl Body for BinaryAssign<'_> {
-            type Out = bool;
-            #[inline(always)]
-            fn run(self) -> bool {
-                let BinaryAssign(op, a, b) = self;
-                Block::binary_assign_body(op, a, b)
-            }
-        }
-        isa.run(BinaryAssign(op, a, b))
-    }
-
-    #[inline(always)]
-    fn binary_assign_body(op: BinOp, a: &mut Block, b: &Block) -> bool {
-        match op {
-            BinOp::Add => Block::binary_assign_impl(a, b, |x, y| x + y),
-            BinOp::Sub => Block::binary_assign_impl(a, b, |x, y| x - y),
-            BinOp::Mul => Block::binary_assign_impl(a, b, |x, y| x * y),
-            BinOp::Div => Block::binary_assign_impl(a, b, |x, y| x / y),
-            BinOp::FloorDiv => Block::binary_assign_impl(a, b, |x, y| (x / y).floor()),
-            BinOp::Mod => Block::binary_assign_impl(a, b, |x, y| x - (x / y).floor() * y),
-            BinOp::Min => Block::binary_assign_impl(a, b, f64::min),
-            BinOp::Max => Block::binary_assign_impl(a, b, f64::max),
-            BinOp::Lt => Block::binary_assign_impl(a, b, |x, y| f64::from(x < y)),
-            BinOp::Le => Block::binary_assign_impl(a, b, |x, y| f64::from(x <= y)),
-            BinOp::Eq => Block::binary_assign_impl(a, b, |x, y| f64::from(x == y)),
-            BinOp::Ge => Block::binary_assign_impl(a, b, |x, y| f64::from(x >= y)),
-            BinOp::And => Block::binary_assign_impl(a, b, |x, y| f64::from(x != 0.0 && y != 0.0)),
-        }
-    }
-
-    #[inline(always)]
-    fn binary_assign_impl<F: Fn(f64, f64) -> f64 + Copy>(a: &mut Block, b: &Block, f: F) -> bool {
-        if !(b.rank == 0 || (a.shape() == b.shape() && b.as_slice().is_some())) {
+        if !(b.geom.rank == 0 || (a.shape() == b.shape() && b.as_slice().is_some())) {
             return false;
         }
         if !a.is_contiguous() {
             return false;
         }
         let n = a.len();
-        let offset = a.offset;
+        let offset = a.geom.offset;
         let Storage::Heap(rc) = &mut a.storage else {
             return false;
         };
         let Some(data) = Rc::get_mut(rc) else {
             return false;
         };
-        let dst = &mut data[offset..offset + n];
-        if b.rank == 0 {
-            let y = b.first();
-            for x in dst.iter_mut() {
-                *x = f(*x, y);
-            }
-        } else {
-            let sb = b.as_slice().expect("checked above");
-            for (x, &y) in dst.iter_mut().zip(sb) {
-                *x = f(*x, y);
-            }
-        }
+        assign_into(isa, op, &mut data[offset..offset + n], &b.tile());
         true
-    }
-
-    #[inline(always)]
-    fn binary_impl<F: Fn(f64, f64) -> f64 + Copy>(
-        a: &Block,
-        b: &Block,
-        mut buf: PoolBuf,
-        f: F,
-    ) -> Block {
-        // Scalar ∘ scalar stays inline: this is the loop-counter
-        // arithmetic path, which must not allocate.
-        if let (Storage::Inline(x), Storage::Inline(y)) = (&a.storage, &b.storage) {
-            return Block::scalar(f(*x, *y));
-        }
-        let out = buf.vec();
-        out.clear();
-        // Scalar-operand fast paths avoid joint-shape work entirely.
-        if b.rank == 0 {
-            let y = b.first();
-            if let Some(sa) = a.as_slice() {
-                out.extend(sa.iter().map(|&x| f(x, y)));
-            } else {
-                out.reserve(a.len());
-                a.walk(|x| out.push(f(x, y)));
-            }
-            return Block::from_packed(a.shape4(), buf);
-        }
-        if a.rank == 0 {
-            let x = a.first();
-            if let Some(sb) = b.as_slice() {
-                out.extend(sb.iter().map(|&y| f(x, y)));
-            } else {
-                out.reserve(b.len());
-                b.walk(|y| out.push(f(x, y)));
-            }
-            return Block::from_packed(b.shape4(), buf);
-        }
-        if a.shape() == b.shape() {
-            if let (Some(sa), Some(sb)) = (a.as_slice(), b.as_slice()) {
-                out.extend(sa.iter().zip(sb).map(|(&x, &y)| f(x, y)));
-                return Block::from_packed(a.shape4(), buf);
-            }
-        }
-        let joint = Shape4::joint(a.shape(), b.shape());
-        let av = a.broadcast_view(joint.as_slice());
-        let bv = b.broadcast_view(joint.as_slice());
-        let n: usize = joint.volume();
-        out.reserve(n);
-        let (shape, sa) = av.dims4();
-        let (_, sb) = bv.dims4();
-        let da = av.storage_slice();
-        let db = bv.storage_slice();
-        let inner = shape[3];
-        // Rows append through exact-size iterators (no per-element
-        // capacity checks); the three stride regimes of the innermost
-        // axis get dedicated loops so LLVM can unswitch and vectorize.
-        let (mut a0, mut b0) = (av.offset, bv.offset);
-        for _ in 0..shape[0] {
-            let (mut a1, mut b1) = (a0, b0);
-            for _ in 0..shape[1] {
-                let (mut a2, mut b2) = (a1, b1);
-                for _ in 0..shape[2] {
-                    let (pa, pb) = (a2, b2);
-                    if sa[3] == 1 && sb[3] == 1 {
-                        let ra = &da[pa..pa + inner];
-                        let rb = &db[pb..pb + inner];
-                        out.extend(ra.iter().zip(rb).map(|(&x, &y)| f(x, y)));
-                    } else if sa[3] == 1 && sb[3] == 0 {
-                        let ra = &da[pa..pa + inner];
-                        let y = db[pb];
-                        out.extend(ra.iter().map(|&x| f(x, y)));
-                    } else if sa[3] == 0 && sb[3] == 1 {
-                        let x = da[pa];
-                        let rb = &db[pb..pb + inner];
-                        out.extend(rb.iter().map(|&y| f(x, y)));
-                    } else if sa[3] == 0 && sb[3] == 0 {
-                        // Both rows constant (analytic zero blocks).
-                        out.extend(std::iter::repeat_n(f(da[pa], db[pb]), inner));
-                    } else {
-                        for t in 0..inner {
-                            out.push(f(da[pa + t * sa[3]], db[pb + t * sb[3]]));
-                        }
-                    }
-                    a2 += sa[2];
-                    b2 += sb[2];
-                }
-                a1 += sa[1];
-                b1 += sb[1];
-            }
-            a0 += sa[0];
-            b0 += sb[0];
-        }
-        Block::from_packed(joint, buf)
     }
 
     /// Sum over one axis (rank decreases by one).
@@ -806,48 +751,14 @@ impl Block {
     ///
     /// Panics if `axis` is out of range.
     pub fn sum_axis(&self, axis: usize) -> Block {
-        let rank = self.rank as usize;
-        assert!(axis < rank, "sum axis out of range");
-        let outer: usize = self.shape[..axis].iter().product();
-        let mid = self.shape[axis];
-        let inner: usize = self.shape[axis + 1..rank].iter().product();
-        let mut shape = self.shape().to_vec();
-        shape.remove(axis);
-        let mut data = vec![0.0; outer * inner];
-        if let Some(src) = self.as_slice() {
-            for o in 0..outer {
-                for m in 0..mid {
-                    let s = (o * mid + m) * inner;
-                    let d = o * inner;
-                    for i in 0..inner {
-                        data[d + i] += src[s + i];
-                    }
-                }
-            }
-        } else {
-            // Strided source: iterate logical order, accumulating into
-            // the (outer, inner) slot — the accumulation order per slot
-            // matches the contiguous path (ascending m), so results are
-            // bit-identical.
-            let mut lane = 0usize;
-            self.walk(|v| {
-                let o = lane / (mid * inner);
-                let i = lane % inner;
-                data[o * inner + i] += v;
-                lane += 1;
-            });
-        }
-        Block::from_vec(shape, data)
+        let mut data = Vec::new();
+        let shape = sum_axis_into(self.tile(), axis, &mut data);
+        Block::from_vec(shape.as_slice().to_vec(), data)
     }
 
     /// Matrix multiply of rank-2 blocks `[m, k] x [k, n] -> [m, n]`
-    /// (`tl.dot`'s definition), writing into a recycled pool buffer.
-    ///
-    /// The output tiles along columns with a stack-resident accumulator,
-    /// so the `c` row is not reloaded from memory on every `l` step. For
-    /// each output element the reduction still runs in ascending `l`
-    /// order with the same zero-skip as the seed implementation, so
-    /// results are bit-identical.
+    /// (`tl.dot`'s definition: the canonical loop), writing into a
+    /// recycled pool buffer.
     ///
     /// # Panics
     ///
@@ -857,82 +768,15 @@ impl Block {
     }
 
     /// The canonical `tl.dot` loop at a named rung.
-    fn canonical_dot_on(isa: Isa, a: &Block, b: &Block, buf: PoolBuf) -> Block {
-        struct CanonicalDot<'a>(&'a Block, &'a Block, PoolBuf);
-        impl Body for CanonicalDot<'_> {
-            type Out = Block;
-            #[inline(always)]
-            fn run(self) -> Block {
-                let CanonicalDot(a, b, buf) = self;
-                Block::dot_with_body(a, b, buf)
-            }
-        }
-        isa.run(CanonicalDot(a, b, buf))
-    }
-
-    #[inline(always)]
-    fn dot_with_body(a: &Block, b: &Block, mut buf: PoolBuf) -> Block {
-        assert_eq!(a.rank, 2, "dot lhs must be rank 2");
-        assert_eq!(b.rank, 2, "dot rhs must be rank 2");
-        let (m, k) = (a.shape[0], a.shape[1]);
-        let (k2, n) = (b.shape[0], b.shape[1]);
-        assert_eq!(k, k2, "dot inner dimensions disagree");
-        // Per output row: collect the nonzero lhs entries once (the
-        // seed's zero-skip, hoisted out of the column loop), then sweep
-        // the columns with the widest tile that still fits — 32, 16, 8,
-        // 4, then single columns — so a 16-wide conv or TP dot is one
-        // vector tile, not sixteen scalar chains. This loop defines
-        // `tl.dot`; the fused kernel in `exact_dot` may stand in for it
-        // only on operands whose products are exact.
-        let data = buf.vec();
-        data.clear();
-        data.reserve(m * n);
-        let da = a.storage_slice();
-        let db = b.storage_slice();
-        let (sa0, sa1) = (a.strides[0], a.strides[1]);
-        let (sb0, sb1) = (b.strides[0], b.strides[1]);
-        // The nonzero list lives on the stack at every contraction
-        // extent the code generator emits (R tiles are ≤ 32).
-        let mut nz_stack = [(0.0f64, 0usize); NZ_STACK];
-        let mut nz_heap = Vec::new();
-        let nz_buf: &mut [(f64, usize)] = if k <= NZ_STACK {
-            &mut nz_stack[..k]
-        } else {
-            nz_heap.resize(k, (0.0, 0));
-            &mut nz_heap
-        };
-        for i in 0..m {
-            let arow = a.offset + i * sa0;
-            let mut count = 0usize;
-            for l in 0..k {
-                let av = da[arow + l * sa1];
-                // Written always, kept when nonzero (`count <= l`).
-                nz_buf[count] = (av, b.offset + l * sb0);
-                count += usize::from(av != 0.0);
-            }
-            let nz = &nz_buf[..count];
-            let mut j0 = 0usize;
-            // Row-major append: i ascending, j0 ascending.
-            dot_tiles::<32>(nz, db, sb1, &mut j0, n, data);
-            dot_tiles::<16>(nz, db, sb1, &mut j0, n, data);
-            dot_tiles::<8>(nz, db, sb1, &mut j0, n, data);
-            dot_tiles::<4>(nz, db, sb1, &mut j0, n, data);
-            dot_tiles::<1>(nz, db, sb1, &mut j0, n, data);
-        }
-        Block::from_packed(
-            Shape4 {
-                rank: 2,
-                dims: [m, n, 1, 1],
-            },
-            buf,
-        )
+    fn canonical_dot_on(isa: Isa, a: &Block, b: &Block, mut buf: PoolBuf) -> Block {
+        let shape = canonical_dot_into(isa, &a.tile(), &b.tile(), buf.vec());
+        Block::from_packed(shape, buf)
     }
 
     /// True when every element is finite and f32-representable — the
     /// exact-product kernel's eligibility predicate, spelled out. The
     /// interpreter decides eligibility without looking at the data (see
-    /// `exact_dot`); this O(len) form backs its debug assertion and the
-    /// kernel equivalence tests.
+    /// `exact_dot`); this O(len) form backs the kernel equivalence tests.
     #[doc(hidden)]
     pub fn is_f32_exact(&self) -> bool {
         let mut ok = true;
@@ -941,18 +785,15 @@ impl Block {
     }
 
     /// [`Block::dot_with`] for operands the caller knows to be finite
-    /// and f32-representable in every element: served by the
-    /// exact-product FMA kernel where the host has one, with the same
-    /// bits as the canonical loop (`exact_dot` has the proof). Operand
-    /// layouts the kernel does not take (B rows not unit-stride) and
-    /// hosts without FMA run the canonical loop; the flag says whether
-    /// the FMA kernel ran, which is what the dispatch counter counts.
+    /// and f32-representable in every element ([`exact_dot_into`]); the
+    /// flag says whether the FMA kernel ran.
     ///
     /// # Panics
     ///
     /// Panics on rank or inner-dimension mismatch.
-    pub(crate) fn dot_exact_with(a: &Block, b: &Block, buf: PoolBuf) -> (Block, bool) {
-        Block::dot_on_with(Isa::detect(), a, b, buf)
+    pub(crate) fn dot_exact_with(a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
+        let (shape, exact) = exact_dot_into(Isa::detect(), &a.tile(), &b.tile(), buf.vec());
+        (Block::from_packed(shape, buf), exact)
     }
 
     /// Run one named `tl.dot` implementation on f32-exact operands:
@@ -965,51 +806,9 @@ impl Block {
     /// available on this host.
     #[doc(hidden)]
     pub fn dot_on(isa: Isa, a: &Block, b: &Block) -> Block {
-        Block::dot_on_with(isa, a, b, PoolBuf::new()).0
-    }
-
-    /// This rank-2 block as a strided kernel operand.
-    #[cfg(target_arch = "x86_64")]
-    fn mat(&self) -> exact_dot::Mat<'_> {
-        exact_dot::Mat {
-            data: self.storage_slice(),
-            offset: self.offset,
-            rows: self.shape[0],
-            cols: self.shape[1],
-            s0: self.strides[0],
-            s1: self.strides[1],
-        }
-    }
-
-    fn dot_on_with(isa: Isa, a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
-        debug_assert!(
-            a.is_f32_exact() && b.is_f32_exact(),
-            "exact dot dispatched on an operand that is not finite and f32-representable"
-        );
-        assert!(isa.available(), "{isa:?} is not available on this host");
-        if isa == Isa::Portable {
-            return (Block::dot_with_body(a, b, buf), false);
-        }
-        assert_eq!(a.rank, 2, "dot lhs must be rank 2");
-        assert_eq!(b.rank, 2, "dot rhs must be rank 2");
-        let (m, n) = (a.shape[0], b.shape[1]);
-        if n > 1 && b.strides[1] != 1 {
-            return (Block::dot_with(a, b, buf), false);
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let out = buf.vec();
-            out.clear();
-            out.resize(m * n, 0.0);
-            exact_dot::matmul(isa, a.mat(), b.mat(), out);
-            let shape = Shape4 {
-                rank: 2,
-                dims: [m, n, 1, 1],
-            };
-            (Block::from_packed(shape, buf), true)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("only the portable implementation is available off x86-64")
+        let mut buf = PoolBuf::new();
+        let (shape, _) = exact_dot_into(isa, &a.tile(), &b.tile(), buf.vec());
+        Block::from_packed(shape, buf)
     }
 
     /// Try to reclaim this block's heap buffer (with its refcount block)
@@ -1066,6 +865,372 @@ fn dot_tiles<const W: usize>(
         out.extend_from_slice(&acc);
         *j0 += W;
     }
+}
+
+/// The elementwise body of registers and tape alike: `a <op> b` with
+/// NumPy broadcasting, written row-major into `out` (cleared first) at
+/// rung `isa`. Returns the joint shape. The op dispatch happens once out
+/// here so each operator gets fully monomorphized inner loops.
+///
+/// # Panics
+///
+/// Panics if the shapes do not broadcast.
+pub(crate) fn binary_into(
+    isa: Isa,
+    op: BinOp,
+    a: &Tile<'_>,
+    b: &Tile<'_>,
+    out: &mut Vec<f64>,
+) -> Shape4 {
+    struct BinaryInto<'a, 'o>(BinOp, &'a Tile<'a>, &'a Tile<'a>, &'o mut Vec<f64>);
+    impl Body for BinaryInto<'_, '_> {
+        type Out = Shape4;
+        #[inline(always)]
+        fn run(self) -> Shape4 {
+            let BinaryInto(op, &a, &b, out) = self;
+            match op {
+                BinOp::Add => binary_impl(a, b, out, |x, y| x + y),
+                BinOp::Sub => binary_impl(a, b, out, |x, y| x - y),
+                BinOp::Mul => binary_impl(a, b, out, |x, y| x * y),
+                BinOp::Div => binary_impl(a, b, out, |x, y| x / y),
+                BinOp::FloorDiv => binary_impl(a, b, out, |x, y| (x / y).floor()),
+                BinOp::Mod => binary_impl(a, b, out, |x, y| x - (x / y).floor() * y),
+                BinOp::Min => binary_impl(a, b, out, f64::min),
+                BinOp::Max => binary_impl(a, b, out, f64::max),
+                BinOp::Lt => binary_impl(a, b, out, |x, y| f64::from(x < y)),
+                BinOp::Le => binary_impl(a, b, out, |x, y| f64::from(x <= y)),
+                BinOp::Eq => binary_impl(a, b, out, |x, y| f64::from(x == y)),
+                BinOp::Ge => binary_impl(a, b, out, |x, y| f64::from(x >= y)),
+                BinOp::And => binary_impl(a, b, out, |x, y| f64::from(x != 0.0 && y != 0.0)),
+            }
+        }
+    }
+    isa.run(BinaryInto(op, a, b, out))
+}
+
+/// Elementwise `dst = dst <op> b` in place at rung `isa`, where `b` is a
+/// scalar or a contiguous tile of `dst`'s shape: the accumulator pattern
+/// `acc = acc + v` of registers and tape alike.
+///
+/// # Panics
+///
+/// Panics if `b` is neither.
+pub(crate) fn assign_into(isa: Isa, op: BinOp, dst: &mut [f64], b: &Tile<'_>) {
+    struct AssignInto<'a, 'o>(BinOp, &'o mut [f64], &'a Tile<'a>);
+    impl Body for AssignInto<'_, '_> {
+        type Out = ();
+        #[inline(always)]
+        fn run(self) {
+            let AssignInto(op, dst, &b) = self;
+            match op {
+                BinOp::Add => assign_impl(dst, b, |x, y| x + y),
+                BinOp::Sub => assign_impl(dst, b, |x, y| x - y),
+                BinOp::Mul => assign_impl(dst, b, |x, y| x * y),
+                BinOp::Div => assign_impl(dst, b, |x, y| x / y),
+                BinOp::FloorDiv => assign_impl(dst, b, |x, y| (x / y).floor()),
+                BinOp::Mod => assign_impl(dst, b, |x, y| x - (x / y).floor() * y),
+                BinOp::Min => assign_impl(dst, b, f64::min),
+                BinOp::Max => assign_impl(dst, b, f64::max),
+                BinOp::Lt => assign_impl(dst, b, |x, y| f64::from(x < y)),
+                BinOp::Le => assign_impl(dst, b, |x, y| f64::from(x <= y)),
+                BinOp::Eq => assign_impl(dst, b, |x, y| f64::from(x == y)),
+                BinOp::Ge => assign_impl(dst, b, |x, y| f64::from(x >= y)),
+                BinOp::And => assign_impl(dst, b, |x, y| f64::from(x != 0.0 && y != 0.0)),
+            }
+        }
+    }
+    isa.run(AssignInto(op, dst, b))
+}
+
+#[inline(always)]
+fn assign_impl<F: Fn(f64, f64) -> f64 + Copy>(dst: &mut [f64], b: Tile<'_>, f: F) {
+    if b.rank() == 0 {
+        let y = b.first();
+        for x in dst.iter_mut() {
+            *x = f(*x, y);
+        }
+    } else {
+        let sb = b
+            .as_slice()
+            .expect("a contiguous operand of the same shape");
+        for (x, &y) in dst.iter_mut().zip(sb) {
+            *x = f(*x, y);
+        }
+    }
+}
+
+#[inline(always)]
+fn binary_impl<F: Fn(f64, f64) -> f64 + Copy>(
+    a: Tile<'_>,
+    b: Tile<'_>,
+    out: &mut Vec<f64>,
+    f: F,
+) -> Shape4 {
+    out.clear();
+    if a.rank() == 0 && b.rank() == 0 {
+        out.push(f(a.first(), b.first()));
+        return a.geom.shape4();
+    }
+    // Scalar-operand fast paths avoid joint-shape work entirely.
+    if b.rank() == 0 {
+        let y = b.first();
+        if let Some(sa) = a.as_slice() {
+            out.extend(sa.iter().map(|&x| f(x, y)));
+        } else {
+            out.reserve(a.geom.len());
+            a.walk(|x| out.push(f(x, y)));
+        }
+        return a.geom.shape4();
+    }
+    if a.rank() == 0 {
+        let x = a.first();
+        if let Some(sb) = b.as_slice() {
+            out.extend(sb.iter().map(|&y| f(x, y)));
+        } else {
+            out.reserve(b.geom.len());
+            b.walk(|y| out.push(f(x, y)));
+        }
+        return b.geom.shape4();
+    }
+    if a.shape() == b.shape() {
+        if let (Some(sa), Some(sb)) = (a.as_slice(), b.as_slice()) {
+            out.extend(sa.iter().zip(sb).map(|(&x, &y)| f(x, y)));
+            return a.geom.shape4();
+        }
+    }
+    let joint = Shape4::joint(a.shape(), b.shape());
+    let av = a.broadcast_view(joint.as_slice());
+    let bv = b.broadcast_view(joint.as_slice());
+    let n: usize = joint.volume();
+    out.reserve(n);
+    let (shape, sa) = av.geom.dims4();
+    let (_, sb) = bv.geom.dims4();
+    let (da, db) = (av.data, bv.data);
+    let inner = shape[3];
+    // Rows append through exact-size iterators (no per-element
+    // capacity checks); the three stride regimes of the innermost
+    // axis get dedicated loops so LLVM can unswitch and vectorize.
+    let (mut a0, mut b0) = (av.geom.offset, bv.geom.offset);
+    for _ in 0..shape[0] {
+        let (mut a1, mut b1) = (a0, b0);
+        for _ in 0..shape[1] {
+            let (mut a2, mut b2) = (a1, b1);
+            for _ in 0..shape[2] {
+                let (pa, pb) = (a2, b2);
+                if sa[3] == 1 && sb[3] == 1 {
+                    let ra = &da[pa..pa + inner];
+                    let rb = &db[pb..pb + inner];
+                    out.extend(ra.iter().zip(rb).map(|(&x, &y)| f(x, y)));
+                } else if sa[3] == 1 && sb[3] == 0 {
+                    let ra = &da[pa..pa + inner];
+                    let y = db[pb];
+                    out.extend(ra.iter().map(|&x| f(x, y)));
+                } else if sa[3] == 0 && sb[3] == 1 {
+                    let x = da[pa];
+                    let rb = &db[pb..pb + inner];
+                    out.extend(rb.iter().map(|&y| f(x, y)));
+                } else if sa[3] == 0 && sb[3] == 0 {
+                    // Both rows constant (analytic zero blocks).
+                    out.extend(std::iter::repeat_n(f(da[pa], db[pb]), inner));
+                } else {
+                    for t in 0..inner {
+                        out.push(f(da[pa + t * sa[3]], db[pb + t * sb[3]]));
+                    }
+                }
+                a2 += sa[2];
+                b2 += sb[2];
+            }
+            a1 += sa[1];
+            b1 += sb[1];
+        }
+        a0 += sa[0];
+        b0 += sb[0];
+    }
+    joint
+}
+
+/// Sum of `t` over one axis (rank decreases by one), written row-major
+/// into `out` (cleared first); returns the result's shape. Each output
+/// slot accumulates in ascending position along the axis, from `+0.0`,
+/// whatever the layout of `t`.
+///
+/// # Panics
+///
+/// Panics if `axis` is out of range.
+pub(crate) fn sum_axis_into(t: Tile<'_>, axis: usize, out: &mut Vec<f64>) -> Shape4 {
+    let rank = t.rank();
+    assert!(axis < rank, "sum axis out of range");
+    let outer: usize = t.geom.shape[..axis].iter().product();
+    let mid = t.geom.shape[axis];
+    let inner: usize = t.geom.shape[axis + 1..rank].iter().product();
+    let mut dims = [1usize; MAX_RANK];
+    dims[..axis].copy_from_slice(&t.geom.shape[..axis]);
+    dims[axis..rank - 1].copy_from_slice(&t.geom.shape[axis + 1..rank]);
+    out.clear();
+    out.resize(outer * inner, 0.0);
+    if let Some(src) = t.as_slice() {
+        for o in 0..outer {
+            for m in 0..mid {
+                let s = (o * mid + m) * inner;
+                let d = o * inner;
+                for i in 0..inner {
+                    out[d + i] += src[s + i];
+                }
+            }
+        }
+    } else {
+        // Strided source: iterate logical order, accumulating into
+        // the (outer, inner) slot — the accumulation order per slot
+        // matches the contiguous path (ascending m), so results are
+        // bit-identical.
+        let mut lane = 0usize;
+        t.walk(|v| {
+            let o = lane / (mid * inner);
+            let i = lane % inner;
+            out[o * inner + i] += v;
+            lane += 1;
+        });
+    }
+    Shape4 {
+        rank: rank as u8 - 1,
+        dims,
+    }
+}
+
+/// `tl.dot` of rank-2 tiles `[m, k] x [k, n] -> [m, n]`, its canonical
+/// loop at rung `isa`, written row-major into `out` (cleared first);
+/// returns the result's shape.
+///
+/// The output tiles along columns with a stack-resident accumulator,
+/// so the `c` row is not reloaded from memory on every `l` step. For
+/// each output element the reduction still runs in ascending `l` order
+/// with the same zero-skip as the seed implementation, so results are
+/// bit-identical.
+///
+/// # Panics
+///
+/// Panics on rank or inner-dimension mismatch.
+pub(crate) fn canonical_dot_into(
+    isa: Isa,
+    a: &Tile<'_>,
+    b: &Tile<'_>,
+    out: &mut Vec<f64>,
+) -> Shape4 {
+    struct CanonicalDot<'a, 'o>(&'a Tile<'a>, &'a Tile<'a>, &'o mut Vec<f64>);
+    impl Body for CanonicalDot<'_, '_> {
+        type Out = Shape4;
+        #[inline(always)]
+        fn run(self) -> Shape4 {
+            let CanonicalDot(&a, &b, out) = self;
+            canonical_dot_body(a, b, out)
+        }
+    }
+    isa.run(CanonicalDot(a, b, out))
+}
+
+#[inline(always)]
+fn canonical_dot_body(a: Tile<'_>, b: Tile<'_>, data: &mut Vec<f64>) -> Shape4 {
+    assert_eq!(a.rank(), 2, "dot lhs must be rank 2");
+    assert_eq!(b.rank(), 2, "dot rhs must be rank 2");
+    let (m, k) = (a.geom.shape[0], a.geom.shape[1]);
+    let (k2, n) = (b.geom.shape[0], b.geom.shape[1]);
+    assert_eq!(k, k2, "dot inner dimensions disagree");
+    // Per output row: collect the nonzero lhs entries once (the
+    // seed's zero-skip, hoisted out of the column loop), then sweep
+    // the columns with the widest tile that still fits — 32, 16, 8,
+    // 4, then single columns — so a 16-wide conv or TP dot is one
+    // vector tile, not sixteen scalar chains. This loop defines
+    // `tl.dot`; the fused kernel in `exact_dot` may stand in for it
+    // only on operands whose products are exact.
+    data.clear();
+    data.reserve(m * n);
+    let (da, db) = (a.data, b.data);
+    let (sa0, sa1) = (a.geom.strides[0], a.geom.strides[1]);
+    let (sb0, sb1) = (b.geom.strides[0], b.geom.strides[1]);
+    // The nonzero list lives on the stack at every contraction
+    // extent the code generator emits (R tiles are ≤ 32).
+    let mut nz_stack = [(0.0f64, 0usize); NZ_STACK];
+    let mut nz_heap = Vec::new();
+    let nz_buf: &mut [(f64, usize)] = if k <= NZ_STACK {
+        &mut nz_stack[..k]
+    } else {
+        nz_heap.resize(k, (0.0, 0));
+        &mut nz_heap
+    };
+    for i in 0..m {
+        let arow = a.geom.offset + i * sa0;
+        let mut count = 0usize;
+        for l in 0..k {
+            let av = da[arow + l * sa1];
+            // Written always, kept when nonzero (`count <= l`).
+            nz_buf[count] = (av, b.geom.offset + l * sb0);
+            count += usize::from(av != 0.0);
+        }
+        let nz = &nz_buf[..count];
+        let mut j0 = 0usize;
+        // Row-major append: i ascending, j0 ascending.
+        dot_tiles::<32>(nz, db, sb1, &mut j0, n, data);
+        dot_tiles::<16>(nz, db, sb1, &mut j0, n, data);
+        dot_tiles::<8>(nz, db, sb1, &mut j0, n, data);
+        dot_tiles::<4>(nz, db, sb1, &mut j0, n, data);
+        dot_tiles::<1>(nz, db, sb1, &mut j0, n, data);
+    }
+    Shape4 {
+        rank: 2,
+        dims: [m, n, 1, 1],
+    }
+}
+
+/// `tl.dot` of tiles the caller knows to be finite and f32-representable
+/// in every element: served by the exact-product FMA kernel at rung
+/// `isa`, with the same bits as the canonical loop (`exact_dot` has the
+/// proof), into `out` (cleared first). Operand layouts the kernel does
+/// not take (B rows not unit-stride) and the portable rung run the
+/// canonical loop; the flag says whether the FMA kernel ran, which is
+/// what the dispatch counter counts.
+///
+/// # Panics
+///
+/// Panics on rank or inner-dimension mismatch, or if `isa` is not
+/// available on this host.
+pub(crate) fn exact_dot_into(
+    isa: Isa,
+    a: &Tile<'_>,
+    b: &Tile<'_>,
+    out: &mut Vec<f64>,
+) -> (Shape4, bool) {
+    debug_assert!(
+        {
+            let mut ok = true;
+            a.walk(|v| ok &= exact_dot::f32_exact(v));
+            b.walk(|v| ok &= exact_dot::f32_exact(v));
+            ok
+        },
+        "exact dot dispatched on an operand that is not finite and f32-representable"
+    );
+    assert!(isa.available(), "{isa:?} is not available on this host");
+    if isa == Isa::Portable {
+        return (canonical_dot_body(*a, *b, out), false);
+    }
+    assert_eq!(a.rank(), 2, "dot lhs must be rank 2");
+    assert_eq!(b.rank(), 2, "dot rhs must be rank 2");
+    let (m, n) = (a.geom.shape[0], b.geom.shape[1]);
+    if n > 1 && b.geom.strides[1] != 1 {
+        return (canonical_dot_into(elementwise_isa(), a, b, out), false);
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        out.clear();
+        out.resize(m * n, 0.0);
+        exact_dot::matmul(isa, a.mat(), b.mat(), out);
+        let shape = Shape4 {
+            rank: 2,
+            dims: [m, n, 1, 1],
+        };
+        (shape, true)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("only the portable implementation is available off x86-64")
 }
 
 /// One scalar application of a [`BinOp`].
@@ -1215,10 +1380,12 @@ mod tests {
         // kernels' base-pointer arithmetic anyway.
         let store = Rc::new((0..64).map(|v| v as f64 * 0.5 - 7.0).collect::<Vec<f64>>());
         let window = |shape: [usize; 2], row_stride: usize, offset: usize| Block {
-            rank: 2,
-            shape: [shape[0], shape[1], 1, 1],
-            strides: [row_stride, 1, 0, 0],
-            offset,
+            geom: Geom {
+                rank: 2,
+                shape: [shape[0], shape[1], 1, 1],
+                strides: [row_stride, 1, 0, 0],
+                offset,
+            },
             storage: Storage::Heap(store.clone()),
         };
         let a = window([3, 4], 5, 7);
@@ -1472,7 +1639,7 @@ mod tests {
                 let mut want = Vec::new();
                 v.broadcast_to(&shape).walk(|x| want.push(x.to_bits()));
                 let mut got = vec![1.0];
-                v.extend_broadcast(&shape, &mut got);
+                v.tile().extend_broadcast(&shape, &mut got);
                 let got: Vec<u64> = got[1..].iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "{:?} to {shape:?}", v.shape());
             }

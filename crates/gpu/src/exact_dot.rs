@@ -273,8 +273,9 @@ mod kernel {
         #[inline(always)]
         unsafe fn at(self, i: usize, j: usize) -> Operands {
             Operands {
-                // SAFETY: the caller keeps both in bounds.
+                // SAFETY: the caller keeps `a[i, 0]` inside A's allocation.
                 a: unsafe { self.a.add(i * self.sa0) },
+                // SAFETY: the caller keeps `b[0, j]` inside B's allocation.
                 b: unsafe { self.b.add(j) },
                 ..self
             }

@@ -19,8 +19,9 @@
 //!    (or stream-replayed) across instances; fully affine analytic
 //!    launches cost one representative per row and replay the rest.
 //! 5. Every launch is one loop: its instances are cut into ranges (one,
-//!    or several when sharded across threads), a machine runs each range
-//!    into a shard, and the shards fold in instance order (see
+//!    or several when sharded across threads), each range runs into a
+//!    shard — a machine's for a full launch, the value tape's for a
+//!    replay — and the shards fold in instance order (see
 //!    [`LaunchOptions`]); results are bit-identical at every thread
 //!    count. A batch hands its requests to the same runner.
 //! 6. 2-D accesses at `rows[i] + cols[j]` run as row runs (the `row_run`
@@ -31,14 +32,17 @@
 //!    tensor data through one pair of value bodies.
 //! 7. A relaunch against the same I32 arguments runs only the kernel's
 //!    value slice, its accesses addressed from the script an earlier
-//!    launch recorded (`script.rs`; `program.rs`, analysis 7): the
-//!    machine skips every unit and node outside the slice, does no cost
-//!    pass, and feeds the decoded runs to those same value bodies.
+//!    launch recorded (`script.rs`; `program.rs`, analysis 7), and no
+//!    machine runs it: the program's value tape (the `tape` submodule),
+//!    lowered once on its first replay, runs straight-line tile ops over
+//!    a per-thread arena — no register file, no cost pass, no sector
+//!    sets or instance times — and feeds the decoded runs to those same
+//!    value bodies. The machine itself always runs in full.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
-use crate::program::{CInstr, CNode, Program, UnitMode};
-use crate::script::{Cursor, Plan, Recorder};
+use crate::program::{CInstr, CNode, Program, ReplayDecline, UnitMode};
+use crate::script::{Plan, Recorder, Script};
 use crate::stats::{combine_times, KernelReport, KernelStats};
 use insum_kernel::{BinOp, Kernel, KernelError, Reg};
 use insum_tensor::{DType, Tensor};
@@ -47,7 +51,9 @@ use std::error::Error;
 use std::fmt;
 
 mod row_run;
+mod tape;
 use row_run::RowScratch;
+pub(crate) use tape::Tape;
 
 /// Interpreter mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -510,9 +516,11 @@ pub fn site_dispatch_counts() -> (u64, u64) {
 /// an address script, and were served from a script:
 /// `(full, recorded, replayed)`.
 ///
-/// `replayed` counts Execute launches that ran only their value slice and
-/// Analytic launches answered from the stored report; launches of a
-/// program that [declines](Program::replay_decline) are all `full`.
+/// `replayed` counts Execute launches that ran only their value slice (by
+/// the program's value tape) and Analytic launches answered from the
+/// stored report; launches of a program that
+/// [declines](Program::replay_decline), or whose value tape declines, are
+/// all `full`.
 /// `replayed / (full + recorded + replayed)` over a workload is the share
 /// of its launches whose `(Program, I32 storage, DeviceModel)` equalled a
 /// ready key — the property a replay gain depends on.
@@ -648,8 +656,6 @@ struct Machine<'a> {
     /// This launch's `DotSources::nonfinite_params` mask.
     nonfinite: u64,
     row_scratch: RowScratch,
-    /// The script a replaying launch reads its value-site addresses from.
-    replay: Option<Cursor<'a>>,
 }
 
 impl<'a> Machine<'a> {
@@ -658,13 +664,8 @@ impl<'a> Machine<'a> {
         mode: Mode,
         nonfinite: u64,
         recorder: Option<Recorder>,
-        replay: Option<Cursor<'a>>,
     ) -> Machine<'a> {
-        // A replay does no cost pass: it marks no sector.
-        let sectors = match replay {
-            Some(_) => 0,
-            None => program.params.total_sectors,
-        };
+        let sectors = program.params.total_sectors;
         Machine {
             program,
             mode,
@@ -684,13 +685,7 @@ impl<'a> Machine<'a> {
             trace: TraceState::new(),
             nonfinite,
             row_scratch: RowScratch::default(),
-            replay,
         }
-    }
-
-    #[inline]
-    fn replaying(&self) -> bool {
-        self.replay.is_some()
     }
 
     /// A buffer from the pool (or a fresh one); contents are stale.
@@ -922,14 +917,10 @@ impl<'a> Machine<'a> {
                 }
             }
             // One script segment per shard, per row and per instance.
-            let segments = [(new_shard, 0), (new_row, flat / gdims[0]), (true, flat)];
-            for (level, &(starts, segment)) in segments.iter().enumerate() {
-                if starts {
-                    if let Some(rec) = &mut self.out.recorder {
+            if let Some(rec) = &mut self.out.recorder {
+                for (level, starts) in [new_shard, new_row, true].into_iter().enumerate() {
+                    if starts {
                         rec.begin(level);
-                    }
-                    if let Some(cursor) = &mut self.replay {
-                        cursor.seek(level, segment);
                     }
                 }
             }
@@ -975,11 +966,7 @@ impl<'a> Machine<'a> {
             self.trace.valid = true;
             self.trace.rep_p0 = pid[0];
         }
-        let replaying = self.replaying();
         for unit in &program.units {
-            if replaying && !unit.value {
-                continue;
-            }
             match unit.mode {
                 UnitMode::Once => {
                     if new_shard {
@@ -1034,11 +1021,7 @@ impl<'a> Machine<'a> {
         pid: [usize; 3],
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
-        let replaying = self.replaying();
         for node in nodes {
-            if replaying && !node.value {
-                continue;
-            }
             match node.cached {
                 None => self.exec_cinstr(&node.instr, regs, pid, args)?,
                 Some((level, dst)) => {
@@ -1307,9 +1290,6 @@ impl<'a> Machine<'a> {
         site: u32,
         args: &mut ArgsView<'_, '_>,
     ) -> Result<Block, GpuError> {
-        if self.replaying() {
-            return Ok(self.load_scripted(site, other, args));
-        }
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
@@ -1373,10 +1353,6 @@ impl<'a> Machine<'a> {
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
         let val = Self::reg(regs, value)?;
-        if self.replaying() {
-            self.write_scripted(site, val, args);
-            return Ok(());
-        }
         let mb = match mask {
             Some(m) => Some(Self::reg(regs, m)?),
             None => None,
@@ -1775,9 +1751,6 @@ impl Program {
                 return Err(GpuError::ArgumentMismatch { index });
             }
         }
-        let (gdims, instances) = (self.gdims, self.instances);
-        let dedup =
-            mode == Mode::Analytic && options.analytic_dedup && self.dedup_ok && gdims[0] > 1;
 
         // The per-launch half of exact-product dot eligibility, decided
         // once here and shared by every shard (Analytic launches execute
@@ -1789,50 +1762,205 @@ impl Program {
 
         // Inspect once, execute many (`program.rs`, analysis 7): a launch
         // whose I32 arguments and device equal a ready key runs only its
-        // value slice against the recorded addresses — or nothing at all
+        // value tape against the recorded addresses — or nothing at all
         // in Analytic mode — and reports what the recording launch did.
+        // A program whose tape declines launches in full.
         let slot = self.replay.as_ref().ok();
-        let plan = slot.map_or(Plan::Full, |slot| {
+        let mut plan = slot.map_or(Plan::Full, |slot| {
             slot.plan(args, device, mode == Mode::Execute)
         });
-        let (recording, replay) = match (&plan, slot) {
-            (Plan::Record(_), Some(slot)) => (Some(slot.levels), None),
-            (Plan::Replay(script), _) => (None, Some(&**script)),
-            _ => (None, None),
+        let tape = match plan {
+            Plan::Replay(_) if mode == Mode::Execute => Some(self.tape()),
+            _ => None,
         };
+        if let Some(Err(_)) = tape {
+            plan = Plan::Full;
+        }
         match plan {
             Plan::Full => tally.full += 1,
             Plan::Record(_) => tally.recorded += 1,
             Plan::Replay(_) => tally.replayed += 1,
         }
-        if let (Some(script), Mode::Analytic) = (replay, mode) {
-            return Ok(script.report.clone());
+        match (plan, slot) {
+            (Plan::Replay(script), _) => {
+                if let Some(Ok(tape)) = tape {
+                    self.replay_tape(tape, &script, args, device, options, nonfinite, tally);
+                }
+                Ok(script.report.clone())
+            }
+            (Plan::Record(ticket), Some(slot)) => {
+                let (report, recorder) = self.launch_full(
+                    args,
+                    device,
+                    mode,
+                    options,
+                    nonfinite,
+                    Some(slot.levels),
+                    tally,
+                )?;
+                if let Some(script) = recorder.and_then(|r| r.finish(report.clone())) {
+                    slot.install(ticket, script);
+                }
+                Ok(report)
+            }
+            _ => {
+                let (report, _) =
+                    self.launch_full(args, device, mode, options, nonfinite, None, tally)?;
+                Ok(report)
+            }
         }
+    }
 
-        // The instance ranges: one (run inline with direct writes), or —
-        // a sharded launch — contiguous ones on scoped threads that log
-        // their writes. A recording is one machine's, so it never shards.
-        let threads = options.resolve_threads().min(instances);
-        let sharded = threads > 1
-            && instances >= options.min_parallel_instances.max(2)
+    /// How many instance ranges a launch cuts its instances into, one per
+    /// thread; `None` when it runs as one range. A recording is one
+    /// machine's, so it never shards.
+    fn shards(&self, options: &LaunchOptions, mode: Mode, recording: bool) -> Option<usize> {
+        let threads = options.resolve_threads().min(self.instances);
+        (threads > 1
+            && self.instances >= options.min_parallel_instances.max(2)
             && (mode == Mode::Analytic || self.parallel_execute_ok)
-            && recording.is_none();
-        let chunk = instances.div_ceil(if sharded { threads } else { 1 });
+            && !recording)
+            .then_some(threads)
+    }
+
+    /// Run `run` over the launch's instance ranges: one, run inline with
+    /// direct writes, or — a sharded launch — contiguous ones on scoped
+    /// threads that log their writes.
+    fn over_ranges<R: Send>(
+        &self,
+        args: &mut [&mut Tensor],
+        threads: Option<usize>,
+        run: impl Fn((usize, usize), &mut ArgsView<'_, '_>) -> R + Sync,
+    ) -> Vec<R> {
+        let instances = self.instances;
         let shared: Vec<&Tensor>;
-        let units: Vec<((usize, usize), ArgsView<'_, '_>)> = if sharded {
-            shared = args.iter().map(|t| &**t).collect();
-            (0..instances)
-                .step_by(chunk)
-                .map(|lo| ((lo, (lo + chunk).min(instances)), ArgsView::Shared(&shared)))
-                .collect()
-        } else {
-            vec![((0, instances), ArgsView::Exclusive(&mut *args))]
+        let units: Vec<((usize, usize), ArgsView<'_, '_>)> = match threads {
+            Some(threads) => {
+                let chunk = instances.div_ceil(threads);
+                shared = args.iter().map(|t| &**t).collect();
+                (0..instances)
+                    .step_by(chunk)
+                    .map(|lo| ((lo, (lo + chunk).min(instances)), ArgsView::Shared(&shared)))
+                    .collect()
+            }
+            None => vec![((0, instances), ArgsView::Exclusive(&mut *args))],
         };
-        let results = run_units(units, |(range, mut view)| {
+        run_units(units, |(range, mut view)| run(range, &mut view))
+    }
+
+    /// Replay Execute-mode writes that the shards of a sharded launch
+    /// logged, in instance order: bit-identical to the sequential
+    /// interleaving because shards are ordered and written parameters are
+    /// never read back by the kernel. Replay runs per written parameter —
+    /// distinct parameters never alias, so their relative write order is
+    /// immaterial — which binds each output's copy-on-write storage
+    /// exactly once instead of re-checking uniqueness on every write op.
+    /// The marking pass costs one sequential scan of the logs and keeps
+    /// materialization exact (only params with logged writes are bound);
+    /// kernels write one or two params, so the per-param filtered replay
+    /// stays within a small constant of one interleaved pass. It stays
+    /// scalar, unlike the value bodies: the log's offsets are scattered,
+    /// so there is no row for a vector loop to run along.
+    fn apply_logs(&self, args: &mut [&mut Tensor], logs: &[&[WriteOp]]) {
+        if logs.iter().all(|log| log.is_empty()) {
+            return;
+        }
+        let mut touched = vec![false; self.params.lens.len()];
+        for w in logs.iter().flat_map(|log| log.iter()) {
+            touched[w.param as usize] = true;
+        }
+        for (p, _) in touched.iter().enumerate().filter(|&(_, &t)| t) {
+            let round = self.params.dtypes[p] == DType::F16;
+            let data = args[p].data_mut();
+            for w in logs.iter().flat_map(|log| log.iter()) {
+                if w.param as usize != p {
+                    continue;
+                }
+                let slot = &mut data[w.off as usize];
+                let mut v = if w.atomic { *slot + w.val } else { w.val };
+                if round {
+                    v = insum_tensor::f16_round(v);
+                }
+                *slot = v;
+            }
+        }
+    }
+
+    /// An Execute launch served from `script` by the value tape.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_tape(
+        &self,
+        tape: &Tape,
+        script: &Script,
+        args: &mut [&mut Tensor],
+        device: &DeviceModel,
+        options: &LaunchOptions,
+        nonfinite: u64,
+        tally: &mut Tally,
+    ) {
+        // Debug builds hold every tape launch to a full launch of the same
+        // program on copies of its arguments: same bits, same report.
+        let shadow = cfg!(debug_assertions).then(|| {
+            let mut copies: Vec<Tensor> = args.iter().map(|t| (**t).clone()).collect();
+            let mut refs: Vec<&mut Tensor> = copies.iter_mut().collect();
+            let full = self.launch_full(
+                &mut refs,
+                device,
+                Mode::Execute,
+                options,
+                nonfinite,
+                None,
+                &mut Tally::default(),
+            );
+            (full, copies)
+        });
+        let threads = self.shards(options, Mode::Execute, false);
+        let shards = self.over_ranges(args, threads, |range, view| {
+            tape.run_range(self, script, range, view, nonfinite)
+        });
+        for shard in &shards {
+            tally.merge(&shard.tally);
+        }
+        let logs: Vec<&[WriteOp]> = shards.iter().map(|s| &s.log[..]).collect();
+        self.apply_logs(args, &logs);
+        if let Some((full, copies)) = shadow {
+            let full = full.expect("a replayed launch's full twin succeeds");
+            assert!(
+                full.0 == script.report,
+                "tape replay reports what a full launch does"
+            );
+            for (p, (t, want)) in args.iter().zip(&copies).enumerate() {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    bits(t) == bits(want),
+                    "tape replay of {:?} wrote other bits than a full launch to argument {p}",
+                    self.name
+                );
+            }
+        }
+    }
+
+    /// A launch run in full by the interpreter, recording an address
+    /// script on the way when `recording` names the streams to keep.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_full(
+        &self,
+        args: &mut [&mut Tensor],
+        device: &DeviceModel,
+        mode: Mode,
+        options: &LaunchOptions,
+        nonfinite: u64,
+        recording: Option<[bool; 3]>,
+        tally: &mut Tally,
+    ) -> Result<(KernelReport, Option<Recorder>), GpuError> {
+        let (gdims, instances) = (self.gdims, self.instances);
+        let dedup =
+            mode == Mode::Analytic && options.analytic_dedup && self.dedup_ok && gdims[0] > 1;
+        let threads = self.shards(options, mode, recording.is_some());
+        let results = self.over_ranges(args, threads, |range, view| {
             let recorder = recording.map(|levels| Recorder::new(levels, instances));
-            let cursor = replay.map(Cursor::new);
-            let mut machine = Machine::new(self, mode, nonfinite, recorder, cursor);
-            machine.run_range(range, gdims, &mut view, device, dedup)?;
+            let mut machine = Machine::new(self, mode, nonfinite, recorder);
+            machine.run_range(range, gdims, view, device, dedup)?;
             Ok(machine.out)
         });
 
@@ -1846,48 +1974,12 @@ impl Program {
             first.absorb(shard);
         }
         tally.merge(&first.tally);
-        let shards = || std::iter::once(&first).chain(&rest);
+        let logs: Vec<&[WriteOp]> = std::iter::once(&first)
+            .chain(&rest)
+            .map(|s| &s.log[..])
+            .collect();
+        self.apply_logs(args, &logs);
 
-        // Replay Execute-mode writes in instance order: bit-identical
-        // to the sequential interleaving because shards are ordered
-        // and written parameters are never read back by the kernel.
-        // Replay runs per written parameter — distinct parameters
-        // never alias, so their relative write order is immaterial —
-        // which binds each output's copy-on-write storage exactly
-        // once instead of re-checking uniqueness on every write op.
-        // The marking pass costs one sequential scan of the logs and
-        // keeps materialization exact (only params with logged
-        // writes are bound); kernels write one or two params, so the
-        // per-param filtered replay stays within a small constant of
-        // the old single interleaved pass. It stays scalar, unlike
-        // the value bodies: the log's offsets are scattered, so
-        // there is no row for a vector loop to run along.
-        if shards().any(|s| !s.log.is_empty()) {
-            let mut touched = vec![false; self.params.lens.len()];
-            for shard in shards() {
-                for w in &shard.log {
-                    touched[w.param as usize] = true;
-                }
-            }
-            for (p, _) in touched.iter().enumerate().filter(|&(_, &t)| t) {
-                let round = self.params.dtypes[p] == DType::F16;
-                let data = args[p].data_mut();
-                for shard in shards() {
-                    for w in shard.log.iter().filter(|w| w.param as usize == p) {
-                        let slot = &mut data[w.off as usize];
-                        let mut v = if w.atomic { *slot + w.val } else { w.val };
-                        if round {
-                            v = insum_tensor::f16_round(v);
-                        }
-                        *slot = v;
-                    }
-                }
-            }
-        }
-
-        if let Some(script) = replay {
-            return Ok(script.report.clone());
-        }
         let Shard {
             mut stats,
             read,
@@ -1930,12 +2022,27 @@ impl Program {
             dram_time,
             max_instance_time,
         };
-        if let (Plan::Record(ticket), Some(slot), Some(recorder)) = (plan, slot, recorder) {
-            if let Some(script) = recorder.finish(report.clone()) {
-                slot.install(ticket, script);
-            }
+        Ok((report, recorder))
+    }
+
+    /// This program's value tape, lowered on first use; the reason when
+    /// its value slice has no static tape (see `interp/tape.rs`).
+    pub(crate) fn tape(&self) -> Result<&Tape, ReplayDecline> {
+        self.tape
+            .get_or_init(|| Tape::build(self))
+            .as_ref()
+            .map_err(|&why| why)
+    }
+
+    /// The value tape of this program, one line per op (when it runs,
+    /// its kind, site and parameter, tile shape), or why relaunches never
+    /// replay: a diagnostic for `examples/inspect_codegen.rs`.
+    #[doc(hidden)]
+    pub fn tape_listing(&self) -> Result<String, ReplayDecline> {
+        match self.replay_decline() {
+            Some(why) => Err(why),
+            None => Ok(self.tape()?.listing(self)),
         }
-        Ok(report)
     }
 
     /// Heap bytes of the address script this program currently holds

@@ -22,9 +22,9 @@
 //! cover goes there.
 
 use super::{consecutive, ArgsView, Machine, SectorSet, TraceEntry, WriteOp, SECTOR, WARP};
-use crate::block::{Block, PoolBuf, Shape4};
+use crate::block::{Block, Shape4, Tile};
 use crate::isa::{Body, Isa};
-use crate::program::{RowSite, SiteMask, TermAxis, TreeOp};
+use crate::program::{RowSite, SiteInfo, SiteMask, TermAxis, TreeOp};
 use crate::script::{Bases, Entry, Form, INACTIVE};
 use crate::{GpuError, Mode};
 use insum_kernel::BinOp;
@@ -280,17 +280,15 @@ fn stage_lanes<'r>(
 
 /// The shape of a row run decoded from a script into a [`RowScratch`].
 #[derive(Clone, Copy)]
-struct Scripted {
+pub(super) struct Scripted {
     form: Form,
     m: usize,
     cols: usize,
     masked: bool,
-    /// The static shape of the site's lanes.
-    lanes: Shape4,
 }
 
 impl Scripted {
-    fn run<'r>(&self, scratch: &'r RowScratch) -> RowRun<'r> {
+    pub(super) fn run<'r>(&self, scratch: &'r RowScratch) -> RowRun<'r> {
         RowRun {
             form: self.form,
             rows: &scratch.rows,
@@ -304,7 +302,7 @@ impl Scripted {
 /// Decode the row run a script entry stands for, for a site whose lanes
 /// have static shape `lanes`: the recorded bases widened into `scratch`,
 /// rows the entry does not list (or lists as [`INACTIVE`]) masked off.
-fn decode(entry: Entry<'_>, lanes: Shape4, scratch: &mut RowScratch) -> Scripted {
+pub(super) fn decode(entry: Entry<'_>, lanes: Shape4, scratch: &mut RowScratch) -> Scripted {
     let (n, m) = match (entry.form, lanes.as_slice()) {
         (Form::Rows, &[n, m]) => (n, m),
         (Form::Rows, _) => unreachable!("row runs are recorded at rank-2 sites only"),
@@ -337,7 +335,6 @@ fn decode(entry: Entry<'_>, lanes: Shape4, scratch: &mut RowScratch) -> Scripted
         m,
         cols: entry.cols.map_or(m, |c| c as usize),
         masked,
-        lanes,
     }
 }
 
@@ -546,7 +543,7 @@ impl Body for WriteRows<'_> {
 /// The staging of a written value that broadcasts: `val` broadcast to
 /// `shape`, appended row-major to `out`.
 struct Stage<'a> {
-    val: &'a Block,
+    val: &'a Tile<'a>,
     shape: &'a [usize],
     out: &'a mut Vec<f64>,
 }
@@ -635,51 +632,6 @@ impl Machine<'_> {
         self.record_rows(site, run);
         self.count_atomics(run, site);
         body(self, run, args)
-    }
-
-    /// Decode the next script entry of `site` — the replay side of
-    /// [`Machine::with_row_run`] and of the per-lane sites alike: no
-    /// resolving, no cost pass; the entry was bounds-checked by the
-    /// launch that recorded it. Returns the (taken) scratch holding the
-    /// rows, to be put back once the value body has run.
-    fn next_scripted(&mut self, site: u32) -> (RowScratch, Scripted) {
-        let info = &self.program.sites[site as usize];
-        let lanes = info
-            .lanes
-            .expect("a replayable program knows its value sites' shapes");
-        let Some(cursor) = &mut self.replay else {
-            unreachable!("scripted sites run in replaying machines only");
-        };
-        let entry = cursor.next(info.level as usize);
-        // Counted as the recording launch ran it.
-        match entry.form {
-            Form::Rows => self.out.tally.row_run_sites += 1,
-            _ => self.out.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2),
-        }
-        let mut scratch = std::mem::take(&mut self.row_scratch);
-        let shape = decode(entry, lanes, &mut scratch);
-        (scratch, shape)
-    }
-
-    /// A replayed load: [`Machine::load_values`] from the script.
-    pub(super) fn load_scripted(
-        &mut self,
-        site: u32,
-        other: f64,
-        args: &ArgsView<'_, '_>,
-    ) -> Block {
-        let (scratch, shape) = self.next_scripted(site);
-        let out = self.load_values(&shape.run(&scratch), site, other, args, shape.lanes);
-        self.row_scratch = scratch;
-        out
-    }
-
-    /// A replayed store or atomic add: [`Machine::write_values`] from the
-    /// script.
-    pub(super) fn write_scripted(&mut self, site: u32, val: &Block, args: &mut ArgsView<'_, '_>) {
-        let (scratch, shape) = self.next_scripted(site);
-        self.write_values(&shape.run(&scratch), site, val, args, shape.lanes);
-        self.row_scratch = scratch;
     }
 
     /// Write a run of value site `site` into the script being recorded,
@@ -862,57 +814,27 @@ impl Machine<'_> {
         shape: Shape4,
     ) -> Block {
         let param = self.program.sites[site as usize].param;
-        let (n, m, cols) = (run.rows.len(), run.m, run.cols);
-        let read_values = self.moves_values(site);
-        let dense = run.row_mask.is_none() && cols == m;
-        if !read_values && dense {
-            // Analytic float loads with every lane on are all zeros.
-            return self.filled(shape, 0.0);
-        }
-        let mut buf = self.alloc();
-        let out = buf.vec();
-        out.clear();
-        let data = args.data(param);
-        if dense {
-            // Every lane is read: write each once, no `other` fill first.
-            let rows = run.rows;
-            Isa::detect().run(WidenRows { data, rows, m, out });
+        let dense = run.row_mask.is_none() && run.cols == run.m;
+        if !self.moves_values(site) {
+            if dense {
+                // Analytic float loads with every lane on are all zeros.
+                return self.filled(shape, 0.0);
+            }
+            let mut buf = self.alloc();
+            let out = buf.vec();
+            out.clear();
+            out.resize(run.rows.len() * run.m, other);
+            Isa::detect().run(WidenMasked {
+                data: &[],
+                run,
+                out,
+                read: false,
+            });
             return self.packed(shape, buf);
         }
-        out.resize(n * m, other);
-        let read = read_values;
-        Isa::detect().run(WidenMasked {
-            data,
-            run,
-            out,
-            read,
-        });
+        let mut buf = self.alloc();
+        gather(Isa::detect(), args.data(param), run, other, buf.vec());
         self.packed(shape, buf)
-    }
-
-    /// The value block of a store/atomic as the row-major lanes of
-    /// `shape`: borrowed when it already is that, staged through a pool
-    /// buffer (returned for recycling) when it broadcasts.
-    fn value_lanes<'v>(
-        &mut self,
-        val: &'v Block,
-        shape: &[usize],
-        staged: &'v mut Option<PoolBuf>,
-    ) -> &'v [f64] {
-        if val.shape() == shape {
-            if let Some(lanes) = val.as_slice() {
-                return lanes;
-            }
-        }
-        let buf = staged.insert(self.alloc());
-        let lanes = buf.vec();
-        lanes.clear();
-        Isa::detect().run(Stage {
-            val,
-            shape,
-            out: &mut *lanes,
-        });
-        lanes
     }
 
     /// A separable store or atomic add as row runs: one slice write (or
@@ -968,38 +890,94 @@ impl Machine<'_> {
         args: &mut ArgsView<'_, '_>,
         shape: Shape4,
     ) {
-        let info = &self.program.sites[site as usize];
-        let (param, atomic) = (info.param, info.is_atomic);
-        let (m, cols) = (run.m, run.cols);
         if !self.moves_values(site) {
             return;
         }
-        let round = self.program.params.dtypes[param] == DType::F16;
+        let (val, shape) = (val.tile(), shape.as_slice());
         let mut staged = None;
-        let lanes = self.value_lanes(val, shape.as_slice(), &mut staged);
-        match args {
-            ArgsView::Exclusive(ts) => Isa::detect().run(WriteRows {
-                data: ts[param].data_mut(),
-                run,
-                lanes,
-                atomic,
-                round,
-            }),
-            ArgsView::Shared(_) => {
-                let log = &mut self.out.log;
-                for (i, o) in run.active_rows() {
-                    let row = &lanes[i * m..i * m + cols];
-                    log.extend(row.iter().enumerate().map(|(j, &v)| WriteOp {
-                        off: (o as usize + j) as u32,
-                        val: v as f32,
-                        param: param as u16,
-                        atomic,
-                    }));
-                }
+        let lanes = match direct_lanes(val, shape) {
+            Some(lanes) => lanes,
+            None => {
+                let buf = staged.insert(self.alloc()).vec();
+                stage_value(&val, shape, buf);
+                buf
             }
-        }
+        };
+        let info = &self.program.sites[site as usize];
+        let round = self.program.params.dtypes[info.param] == DType::F16;
+        scatter(args, &mut self.out.log, info, round, run, lanes);
         if let Some(buf) = staged {
             self.pool.push(buf);
+        }
+    }
+}
+
+/// The load body of full launches and tape alike: the lanes of `run`
+/// widened from `data` into `out` (cleared first), row-major, `other` on
+/// every inactive lane, at rung `isa`.
+pub(super) fn gather(isa: Isa, data: &[f32], run: &RowRun<'_>, other: f64, out: &mut Vec<f64>) {
+    out.clear();
+    if run.row_mask.is_none() && run.cols == run.m {
+        // Every lane is read: write each once, no `other` fill first.
+        let (rows, m) = (run.rows, run.m);
+        isa.run(WidenRows { data, rows, m, out });
+        return;
+    }
+    out.resize(run.rows.len() * run.m, other);
+    isa.run(WidenMasked {
+        data,
+        run,
+        out,
+        read: true,
+    });
+}
+
+/// A stored or added value that already is the row-major lanes of
+/// `shape`, borrowed; `None` when it broadcasts (see [`stage_value`]).
+pub(super) fn direct_lanes<'v>(val: Tile<'v>, shape: &[usize]) -> Option<&'v [f64]> {
+    (val.shape() == shape).then(|| val.as_slice()).flatten()
+}
+
+/// A stored or added value broadcast to the row-major lanes of `shape`,
+/// into `out` (cleared first).
+pub(super) fn stage_value(val: &Tile<'_>, shape: &[usize], out: &mut Vec<f64>) {
+    out.clear();
+    Isa::detect().run(Stage { val, shape, out });
+}
+
+/// The write body of full launches and tape alike: `lanes` (row-major,
+/// `run.m` per row) stored to, or added to, the active lanes of `run` in
+/// the parameter of site `info` — in place when the arguments are
+/// exclusive, into the shard's write `log` when they are shared. `round`:
+/// the parameter is f16.
+pub(super) fn scatter(
+    args: &mut ArgsView<'_, '_>,
+    log: &mut Vec<WriteOp>,
+    info: &SiteInfo,
+    round: bool,
+    run: &RowRun<'_>,
+    lanes: &[f64],
+) {
+    let (param, atomic) = (info.param, info.is_atomic);
+    let (m, cols) = (run.m, run.cols);
+    match args {
+        ArgsView::Exclusive(ts) => Isa::detect().run(WriteRows {
+            data: ts[param].data_mut(),
+            run,
+            lanes,
+            atomic,
+            round,
+        }),
+        ArgsView::Shared(_) => {
+            for (i, o) in run.active_rows() {
+                let row = &lanes[i * m..i * m + cols];
+                log.extend(row.iter().enumerate().map(|(j, &v)| WriteOp {
+                    off: (o as usize + j) as u32,
+                    val: v as f32,
+                    param: param as u16,
+                    atomic,
+                }));
+            }
         }
     }
 }
@@ -1197,7 +1175,7 @@ mod tests {
                 at_every_rung(&format!("staging {:?} to {shape:?}", val.shape()), |isa| {
                     let mut out = Vec::new();
                     isa.run(Stage {
-                        val: &val,
+                        val: &val.tile(),
                         shape: &shape,
                         out: &mut out,
                     });

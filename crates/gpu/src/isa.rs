@@ -22,6 +22,8 @@
 //! kernel, where fusing is proven exact), not the compiler on its own.
 //! Every body has a forced-rung differential test against `Portable`.
 
+use std::sync::OnceLock;
+
 /// The rungs of the ladder, narrowest first.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -38,32 +40,31 @@ impl Isa {
     /// Every rung, narrowest first.
     pub const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512];
 
-    /// Whether this host can run the rung (the standard library caches
-    /// the CPUID probe).
+    /// Whether this host can run the rung: every rung includes the
+    /// features of the narrower ones, so exactly the rungs up to the
+    /// widest the host has.
     pub fn available(self) -> bool {
-        match self {
-            Isa::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => {
-                std::arch::is_x86_feature_detected!("avx2")
-                    && std::arch::is_x86_feature_detected!("fma")
-            }
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && Isa::Avx2.available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
+        self <= Isa::detect()
     }
 
-    /// The widest rung this host can run.
+    /// The widest rung this host can run, probed once per process (every
+    /// value body asks, so the answer is one load).
     pub fn detect() -> Isa {
-        if Isa::Avx512.available() {
-            Isa::Avx512
-        } else if Isa::Avx2.available() {
-            Isa::Avx2
-        } else {
+        static WIDEST: OnceLock<Isa> = OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx2") && has!("fma") {
+                    return if has!("avx512f") {
+                        Isa::Avx512
+                    } else {
+                        Isa::Avx2
+                    };
+                }
+            }
             Isa::Portable
-        }
+        })
     }
 
     /// Run `body` compiled for this rung.
@@ -75,13 +76,13 @@ impl Isa {
         assert!(self.available(), "{self:?} is not available on this host");
         match self {
             Isa::Portable => body.run(),
+            #[cfg(target_arch = "x86_64")]
             // SAFETY: the rung's target features were detected just
             // above, and they are the entry's only requirement: the body
             // it runs is safe code.
-            #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => unsafe { run_avx2(body) },
-            // SAFETY: as for `Avx2`.
             #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for `Avx2`.
             Isa::Avx512 => unsafe { run_avx512(body) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("only the portable rung is available off x86-64"),

@@ -134,9 +134,11 @@
 //!   edit is new storage) records an **address script** — the resolved
 //!   row bases of every value-site execution plus the launch's
 //!   [`KernelReport`] — and every later launch with that key runs only
-//!   the value slice through the same load / write / dot bodies, does no
-//!   cost accounting, and returns the stored report (an Analytic launch
-//!   returns it without interpreting anything). One-shot and alternating
+//!   the value slice, as the program's *value tape*: straight-line tile
+//!   ops over a reused per-thread arena, lowered once on the first
+//!   replay, through the same load / write / dot bodies, with no
+//!   interpreter and no cost accounting; it returns the stored report (an
+//!   Analytic launch returns it without interpreting anything). One-shot and alternating
 //!   keys never record, and a key is remembered by weak witnesses: no
 //!   program keeps a caller's tensor alive or makes its owner's next
 //!   write copy (see [`Program::launch_with`]). No option selects any of
@@ -159,10 +161,13 @@
 //!   Kernels that read a parameter they also write, and launches that
 //!   record an address script, run as one range;
 //!   [`Program::launch_batch_with`] hands its request chunks to the same
-//!   runner. The three dispatch counters are per thread: each machine
-//!   keeps a tally, the fold and the batch runner carry it back, and the
-//!   top-level call adds it once to its own thread's counters, so
-//!   concurrent tests and serve tenants never see each other's launches.
+//!   runner. The three dispatch counters are per thread: each machine —
+//!   and each range of a replay's value tape — keeps a tally, the fold
+//!   and the batch runner carry it back, and the top-level call adds it
+//!   once to its own thread's counters, so concurrent tests and serve
+//!   tenants never see each other's launches. A tape counts what the
+//!   recording launch's machine counted: each dot by the kernel that ran,
+//!   each value site as the row run or per-lane access it was recorded as.
 //!
 //! # Compile pipeline
 //!
@@ -215,6 +220,8 @@
 //! `crates/gpu/tests/program_properties.rs` for the equivalence
 //! properties that pin the pipeline to the reference interpreter.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod block;
 mod device;
 mod exact_dot;
@@ -237,7 +244,7 @@ pub use interp::{
 pub use isa::Isa;
 pub use micro::{copy_view_eligible, run_micro};
 #[doc(hidden)]
-pub use program::record_digests;
+pub use program::record_programs;
 pub use program::{Program, ReplayDecline};
 pub use stats::{uniform_launch_time, KernelReport, KernelStats, Profile};
 

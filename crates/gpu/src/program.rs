@@ -180,11 +180,20 @@
 //!    right after the cost pass has bounds-checked them — plus the
 //!    launch's `KernelReport`. Rows in arithmetic progression take three
 //!    words however many they are; a gather or scatter lists its rows,
-//!    one word each. Every later launch with that key executes only the
-//!    value-slice units and nodes, feeds the same value bodies
-//!    (`load_values`, `write_values`, the dot kernels) from the script,
-//!    does no cost accounting and returns the stored report; an Analytic
-//!    launch returns the report without interpreting anything. One-shot
+//!    one word each. Every later launch with that key runs the program's
+//!    **value tape** (`interp/tape.rs`): on its first replay the program
+//!    lowers the value-slice units and nodes once into straight-line tile
+//!    ops over a per-thread arena — a gather, fill, elementwise op, dot,
+//!    reduction or row write per instruction that computes, with
+//!    `expand_dims` / `broadcast_to` / `trans` / contiguous `view` folded
+//!    into each operand's static strides — and every replay runs those
+//!    ops through the same value bodies (`gather`, `scatter`, the
+//!    elementwise and dot kernels) from the script, with no interpreter,
+//!    no cost accounting, and returns the stored report; an Analytic
+//!    launch returns the report without interpreting anything. A value
+//!    slice the tape cannot place statically declines
+//!    ([`ReplayDecline::MovingTile`]) on its first replay, and the
+//!    program launches in full from then on. One-shot
 //!    and alternating keys (autotune candidates, the paper harnesses,
 //!    unique serve requests) never pay for a recording, a ready script is
 //!    displaced only by a key that itself repeats, and a launch that
@@ -196,8 +205,10 @@
 //!    *One value path.* Full, recording and replayed launches run the same
 //!    value bodies at every site. A full launch resolves a site's run (row
 //!    run or staged lanes) and feeds it to the body; a recording launch
-//!    also writes that run down; a replay decodes it. Only where the run
-//!    comes from differs.
+//!    also writes that run down; a replay's tape decodes it. Only where
+//!    the run comes from differs. Debug builds run every tape launch a
+//!    second time in full, on copies of its arguments, and assert equal
+//!    bits and report.
 //!
 //!    *Why no counter can move.* The recording launch *is* a full launch:
 //!    its report is what that launch returns. A replay returns that
@@ -205,9 +216,12 @@
 //!    counter is determined — the index slice, which decides addresses,
 //!    masks and trip counts, reads nothing else, and the float values a
 //!    replay may change reach no counter (Analytic mode already computes
-//!    every counter with all of them zero). Output bits: a replay runs
-//!    the value slice's instructions in program order through the same
-//!    bodies, with the addresses the full launch resolved; the per-launch
+//!    every counter with all of them zero). Output bits: the tape runs
+//!    the value slice's instructions in program order, at the
+//!    interpreter's frequencies (`Once` and `PerRow` units on a shard's or
+//!    row's first instance, stream-cached invariants recorded by the
+//!    representative and copied back), through the same bodies, with the
+//!    addresses the full launch resolved; the per-launch
 //!    dot-eligibility scan of the float operands still runs, so a NaN
 //!    planted under a ready key flips the dot kernel exactly as it would
 //!    on a first launch (`tests/address_script.rs`).
@@ -218,13 +232,14 @@
 //! metadata, so repeated executions and autotuning sweeps never re-lower.
 
 use crate::block::Shape4;
-use crate::interp::{GpuError, SECTOR};
+use crate::interp::{GpuError, Tape, SECTOR};
 use crate::script::ReplaySlot;
 use affine::{Avals, AV};
 use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, Operands, Reg};
 use insum_tensor::DType;
 use levels::Levels;
 use row_sites::SiteScan;
+use std::sync::OnceLock;
 use value_slice::ValueSlice;
 
 mod affine;
@@ -235,7 +250,7 @@ mod row_sites;
 mod shapes;
 mod value_slice;
 
-pub use digest::record_digests;
+pub use digest::record_programs;
 pub(crate) use dot_sources::DotSources;
 pub(crate) use row_sites::{RowSite, RowSites, SiteMask, TermAxis, TreeOp};
 pub use value_slice::ReplayDecline;
@@ -464,6 +479,8 @@ pub struct Program {
     /// Analysis 7: the slot a replayable program keeps its address
     /// script in, or why it keeps none.
     pub(crate) replay: Result<ReplaySlot, ReplayDecline>,
+    /// The value tape replays run, lowered on the first one.
+    pub(crate) tape: OnceLock<Result<Tape, ReplayDecline>>,
 }
 
 impl Program {
@@ -613,6 +630,7 @@ impl Program {
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
             replay,
+            tape: OnceLock::new(),
         };
         digest::note(&program);
         Ok(program)

@@ -5,33 +5,44 @@
 //! replay decline. Golden digests (`crates/core/tests/analysis_digests.rs`)
 //! pin them, so a refactor of the analyses can show it changed nothing.
 
-use super::{CInstr, Program};
+use super::{CInstr, Program, ReplayDecline};
 use insum_kernel::Fnv;
 use std::cell::RefCell;
 use std::fmt::Write;
 
+/// What is noted of one compiled program: its digest, and how it
+/// relaunches — `Ok` by value tape, or why it never replays.
+pub type Note = (u64, Result<(), ReplayDecline>);
+
 thread_local! {
-    /// The digests of the programs this thread compiles while
-    /// [`record_digests`] runs.
-    static RECORDING: RefCell<Option<Vec<u64>>> = const { RefCell::new(None) };
+    /// The notes of the programs this thread compiles while
+    /// [`record_programs`] runs.
+    static RECORDING: RefCell<Option<Vec<Note>>> = const { RefCell::new(None) };
 }
 
-/// Run `f` and return, with its result, the analysis digest of every
-/// [`Program`] compiled on this thread while it ran, in compile order.
-/// Programs served from a cache without compiling do not appear.
+/// Run `f` and return, with its result, a note of every [`Program`]
+/// compiled on this thread while it ran, in compile order: its analysis
+/// digest, and how it relaunches — `Ok` when a relaunch with the same I32
+/// arguments replays by value tape, else the [`ReplayDecline`], its own
+/// or its tape's (the tape is lowered here to find out). Programs served
+/// from a cache without compiling do not appear.
 #[doc(hidden)]
-pub fn record_digests<R>(f: impl FnOnce() -> R) -> (R, Vec<u64>) {
+pub fn record_programs<R>(f: impl FnOnce() -> R) -> (R, Vec<Note>) {
     let outer = RECORDING.with(|r| r.borrow_mut().replace(Vec::new()));
     let out = f();
-    let digests = RECORDING.with(|r| std::mem::replace(&mut *r.borrow_mut(), outer));
-    (out, digests.unwrap_or_default())
+    let notes = RECORDING.with(|r| std::mem::replace(&mut *r.borrow_mut(), outer));
+    (out, notes.unwrap_or_default())
 }
 
-/// Append `program`'s digest to the recording, if one is running.
+/// Append `program`'s note to the recording, if one is running.
 pub(super) fn note(program: &Program) {
     RECORDING.with(|r| {
-        if let Some(digests) = r.borrow_mut().as_mut() {
-            digests.push(program.analysis_digest());
+        if let Some(notes) = r.borrow_mut().as_mut() {
+            let replay = match program.replay_decline() {
+                Some(why) => Err(why),
+                None => program.tape().map(drop),
+            };
+            notes.push((program.analysis_digest(), replay));
         }
     });
 }

@@ -49,7 +49,8 @@ fn packed(shape: &[usize]) -> Option<Shape4> {
 /// whose operand shapes are known and break its rule — a rank above
 /// four, a transpose or dot of a block that is not rank 2, disagreeing
 /// dot dimensions, an axis out of range, a view that changes volume, a
-/// broadcast, elementwise op or masked load of incompatible shapes.
+/// broadcast, elementwise op, masked load, store or atomic add of
+/// incompatible shapes.
 /// Launching such a kernel would fail inside the interpreter.
 pub(super) fn infer(flow: &Dataflow) -> Result<Vec<Option<Shape4>>, KernelError> {
     let st = flow.solve(S::Unset, S::Unknown, |e, st| {
@@ -119,27 +120,37 @@ fn shape_of(instr: &Instr, st: &[S]) -> Option<Shape4> {
 /// must fit its target, a view keeps the volume, a dot's inner
 /// dimensions agree).
 fn violation(e: &Edges, st: &[S]) -> Option<String> {
-    let (instr, dst) = (e.instr, e.dst?);
+    let instr = e.instr;
     let mut ops = [Shape4::from_slice(&[]); 3];
     let n = e.operands.len();
     for (op, &(r, _)) in ops.iter_mut().zip(e.operands.iter()) {
         *op = get(st, r)?;
     }
     let dims = |i: usize| ops[i].as_slice();
-    // A known destination means every writer's rule held at the fixpoint.
-    let legal = (matches!(st[dst], S::Known(_)) || shape_of(instr, st).is_some())
-        && match instr {
-            Instr::Broadcast { shape, .. } => {
-                dims(0).len() <= shape.len()
-                    && dims(0)
-                        .iter()
-                        .zip(&shape[shape.len() - dims(0).len()..])
-                        .all(|(&d, &t)| d == t || d == 1)
-            }
-            Instr::View { shape, .. } => ops[0].volume() == shape.iter().product::<usize>(),
-            Instr::Dot { .. } => dims(0)[1] == dims(1)[0],
-            _ => true,
-        };
+    // A write has no destination: its offsets, value and mask must
+    // broadcast jointly. Otherwise a known destination means every
+    // writer's rule held at the fixpoint.
+    let legal = match e.dst {
+        None => ops[..n]
+            .iter()
+            .skip(1)
+            .try_fold(ops[0], |joint, op| {
+                Shape4::try_joint(joint.as_slice(), op.as_slice())
+            })
+            .is_some(),
+        Some(dst) => matches!(st[dst], S::Known(_)) || shape_of(instr, st).is_some(),
+    } && match instr {
+        Instr::Broadcast { shape, .. } => {
+            dims(0).len() <= shape.len()
+                && dims(0)
+                    .iter()
+                    .zip(&shape[shape.len() - dims(0).len()..])
+                    .all(|(&d, &t)| d == t || d == 1)
+        }
+        Instr::View { shape, .. } => ops[0].volume() == shape.iter().product::<usize>(),
+        Instr::Dot { .. } => dims(0)[1] == dims(1)[0],
+        _ => true,
+    };
     (!legal).then(|| {
         let shapes: Vec<&[usize]> = ops[..n].iter().map(Shape4::as_slice).collect();
         format!("ill-shaped instruction {instr:?} on operand shapes {shapes:?}")

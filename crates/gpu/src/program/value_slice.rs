@@ -23,6 +23,11 @@ pub enum ReplayDecline {
     UnknownShape,
     /// A parameter too long for the script's 32-bit element addresses.
     WideAddress,
+    /// The value tape cannot give some tile one static place: a view read
+    /// after its source was rewritten, a `view` of a strided tile (which
+    /// strides cannot express), or a register whose place differs between
+    /// loop iterations.
+    MovingTile,
 }
 
 impl fmt::Display for ReplayDecline {
@@ -33,6 +38,7 @@ impl fmt::Display for ReplayDecline {
             ReplayDecline::FloatAddress => "a float-derived offset or mask",
             ReplayDecline::UnknownShape => "an access of unknown static shape",
             ReplayDecline::WideAddress => "a parameter beyond 32-bit addresses",
+            ReplayDecline::MovingTile => "a value tile without one static place",
         })
     }
 }

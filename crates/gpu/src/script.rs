@@ -7,8 +7,10 @@
 //! element address of each row of lanes, plus the launch's
 //! [`KernelReport`]. It is recorded by a full launch that runs as one
 //! machine whatever its thread budget — the addresses are taken where the
-//! cost pass has just bounds-checked them — and replayed by a launch that
-//! executes the value slice alone.
+//! cost pass has just bounds-checked them — and replayed by the program's
+//! value tape (`interp/tape.rs`), which executes the value slice alone:
+//! each of its `GatherRows` / `WriteRows` ops reads the next entry of its
+//! site's stream through a [`Cursor`].
 //!
 //! An entry is a header word (how the rows map onto the site's lanes,
 //! how many are stored) and its row bases: listed one word each, or —

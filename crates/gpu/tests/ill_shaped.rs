@@ -108,3 +108,59 @@ fn binary_of_incompatible_shapes_is_rejected() {
         b.binary(BinOp::Add, a, c)
     }));
 }
+
+/// Launch a kernel that stores — or, `atomic`, adds — `arange(value)` at
+/// the offsets `arange(4)`, under a mask of `mask` lanes when given.
+fn written(atomic: bool, value: usize, mask: Option<usize>) -> Result<(), GpuError> {
+    let mut b = KernelBuilder::new("ill_shaped_write");
+    let y = b.output("Y");
+    let offsets = b.arange(4);
+    let v = b.arange(value);
+    let mask = mask.map(|n| {
+        let lanes = b.arange(n);
+        let cap = b.constant(8.0);
+        b.binary(BinOp::Lt, lanes, cap)
+    });
+    if atomic {
+        b.atomic_add(y, offsets, v, mask);
+    } else {
+        b.store(y, offsets, v, mask);
+    }
+    let kernel = b.build();
+    kernel.validate().expect("structurally valid");
+    let mut out = Tensor::zeros(vec![8]);
+    launch(
+        &kernel,
+        &[1],
+        &mut [&mut out],
+        &DeviceModel::rtx3090(),
+        Mode::Execute,
+    )
+    .map(|_| ())
+}
+
+#[test]
+fn store_of_a_value_that_does_not_fit_its_offsets_is_rejected() {
+    assert_rejected(written(false, 3, None));
+}
+
+#[test]
+fn store_under_a_mask_that_does_not_fit_its_offsets_is_rejected() {
+    assert_rejected(written(false, 4, Some(3)));
+}
+
+#[test]
+fn atomic_add_of_a_value_that_does_not_fit_its_offsets_is_rejected() {
+    assert_rejected(written(true, 3, None));
+}
+
+#[test]
+fn atomic_add_under_a_mask_that_does_not_fit_its_offsets_is_rejected() {
+    assert_rejected(written(true, 4, Some(3)));
+}
+
+#[test]
+fn writes_whose_shapes_broadcast_still_launch() {
+    written(false, 1, Some(4)).expect("a one-lane value broadcasts");
+    written(true, 4, Some(1)).expect("a one-lane mask broadcasts");
+}

@@ -3,7 +3,8 @@
 //! `C[D[y],x] += A[y,E[r]] * B[r,x]` (Fig. 9) in all three codegen modes,
 //! plus the autotuner's table, the unfused stock-Inductor pipeline
 //! shape, and what the simulator decided about relaunching the kernel
-//! (does it replay an address script, and how did the launches split).
+//! (does it replay an address script, the value tape a replay runs, and
+//! how the launches split).
 //!
 //! Run with: `cargo run --release --example inspect_codegen`
 
@@ -124,6 +125,17 @@ fn main() {
     match program.replay_decline() {
         None => println!("# replayable: its addresses depend on D and E alone"),
         Some(why) => println!("# every launch runs in full: {why}"),
+    }
+    // What a replay runs: the value slice as straight-line tile ops (when
+    // each runs, its kind, slots, site and parameter, tile shapes).
+    match program.tape_listing() {
+        Ok(tape) => {
+            println!("# value tape:");
+            for line in tape.lines() {
+                println!("#   {line}");
+            }
+        }
+        Err(why) => println!("# no value tape: {why}"),
     }
     let before = script_dispatch_counts();
     for _ in 0..4 {
