@@ -24,12 +24,14 @@
 //! rows measure the full launch path — what a one-shot request, an
 //! autotune trial or a paper harness pays. What a *re*launch against the
 //! same sparse structure costs is the `relaunch[]` table: launch 1
-//! (full), launch 2 (full, recording an address script) and launches 3+
-//! (the value slice replayed from the script), with the script's size;
-//! it asserts the `(full, recorded, replayed)` split and bit-identity,
-//! and reports the recording's cost over launch 1 (target ≤ 10 %: a
-//! warning above that, a failure only above 25 % — wall clock on a
-//! shared host). The `fast_path[]` gate likewise times its forced-general
+//! (full, writing a scratch address script the value tape runs from),
+//! launch 2 (full, keeping the script) and launches 3+ (the value slice
+//! replayed from the kept script), with the script's size; it asserts
+//! the `(full, recorded, replayed)` split and bit-identity, and reports
+//! what keeping the script costs over launch 1, on the minima of
+//! thirteen interleaved samples each (target ≤ 10 %: a warning above
+//! that, a failure only above 25 % — wall clock on a shared host, where
+//! noise only adds time; the medians are what the table reports). The `fast_path[]` gate likewise times its forced-general
 //! twin on the full launch path (keys alternated), with the replaying
 //! twin as an extra, ungated column.
 //!
@@ -713,9 +715,10 @@ fn main() {
             "{}: a new key runs in full, its second launch in a row records",
             case.name
         );
-        let [wall_full, wall_recording] = walls.map(|mut w| {
+        // (minimum, median) of each side's thirteen samples.
+        let [(min_full, wall_full), (min_recording, wall_recording)] = walls.map(|mut w| {
             w.sort_by(f64::total_cmp);
-            w[w.len() / 2]
+            (w[0], w[w.len() / 2])
         });
         let before = script_dispatch_counts();
         let wall_replay = best_wall(|| {
@@ -735,26 +738,33 @@ fn main() {
             "{}: a relaunch diverges from the seed",
             case.name
         );
-        // Wall-clock on a shared host: the 10 % target is reported, only a
-        // recorder that got grossly dearer fails the run.
-        let recording_over = wall_recording / wall_full - 1.0;
+        // Both launches write a script — launch 1 a per-shard scratch one
+        // that holds only the current segments, launch 2 the one it keeps
+        // — so the gate prices keeping it. Wall-clock on a shared host:
+        // host noise only adds time, so the minima of the thirteen
+        // samples compare; the 10 % target is reported, only a kept
+        // script grossly dearer than a scratch one fails the run.
+        let recording_over = min_recording / min_full - 1.0;
         if recording_over > 0.10 {
             eprintln!(
-                "warning: {}: recording cost {:+.1}% over a plain launch (target <= 10%; \
-                 medians of 13: launch 1 {:.3} ms, launch 2 {:.3} ms) — re-run on a quiet host",
+                "warning: {}: keeping the script costs {:+.1}% over a scratch one (target <= 10%; \
+                 minima of 13: launch 1 {:.3} ms, launch 2 {:.3} ms; medians {:.3} / {:.3} ms) \
+                 — re-run on a quiet host",
                 case.name,
                 100.0 * recording_over,
+                min_full * 1e3,
+                min_recording * 1e3,
                 wall_full * 1e3,
                 wall_recording * 1e3
             );
         }
         assert!(
             recording_over <= 0.25,
-            "{}: recording must stay near the cost of a plain launch \
-             (medians of 13: launch 1 {:.3} ms, launch 2 {:.3} ms)",
+            "{}: keeping the script must stay near the cost of a scratch one \
+             (minima of 13: launch 1 {:.3} ms, launch 2 {:.3} ms)",
             case.name,
-            wall_full * 1e3,
-            wall_recording * 1e3
+            min_full * 1e3,
+            min_recording * 1e3
         );
         relaunch_rows.push(RelaunchRow {
             name: case.name.to_string(),

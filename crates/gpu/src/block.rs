@@ -67,7 +67,7 @@ impl Default for PoolBuf {
 /// reassociation, and the multiply and add of the canonical loop stay
 /// separate instructions), so every rung produces identical results.
 /// Fusing the multiply-add is legal only where the product is exact —
-/// that is [`Block::dot_exact_with`] and the `exact_dot` module, which
+/// that is [`exact_dot_into`] and the `exact_dot` module, which
 /// carries the argument. Capped at AVX2: with these bodies at AVX-512
 /// too, `irregular_exec` (whose time is mostly elementwise ops on
 /// 16-lane blocks) read worse in an A/B against the cap — median
@@ -507,12 +507,8 @@ impl Block {
     }
 
     /// [`Block::full`] reusing a pool buffer for the single backing slot.
-    pub fn full_pooled(shape: Vec<usize>, value: f64, buf: PoolBuf) -> Block {
-        Block::full_packed(Shape4::from_slice(&shape), value, buf)
-    }
-
-    /// [`Block::full_pooled`] from a packed shape (no `Vec` needed).
-    pub fn full_packed(shape: Shape4, value: f64, mut buf: PoolBuf) -> Block {
+    pub fn full_pooled(shape: &[usize], value: f64, mut buf: PoolBuf) -> Block {
+        let shape = Shape4::from_slice(shape);
         if shape.rank == 0 {
             return Block::scalar(value);
         }
@@ -717,34 +713,6 @@ impl Block {
         Block::from_packed(shape, buf)
     }
 
-    /// Elementwise `a = a <op> b` in place, when `a` is contiguous,
-    /// uniquely-owned heap storage and `b` is a scalar or has the same
-    /// shape (the compiled accumulator pattern `acc = acc + v`). Returns
-    /// false — leaving `a` untouched — when the layout doesn't allow it.
-    pub fn binary_assign(op: BinOp, a: &mut Block, b: &Block) -> bool {
-        Block::binary_assign_on(elementwise_isa(), op, a, b)
-    }
-
-    /// [`Block::binary_assign`] at a named rung.
-    fn binary_assign_on(isa: Isa, op: BinOp, a: &mut Block, b: &Block) -> bool {
-        if !(b.geom.rank == 0 || (a.shape() == b.shape() && b.as_slice().is_some())) {
-            return false;
-        }
-        if !a.is_contiguous() {
-            return false;
-        }
-        let n = a.len();
-        let offset = a.geom.offset;
-        let Storage::Heap(rc) = &mut a.storage else {
-            return false;
-        };
-        let Some(data) = Rc::get_mut(rc) else {
-            return false;
-        };
-        assign_into(isa, op, &mut data[offset..offset + n], &b.tile());
-        true
-    }
-
     /// Sum over one axis (rank decreases by one).
     ///
     /// # Panics
@@ -782,18 +750,6 @@ impl Block {
         let mut ok = true;
         self.walk(|v| ok &= exact_dot::f32_exact(v));
         ok
-    }
-
-    /// [`Block::dot_with`] for operands the caller knows to be finite
-    /// and f32-representable in every element ([`exact_dot_into`]); the
-    /// flag says whether the FMA kernel ran.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or inner-dimension mismatch.
-    pub(crate) fn dot_exact_with(a: &Block, b: &Block, mut buf: PoolBuf) -> (Block, bool) {
-        let (shape, exact) = exact_dot_into(Isa::detect(), &a.tile(), &b.tile(), buf.vec());
-        (Block::from_packed(shape, buf), exact)
     }
 
     /// Run one named `tl.dot` implementation on f32-exact operands:
@@ -1541,9 +1497,9 @@ mod tests {
         ]
     }
 
-    /// `binary_with` and `binary_assign` at every rung the host has,
-    /// bit for bit against `Portable`, for every operator over rows of
-    /// 0..=33 elements.
+    /// `binary_with` and the in-place accumulator body `assign_into` at
+    /// every rung the host has, bit for bit against `Portable`, for every
+    /// operator over rows of 0..=33 elements.
     #[test]
     fn elementwise_bodies_are_the_portable_bits_at_every_rung() {
         for len in 0..=33 {
@@ -1551,10 +1507,16 @@ mod tests {
                 for op in OPS {
                     let with =
                         |isa| bit_vec(&Block::binary_with_on(isa, op, &a, &b, PoolBuf::new()));
+                    // The accumulator takes a scalar or a contiguous
+                    // operand of its own shape.
+                    let fits =
+                        b.shape().is_empty() || (b.shape() == a.shape() && b.is_contiguous());
                     let assign = |isa| {
-                        let mut acc = Block::from_vec(a.shape().to_vec(), a.to_vec());
-                        let done = Block::binary_assign_on(isa, op, &mut acc, &b);
-                        (done, bit_vec(&acc))
+                        let mut acc = a.to_vec();
+                        if fits {
+                            assign_into(isa, op, &mut acc, &b.tile());
+                        }
+                        acc.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
                     };
                     let (want, want_assign) = (with(Isa::Portable), assign(Isa::Portable));
                     for isa in rungs() {

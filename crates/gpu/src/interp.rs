@@ -4,8 +4,10 @@
 //! implementation it must match bit-for-bit). Kernels are first lowered
 //! by [`crate::program`] into a [`Program`] — grid-invariant prologue,
 //! per-row caching, occurrence streams, liveness release lists, and
-//! analytic instance classes — and this module
-//! executes compiled programs. The speed comes from:
+//! analytic instance classes — and this module executes compiled
+//! programs in two parts: the machine runs the index slice (`program.rs`,
+//! analysis 7) and the cost pass, and the value tape (the `tape`
+//! submodule) computes every value. The speed comes from:
 //!
 //! 1. [`Block`] is a strided copy-on-write view, so shape transforms are
 //!    metadata edits and scalars (loop counters!) never allocate.
@@ -23,28 +25,29 @@
 //!    shard — a machine's for a full launch, the value tape's for a
 //!    replay — and the shards fold in instance order (see
 //!    [`LaunchOptions`]); results are bit-identical at every thread
-//!    count. A batch hands its requests to the same runner.
+//!    count. An Execute machine writes its script segments (`script.rs`)
+//!    into a per-shard scratch recorder, and the tape runs each chunk of
+//!    instances from there. A batch hands its requests to the same runner.
 //! 6. 2-D accesses at `rows[i] + cols[j]` run as row runs (the `row_run`
 //!    submodule): no offset block is formed and no lane is visited. The
-//!    per-lane `*_generic` bodies here stay the fallback and the
-//!    definition of per-lane addressing and coalescing; they stage their
-//!    active lanes once into the same run form, so every access moves
-//!    tensor data through one pair of value bodies.
-//! 7. A relaunch against the same I32 arguments runs only the kernel's
-//!    value slice, its accesses addressed from the script an earlier
-//!    launch recorded (`script.rs`; `program.rs`, analysis 7), and no
-//!    machine runs it: the program's value tape (the `tape` submodule),
-//!    lowered once on its first replay, runs straight-line tile ops over
-//!    a per-thread arena — no register file, no cost pass, no sector
-//!    sets or instance times — and feeds the decoded runs to those same
-//!    value bodies. The machine itself always runs in full.
+//!    per-lane cost pass stays the fallback and the definition of
+//!    per-lane addressing and coalescing; it stages its active lanes once
+//!    into the same run form, so every access reaches the script, and
+//!    the tape's one pair of value bodies, as a run.
+//! 7. A relaunch against the same I32 arguments runs the value tape
+//!    alone, from the script an earlier launch kept (`script.rs`;
+//!    `program.rs`, analysis 7): no machine runs. The tape, lowered once
+//!    on a program's first Execute launch, runs straight-line tile ops
+//!    over a per-thread arena — no register file, no cost pass, no
+//!    sector sets or instance times — and feeds the decoded runs to the
+//!    value bodies: one value path for every Execute launch.
 
 use crate::block::{Block, PoolBuf, Shape4};
 use crate::device::DeviceModel;
 use crate::program::{CInstr, CNode, Program, ReplayDecline, UnitMode};
 use crate::script::{Plan, Recorder, Script};
 use crate::stats::{combine_times, KernelReport, KernelStats};
-use insum_kernel::{BinOp, Kernel, KernelError, Reg};
+use insum_kernel::{Kernel, KernelError, Reg};
 use insum_tensor::{DType, Tensor};
 use std::cell::Cell;
 use std::error::Error;
@@ -52,18 +55,21 @@ use std::fmt;
 
 mod row_run;
 mod tape;
-use row_run::RowScratch;
+use row_run::{RowRun, RowScratch};
 pub(crate) use tape::Tape;
+use tape::TapeRun;
 
 /// Interpreter mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Compute real values and mutate output tensors (used by tests and
-    /// small runs). Counters are exact.
+    /// Compute real values and mutate output tensors: the machine runs
+    /// the index slice and the cost pass, the value tape every value.
+    /// Counters are exact.
     Execute,
-    /// Skip floating-point value math and output writes; metadata (I32)
-    /// loads still read real data so addresses, masks, and all counters
-    /// are exactly as in [`Mode::Execute`].
+    /// The index slice and the cost pass alone: no value tape, no output
+    /// write. Metadata (I32) loads still read real data, so addresses,
+    /// masks, and all counters are exactly as in [`Mode::Execute`]; a
+    /// float load the index slice reads yields 0.0, as in the seed.
     Analytic,
 }
 
@@ -219,22 +225,22 @@ impl LaunchOptions {
 }
 
 /// Per-instance cost accumulator.
-#[derive(Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct InstCost {
     l2_read_sectors: u64,
     l2_write_sectors: u64,
-    flops_tc_f16: u64,
-    flops_tc_f32: u64,
-    flops_scalar: u64,
-    smem_bytes: u64,
+    pub(crate) flops_tc_f16: u64,
+    pub(crate) flops_tc_f32: u64,
+    pub(crate) flops_scalar: u64,
+    pub(crate) smem_bytes: u64,
     atomics: u64,
-    instructions: u64,
+    pub(crate) instructions: u64,
     dyn_iters: u64,
 }
 
 impl InstCost {
     #[inline]
-    fn add(&mut self, o: &InstCost) {
+    pub(crate) fn add(&mut self, o: &InstCost) {
         self.l2_read_sectors += o.l2_read_sectors;
         self.l2_write_sectors += o.l2_write_sectors;
         self.flops_tc_f16 += o.flops_tc_f16;
@@ -347,7 +353,8 @@ struct WriteOp {
 /// copy-on-write clone) and charge the recorded cost.
 struct CacheEntry {
     dst: Reg,
-    block: Block,
+    /// `None` for an instruction the machine skips.
+    block: Option<Block>,
     cost: InstCost,
 }
 
@@ -364,16 +371,6 @@ struct CacheState {
     cur1: usize,
     record0: bool,
     record1: bool,
-}
-
-impl CacheState {
-    fn new() -> CacheState {
-        CacheState {
-            stream0: Vec::new(),
-            stream1: Vec::new(),
-            ..Default::default()
-        }
-    }
 }
 
 /// One access-site execution recorded by a row representative for
@@ -393,6 +390,7 @@ struct TraceEntry {
 
 /// Instance-class state for the current row (see `program.rs` docs):
 /// the representative's cost, simulated time, and per-site traces.
+#[derive(Default)]
 struct TraceState {
     active: bool,
     valid: bool,
@@ -403,20 +401,6 @@ struct TraceState {
     /// Scratch buffer for a site's sorted row starts (representatives
     /// only).
     scratch: Vec<i64>,
-}
-
-impl TraceState {
-    fn new() -> TraceState {
-        TraceState {
-            active: false,
-            valid: false,
-            entries: Vec::new(),
-            rep_cost: InstCost::default(),
-            rep_time: 0.0,
-            rep_p0: 0,
-            scratch: Vec::new(),
-        }
-    }
 }
 
 /// What a machine dispatched on the host: its `tl.dot` kernels, its
@@ -476,10 +460,10 @@ thread_local! {
 ///
 /// Read it before and after a run and subtract; a workload of plain
 /// loads that reports canonical dots has lost its eligibility
-/// (non-finite input, or arithmetic between load and dot). Replayed (stream-cached) dots and
-/// Analytic launches execute no dot and count nothing; an Execute launch
-/// served from an address script ([`script_dispatch_counts`]) executes
-/// every dot of its value slice and counts each. The counter reports the
+/// (non-finite input, or arithmetic between load and dot). Every dot is
+/// the value tape's, full or replayed launch alike, and counts;
+/// stream-cached dots and Analytic launches execute none. The counter
+/// reports the
 /// kernel that ran, not the eligibility decision: an eligible dot whose
 /// B rows are not unit-stride (a transposed B), and every dot on a host
 /// without FMA, runs the canonical loop and counts there.
@@ -497,9 +481,9 @@ pub fn dot_dispatch_counts() -> (u64, u64) {
 /// is separable (see `program.rs`, analysis 6), so a default-options
 /// kernel that reports generic executions has lost a recognition —
 /// except where a site declines on its data (a gathered *column* index,
-/// non-integral offsets). A per-lane execution is counted once, where its
-/// lanes are staged into a run (an Analytic float access that needs no
-/// staged lanes counts there too). Accesses replayed from a stream cache
+/// non-integral offsets). The machine counts every access it resolves,
+/// in both modes, once, where its cost pass runs (the value tape of a
+/// full launch counts none again). Accesses replayed from a stream cache
 /// or an analytic instance class execute nothing and count nowhere. A
 /// launch served from an address script ([`script_dispatch_counts`])
 /// counts each value-site execution the way the recording launch ran it:
@@ -519,8 +503,7 @@ pub fn site_dispatch_counts() -> (u64, u64) {
 /// `replayed` counts Execute launches that ran only their value slice (by
 /// the program's value tape) and Analytic launches answered from the
 /// stored report; launches of a program that
-/// [declines](Program::replay_decline), or whose value tape declines, are
-/// all `full`.
+/// [declines](Program::replay_decline) are all `full`.
 /// `replayed / (full + recorded + replayed)` over a workload is the share
 /// of its launches whose `(Program, I32 storage, DeviceModel)` equalled a
 /// ready key — the property a replay gain depends on.
@@ -642,6 +625,15 @@ fn run_units<U: Send, R: Send>(mut units: Vec<U>, run: impl Fn(U) -> R + Sync) -
     })
 }
 
+/// Instances an Execute machine runs before the value tape runs them: a
+/// scratch script holds no more, and the machine's and the tape's working
+/// sets do not alternate in the caches every instance (the COO scatter's
+/// full launch ran ≈ 9 % slower per instance, ≈ 6 % slower in chunks of
+/// 32; EXPERIMENTS.md, "One value path"). Bits do not depend on it: the
+/// machine reads no parameter the kernel writes (`Program::compile`
+/// refuses such a kernel), and the tape runs the instances in order.
+const TAPE_CHUNK: usize = 128;
+
 struct Machine<'a> {
     program: &'a Program,
     mode: Mode,
@@ -653,17 +645,18 @@ struct Machine<'a> {
     pool: Vec<PoolBuf>,
     cs: CacheState,
     trace: TraceState,
-    /// This launch's `DotSources::nonfinite_params` mask.
-    nonfinite: u64,
     row_scratch: RowScratch,
+    /// An Execute launch's value tape, which runs each chunk of instances
+    /// from the script segments the machine has just written for it.
+    tape: Option<TapeRun<'a>>,
 }
 
 impl<'a> Machine<'a> {
     fn new(
         program: &'a Program,
         mode: Mode,
-        nonfinite: u64,
         recorder: Option<Recorder>,
+        tape: Option<TapeRun<'a>>,
     ) -> Machine<'a> {
         let sectors = program.params.total_sectors;
         Machine {
@@ -681,10 +674,10 @@ impl<'a> Machine<'a> {
             },
             inst: InstCost::default(),
             pool: Vec::new(),
-            cs: CacheState::new(),
-            trace: TraceState::new(),
-            nonfinite,
+            cs: CacheState::default(),
+            trace: TraceState::default(),
             row_scratch: RowScratch::default(),
+            tape,
         }
     }
 
@@ -698,11 +691,7 @@ impl<'a> Machine<'a> {
     /// register was its sole owner.
     #[inline]
     fn set_reg(&mut self, regs: &mut [Option<Block>], dst: Reg, val: Block) {
-        if let Some(old) = regs[dst].take() {
-            if let Some(buf) = old.reclaim() {
-                self.pool.push(buf);
-            }
-        }
+        self.drop_reg(regs, dst);
         regs[dst] = Some(val);
     }
 
@@ -710,9 +699,7 @@ impl<'a> Machine<'a> {
     #[inline]
     fn drop_reg(&mut self, regs: &mut [Option<Block>], r: Reg) {
         if let Some(old) = regs[r].take() {
-            if let Some(buf) = old.reclaim() {
-                self.pool.push(buf);
-            }
+            self.recycle(old);
         }
     }
 
@@ -748,75 +735,41 @@ impl<'a> Machine<'a> {
         joint: &[usize],
         is_write: bool,
     ) -> Result<(), GpuError> {
-        // Lane values in logical `joint` order. Nearly every access in
-        // compiled kernels hits the contiguous fast paths; strided or
-        // broadcast layouts stage through pooled scratch buffers first so
-        // the warp scan below always runs over plain slices with its
-        // state in registers.
-        let base = self.program.params.bases[param];
-        let esize = self.program.params.esizes[param];
-        let len = self.program.params.lens[param];
-        let off_direct = if offsets.shape() == joint {
-            offsets.as_slice()
-        } else {
-            None
-        };
-        let off_scratch = if off_direct.is_some() {
-            None
-        } else {
-            let mut b = self.alloc();
-            let v = b.vec();
-            v.clear();
-            v.reserve(joint.iter().product());
-            offsets.broadcast_to(joint).walk(|x| v.push(x));
-            Some(b)
-        };
-        let mask_direct = match mask {
-            Some(m) if m.shape() == joint => m.as_slice(),
-            _ => None,
-        };
-        let mut mask_scratch = match mask {
-            Some(m) if mask_direct.is_none() => {
-                let mut b = self.alloc();
-                let v = b.vec();
-                v.clear();
-                v.reserve(joint.iter().product());
-                m.broadcast_to(joint).walk(|x| v.push(x));
-                Some(b)
+        // Lane values in logical `joint` order: nearly every access in
+        // compiled kernels reads its blocks in place; strided or broadcast
+        // layouts stage into the row scratch's sum buffers first (free
+        // here), so the warp scan below always runs over plain slices
+        // with its state in registers.
+        fn lanes<'b>(b: &'b Block, joint: &[usize], buf: &'b mut Vec<f64>) -> &'b [f64] {
+            match b.as_slice().filter(|_| b.shape() == joint) {
+                Some(direct) => direct,
+                None => {
+                    buf.clear();
+                    b.broadcast_to(joint).walk(|x| buf.push(x));
+                    buf
+                }
             }
-            _ => None,
-        };
-        let mut off_scratch_for_read = off_scratch;
-        let (l2, oob) = {
-            let so: &[f64] = match (&mut off_scratch_for_read, off_direct) {
-                (Some(b), _) => b.vec(),
-                (None, Some(s)) => s,
-                (None, None) => unreachable!("offsets staged or direct"),
-            };
-            let sm: Option<&[f64]> = match (mask, &mut mask_scratch, mask_direct) {
-                (None, _, _) => None,
-                (Some(_), Some(b), _) => Some(b.vec()),
-                (Some(_), None, Some(s)) => Some(s),
-                (Some(_), None, None) => unreachable!("mask staged or direct"),
-            };
-            let seen = if is_write {
-                &mut self.out.write
-            } else {
-                &mut self.out.read
-            };
-            warp_scan(so, sm, base, esize, len, seen)
-        };
-        if let Some(b) = off_scratch_for_read {
-            self.pool.push(b);
         }
-        if let Some(b) = mask_scratch {
-            self.pool.push(b);
-        }
+        let params = &self.program.params;
+        let scratch = &mut self.row_scratch;
+        let offs = lanes(offsets, joint, &mut scratch.row_sums);
+        let mask = mask.map(|m| lanes(m, joint, &mut scratch.col_sums));
+        let seen = if is_write {
+            &mut self.out.write
+        } else {
+            &mut self.out.read
+        };
+        let (base, esize, len) = (
+            params.bases[param],
+            params.esizes[param],
+            params.lens[param],
+        );
+        let (l2, oob) = warp_scan(offs, mask, base, esize, len, seen);
         if let Some(offset) = oob {
             return Err(GpuError::OffsetOutOfBounds {
                 param: self.program.param_names[param].clone(),
                 offset,
-                len: self.program.params.lens[param],
+                len,
             });
         }
         if is_write {
@@ -887,8 +840,9 @@ impl<'a> Machine<'a> {
     }
 
     /// Execute the instance range `[lo, hi)` with row-change tracking,
-    /// stream caching, and (when `dedup`) analytic instance-class replay.
-    /// Pushes one simulated time per instance.
+    /// stream caching, and (when `dedup`) analytic instance-class replay;
+    /// in an Execute launch, run the value tape after every
+    /// [`TAPE_CHUNK`] instances. Pushes one simulated time per instance.
     ///
     /// Kept out of line: its one caller is the runner's closure, and
     /// inlined there the instance loop ran ≈ 5 % slower on a replayed
@@ -904,7 +858,7 @@ impl<'a> Machine<'a> {
     ) -> Result<(), GpuError> {
         let mut regs: Vec<Option<Block>> = vec![None; self.program.num_regs];
         self.out.times.reserve_exact(hi - lo);
-        let mut row = (usize::MAX, usize::MAX);
+        let (mut row, mut chunk) = ((usize::MAX, usize::MAX), lo);
         for flat in lo..hi {
             let pid = pid_of(flat, gdims);
             let new_shard = flat == lo;
@@ -920,18 +874,29 @@ impl<'a> Machine<'a> {
             if let Some(rec) = &mut self.out.recorder {
                 for (level, starts) in [new_shard, new_row, true].into_iter().enumerate() {
                     if starts {
-                        rec.begin(level);
+                        rec.begin(level)?;
                     }
                 }
             }
             let record = dedup && new_row;
             let t = self.run_instance(&mut regs, pid, args, device, new_shard, new_row, record)?;
             self.out.times.push(t);
+            // The value tape runs each chunk right after the machine.
+            let chunk_ends = flat + 1 - chunk == TAPE_CHUNK || flat + 1 == hi;
+            if let (true, Some(tape), Some(rec)) =
+                (chunk_ends, &mut self.tape, &mut self.out.recorder)
+            {
+                let sink = (&mut self.out.log, &mut self.out.tally);
+                tape.run(rec.unread(), (chunk, flat + 1), lo, args, sink);
+                rec.read();
+                chunk = flat + 1;
+            }
         }
         Ok(())
     }
 
-    /// Run one grid instance, returning its simulated time on one SM.
+    /// Run one grid instance's index slice, returning its simulated time
+    /// on one SM.
     #[allow(clippy::too_many_arguments)]
     fn run_instance(
         &mut self,
@@ -967,25 +932,20 @@ impl<'a> Machine<'a> {
             self.trace.rep_p0 = pid[0];
         }
         for unit in &program.units {
-            match unit.mode {
-                UnitMode::Once => {
-                    if new_shard {
-                        let before = self.inst;
-                        self.exec_cinstr(&unit.instr, regs, pid, args)?;
-                        let delta = self.inst.minus(&before);
-                        self.cs.agg0.add(&delta);
-                    }
-                }
-                UnitMode::PerRow => {
-                    if new_row {
-                        let before = self.inst;
-                        self.exec_cinstr(&unit.instr, regs, pid, args)?;
-                        let delta = self.inst.minus(&before);
-                        self.cs.agg1.add(&delta);
-                    }
-                }
-                UnitMode::PerInstance => {
-                    self.exec_cinstr(&unit.instr, regs, pid, args)?;
+            let (due, agg) = match unit.mode {
+                UnitMode::Once => (new_shard, Some(0)),
+                UnitMode::PerRow => (new_row, Some(1)),
+                UnitMode::PerInstance => (true, None),
+            };
+            if !due {
+                continue;
+            }
+            let before = self.inst;
+            self.exec_cinstr(&unit.instr, unit.skip, regs, pid, args)?;
+            match agg {
+                Some(0) => self.cs.agg0.add(&self.inst.minus(&before)),
+                Some(_) => self.cs.agg1.add(&self.inst.minus(&before)),
+                None => {
                     for &r in &unit.release {
                         self.drop_reg(regs, r);
                     }
@@ -1012,8 +972,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Execute a per-instance body with stream-cache dispatch: invariant
-    /// nodes record their value/cost on the representative and replay a
-    /// copy-on-write clone afterwards.
+    /// nodes record their value (an index-slice one's) and cost on the
+    /// representative, and later instances replay a copy-on-write clone.
     fn run_nodes(
         &mut self,
         nodes: &[CNode],
@@ -1022,104 +982,119 @@ impl<'a> Machine<'a> {
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
         for node in nodes {
-            match node.cached {
-                None => self.exec_cinstr(&node.instr, regs, pid, args)?,
-                Some((level, dst)) => {
-                    let record = if level == 0 {
-                        self.cs.record0
+            let Some((level, dst)) = node.cached else {
+                self.exec_cinstr(&node.instr, node.skip, regs, pid, args)?;
+                continue;
+            };
+            let record = if level == 0 {
+                self.cs.record0
+            } else {
+                self.cs.record1
+            };
+            if record {
+                let before = self.inst;
+                self.exec_cinstr(&node.instr, node.skip, regs, pid, args)?;
+                let cost = self.inst.minus(&before);
+                let block = regs[dst].clone();
+                let stream = if level == 0 {
+                    &mut self.cs.stream0
+                } else {
+                    &mut self.cs.stream1
+                };
+                stream.push(CacheEntry { dst, block, cost });
+            } else {
+                let (dst, block, cost) = {
+                    let (stream, cur) = if level == 0 {
+                        (&self.cs.stream0, &mut self.cs.cur0)
                     } else {
-                        self.cs.record1
+                        (&self.cs.stream1, &mut self.cs.cur1)
                     };
-                    if record {
-                        let before = self.inst;
-                        self.exec_cinstr(&node.instr, regs, pid, args)?;
-                        let cost = self.inst.minus(&before);
-                        let block = regs[dst]
-                            .as_ref()
-                            .expect("cached instruction writes its destination")
-                            .clone();
-                        let stream = if level == 0 {
-                            &mut self.cs.stream0
-                        } else {
-                            &mut self.cs.stream1
-                        };
-                        stream.push(CacheEntry { dst, block, cost });
-                    } else {
-                        let (dst, block, cost) = {
-                            let (stream, cur) = if level == 0 {
-                                (&self.cs.stream0, &mut self.cs.cur0)
-                            } else {
-                                (&self.cs.stream1, &mut self.cs.cur1)
-                            };
-                            let e = &stream[*cur];
-                            *cur += 1;
-                            (e.dst, e.block.clone(), e.cost)
-                        };
-                        self.inst.add(&cost);
-                        self.set_reg(regs, dst, block);
-                    }
+                    let e = &stream[*cur];
+                    *cur += 1;
+                    (e.dst, e.block.clone(), e.cost)
+                };
+                self.inst.add(&cost);
+                if let Some(block) = block {
+                    self.set_reg(regs, dst, block);
                 }
             }
         }
         Ok(())
     }
 
+    /// Execute one instruction of the index slice, or charge one the
+    /// machine skips (`skip`: only the value slice needs it) without
+    /// computing it. Every access runs its cost pass either way.
     fn exec_cinstr(
         &mut self,
         instr: &CInstr,
+        skip: Option<InstCost>,
         regs: &mut Vec<Option<Block>>,
         pid: [usize; 3],
         args: &mut ArgsView<'_, '_>,
     ) -> Result<(), GpuError> {
+        if let Some(c) = skip {
+            self.inst.add(&c);
+            return Ok(());
+        }
         self.inst.instructions += 1;
-        match instr {
-            CInstr::ProgramId { dst, axis } => {
-                self.set_reg(regs, *dst, Block::scalar(pid[*axis] as f64));
-            }
-            CInstr::Const { dst, value } => {
-                self.set_reg(regs, *dst, Block::scalar(*value));
-            }
+        let out = match instr {
+            CInstr::ProgramId { dst, axis } => (*dst, Block::scalar(pid[*axis] as f64)),
+            CInstr::Const { dst, value } => (*dst, Block::scalar(*value)),
             CInstr::Arange { dst, len } => {
                 let mut buf = self.alloc();
                 let v = buf.vec();
                 v.clear();
                 v.extend((0..*len).map(|i| i as f64));
-                self.set_reg(regs, *dst, Block::from_pool(vec![*len], buf));
+                (*dst, Block::from_pool(vec![*len], buf))
             }
             CInstr::Full { dst, shape, value } => {
                 let buf = self.alloc();
-                self.set_reg(regs, *dst, Block::full_pooled(shape.clone(), *value, buf));
+                (*dst, Block::full_pooled(shape, *value, buf))
             }
             CInstr::Binary { dst, op, a, b } => {
-                match self.program.row_sites.elided_lanes(*dst) {
+                let out = match self.program.row_sites.elided_lanes(*dst) {
                     // An add that only forms a separable site's offset
                     // block: charge what computing it costs the device
                     // and compute nothing — the site reads the terms.
                     Some(lanes) => {
                         self.inst.flops_scalar += lanes;
-                        self.set_reg(regs, *dst, Block::scalar(f64::NAN));
+                        Block::scalar(f64::NAN)
                     }
-                    None => self.exec_binary(regs, *dst, *op, *a, *b)?,
-                }
+                    None => {
+                        let (av, bv) = (Self::reg(regs, *a)?, Self::reg(regs, *b)?);
+                        let out = match Block::try_scalar_binary(*op, av, bv) {
+                            Some(out) => out,
+                            None => Block::binary_with(*op, av, bv, self.alloc()),
+                        };
+                        self.inst.flops_scalar += out.len() as u64;
+                        out
+                    }
+                };
+                (*dst, out)
             }
             CInstr::ExpandDims { dst, src, axis } => {
-                let out = Self::reg(regs, *src)?.expand_dims(*axis);
-                self.set_reg(regs, *dst, out);
+                (*dst, Self::reg(regs, *src)?.expand_dims(*axis))
             }
             CInstr::Broadcast { dst, src, shape } => {
                 let out = Self::reg(regs, *src)?.broadcast_to(shape);
                 self.inst.smem_bytes += 4 * out.len() as u64;
-                self.set_reg(regs, *dst, out);
+                (*dst, out)
             }
             CInstr::View { dst, src, shape } => {
                 let out = Self::reg(regs, *src)?.view(shape.clone());
                 self.inst.smem_bytes += 4 * out.len() as u64;
-                self.set_reg(regs, *dst, out);
+                (*dst, out)
             }
             CInstr::Trans { dst, src } => {
                 let out = Self::reg(regs, *src)?.trans();
                 self.inst.smem_bytes += 4 * out.len() as u64;
-                self.set_reg(regs, *dst, out);
+                (*dst, out)
+            }
+            CInstr::Sum { dst, src, axis } => {
+                let sv = Self::reg(regs, *src)?;
+                self.inst.flops_scalar += sv.len() as u64;
+                (*dst, sv.sum_axis(*axis))
             }
             CInstr::Load {
                 dst,
@@ -1127,69 +1102,21 @@ impl<'a> Machine<'a> {
                 mask,
                 other,
                 site,
-                ..
-            } => {
-                let out = self.exec_load(regs, *offset, *mask, *other, *site, args)?;
-                self.set_reg(regs, *dst, out);
-            }
+            } => match self.exec_access(regs, *offset, *mask, *site, *other, args)? {
+                Some(out) => (*dst, out),
+                None => return Ok(()),
+            },
             CInstr::Store {
-                offset,
-                value,
-                mask,
-                site,
-                ..
+                offset, mask, site, ..
             }
             | CInstr::AtomicAdd {
-                offset,
-                value,
-                mask,
-                site,
-                ..
+                offset, mask, site, ..
             } => {
-                self.exec_write(regs, *offset, *value, *mask, *site, args)?;
+                self.exec_access(regs, *offset, *mask, *site, 0.0, args)?;
+                return Ok(());
             }
-            CInstr::Dot { dst, a, b } => {
-                let buf = self.alloc();
-                let (m, k, n, out) = {
-                    let av = Self::reg(regs, *a)?;
-                    let bv = Self::reg(regs, *b)?;
-                    let (m, k) = (av.shape()[0], av.shape()[1]);
-                    let n = bv.shape()[1];
-                    let out = if self.mode == Mode::Execute {
-                        let (out, exact) =
-                            if self.program.dot_sources.eligible(*a, *b, self.nonfinite) {
-                                Block::dot_exact_with(av, bv, buf)
-                            } else {
-                                (Block::dot_with(av, bv, buf), false)
-                            };
-                        if exact {
-                            self.out.tally.exact_dots += 1;
-                        } else {
-                            self.out.tally.canonical_dots += 1;
-                        }
-                        out
-                    } else {
-                        debug_assert_eq!(bv.shape()[0], k, "dot inner dims");
-                        Block::full_pooled(vec![m, n], 0.0, buf)
-                    };
-                    (m, k, n, out)
-                };
-                let flops = 2 * (m * k * n) as u64;
-                if self.program.dot_f16 {
-                    self.inst.flops_tc_f16 += flops;
-                } else {
-                    self.inst.flops_tc_f32 += flops;
-                }
-                self.set_reg(regs, *dst, out);
-            }
-            CInstr::Sum { dst, src, axis } => {
-                let out = {
-                    let sv = Self::reg(regs, *src)?;
-                    self.inst.flops_scalar += sv.len() as u64;
-                    sv.sum_axis(*axis)
-                };
-                self.set_reg(regs, *dst, out);
-            }
+            // `Program::compile` refuses an index-slice dot.
+            CInstr::Dot { .. } => return Ok(()),
             CInstr::Loop {
                 var,
                 start,
@@ -1203,192 +1130,73 @@ impl<'a> Machine<'a> {
                     self.run_nodes(body, regs, pid, args)?;
                     v += *step;
                 }
+                return Ok(());
             }
             CInstr::LoopDyn {
                 var,
                 start,
                 end,
+                trips,
                 body,
             } => {
                 let lo = Self::reg(regs, *start)?.first() as i64;
                 let hi = Self::reg(regs, *end)?.first() as i64;
                 self.inst.dyn_iters += (hi - lo).max(0) as u64;
-                let mut v = lo;
-                while v < hi {
+                if let (Some(level), Some(rec)) = (trips, &mut self.out.recorder) {
+                    rec.push_trips(*level as usize, hi - lo)?;
+                }
+                for v in lo..hi {
                     self.set_reg(regs, *var, Block::scalar(v as f64));
                     self.run_nodes(body, regs, pid, args)?;
-                    v += 1;
                 }
-            }
-        }
-        Ok(())
-    }
-
-    fn exec_binary(
-        &mut self,
-        regs: &mut [Option<Block>],
-        dst: Reg,
-        op: BinOp,
-        a: Reg,
-        b: Reg,
-    ) -> Result<(), GpuError> {
-        // Accumulator fast path (`acc = acc <op> v`): mutate the
-        // destination's own buffer when it is the sole owner — no copy,
-        // no register churn.
-        if dst == a && a != b {
-            let mut av = regs[a].take().ok_or(GpuError::UninitializedRegister(a))?;
-            let done = {
-                let bv = Self::reg(regs, b)?;
-                Block::binary_assign(op, &mut av, bv)
-            };
-            if done {
-                self.inst.flops_scalar += av.len() as u64;
-                regs[dst] = Some(av);
                 return Ok(());
             }
-            let buf = self.alloc();
-            let out = {
-                let bv = Self::reg(regs, b)?;
-                Block::binary_with(op, &av, bv, buf)
-            };
-            self.inst.flops_scalar += out.len() as u64;
-            if let Some(old) = av.reclaim() {
-                self.pool.push(old);
+        };
+        self.set_reg(regs, out.0, out.1);
+        Ok(())
+    }
+
+    /// One access: its cost pass and its run, as row runs when the site
+    /// is separable and its data allow, per lane otherwise. The lanes of
+    /// an index-slice load (`other` on its inactive ones); nothing else
+    /// moves data here — the value tape does.
+    fn exec_access(
+        &mut self,
+        regs: &[Option<Block>],
+        offset: Reg,
+        mask: Option<Reg>,
+        site: u32,
+        other: f64,
+        args: &mut ArgsView<'_, '_>,
+    ) -> Result<Option<Block>, GpuError> {
+        let index = self.program.index_sites[site as usize];
+        let body = |lanes| {
+            move |machine: &mut Self, run: &RowRun<'_>, args: &mut ArgsView<'_, '_>| {
+                index.then(|| machine.load_index(run, site, other, args, lanes))
             }
-            regs[dst] = Some(out);
-            return Ok(());
-        }
-        let scalar = {
-            let av = Self::reg(regs, a)?;
-            let bv = Self::reg(regs, b)?;
-            Block::try_scalar_binary(op, av, bv)
         };
-        if let Some(out) = scalar {
-            self.inst.flops_scalar += 1;
-            self.set_reg(regs, dst, out);
-            return Ok(());
-        }
-        let buf = self.alloc();
-        let out = {
-            let av = Self::reg(regs, a)?;
-            let bv = Self::reg(regs, b)?;
-            Block::binary_with(op, av, bv, buf)
+        let off = match self.program.row_sites.site(site) {
+            Some(rs) => {
+                let lanes = Shape4::from_slice(&[rs.n, rs.m]);
+                if let Some(out) = self.with_row_run(rs, regs, site, args, body(lanes))? {
+                    return Ok(out);
+                }
+                self.materialize(rs, regs)?
+            }
+            None => Self::reg(regs, offset)?.clone(),
         };
-        self.inst.flops_scalar += out.len() as u64;
-        self.set_reg(regs, dst, out);
-        Ok(())
-    }
-
-    /// A `Load`: as row runs when the site is separable and its data
-    /// allow, per lane otherwise.
-    fn exec_load(
-        &mut self,
-        regs: &[Option<Block>],
-        offset: Reg,
-        mask: Option<Reg>,
-        other: f64,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<Block, GpuError> {
-        let mb = match mask {
-            Some(m) => Some(Self::reg(regs, m)?),
-            None => None,
-        };
-        let Some(rs) = self.program.row_sites.site(site) else {
-            let off = Self::reg(regs, offset)?;
-            return self.load_generic(off, mb, other, site, args);
-        };
-        if let Some(out) = self.load_rows(rs, regs, site, other, args)? {
-            return Ok(out);
-        }
-        let off = self.materialize(rs, regs)?;
-        let out = self.load_generic(&off, mb, other, site, args);
+        let mb = mask.map(|m| Self::reg(regs, m)).transpose()?;
+        // A write's value broadcasts into its lanes: the static ones,
+        // which `Program::compile` has proved for every value-slice site.
+        let lanes = self.program.sites[site as usize]
+            .lanes
+            .unwrap_or_else(|| match mb {
+                Some(m) => Shape4::joint(off.shape(), m.shape()),
+                None => off.shape4(),
+            });
+        let out = self.with_lanes(site, &off, mb, lanes, args, body(lanes));
         self.recycle(off);
-        out
-    }
-
-    /// The per-lane load: any offset block, any mask. Its lanes are
-    /// staged once and read by [`Machine::load_values`].
-    fn load_generic(
-        &mut self,
-        off: &Block,
-        mb: Option<&Block>,
-        other: f64,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<Block, GpuError> {
-        let lanes = match mb {
-            Some(m) => Shape4::joint(off.shape(), m.shape()),
-            None => off.shape4(),
-        };
-        let staged = self.with_lanes(site, off, mb, lanes, args, |machine, run, args| {
-            machine.load_values(run, site, other, args, lanes)
-        })?;
-        if let Some(out) = staged {
-            return Ok(out);
-        }
-        // An Analytic float load: 0.0 on the active lanes, `other` on the
-        // rest — the mask is all it reads.
-        let Some(m) = mb else {
-            return Ok(self.filled(lanes, 0.0));
-        };
-        let mut buf = self.alloc();
-        let out = buf.vec();
-        out.clear();
-        out.reserve(lanes.volume());
-        m.broadcast_to(lanes.as_slice())
-            .walk(|mk| out.push(if mk != 0.0 { 0.0 } else { other }));
-        Ok(self.packed(lanes, buf))
-    }
-
-    /// A `Store` or `AtomicAdd` (the site knows which): as row runs when
-    /// the site is separable and its data allow, per lane otherwise.
-    fn exec_write(
-        &mut self,
-        regs: &[Option<Block>],
-        offset: Reg,
-        value: Reg,
-        mask: Option<Reg>,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<(), GpuError> {
-        let val = Self::reg(regs, value)?;
-        let mb = match mask {
-            Some(m) => Some(Self::reg(regs, m)?),
-            None => None,
-        };
-        let Some(rs) = self.program.row_sites.site(site) else {
-            let off = Self::reg(regs, offset)?;
-            return self.write_generic(off, val, mb, site, args);
-        };
-        if self.write_rows(rs, regs, site, val, args)?.is_some() {
-            return Ok(());
-        }
-        let off = self.materialize(rs, regs)?;
-        let out = self.write_generic(&off, val, mb, site, args);
-        self.recycle(off);
-        out
-    }
-
-    /// The per-lane store or atomic add: any offset block, any value, any
-    /// mask. Its lanes are staged once and written by
-    /// [`Machine::write_values`].
-    fn write_generic(
-        &mut self,
-        off: &Block,
-        val: &Block,
-        mb: Option<&Block>,
-        site: u32,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<(), GpuError> {
-        let mut lanes = Shape4::joint(off.shape(), val.shape());
-        if let Some(m) = mb {
-            lanes = Shape4::joint(lanes.as_slice(), m.shape());
-        }
-        self.with_lanes(site, off, mb, lanes, args, |machine, run, args| {
-            machine.write_values(run, site, val, args, lanes);
-        })?;
-        Ok(())
+        Ok(out?.flatten())
     }
 
     /// `buf` as a block of shape `shape`; a scalar hands its buffer back.
@@ -1399,16 +1207,6 @@ impl<'a> Machine<'a> {
             return Block::scalar(value);
         }
         Block::from_packed(shape, buf)
-    }
-
-    /// A block of shape `shape` filled with `value` (a scalar takes no
-    /// buffer).
-    fn filled(&mut self, shape: Shape4, value: f64) -> Block {
-        if shape.as_slice().is_empty() {
-            return Block::scalar(value);
-        }
-        let buf = self.alloc();
-        Block::full_packed(shape, value, buf)
     }
 
     /// Return a temporary's buffer to the pool if nothing shares it.
@@ -1752,30 +1550,28 @@ impl Program {
             }
         }
 
-        // The per-launch half of exact-product dot eligibility, decided
-        // once here and shared by every shard (Analytic launches execute
-        // no dot and never read it).
-        let nonfinite = match mode {
-            Mode::Execute => self.dot_sources.nonfinite_params(args),
-            Mode::Analytic => 0,
+        // An Execute launch computes its values by the value tape, with
+        // the per-launch half of exact-product dot eligibility decided
+        // once here and shared by every shard; an Analytic launch runs
+        // neither.
+        let values = match mode {
+            Mode::Execute => {
+                let tape = self.tape().map_err(|why| {
+                    GpuError::Kernel(KernelError(format!("no value tape: {why}")))
+                })?;
+                Some((tape, self.dot_sources.nonfinite_params(args)))
+            }
+            Mode::Analytic => None,
         };
 
         // Inspect once, execute many (`program.rs`, analysis 7): a launch
         // whose I32 arguments and device equal a ready key runs only its
         // value tape against the recorded addresses — or nothing at all
         // in Analytic mode — and reports what the recording launch did.
-        // A program whose tape declines launches in full.
         let slot = self.replay.as_ref().ok();
-        let mut plan = slot.map_or(Plan::Full, |slot| {
+        let plan = slot.map_or(Plan::Full, |slot| {
             slot.plan(args, device, mode == Mode::Execute)
         });
-        let tape = match plan {
-            Plan::Replay(_) if mode == Mode::Execute => Some(self.tape()),
-            _ => None,
-        };
-        if let Some(Err(_)) = tape {
-            plan = Plan::Full;
-        }
         match plan {
             Plan::Full => tally.full += 1,
             Plan::Record(_) => tally.recorded += 1,
@@ -1783,21 +1579,14 @@ impl Program {
         }
         match (plan, slot) {
             (Plan::Replay(script), _) => {
-                if let Some(Ok(tape)) = tape {
-                    self.replay_tape(tape, &script, args, device, options, nonfinite, tally);
+                if let Some(values) = values {
+                    self.replay_tape(values, &script, args, device, options, tally);
                 }
                 Ok(script.report.clone())
             }
             (Plan::Record(ticket), Some(slot)) => {
-                let (report, recorder) = self.launch_full(
-                    args,
-                    device,
-                    mode,
-                    options,
-                    nonfinite,
-                    Some(slot.levels),
-                    tally,
-                )?;
+                let (report, recorder) =
+                    self.launch_full(args, device, mode, options, values, true, tally)?;
                 if let Some(script) = recorder.and_then(|r| r.finish(report.clone())) {
                     slot.install(ticket, script);
                 }
@@ -1805,7 +1594,7 @@ impl Program {
             }
             _ => {
                 let (report, _) =
-                    self.launch_full(args, device, mode, options, nonfinite, None, tally)?;
+                    self.launch_full(args, device, mode, options, values, false, tally)?;
                 Ok(report)
             }
         }
@@ -1886,20 +1675,20 @@ impl Program {
         }
     }
 
-    /// An Execute launch served from `script` by the value tape.
-    #[allow(clippy::too_many_arguments)]
+    /// An Execute launch served from `script` by the value tape, under
+    /// this launch's non-finite mask.
     fn replay_tape(
         &self,
-        tape: &Tape,
+        (tape, nonfinite): (&Tape, u64),
         script: &Script,
         args: &mut [&mut Tensor],
         device: &DeviceModel,
         options: &LaunchOptions,
-        nonfinite: u64,
         tally: &mut Tally,
     ) {
-        // Debug builds hold every tape launch to a full launch of the same
-        // program on copies of its arguments: same bits, same report.
+        // Debug builds hold every replay of a stored script to a full
+        // launch of the same program on copies of its arguments, which
+        // records each instance afresh: same bits, same report.
         let shadow = cfg!(debug_assertions).then(|| {
             let mut copies: Vec<Tensor> = args.iter().map(|t| (**t).clone()).collect();
             let mut refs: Vec<&mut Tensor> = copies.iter_mut().collect();
@@ -1908,8 +1697,8 @@ impl Program {
                 device,
                 Mode::Execute,
                 options,
-                nonfinite,
-                None,
+                Some((tape, nonfinite)),
+                false,
                 &mut Tally::default(),
             );
             (full, copies)
@@ -1918,10 +1707,10 @@ impl Program {
         let shards = self.over_ranges(args, threads, |range, view| {
             tape.run_range(self, script, range, view, nonfinite)
         });
-        for shard in &shards {
-            tally.merge(&shard.tally);
+        for (_, shard_tally) in &shards {
+            tally.merge(shard_tally);
         }
-        let logs: Vec<&[WriteOp]> = shards.iter().map(|s| &s.log[..]).collect();
+        let logs: Vec<&[WriteOp]> = shards.iter().map(|(log, _)| &log[..]).collect();
         self.apply_logs(args, &logs);
         if let Some((full, copies)) = shadow {
             let full = full.expect("a replayed launch's full twin succeeds");
@@ -1940,8 +1729,11 @@ impl Program {
         }
     }
 
-    /// A launch run in full by the interpreter, recording an address
-    /// script on the way when `recording` names the streams to keep.
+    /// A launch run in full: the machine runs the index slice and the
+    /// cost pass of every instance, and in Execute mode (`values`: the
+    /// tape and the launch's non-finite mask) writes each instance's
+    /// script segments, from which the tape then runs that instance.
+    /// With `recording` the script is kept, for replays.
     #[allow(clippy::too_many_arguments)]
     fn launch_full(
         &self,
@@ -1949,17 +1741,24 @@ impl Program {
         device: &DeviceModel,
         mode: Mode,
         options: &LaunchOptions,
-        nonfinite: u64,
-        recording: Option<[bool; 3]>,
+        values: Option<(&Tape, u64)>,
+        recording: bool,
         tally: &mut Tally,
     ) -> Result<(KernelReport, Option<Recorder>), GpuError> {
         let (gdims, instances) = (self.gdims, self.instances);
         let dedup =
             mode == Mode::Analytic && options.analytic_dedup && self.dedup_ok && gdims[0] > 1;
-        let threads = self.shards(options, mode, recording.is_some());
+        let threads = self.shards(options, mode, recording);
         let results = self.over_ranges(args, threads, |range, view| {
-            let recorder = recording.map(|levels| Recorder::new(levels, instances));
-            let mut machine = Machine::new(self, mode, nonfinite, recorder);
+            let levels = self.script_levels;
+            let (recorder, tape) = match values {
+                Some((tape, nonfinite)) => (
+                    Some(Recorder::new(levels, recording.then_some(instances))),
+                    Some(TapeRun::new(tape, self, nonfinite, false)),
+                ),
+                None => (None, None),
+            };
+            let mut machine = Machine::new(self, mode, recorder, tape);
             machine.run_range(range, gdims, view, device, dedup)?;
             Ok(machine.out)
         });

@@ -13,13 +13,15 @@
 //!   otherwise.
 //! * A replayed site decodes its run from the address script.
 //!
-//! Whichever way, the run then feeds the instance-class trace, the script
-//! recorder, the atomic hit counts and the value bodies
-//! ([`Machine::load_values`], [`Machine::write_values`]) — one definition
-//! of what an access does to tensor data. Row runs must agree with the
-//! per-lane path lane for lane (`tests/row_sites.rs` holds both to the
-//! seed interpreter); whatever the conditions in [`resolve_rows`] do not
-//! cover goes there.
+//! In the machine, the run then feeds the instance-class trace, the
+//! script recorder and the atomic hit counts, and an index-slice load
+//! reads its lanes ([`Machine::load_index`]); a value-slice access moves
+//! no data there. The value tape decodes the run the recorder wrote and
+//! hands it to the value bodies ([`gather`], [`scatter`]) — one
+//! definition of what an access does to tensor data. Row runs must agree
+//! with the per-lane path lane for lane (`tests/row_sites.rs` holds both
+//! to the seed interpreter); whatever the conditions in [`resolve_rows`]
+//! do not cover goes there.
 
 use super::{consecutive, ArgsView, Machine, SectorSet, TraceEntry, WriteOp, SECTOR, WARP};
 use crate::block::{Block, Shape4, Tile};
@@ -38,9 +40,10 @@ const ROW_TERM_LIMIT: f64 = (1u64 << 48) as f64;
 /// sums, or a per-lane site's staged lanes.
 #[derive(Default)]
 pub(super) struct RowScratch {
-    /// Per-row and per-column term sums (exact: small integers).
-    row_sums: Vec<f64>,
-    col_sums: Vec<f64>,
+    /// Per-row and per-column term sums (exact: small integers); the
+    /// per-lane cost pass stages offset and mask lanes in them.
+    pub(super) row_sums: Vec<f64>,
+    pub(super) col_sums: Vec<f64>,
     /// The resolved row bases.
     rows: Vec<i64>,
     /// The row mask of a run decoded from a script, or the staged mask of
@@ -462,35 +465,23 @@ impl Body for WidenRows<'_> {
 }
 
 /// A masked load: the active lanes of `run` widened into `out` (its
-/// `n × m` lanes, already holding `other`), or zeroed when `read` is
-/// false (an Analytic float load).
+/// `n × m` lanes, already holding `other`).
 struct WidenMasked<'a> {
     data: &'a [f32],
     run: &'a RowRun<'a>,
     out: &'a mut [f64],
-    read: bool,
 }
 
 impl Body for WidenMasked<'_> {
     type Out = ();
     #[inline(always)]
     fn run(self) {
-        let WidenMasked {
-            data,
-            run,
-            out,
-            read,
-        } = self;
+        let WidenMasked { data, run, out } = self;
         let (m, cols) = (run.m, run.cols);
         for (i, o) in run.active_rows() {
-            let lanes = &mut out[i * m..i * m + cols];
-            if read {
-                let o = o as usize;
-                for (lane, &x) in lanes.iter_mut().zip(&data[o..o + cols]) {
-                    *lane = x as f64;
-                }
-            } else {
-                lanes.fill(0.0);
+            let o = o as usize;
+            for (lane, &x) in out[i * m..i * m + cols].iter_mut().zip(&data[o..o + cols]) {
+                *lane = x as f64;
             }
         }
     }
@@ -562,7 +553,7 @@ impl Machine<'_> {
     /// transactions, DRAM first touch, bounds) and [feed](Machine::feed)
     /// the rows on. `None` when the site declines on its data; nothing
     /// has been charged or touched then.
-    fn with_row_run<T>(
+    pub(super) fn with_row_run<T>(
         &mut self,
         rs: &RowSite,
         regs: &[Option<Block>],
@@ -576,7 +567,7 @@ impl Machine<'_> {
             Some(run) => {
                 self.out.tally.row_run_sites += 1;
                 self.cost_rows(site, &run)?;
-                Some(self.feed(site, &run, args, body))
+                Some(self.feed(site, &run, args, body)?)
             }
         };
         self.row_scratch = scratch;
@@ -587,8 +578,8 @@ impl Machine<'_> {
     /// mask `mask`, lanes of shape `lanes`): the per-lane cost pass, then —
     /// when something consumes the addresses — [`stage_lanes`] and
     /// [feed](Machine::feed) the run on, exactly as a row run is fed.
-    /// `None` when nothing does: an Analytic float access off the trace,
-    /// which pays for its cost pass alone.
+    /// `None` when nothing does (no trace, hit count, script or index
+    /// load): the access pays for its cost pass alone.
     pub(super) fn with_lanes<T>(
         &mut self,
         site: u32,
@@ -601,10 +592,9 @@ impl Machine<'_> {
         let info = &self.program.sites[site as usize];
         self.out.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2);
         self.record_access(info.param, off, mask, lanes.as_slice(), info.is_write)?;
-        // A recording launch is an Execute launch: `moves_values` covers
-        // the recorder.
         let traced = self.trace.active && info.traced;
-        if !(traced || info.is_atomic || self.moves_values(site)) {
+        let scripted = info.value && self.out.recorder.is_some();
+        if !(traced || info.is_atomic || scripted || self.program.index_sites[site as usize]) {
             return Ok(None);
         }
         let mut scratch = std::mem::take(&mut self.row_scratch);
@@ -614,43 +604,41 @@ impl Machine<'_> {
         self.trace.valid &= integral;
         let out = self.feed(site, &run, args, body);
         self.row_scratch = scratch;
-        Ok(Some(out))
+        Ok(Some(out?))
     }
 
     /// Hand one costed run of `site` to the instance-class trace, the
-    /// script recorder and the atomic hit counts, then to its value body.
+    /// script recorder and the atomic hit counts, then to `body`.
     fn feed<T>(
         &mut self,
         site: u32,
         run: &RowRun<'_>,
         args: &mut ArgsView<'_, '_>,
         body: impl FnOnce(&mut Self, &RowRun<'_>, &mut ArgsView<'_, '_>) -> T,
-    ) -> T {
+    ) -> Result<T, GpuError> {
         if self.trace.active {
             self.trace_rows(site, run);
         }
-        self.record_rows(site, run);
+        self.record_rows(site, run)?;
         self.count_atomics(run, site);
-        body(self, run, args)
+        Ok(body(self, run, args))
     }
 
-    /// Write a run of value site `site` into the script being recorded,
-    /// if one is.
-    fn record_rows(&mut self, site: u32, run: &RowRun<'_>) {
-        let Some(rec) = &mut self.out.recorder else {
-            return;
-        };
+    /// Write a run of value site `site` into the script, if the launch
+    /// writes one.
+    fn record_rows(&mut self, site: u32, run: &RowRun<'_>) -> Result<(), GpuError> {
         let info = &self.program.sites[site as usize];
-        if !info.value {
-            return;
-        }
+        let Some(rec) = self.out.recorder.as_mut().filter(|_| info.value) else {
+            return Ok(());
+        };
         // In bounds: the cost pass has just checked.
         let cols = (run.cols != run.m).then_some(run.cols as u32);
         let level = info.level as usize;
         match run.row_mask {
-            None if run.cols != 0 => rec.push(level, run.form, cols, run.rows, |_| true),
-            _ => rec.push(level, run.form, cols, run.rows, |i| run.active(i)),
+            None if run.cols != 0 => rec.push(level, run.form, cols, run.rows, |_| true)?,
+            _ => rec.push(level, run.form, cols, run.rows, |i| run.active(i))?,
         }
+        Ok(())
     }
 
     /// The offset block a separable site's adds would have formed, in the
@@ -778,34 +766,12 @@ impl Machine<'_> {
         self.trace.entries.push(entry);
     }
 
-    /// A separable load as row runs: one widening copy per active row,
-    /// `other` everywhere else. `None` when the site declines on its data.
-    pub(super) fn load_rows(
-        &mut self,
-        rs: &RowSite,
-        regs: &[Option<Block>],
-        site: u32,
-        other: f64,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<Option<Block>, GpuError> {
-        self.with_row_run(rs, regs, site, args, |machine, run, args| {
-            machine.load_values(run, site, other, args, Shape4::from_slice(&[rs.n, rs.m]))
-        })
-    }
-
-    /// Whether the value body of `site` moves tensor data: every access
-    /// of an Execute launch, and the I32 loads an Analytic launch still
-    /// needs for its addresses. Nothing else about an access reads the
-    /// launch's [`Mode`].
-    fn moves_values(&self, site: u32) -> bool {
-        let info = &self.program.sites[site as usize];
-        self.mode == Mode::Execute
-            || (!info.is_write && self.program.params.dtypes[info.param] == DType::I32)
-    }
-
-    /// The value body of a load: the block of shape `shape` whose lanes,
-    /// in row-major order, are the lanes of `run`.
-    pub(super) fn load_values(
+    /// The lanes of an index-slice load: the block of shape `shape`
+    /// whose lanes, in row-major order, are the lanes of `run`, read from
+    /// the argument — except that an Analytic launch reads a float
+    /// parameter as 0.0 on every active lane (the seed interpreter's
+    /// rule), and reads no tensor data besides the metadata.
+    pub(super) fn load_index(
         &mut self,
         run: &RowRun<'_>,
         site: u32,
@@ -814,45 +780,18 @@ impl Machine<'_> {
         shape: Shape4,
     ) -> Block {
         let param = self.program.sites[site as usize].param;
-        let dense = run.row_mask.is_none() && run.cols == run.m;
-        if !self.moves_values(site) {
-            if dense {
-                // Analytic float loads with every lane on are all zeros.
-                return self.filled(shape, 0.0);
-            }
-            let mut buf = self.alloc();
-            let out = buf.vec();
+        let mut buf = self.alloc();
+        let out = buf.vec();
+        if self.mode == Mode::Analytic && self.program.params.dtypes[param] != DType::I32 {
             out.clear();
             out.resize(run.rows.len() * run.m, other);
-            Isa::detect().run(WidenMasked {
-                data: &[],
-                run,
-                out,
-                read: false,
-            });
-            return self.packed(shape, buf);
+            for (i, _) in run.active_rows() {
+                out[i * run.m..i * run.m + run.cols].fill(0.0);
+            }
+        } else {
+            gather(Isa::detect(), args.data(param), run, other, out);
         }
-        let mut buf = self.alloc();
-        gather(Isa::detect(), args.data(param), run, other, buf.vec());
         self.packed(shape, buf)
-    }
-
-    /// A separable store or atomic add as row runs: one slice write (or
-    /// one `slot += v` per lane, after one hit per element) per active
-    /// row, rows in order. Lane order is row-major and a row's addresses
-    /// are distinct, so every same-address atomic chain sums in the
-    /// per-lane path's order. `None` when the site declines on its data.
-    pub(super) fn write_rows(
-        &mut self,
-        rs: &RowSite,
-        regs: &[Option<Block>],
-        site: u32,
-        val: &Block,
-        args: &mut ArgsView<'_, '_>,
-    ) -> Result<Option<()>, GpuError> {
-        self.with_row_run(rs, regs, site, args, |machine, run, args| {
-            machine.write_values(run, site, val, args, Shape4::from_slice(&[rs.n, rs.m]));
-        })
     }
 
     /// The cost pass of an atomic run beyond its sectors: one hit per
@@ -879,42 +818,11 @@ impl Machine<'_> {
         hits.touch(lo, hi);
         self.inst.atomics += lanes;
     }
-
-    /// The value body of a store or atomic add: `val`, broadcast to
-    /// `shape`, written (added) lane by lane to the lanes of `run`.
-    pub(super) fn write_values(
-        &mut self,
-        run: &RowRun<'_>,
-        site: u32,
-        val: &Block,
-        args: &mut ArgsView<'_, '_>,
-        shape: Shape4,
-    ) {
-        if !self.moves_values(site) {
-            return;
-        }
-        let (val, shape) = (val.tile(), shape.as_slice());
-        let mut staged = None;
-        let lanes = match direct_lanes(val, shape) {
-            Some(lanes) => lanes,
-            None => {
-                let buf = staged.insert(self.alloc()).vec();
-                stage_value(&val, shape, buf);
-                buf
-            }
-        };
-        let info = &self.program.sites[site as usize];
-        let round = self.program.params.dtypes[info.param] == DType::F16;
-        scatter(args, &mut self.out.log, info, round, run, lanes);
-        if let Some(buf) = staged {
-            self.pool.push(buf);
-        }
-    }
 }
 
-/// The load body of full launches and tape alike: the lanes of `run`
-/// widened from `data` into `out` (cleared first), row-major, `other` on
-/// every inactive lane, at rung `isa`.
+/// The load body of the tape and of index-slice loads: the lanes of
+/// `run` widened from `data` into `out` (cleared first), row-major,
+/// `other` on every inactive lane, at rung `isa`.
 pub(super) fn gather(isa: Isa, data: &[f32], run: &RowRun<'_>, other: f64, out: &mut Vec<f64>) {
     out.clear();
     if run.row_mask.is_none() && run.cols == run.m {
@@ -924,12 +832,7 @@ pub(super) fn gather(isa: Isa, data: &[f32], run: &RowRun<'_>, other: f64, out: 
         return;
     }
     out.resize(run.rows.len() * run.m, other);
-    isa.run(WidenMasked {
-        data,
-        run,
-        out,
-        read: true,
-    });
+    isa.run(WidenMasked { data, run, out });
 }
 
 /// A stored or added value that already is the row-major lanes of
@@ -945,7 +848,7 @@ pub(super) fn stage_value(val: &Tile<'_>, shape: &[usize], out: &mut Vec<f64>) {
     Isa::detect().run(Stage { val, shape, out });
 }
 
-/// The write body of full launches and tape alike: `lanes` (row-major,
+/// The write body of the tape: `lanes` (row-major,
 /// `run.m` per row) stored to, or added to, the active lanes of `run` in
 /// the parameter of site `info` — in place when the arguments are
 /// exclusive, into the shard's write `log` when they are shared. `round`:
@@ -1132,19 +1035,15 @@ mod tests {
                         bits64(&out)
                     });
                 }
-                for read in [true, false] {
-                    at_every_rung(&format!("masked load (read {read}), {what}"), |isa| {
-                        let mut out =
-                            vec![f64::from_bits(0x7ff8_0000_0000_0077); n * lanes_per_row];
-                        isa.run(WidenMasked {
-                            data: &data,
-                            run: &run,
-                            out: &mut out,
-                            read,
-                        });
-                        bits64(&out)
+                at_every_rung(&format!("masked load, {what}"), |isa| {
+                    let mut out = vec![f64::from_bits(0x7ff8_0000_0000_0077); n * lanes_per_row];
+                    isa.run(WidenMasked {
+                        data: &data,
+                        run: &run,
+                        out: &mut out,
                     });
-                }
+                    bits64(&out)
+                });
                 for (atomic, round) in [(false, false), (false, true), (true, false), (true, true)]
                 {
                     let values = lanes(n * lanes_per_row, &mut rng, !atomic);

@@ -1,28 +1,34 @@
-//! The value tape: how a replayed launch runs (`program.rs`, analysis 7).
+//! The value tape: how every Execute launch computes values (`program.rs`,
+//! analysis 7).
 //!
-//! A replay executes only the kernel's value slice against addresses an
-//! earlier launch recorded (`script.rs`), so nothing it does depends on
-//! the interpreter's register file. On its first replay a program lowers
-//! that slice once into a tape: a straight-line list of typed tile ops
-//! over the slots of one per-thread arena of `f64` buffers, which later
-//! launches reuse. Every register the slice computes owns a slot, and
+//! The tape executes only the kernel's value slice, against addresses
+//! and trip counts the machine wrote down (`script.rs`) — in a full
+//! launch, chunk by chunk right after the machine ran those instances'
+//! index slice; in a replay, from a script an earlier launch kept — so
+//! nothing it does depends on the machine's register file. On its first
+//! Execute launch a program lowers that slice once into a tape: a
+//! straight-line list of typed tile ops over the slots of one per-thread
+//! arena of `f64` buffers, which later launches reuse. Every register
+//! the slice computes owns a slot, and
 //! every operand is a [`Loc`] — a slot and a static strided view of it —
 //! so `expand_dims`, `broadcast_to`, `trans` and `view` are stride
 //! metadata settled while the tape is built and run nothing. What runs
 //! is one call per op into the bodies a full launch runs: [`gather`] /
 //! [`scatter`] for the access sites (their rows decoded from the
 //! script's [`Cursor`]), and the elementwise, `tl.dot` and reduction
-//! bodies of `block.rs`.
+//! bodies of `block.rs`. A dynamic loop reads its trip count from the
+//! script; its variable has no place on the tape.
 //!
 //! Frequencies are the program's: a `Once` unit runs on a shard's first
 //! instance and a `PerRow` unit on a row's first, and an invariant op
 //! inside a per-instance loop records its tile per occurrence on the
 //! representative, where later instances read it in place, as the
-//! interpreter's stream cache does — which is also what script streams 0
+//! machine's stream cache does — which is also what script streams 0
 //! and 1 assume. So the tape executes the value slice's instructions in
-//! the interpreter's order, on the same values, through the same bodies:
-//! its output bits are a full launch's, which debug builds check on every
-//! replayed launch (`Program::launch_with`).
+//! the kernel's order, on the same values, through the same bodies: a
+//! replay's output bits are a full launch's, which debug builds check on
+//! every replayed launch (`Program::launch_with`), and a full launch's
+//! are the seed interpreter's (`tests/tape.rs`).
 //!
 //! A register's place must not depend on the path that reached it. While
 //! building, each read checks that its view still shows the write it was
@@ -30,8 +36,9 @@
 //! the second iteration — and must leave every place where the first
 //! found it.
 //!
-//! A program whose value slice the tape cannot place statically declines
-//! ([`ReplayDecline::MovingTile`]) and launches in full.
+//! A program whose value slice the tape cannot place statically
+//! ([`ReplayDecline::MovingTile`]) has no Execute launch: it is a
+//! [`GpuError::Kernel`](crate::GpuError) on the first one.
 
 use super::row_run::{decode, direct_lanes, gather, scatter, stage_value, RowScratch, Scripted};
 use super::{pid_of, ArgsView, Tally, WriteOp};
@@ -122,6 +129,12 @@ enum Op {
         src: Loc,
         axis: usize,
     },
+    /// A strided tile copied out row-major: a `view` strides cannot
+    /// express.
+    Pack {
+        dst: u32,
+        src: Loc,
+    },
     /// A load of value site `site`, whose lanes have shape `lanes`.
     GatherRows {
         dst: u32,
@@ -140,6 +153,11 @@ enum Op {
         start: i64,
         end: i64,
         step: i64,
+        body: Vec<Step>,
+    },
+    /// A dynamic loop: its trip count is the next word of stream `level`.
+    LoopDyn {
+        level: u8,
         body: Vec<Step>,
     },
 }
@@ -178,13 +196,6 @@ thread_local! {
     static ARENA: Cell<Arena> = Cell::new(Arena::default());
 }
 
-/// What one range of a replayed launch leaves: the writes it deferred
-/// (a sharded launch) and what it dispatched.
-pub(super) struct TapeShard {
-    pub(super) log: Vec<WriteOp>,
-    pub(super) tally: Tally,
-}
-
 // ---------------------------------------------------------------------
 // Lowering
 // ---------------------------------------------------------------------
@@ -207,6 +218,15 @@ type Built<T> = Result<T, ReplayDecline>;
 impl Tape {
     /// Lower `program`'s value slice (see the module docs).
     pub(crate) fn build(program: &Program) -> Built<Tape> {
+        // `u32::MAX` marks an inactive row in a script.
+        if program
+            .params
+            .lens
+            .iter()
+            .any(|&len| len >= u32::MAX as usize)
+        {
+            return Err(ReplayDecline::WideAddress);
+        }
         let mut b = Builder {
             program,
             slot_of: vec![None; program.num_regs],
@@ -256,8 +276,7 @@ impl Builder<'_> {
         slot
     }
 
-    /// `r` as the view `f` takes of `src`'s value: stride metadata, no op
-    /// (`None`: strides cannot express it — a `view` of a strided tile).
+    /// `r` as the view `f` takes of `src`'s value: stride metadata, no op.
     fn view(
         &mut self,
         r: Reg,
@@ -373,7 +392,14 @@ impl Builder<'_> {
                 ref shape,
             } => {
                 let shape = packed(shape)?;
-                return self.view(dst, src, |g| g.reshape(shape));
+                let from = self.read(src)?;
+                if from.geom.reshape(shape).is_some() {
+                    return self.view(dst, src, |g| g.reshape(shape));
+                }
+                Op::Pack {
+                    dst: self.write(dst, shape),
+                    src: from,
+                }
             }
             CInstr::Load {
                 dst, other, site, ..
@@ -400,35 +426,61 @@ impl Builder<'_> {
                 step,
                 ref body,
             } => {
-                let (reg, var) = (var, self.write(var, scalar));
-                let before = self.loc.clone();
-                let steps = self.lower_body(body)?;
-                // Every iteration must find each tile where the first
-                // did: walk the body once more, as the second iteration,
-                // and compare.
-                let after = self.loc.clone();
-                self.write(reg, scalar);
-                self.lower_body(body)?;
-                let moved = |then: &[Option<Loc>]| {
-                    then.iter()
-                        .zip(&self.loc)
-                        .any(|(was, now)| was.is_some() && was != now)
-                };
-                if moved(&before) || moved(&after) {
-                    return Err(ReplayDecline::MovingTile);
-                }
+                let slot = self.write(var, scalar);
                 Op::Loop {
-                    var,
+                    var: slot,
                     start,
                     end,
                     step,
-                    body: steps,
+                    body: self.lower_loop(Some(var), body)?,
                 }
             }
-            // Replayable programs have no dynamic loop.
-            CInstr::LoopDyn { .. } => return Err(ReplayDecline::DynLoop),
+            CInstr::LoopDyn {
+                var,
+                trips,
+                ref body,
+                ..
+            } => {
+                self.loc[var] = None;
+                let before = self.loc.clone();
+                let body = self.lower_loop(None, body)?;
+                // The loop may run no iteration: what it first places has
+                // no place after it.
+                for (now, was) in self.loc.iter_mut().zip(&before) {
+                    if was.is_none() {
+                        *now = None;
+                    }
+                }
+                Op::LoopDyn {
+                    level: trips.ok_or(ReplayDecline::MovingTile)?,
+                    body,
+                }
+            }
         };
         Ok(Some(op))
+    }
+
+    /// Lower a loop body, whose variable `var` (a static loop's) the
+    /// caller has placed. Every iteration must find each tile where the
+    /// first did: walk the body once more, as the second iteration, and
+    /// compare.
+    fn lower_loop(&mut self, var: Option<Reg>, body: &[CNode]) -> Built<Vec<Step>> {
+        let before = self.loc.clone();
+        let steps = self.lower_body(body)?;
+        let after = self.loc.clone();
+        if let Some(var) = var {
+            self.write(var, Shape4::from_slice(&[]));
+        }
+        self.lower_body(body)?;
+        let moved = |then: &[Option<Loc>]| {
+            then.iter()
+                .zip(&self.loc)
+                .any(|(was, now)| was.is_some() && was != now)
+        };
+        if moved(&before) || moved(&after) {
+            return Err(ReplayDecline::MovingTile);
+        }
+        Ok(steps)
     }
 
     /// The static lane shape of value site `site`.
@@ -475,25 +527,144 @@ impl<'s> Tiles<'s> {
     }
 }
 
-/// What every op of one replayed range reads besides the arena.
+/// What a range's instances share: the program, the launch's non-finite
+/// mask, the bodies' rungs (the widest, and the elementwise ops'), and
+/// whether to count value sites (a replay; a full launch's machine does).
+#[derive(Clone, Copy)]
+struct Ctx<'p> {
+    program: &'p Program,
+    nonfinite: u64,
+    isa: Isa,
+    elementwise: Isa,
+    count_sites: bool,
+}
+
+/// What every op of one instance reads besides the arena.
 struct Run<'r, 'a, 'b> {
-    program: &'r Program,
+    ctx: Ctx<'r>,
     cursor: Cursor<'r>,
     args: &'r mut ArgsView<'a, 'b>,
-    nonfinite: u64,
     pid: [usize; 3],
     /// Recording the stream caches: a shard's first instance (level 0),
     /// a row's first (level 1).
     record: [bool; 2],
-    /// The rungs the bodies run at: the host's widest, and the
-    /// elementwise ops' (`block.rs`).
-    isa: Isa,
-    elementwise: Isa,
-    out: TapeShard,
+    /// The writes deferred to a log (shared arguments) and what was
+    /// dispatched.
+    log: Vec<WriteOp>,
+    tally: Tally,
+}
+
+/// The tape of one range of instances, with the arena, taken from the
+/// thread for as long as the range runs.
+pub(super) struct TapeRun<'p> {
+    tape: &'p Tape,
+    ctx: Ctx<'p>,
+    arena: Arena,
+}
+
+impl<'p> TapeRun<'p> {
+    /// A range of `program`'s tape under this launch's non-finite mask;
+    /// `count_sites` for a replay.
+    pub(super) fn new(
+        tape: &'p Tape,
+        program: &'p Program,
+        nonfinite: u64,
+        count_sites: bool,
+    ) -> TapeRun<'p> {
+        let mut arena = ARENA.with(Cell::take);
+        let slots = arena.slots.len().max(tape.slots);
+        arena.slots.resize_with(slots, Vec::new);
+        arena.held.clear();
+        arena.held.resize(slots, Held::Own);
+        TapeRun {
+            tape,
+            ctx: Ctx {
+                program,
+                nonfinite,
+                isa: Isa::detect(),
+                elementwise: elementwise_isa(),
+                count_sites,
+            },
+            arena,
+        }
+    }
+
+    /// Run the instances `[lo, hi)` of the range that begins at `first`
+    /// from the segments next at `cursor`, writing in place or into `log`
+    /// (shared arguments), dispatches into `tally`.
+    pub(super) fn run(
+        &mut self,
+        cursor: Cursor<'_>,
+        (lo, hi): (usize, usize),
+        first: usize,
+        args: &mut ArgsView<'_, '_>,
+        (log, tally): (&mut Vec<WriteOp>, &mut Tally),
+    ) {
+        let gdims = self.ctx.program.gdims;
+        let mut run = Run {
+            ctx: self.ctx,
+            cursor,
+            args,
+            // Grid coordinates advance with the instance (axis 0
+            // fastest), not by division.
+            pid: pid_of(lo, gdims),
+            record: [true; 2],
+            log: std::mem::take(log),
+            tally: Tally::default(),
+        };
+        for flat in lo..hi {
+            let new_shard = flat == first;
+            let new_row = new_shard || run.pid[0] == 0;
+            // One script segment per shard, per row and per instance.
+            for (level, starts) in [new_shard, new_row, true].into_iter().enumerate() {
+                if starts {
+                    run.cursor.begin(level);
+                }
+            }
+            run.record = [new_shard, new_row];
+            let arena = &mut self.arena;
+            for (level, starts) in run.record.into_iter().enumerate() {
+                if starts {
+                    arena.rerecord(level);
+                }
+            }
+            arena.cursors = [0; 2];
+            for step in &self.tape.steps {
+                let due = match step.when {
+                    When::Once => new_shard,
+                    When::PerRow => new_row,
+                    _ => true,
+                };
+                if due {
+                    run.step(step, arena);
+                }
+            }
+            let pid = &mut run.pid;
+            pid[0] += 1;
+            if pid[0] == gdims[0] {
+                (pid[0], pid[1]) = (0, pid[1] + 1);
+                if pid[1] == gdims[1] {
+                    (pid[1], pid[2]) = (0, pid[2] + 1);
+                }
+            }
+        }
+        *log = run.log;
+        tally.merge(&run.tally);
+    }
+}
+
+impl Drop for TapeRun<'_> {
+    fn drop(&mut self) {
+        // A thread past its locals' teardown keeps no arena.
+        let arena = std::mem::take(&mut self.arena);
+        let _ = ARENA.try_with(|a| a.set(arena));
+    }
 }
 
 impl Tape {
-    /// Replay the instances `[lo, hi)` of `program` from `script`.
+    /// Replay the instances `[lo, hi)` of `program` from `script`, which
+    /// one machine recorded over the whole grid: the writes deferred to a
+    /// log (shared arguments) and what was dispatched.
     pub(super) fn run_range(
         &self,
         program: &Program,
@@ -501,69 +672,12 @@ impl Tape {
         (lo, hi): (usize, usize),
         args: &mut ArgsView<'_, '_>,
         nonfinite: u64,
-    ) -> TapeShard {
-        let mut arena = ARENA.with(Cell::take);
-        let slots = arena.slots.len().max(self.slots);
-        arena.slots.resize_with(slots, Vec::new);
-        arena.held.clear();
-        arena.held.resize(slots, Held::Own);
-        let mut run = Run {
-            program,
-            cursor: Cursor::new(script),
-            args,
-            nonfinite,
-            pid: [0; 3],
-            record: [true; 2],
-            isa: Isa::detect(),
-            elementwise: elementwise_isa(),
-            out: TapeShard {
-                log: Vec::new(),
-                tally: Tally::default(),
-            },
-        };
-        let gdims = program.gdims;
-        // Grid coordinates and row index advance with the instance (axis
-        // 0 fastest), not by division.
-        let (mut pid, mut row) = (pid_of(lo, gdims), lo / gdims[0]);
-        for flat in lo..hi {
-            let new_shard = flat == lo;
-            let new_row = new_shard || pid[0] == 0;
-            // One script segment per shard, per row and per instance.
-            let segments = [(new_shard, 0), (new_row, row), (true, flat)];
-            for (level, &(starts, segment)) in segments.iter().enumerate() {
-                if starts {
-                    run.cursor.seek(level, segment);
-                }
-            }
-            run.pid = pid;
-            run.record = [new_shard, new_row];
-            for (level, &starts) in run.record.iter().enumerate() {
-                if starts {
-                    arena.rerecord(level);
-                }
-            }
-            arena.cursors = [0; 2];
-            for step in &self.steps {
-                let due = match step.when {
-                    When::Once => new_shard,
-                    When::PerRow => new_row,
-                    _ => true,
-                };
-                if due {
-                    run.step(step, &mut arena);
-                }
-            }
-            pid[0] += 1;
-            if pid[0] == gdims[0] {
-                (pid[0], row) = (0, row + 1);
-                pid[1] += 1;
-                if pid[1] == gdims[1] {
-                    (pid[1], pid[2]) = (0, pid[2] + 1);
-                }
-            }
-        }
-        ARENA.with(|a| a.set(arena));
-        run.out
+    ) -> (Vec<WriteOp>, Tally) {
+        let mut out = (Vec::new(), Tally::default());
+        let cursor = Cursor::new(script, [0, lo / program.gdims[0], lo]);
+        let sink = (&mut out.0, &mut out.1);
+        TapeRun::new(self, program, nonfinite, true).run(cursor, (lo, hi), lo, args, sink);
+        out
     }
 }
 
@@ -621,26 +735,34 @@ impl Run<'_, '_, '_> {
     }
 
     fn op(&mut self, op: &Op, arena: &mut Arena) {
-        let Op::Loop {
-            var,
-            start,
-            end,
-            step,
-            ref body,
-        } = *op
-        else {
-            return self.tile_op(op, arena);
-        };
-        let mut v = start;
-        while v < end {
-            let slot = &mut arena.slots[var as usize];
-            slot.clear();
-            slot.push(v as f64);
-            arena.held[var as usize] = Held::Own;
-            for s in body {
-                self.step(s, arena);
+        match *op {
+            Op::Loop {
+                var,
+                start,
+                end,
+                step,
+                ref body,
+            } => {
+                let mut v = start;
+                while v < end {
+                    let slot = &mut arena.slots[var as usize];
+                    slot.clear();
+                    slot.push(v as f64);
+                    arena.held[var as usize] = Held::Own;
+                    for s in body {
+                        self.step(s, arena);
+                    }
+                    v += step;
+                }
             }
-            v += step;
+            Op::LoopDyn { level, ref body } => {
+                for _ in 0..self.cursor.trips(level as usize) {
+                    for s in body {
+                        self.step(s, arena);
+                    }
+                }
+            }
+            _ => self.tile_op(op, arena),
         }
     }
 
@@ -661,9 +783,9 @@ impl Run<'_, '_, '_> {
                     held,
                     streams,
                 };
-                let info = &self.program.sites[site as usize];
+                let info = &self.ctx.program.sites[site as usize];
                 let decoded = self.next(site, lanes, rows);
-                let round = self.program.params.dtypes[info.param] == DType::F16;
+                let round = self.ctx.program.params.dtypes[info.param] == DType::F16;
                 let val = val.tile(tiles.data(val.slot));
                 let lanes = match direct_lanes(val, lanes.as_slice()) {
                     Some(direct) => direct,
@@ -674,7 +796,7 @@ impl Run<'_, '_, '_> {
                 };
                 scatter(
                     self.args,
-                    &mut self.out.log,
+                    &mut self.log,
                     info,
                     round,
                     &decoded.run(rows),
@@ -724,9 +846,9 @@ impl Run<'_, '_, '_> {
                 Op::Binary { op, a, b, .. } => {
                     if in_place {
                         // The accumulator `acc = acc <op> v`.
-                        assign_into(self.elementwise, op, &mut out, &tile(b));
+                        assign_into(self.ctx.elementwise, op, &mut out, &tile(b));
                     } else {
-                        binary_into(self.elementwise, op, &tile(a), &tile(b), &mut out);
+                        binary_into(self.ctx.elementwise, op, &tile(a), &tile(b), &mut out);
                     }
                 }
                 Op::Dot {
@@ -735,31 +857,40 @@ impl Run<'_, '_, '_> {
                     regs: (ra, rb),
                     ..
                 } => {
-                    let tally = &mut self.out.tally;
-                    if self.program.dot_sources.eligible(ra, rb, self.nonfinite) {
-                        let (_, exact) = exact_dot_into(self.isa, &tile(a), &tile(b), &mut out);
+                    let tally = &mut self.tally;
+                    if self
+                        .ctx
+                        .program
+                        .dot_sources
+                        .eligible(ra, rb, self.ctx.nonfinite)
+                    {
+                        let (_, exact) = exact_dot_into(self.ctx.isa, &tile(a), &tile(b), &mut out);
                         if exact {
                             tally.exact_dots += 1;
                         } else {
                             tally.canonical_dots += 1;
                         }
                     } else {
-                        canonical_dot_into(self.elementwise, &tile(a), &tile(b), &mut out);
+                        canonical_dot_into(self.ctx.elementwise, &tile(a), &tile(b), &mut out);
                         tally.canonical_dots += 1;
                     }
                 }
                 Op::Sum { src, axis, .. } => {
                     sum_axis_into(tile(src), axis, &mut out);
                 }
+                Op::Pack { src, .. } => {
+                    out.clear();
+                    tile(src).walk(|v| out.push(v));
+                }
                 Op::GatherRows {
                     site, lanes, other, ..
                 } => {
-                    let param = self.program.sites[site as usize].param;
+                    let param = self.ctx.program.sites[site as usize].param;
                     let decoded = self.next(site, lanes, rows);
                     let data = self.args.data(param);
-                    gather(self.isa, data, &decoded.run(rows), other, &mut out);
+                    gather(self.ctx.isa, data, &decoded.run(rows), other, &mut out);
                 }
-                Op::WriteRows { .. } | Op::Loop { .. } => {}
+                Op::WriteRows { .. } | Op::Loop { .. } | Op::LoopDyn { .. } => {}
             }
         }
         slots[d] = out;
@@ -769,11 +900,13 @@ impl Run<'_, '_, '_> {
     /// Decode the next script entry of `site` into `rows`, counted as the
     /// recording launch ran it.
     fn next(&mut self, site: u32, lanes: Shape4, rows: &mut RowScratch) -> Scripted {
-        let level = self.program.sites[site as usize].level as usize;
+        let level = self.ctx.program.sites[site as usize].level as usize;
         let entry = self.cursor.next(level);
-        match entry.form {
-            Form::Rows => self.out.tally.row_run_sites += 1,
-            _ => self.out.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2),
+        if self.ctx.count_sites {
+            match entry.form {
+                Form::Rows => self.tally.row_run_sites += 1,
+                _ => self.tally.generic_sites += u64::from(lanes.as_slice().len() >= 2),
+            }
         }
         decode(entry, lanes, rows)
     }
@@ -789,8 +922,9 @@ impl Op {
             | Op::Binary { dst, .. }
             | Op::Dot { dst, .. }
             | Op::Sum { dst, .. }
+            | Op::Pack { dst, .. }
             | Op::GatherRows { dst, .. } => Some(dst),
-            Op::WriteRows { .. } | Op::Loop { .. } => None,
+            Op::WriteRows { .. } | Op::Loop { .. } | Op::LoopDyn { .. } => None,
         }
     }
 
@@ -798,7 +932,7 @@ impl Op {
     fn reads(&self, slot: u32) -> bool {
         match *self {
             Op::Binary { a, b, .. } | Op::Dot { a, b, .. } => a.slot == slot || b.slot == slot,
-            Op::Sum { src, .. } => src.slot == slot,
+            Op::Sum { src, .. } | Op::Pack { src, .. } => src.slot == slot,
             Op::WriteRows { val, .. } => val.slot == slot,
             _ => false,
         }
@@ -841,6 +975,7 @@ fn list(steps: &[Step], program: &Program, depth: usize, s: &mut String) {
             Op::Binary { op, a, b, .. } => format!("{op:?} {}", reads(&[a, b])),
             Op::Dot { a, b, .. } => format!("dot {}", reads(&[a, b])),
             Op::Sum { src, axis, .. } => format!("sum axis {axis} {}", reads(&[src])),
+            Op::Pack { src, .. } => format!("pack {}", reads(&[src])),
             Op::GatherRows {
                 site: id, lanes, ..
             } => {
@@ -856,10 +991,11 @@ fn list(steps: &[Step], program: &Program, depth: usize, s: &mut String) {
                 step,
                 ..
             } => format!("loop s{var} in {start}..{end} step {step}"),
+            Op::LoopDyn { level, .. } => format!("loop, trip count from stream {level}"),
         };
         let dst = op.dst().map_or(String::new(), |d| format!("s{d} = "));
         let _ = writeln!(s, "{:indent$}{when:?}: {dst}{line}", "", indent = 2 * depth);
-        if let Op::Loop { ref body, .. } = *op {
+        if let Op::Loop { ref body, .. } | Op::LoopDyn { ref body, .. } = *op {
             list(body, program, depth + 1, s);
         }
     }

@@ -8,7 +8,8 @@
 //! * **Functional execution** ([`Mode::Execute`]) — every load, store,
 //!   atomic add, `tl.dot` and block op computes real values against
 //!   [`insum_tensor::Tensor`] storage, so compiled kernels are verified
-//!   bit-for-bit against the eager reference.
+//!   bit-for-bit against the eager reference. The program's value tape
+//!   computes every value; the machine only the index slice.
 //! * **Cost accounting** (both modes) — every memory access is decomposed
 //!   into per-warp 32-byte sector transactions (coalescing model) with a
 //!   kernel-resident L2 filter in front of DRAM; `tl.dot` charges Tensor
@@ -19,10 +20,10 @@
 //!   seconds, including a load-imbalance term (longest-processor bound
 //!   over the SMs) that matters for skewed sparse workloads.
 //!
-//! [`Mode::Analytic`] runs the same interpreter but skips floating-point
-//! value math (metadata loads still execute so gather/scatter addresses
-//! are exact); counters are identical to Execute mode. The benchmark
-//! harness uses it for large sweeps.
+//! [`Mode::Analytic`] is the machine alone: the index slice and the cost
+//! pass, no value tape (metadata loads still execute so gather/scatter
+//! addresses are exact); counters are identical to Execute mode. The
+//! benchmark harness and the autotuner use it for large sweeps.
 //!
 //! # Simulator performance model
 //!
@@ -108,8 +109,9 @@
 //!   adds that formed the block charge their cost and compute nothing,
 //!   and the site runs as `n` row runs of `m` consecutive elements —
 //!   per-warp L2 transactions from the union of the rows' sector ranges,
-//!   one slice copy / write / add per row — in the cost pass and the
-//!   value pass, Execute and Analytic, instance-class traces included.
+//!   one slice copy / write / add per row — in the cost pass, Execute and
+//!   Analytic, instance-class traces included, and in the tape's value
+//!   bodies.
 //!   Sites that are not separable in form, or whose terms turn out
 //!   non-integral or whose columns are gathered, take the per-lane path:
 //!   a per-lane cost pass, then their active lanes staged once into the
@@ -136,15 +138,16 @@
 //!   [`KernelReport`] — and every later launch with that key runs only
 //!   the value slice, as the program's *value tape*: straight-line tile
 //!   ops over a reused per-thread arena, lowered once on the first
-//!   replay, through the same load / write / dot bodies, with no
-//!   interpreter and no cost accounting; it returns the stored report (an
-//!   Analytic launch returns it without interpreting anything). One-shot and alternating
+//!   Execute launch, the same bodies every Execute launch computes its
+//!   values with, here with no interpreter and no cost accounting; it
+//!   returns the stored report (an Analytic launch returns it without
+//!   interpreting anything). One-shot and alternating
 //!   keys never record, and a key is remembered by weak witnesses: no
 //!   program keeps a caller's tensor alive or makes its owner's next
 //!   write copy (see [`Program::launch_with`]). No option selects any of
 //!   this;
-//!   [`Program::replay_decline`] says why a program opts out (a dynamic
-//!   loop, a float-derived address, a store into metadata) and
+//!   [`Program::replay_decline`] says why a program opts out (a
+//!   float-derived address, a store into metadata) and
 //!   [`script_dispatch_counts`] how the calling thread's launches split
 //!   into full / recorded / replayed. Rule, key and bit-identity
 //!   argument: `program.rs` (analysis 7); differential test:

@@ -6,8 +6,8 @@
 //! every schedule-invariant offset each time. Compilation hoists that
 //! work, guided by the analyses the items below describe.
 //!
-//! Six of them are dataflow problems over the kernel's registers, and
-//! all six run on one driver, `Dataflow::solve`. The kernel is walked
+//! Seven of them are dataflow problems over the kernel's registers, and
+//! all seven run on one driver, `Dataflow::solve`. The kernel is walked
 //! once into its instructions in pre-order, each with its register edges
 //! ([`Instr::dst`], [`Instr::operands`]); from every register at the
 //! lattice's bottom, the driver applies the analysis's transfer function
@@ -25,6 +25,7 @@
 //! | shapes (`shapes`) | unset ≤ one shape ≤ unknown: unset; equal or unknown | its shape rule; a rule that fails on converged known operand shapes is a [`GpuError::Kernel`] | separable sites, value-site lanes |
 //! | taint (`value_slice`, 7) | false ≤ true: false; or | a load of a float or written parameter, or a tainted value operand, taints its destination | [`ReplayDecline::FloatAddress`] |
 //! | needed (`value_slice`, 7) | false ≤ true: false; or | a store, or a writer of a needed register, needs its value operands (backward; cut at index operands) | value flags of units, nodes and sites |
+//! | index (`value_slice`, 7) | false ≤ true: false; or | an index operand, or any operand of a writer of an index register, is index (backward) | what the machine computes or skips |
 //!
 //! 1. **pid-dependence levels** — every register is classified by the
 //!    grid axes its value (transitively) depends on: level 0 values are
@@ -115,11 +116,10 @@
 //!    the single definition of per-lane *addressing and coalescing*: its
 //!    cost pass walks the lanes (warps, sectors, bounds, truncation of a
 //!    non-integral offset), then stages the active lanes once as one row
-//!    (a prefix of consecutive elements) or one row per lane. Values go
-//!    through the bodies row runs use (`load_values`, `write_values`), as
-//!    do the instance-class trace, the script recorder and the atomic hit
-//!    counts: an access site is an address stage followed by a shared
-//!    value body.
+//!    (a prefix of consecutive elements) or one row per lane. The run then
+//!    feeds what a row run feeds — the instance-class trace, the script
+//!    recorder, the atomic hit counts, and the value tape's bodies: an
+//!    access site is an address stage followed by a shared value body.
 //!
 //!    *Why no counter can move.* An elided add stays where it stood — same
 //!    unit, same stream-cache occurrence — and charges what it charged:
@@ -150,19 +150,37 @@
 //!    slice is kept per register — every writer of a needed register is
 //!    in it, as is every loop around one — and it is closed under
 //!    operands by construction: nothing in it reads a register written
-//!    only outside it. Everything else (program ids, `arange`, metadata
-//!    loads and arithmetic, masks, the offset trees) is the **index
-//!    slice**. [`CUnit::value`], [`CNode::value`] and [`SiteInfo::value`]
-//!    carry the split.
+//!    only outside it. [`CUnit::value`], [`CNode::value`] and
+//!    [`SiteInfo::value`] carry the split. The **index slice** is the
+//!    backward slice from every offset, mask and dynamic loop bound:
+//!    program ids, `arange`, metadata loads and arithmetic, the offset
+//!    trees. A register can be in both.
+//!
+//!    *One value path.* Every Execute launch splits the work between the
+//!    two: the machine evaluates the index slice and runs the cost pass
+//!    on every access, charging each instruction only the value slice
+//!    needs from its static shapes ([`CUnit::skip`], [`CNode::skip`]) —
+//!    no counter depends on a value — and writes each value-site run and
+//!    each value-slice `LoopDyn` trip count into an **address script**
+//!    (`script.rs`); after every chunk of instances the program's **value
+//!    tape** (`interp/tape.rs`: straight-line tile ops, lowered on the
+//!    first Execute launch) runs them from the script. An Analytic launch
+//!    is the machine alone. `Program::compile` refuses, with a
+//!    [`GpuError::Kernel`], a kernel whose index slice loads a parameter
+//!    the kernel writes (the machine would read it ahead of the tape's
+//!    writes) or computes a `tl.dot`, or whose value slice has an
+//!    instruction of unknown static shape; the first Execute launch
+//!    refuses one whose tape cannot place a tile statically
+//!    ([`ReplayDecline::MovingTile`]). No corpus kernel is either
+//!    (`crates/core/tests/analysis_digests.rs`).
 //!
 //!    *Replayable.* A program whose index slice reads nothing but the
 //!    program and its I32 arguments: no register derived from a float
-//!    parameter (or from a parameter the kernel writes) reaches an offset
-//!    or a mask, there is no `LoopDyn`, no I32 parameter is written, the
-//!    lanes of every value site have a static shape and every parameter
-//!    fits 32-bit addresses. [`Program::replay_decline`] names the first
-//!    condition that fails ([`ReplayDecline`]); such programs — the CSR
-//!    baselines, float-addressed kernels — launch exactly as before.
+//!    parameter (or from a parameter the kernel writes) reaches an offset,
+//!    a mask or a loop bound, no I32 parameter is written, and every
+//!    parameter fits 32-bit addresses. [`Program::replay_decline`] names
+//!    the first condition that fails ([`ReplayDecline`]); such programs —
+//!    float-addressed kernels — launch in full every time.
 //!
 //!    *Key.* A replayable program owns one slot. Its key is the launch's
 //!    I32 arguments **by storage identity** plus the [`DeviceModel`] by
@@ -173,42 +191,24 @@
 //!    shared handle copies, on a sole owner's re-homes the buffer — so a
 //!    freed-and-reused or mutated buffer is a miss by construction. The
 //!    first Execute launch with a key only remembers it; the second *in
-//!    a row* runs in full, as one machine whatever the thread budget,
-//!    with a recorder hooked into the value sites, producing an
-//!    **address script** — per executed value site, in
-//!    order, the element address of each active row of lanes, taken
-//!    right after the cost pass has bounds-checked them — plus the
+//!    a row* runs in full, as one machine whatever the thread budget, and
+//!    keeps its script — per executed value site, in order, the element
+//!    address of each active row of lanes, taken right after the cost
+//!    pass has bounds-checked them, and each trip count — plus the
 //!    launch's `KernelReport`. Rows in arithmetic progression take three
 //!    words however many they are; a gather or scatter lists its rows,
-//!    one word each. Every later launch with that key runs the program's
-//!    **value tape** (`interp/tape.rs`): on its first replay the program
-//!    lowers the value-slice units and nodes once into straight-line tile
-//!    ops over a per-thread arena — a gather, fill, elementwise op, dot,
-//!    reduction or row write per instruction that computes, with
-//!    `expand_dims` / `broadcast_to` / `trans` / contiguous `view` folded
-//!    into each operand's static strides — and every replay runs those
-//!    ops through the same value bodies (`gather`, `scatter`, the
-//!    elementwise and dot kernels) from the script, with no interpreter,
-//!    no cost accounting, and returns the stored report; an Analytic
-//!    launch returns the report without interpreting anything. A value
-//!    slice the tape cannot place statically declines
-//!    ([`ReplayDecline::MovingTile`]) on its first replay, and the
-//!    program launches in full from then on. One-shot
-//!    and alternating keys (autotune candidates, the paper harnesses,
-//!    unique serve requests) never pay for a recording, a ready script is
-//!    displaced only by a key that itself repeats, and a launch that
-//!    fails leaves none. Entries live in one stream per execution
-//!    frequency ([`SiteInfo::level`]) and are sought by shard, row and
-//!    instance, so a script recorded by one machine is replayed at any
-//!    thread count.
-//!
-//!    *One value path.* Full, recording and replayed launches run the same
-//!    value bodies at every site. A full launch resolves a site's run (row
-//!    run or staged lanes) and feeds it to the body; a recording launch
-//!    also writes that run down; a replay's tape decodes it. Only where
-//!    the run comes from differs. Debug builds run every tape launch a
-//!    second time in full, on copies of its arguments, and assert equal
-//!    bits and report.
+//!    one word each. Every later launch with that key runs the value tape
+//!    alone from the kept script, with no machine and no cost accounting,
+//!    and returns the stored report; an Analytic launch returns the
+//!    report without interpreting anything. One-shot and alternating keys
+//!    (autotune candidates, the paper harnesses, unique serve requests)
+//!    never keep a script, a ready script is displaced only by a key that
+//!    itself repeats, and a launch that fails leaves none. Entries live in
+//!    one stream per execution frequency ([`SiteInfo::level`]), cut into
+//!    segments by shard, row and instance, so a script recorded by one
+//!    machine is replayed at any thread count. Debug builds run every
+//!    replay a second time in full, on copies of its arguments, and
+//!    assert equal bits and report.
 //!
 //!    *Why no counter can move.* The recording launch *is* a full launch:
 //!    its report is what that launch returns. A replay returns that
@@ -216,15 +216,16 @@
 //!    counter is determined — the index slice, which decides addresses,
 //!    masks and trip counts, reads nothing else, and the float values a
 //!    replay may change reach no counter (Analytic mode already computes
-//!    every counter with all of them zero). Output bits: the tape runs
-//!    the value slice's instructions in program order, at the
-//!    interpreter's frequencies (`Once` and `PerRow` units on a shard's or
-//!    row's first instance, stream-cached invariants recorded by the
-//!    representative and copied back), through the same bodies, with the
-//!    addresses the full launch resolved; the per-launch
-//!    dot-eligibility scan of the float operands still runs, so a NaN
-//!    planted under a ready key flips the dot kernel exactly as it would
-//!    on a first launch (`tests/address_script.rs`).
+//!    every counter with all of them zero). Output bits: every Execute
+//!    launch runs the same tape, in instance order, at the seed's
+//!    frequencies (`Once` and `PerRow` units on a shard's or row's first
+//!    instance, stream-cached invariants recorded by the representative
+//!    and copied back), with the addresses and trip counts the machine
+//!    resolved; the per-launch dot-eligibility scan of the float operands
+//!    runs on every launch, so a NaN planted under a ready key flips the
+//!    dot kernel exactly as it would on a first launch
+//!    (`tests/address_script.rs`). `tests/tape.rs` holds launches 1, 2
+//!    and 3 to the seed interpreter.
 //!
 //! Compilation is cheap (a few passes per analysis over the instruction
 //! tree), but `insum_inductor`'s `ProgramCache` still memoizes programs
@@ -232,10 +233,10 @@
 //! metadata, so repeated executions and autotuning sweeps never re-lower.
 
 use crate::block::Shape4;
-use crate::interp::{GpuError, Tape, SECTOR};
+use crate::interp::{GpuError, InstCost, Tape, SECTOR};
 use crate::script::ReplaySlot;
 use affine::{Avals, AV};
-use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, Operands, Reg};
+use insum_kernel::{param_usage, visit_instrs, BinOp, Instr, Kernel, KernelError, Operands, Reg};
 use insum_tensor::DType;
 use levels::Levels;
 use row_sites::SiteScan;
@@ -352,6 +353,9 @@ pub(crate) enum CInstr {
         var: Reg,
         start: Reg,
         end: Reg,
+        /// In the value slice: the script stream its trip count is
+        /// written to on every entry, for the value tape to read.
+        trips: Option<u8>,
         body: Vec<CNode>,
     },
 }
@@ -364,8 +368,10 @@ pub(crate) enum CInstr {
 #[derive(Debug, Clone)]
 pub(crate) struct CNode {
     pub(crate) cached: Option<(u8, Reg)>,
-    /// In the value slice (analysis 7): a replayed launch executes it.
+    /// In the value slice (analysis 7): the value tape executes it.
     pub(crate) value: bool,
+    /// What the machine charges instead of executing it (`charge`).
+    pub(crate) skip: Option<InstCost>,
     pub(crate) instr: CInstr,
 }
 
@@ -374,8 +380,10 @@ pub(crate) struct CNode {
 #[derive(Debug, Clone)]
 pub(crate) struct CUnit {
     pub(crate) mode: UnitMode,
-    /// In the value slice (analysis 7): a replayed launch executes it.
+    /// In the value slice (analysis 7): the value tape executes it.
     pub(crate) value: bool,
+    /// What the machine charges instead of executing it (`charge`).
+    pub(crate) skip: Option<InstCost>,
     pub(crate) instr: CInstr,
     /// Level-2 registers whose last use is inside this unit: released to
     /// the buffer pool right after it executes.
@@ -476,6 +484,12 @@ pub struct Program {
     /// No parameter is both loaded and written: Execute-mode instances
     /// may run out of order across host threads.
     pub(crate) parallel_execute_ok: bool,
+    /// Per site, whether it is a load the index slice reads (analysis
+    /// 7): the only accesses whose lanes the machine reads.
+    pub(crate) index_sites: Vec<bool>,
+    /// Which script streams some value site or value-slice dynamic loop
+    /// writes to.
+    pub(crate) script_levels: [bool; 3],
     /// Analysis 7: the slot a replayable program keeps its address
     /// script in, or why it keeps none.
     pub(crate) replay: Result<ReplaySlot, ReplayDecline>,
@@ -532,9 +546,12 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// * [`GpuError::Kernel`] if the kernel fails validation, or applies
-    ///   a shape rule to blocks whose static shapes break it (a transpose
-    ///   of a 1-D block, a dot of disagreeing dimensions, …).
+    /// * [`GpuError::Kernel`] if the kernel fails validation, applies a
+    ///   shape rule to blocks whose static shapes break it (a transpose
+    ///   of a 1-D block, a dot of disagreeing dimensions, …), or cannot
+    ///   be split between the machine and the value tape (analysis 7: its
+    ///   index slice loads a parameter the kernel writes or computes a
+    ///   `tl.dot`, or a value-slice instruction has no static shape).
     /// * [`GpuError::ParamCountMismatch`] if `lens`/`dtypes` do not match
     ///   the kernel's parameter list.
     /// * [`GpuError::BadGrid`] if the grid is empty, has more than three
@@ -569,6 +586,14 @@ impl Program {
         let avals = Avals::analyze(&flow, dtypes, &usage.written);
         let params = ParamTable::new(lens, dtypes);
         let slice = ValueSlice::analyze(&flow, dtypes, &usage.written);
+        let refused = |why: String| GpuError::Kernel(KernelError(why));
+        if let Some(why) = slice.refusal(&flow, &usage.written) {
+            return Err(refused(why));
+        }
+        let dot_f16 = {
+            let floats: Vec<DType> = dtypes.iter().copied().filter(|d| d.is_float()).collect();
+            !floats.is_empty() && floats.iter().all(|&d| d == DType::F16)
+        };
 
         let mut ctx = Lowering {
             levels: &levels,
@@ -581,7 +606,12 @@ impl Program {
             dedup_ok: avals.loops_ok,
             cached_nodes: 0,
             unit: 0,
+            level: 0,
             last_use: vec![None; kernel.num_regs],
+            script_levels: [false; 3],
+            unknown: None,
+            index_sites: Vec::new(),
+            dot_f16,
         };
         let mut units = ctx.lower_units(&kernel.body);
         let level2_regs: Vec<Reg> = (0..kernel.num_regs)
@@ -599,17 +629,23 @@ impl Program {
             dedup_ok,
             cached_nodes,
             rows,
+            mut script_levels,
+            unknown,
+            index_sites,
             ..
         } = ctx;
+        if let Some(instr) = unknown {
+            return Err(refused(format!(
+                "the value-slice instruction {instr} has no static shape"
+            )));
+        }
+        for site in sites.iter().filter(|s| s.value) {
+            script_levels[site.level as usize] = true;
+        }
         let row_sites = rows.finish();
-        let replay = match slice.decline(&sites, &params) {
+        let replay = match slice.decline(&params) {
             Some(decline) => Err(decline),
-            None => Ok(ReplaySlot::new(dtypes, &sites)),
-        };
-
-        let dot_f16 = {
-            let floats: Vec<DType> = dtypes.iter().copied().filter(|d| d.is_float()).collect();
-            !floats.is_empty() && floats.iter().all(|&d| d == DType::F16)
+            None => Ok(ReplaySlot::new(dtypes)),
         };
 
         let program = Program {
@@ -629,6 +665,8 @@ impl Program {
             row_sites,
             dot_f16,
             parallel_execute_ok: usage.no_read_write_params(),
+            index_sites,
+            script_levels,
             replay,
             tape: OnceLock::new(),
         };
@@ -717,11 +755,21 @@ struct Lowering<'a> {
     sites: Vec<SiteInfo>,
     dedup_ok: bool,
     cached_nodes: usize,
-    /// The top-level unit being lowered.
+    /// The top-level unit being lowered, and how often it executes: the
+    /// script stream of what it executes that is not stream-cached.
     unit: usize,
+    level: u8,
     /// Per register, the last top-level unit that reads it (a separable
     /// site also reads the leaves of its offset tree).
     last_use: Vec<Option<usize>>,
+    /// The script streams value-slice dynamic loops (and, once lowered,
+    /// value sites) write to.
+    script_levels: [bool; 3],
+    /// The first skipped instruction whose charge has no static shape.
+    unknown: Option<String>,
+    /// Per site, whether it is an index-slice load.
+    index_sites: Vec<bool>,
+    dot_f16: bool,
 }
 
 impl Lowering<'_> {
@@ -736,7 +784,9 @@ impl Lowering<'_> {
             // per-instance loop also writes (the accumulator pattern)
             // must re-execute per instance to reset the register.
             let lvl = self.levels.of(top);
+            self.level = lvl.min(2);
             let first_site = self.sites.len();
+            let skip = self.charge(top);
             let instr = self.lower_one(body, id, idx, lvl >= 2, 0);
             if lvl < 2 {
                 // Nothing in a once/per-row unit is stream-cached: its
@@ -752,6 +802,7 @@ impl Lowering<'_> {
                     _ => UnitMode::PerInstance,
                 },
                 value: self.slice.contains(top),
+                skip,
                 instr,
                 release: Vec::new(),
             });
@@ -780,6 +831,7 @@ impl Lowering<'_> {
                 }
                 _ => None,
             };
+            let skip = self.charge(instr);
             let instr = self.lower_one(body, id, idx, per_instance, trip_level);
             self.cached_nodes += usize::from(cached.is_some());
             if let (Some(_), CInstr::Load { site, .. }) = (cached, &instr) {
@@ -789,6 +841,7 @@ impl Lowering<'_> {
             nodes.push(CNode {
                 cached,
                 value,
+                skip,
                 instr,
             });
         }
@@ -852,6 +905,7 @@ impl Lowering<'_> {
                 other,
             } => {
                 let site = self.push_site(param, offset, mask, None, self.slice.needs(dst));
+                self.index_sites.push(self.slice.index(dst));
                 CInstr::Load {
                     dst,
                     offset,
@@ -867,6 +921,7 @@ impl Lowering<'_> {
                 mask,
             } => {
                 let site = self.push_site(param, offset, mask, Some((value, false)), true);
+                self.index_sites.push(false);
                 CInstr::Store {
                     offset,
                     value,
@@ -881,6 +936,7 @@ impl Lowering<'_> {
                 mask,
             } => {
                 let site = self.push_site(param, offset, mask, Some((value, true)), true);
+                self.index_sites.push(false);
                 CInstr::AtomicAdd {
                     offset,
                     value,
@@ -909,6 +965,10 @@ impl Lowering<'_> {
                 end,
                 body: ref inner,
             } => {
+                let trips = self.slice.contains(instr).then_some(self.level);
+                if let Some(level) = trips {
+                    self.script_levels[level as usize] = true;
+                }
                 let trip_level = trip_level
                     .max(self.levels.reg[start])
                     .max(self.levels.reg[end]);
@@ -916,10 +976,53 @@ impl Lowering<'_> {
                     var,
                     start,
                     end,
+                    trips,
                     body: self.lower_body(inner, per_instance, trip_level),
                 }
             }
         }
+    }
+
+    /// What the machine charges for `instr` instead of executing it,
+    /// read off the static shapes — an elementwise op's lanes, a
+    /// reduction's source lanes, a `tl.dot`'s `2mkn` flops, a `view` /
+    /// `trans` / `broadcast_to`'s shared-memory bytes, none of which
+    /// depends on a value; `None` for what it executes: accesses, loops
+    /// and every index-slice instruction.
+    fn charge(&mut self, instr: &Instr) -> Option<InstCost> {
+        let dst = instr.dst()?;
+        let executed = matches!(
+            instr,
+            Instr::Load { .. } | Instr::Loop { .. } | Instr::LoopDyn { .. }
+        );
+        if executed || self.slice.index(dst) {
+            return None;
+        }
+        let volume = |r: Reg| self.shapes[r].map(|s| s.volume() as u64);
+        let mut cost = InstCost::default();
+        cost.instructions = 1;
+        let known = match *instr {
+            Instr::Binary { dst: r, .. } | Instr::Sum { src: r, .. } => {
+                volume(r).map(|v| cost.flops_scalar = v)
+            }
+            Instr::Broadcast { dst, .. } | Instr::View { dst, .. } | Instr::Trans { dst, .. } => {
+                volume(dst).map(|v| cost.smem_bytes = 4 * v)
+            }
+            // `[m, k] · [k, n]`: `2mkn` flops.
+            Instr::Dot { a, b, .. } => {
+                let n = self.shapes[b].and_then(|s| s.as_slice().get(1).copied());
+                let pipe = match self.dot_f16 {
+                    true => &mut cost.flops_tc_f16,
+                    false => &mut cost.flops_tc_f32,
+                };
+                volume(a).zip(n).map(|(mk, n)| *pipe = 2 * mk * n as u64)
+            }
+            _ => Some(()),
+        };
+        if known.is_none() && self.unknown.is_none() {
+            self.unknown = Some(format!("{instr:?}"));
+        }
+        Some(cost)
     }
 
     /// Register one access site: `write` is the stored or added value
@@ -958,6 +1061,9 @@ impl Lowering<'_> {
                     Shape4::try_joint(joint.as_slice(), self.shapes[r]?.as_slice())
                 })
         });
+        if value && lanes.is_none() && self.unknown.is_none() {
+            self.unknown = Some(format!("access of parameter {param}"));
+        }
         let id = self.sites.len() as u32;
         self.sites.push(SiteInfo {
             param,

@@ -97,6 +97,7 @@ fn instr(i: &CInstr, s: &mut String) {
             start,
             end,
             body,
+            ..
         } => {
             let _ = writeln!(s, "loop_dyn {var} {start} {end}");
             body

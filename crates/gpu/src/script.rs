@@ -4,28 +4,37 @@
 //!
 //! A script is a pure function of `(Program, I32 arguments, DeviceModel)`:
 //! for every executed value-slice access site, in execution order, the
-//! element address of each row of lanes, plus the launch's
-//! [`KernelReport`]. It is recorded by a full launch that runs as one
-//! machine whatever its thread budget — the addresses are taken where the
-//! cost pass has just bounds-checked them — and replayed by the program's
-//! value tape (`interp/tape.rs`), which executes the value slice alone:
-//! each of its `GatherRows` / `WriteRows` ops reads the next entry of its
-//! site's stream through a [`Cursor`].
+//! element address of each row of lanes, and for every entry into a
+//! value-slice dynamic loop its trip count, plus the launch's
+//! [`KernelReport`]. The machine writes it as it runs the index slice —
+//! the addresses are taken where the cost pass has just bounds-checked
+//! them — and the program's value tape (`interp/tape.rs`), which
+//! executes the value slice alone, reads it: each of its `GatherRows` /
+//! `WriteRows` ops reads the next entry of its site's stream, and each
+//! dynamic loop the next word of its own, through a [`Cursor`].
+//!
+//! Every Execute launch writes one: the tape runs each chunk of instances
+//! from the segments the machine just wrote ([`Recorder::unread`]). A
+//! scratch recorder then drops them; a recording launch, one machine
+//! whatever its thread budget, keeps them for later launches to replay.
 //!
 //! An entry is a header word (how the rows map onto the site's lanes,
 //! how many are stored) and its row bases: listed one word each, or —
-//! three words in all — as an arithmetic progression.
+//! three words in all — as an arithmetic progression. A trip count is
+//! one word.
 //!
 //! Entries live in three streams, one per execution frequency
-//! ([`SiteInfo::level`]): what a shard's first instance executes once
-//! (stream 0), what a row's first instance executes (stream 1, one
-//! segment per row of instances), and the rest (stream 2, one segment per
-//! instance). A replaying shard seeks each stream by segment, so a script
-//! is recorded by one machine and replayed at any thread count.
+//! ([`SiteInfo::level`](crate::program::SiteInfo::level)): what a shard's
+//! first instance executes once (stream 0), what a row's first instance
+//! executes (stream 1, one segment per row of instances), and the rest
+//! (stream 2, one segment per instance). A replaying shard starts each
+//! stream at its first instance's segment, so a script is recorded by
+//! one machine and replayed at any thread count.
 
 use crate::device::DeviceModel;
-use crate::program::SiteInfo;
+use crate::interp::GpuError;
 use crate::stats::KernelReport;
+use insum_kernel::KernelError;
 use insum_tensor::{DType, Tensor, WeakTensor};
 use std::sync::{Arc, Mutex};
 
@@ -95,31 +104,50 @@ impl Script {
     }
 }
 
-/// Records a launch's entries as its one machine runs it in full.
+/// Records a launch's entries as its machine runs the index slice.
 pub(crate) struct Recorder {
     streams: [Stream; 3],
-    /// Which streams some value site writes to; the others stay empty.
+    /// Which streams some value site or dynamic loop writes to; the others
+    /// stay empty.
     levels: [bool; 3],
     /// Instances the launch runs.
     instances: usize,
-    /// A stream outgrew its 32-bit positions: the launch keeps no script.
+    /// What the tape has read is dropped: a launch that keeps no script,
+    /// or one whose script grew too long to keep.
+    scratch: bool,
+    /// The script grew too long to keep: the launch keeps none.
     overflow: bool,
+    /// Per stream, the first segment the tape has not read.
+    unread: [usize; 3],
+}
+
+/// An entry wider than a header can count (2²⁸ rows), a trip count past
+/// 2³² − 1 or a segment past 32-bit positions: the tape could not read it
+/// back.
+fn too_wide() -> GpuError {
+    GpuError::Kernel(KernelError(
+        "an access or a dynamic loop too wide for an address script".to_string(),
+    ))
 }
 
 impl Recorder {
-    pub(crate) fn new(levels: [bool; 3], instances: usize) -> Recorder {
+    /// A recorder that keeps the whole script of a launch of `instances`,
+    /// or — `None`, a scratch recorder — only what the tape has not read.
+    pub(crate) fn new(levels: [bool; 3], keep: Option<usize>) -> Recorder {
         Recorder {
             streams: Default::default(),
             levels,
-            instances,
+            instances: keep.unwrap_or(0),
+            scratch: keep.is_none(),
             overflow: false,
+            unread: [0; 3],
         }
     }
 
     /// Open the next segment of stream `level`.
-    pub(crate) fn begin(&mut self, level: usize) {
+    pub(crate) fn begin(&mut self, level: usize) -> Result<(), GpuError> {
         if !self.levels[level] {
-            return;
+            return Ok(());
         }
         let stream = &mut self.streams[level];
         // Size the per-instance stream once, from what the first instance
@@ -137,10 +165,10 @@ impl Recorder {
             ),
             _ => {}
         }
-        match u32::try_from(stream.words.len()) {
-            Ok(at) => stream.starts.push(at),
-            Err(_) => self.overflow = true,
-        }
+        stream
+            .starts
+            .push(u32::try_from(stream.words.len()).map_err(|_| too_wide())?);
+        Ok(())
     }
 
     /// Append one entry to stream `level`: the bases `rows` of the rows
@@ -154,11 +182,10 @@ impl Recorder {
         cols: Option<u32>,
         rows: &[i64],
         active: impl Fn(usize) -> bool,
-    ) {
+    ) -> Result<(), GpuError> {
         let count = (0..rows.len()).rposition(&active).map_or(0, |l| l + 1);
         if count as u64 > u64::from(COUNT_MASK) {
-            self.overflow = true;
-            return;
+            return Err(too_wide());
         }
         let rows = &rows[..count];
         let words = &mut self.streams[level].words;
@@ -185,6 +212,42 @@ impl Recorder {
                 }
             })),
         }
+        Ok(())
+    }
+
+    /// Append the trip count of one entry into a dynamic loop to stream
+    /// `level`.
+    pub(crate) fn push_trips(&mut self, level: usize, trips: i64) -> Result<(), GpuError> {
+        let word = u32::try_from(trips.max(0)).map_err(|_| too_wide())?;
+        self.streams[level].words.push(word);
+        Ok(())
+    }
+
+    /// A cursor before the first segment of each stream the tape has not
+    /// read: what it runs instances from right after the machine wrote
+    /// them.
+    pub(crate) fn unread(&self) -> Cursor<'_> {
+        Cursor {
+            streams: &self.streams,
+            pos: [0; 3],
+            segment: self.unread,
+        }
+    }
+
+    /// The tape has read every segment: a scratch recorder drops them. A
+    /// kept script past half the 32-bit positions is dropped too, so no
+    /// later segment outgrows them; the launch then keeps none.
+    pub(crate) fn read(&mut self) {
+        for (s, unread) in self.streams.iter_mut().zip(&mut self.unread) {
+            if !self.scratch && s.words.len() > u32::MAX as usize / 2 {
+                (self.scratch, self.overflow) = (true, true);
+            }
+            if self.scratch {
+                s.words.clear();
+                s.starts.clear();
+            }
+            *unread = s.starts.len();
+        }
     }
 
     /// The script this recording and the launch's `report` make; `None`
@@ -202,31 +265,43 @@ impl Recorder {
     }
 }
 
-/// Reads a script back, one position per stream.
+/// Reads a script back, one position per stream, segment after segment.
 pub(crate) struct Cursor<'s> {
-    script: &'s Script,
+    streams: &'s [Stream; 3],
     pos: [usize; 3],
+    /// Per stream, the segment [`Cursor::begin`] moves to next.
+    segment: [usize; 3],
 }
 
 impl<'s> Cursor<'s> {
-    pub(crate) fn new(script: &'s Script) -> Cursor<'s> {
+    /// A cursor that begins with segment `segment[level]` of each stream.
+    pub(crate) fn new(script: &'s Script, segment: [usize; 3]) -> Cursor<'s> {
         Cursor {
-            script,
+            streams: &script.streams,
             pos: [0; 3],
+            segment,
         }
     }
 
-    /// Move stream `level` to the start of `segment`. A stream no site
-    /// writes to has no segments and is never read.
-    pub(crate) fn seek(&mut self, level: usize, segment: usize) {
-        if let Some(&at) = self.script.streams[level].starts.get(segment) {
+    /// Move stream `level` to the start of its next segment. A stream
+    /// nothing writes to has no segments and is never read.
+    pub(crate) fn begin(&mut self, level: usize) {
+        if let Some(&at) = self.streams[level].starts.get(self.segment[level]) {
             self.pos[level] = at as usize;
+            self.segment[level] += 1;
         }
+    }
+
+    /// The next trip count of stream `level`.
+    pub(crate) fn trips(&mut self, level: usize) -> u32 {
+        let word = self.streams[level].words[self.pos[level]];
+        self.pos[level] += 1;
+        word
     }
 
     /// The next entry of stream `level`.
     pub(crate) fn next(&mut self, level: usize) -> Entry<'s> {
-        let words = &self.script.streams[level].words;
+        let words = &self.streams[level].words;
         let pos = &mut self.pos[level];
         let mut take = || {
             let w = words[*pos];
@@ -299,22 +374,15 @@ pub(crate) struct Ticket(Key);
 pub(crate) struct ReplaySlot {
     /// Positions of the I32 parameters.
     metadata_params: Vec<usize>,
-    /// Which of the three streams some value site writes to.
-    pub(crate) levels: [bool; 3],
     state: Mutex<SlotState>,
 }
 
 impl ReplaySlot {
-    pub(crate) fn new(dtypes: &[DType], sites: &[SiteInfo]) -> ReplaySlot {
-        let mut levels = [false; 3];
-        for site in sites.iter().filter(|s| s.value) {
-            levels[site.level as usize] = true;
-        }
+    pub(crate) fn new(dtypes: &[DType]) -> ReplaySlot {
         ReplaySlot {
             metadata_params: (0..dtypes.len())
                 .filter(|&p| dtypes[p] == DType::I32)
                 .collect(),
-            levels,
             state: Mutex::default(),
         }
     }
@@ -412,12 +480,12 @@ mod tests {
             (vec![12, 500], Some(1), 4),
             (vec![INACTIVE, INACTIVE], None, 1),
         ];
-        let mut rec = Recorder::new([false, false, true], 1);
-        rec.begin(2);
+        let mut rec = Recorder::new([false, false, true], Some(1));
+        rec.begin(2).expect("narrow");
         for (bases, cols, _) in &cases {
             let rows: Vec<i64> = bases.iter().map(|&b| i64::from(b)).collect();
             let on = |i: usize| bases[i] != INACTIVE;
-            rec.push(2, Form::Rows, *cols, &rows, on);
+            rec.push(2, Form::Rows, *cols, &rows, on).expect("narrow");
         }
         let script = rec.finish(report()).expect("no overflow");
         assert_eq!(
@@ -425,8 +493,8 @@ mod tests {
             4 * (1 + cases.iter().map(|c| c.2).sum::<usize>()),
             "one segment start plus the entries"
         );
-        let mut cursor = Cursor::new(&script);
-        cursor.seek(2, 0);
+        let mut cursor = Cursor::new(&script, [0; 3]);
+        cursor.begin(2);
         for (bases, cols, _) in &cases {
             let entry = cursor.next(2);
             assert_eq!(entry.form, Form::Rows);

@@ -13,15 +13,15 @@ use insum_gpu::{
     dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, GpuError, Isa,
     KernelReport, LaunchOptions, Mode, Program, ReplayDecline,
 };
-use insum_kernel::{BinOp, Kernel, KernelBuilder};
+use insum_kernel::{Kernel, KernelBuilder};
 use insum_tensor::{DType, Tensor};
 use proptest::prelude::*;
 
 mod common;
 use common::{
     block_group_args, block_group_kernel, build_args, build_kernel, case_strategy,
-    conv_shaped_args, conv_shaped_kernel, plain, spec_strategy, tp_shaped_args, tp_shaped_kernel,
-    Case, MaskKind, Side,
+    conv_shaped_args, conv_shaped_kernel, csr_rows_args, csr_rows_kernel, plain, spec_strategy,
+    tp_shaped_args, tp_shaped_kernel, Case, MaskKind, Side,
 };
 
 type Outcome = (Result<KernelReport, GpuError>, Vec<Tensor>);
@@ -634,38 +634,15 @@ fn a_replaced_device_model_misses() {
 }
 
 /// Programs whose addresses are more than a function of their I32
-/// arguments say why and never replay: a CSR-style dynamic loop, an
-/// offset read from a float parameter, a store into the metadata.
+/// arguments say why and never replay: an offset read from a float
+/// parameter, a store into the metadata. A CSR-style dynamic loop, whose
+/// trip counts the script records, replays.
 #[test]
 fn declining_programs_report_why_and_never_replay() {
     let device = DeviceModel::rtx3090();
-    let rows = 6usize;
-    let ptr = Tensor::from_indices(vec![rows + 1], vec![0, 2, 2, 5, 6, 9, 12])
-        .expect("length matches shape");
-    let vals = Tensor::from_fn(vec![12], |i| i[0] as f32 * 0.25 - 1.0);
-
-    // y[row] = sum(vals[ptr[row] .. ptr[row + 1]])
-    let mut b = KernelBuilder::new("csr_rows");
-    let p = b.input("PTR");
-    let v = b.input("VALS");
-    let y = b.output("Y");
-    let row = b.program_id(0);
-    let one = b.constant(1.0);
-    let next = b.binary(BinOp::Add, row, one);
-    let lo = b.load(p, row, None, 0.0);
-    let hi = b.load(p, next, None, 0.0);
-    let acc = b.constant(0.0);
-    let at = b.begin_loop_dyn(lo, hi);
-    let x = b.load(v, at, None, 0.0);
-    b.binary_into(acc, BinOp::Add, acc, x);
-    b.end_loop();
-    b.store(y, row, acc, None);
-    let dyn_loop = (
-        b.build(),
-        vec![rows],
-        vec![ptr.clone(), vals.clone(), Tensor::zeros(vec![rows])],
-        ReplayDecline::DynLoop,
-    );
+    let (grid, csr_args) = csr_rows_args();
+    let (ptr, vals) = (csr_args[0].clone(), csr_args[1].clone());
+    let dyn_loop = (csr_rows_kernel(), grid.to_vec(), csr_args, None);
 
     // y[i] = vals[at[i]] with the positions stored as floats.
     let mut b = KernelBuilder::new("float_gather");
@@ -684,7 +661,7 @@ fn declining_programs_report_why_and_never_replay() {
             vals.clone(),
             Tensor::zeros(vec![8]),
         ],
-        ReplayDecline::FloatAddress,
+        Some(ReplayDecline::FloatAddress),
     );
 
     // ptr[i] += 1 next to a float copy.
@@ -701,12 +678,12 @@ fn declining_programs_report_why_and_never_replay() {
         b.build(),
         vec![1],
         vec![ptr, vals, Tensor::zeros(vec![4])],
-        ReplayDecline::WritesMetadata,
+        Some(ReplayDecline::WritesMetadata),
     );
 
     for (kernel, grid, args, why) in [dyn_loop, float_address, writes_metadata] {
         let program = compile(&kernel, &grid, &args);
-        assert_eq!(program.replay_decline(), Some(why), "{}", kernel.name);
+        assert_eq!(program.replay_decline(), why, "{}", kernel.name);
         let want = seed(&kernel, &grid, &args, &device, Mode::Execute);
         want.0.as_ref().expect("the seed interpreter launches it");
         let ((), counts) = counting(|| {
@@ -715,8 +692,10 @@ fn declining_programs_report_why_and_never_replay() {
                 assert_same(&got, &want, &kernel.name);
             }
         });
-        assert_eq!(counts, (4, 0, 0), "{}", kernel.name);
-        assert_eq!(program.script_bytes(), None, "{}", kernel.name);
+        let replays = why.is_none();
+        let want_counts = if replays { (1, 1, 2) } else { (4, 0, 0) };
+        assert_eq!(counts, want_counts, "{}", kernel.name);
+        assert_eq!(program.script_bytes().is_some(), replays, "{}", kernel.name);
     }
 }
 

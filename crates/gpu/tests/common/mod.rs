@@ -845,3 +845,35 @@ pub fn spec_strategy() -> impl Strategy<Value = TiledSpec> {
             },
         )
 }
+
+/// `y[row] = sum(vals[ptr[row] .. ptr[row + 1]])`, one instance per row:
+/// a CSR row sum whose dynamic loop reads its trip count from the
+/// metadata, with a scalar accumulator the loop carries.
+pub fn csr_rows_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("csr_rows");
+    let p = b.input("PTR");
+    let v = b.input("VALS");
+    let y = b.output("Y");
+    let row = b.program_id(0);
+    let one = b.constant(1.0);
+    let next = b.binary(BinOp::Add, row, one);
+    let lo = b.load(p, row, None, 0.0);
+    let hi = b.load(p, next, None, 0.0);
+    let acc = b.constant(0.0);
+    let at = b.begin_loop_dyn(lo, hi);
+    let x = b.load(v, at, None, 0.0);
+    b.binary_into(acc, BinOp::Add, acc, x);
+    b.end_loop();
+    b.store(y, row, acc, None);
+    b.build()
+}
+
+/// The grid and arguments of [`csr_rows_kernel`]: six rows, row 1 empty
+/// (its loop runs no iteration).
+pub fn csr_rows_args() -> ([usize; 1], Vec<Tensor>) {
+    let rows = 6;
+    let ptr = Tensor::from_indices(vec![rows + 1], vec![0, 2, 2, 5, 6, 9, 12])
+        .expect("length matches shape");
+    let vals = Tensor::from_fn(vec![12], |i| i[0] as f32 * 0.25 - 1.0);
+    ([rows], vec![ptr, vals, Tensor::zeros(vec![rows])])
+}

@@ -218,7 +218,7 @@ enum AVia {
     /// `view(load(A)) * factor`.
     Scaled { factor: f64 },
     /// `acc = full(0); acc = acc + view(load(A))` — the in-place
-    /// `binary_assign` accumulator pattern.
+    /// accumulator pattern.
     Accumulated,
     /// `full([m, k], value)`; A is not read.
     Constant { value: f64 },
@@ -362,7 +362,7 @@ fn the_operand_tag_is_sound() {
     assert_eq!(run(AVia::MaskedTrans { other: 0.0 }), exact());
     assert_eq!(run(AVia::Constant { value: 0.5 }), exact());
     // ... anything arithmetic touched is not, including an accumulator
-    // rewritten in place through `binary_assign` ...
+    // rewritten in place ...
     assert_eq!(
         run(AVia::Scaled {
             factor: 1.000_000_1

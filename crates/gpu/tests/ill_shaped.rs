@@ -2,9 +2,16 @@
 //! it does not fit. Block shapes are a function of the kernel text, so
 //! `Program::compile` proves each of these illegal and `launch` returns
 //! `GpuError::Kernel` instead of reaching the interpreter.
+//!
+//! And kernels the seed interpreter runs but this simulator refuses, by
+//! choice of scope: every Execute launch runs the index slice on the
+//! machine and the value slice on the value tape, and a kernel that
+//! cannot be split that way is a `GpuError::Kernel`, never a second value
+//! path.
 
+use insum_gpu::reference::launch_reference;
 use insum_gpu::{launch, DeviceModel, GpuError, Mode};
-use insum_kernel::{BinOp, KernelBuilder, Reg};
+use insum_kernel::{BinOp, Kernel, KernelBuilder, Reg};
 use insum_tensor::Tensor;
 
 /// Build a one-parameter kernel whose body is `body`, check that it
@@ -163,4 +170,78 @@ fn atomic_add_under_a_mask_that_does_not_fit_its_offsets_is_rejected() {
 fn writes_whose_shapes_broadcast_still_launch() {
     written(false, 1, Some(4)).expect("a one-lane value broadcasts");
     written(true, 4, Some(1)).expect("a one-lane mask broadcasts");
+}
+
+/// `kernel` on `[1]` over `args`: refused with a `GpuError::Kernel` in
+/// Execute mode, while the seed interpreter runs it.
+fn assert_refused_but_seed_runs(kernel: &Kernel, args: &[Tensor]) {
+    let device = DeviceModel::rtx3090();
+    let mut ours = args.to_vec();
+    let mut refs: Vec<&mut Tensor> = ours.iter_mut().collect();
+    assert_rejected(launch(kernel, &[1], &mut refs, &device, Mode::Execute).map(|_| ()));
+    let mut seed = args.to_vec();
+    let mut refs: Vec<&mut Tensor> = seed.iter_mut().collect();
+    launch_reference(kernel, &[1], &mut refs, &device, Mode::Execute)
+        .expect("the seed interpreter runs it");
+}
+
+/// `Y[i] += 1; Z[i] = X[Y[i]]`: the offset of the `X` load is loaded from
+/// `Y`, which the kernel writes. The machine would read `Y` before the
+/// tape's writes to it, so `Program::compile` refuses the kernel.
+#[test]
+fn an_offset_loaded_from_a_written_parameter_is_refused() {
+    let mut b = KernelBuilder::new("offset_from_written");
+    let x = b.input("X");
+    let y = b.output("Y");
+    let z = b.output("Z");
+    let lanes = b.arange(4);
+    let one = b.full(vec![4], 1.0);
+    b.atomic_add(y, lanes, one, None);
+    let at = b.load(y, lanes, None, 0.0);
+    let v = b.load(x, at, None, 0.0);
+    b.store(z, lanes, v, None);
+    let args = [
+        Tensor::from_fn(vec![8], |i| i[0] as f32),
+        Tensor::from_fn(vec![4], |i| i[0] as f32),
+        Tensor::zeros(vec![4]),
+    ];
+    assert_refused_but_seed_runs(&b.build(), &args);
+}
+
+/// A view read after the tile under it was rewritten: `v = trans(x)`,
+/// then `x += x` in place, then `v` stored. The tape keeps views as
+/// strides over their source's slot, so `v` has no static place, and the
+/// first Execute launch refuses the kernel.
+#[test]
+fn a_view_read_after_its_source_was_rewritten_is_refused() {
+    let mut b = KernelBuilder::new("stale_view");
+    let x = b.input("X");
+    let y = b.output("Y");
+    let lanes = b.arange(16);
+    let flat = b.load(x, lanes, None, 0.0);
+    let tile = b.view(flat, vec![4, 4]);
+    let v = b.trans(tile);
+    b.binary_into(flat, BinOp::Add, flat, flat);
+    let out = b.view(v, vec![16]);
+    b.store(y, lanes, out, None);
+    let args = [
+        Tensor::from_fn(vec![16], |i| i[0] as f32),
+        Tensor::zeros(vec![16]),
+    ];
+    assert_refused_but_seed_runs(&b.build(), &args);
+}
+
+/// A `tl.dot` whose result is an offset: the machine computes no dot, so
+/// `Program::compile` refuses the kernel.
+#[test]
+fn a_dot_that_reaches_an_offset_is_refused() {
+    let mut b = KernelBuilder::new("dot_offset");
+    let y = b.output("Y");
+    let a = b.full(vec![1, 2], 1.0);
+    let c = b.full(vec![2, 1], 1.0);
+    let d = b.dot(a, c);
+    let at = b.view(d, vec![1]);
+    let one = b.full(vec![1], 1.0);
+    b.store(y, at, one, None);
+    assert_refused_but_seed_runs(&b.build(), &[Tensor::zeros(vec![4])]);
 }

@@ -1,14 +1,19 @@
-//! The value tape (`interp/tape.rs`) against the interpreter: a launch
-//! served by the tape — the third in a row against the same I32 storage —
-//! must be indistinguishable from a fresh program's full launch: output
-//! bits, `KernelReport`, and the `tl.dot` and access-site dispatch
-//! counters. The kernels are `tests/common`'s generators at fixed seeds
-//! (row and column masks, f16 parameters, duplicate scatter coordinates,
-//! value loads executed once per shard and once per row of instances),
-//! each with clean operands and with NaN payloads of both signs, −0.0 and
-//! ±Inf planted in every float argument; launched on one thread, sharded
-//! on two, and as requests of a `launch_batch_with`.
+//! The value tape (`interp/tape.rs`), the one value path of every Execute
+//! launch, against the seed interpreter (`insum_gpu::reference`): launch
+//! 1 (full, from a scratch script), launch 2 (full, keeping the script)
+//! and launch 3 (the tape alone, from the kept script) of one key must
+//! each give the seed's output bits and `KernelReport`, and launch 3 the
+//! `tl.dot` and access-site dispatch counts of launch 1. An Analytic
+//! launch must report what the seed reports. The kernels are
+//! `tests/common`'s generators at fixed seeds (row and column masks, f16
+//! parameters, duplicate scatter coordinates, value loads executed once
+//! per shard and once per row of instances) and the CSR row sum, whose
+//! dynamic loop runs no iteration on an empty row; each with clean
+//! operands and with NaN payloads of both signs, −0.0 and ±Inf planted
+//! in every float argument; launched on one thread, sharded on two, and
+//! as requests of a `launch_batch_with`.
 
+use insum_gpu::reference::launch_reference;
 use insum_gpu::{
     dot_dispatch_counts, script_dispatch_counts, site_dispatch_counts, DeviceModel, KernelReport,
     LaunchOptions, Mode, Program,
@@ -21,8 +26,8 @@ use proptest::test_runner::TestRng;
 mod common;
 use common::{
     block_group_args, block_group_kernel, build_args, build_kernel, case_strategy,
-    conv_shaped_args, conv_shaped_kernel, spec_strategy, tp_shaped_args, tp_shaped_kernel, Rng,
-    Side,
+    conv_shaped_args, conv_shaped_kernel, csr_rows_args, csr_rows_kernel, spec_strategy,
+    tp_shaped_args, tp_shaped_kernel, Rng, Side,
 };
 
 /// `(dots, sites, launches)` of this thread's dispatch counters.
@@ -55,20 +60,58 @@ fn compile(kernel: &Kernel, grid: &[usize], args: &[Tensor]) -> Program {
     Program::compile(kernel, grid, &lens, &dtypes).expect("kernel compiles")
 }
 
-/// One Execute launch on copies of `args` (sharing their storage, so the
-/// I32 key is the same every time).
-fn launch(program: &Program, args: &[Tensor], opts: &LaunchOptions) -> (KernelReport, Vec<Tensor>) {
+/// One launch on copies of `args` (sharing their storage, so the I32
+/// key is the same every time).
+fn launch_in(
+    program: &Program,
+    args: &[Tensor],
+    mode: Mode,
+    opts: &LaunchOptions,
+) -> (KernelReport, Vec<Tensor>) {
     let mut owned = args.to_vec();
     let mut refs: Vec<&mut Tensor> = owned.iter_mut().collect();
     let report = program
-        .launch_with(&mut refs, &DeviceModel::rtx3090(), Mode::Execute, opts)
+        .launch_with(&mut refs, &DeviceModel::rtx3090(), mode, opts)
         .expect("launches");
+    (report, owned)
+}
+
+fn launch(program: &Program, args: &[Tensor], opts: &LaunchOptions) -> (KernelReport, Vec<Tensor>) {
+    launch_in(program, args, Mode::Execute, opts)
+}
+
+/// The seed interpreter's launch on copies of `args`.
+fn seed(
+    kernel: &Kernel,
+    grid: &[usize],
+    args: &[Tensor],
+    mode: Mode,
+) -> (KernelReport, Vec<Tensor>) {
+    let mut owned = args.to_vec();
+    let mut refs: Vec<&mut Tensor> = owned.iter_mut().collect();
+    let report = launch_reference(kernel, grid, &mut refs, &DeviceModel::rtx3090(), mode)
+        .expect("the seed interpreter launches it");
     (report, owned)
 }
 
 fn assert_bits(got: &[Tensor], want: &[Tensor], label: &str) {
     for (p, (g, w)) in got.iter().zip(want).enumerate() {
         assert!(g.bit_eq(w), "{label}: parameter {p} bits");
+    }
+}
+
+/// The seed's bits, except that where the seed stores a NaN any NaN
+/// will do: where NaNs meet in a sum, which one's payload and sign
+/// survive depends on the order of the operands, which the optimized
+/// bodies do not keep (the conv's planted case differs so).
+fn assert_seed_bits(got: &[Tensor], want: &[Tensor], label: &str) {
+    for (p, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g
+            .data()
+            .iter()
+            .zip(w.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+        assert!(same && g.len() == w.len(), "{label}: parameter {p} bits");
     }
 }
 
@@ -99,28 +142,43 @@ fn planted(args: &[Tensor], seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Launch 3 of one key (the tape's) against a fresh program's full
-/// launch, on one thread and sharded on two; then a batch of three
-/// requests under the ready key against three sequential full launches.
+/// Launches 1, 2 and 3 of one key against the seed interpreter, on one
+/// thread and sharded on two, and an Analytic launch against the seed's;
+/// then a batch of three requests under the ready key.
 fn check(kernel: &Kernel, grid: &[usize], args: &[Tensor], label: &str) {
     let seq = LaunchOptions::sequential();
     let mut two = LaunchOptions::with_threads(2);
     two.min_parallel_instances = 2;
+    let (want_report, want) = seed(kernel, grid, args, Mode::Execute);
+    let (want_analytic, _) = seed(kernel, grid, args, Mode::Analytic);
     for (threads, opts) in [(1, &seq), (2, &two)] {
         let label = format!("{label}, {threads} thread(s)");
         let program = compile(kernel, grid, args);
         assert_eq!(program.replay_decline(), None, "{label}");
-        launch(&program, args, opts);
-        launch(&program, args, opts);
-        let ((report, out), tape) = counting(|| launch(&program, args, opts));
-        let ((want_report, want), full) =
-            counting(|| launch(&compile(kernel, grid, args), args, opts));
-        assert_eq!(tape.2, (0, 0, 1), "{label}: served by the tape");
-        assert_eq!(full.2, (1, 0, 0), "{label}");
-        assert_eq!(report, want_report, "{label}: report");
-        assert_bits(&out, &want, &label);
+        let mut counts = Vec::new();
+        let mut outs = Vec::new();
+        for n in 1..=3 {
+            let ((report, out), c) = counting(|| launch(&program, args, opts));
+            assert_eq!(report, want_report, "{label}: launch {n} report");
+            assert_seed_bits(&out, &want, &format!("{label}: launch {n}"));
+            counts.push(c);
+            outs.push(out);
+        }
+        assert_bits(&outs[2], &outs[0], &format!("{label}: launch 3 against 1"));
+        let (full, tape) = (counts[0], counts[2]);
+        assert_eq!(full.2, (1, 0, 0), "{label}: launch 1 runs in full");
+        assert_eq!(counts[1].2, (0, 1, 0), "{label}: launch 2 records");
+        assert_eq!(tape.2, (0, 0, 1), "{label}: launch 3 is served by the tape");
         assert_eq!(tape.0, full.0, "{label}: dot dispatch");
         assert_eq!(tape.1, full.1, "{label}: site dispatch");
+        let fresh = compile(kernel, grid, args);
+        let (analytic, untouched) = launch_in(&fresh, args, Mode::Analytic, opts);
+        assert_eq!(analytic, want_analytic, "{label}: analytic report");
+        assert_bits(
+            &untouched,
+            args,
+            &format!("{label}: analytic writes nothing"),
+        );
         if threads > 1 {
             continue;
         }
@@ -153,7 +211,7 @@ fn check(kernel: &Kernel, grid: &[usize], args: &[Tensor], label: &str) {
         );
         for (r, request) in reports.iter().zip(&owned) {
             assert_eq!(r, &want_report, "{label}: batched report");
-            assert_bits(request, &want, &format!("{label}: batched"));
+            assert_bits(request, &outs[0], &format!("{label}: batched"));
         }
     }
 }
@@ -252,4 +310,12 @@ fn paper_shaped_kernels_replay_like_full_launches() {
         "block group",
         9,
     );
+}
+
+/// The CSR row sum: a dynamic loop over each row's nonzeros, whose trip
+/// counts the script records — one row empty, so one trip count is 0.
+#[test]
+fn a_dynamic_loop_replays_like_the_seed() {
+    let (grid, args) = csr_rows_args();
+    check_both(&csr_rows_kernel(), &grid, &args, "csr_rows", 10);
 }
